@@ -246,7 +246,7 @@ func TestFoldedHistoryMatchesDirect(t *testing.T) {
 			bit = 1
 		}
 		h.push(bit)
-		f.update(&h)
+		f.update(&h, 5)
 		// Direct fold of the last 13 bits into 5.
 		var direct uint32
 		for j := 12; j >= 0; j-- {

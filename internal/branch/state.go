@@ -134,9 +134,10 @@ func (t *Tournament) RestoreState(r *ckpt.Reader) error {
 
 // CheckpointState implements ckpt.Checkpointable.
 func (t *TAGESCL) CheckpointState(w *ckpt.Writer) error {
-	counters8(w, t.base)
+	counters8(w, t.base[:])
 	w.Uint(uint64(len(t.tables)))
-	for _, tb := range t.tables {
+	for k := range t.tables {
+		tb := &t.tables[k]
 		w.Uint(uint64(len(tb.entries)))
 		for i := range tb.entries {
 			e := &tb.entries[i]
@@ -153,10 +154,10 @@ func (t *TAGESCL) CheckpointState(w *ckpt.Writer) error {
 	if err := t.loop.CheckpointState(w); err != nil {
 		return err
 	}
-	w.Int8s(t.scBias)
+	w.Int8s(t.scBias[:])
 	w.Uint(uint64(len(t.scTables)))
-	for _, sc := range t.scTables {
-		w.Int8s(sc)
+	for k := range t.scTables {
+		w.Int8s(t.scTables[k][:])
 	}
 	w.Uint(uint64(len(t.scFolds)))
 	for i := range t.scFolds {
@@ -172,14 +173,15 @@ func (t *TAGESCL) CheckpointState(w *ckpt.Writer) error {
 
 // RestoreState implements ckpt.Checkpointable.
 func (t *TAGESCL) RestoreState(r *ckpt.Reader) error {
-	if err := restoreCounters8(r, t.base, "tage base"); err != nil {
+	if err := restoreCounters8(r, t.base[:], "tage base"); err != nil {
 		return err
 	}
 	ntables := r.Uint()
 	if r.Err() == nil && ntables != uint64(len(t.tables)) {
 		return fmt.Errorf("branch: checkpoint has %d tage tables, predictor has %d", ntables, len(t.tables))
 	}
-	for _, tb := range t.tables {
+	for k := range t.tables {
+		tb := &t.tables[k]
 		n := r.Uint()
 		if r.Err() == nil && n != uint64(len(tb.entries)) {
 			return fmt.Errorf("branch: checkpoint tage table has %d entries, predictor has %d", n, len(tb.entries))
@@ -204,15 +206,15 @@ func (t *TAGESCL) RestoreState(r *ckpt.Reader) error {
 	if err := t.loop.RestoreState(r); err != nil {
 		return err
 	}
-	if err := restoreCountersS8(r, t.scBias, "sc bias"); err != nil {
+	if err := restoreCountersS8(r, t.scBias[:], "sc bias"); err != nil {
 		return err
 	}
 	nsc := r.Uint()
 	if r.Err() == nil && nsc != uint64(len(t.scTables)) {
 		return fmt.Errorf("branch: checkpoint has %d sc tables, predictor has %d", nsc, len(t.scTables))
 	}
-	for _, sc := range t.scTables {
-		if err := restoreCountersS8(r, sc, "sc"); err != nil {
+	for k := range t.scTables {
+		if err := restoreCountersS8(r, t.scTables[k][:], "sc"); err != nil {
 			return err
 		}
 	}

@@ -30,21 +30,23 @@ func (h *histBuf) at(i uint32) uint8 {
 	return h.bits[(h.ptr+i)&(histBufSize-1)]
 }
 
-// foldedHist incrementally folds origLen bits of global history into
-// compLen bits (the standard TAGE folded-register trick).
+// foldedHist incrementally folds origLen bits of global history into a
+// compLen-bit register (the standard TAGE folded-register trick). The
+// register width is not stored: every fold in TAGESCL has a compile-time
+// width, which its callers pass as a constant so the shifts and masks
+// below are immediates once inlined.
 type foldedHist struct {
 	comp     uint32
-	compLen  uint
 	origLen  uint
 	outpoint uint
 }
 
 func newFolded(origLen, compLen uint) foldedHist {
-	return foldedHist{compLen: compLen, origLen: origLen, outpoint: origLen % compLen}
+	return foldedHist{origLen: origLen, outpoint: origLen % compLen}
 }
 
-func (f *foldedHist) update(h *histBuf) {
-	f.updateBits(h.at(0), h.at(uint32(f.origLen)))
+func (f *foldedHist) update(h *histBuf, compLen uint) {
+	f.updateBits(h.at(0), h.at(uint32(f.origLen)), compLen)
 }
 
 // updateBits advances the fold given the incoming bit (the outcome just
@@ -52,12 +54,35 @@ func (f *foldedHist) update(h *histBuf) {
 // Splitting the bits out lets TAGESCL.Update fetch each distinct
 // history tap once and feed every fold that shares it, instead of
 // walking the circular buffer 21 times per update.
-func (f *foldedHist) updateBits(in, out uint8) {
+func (f *foldedHist) updateBits(in, out uint8, compLen uint) {
 	f.comp = (f.comp << 1) | uint32(in)
 	f.comp ^= uint32(out) << f.outpoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= (1 << f.compLen) - 1
+	f.comp ^= f.comp >> compLen
+	f.comp &= (1 << compLen) - 1
 }
+
+// Geometry of the ~8 KB TAGE-SC-L: a 2K-entry bimodal base, six
+// 512-entry tagged tables with 9-bit tags and history lengths 4..80, a
+// statistical corrector with a 512-entry bias table and three 256-entry
+// GEHL components, and a 64-entry loop predictor. Compile-time constants
+// let every index, tag and fold shift by an immediate and let the fixed
+// arrays below drop their bounds checks.
+const (
+	tageBaseBits = 11
+	tageIdxBits  = 9
+	tageTagBits  = 9
+	tageTables   = 6
+	tageLoops    = 64
+	scBiasRows   = 512
+	scFoldBits   = 8
+	scRows       = 1 << scFoldBits
+	scTables     = 3
+)
+
+var (
+	tageHistLens = [tageTables]uint{4, 7, 13, 24, 44, 80}
+	scHistLens   = [scTables]uint{4, 11, 27}
+)
 
 // tageEntry is one tagged-table row.
 type tageEntry struct {
@@ -67,59 +92,38 @@ type tageEntry struct {
 }
 
 type tageTable struct {
-	entries  []tageEntry
-	idxBits  uint
-	tagBits  uint
-	histLen  uint
-	idxFold  foldedHist
-	tagFold1 foldedHist
-	tagFold2 foldedHist
-}
-
-func newTageTable(idxBits, tagBits, histLen uint) *tageTable {
-	return &tageTable{
-		entries:  make([]tageEntry, 1<<idxBits),
-		idxBits:  idxBits,
-		tagBits:  tagBits,
-		histLen:  histLen,
-		idxFold:  newFolded(histLen, idxBits),
-		tagFold1: newFolded(histLen, tagBits),
-		tagFold2: newFolded(histLen, tagBits-1),
-	}
+	entries  [1 << tageIdxBits]tageEntry
+	idxFold  foldedHist // folded to tageIdxBits
+	tagFold1 foldedHist // folded to tageTagBits
+	tagFold2 foldedHist // folded to tageTagBits-1
 }
 
 // index and tag take the pre-mixed PC hash (mix(pc)) rather than the raw
 // PC: Predict computes the hash once and reuses it across all six tables
 // and the statistical corrector.
 func (t *tageTable) index(m uint64) uint32 {
-	h := uint32(m) ^ uint32(m>>t.idxBits) ^ t.idxFold.comp
-	return h & ((1 << t.idxBits) - 1)
+	h := uint32(m) ^ uint32(m>>tageIdxBits) ^ t.idxFold.comp
+	return h & (1<<tageIdxBits - 1)
 }
 
 func (t *tageTable) tag(m uint64) uint16 {
 	h := uint32(m>>32) ^ t.tagFold1.comp ^ (t.tagFold2.comp << 1)
-	return uint16(h & ((1 << t.tagBits) - 1))
-}
-
-func (t *tageTable) sizeBits() int {
-	return len(t.entries) * (int(t.tagBits) + 3 + 2)
+	return uint16(h & (1<<tageTagBits - 1))
 }
 
 // TAGESCL is the composed TAGE-SC-L predictor.
 type TAGESCL struct {
-	base     []uint8 // bimodal base, 2-bit counters
-	baseMask uint64
-	tables   []*tageTable
-	hist     histBuf
+	base   [1 << tageBaseBits]uint8 // bimodal base, 2-bit counters
+	tables [tageTables]tageTable
+	hist   histBuf
 
 	loop *LoopPredictor
 
 	// Statistical corrector: a bias table indexed by pc and the TAGE
 	// prediction, plus GEHL components over global history prefixes.
-	scBias    []int8
-	scTables  [][]int8
-	scLens    []uint
-	scFolds   []foldedHist
+	scBias    [scBiasRows]int8
+	scTables  [scTables][scRows]int8
+	scFolds   [scTables]foldedHist // folded to scFoldBits
 	scThresh  int32
 	scThreshC int8 // adaptive threshold trim counter
 
@@ -133,25 +137,24 @@ type TAGESCL struct {
 	// Per-PC index/tag computations shared between Predict and Update:
 	// Predict fills these once per branch and Update's training and
 	// allocation paths reuse them instead of re-hashing. Valid because
-	// the folded histories only advance at the end of Update. Allocated
-	// at construction so the hot path never allocates.
-	idxBuf   []uint32
-	tagBuf   []uint16
-	scIdxBuf []int
+	// the folded histories only advance at the end of Update.
+	idxBuf   [tageTables]uint32
+	tagBuf   [tageTables]uint16
+	scIdxBuf [scTables]int
 
 	// Shared-history advance plan, built at construction. foldTaps lists
-	// the distinct history lengths folded anywhere in the predictor (8 in
-	// the default config: six table lengths plus two extra corrector
-	// lengths); tabSlot/scSlot map each table / corrector component to
-	// its outgoing tap's position in foldOut. Update reads each distinct
-	// tap from the circular history once per branch and fans it out to
-	// every folded register sharing that length — the registers
-	// themselves stay embedded in their tables, where the checkpoint
-	// code serializes them in place.
+	// the distinct history lengths folded anywhere in the predictor (8:
+	// six table lengths plus two extra corrector lengths); tabSlot/scSlot
+	// map each table / corrector component to its outgoing tap's
+	// position in foldOut. Update reads each distinct tap from the
+	// circular history once per branch and fans it out to every folded
+	// register sharing that length — the registers themselves stay
+	// embedded in their tables, where the checkpoint code serializes
+	// them in place.
 	foldTaps []uint32
 	foldOut  []uint8
-	tabSlot  []uint8
-	scSlot   []uint8
+	tabSlot  [tageTables]uint8
+	scSlot   [scTables]uint8
 }
 
 type tagePredState struct {
@@ -168,37 +171,12 @@ type tagePredState struct {
 	finalPred  bool
 }
 
-// NewTAGESCL builds the default ~8 KB configuration: 2K-entry bimodal
-// base, six 512-entry tagged tables with history lengths 4..80, a
-// statistical corrector with a bias table and three GEHL components, and a
-// 64-entry loop predictor.
+// NewTAGESCL builds the ~8 KB TAGE-SC-L (see the geometry constants).
 func NewTAGESCL() *TAGESCL {
-	return NewTAGESCLSized(11, 9, 9, []uint{4, 7, 13, 24, 44, 80}, 64)
-}
-
-// NewTAGESCLSized builds a TAGE-SC-L with 2^baseBits bimodal entries,
-// 2^idxBits rows per tagged table, tagBits-wide tags, the given history
-// lengths, and loopEntries loop rows.
-func NewTAGESCLSized(baseBits, idxBits, tagBits uint, histLens []uint, loopEntries int) *TAGESCL {
 	t := &TAGESCL{
-		base:     make([]uint8, 1<<baseBits),
-		baseMask: (1 << baseBits) - 1,
-		loop:     NewLoopPredictor(loopEntries),
-		scLens:   []uint{4, 11, 27},
-		lfsr:     0xace1,
+		loop: NewLoopPredictor(tageLoops),
+		lfsr: 0xace1,
 	}
-	for _, hl := range histLens {
-		t.tables = append(t.tables, newTageTable(idxBits, tagBits, hl))
-	}
-	t.scBias = make([]int8, 512)
-	for _, l := range t.scLens {
-		t.scTables = append(t.scTables, make([]int8, 256))
-		t.scFolds = append(t.scFolds, newFolded(l, 8))
-	}
-	t.scThresh = 2*int32(len(t.scTables)+1) + 1
-	t.idxBuf = make([]uint32, len(t.tables))
-	t.tagBuf = make([]uint16, len(t.tables))
-	t.scIdxBuf = make([]int, len(t.scTables))
 	slotOf := func(l uint) uint8 {
 		for i, tap := range t.foldTaps {
 			if tap == uint32(l) {
@@ -208,11 +186,16 @@ func NewTAGESCLSized(baseBits, idxBits, tagBits uint, histLens []uint, loopEntri
 		t.foldTaps = append(t.foldTaps, uint32(l))
 		return uint8(len(t.foldTaps) - 1)
 	}
-	for _, tb := range t.tables {
-		t.tabSlot = append(t.tabSlot, slotOf(tb.histLen))
+	for i, hl := range tageHistLens {
+		tb := &t.tables[i]
+		tb.idxFold = newFolded(hl, tageIdxBits)
+		tb.tagFold1 = newFolded(hl, tageTagBits)
+		tb.tagFold2 = newFolded(hl, tageTagBits-1)
+		t.tabSlot[i] = slotOf(hl)
 	}
-	for i := range t.scFolds {
-		t.scSlot = append(t.scSlot, slotOf(t.scFolds[i].origLen))
+	for i, hl := range scHistLens {
+		t.scFolds[i] = newFolded(hl, scFoldBits)
+		t.scSlot[i] = slotOf(hl)
 	}
 	t.foldOut = make([]uint8, len(t.foldTaps))
 	t.Reset()
@@ -230,16 +213,16 @@ func (t *TAGESCL) rand2() uint32 {
 }
 
 // The helpers below all take the pre-mixed PC hash; see tageTable.index.
-func (t *TAGESCL) baseIdx(m uint64) uint64 { return m & t.baseMask }
+func (t *TAGESCL) baseIdx(m uint64) uint64 { return m & (1<<tageBaseBits - 1) }
 
 func (t *TAGESCL) basePred(m uint64) bool { return t.base[t.baseIdx(m)] >= 2 }
 
 func (t *TAGESCL) scIndexBias(m uint64, tagePred bool) int {
-	return int((m<<1 | b2u(tagePred)) & uint64(len(t.scBias)-1))
+	return int((m<<1 | b2u(tagePred)) & (scBiasRows - 1))
 }
 
 func (t *TAGESCL) scIndex(i int, m uint64) int {
-	return int((uint32(m) ^ t.scFolds[i].comp ^ uint32(i)*0x9e37) & uint32(len(t.scTables[i])-1))
+	return int((uint32(m) ^ t.scFolds[i].comp ^ uint32(i)*0x9e37) & (scRows - 1))
 }
 
 // Predict implements Predictor.
@@ -250,16 +233,16 @@ func (t *TAGESCL) Predict(pc uint64) bool {
 	// Hash every table's index and tag for this PC once; Update reuses
 	// the buffers for training and allocation (the folded histories do
 	// not advance until the end of Update, so the values stay exact).
-	for i, tb := range t.tables {
-		t.idxBuf[i] = tb.index(m)
-		t.tagBuf[i] = tb.tag(m)
+	for i := range t.tables {
+		t.idxBuf[i] = t.tables[i].index(m)
+		t.tagBuf[i] = t.tables[i].tag(m)
 	}
 
 	// TAGE lookup: longest history match provides, next match is alt.
 	p.altPred = t.basePred(m)
 	altSet := false
 	for i := len(t.tables) - 1; i >= 0; i-- {
-		tb := t.tables[i]
+		tb := &t.tables[i]
 		ix := t.idxBuf[i]
 		if tb.entries[ix].tag == t.tagBuf[i] {
 			if p.provider < 0 {
@@ -394,7 +377,7 @@ func (t *TAGESCL) Update(pc uint64, taken, _ bool) {
 		}
 		allocated := false
 		for i := start; i < len(t.tables); i++ {
-			tb := t.tables[i]
+			tb := &t.tables[i]
 			ix := t.idxBuf[i]
 			if tb.entries[ix].u == 0 {
 				tb.entries[ix] = tageEntry{tag: t.tagBuf[i], ctr: ctrInit(taken)}
@@ -404,7 +387,7 @@ func (t *TAGESCL) Update(pc uint64, taken, _ bool) {
 		}
 		if !allocated {
 			for i := start; i < len(t.tables); i++ {
-				tb := t.tables[i]
+				tb := &t.tables[i]
 				ix := t.idxBuf[i]
 				tb.entries[ix].u = ctrDec(tb.entries[ix].u)
 			}
@@ -414,9 +397,9 @@ func (t *TAGESCL) Update(pc uint64, taken, _ bool) {
 	// Periodic useful-bit aging.
 	t.tick++
 	if t.tick&((1<<18)-1) == 0 {
-		for _, tb := range t.tables {
-			for i := range tb.entries {
-				tb.entries[i].u >>= 1
+		for k := range t.tables {
+			for i := range t.tables[k].entries {
+				t.tables[k].entries[i].u >>= 1
 			}
 		}
 	}
@@ -434,14 +417,15 @@ func (t *TAGESCL) Update(pc uint64, taken, _ bool) {
 	for k, tap := range t.foldTaps {
 		t.foldOut[k] = t.hist.at(tap)
 	}
-	for i, tb := range t.tables {
+	for i := range t.tables {
+		tb := &t.tables[i]
 		out := t.foldOut[t.tabSlot[i]]
-		tb.idxFold.updateBits(bit, out)
-		tb.tagFold1.updateBits(bit, out)
-		tb.tagFold2.updateBits(bit, out)
+		tb.idxFold.updateBits(bit, out, tageIdxBits)
+		tb.tagFold1.updateBits(bit, out, tageTagBits)
+		tb.tagFold2.updateBits(bit, out, tageTagBits-1)
 	}
 	for i := range t.scFolds {
-		t.scFolds[i].updateBits(bit, t.foldOut[t.scSlot[i]])
+		t.scFolds[i].updateBits(bit, t.foldOut[t.scSlot[i]], scFoldBits)
 	}
 }
 
@@ -458,13 +442,8 @@ func (t *TAGESCL) Name() string { return "tage-sc-l" }
 // SizeBits implements Predictor.
 func (t *TAGESCL) SizeBits() int {
 	bits := 2 * len(t.base)
-	for _, tb := range t.tables {
-		bits += tb.sizeBits()
-	}
-	bits += 6 * len(t.scBias)
-	for _, st := range t.scTables {
-		bits += 6 * len(st)
-	}
+	bits += tageTables * len(t.tables[0].entries) * (tageTagBits + 3 + 2) // tag, ctr, u
+	bits += 6 * (scBiasRows + scTables*scRows)
 	bits += t.loop.SizeBits()
 	bits += histBufSize // global history register
 	return bits
@@ -475,21 +454,16 @@ func (t *TAGESCL) Reset() {
 	for i := range t.base {
 		t.base[i] = 1
 	}
-	for _, tb := range t.tables {
-		for i := range tb.entries {
-			tb.entries[i] = tageEntry{}
-		}
+	for i := range t.tables {
+		tb := &t.tables[i]
+		clear(tb.entries[:])
 		tb.idxFold.comp = 0
 		tb.tagFold1.comp = 0
 		tb.tagFold2.comp = 0
 	}
-	for i := range t.scBias {
-		t.scBias[i] = 0
-	}
-	for k := range t.scTables {
-		for i := range t.scTables[k] {
-			t.scTables[k][i] = 0
-		}
+	t.scBias = [scBiasRows]int8{}
+	t.scTables = [scTables][scRows]int8{}
+	for k := range t.scFolds {
 		t.scFolds[k].comp = 0
 	}
 	t.hist = histBuf{}

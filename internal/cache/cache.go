@@ -27,16 +27,24 @@ func L2Unified2M() Config { return Config{SizeBytes: 2 << 20, LineBytes: 64, Way
 // 2^63 the tag cannot collide with the bit.
 const validBit uint64 = 1 << 63
 
+// chunkSets is the allocation granule: tag and LRU storage for this
+// many consecutive sets is allocated by the first access that reaches
+// one of them. A run pays only for the sets its accesses touch — a short
+// run's L1 misses reach a few chunks of the 2 MB L2, not its 512 KiB of
+// tag and LRU words — and an untouched chunk behaves exactly like a
+// zeroed one (every way invalid), so replacement is unchanged.
+const chunkSets = 64
+
 // Cache is one set-associative cache level. Tag and valid state are
-// packed into one uint64 per way (validBit | tag), stored set-major in a
-// flat array, so the hit scan — the timing model runs one per fetched
-// instruction — is a handful of contiguous single-word compares with no
-// struct field loads. LRU clocks live in a parallel array touched only
-// on a hit's update and on the miss-path victim scan.
+// packed into one uint64 per way (validBit | tag), so the hit scan — the
+// timing model runs one per fetched instruction — is a handful of
+// contiguous single-word compares with no struct field loads. Each set
+// is stored as its ways' tags followed by their last-touch LRU clocks,
+// so a hit's clock update lands next to the tag it matched; sets are
+// grouped into lazily allocated chunks of chunkSets (see chunkSets).
 type Cache struct {
 	cfg      Config
-	tags     []uint64 // validBit|tag per way, set-major
-	lru      []uint64 // last-touch clock per way, set-major
+	chunks   [][]uint64 // per chunk of sets: nil until touched, else set-major [tags | lru] words
 	ways     int
 	setMask  uint64
 	lineBits uint
@@ -47,7 +55,7 @@ type Cache struct {
 }
 
 // New builds a cache. Size, line size and ways must describe a power-of-two
-// number of sets.
+// number of sets. No tag storage is allocated until an access needs it.
 func New(cfg Config) (*Cache, error) {
 	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		return nil, fmt.Errorf("cache: non-positive geometry %+v", cfg)
@@ -68,13 +76,19 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: line size %d is not a power of two", cfg.LineBytes)
 	}
 	c := &Cache{cfg: cfg, ways: cfg.Ways, setMask: uint64(nSets - 1), lineBits: lineBits}
-	c.tags = make([]uint64, nSets*cfg.Ways)
-	c.lru = make([]uint64, nSets*cfg.Ways)
+	c.chunks = make([][]uint64, (nSets+chunkSets-1)/chunkSets)
 	return c, nil
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
+
+// alloc allocates zeroed (all ways invalid) storage for chunk i.
+func (c *Cache) alloc(i uint64) []uint64 {
+	ch := make([]uint64, min(chunkSets, int(c.setMask)+1)*2*c.ways)
+	c.chunks[i] = ch
+	return ch
+}
 
 // Access looks up addr, filling the line on a miss, and reports whether it
 // hit. The hit scan compares one packed word per way — valid bit and tag
@@ -86,19 +100,27 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Access(addr uint64) bool {
 	c.clock++
 	block := addr >> c.lineBits
-	base := int(block&c.setMask) * c.ways
-	tags := c.tags[base : base+c.ways]
+	set := block & c.setMask
+	ch := c.chunks[set/chunkSets]
+	if ch == nil {
+		ch = c.alloc(set / chunkSets)
+	}
+	// A hit slices only the tags and stores the matched way's clock by
+	// index; slicing the clocks up front as well cost an L1 hit about a
+	// tenth more.
+	base := int(set%chunkSets) * 2 * c.ways
+	tags := ch[base : base+c.ways]
 	// Keep set bits out of the tag (harmless overlap otherwise); the
 	// shifted block stays below validBit for any address under 2^63.
 	tag := block>>1 | validBit
 	for i := range tags {
 		if tags[i] == tag {
-			c.lru[base+i] = c.clock
+			ch[base+c.ways+i] = c.clock
 			c.Hits++
 			return true
 		}
 	}
-	lru := c.lru[base : base+c.ways]
+	lru := ch[base+c.ways : base+2*c.ways]
 	victim := 0
 	for i := range tags {
 		if tags[i]&validBit == 0 {
@@ -113,10 +135,9 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Reset clears contents and statistics.
+// Reset clears contents and statistics, dropping every allocated chunk.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.lru)
+	clear(c.chunks)
 	c.clock = 0
 	c.Hits = 0
 	c.Misses = 0
@@ -145,26 +166,31 @@ func NewHierarchy(l1i, l1d, l2 Config, memLatency int) (*Hierarchy, error) {
 	return &Hierarchy{L1I: ci, L1D: cd, L2: c2, MemLatency: memLatency}, nil
 }
 
-// InstrLatency returns the access latency for an instruction fetch.
-func (h *Hierarchy) InstrLatency(addr uint64) int {
-	if h.L1I.Access(addr) {
-		return h.L1I.cfg.HitLatency
-	}
-	if h.L2.Access(addr) {
-		return h.L2.cfg.HitLatency
-	}
-	return h.MemLatency
-}
+// Level names the hierarchy level that served an access.
+type Level uint8
 
-// DataLatency returns the access latency for a data access.
-func (h *Hierarchy) DataLatency(addr uint64) int {
-	if h.L1D.Access(addr) {
-		return h.L1D.cfg.HitLatency
+const (
+	LevelL1  Level = iota // L1 hit
+	LevelL2               // L1 miss, L2 hit
+	LevelMem              // missed both levels
+)
+
+// InstrLatency returns the access latency for an instruction fetch and
+// the level that served it.
+func (h *Hierarchy) InstrLatency(addr uint64) (int, Level) { return h.access(h.L1I, addr) }
+
+// DataLatency returns the access latency for a data access and the
+// level that served it.
+func (h *Hierarchy) DataLatency(addr uint64) (int, Level) { return h.access(h.L1D, addr) }
+
+func (h *Hierarchy) access(l1 *Cache, addr uint64) (int, Level) {
+	if l1.Access(addr) {
+		return l1.cfg.HitLatency, LevelL1
 	}
 	if h.L2.Access(addr) {
-		return h.L2.cfg.HitLatency
+		return h.L2.cfg.HitLatency, LevelL2
 	}
-	return h.MemLatency
+	return h.MemLatency, LevelMem
 }
 
 // Reset clears all levels.

@@ -187,29 +187,29 @@ func TestHierarchyLatencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lat := h.DataLatency(0); lat != 100 {
-		t.Errorf("cold data access latency %d, want memory (100)", lat)
+	check := func(what string, lat int, lvl Level, wantLat int, wantLvl Level) {
+		t.Helper()
+		if lat != wantLat || lvl != wantLvl {
+			t.Errorf("%s: latency %d at level %d, want %d at level %d", what, lat, lvl, wantLat, wantLvl)
+		}
 	}
-	if lat := h.DataLatency(0); lat != 4 {
-		t.Errorf("warm L1D latency %d, want 4", lat)
-	}
+	lat, lvl := h.DataLatency(0)
+	check("cold data access", lat, lvl, 100, LevelMem)
+	lat, lvl = h.DataLatency(0)
+	check("warm L1D", lat, lvl, 4, LevelL1)
 	// Evict from L1D but not L2: touch enough conflicting lines.
 	for i := 1; i <= 4; i++ {
 		h.DataLatency(uint64(i * 512))
 	}
-	if lat := h.DataLatency(0); lat != 12 {
-		t.Errorf("L2 hit latency %d, want 12", lat)
-	}
-	if lat := h.InstrLatency(1 << 20); lat != 100 {
-		t.Errorf("cold fetch latency %d, want 100", lat)
-	}
-	if lat := h.InstrLatency(1 << 20); lat != 1 {
-		t.Errorf("warm L1I latency %d, want 1", lat)
-	}
+	lat, lvl = h.DataLatency(0)
+	check("L2 hit", lat, lvl, 12, LevelL2)
+	lat, lvl = h.InstrLatency(1 << 20)
+	check("cold fetch", lat, lvl, 100, LevelMem)
+	lat, lvl = h.InstrLatency(1 << 20)
+	check("warm L1I", lat, lvl, 1, LevelL1)
 	h.Reset()
-	if lat := h.DataLatency(0); lat != 100 {
-		t.Errorf("reset did not clear: %d", lat)
-	}
+	lat, lvl = h.DataLatency(0)
+	check("after reset", lat, lvl, 100, LevelMem)
 }
 
 func TestPaperGeometries(t *testing.T) {

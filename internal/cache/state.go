@@ -7,12 +7,37 @@ import (
 )
 
 // CheckpointState serializes the cache contents and statistics: the
-// packed tag array, the LRU clocks, the global clock, and the hit/miss
-// counters. Geometry is configuration, rebuilt by New. Tags carry the
-// high valid bit, so they go as fixed words, not varints.
+// allocated chunks in index order, then the global clock and the
+// hit/miss counters. Geometry is configuration, rebuilt by New. Only
+// touched chunks are written, and within one every way costs a varint:
+// 0 for an invalid way (its LRU clock is never read), otherwise the tag
+// plus one and the way's LRU clock — so a checkpoint grows with the
+// lines a run has filled, not with the cache's capacity.
 func (c *Cache) CheckpointState(w *ckpt.Writer) error {
-	w.Uint64s(c.tags)
-	w.Uint64s(c.lru)
+	n := 0
+	for _, ch := range c.chunks {
+		if ch != nil {
+			n++
+		}
+	}
+	w.Uint(uint64(n))
+	for i, ch := range c.chunks {
+		if ch == nil {
+			continue
+		}
+		w.Uint(uint64(i))
+		for base := 0; base < len(ch); base += 2 * c.ways {
+			for k := 0; k < c.ways; k++ {
+				tag := ch[base+k]
+				if tag&validBit == 0 {
+					w.Uint(0)
+					continue
+				}
+				w.Uint(tag&^validBit + 1)
+				w.Uint(ch[base+c.ways+k])
+			}
+		}
+	}
 	w.Uint(c.clock)
 	w.Uint(c.Hits)
 	w.Uint(c.Misses)
@@ -20,18 +45,39 @@ func (c *Cache) CheckpointState(w *ckpt.Writer) error {
 }
 
 // RestoreState reads the field sequence written by CheckpointState into
-// a cache of the same geometry.
+// a cache of the same geometry, replacing its contents: chunks the
+// checkpoint does not list are dropped.
 func (c *Cache) RestoreState(r *ckpt.Reader) error {
-	tags := r.Uint64s()
-	lru := r.Uint64s()
-	if err := r.Err(); err != nil {
-		return err
+	clear(c.chunks)
+	n := r.Uint()
+	if r.Err() == nil && n > uint64(len(c.chunks)) {
+		return fmt.Errorf("cache: checkpoint has %d chunks, cache has %d", n, len(c.chunks))
 	}
-	if len(tags) != len(c.tags) || len(lru) != len(c.lru) {
-		return fmt.Errorf("cache: checkpoint has %d tag / %d lru words, cache has %d", len(tags), len(lru), len(c.tags))
+	next := uint64(0) // chunk indices are strictly increasing
+	for j := uint64(0); j < n && r.Err() == nil; j++ {
+		i := r.Uint()
+		if r.Err() != nil {
+			break
+		}
+		if i < next || i >= uint64(len(c.chunks)) {
+			return fmt.Errorf("cache: checkpoint chunk index %d out of order or beyond %d chunks", i, len(c.chunks))
+		}
+		next = i + 1
+		ch := c.alloc(i)
+		for base := 0; base < len(ch); base += 2 * c.ways {
+			for k := 0; k < c.ways; k++ {
+				v := r.Uint()
+				if v == 0 {
+					continue
+				}
+				if v-1 >= validBit {
+					return fmt.Errorf("cache: checkpoint tag %#x out of range", v-1)
+				}
+				ch[base+k] = (v - 1) | validBit
+				ch[base+c.ways+k] = r.Uint()
+			}
+		}
 	}
-	copy(c.tags, tags)
-	copy(c.lru, lru)
 	c.clock = r.Uint()
 	c.Hits = r.Uint()
 	c.Misses = r.Uint()

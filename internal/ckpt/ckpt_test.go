@@ -165,17 +165,21 @@ func rehash(data []byte) []byte {
 
 func TestVersionMismatch(t *testing.T) {
 	data := sampleEncode(t)
-	// The version varint is the byte right after the magic (Version=1
-	// encodes as one byte).
-	mut := append([]byte(nil), data...)
-	mut[len(magic)] = Version + 1
-	mut = rehash(mut)
-	_, err := NewDecoder(mut)
-	if err == nil {
-		t.Fatal("future version decoded without error")
-	}
-	if !strings.Contains(err.Error(), "unsupported checkpoint version") {
-		t.Fatalf("version error not clear: %v", err)
+	// The version varint is the byte right after the magic (any version
+	// below 128 encodes as one byte). Both a future version and the
+	// previous one (v1, whose sections were laid out differently) must be
+	// rejected by name.
+	for _, v := range []byte{Version + 1, Version - 1} {
+		mut := append([]byte(nil), data...)
+		mut[len(magic)] = v
+		mut = rehash(mut)
+		_, err := NewDecoder(mut)
+		if err == nil {
+			t.Fatalf("version %d decoded without error", v)
+		}
+		if !strings.Contains(err.Error(), "unsupported checkpoint version") {
+			t.Fatalf("version %d error not clear: %v", v, err)
+		}
 	}
 }
 

@@ -2,17 +2,17 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ckpt"
 )
 
 // CheckpointState serializes the unit's mutable state: activity
 // counters, every Prob-BTB entry with its SwapTable values and
-// in-flight queue (in canonical key order — map iteration order must
-// not leak into the encoding), and the Context-Table. Configuration and
-// the allocation-recycling pools (handed, freeEntries, freeVals) are
-// not state: pools only affect storage reuse, never behavior.
+// in-flight queue (in canonical key order — which row an entry occupies
+// must not leak into the encoding), and the Context-Table. Configuration
+// and the allocation-recycling pools (handed, freeVals) are not state:
+// pools only affect storage reuse, never behavior.
 func (u *Unit) CheckpointState(w *ckpt.Writer) error {
 	w.Uint(u.stats.Resolutions)
 	w.Uint(u.stats.Steered)
@@ -26,14 +26,24 @@ func (u *Unit) CheckpointState(w *ckpt.Writer) error {
 	w.Uint(u.stats.ContextClears)
 	w.Int(int64(u.stats.MaxLiveBranches))
 
-	keys := make([]btbKey, 0, len(u.entries))
-	for k := range u.entries {
-		keys = append(keys, k)
+	rows := make([]*slot, 0, u.live)
+	for i := range u.slots {
+		if u.slots[i].valid {
+			rows = append(rows, &u.slots[i])
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-	w.Uint(uint64(len(keys)))
-	for _, k := range keys {
-		e := u.entries[k]
+	slices.SortFunc(rows, func(a, b *slot) int {
+		switch {
+		case keyLess(a.key, b.key):
+			return -1
+		case keyLess(b.key, a.key):
+			return 1
+		}
+		return 0
+	})
+	w.Uint(uint64(len(rows)))
+	for _, row := range rows {
+		k, e := row.key, &row.e
 		w.Int(int64(k.pc))
 		w.Uint(uint64(k.loopBit))
 		w.Int(int64(k.funcPC))
@@ -85,13 +95,13 @@ func (u *Unit) RestoreState(r *ckpt.Reader) error {
 	u.stats.ContextClears = r.Uint()
 	u.stats.MaxLiveBranches = int(r.Int())
 
-	u.entries = make(map[btbKey]*entry)
+	u.slots = make([]slot, u.cfg.Branches)
+	u.live = 0
 	u.handed = nil
-	u.freeEntries = nil
 	u.freeVals = nil
 	nentries := r.Uint()
-	if r.Err() == nil && nentries > uint64(r.Len()) {
-		return fmt.Errorf("core: checkpoint claims %d table entries with %d bytes left", nentries, r.Len())
+	if r.Err() == nil && nentries > uint64(len(u.slots)) {
+		return fmt.Errorf("core: checkpoint has %d table entries, unit has %d rows", nentries, len(u.slots))
 	}
 	for i := uint64(0); i < nentries && r.Err() == nil; i++ {
 		k := btbKey{
@@ -99,7 +109,7 @@ func (u *Unit) RestoreState(r *ckpt.Reader) error {
 			loopBit: uint8(r.Uint()),
 			funcPC:  int32(r.Int()),
 		}
-		e := &entry{
+		e := entry{
 			gen:      r.Uint(),
 			constVal: r.U64(),
 			constSet: r.Bool(),
@@ -114,10 +124,11 @@ func (u *Unit) RestoreState(r *ckpt.Reader) error {
 		if r.Err() != nil {
 			break
 		}
-		if _, dup := u.entries[k]; dup {
-			return fmt.Errorf("core: checkpoint has duplicate table entry for pc=%d", k.pc)
+		if i > 0 && !keyLess(u.slots[i-1].key, k) {
+			return fmt.Errorf("core: checkpoint table entry for pc=%d is duplicated or out of order", k.pc)
 		}
-		u.entries[k] = e
+		u.slots[i] = slot{valid: true, key: k, e: e}
+		u.live++
 	}
 
 	hasCtx := r.Bool()

@@ -104,12 +104,22 @@ type btbKey struct {
 	funcPC  int32
 }
 
+// slot is one Prob-BTB row: a valid bit, the (pc, context) key it is
+// tagged with, and its entry. A freed row keeps its queue's backing
+// storage for the next allocation into it.
+type slot struct {
+	valid bool
+	key   btbKey
+	e     entry
+}
+
 // Unit is the PBS hardware unit.
 type Unit struct {
-	cfg     Config
-	ctx     *ContextTracker
-	entries map[btbKey]*entry
-	stats   Stats
+	cfg   Config
+	ctx   *ContextTracker
+	slots []slot // the Prob-BTB: cfg.Branches rows, searched in order
+	live  int    // valid rows
+	stats Stats
 
 	// handed is the value slice returned by the previous steered
 	// Resolution. Its contract expires at the next Resolve call, which
@@ -117,12 +127,11 @@ type Unit struct {
 	// steady-state swap cycle therefore allocates nothing.
 	handed []uint64
 
-	// freeEntries and freeVals recycle table rows and record storage
-	// released by generation clears and Const-Val flushes, so workloads
-	// that churn the Prob-BTB (loop contexts ending and restarting) also
-	// run allocation-free after warm-up.
-	freeEntries []*entry
-	freeVals    [][]uint64
+	// freeVals recycles record storage released by generation clears
+	// and Const-Val flushes, so workloads that churn the Prob-BTB (loop
+	// contexts ending and restarting) also run allocation-free after
+	// warm-up.
+	freeVals [][]uint64
 }
 
 // NewUnit builds a PBS unit for the given configuration.
@@ -131,8 +140,8 @@ func NewUnit(cfg Config) (*Unit, error) {
 		return nil, err
 	}
 	u := &Unit{
-		cfg:     cfg,
-		entries: make(map[btbKey]*entry, cfg.Branches),
+		cfg:   cfg,
+		slots: make([]slot, cfg.Branches),
 	}
 	if cfg.EnableContext {
 		u.ctx = newContextTracker(cfg.ContextLoops, u.clearGen)
@@ -175,15 +184,20 @@ func (u *Unit) newVals(src []uint64) []uint64 {
 	return append([]uint64(nil), src...)
 }
 
+// free invalidates a Prob-BTB row, recycling its record storage.
+func (u *Unit) free(s *slot) {
+	u.recycleRecords(&s.e)
+	s.valid = false
+	u.live--
+	u.stats.ContextClears++
+}
+
 // clearGen flushes every probabilistic table entry owned by a terminated
 // or evicted loop generation, reclaiming the table capacity (§V-C1).
 func (u *Unit) clearGen(gen uint64) {
-	for k, e := range u.entries {
-		if e.gen == gen {
-			u.recycleRecords(e)
-			u.freeEntries = append(u.freeEntries, e)
-			delete(u.entries, k)
-			u.stats.ContextClears++
+	for i := range u.slots {
+		if s := &u.slots[i]; s.valid && s.e.gen == gen {
+			u.free(s)
 		}
 	}
 }
@@ -193,31 +207,25 @@ func (u *Unit) clearGen(gen uint64) {
 // outside any loop (generation 0) and execution has since entered a loop.
 // This is the over-capacity replacement heuristic of §V-C2 — entries of
 // stale contexts are the first to go. Among the dead entries the one
-// with the smallest key goes first: the choice must not depend on map
-// iteration order, or a unit rebuilt from a checkpoint (same entries,
-// different insertion history) could diverge from the original run.
-// Reports whether a slot was freed.
-func (u *Unit) evictDead() bool {
-	var victim btbKey
-	found := false
-	for k, e := range u.entries {
-		if u.genLive(e.gen) {
+// with the smallest key goes first: the choice must not depend on which
+// row an entry happens to occupy, or a unit rebuilt from a checkpoint
+// (same entries, different insertion history) could diverge from the
+// original run. Returns the freed row, nil if every entry is live.
+func (u *Unit) evictDead() *slot {
+	var victim *slot
+	for i := range u.slots {
+		s := &u.slots[i]
+		if !s.valid || u.genLive(s.e.gen) {
 			continue
 		}
-		if !found || keyLess(k, victim) {
-			victim = k
-			found = true
+		if victim == nil || keyLess(s.key, victim.key) {
+			victim = s
 		}
 	}
-	if !found {
-		return false
+	if victim != nil {
+		u.free(victim)
 	}
-	e := u.entries[victim]
-	u.recycleRecords(e)
-	u.freeEntries = append(u.freeEntries, e)
-	delete(u.entries, victim)
-	u.stats.ContextClears++
-	return true
+	return victim
 }
 
 // keyLess orders Prob-BTB keys by (pc, loopBit, funcPC) — the canonical
@@ -298,7 +306,19 @@ func (u *Unit) Resolve(g Group) Resolution {
 		return regular
 	}
 
-	e := u.entries[key]
+	var e *entry
+	var free *slot
+	for i := range u.slots {
+		s := &u.slots[i]
+		if !s.valid {
+			if free == nil {
+				free = s
+			}
+		} else if s.key == key {
+			e = &s.e
+			break
+		}
+	}
 	if e != nil && e.gen != gen {
 		// The previous owner loop's entries were cleared but the same
 		// static branch re-appeared under a new activation of the loop:
@@ -308,22 +328,20 @@ func (u *Unit) Resolve(g Group) Resolution {
 		*e = entry{gen: gen, queue: e.queue}
 	}
 	if e == nil {
-		if len(u.entries) >= u.cfg.Branches && !u.evictDead() {
-			u.stats.CapacityMisses++
-			u.stats.Regular++
-			return regular
+		if free == nil {
+			if free = u.evictDead(); free == nil {
+				u.stats.CapacityMisses++
+				u.stats.Regular++
+				return regular
+			}
 		}
-		if n := len(u.freeEntries); n > 0 {
-			e = u.freeEntries[n-1]
-			u.freeEntries = u.freeEntries[:n-1]
-			*e = entry{gen: gen, queue: e.queue}
-		} else {
-			e = &entry{gen: gen}
-		}
-		u.entries[key] = e
+		free.valid, free.key = true, key
+		free.e = entry{gen: gen, queue: free.e.queue}
+		e = &free.e
+		u.live++
 		u.stats.Allocations++
-		if n := len(u.entries); n > u.stats.MaxLiveBranches {
-			u.stats.MaxLiveBranches = n
+		if u.live > u.stats.MaxLiveBranches {
+			u.stats.MaxLiveBranches = u.live
 		}
 	}
 
@@ -365,7 +383,7 @@ func (u *Unit) Resolve(g Group) Resolution {
 }
 
 // LiveBranches returns the number of currently tracked branches.
-func (u *Unit) LiveBranches() int { return len(u.entries) }
+func (u *Unit) LiveBranches() int { return u.live }
 
 // ContextTracker exposes the context tracker for tests; nil when context
 // support is disabled.
@@ -376,21 +394,12 @@ func (u *Unit) ContextTracker() *ContextTracker { return u.ctx }
 // 193 bytes of PBS state across context switches so no new initialization
 // phase is needed (§V-C2); these methods model that.
 func (u *Unit) SaveState() *SavedState {
-	s := &SavedState{entries: make(map[btbKey]entry, len(u.entries))}
-	for k, e := range u.entries {
-		cp := entry{gen: e.gen, constVal: e.constVal, constSet: e.constSet}
-		cp.queue = make([]record, len(e.queue))
-		for i, r := range e.queue {
-			cp.queue[i] = record{taken: r.taken, vals: append([]uint64(nil), r.vals...)}
-		}
-		s.entries[k] = cp
-	}
-	return s
+	return &SavedState{slots: copySlots(u.slots)}
 }
 
 // SavedState is an opaque PBS state snapshot.
 type SavedState struct {
-	entries map[btbKey]entry
+	slots []slot
 }
 
 // RestoreSaved reinstates a snapshot produced by SaveState.
@@ -398,13 +407,27 @@ func (u *Unit) RestoreSaved(s *SavedState) {
 	// Drop the recycling scratch: the previous Resolution predates the
 	// restored state and must not be overwritten by post-restore records.
 	u.handed = nil
-	u.entries = make(map[btbKey]*entry, len(s.entries))
-	for k, e := range s.entries {
-		cp := e
-		cp.queue = make([]record, len(e.queue))
-		for i, r := range e.queue {
-			cp.queue[i] = record{taken: r.taken, vals: append([]uint64(nil), r.vals...)}
+	u.slots = copySlots(s.slots)
+	u.live = 0
+	for i := range u.slots {
+		if u.slots[i].valid {
+			u.live++
 		}
-		u.entries[k] = &cp
 	}
+}
+
+// copySlots deep-copies Prob-BTB rows, sharing no record storage.
+func copySlots(src []slot) []slot {
+	out := make([]slot, len(src))
+	for i, s := range src {
+		if !s.valid {
+			continue
+		}
+		out[i] = s
+		out[i].e.queue = make([]record, len(s.e.queue))
+		for j, r := range s.e.queue {
+			out[i].e.queue[j] = record{taken: r.taken, vals: append([]uint64(nil), r.vals...)}
+		}
+	}
+	return out
 }

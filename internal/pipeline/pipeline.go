@@ -197,11 +197,12 @@ func (m Metrics) MPKIReg() float64 {
 	return 1000 * float64(m.MispredictsReg) / float64(m.Instructions)
 }
 
-// fuWindow is the backfill scheduler's time-ring size in cycles. It must
-// exceed the maximum spread of concurrently scheduled issue times (bounded
-// by the ROB-induced fetch window plus the longest latency); cells older
-// than one window are recycled lazily.
-const fuWindow = 1 << 14
+// fuRingMin is the initial size, in cycles, of each functional-unit
+// class's time ring: 8 classes × 256 one-word cells = 16 KiB. A ring
+// doubles whenever a live cell would be overwritten, so it only grows
+// past this for runs whose in-flight schedule spans more cycles — long
+// chains of dependent memory misses.
+const fuRingMin = 1 << 8
 
 // fuSched models functional-unit contention with backfill, the way an
 // out-of-order scheduler fills idle issue slots: for every cycle and unit
@@ -210,30 +211,55 @@ const fuWindow = 1 << 14
 // A plain per-unit next-free-time reservation would serialise issue in
 // program order — an op stalled on operands would block younger,
 // already-ready ops from slots the hardware would happily give them.
+//
+// Each class counts in its own time ring indexed by cycle. A cell is
+// live when its cycle is at or after the current fetch cycle (the floor
+// every schedule call passes as now; no later call probes below it) and
+// its count is not zero. Every live cycle sits in its own slot: a ring
+// doubles rather than overwrite a live cell, so a probe that finds
+// another cycle's tag in a slot knows its own cycle is empty, for any
+// span of in-flight cycles. (One ring whose cells carry all eight
+// classes' counts is as small, but successive operations of different
+// classes then read and write the same cell, and scheduling measured
+// about half again as slow.)
 type fuSched struct {
 	units [plan.NumFUClasses]uint8
-	cells [plan.NumFUClasses][fuWindow]fuCell
+	rings [plan.NumFUClasses][]fuCell // power-of-two lengths
 }
 
 // fuCell packs one time-ring cell as cycle<<8 | count: cycles stay below
-// 2^56 for any feasible run, counts below the 8-bit unit cap. Halving the
-// cell to one word keeps the ring's hot region in cache.
+// 2^56 for any feasible run, counts below the 8-bit unit cap. One word
+// per cell keeps a ring's hot region in cache.
 type fuCell uint64
 
-func (c fuCell) cycle() uint64 { return uint64(c) >> 8 }
-func (c fuCell) count() uint8  { return uint8(c) }
+func (c fuCell) cycle() uint64        { return uint64(c) >> 8 }
+func (c fuCell) count() uint8         { return uint8(c) }
+func (c fuCell) live(now uint64) bool { return c.cycle() >= now && c.count() != 0 }
+
+func newFUSched(units [plan.NumFUClasses]uint8) fuSched {
+	s := fuSched{units: units}
+	for class := range s.rings {
+		s.rings[class] = make([]fuCell, fuRingMin)
+	}
+	return s
+}
 
 // schedule returns the issue cycle for an operation of the given class
-// that becomes ready at `ready` and occupies its unit for occ cycles.
-func (s *fuSched) schedule(class plan.FUClass, ready, occ uint64) uint64 {
+// that becomes ready at `ready` (>= now) and occupies its unit for occ
+// cycles; now is the current fetch cycle.
+func (s *fuSched) schedule(class plan.FUClass, ready, occ, now uint64) uint64 {
 	units := s.units[class]
-	cells := &s.cells[class]
 	if occ == 1 {
 		// Fast path for fully pipelined operations (the vast majority):
-		// one cell probe per candidate cycle.
+		// one cell probe per candidate cycle, plus the live check when
+		// the probe finds another cycle's tag.
+		ring := s.rings[class]
 		for t := ready; ; t++ {
-			c := &cells[t&(fuWindow-1)]
+			c := &ring[t&uint64(len(ring)-1)]
 			if c.cycle() != t {
+				if c.live(now) {
+					c = s.claim(class, t, now)
+				}
 				*c = fuCell(t<<8 | 1)
 				return t
 			}
@@ -243,13 +269,11 @@ func (s *fuSched) schedule(class plan.FUClass, ready, occ uint64) uint64 {
 			}
 		}
 	}
-	if occ > fuWindow/2 {
-		occ = fuWindow / 2
-	}
 	for t := ready; ; t++ {
+		ring := s.rings[class]
 		ok := true
 		for k := uint64(0); k < occ; k++ {
-			c := cells[(t+k)&(fuWindow-1)]
+			c := ring[(t+k)&uint64(len(ring)-1)]
 			if c.cycle() == t+k && c.count() >= units {
 				ok = false
 				t += k // skip past the congested cycle
@@ -260,13 +284,45 @@ func (s *fuSched) schedule(class plan.FUClass, ready, occ uint64) uint64 {
 			continue
 		}
 		for k := uint64(0); k < occ; k++ {
-			c := &cells[(t+k)&(fuWindow-1)]
+			c := s.slot(class, t+k, now)
 			if c.cycle() != t+k {
 				*c = fuCell((t + k) << 8)
 			}
 			*c++
 		}
 		return t
+	}
+}
+
+// slot returns the cell that holds, or will hold, cycle t in class's
+// ring, growing the ring first if a live cell of another cycle is there.
+func (s *fuSched) slot(class plan.FUClass, t, now uint64) *fuCell {
+	ring := s.rings[class]
+	c := &ring[t&uint64(len(ring)-1)]
+	if c.cycle() != t && c.live(now) {
+		c = s.claim(class, t, now)
+	}
+	return c
+}
+
+// claim returns the slot for cycle t in class's ring after doubling the
+// ring until no live cell of another cycle occupies it. Live cells keep
+// distinct slots under every doubling (distinct residues stay
+// distinct); dead cells are dropped.
+func (s *fuSched) claim(class plan.FUClass, t, now uint64) *fuCell {
+	for {
+		old := s.rings[class]
+		ring := make([]fuCell, 2*len(old))
+		mask := uint64(len(ring) - 1)
+		for _, c := range old {
+			if c.live(now) {
+				ring[c.cycle()&mask] = c
+			}
+		}
+		s.rings[class] = ring
+		if c := &ring[t&mask]; !c.live(now) {
+			return c
+		}
 	}
 }
 
@@ -306,15 +362,6 @@ type Pipeline struct {
 	feDepth   uint64
 	misPen    uint64
 	l1iHitLat int
-	l1dHitLat int
-	l2HitLat  int
-
-	// latTiered: the hierarchy's latencies are strictly increasing
-	// (L1 hit < L2 hit < memory), so a returned latency identifies the
-	// level that served the access and the per-level miss counters can
-	// be derived from it instead of sampled around every access. Any
-	// degenerate configuration falls back to counter deltas.
-	latTiered bool
 
 	// L1I fetch-streak state: consecutive fetches from the line of the
 	// previous fetch bypass the cache model (see retire). iblockShift
@@ -382,27 +429,24 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 		feDepth:    uint64(cfg.FrontendDepth),
 		misPen:     uint64(cfg.MispredictPenalty),
 		l1iHitLat:  cfg.L1I.HitLatency,
-		l1dHitLat:  cfg.L1D.HitLatency,
-		l2HitLat:   cfg.L2.HitLatency,
 		lastIBlock: ^uint64(0),
+		fus: newFUSched([plan.NumFUClasses]uint8{
+			plan.FUALU:    uint8(cfg.IntALUs),
+			plan.FUMul:    1,
+			plan.FUDiv:    1,
+			plan.FUFP:     uint8(cfg.FPUs),
+			plan.FUFDiv:   1,
+			plan.FUFLong:  1,
+			plan.FUMem:    uint8(cfg.MemPorts),
+			plan.FUBranch: uint8(cfg.BranchUnits),
+		}),
 	}
-	p.latTiered = cfg.L1I.HitLatency < cfg.L2.HitLatency &&
-		cfg.L1D.HitLatency < cfg.L2.HitLatency &&
-		cfg.L2.HitLatency < cfg.MemLatency
 	// Instructions are 8 bytes, so PC>>(log2(LineBytes)-3) is the fetch
 	// line number (line sizes below 8 bytes degrade to per-PC streaks,
 	// which are still sound: the same PC fetches the same line).
 	for lb := cfg.L1I.LineBytes; lb > 8; lb >>= 1 {
 		p.iblockShift++
 	}
-	p.fus.units[plan.FUALU] = uint8(cfg.IntALUs)
-	p.fus.units[plan.FUMul] = 1
-	p.fus.units[plan.FUDiv] = 1
-	p.fus.units[plan.FUFP] = uint8(cfg.FPUs)
-	p.fus.units[plan.FUFDiv] = 1
-	p.fus.units[plan.FUFLong] = 1
-	p.fus.units[plan.FUMem] = uint8(cfg.MemPorts)
-	p.fus.units[plan.FUBranch] = uint8(cfg.BranchUnits)
 	return p, nil
 }
 
@@ -503,24 +547,17 @@ func (p *Pipeline) retire(di *emu.DynInstr) {
 	p.m.L1IAccesses++
 	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
 		p.lastIBlock = iblock
-		if p.latTiered {
-			if lat := p.hier.InstrLatency(uint64(di.PC) * 8); lat > p.l1iHitLat {
-				p.m.L1IMisses++
-				if lat > p.l2HitLat {
-					p.m.L2Misses++
-				}
+		if lat, lvl := p.hier.InstrLatency(uint64(di.PC) * 8); lvl != cache.LevelL1 {
+			p.m.L1IMisses++
+			if lvl == cache.LevelMem {
+				p.m.L2Misses++
+			}
+			// A fetch stalls only for latency beyond the L1 hit time
+			// (a degenerate configuration may serve misses no slower).
+			if lat > p.l1iHitLat {
 				fc += uint64(lat)
 				p.fetchedInCycle = 0
 			}
-		} else {
-			l1iMissBefore := p.hier.L1I.Misses
-			l2MissBefore := p.hier.L2.Misses
-			if lat := p.hier.InstrLatency(uint64(di.PC) * 8); lat > p.l1iHitLat {
-				fc += uint64(lat)
-				p.fetchedInCycle = 0
-			}
-			p.m.L1IMisses += p.hier.L1I.Misses - l1iMissBefore
-			p.m.L2Misses += p.hier.L2.Misses - l2MissBefore
 		}
 	} else {
 		p.hier.L1I.Hits++ // keep the cache's own counters consistent
@@ -538,25 +575,16 @@ func (p *Pipeline) retire(di *emu.DynInstr) {
 		}
 	}
 	lat := uint64(d.Lat)
-	issue = p.fus.schedule(d.FU, issue, uint64(d.Occ))
+	issue = p.fus.schedule(d.FU, issue, uint64(d.Occ), fc)
 
 	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
 		p.m.L1DAccesses++
-		var dlat int
-		if p.latTiered {
-			dlat = p.hier.DataLatency(di.MemAddr)
-			if dlat > p.l1dHitLat {
-				p.m.L1DMisses++
-				if dlat > p.l2HitLat {
-					p.m.L2Misses++
-				}
+		dlat, lvl := p.hier.DataLatency(di.MemAddr)
+		if lvl != cache.LevelL1 {
+			p.m.L1DMisses++
+			if lvl == cache.LevelMem {
+				p.m.L2Misses++
 			}
-		} else {
-			l1dMissBefore := p.hier.L1D.Misses
-			l2MissBefore := p.hier.L2.Misses
-			dlat = p.hier.DataLatency(di.MemAddr)
-			p.m.L1DMisses += p.hier.L1D.Misses - l1dMissBefore
-			p.m.L2Misses += p.hier.L2.Misses - l2MissBefore
 		}
 		if d.Flags&plan.FLoad != 0 {
 			lat = uint64(dlat)

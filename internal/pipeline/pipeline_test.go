@@ -263,29 +263,27 @@ func TestMetricsDerived(t *testing.T) {
 }
 
 func TestFUSchedSaturation(t *testing.T) {
-	var s fuSched
-	s.units[plan.FUALU] = 2
+	s := newFUSched([plan.NumFUClasses]uint8{plan.FUALU: 2, plan.FUDiv: 1})
 	// Three ops ready at cycle 10 on a 2-unit class: two issue at 10,
 	// the third at 11.
-	if got := s.schedule(plan.FUALU, 10, 1); got != 10 {
+	if got := s.schedule(plan.FUALU, 10, 1, 0); got != 10 {
 		t.Errorf("first: %d", got)
 	}
-	if got := s.schedule(plan.FUALU, 10, 1); got != 10 {
+	if got := s.schedule(plan.FUALU, 10, 1, 0); got != 10 {
 		t.Errorf("second: %d", got)
 	}
-	if got := s.schedule(plan.FUALU, 10, 1); got != 11 {
+	if got := s.schedule(plan.FUALU, 10, 1, 0); got != 11 {
 		t.Errorf("third: %d", got)
 	}
 	// Backfill: an op ready at cycle 5 slots in before the busy cycle 10.
-	if got := s.schedule(plan.FUALU, 5, 1); got != 5 {
+	if got := s.schedule(plan.FUALU, 5, 1, 0); got != 5 {
 		t.Errorf("backfill: %d", got)
 	}
 	// Occupancy: a 4-cycle op on a 1-unit class excludes overlaps.
-	s.units[plan.FUDiv] = 1
-	if got := s.schedule(plan.FUDiv, 20, 4); got != 20 {
+	if got := s.schedule(plan.FUDiv, 20, 4, 0); got != 20 {
 		t.Errorf("div first: %d", got)
 	}
-	if got := s.schedule(plan.FUDiv, 21, 4); got != 24 {
+	if got := s.schedule(plan.FUDiv, 21, 4, 0); got != 24 {
 		t.Errorf("div second must wait: %d", got)
 	}
 }

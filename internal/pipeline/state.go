@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ckpt"
+	"repro/internal/plan"
 )
 
 // CheckpointState serializes the timing model's mutable state: metrics,
@@ -13,11 +15,14 @@ import (
 // masks) are rebuilt by New; the predictor is a separate component the
 // session checkpoints itself.
 //
-// The FU ring is encoded sparsely: schedule only ever probes cycles at
-// or after the current fetch cycle, so cells whose stamped cycle is
-// already in the past can never match a future probe — they are dead
-// storage and restore as zero with identical scheduling behavior. This
-// turns 1 MiB of mostly stale ring into a few live cells.
+// The FU rings are encoded as their live cells only: schedule only ever
+// probes cycles at or after the current fetch cycle, so cells whose
+// stamped cycle is already in the past can never match a future probe —
+// they are dead storage and restore as empty with identical scheduling
+// behavior. Each class writes its live cells as (cycle, count) pairs in
+// cycle order, the cycle as a delta from the fetch cycle or the previous
+// cell, so the bytes depend on the schedule alone, not on a ring's size
+// or the order in which it grew.
 func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 	w.Uint(p.m.Instructions)
 	w.Uint(p.m.Cycles)
@@ -53,20 +58,21 @@ func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 		return err
 	}
 
-	for class := range p.fus.cells {
-		cells := &p.fus.cells[class]
-		live := 0
-		for i := range cells {
-			if cells[i].cycle() >= p.curFetchCycle && cells[i] != 0 {
-				live++
+	var live []fuCell
+	for class := range p.fus.rings {
+		live = live[:0]
+		for _, c := range p.fus.rings[class] {
+			if c.live(p.curFetchCycle) {
+				live = append(live, c)
 			}
 		}
-		w.Uint(uint64(live))
-		for i := range cells {
-			if cells[i].cycle() >= p.curFetchCycle && cells[i] != 0 {
-				w.Uint(uint64(i))
-				w.Uint(uint64(cells[i]))
-			}
+		slices.Sort(live) // cycle order: the cycle is the high bits
+		w.Uint(uint64(len(live)))
+		prev := p.curFetchCycle
+		for _, c := range live {
+			w.Uint(c.cycle() - prev)
+			w.Uint(uint64(c.count()))
+			prev = c.cycle()
 		}
 	}
 	return nil
@@ -125,23 +131,24 @@ func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
 		return err
 	}
 
-	for class := range p.fus.cells {
-		cells := &p.fus.cells[class]
-		clear(cells[:])
+	p.fus = newFUSched(p.fus.units)
+	for class := range p.fus.rings {
 		live := r.Uint()
 		if r.Err() == nil && live > uint64(r.Len()) {
 			return fmt.Errorf("pipeline: checkpoint claims %d live FU cells with %d bytes left", live, r.Len())
 		}
+		cycle := p.curFetchCycle
 		for i := uint64(0); i < live && r.Err() == nil; i++ {
-			idx := r.Uint()
-			cell := fuCell(r.Uint())
+			delta, count := r.Uint(), r.Uint()
 			if r.Err() != nil {
 				break
 			}
-			if idx >= fuWindow {
-				return fmt.Errorf("pipeline: checkpoint FU cell index %d outside the %d-cycle ring", idx, fuWindow)
+			next := cycle + delta
+			if (i > 0 && delta == 0) || next < cycle || next >= 1<<56 || count == 0 || count > 0xff {
+				return fmt.Errorf("pipeline: checkpoint FU cell %d of class %d is empty, out of order or out of range", i, class)
 			}
-			cells[idx] = cell
+			cycle = next
+			*p.fus.slot(plan.FUClass(class), cycle, p.curFetchCycle) = fuCell(cycle<<8 | count)
 		}
 	}
 	return r.Err()
