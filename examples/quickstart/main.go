@@ -62,7 +62,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cpu.SetListener(pipe.OnRetire)
+		cpu.SetTraceSink(pipe)
 		if err := cpu.Run(0); err != nil {
 			log.Fatal(err)
 		}

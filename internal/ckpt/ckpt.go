@@ -34,10 +34,13 @@ const magic = "PBSCKPT\n"
 // Version is the container format version this build writes and the
 // only one it reads. Bump it on any incompatible change to a section
 // layout; old checkpoints are then rejected with a clear error instead
-// of being misparsed. Version 2 encodes the timing model's
+// of being misparsed. Version 2 encoded the timing model's
 // functional-unit rings as cycle-ordered live cells, each cache as its
-// touched chunks, and the Prob-BTB in strict key order.
-const Version = 2
+// touched chunks, and the Prob-BTB in strict key order. Version 3 keeps
+// all of that and writes the timing model's single ROB ring (no commit
+// ring, commit cursor, last-commit cycle or instruction index) plus
+// its L1D line-streak register.
+const Version = 3
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable

@@ -4,34 +4,86 @@ import (
 	"testing"
 
 	"repro/internal/branch"
+	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/rng"
 	"repro/internal/workloads"
 )
 
-// recordTrace runs the PI workload functionally and captures its retired
-// instruction trace for replay through the timing model.
-func recordTrace(b *testing.B, maxInstrs uint64) (*isa.Program, []emu.DynInstr) {
-	b.Helper()
-	w, err := workloads.ByName("PI")
+// recorder is a trace sink that keeps a copy of every batch.
+type recorder []emu.DynInstr
+
+func (r *recorder) ConsumeTrace(batch []emu.DynInstr) { *r = append(*r, batch...) }
+
+// recordWorkload runs a workload's default build functionally, with the
+// PBS unit when pbs is set, and captures its first n retired
+// instructions (fewer if it halts first) for replay through the timing
+// model.
+func recordWorkload(tb testing.TB, name string, pbs bool, n uint64) (*isa.Program, []emu.DynInstr) {
+	tb.Helper()
+	w, err := workloads.ByName(name)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	prog, err := w.Build(workloads.DefaultParams(), true)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	cpu, err := emu.New(prog, rng.New(1), nil)
+	var unit *core.Unit
+	if pbs {
+		if unit, err = core.NewUnit(core.DefaultConfig()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cpu, err := emu.New(prog, rng.New(1), unit)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var trace []emu.DynInstr
-	cpu.SetListener(func(di emu.DynInstr) { trace = append(trace, di) })
-	if err := cpu.Run(maxInstrs); err != nil {
-		b.Fatal(err)
+	trace := make(recorder, 0, n)
+	cpu.SetTraceSink(&trace)
+	if err := cpu.Run(n); err != nil {
+		tb.Fatal(err)
 	}
 	return prog, trace
+}
+
+// BenchmarkRetireMix measures the retire kernel over the whole workload
+// mix: each workload's first 1M instructions, PBS off and on, are
+// recorded once and replayed in 256-instruction batches through fresh
+// 4- and 8-wide pipelines with both predictors. Recording and pipeline
+// construction are excluded from the timing; the metric is nanoseconds
+// per replayed instruction. One iteration replays 64M instructions.
+func BenchmarkRetireMix(b *testing.B) {
+	const n, batch = 1 << 20, 256
+	var replayed uint64
+	b.StopTimer()
+	for _, name := range workloads.Names() {
+		for _, pbs := range []bool{false, true} {
+			prog, trace := recordWorkload(b, name, pbs, n)
+			for i := 0; i < b.N; i++ {
+				for _, cfg := range []Config{FourWide(), EightWide()} {
+					for _, pred := range []string{"tage-sc-l", "tournament"} {
+						bp, err := branch.New(pred)
+						if err != nil {
+							b.Fatal(err)
+						}
+						pipe, err := New(cfg, prog, bp)
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+						for off := 0; off < len(trace); off += batch {
+							pipe.ConsumeTrace(trace[off:min(off+batch, len(trace))])
+						}
+						b.StopTimer()
+						replayed += uint64(len(trace))
+					}
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(replayed), "ns/instr")
 }
 
 // BenchmarkRetireBatch measures the steady-state retire path in
@@ -41,7 +93,7 @@ func recordTrace(b *testing.B, maxInstrs uint64) (*isa.Program, []emu.DynInstr) 
 // caches and the TAGE-SC-L predictor — everything the trace-driven model
 // does per retired instruction — with zero allocations per batch.
 func BenchmarkRetireBatch(b *testing.B) {
-	prog, trace := recordTrace(b, 1<<20)
+	prog, trace := recordWorkload(b, "PI", false, 1<<20)
 	pipe, err := New(FourWide(), prog, branch.NewTAGESCL())
 	if err != nil {
 		b.Fatal(err)
@@ -61,23 +113,7 @@ func BenchmarkRetireBatch(b *testing.B) {
 // TestRetireBatchAllocationFree pins the zero-allocation property of the
 // steady-state retire path under plain `go test`.
 func TestRetireBatchAllocationFree(t *testing.T) {
-	w, err := workloads.ByName("PI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := w.Build(workloads.DefaultParams(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := emu.New(prog, rng.New(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace []emu.DynInstr
-	cpu.SetListener(func(di emu.DynInstr) { trace = append(trace, di) })
-	if err := cpu.Run(200_000); err != nil {
-		t.Fatal(err)
-	}
+	prog, trace := recordWorkload(t, "PI", false, 200_000)
 	pipe, err := New(FourWide(), prog, branch.NewTAGESCL())
 	if err != nil {
 		t.Fatal(err)

@@ -118,10 +118,12 @@ func TestFUSchedMatchesReference(t *testing.T) {
 }
 
 // chaseTrace records the retired trace of a pointer chase whose 128
-// nodes fall into four cache sets, 32 lines each: every load misses L1
-// and L2 (cyclic reuse of 32 lines through 16 ways) and depends on the
-// previous one, so the in-flight schedule outgrows the initial FU ring,
-// while the misses allocate only a few of the L2's chunks.
+// nodes fall into four cache sets, 32 lines each: every node's first
+// load misses L1 and L2 (cyclic reuse of 32 lines through 16 ways) and
+// depends on the previous node, so the in-flight schedule outgrows the
+// initial FU ring, while the misses allocate only a few of the L2's
+// chunks. Each node is read twice, a payload word and then the link in
+// the same line, so every node is a two-access L1D line streak.
 func chaseTrace(t *testing.T) ([]emu.DynInstr, func() *Pipeline) {
 	t.Helper()
 	b := progb.New("chase", false)
@@ -134,6 +136,7 @@ func chaseTrace(t *testing.T) ([]emu.DynInstr, func() *Pipeline) {
 	b.MovInt(1, base)
 	b.MovInt(2, 6000)
 	b.ForN(3, 2, func() {
+		b.Load(5, 1, 8)
 		b.Load(1, 1, 0)
 		b.Op3(isa.DIV, 4, 2, 2) // a multi-cycle op beside the chain
 	})
@@ -200,13 +203,44 @@ func restore(t *testing.T, p *Pipeline, data []byte) {
 // cache chunks have been allocated, checkpoint → restore → checkpoint is
 // byte-identical, the restored machine (a fresh, minimum-size ring)
 // times the rest of the trace exactly as the original does, and both end
-// in byte-identical state.
+// in byte-identical state. It cuts the trace twice: halfway, and between
+// the two accesses of an L1D line streak, where the restored machine
+// must bypass the cache model for the next access exactly as the
+// original does.
 func TestCheckpointSparseStateRoundTrip(t *testing.T) {
 	trace, newPipe := chaseTrace(t)
 	half := len(trace) / 2
+	// The first data access past the half that repeats the line of the
+	// data access before it.
+	probe := newPipe()
+	streak, prev := -1, ^uint64(0)
+	for i, di := range trace {
+		if probe.plan.Code[di.PC].Flags&(plan.FLoad|plan.FStore) == 0 {
+			continue
+		}
+		line := di.MemAddr >> probe.dblockShift
+		if i > half && line == prev {
+			streak = i
+			break
+		}
+		prev = line
+	}
+	if streak < 0 {
+		t.Fatal("the trace has no L1D line streak past its half")
+	}
+	for _, cut := range []struct {
+		name string
+		at   int
+	}{{"half", half}, {"mid-L1D-streak", streak}} {
+		t.Run(cut.name, func(t *testing.T) {
+			roundTrip(t, trace, cut.at, newPipe)
+		})
+	}
+}
 
+func roundTrip(t *testing.T, trace []emu.DynInstr, cut int, newPipe func() *Pipeline) {
 	orig := newPipe()
-	orig.ConsumeTrace(trace[:half])
+	orig.ConsumeTrace(trace[:cut])
 	if !grown(&orig.fus) {
 		t.Fatal("no FU ring grew; the test needs a grown ring")
 	}
@@ -234,9 +268,12 @@ func TestCheckpointSparseStateRoundTrip(t *testing.T) {
 	if again := snapshot(t, restored); !bytes.Equal(data, again) {
 		t.Fatalf("checkpoint → restore → checkpoint differs: %d vs %d bytes", len(data), len(again))
 	}
+	if restored.lastDBlock != orig.lastDBlock {
+		t.Fatalf("restored L1D streak line %#x, original %#x", restored.lastDBlock, orig.lastDBlock)
+	}
 
-	orig.ConsumeTrace(trace[half:])
-	restored.ConsumeTrace(trace[half:])
+	orig.ConsumeTrace(trace[cut:])
+	restored.ConsumeTrace(trace[cut:])
 	if orig.Metrics() != restored.Metrics() {
 		t.Fatalf("restored run diverged:\n orig     %+v\n restored %+v", orig.Metrics(), restored.Metrics())
 	}

@@ -1,7 +1,7 @@
 // Package pipeline is the trace-driven out-of-order timing model of the
 // reproduction. It consumes the retired-instruction stream of the
-// functional emulator — batch-wise through emu.TraceSink, or one
-// instruction at a time through OnRetire — and computes cycle timing for
+// functional emulator batch-wise through emu.TraceSink (attach it with
+// emu.CPU.SetTraceSink, or behind a trace ring) and computes cycle timing for
 // an aggressive superscalar core: fetch bandwidth with one taken branch
 // per cycle, front-end depth, ROB occupancy, register dataflow,
 // functional unit pools, a two-level cache hierarchy, and the 10-cycle
@@ -61,8 +61,9 @@ type Config struct {
 	// restarts MispredictPenalty cycles after the branch actually
 	// executes, however deep its operand chain. The second model makes
 	// eliminating probabilistic branches — whose operands sit at the end
-	// of long random-value chains — even more valuable; it is reported as
-	// an ablation in EXPERIMENTS.md.
+	// of long random-value chains — even more valuable; it is measured as
+	// an ablation by BenchmarkResolutionPenalty in the module root's
+	// bench_test.go.
 	ResolutionPenalty bool
 }
 
@@ -164,7 +165,6 @@ func (m Metrics) IPC() float64 {
 	return float64(m.Instructions) / float64(m.Cycles)
 }
 
-// MPKI returns mispredictions per 1000 instructions.
 // CPI returns cycles per retired instruction (0 before any retire).
 func (m Metrics) CPI() float64 {
 	if m.Instructions == 0 {
@@ -173,6 +173,7 @@ func (m Metrics) CPI() float64 {
 	return float64(m.Cycles) / float64(m.Instructions)
 }
 
+// MPKI returns mispredictions per 1000 instructions.
 func (m Metrics) MPKI() float64 {
 	if m.Instructions == 0 {
 		return 0
@@ -246,29 +247,11 @@ func newFUSched(units [plan.NumFUClasses]uint8) fuSched {
 
 // schedule returns the issue cycle for an operation of the given class
 // that becomes ready at `ready` (>= now) and occupies its unit for occ
-// cycles; now is the current fetch cycle.
+// cycles; now is the current fetch cycle. The retire kernel schedules
+// fully pipelined operations (occ == 1, the vast majority) inline and
+// calls this only for multi-cycle ones; it is exact for any occ.
 func (s *fuSched) schedule(class plan.FUClass, ready, occ, now uint64) uint64 {
 	units := s.units[class]
-	if occ == 1 {
-		// Fast path for fully pipelined operations (the vast majority):
-		// one cell probe per candidate cycle, plus the live check when
-		// the probe finds another cycle's tag.
-		ring := s.rings[class]
-		for t := ready; ; t++ {
-			c := &ring[t&uint64(len(ring)-1)]
-			if c.cycle() != t {
-				if c.live(now) {
-					c = s.claim(class, t, now)
-				}
-				*c = fuCell(t<<8 | 1)
-				return t
-			}
-			if c.count() < units {
-				*c++
-				return t
-			}
-		}
-	}
 	for t := ready; ; t++ {
 		ring := s.rings[class]
 		ok := true
@@ -327,11 +310,9 @@ func (s *fuSched) claim(class plan.FUClass, t, now uint64) *fuCell {
 }
 
 // Pipeline is the timing model for one run. It consumes the emulator's
-// trace batch-wise (ConsumeTrace, the emu.TraceSink contract) or per
-// instruction (OnRetire, the legacy Listener contract).
+// trace batch-wise through ConsumeTrace (the emu.TraceSink contract).
 type Pipeline struct {
 	cfg  Config
-	prog *isa.Program
 	plan *plan.Plan
 	pred branch.Predictor
 	hier *cache.Hierarchy
@@ -344,31 +325,33 @@ type Pipeline struct {
 	breakFetch        bool // a taken branch ends the current fetch cycle
 	fetchBlockedUntil uint64
 
-	// dataflow
-	regReady [isa.NumDataflowRegs]uint64
+	// dataflow: ready cycle per register, padded with the cells the
+	// plan's fixed-arity source and destination sets point at (see
+	// plan.SrcNone).
+	regReady [plan.NumDataflowCells]uint64
 
-	// in-order structures (ring buffers). robPos and commitPos are the
-	// wrapped cursors idx%ROBSize and idx%Width, maintained incrementally
-	// so the retire path divides by nothing.
-	robRing    []uint64 // commit cycle of instruction idx-ROBSize
-	commitRing []uint64 // commit cycle of instruction idx-Width
-	robPos     int
-	commitPos  int
-	lastCommit uint64
-	idx        uint64
+	// robRing is the one in-order ring: slot robPos (the wrapped cursor
+	// idx%ROBSize, maintained incrementally so the kernel divides by
+	// nothing) holds the commit cycle of instruction idx-ROBSize, and
+	// slot (robPos-Width) mod ROBSize that of idx-Width.
+	robRing []uint64
+	robPos  int
 
 	// precomputed config values on the hot path
-	robSize64 uint64
 	feDepth   uint64
 	misPen    uint64
 	l1iHitLat int
+	l1dHitLat int
 
-	// L1I fetch-streak state: consecutive fetches from the line of the
-	// previous fetch bypass the cache model (see retire). iblockShift
-	// maps an instruction index to its line number; lastIBlock starts at
-	// a value no real fetch produces.
+	// Line-streak state of the two L1s: an access to the line of the
+	// previous access to the same cache bypasses the cache model (see
+	// ConsumeTrace). The shifts map an instruction index and a data
+	// address to their line numbers; both last-line registers start at
+	// a value no real access produces.
 	iblockShift uint
+	dblockShift uint
 	lastIBlock  uint64
+	lastDBlock  uint64
 
 	// functional units: backfill scheduler
 	fus fuSched
@@ -393,13 +376,6 @@ type Pipeline struct {
 	// rendezvous (ring drained), so the consumer goroutine never observes
 	// a mid-batch change.
 	funcWarm bool
-
-	// DebugBlock, when set, is invoked whenever a misprediction pushes
-	// fetchBlockedUntil forward (diagnostics only).
-	DebugBlock func(pc int32, op isa.Op, execDone, until uint64)
-	// DebugInstr, when set, is invoked per instruction with its timing
-	// (diagnostics only).
-	DebugInstr func(pc int32, op isa.Op, fc, issue, execDone uint64)
 }
 
 // New builds a pipeline bound to a program, predictor and fresh caches.
@@ -419,17 +395,16 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 	}
 	p := &Pipeline{
 		cfg:        cfg,
-		prog:       prog,
 		plan:       pl,
 		pred:       pred,
 		hier:       hier,
 		robRing:    make([]uint64, cfg.ROBSize),
-		commitRing: make([]uint64, cfg.Width),
-		robSize64:  uint64(cfg.ROBSize),
 		feDepth:    uint64(cfg.FrontendDepth),
 		misPen:     uint64(cfg.MispredictPenalty),
 		l1iHitLat:  cfg.L1I.HitLatency,
+		l1dHitLat:  cfg.L1D.HitLatency,
 		lastIBlock: ^uint64(0),
+		lastDBlock: ^uint64(0),
 		fus: newFUSched([plan.NumFUClasses]uint8{
 			plan.FUALU:    uint8(cfg.IntALUs),
 			plan.FUMul:    1,
@@ -443,36 +418,15 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 	}
 	// Instructions are 8 bytes, so PC>>(log2(LineBytes)-3) is the fetch
 	// line number (line sizes below 8 bytes degrade to per-PC streaks,
-	// which are still sound: the same PC fetches the same line).
+	// which are still sound: the same PC fetches the same line). Data
+	// lines are addr>>log2(LineBytes), the cache's own block number.
 	for lb := cfg.L1I.LineBytes; lb > 8; lb >>= 1 {
 		p.iblockShift++
 	}
+	for lb := cfg.L1D.LineBytes; lb > 1; lb >>= 1 {
+		p.dblockShift++
+	}
 	return p, nil
-}
-
-// ConsumeTrace implements emu.TraceSink: it retires one batch of
-// instructions in program order. Pass the pipeline to
-// emu.CPU.SetTraceSink.
-func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
-	if p.funcWarm {
-		for i := range batch {
-			p.warmRetire(&batch[i])
-		}
-		return
-	}
-	for i := range batch {
-		p.retire(&batch[i])
-	}
-}
-
-// OnRetire consumes one retired instruction (the legacy per-instruction
-// path; pass it to emu.CPU.SetListener).
-func (p *Pipeline) OnRetire(di emu.DynInstr) {
-	if p.funcWarm {
-		p.warmRetire(&di)
-		return
-	}
-	p.retire(&di)
 }
 
 // SetFuncWarm flips the functional-warming consume path. Callers must
@@ -482,13 +436,14 @@ func (p *Pipeline) SetFuncWarm(on bool) { p.funcWarm = on }
 // FuncWarm reports whether the functional-warming path is active.
 func (p *Pipeline) FuncWarm() bool { return p.funcWarm }
 
-// warmRetire is the functional-warming counterpart of retire: it feeds
-// the instruction's cache and predictor footprint through the models —
-// the same accesses, the same update policy, the same streak bypass as
-// the detailed path — and nothing else. No cycle accounting, no fetch
-// or dataflow modelling, no Metrics movement; the long-lived state that
-// survives a fast-forward gap (cache tags, predictor tables and
-// histories) stays exactly what a detailed run would have left behind.
+// warmRetire is the functional-warming counterpart of the retire
+// kernel: it feeds the instruction's cache and predictor footprint
+// through the models — the same accesses, the same update policy, the
+// same streak bypasses as the detailed path — and nothing else. No
+// cycle accounting, no fetch or dataflow modelling, no Metrics
+// movement; the long-lived state that survives a fast-forward gap
+// (cache tags, predictor tables and histories) stays exactly what a
+// detailed run would have left behind.
 func (p *Pipeline) warmRetire(di *emu.DynInstr) {
 	d := &p.plan.Code[di.PC]
 	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
@@ -498,7 +453,12 @@ func (p *Pipeline) warmRetire(di *emu.DynInstr) {
 		p.hier.L1I.Hits++
 	}
 	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
-		p.hier.DataLatency(di.MemAddr)
+		if dblock := di.MemAddr >> p.dblockShift; dblock != p.lastDBlock {
+			p.lastDBlock = dblock
+			p.hier.DataLatency(di.MemAddr)
+		} else {
+			p.hier.L1D.Hits++
+		}
 	}
 	if d.Flags&plan.FBranch == 0 || d.Flags&(plan.FMidProb|plan.FCond) != plan.FCond || p.cfg.PerfectBranches {
 		return
@@ -512,121 +472,148 @@ func (p *Pipeline) warmRetire(di *emu.DynInstr) {
 	p.pred.Update(uint64(di.PC), di.Taken, pred)
 }
 
-// retire advances the timing model by one retired instruction.
-func (p *Pipeline) retire(di *emu.DynInstr) {
-	d := &p.plan.Code[di.PC]
+// ConsumeTrace implements emu.TraceSink: it retires one batch of
+// instructions in program order. Pass the pipeline to
+// emu.CPU.SetTraceSink.
+//
+// The loop body is the retire kernel: fetch, issue, execute, branch
+// and commit of one instruction, with the fetch cursors kept in the
+// struct rather than in locals (locals spill across the predictor and
+// cache calls).
+func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
+	if p.funcWarm {
+		for i := range batch {
+			p.warmRetire(&batch[i])
+		}
+		return
+	}
+	code := p.plan.Code
+	for i := range batch {
+		di := &batch[i]
+		d := &code[di.PC]
 
-	// ---- fetch ----
-	fc := p.curFetchCycle
-	if p.breakFetch || p.fetchedInCycle >= p.cfg.Width {
-		fc++
-		p.fetchedInCycle = 0
-		p.breakFetch = false
-	}
-	if p.fetchBlockedUntil > fc {
-		fc = p.fetchBlockedUntil
-		p.fetchedInCycle = 0
-	}
-	// ROB occupancy: the slot of instruction idx-ROBSize must have
-	// committed before this instruction can enter the window.
-	if p.idx >= p.robSize64 {
-		if free := p.robRing[p.robPos]; free > fc {
-			fc = free
+		// ---- fetch ----
+		fc := p.curFetchCycle
+		if p.breakFetch || p.fetchedInCycle >= p.cfg.Width {
+			fc++
+			p.fetchedInCycle = 0
+			p.breakFetch = false
+		}
+		// Fetch waits for a misprediction redirect and for a ROB slot:
+		// instruction idx-ROBSize must have committed. Until the ROB
+		// first fills, the slot holds zero, which stalls nothing.
+		if stall := max(p.fetchBlockedUntil, p.robRing[p.robPos]); stall > fc {
+			fc = stall
 			p.fetchedInCycle = 0
 		}
-	}
-	// Instruction cache. A fetch from the same line as the previous
-	// fetch bypasses the cache model: the line is resident (whatever
-	// filled it left it so, and no other instruction line has been
-	// touched since), so it is a hit with no stall. The bypass keeps
-	// miss counts byte-identical to touching the cache every fetch —
-	// within a streak no other line is accessed, so the skipped LRU
-	// updates cannot reorder any set — and straight-line code makes the
-	// streak the common case (one Access per line instead of per
-	// instruction).
-	p.m.L1IAccesses++
-	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
-		p.lastIBlock = iblock
-		if lat, lvl := p.hier.InstrLatency(uint64(di.PC) * 8); lvl != cache.LevelL1 {
-			p.m.L1IMisses++
-			if lvl == cache.LevelMem {
-				p.m.L2Misses++
+		// Instruction cache. A fetch from the line of the previous fetch
+		// bypasses the cache model: the line is resident (whatever filled
+		// it left it so, and no other instruction line has been touched
+		// since), so it is a hit with no stall. The bypass keeps miss
+		// counts byte-identical to touching the cache every fetch —
+		// within a streak no other line is accessed, so the skipped LRU
+		// updates cannot reorder any set — and straight-line code makes
+		// the streak the common case (one Access per line instead of per
+		// instruction).
+		p.m.L1IAccesses++
+		if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
+			p.lastIBlock = iblock
+			if lat, lvl := p.hier.InstrLatency(uint64(di.PC) * 8); lvl != cache.LevelL1 {
+				p.m.L1IMisses++
+				if lvl == cache.LevelMem {
+					p.m.L2Misses++
+				}
+				// A fetch stalls only for latency beyond the L1 hit time
+				// (a degenerate configuration may serve misses no slower).
+				if lat > p.l1iHitLat {
+					fc += uint64(lat)
+					p.fetchedInCycle = 0
+				}
 			}
-			// A fetch stalls only for latency beyond the L1 hit time
-			// (a degenerate configuration may serve misses no slower).
-			if lat > p.l1iHitLat {
-				fc += uint64(lat)
-				p.fetchedInCycle = 0
+		} else {
+			p.hier.L1I.Hits++ // keep the cache's own counters consistent
+		}
+		p.curFetchCycle = fc // fc only ever moves forward from the cursor
+		p.fetchedInCycle++
+
+		// ---- issue / execute ----
+		rr := &p.regReady
+		issue := max(fc+p.feDepth, rr[d.Src[0]], rr[d.Src[1]], rr[d.Src[2]])
+		if d.Occ == 1 {
+			// Fully pipelined: the first cycle from issue with a free
+			// unit. One cell probe per candidate cycle, plus the live
+			// check when the probe finds another cycle's tag.
+			ring := p.fus.rings[d.FU]
+			units := p.fus.units[d.FU]
+			for {
+				c := &ring[issue&uint64(len(ring)-1)]
+				if c.cycle() != issue {
+					if c.live(fc) {
+						c = p.fus.claim(d.FU, issue, fc)
+					}
+					*c = fuCell(issue<<8 | 1)
+					break
+				}
+				if c.count() < units {
+					*c++
+					break
+				}
+				issue++
 			}
+		} else {
+			issue = p.fus.schedule(d.FU, issue, uint64(d.Occ), fc)
 		}
-	} else {
-		p.hier.L1I.Hits++ // keep the cache's own counters consistent
-	}
-	if fc > p.curFetchCycle {
-		p.curFetchCycle = fc
-	}
-	p.fetchedInCycle++
-
-	// ---- issue / execute ----
-	issue := fc + p.feDepth
-	for i := 0; i < int(d.NSrc); i++ {
-		if rr := p.regReady[d.Src[i]]; rr > issue {
-			issue = rr
-		}
-	}
-	lat := uint64(d.Lat)
-	issue = p.fus.schedule(d.FU, issue, uint64(d.Occ), fc)
-
-	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
-		p.m.L1DAccesses++
-		dlat, lvl := p.hier.DataLatency(di.MemAddr)
-		if lvl != cache.LevelL1 {
-			p.m.L1DMisses++
-			if lvl == cache.LevelMem {
-				p.m.L2Misses++
+		lat := uint64(d.Lat)
+		if d.Flags&(plan.FLoad|plan.FStore) != 0 {
+			// Data cache, with the same line-streak bypass and the same
+			// invariant: only data accesses touch the L1D, so an access to
+			// the line of the previous one finds it resident, and the
+			// skipped LRU update cannot reorder its set (that line is
+			// already the set's most recent).
+			p.m.L1DAccesses++
+			dlat := p.l1dHitLat
+			if dblock := di.MemAddr >> p.dblockShift; dblock != p.lastDBlock {
+				p.lastDBlock = dblock
+				var lvl cache.Level
+				if dlat, lvl = p.hier.DataLatency(di.MemAddr); lvl != cache.LevelL1 {
+					p.m.L1DMisses++
+					if lvl == cache.LevelMem {
+						p.m.L2Misses++
+					}
+				}
+			} else {
+				p.hier.L1D.Hits++
 			}
+			if d.Flags&plan.FLoad != 0 {
+				lat = uint64(dlat)
+			}
+			// Stores retire without blocking (write buffer); latency stays 1.
 		}
-		if d.Flags&plan.FLoad != 0 {
-			lat = uint64(dlat)
+		execDone := issue + lat
+		rr[d.Dst[0]] = execDone
+		rr[d.Dst[1]] = execDone
+
+		// ---- branches ----
+		if d.Flags&plan.FBranch != 0 {
+			p.handleBranch(di, d, fc, execDone)
 		}
-		// Stores retire without blocking (write buffer); latency stays 1.
-	}
-	execDone := issue + lat
 
-	for i := 0; i < int(d.NDst); i++ {
-		p.regReady[d.Dst[i]] = execDone
+		// ---- commit ----
+		// In order, at most Width per cycle: no earlier than the previous
+		// commit (the running cycle count) nor a cycle after instruction
+		// idx-Width committed.
+		w := p.robPos - p.cfg.Width
+		if w < 0 {
+			w += len(p.robRing)
+		}
+		cc := max(execDone+1, p.m.Cycles, p.robRing[w]+1)
+		p.robRing[p.robPos] = cc
+		if p.robPos++; p.robPos == len(p.robRing) {
+			p.robPos = 0
+		}
+		p.m.Cycles = cc
+		p.m.Instructions++
 	}
-	if p.DebugInstr != nil {
-		p.DebugInstr(di.PC, d.Op, fc, issue, execDone)
-	}
-
-	// ---- branches ----
-	if d.Flags&plan.FBranch != 0 {
-		p.handleBranch(di, d, fc, execDone)
-	}
-
-	// ---- commit ----
-	cc := execDone + 1
-	if cc < p.lastCommit {
-		cc = p.lastCommit
-	}
-	if prev := p.commitRing[p.commitPos] + 1; cc < prev {
-		cc = prev
-	}
-	p.commitRing[p.commitPos] = cc
-	p.robRing[p.robPos] = cc
-	p.lastCommit = cc
-	// cc is clamped to at least the previous commit cycle above, so the
-	// running cycle count is simply the latest commit.
-	p.m.Cycles = cc
-	p.idx++
-	if p.commitPos++; p.commitPos == p.cfg.Width {
-		p.commitPos = 0
-	}
-	if p.robPos++; p.robPos == p.cfg.ROBSize {
-		p.robPos = 0
-	}
-	p.m.Instructions++
 }
 
 // handleBranch performs prediction accounting and misprediction redirects.
@@ -682,13 +669,7 @@ func (p *Pipeline) handleBranch(di *emu.DynInstr, d *plan.Decoded, fc, execDone 
 		if p.cfg.ResolutionPenalty || execDone < resolved {
 			resolved = execDone
 		}
-		redirect := resolved + p.misPen
-		if redirect > p.fetchBlockedUntil {
-			p.fetchBlockedUntil = redirect
-			if p.DebugBlock != nil {
-				p.DebugBlock(di.PC, d.Op, execDone, redirect)
-			}
-		}
+		p.fetchBlockedUntil = max(p.fetchBlockedUntil, resolved+p.misPen)
 	}
 }
 
@@ -717,6 +698,3 @@ func (p *Pipeline) WindowBase() Metrics { return p.winBase }
 
 // SetWindowBase restores a delta baseline (checkpoint support).
 func (p *Pipeline) SetWindowBase(m Metrics) { p.winBase = m }
-
-// Caches exposes the cache hierarchy for inspection.
-func (p *Pipeline) Caches() *cache.Hierarchy { return p.hier }

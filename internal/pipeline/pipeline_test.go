@@ -29,7 +29,7 @@ func timeProgram(t *testing.T, cfg Config, pred branch.Predictor, build func(b *
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu.SetListener(pipe.OnRetire)
+	cpu.SetTraceSink(pipe)
 	if err := cpu.Run(2_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,11 @@ func TestSteeredProbBranchNeverMispredicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var trace []emu.DynInstr
 	for i := 0; i < 100; i++ {
-		pipe.OnRetire(emu.DynInstr{PC: 0})
-		pipe.OnRetire(emu.DynInstr{PC: 1, Taken: i%2 == 0, Prob: emu.ProbSteered})
+		trace = append(trace, emu.DynInstr{PC: 0}, emu.DynInstr{PC: 1, Taken: i%2 == 0, Prob: emu.ProbSteered})
 	}
+	pipe.ConsumeTrace(trace)
 	m := pipe.Metrics()
 	if m.Mispredicts != 0 || m.ProbSteered != 100 {
 		t.Errorf("steered branches mispredicted: %+v", m)

@@ -1,0 +1,348 @@
+package pipeline
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/branch"
+	"repro/internal/cache"
+	"repro/internal/emu"
+	"repro/internal/isa"
+	"repro/internal/plan"
+	"repro/internal/workloads"
+)
+
+// refPipeline is the per-instruction timing model the retire kernel
+// replaced, kept as its reference: one retire call per instruction,
+// variable-length dataflow sets walked from the instruction's own
+// SrcRegs/DstRegs instead of the plan's padded ones, a commit ring
+// beside the ROB ring, a last-commit register and an instruction
+// counter, every functional-unit operation through fuSched.schedule,
+// and no L1D line streak (every data access goes to the cache model).
+type refPipeline struct {
+	cfg  Config
+	prog *isa.Program
+	plan *plan.Plan
+	pred branch.Predictor
+	hier *cache.Hierarchy
+	fus  fuSched
+
+	m Metrics
+
+	curFetchCycle     uint64
+	fetchedInCycle    int
+	breakFetch        bool
+	fetchBlockedUntil uint64
+
+	regReady [isa.NumDataflowRegs]uint64
+
+	robRing    []uint64 // commit cycle of instruction idx-ROBSize
+	commitRing []uint64 // commit cycle of instruction idx-Width
+	robPos     int
+	commitPos  int
+	lastCommit uint64
+	idx        uint64
+
+	iblockShift uint
+	lastIBlock  uint64
+
+	funcWarm bool
+}
+
+// newRef builds the reference model with its own caches, scheduler and
+// predictor state.
+func newRef(t testing.TB, cfg Config, prog *isa.Program, pred branch.Predictor) *refPipeline {
+	t.Helper()
+	// New validates the configuration and builds fresh caches and a
+	// fresh scheduler; the reference takes those and nothing else.
+	p, err := New(cfg, prog, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &refPipeline{
+		cfg:        cfg,
+		prog:       prog,
+		plan:       p.plan,
+		pred:       pred,
+		hier:       p.hier,
+		fus:        p.fus,
+		robRing:    make([]uint64, cfg.ROBSize),
+		commitRing: make([]uint64, cfg.Width),
+		lastIBlock: ^uint64(0),
+	}
+	for lb := cfg.L1I.LineBytes; lb > 8; lb >>= 1 {
+		r.iblockShift++
+	}
+	return r
+}
+
+func (p *refPipeline) consume(trace []emu.DynInstr) {
+	for i := range trace {
+		if p.funcWarm {
+			p.warmRetire(&trace[i])
+		} else {
+			p.retire(&trace[i])
+		}
+	}
+}
+
+func (p *refPipeline) warmRetire(di *emu.DynInstr) {
+	d := &p.plan.Code[di.PC]
+	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
+		p.lastIBlock = iblock
+		p.hier.InstrLatency(uint64(di.PC) * 8)
+	} else {
+		p.hier.L1I.Hits++
+	}
+	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
+		p.hier.DataLatency(di.MemAddr)
+	}
+	if d.Flags&plan.FBranch == 0 || d.Flags&(plan.FMidProb|plan.FCond) != plan.FCond || p.cfg.PerfectBranches {
+		return
+	}
+	if di.Prob != emu.ProbNone && (di.Prob == emu.ProbSteered || p.cfg.FilterProb) {
+		return
+	}
+	pred := p.pred.Predict(uint64(di.PC))
+	p.pred.Update(uint64(di.PC), di.Taken, pred)
+}
+
+func (p *refPipeline) retire(di *emu.DynInstr) {
+	d := &p.plan.Code[di.PC]
+
+	// ---- fetch ----
+	fc := p.curFetchCycle
+	if p.breakFetch || p.fetchedInCycle >= p.cfg.Width {
+		fc++
+		p.fetchedInCycle = 0
+		p.breakFetch = false
+	}
+	if p.fetchBlockedUntil > fc {
+		fc = p.fetchBlockedUntil
+		p.fetchedInCycle = 0
+	}
+	if p.idx >= uint64(p.cfg.ROBSize) {
+		if free := p.robRing[p.robPos]; free > fc {
+			fc = free
+			p.fetchedInCycle = 0
+		}
+	}
+	p.m.L1IAccesses++
+	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
+		p.lastIBlock = iblock
+		if lat, lvl := p.hier.InstrLatency(uint64(di.PC) * 8); lvl != cache.LevelL1 {
+			p.m.L1IMisses++
+			if lvl == cache.LevelMem {
+				p.m.L2Misses++
+			}
+			if lat > p.cfg.L1I.HitLatency {
+				fc += uint64(lat)
+				p.fetchedInCycle = 0
+			}
+		}
+	} else {
+		p.hier.L1I.Hits++
+	}
+	if fc > p.curFetchCycle {
+		p.curFetchCycle = fc
+	}
+	p.fetchedInCycle++
+
+	// ---- issue / execute ----
+	var buf [4]isa.Reg
+	issue := fc + uint64(p.cfg.FrontendDepth)
+	for _, r := range p.prog.Code[di.PC].SrcRegs(buf[:0]) {
+		if rr := p.regReady[r]; rr > issue {
+			issue = rr
+		}
+	}
+	lat := uint64(d.Lat)
+	issue = p.fus.schedule(d.FU, issue, uint64(d.Occ), fc)
+	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
+		p.m.L1DAccesses++
+		dlat, lvl := p.hier.DataLatency(di.MemAddr)
+		if lvl != cache.LevelL1 {
+			p.m.L1DMisses++
+			if lvl == cache.LevelMem {
+				p.m.L2Misses++
+			}
+		}
+		if d.Flags&plan.FLoad != 0 {
+			lat = uint64(dlat)
+		}
+	}
+	execDone := issue + lat
+	for _, r := range p.prog.Code[di.PC].DstRegs(buf[:0]) {
+		p.regReady[r] = execDone
+	}
+
+	// ---- branches ----
+	if d.Flags&plan.FBranch != 0 {
+		p.handleBranch(di, d, fc, execDone)
+	}
+
+	// ---- commit ----
+	cc := execDone + 1
+	if cc < p.lastCommit {
+		cc = p.lastCommit
+	}
+	if prev := p.commitRing[p.commitPos] + 1; cc < prev {
+		cc = prev
+	}
+	p.commitRing[p.commitPos] = cc
+	p.robRing[p.robPos] = cc
+	p.lastCommit = cc
+	p.m.Cycles = cc
+	p.idx++
+	if p.commitPos++; p.commitPos == p.cfg.Width {
+		p.commitPos = 0
+	}
+	if p.robPos++; p.robPos == p.cfg.ROBSize {
+		p.robPos = 0
+	}
+	p.m.Instructions++
+}
+
+func (p *refPipeline) handleBranch(di *emu.DynInstr, d *plan.Decoded, fc, execDone uint64) {
+	p.m.Branches++
+	if d.Flags&plan.FMidProb != 0 {
+		return
+	}
+	if di.Taken {
+		p.breakFetch = true
+	}
+	if d.Flags&plan.FCond == 0 {
+		return
+	}
+	p.m.CondBranches++
+	if p.cfg.PerfectBranches {
+		return
+	}
+	isProb := di.Prob != emu.ProbNone
+	if isProb {
+		p.m.ProbBranches++
+		switch di.Prob {
+		case emu.ProbSteered:
+			p.m.ProbSteered++
+			return
+		case emu.ProbBootstrap:
+			p.m.ProbBoot++
+		case emu.ProbRegular:
+			p.m.ProbRegular++
+		}
+		if p.cfg.FilterProb {
+			return
+		}
+	}
+	pred := p.pred.Predict(uint64(di.PC))
+	p.pred.Update(uint64(di.PC), di.Taken, pred)
+	if pred != di.Taken {
+		p.m.Mispredicts++
+		if isProb {
+			p.m.MispredictsProb++
+		} else {
+			p.m.MispredictsReg++
+		}
+		resolved := fc + uint64(p.cfg.FrontendDepth) + 1
+		if p.cfg.ResolutionPenalty || execDone < resolved {
+			resolved = execDone
+		}
+		if redirect := resolved + uint64(p.cfg.MispredictPenalty); redirect > p.fetchBlockedUntil {
+			p.fetchBlockedUntil = redirect
+		}
+	}
+}
+
+// cacheCounts is the hit/miss record of the three cache levels.
+type cacheCounts [3][2]uint64
+
+func countsOf(h *cache.Hierarchy) cacheCounts {
+	return cacheCounts{{h.L1I.Hits, h.L1I.Misses}, {h.L1D.Hits, h.L1D.Misses}, {h.L2.Hits, h.L2.Misses}}
+}
+
+// lastDataLine returns the L1D line of the last data access in trace,
+// or the streak register's initial value if there is none.
+func lastDataLine(p *Pipeline, trace []emu.DynInstr) uint64 {
+	for i := len(trace) - 1; i >= 0; i-- {
+		if p.plan.Code[trace[i].PC].Flags&(plan.FLoad|plan.FStore) != 0 {
+			return trace[i].MemAddr >> p.dblockShift
+		}
+	}
+	return ^uint64(0)
+}
+
+// TestRetireKernelMatchesReference replays each workload's first 200k
+// retired instructions, PBS off and on, through the retire kernel (in
+// batches of an odd size) and through the reference model (one
+// instruction at a time), across core configurations and both
+// predictors. The replay is detailed, then functionally warmed, then
+// detailed again, and at each switch and at the end the two must agree
+// on every Metrics counter and on the hits and misses of every cache
+// level.
+func TestRetireKernelMatchesReference(t *testing.T) {
+	const n, batch = 200_000, 251
+	cuts := []int{80_000, 120_000, n} // detailed, warm, detailed
+	robEqWidth := FourWide()
+	robEqWidth.ROBSize = robEqWidth.Width
+	filter, perfect, resolution := FourWide(), EightWide(), FourWide()
+	filter.FilterProb = true
+	perfect.PerfectBranches = true
+	resolution.ResolutionPenalty = true
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"4wide", FourWide()},
+		{"8wide", EightWide()},
+		{"rob=width", robEqWidth},
+		{"filter-prob", filter},
+		{"perfect-8wide", perfect},
+		{"resolution", resolution},
+	}
+	for _, name := range workloads.Names() {
+		for _, pbs := range []bool{false, true} {
+			prog, trace := recordWorkload(t, name, pbs, n)
+			for _, c := range configs {
+				for _, predName := range []string{"tage-sc-l", "tournament"} {
+					label := fmt.Sprintf("%s/pbs=%v/%s/%s", name, pbs, c.name, predName)
+					newPred := func() branch.Predictor {
+						bp, err := branch.New(predName)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return bp
+					}
+					kern, err := New(c.cfg, prog, newPred())
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := newRef(t, c.cfg, prog, newPred())
+					from := 0
+					for seg, cut := range cuts {
+						cut = min(cut, len(trace))
+						warm := seg%2 == 1
+						kern.SetFuncWarm(warm)
+						ref.funcWarm = warm
+						for off := from; off < cut; off += batch {
+							kern.ConsumeTrace(trace[off:min(off+batch, cut)])
+						}
+						ref.consume(trace[from:cut])
+						if kern.Metrics() != ref.m {
+							t.Fatalf("%s: after %d instructions:\n kernel    %+v\n reference %+v", label, cut, kern.Metrics(), ref.m)
+						}
+						if got, want := countsOf(kern.hier), countsOf(ref.hier); got != want {
+							t.Fatalf("%s: after %d instructions, cache [L1I L1D L2][hits misses]: kernel %v, reference %v", label, cut, got, want)
+						}
+						// In either mode the streak registers name the
+						// lines of the last fetch and the last data access.
+						if kern.lastIBlock != ref.lastIBlock || kern.lastDBlock != lastDataLine(kern, trace[:cut]) {
+							t.Fatalf("%s: after %d instructions, streak lines I %#x D %#x, want I %#x D %#x", label, cut,
+								kern.lastIBlock, kern.lastDBlock, ref.lastIBlock, lastDataLine(kern, trace[:cut]))
+						}
+						from = cut
+					}
+				}
+			}
+		}
+	}
+}

@@ -5,15 +5,16 @@ import (
 	"slices"
 
 	"repro/internal/ckpt"
+	"repro/internal/isa"
 	"repro/internal/plan"
 )
 
 // CheckpointState serializes the timing model's mutable state: metrics,
-// fetch cursors, dataflow readiness, the ROB/commit rings, the L1I
-// streak-bypass state, the cache hierarchy, and the live slice of the
-// functional-unit time ring. Config-derived fields (latencies, depths,
-// masks) are rebuilt by New; the predictor is a separate component the
-// session checkpoints itself.
+// fetch cursors, the architectural dataflow readiness cells, the ROB
+// ring, the L1I and L1D line-streak registers, the cache hierarchy, and
+// the live slice of the functional-unit time rings. Config-derived
+// fields (latencies, depths, masks) are rebuilt by New; the predictor
+// is a separate component the session checkpoints itself.
 //
 // The FU rings are encoded as their live cells only: schedule only ever
 // probes cycles at or after the current fetch cycle, so cells whose
@@ -45,14 +46,11 @@ func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 	w.Int(int64(p.fetchedInCycle))
 	w.Bool(p.breakFetch)
 	w.Uint(p.fetchBlockedUntil)
-	w.Uint64s(p.regReady[:])
+	w.Uint64s(p.regReady[:isa.NumDataflowRegs])
 	w.Uint64s(p.robRing)
-	w.Uint64s(p.commitRing)
 	w.Int(int64(p.robPos))
-	w.Int(int64(p.commitPos))
-	w.Uint(p.lastCommit)
-	w.Uint(p.idx)
 	w.U64(p.lastIBlock)
+	w.U64(p.lastDBlock)
 
 	if err := p.hier.CheckpointState(w); err != nil {
 		return err
@@ -104,27 +102,22 @@ func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
 	p.fetchBlockedUntil = r.Uint()
 	regReady := r.Uint64s()
 	robRing := r.Uint64s()
-	commitRing := r.Uint64s()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if len(regReady) != len(p.regReady) {
-		return fmt.Errorf("pipeline: checkpoint has %d ready registers, machine has %d", len(regReady), len(p.regReady))
+	if len(regReady) != isa.NumDataflowRegs {
+		return fmt.Errorf("pipeline: checkpoint has %d ready registers, machine has %d", len(regReady), isa.NumDataflowRegs)
 	}
-	if len(robRing) != len(p.robRing) || len(commitRing) != len(p.commitRing) {
-		return fmt.Errorf("pipeline: checkpoint ROB/commit rings are %d/%d entries, configuration needs %d/%d",
-			len(robRing), len(commitRing), len(p.robRing), len(p.commitRing))
+	if len(robRing) != len(p.robRing) {
+		return fmt.Errorf("pipeline: checkpoint ROB ring is %d entries, configuration needs %d", len(robRing), len(p.robRing))
 	}
 	copy(p.regReady[:], regReady)
 	copy(p.robRing, robRing)
-	copy(p.commitRing, commitRing)
 	p.robPos = int(r.Int())
-	p.commitPos = int(r.Int())
-	p.lastCommit = r.Uint()
-	p.idx = r.Uint()
 	p.lastIBlock = r.U64()
-	if r.Err() == nil && (p.robPos < 0 || p.robPos >= len(p.robRing) || p.commitPos < 0 || p.commitPos >= len(p.commitRing)) {
-		return fmt.Errorf("pipeline: checkpoint ring cursors %d/%d out of range", p.robPos, p.commitPos)
+	p.lastDBlock = r.U64()
+	if r.Err() == nil && (p.robPos < 0 || p.robPos >= len(p.robRing)) {
+		return fmt.Errorf("pipeline: checkpoint ROB cursor %d out of range", p.robPos)
 	}
 
 	if err := p.hier.RestoreState(r); err != nil {

@@ -224,6 +224,19 @@ const (
 // is elided), never Rd.
 const RdDiscard = 0xFF
 
+// Padding cells of the timing model's dataflow scoreboard. Decoded.Src
+// and Decoded.Dst always hold 3 and 2 entries: a short source set is
+// padded with SrcNone, a cell past the architectural registers that
+// nothing writes, so its ready cycle stays zero; a short destination set
+// is padded with DstSink, a cell nothing reads. The issue step then
+// reads three cells and writes two with no trip counts. Only the first
+// isa.NumDataflowRegs cells of a scoreboard are architectural state.
+const (
+	SrcNone          = isa.NumDataflowRegs
+	DstSink          = isa.NumDataflowRegs + 1
+	NumDataflowCells = isa.NumDataflowRegs + 2
+)
+
 // Decoded is one predecoded instruction. 32 bytes, laid out so the
 // emulator's dispatch and the pipeline's dataflow walk touch one cache
 // line per pair of instructions.
@@ -251,11 +264,10 @@ type Decoded struct {
 	Kind isa.CmpKind
 
 	// Src/Dst are the architectural source and destination register sets
-	// (including isa.FlagsReg), R0 already elided.
-	NSrc uint8
-	NDst uint8
-	Src  [3]uint8
-	Dst  [2]uint8
+	// (including isa.FlagsReg), R0 already elided, padded to fixed arity
+	// with SrcNone and DstSink.
+	Src [3]uint8
+	Dst [2]uint8
 
 	// HF is the fused dispatch code the block executor switches on: equal
 	// to H, or an HP pair code meaning "execute this instruction and its
@@ -573,15 +585,15 @@ func decode(prog *isa.Program, pc int, ins isa.Instr) Decoded {
 		}
 	}
 
-	// Register dataflow sets.
+	// Register dataflow sets, padded to fixed arity.
+	d.Src = [3]uint8{SrcNone, SrcNone, SrcNone}
+	d.Dst = [2]uint8{DstSink, DstSink}
 	var buf [4]isa.Reg
-	for _, r := range ins.SrcRegs(buf[:0]) {
-		d.Src[d.NSrc] = uint8(r)
-		d.NSrc++
+	for i, r := range ins.SrcRegs(buf[:0]) {
+		d.Src[i] = uint8(r)
 	}
-	for _, r := range ins.DstRegs(buf[:0]) {
-		d.Dst[d.NDst] = uint8(r)
-		d.NDst++
+	for i, r := range ins.DstRegs(buf[:0]) {
+		d.Dst[i] = uint8(r)
 	}
 	return d
 }

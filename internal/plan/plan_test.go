@@ -75,18 +75,19 @@ func TestDecode(t *testing.T) {
 		_, hasTarget := ins.Target(pc)
 		check(pc, "FHasTarget", d.Flags&FHasTarget != 0, hasTarget)
 
-		// Register dataflow sets must match SrcRegs/DstRegs exactly.
+		// Register dataflow sets must be SrcRegs/DstRegs exactly, padded
+		// with SrcNone and DstSink.
 		var buf [4]isa.Reg
-		srcs := ins.SrcRegs(buf[:0])
-		check(pc, "NSrc", int(d.NSrc), len(srcs))
-		for i, r := range srcs {
-			check(pc, "Src", d.Src[i], uint8(r))
+		src := [3]uint8{SrcNone, SrcNone, SrcNone}
+		for i, r := range ins.SrcRegs(buf[:0]) {
+			src[i] = uint8(r)
 		}
-		dsts := ins.DstRegs(buf[:0])
-		check(pc, "NDst", int(d.NDst), len(dsts))
-		for i, r := range dsts {
-			check(pc, "Dst", d.Dst[i], uint8(r))
+		check(pc, "Src", d.Src, src)
+		dst := [2]uint8{DstSink, DstSink}
+		for i, r := range ins.DstRegs(buf[:0]) {
+			dst[i] = uint8(r)
 		}
+		check(pc, "Dst", d.Dst, dst)
 	}
 }
 

@@ -8,6 +8,8 @@
 #   - Go packages under internal/ or cmd/ missing a package-level doc
 #     comment ("// Package <name> ..."), so `go doc ./internal/...`
 #     stays a readable architecture index,
+#   - Go comments under internal/ or cmd/ naming a *.md file that exists
+#     neither at the repository root nor beside the Go file,
 #   - gofmt-dirty files.
 #
 # Dependency-free by design: bash + grep + gofmt, nothing to install.
@@ -54,6 +56,19 @@ for dir in cmd/*/; do
     fail=1
   fi
 done
+
+# --- markdown files named in Go comments must exist -----------------------
+# A comment may name a document by its root-relative path (DESIGN.md,
+# perfbench/NOTES.md) or by a path relative to its own directory.
+while IFS=: read -r file comment; do
+  for name in $(grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' <<<"$comment" || true); do
+    if [ ! -e "$name" ] && [ ! -e "$(dirname "$file")/$name" ]; then
+      echo "docscheck: $file names missing file: $name" >&2
+      fail=1
+    fi
+  done
+done < <(grep -rE --include='*.go' '//.*\.md\b' internal cmd |
+  sed -n 's|^\([^:]*\):[^/]*//\(.*\)$|\1:\2|p' || true)
 
 # --- gofmt ----------------------------------------------------------------
 dirty="$(gofmt -l .)"
