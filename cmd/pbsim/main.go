@@ -42,7 +42,6 @@ func main() {
 		scale     = flag.Int("scale", 1, "iteration scale factor")
 		wide      = flag.Int("wide", 4, "core width: 4 (168-entry ROB) or 8 (256-entry ROB)")
 		filter    = flag.Bool("filter-prob", false, "exclude probabilistic branches from the predictor (Fig 9 experiment)")
-		syncT     = flag.Bool("sync-timing", false, "run the timing model synchronously on the emulating goroutine (escape hatch; by default it consumes the trace on its own goroutine when more than one CPU is available)")
 		sample    = flag.Uint64("sample", 0, "print an interval snapshot every N retired instructions (0 = off)")
 		sampleWin = flag.Uint64("sample-window", 0, "SMARTS sampled timing: measured-window length in instructions (needs -sample-period)")
 		samplePer = flag.Uint64("sample-period", 0, "SMARTS sampled timing: measure one window every N retired instructions, fast-forwarding the gaps (0 = full timing)")
@@ -50,7 +49,7 @@ func main() {
 		sampleFW  = flag.Bool("sample-func-warm", false, "SMARTS sampled timing: keep caches and predictor functionally warm across fast-forward gaps")
 		ckptOut   = flag.String("checkpoint-out", "", "write a machine checkpoint to this file")
 		ckptAt    = flag.Uint64("checkpoint-at", 0, "take the -checkpoint-out checkpoint once N instructions have retired (0 = at the end of the run)")
-		resume    = flag.String("resume", "", "resume from a checkpoint file; the machine configuration comes from the checkpoint, so only scheduling and output flags apply")
+		resume    = flag.String("resume", "", "resume from a checkpoint file; the machine configuration comes from the checkpoint, so only sampling and output flags apply")
 		list      = flag.Bool("list", false, "list benchmarks and predictors, then exit")
 		dump      = flag.Bool("dump", false, "print the program disassembly and exit")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -84,9 +83,6 @@ func main() {
 		sim.WithPredictor(sim.PredictorKind(*predictor)),
 		sim.WithPBS(*pbs),
 		sim.WithFilterProb(*filter),
-	}
-	if *syncT {
-		opts = append(opts, sim.WithSyncTiming())
 	}
 	sampleCfg := sample2.Config{Window: *sampleWin, Period: *samplePer, Warmup: *sampleWrm, FuncWarm: *sampleFW}
 	if *samplePer > 0 {
@@ -137,9 +133,6 @@ func main() {
 			fail(err)
 		}
 		var ropts []sim.Option
-		if *syncT {
-			ropts = append(ropts, sim.WithSyncTiming())
-		}
 		if *samplePer > 0 {
 			// The schedule is a function of the absolute retired count, so
 			// the resumed run rejoins it exactly where the checkpoint left

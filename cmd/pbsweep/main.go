@@ -162,12 +162,6 @@ func runWorker(args []string) {
 			*name = "worker"
 		}
 	}
-	// The engine's goroutine budget, applied across the process: when
-	// the executors alone can saturate the machine, the async timing
-	// pipeline's extra goroutine per point only adds scheduling pressure.
-	// Results are byte-identical either way.
-	syncTiming := 2*n > runtime.GOMAXPROCS(0)
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	progs := sweep.NewProgramCache()
@@ -179,7 +173,6 @@ func runWorker(args []string) {
 			Server:      *server,
 			Name:        fmt.Sprintf("%s/%d", *name, i),
 			Programs:    progs,
-			SyncTiming:  syncTiming,
 			Poll:        *poll,
 			RetryBudget: *budget,
 		}
@@ -229,7 +222,6 @@ func runBatch(args []string) {
 		seeds     = fs.String("seeds", "1", "comma-separated machine RNG seeds")
 		variants  = fs.String("variants", "plain", "comma-separated program variants: plain | predicated | cfd (inapplicable combinations are skipped)")
 		shard     = fs.Bool("shard-seeds", false, "collapse the seed axis: run each coordinate as one aggregate point whose per-seed shards fan across the worker pool; output gains a mean/95%-CI aggregate row per point alongside the per-seed rows")
-		syncT     = fs.Bool("sync-timing", false, "force synchronous timing in every simulation (escape hatch; by default the engine overlaps emulation and timing per point only when the worker pool leaves cores idle)")
 		warm      = fs.Uint64("warm-prefix", 0, "fast-forward each point over its first N instructions via a functional checkpoint shared across points that differ only in timing axes; timing metrics then cover the post-prefix suffix (0 = run every point cold)")
 		sampleWin = fs.Uint64("sample-window", 0, "SMARTS sampled timing: measured-window length in instructions (needs -sample-period)")
 		samplePer = fs.Uint64("sample-period", 0, "SMARTS sampled timing: measure one window every N retired instructions per point, fast-forwarding the gaps; rows then carry the IPC/MPKI estimate and its 95% CI (0 = full timing)")
@@ -271,7 +263,7 @@ func runBatch(args []string) {
 	if *format != "json" && *format != "csv" {
 		fail(fmt.Errorf("unknown format %q (want json or csv)", *format))
 	}
-	grid, err := gridFromFlags(*spec, *workload, *predictor, *pbs, *widths, *seeds, *variants, *scale, *parallel, *warm, *shard, *syncT)
+	grid, err := gridFromFlags(*spec, *workload, *predictor, *pbs, *widths, *seeds, *variants, *scale, *parallel, *warm, *shard)
 	if err != nil {
 		fail(err)
 	}
@@ -399,7 +391,7 @@ func writeRecords(recs []sweep.Record, format, out string) error {
 	return nil
 }
 
-func gridFromFlags(spec, workload, predictor, pbs, widths, seeds, variants string, scale, parallel int, warmPrefix uint64, shard, syncTiming bool) (sweep.Grid, error) {
+func gridFromFlags(spec, workload, predictor, pbs, widths, seeds, variants string, scale, parallel int, warmPrefix uint64, shard bool) (sweep.Grid, error) {
 	var g sweep.Grid
 	if spec != "" {
 		data, err := os.ReadFile(spec)
@@ -423,11 +415,6 @@ func gridFromFlags(spec, workload, predictor, pbs, widths, seeds, variants strin
 		// "shard_seeds": true cannot be un-set by the flag's default.
 		if shard {
 			g.ShardSeeds = true
-		}
-		// -sync-timing, like a spec "sync_timing", only ever forces the
-		// synchronous path; the flag's default never un-sets the spec's.
-		if syncTiming {
-			g.SyncTiming = true
 		}
 		// -warm-prefix set on the command line wins over a spec
 		// "warm_prefix"; the flag's zero default leaves the spec's alone.
@@ -478,7 +465,6 @@ func gridFromFlags(spec, workload, predictor, pbs, widths, seeds, variants strin
 	g.Scale = scale
 	g.Parallel = parallel
 	g.ShardSeeds = shard
-	g.SyncTiming = syncTiming
 	g.WarmPrefix = warmPrefix
 	return g, nil
 }

@@ -76,8 +76,8 @@ func BenchmarkTraceBatchDelivery(b *testing.B) {
 }
 
 // countingSink reads only the batch length, so it needs no copy: the
-// buffer is the CPU's (or the ring's) to reuse once ConsumeTrace
-// returns, and this sink keeps no reference to it.
+// buffer is the CPU's to reuse once ConsumeTrace returns, and this sink
+// keeps no reference to it.
 type countingSink struct{ n *uint64 }
 
 func (s countingSink) ConsumeTrace(batch []DynInstr) { *s.n += uint64(len(batch)) }

@@ -2,9 +2,8 @@
 // programs instruction by instruction, drives the PBS unit (internal/core)
 // with branch/call/return events and probabilistic branch groups, applies
 // the value swaps PBS mandates, and streams a dynamic-instruction trace to
-// an optional consumer (the timing model) in batches — synchronously on
-// the emulating goroutine (TraceSink), or through a bounded ring of owned
-// batch buffers to a concurrent consumer (TraceRing, see internal/trace).
+// an optional consumer (the timing model) in batches, synchronously on
+// the emulating goroutine (TraceSink).
 //
 // The dispatch loop runs over a predecoded execution plan (internal/plan):
 // immediates are sign-extended, LDC constants resolved, branch targets
@@ -68,10 +67,6 @@ type DynInstr struct {
 	Prob ProbState
 }
 
-// Listener receives every retired instruction in program order,
-// synchronously from Step. For the batched fast path see TraceSink.
-type Listener func(DynInstr)
-
 // TraceSink receives the retired-instruction trace in program order as
 // batches. Batch buffers are reused, never copied: with a sink installed
 // directly (SetTraceSink) the batch is valid only for the duration of
@@ -87,7 +82,9 @@ type TraceSink interface {
 }
 
 // TraceRing carries filled trace batches to an asynchronous consumer
-// and recycles empty buffers back (see internal/trace.Ring). Exchange
+// and recycles empty buffers back (see internal/trace.Ring). No code
+// under internal/, cmd/ or examples/ installs one outside tests; the
+// perfbench module's traced runs wire it by hand. Exchange
 // delivers the filled batch and returns the next buffer for the CPU to
 // fill, blocking while every ring buffer is in flight (backpressure); a
 // nil argument is the initial buffer request. The CPU owns exactly the
@@ -161,9 +158,8 @@ type CPU struct {
 	out    []uint64
 	stats  Stats
 
-	listener Listener
-	sink     TraceSink
-	ring     TraceRing
+	sink TraceSink
+	ring TraceRing
 	// buf is the current batch buffer (ring-owned when ring != nil, the
 	// inline bufArr when a sink consumes synchronously); non-nil exactly
 	// when a sink or ring is installed, so it doubles as the Step hot
@@ -212,28 +208,14 @@ func New(prog *isa.Program, r *rng.Stream, pbs *core.Unit) (*CPU, error) {
 	return c, nil
 }
 
-// SetListener installs a per-instruction trace listener, called
-// synchronously from every Step. Clears any installed TraceSink or
-// TraceRing, flushing instructions buffered for it first so no trace
-// entry is lost across the switch.
-func (c *CPU) SetListener(l Listener) {
-	c.FlushTrace()
-	c.clearPause()
-	c.listener = l
-	c.sink = nil
-	c.ring = nil
-	c.buf = nil
-}
-
 // SetTraceSink installs the batched trace consumer, called synchronously
 // from the emulating goroutine whenever a batch fills. Clears any
-// installed Listener or TraceRing; entries buffered for a previous trace
-// destination are flushed to it first.
+// installed TraceRing; entries buffered for a previous trace destination
+// are flushed to it first.
 func (c *CPU) SetTraceSink(s TraceSink) {
 	c.FlushTrace()
 	c.clearPause()
 	c.sink = s
-	c.listener = nil
 	c.ring = nil
 	if s == nil {
 		c.buf = nil
@@ -243,18 +225,19 @@ func (c *CPU) SetTraceSink(s TraceSink) {
 }
 
 // SetTraceRing routes the trace through a ring of owned batch buffers to
-// an asynchronous consumer (the fast path sim.Session uses): the CPU
-// fills buffers the ring hands it and exchanges each full one for an
-// empty, so emulation overlaps trace consumption with zero copying.
-// Clears any installed Listener or TraceSink after flushing to it. The
-// ring's consumer must be running whenever the CPU executes, or the
-// exchange backpressure would block forever.
+// an asynchronous consumer: the CPU fills buffers the ring hands it and
+// exchanges each full one for an empty, so emulation overlaps trace
+// consumption with zero copying. sim.Session does not use it (it always
+// installs a TraceSink), and no code under internal/, cmd/ or examples/
+// calls it outside tests; the perfbench module's traced runs wire it by
+// hand. Clears any installed TraceSink after flushing to it. The ring's
+// consumer must be running whenever the CPU executes, or the exchange
+// backpressure would block forever.
 func (c *CPU) SetTraceRing(r TraceRing) {
 	c.FlushTrace()
 	c.clearPause()
 	c.ring = r
 	c.sink = nil
-	c.listener = nil
 	if r != nil {
 		c.buf = r.Exchange(nil)[:0]
 	} else {
@@ -418,25 +401,9 @@ func bits(f float64) uint64   { return math.Float64bits(f) }
 // and the trace batch committed in bulk. Budget limits and trace-buffer
 // room truncate a dispatch to fewer instructions, so Run still stops on
 // exact instruction boundaries: chunked execution, observers,
-// checkpoints and faults see precisely the per-Step machine states. A
-// per-instruction Listener degrades to the Step loop, which is also the
-// reference the fused path is fuzzed against.
+// checkpoints and faults see precisely the per-Step machine states.
+// Step is the reference the fused path is fuzzed against.
 func (c *CPU) Run(maxInstrs uint64) error {
-	if c.listener != nil {
-		// Per-instruction callbacks observe the machine between every two
-		// instructions; fusion would batch their view, so don't fuse.
-		for !c.halted {
-			if maxInstrs > 0 && c.stats.Instructions >= maxInstrs {
-				break
-			}
-			if err := c.Step(); err != nil {
-				c.FlushTrace()
-				return err
-			}
-		}
-		c.FlushTrace()
-		return nil
-	}
 	err := c.runFused(maxInstrs)
 	c.FlushTrace()
 	return err
@@ -701,8 +668,6 @@ func (c *CPU) Step() error {
 		if len(c.buf) == cap(c.buf) {
 			c.FlushTrace()
 		}
-	} else if c.listener != nil {
-		c.listener(di)
 	}
 	return nil
 }

@@ -19,8 +19,8 @@ func (c *CPU) RNG() *rng.Stream { return c.rng }
 // probability streams. Configuration (program, plan, PBS wiring) and
 // trace plumbing are not state: the owner reconstructs them, and the
 // caller must have flushed the trace buffer first — the session
-// checkpoints only at drained rendezvous points, so buffered entries
-// indicate a misuse.
+// checkpoints only between cpu.Run calls, which flush on return, so
+// buffered entries indicate a misuse.
 func (c *CPU) CheckpointState(w *ckpt.Writer) error {
 	if len(c.buf) != 0 {
 		return fmt.Errorf("emu: checkpoint with %d undelivered trace entries (flush first)", len(c.buf))

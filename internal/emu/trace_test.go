@@ -59,9 +59,8 @@ func TestOutputReturnsCopy(t *testing.T) {
 
 // recordingSink copies every delivered batch out of its buffer before
 // returning. Per the TraceSink contract the buffer is reused — the CPU
-// refills it after ConsumeTrace returns when installed directly, or
-// after the ring recycles it when delivery goes through a TraceRing — so
-// a sink keeping trace data beyond its own return must copy, as here.
+// refills it after ConsumeTrace returns — so a sink keeping trace data
+// beyond its own return must copy, as here.
 type recordingSink struct {
 	trace   []DynInstr
 	batches int
@@ -76,11 +75,28 @@ func (s *recordingSink) ConsumeTrace(batch []DynInstr) {
 	}
 }
 
-// TestTraceSinkMatchesListener proves batched delivery is a pure batching
-// of the per-instruction listener stream: same instructions, same order,
-// same fields, across chunked RunFor-style execution with flushes on
-// every Run return.
-func TestTraceSinkMatchesListener(t *testing.T) {
+// stepRun is the per-instruction reference for Run: it drives Step
+// until HALT, a fault, or maxInstrs retired instructions (0 = no
+// limit), then flushes the trace, as Run does on every return.
+func stepRun(c *CPU, maxInstrs uint64) error {
+	for !c.Halted() {
+		if maxInstrs > 0 && c.Stats().Instructions >= maxInstrs {
+			break
+		}
+		if err := c.Step(); err != nil {
+			c.FlushTrace()
+			return err
+		}
+	}
+	c.FlushTrace()
+	return nil
+}
+
+// TestTraceSinkMatchesStep proves fused batched delivery is a pure
+// batching of the per-instruction Step stream: same instructions, same
+// order, same fields, across chunked RunFor-style execution with
+// flushes on every Run return.
+func TestTraceSinkMatchesStep(t *testing.T) {
 	w, err := workloads.ByName("PI")
 	if err != nil {
 		t.Fatal(err)
@@ -94,11 +110,12 @@ func TestTraceSinkMatchesListener(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []DynInstr
-	ref.SetListener(func(di DynInstr) { want = append(want, di) })
-	if err := ref.Run(300_000); err != nil {
+	refSink := &recordingSink{}
+	ref.SetTraceSink(refSink)
+	if err := stepRun(ref, 300_000); err != nil {
 		t.Fatal(err)
 	}
+	want := refSink.trace
 
 	cpu, err := New(prog, rng.New(3), nil)
 	if err != nil {
@@ -118,7 +135,7 @@ func TestTraceSinkMatchesListener(t *testing.T) {
 	}
 
 	if len(sink.trace) != len(want) {
-		t.Fatalf("sink saw %d instructions, listener %d", len(sink.trace), len(want))
+		t.Fatalf("sink saw %d instructions, Step reference %d", len(sink.trace), len(want))
 	}
 	for i := range want {
 		if sink.trace[i] != want[i] {

@@ -149,11 +149,14 @@ func chaseTrace(t *testing.T) ([]emu.DynInstr, func() *Pipeline) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var trace []emu.DynInstr
-	cpu.SetListener(func(di emu.DynInstr) { trace = append(trace, di) })
-	if err := cpu.Run(1 << 20); err != nil {
-		t.Fatal(err)
+	var trace recorder
+	cpu.SetTraceSink(&trace)
+	for !cpu.Halted() && cpu.Stats().Instructions < 1<<20 {
+		if err := cpu.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	cpu.FlushTrace()
 	return trace, func() *Pipeline {
 		p, err := New(FourWide(), prog, branch.NewTAGESCL())
 		if err != nil {

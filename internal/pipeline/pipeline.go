@@ -1,11 +1,11 @@
 // Package pipeline is the trace-driven out-of-order timing model of the
 // reproduction. It consumes the retired-instruction stream of the
 // functional emulator batch-wise through emu.TraceSink (attach it with
-// emu.CPU.SetTraceSink, or behind a trace ring) and computes cycle timing for
-// an aggressive superscalar core: fetch bandwidth with one taken branch
-// per cycle, front-end depth, ROB occupancy, register dataflow,
-// functional unit pools, a two-level cache hierarchy, and the 10-cycle
-// front-end refill penalty on branch mispredictions (§VI-B).
+// emu.CPU.SetTraceSink) and computes cycle timing for an aggressive
+// superscalar core: fetch bandwidth with one taken branch per cycle,
+// front-end depth, ROB occupancy, register dataflow, functional unit
+// pools, a two-level cache hierarchy, and the 10-cycle front-end refill
+// penalty on branch mispredictions (§VI-B).
 //
 // All static per-instruction properties — functional unit class, latency,
 // occupancy, source/destination register sets, branch kind — come from
@@ -372,9 +372,8 @@ type Pipeline struct {
 	// caches and predictor keep evolving (tag/history state only — no
 	// cycle accounting, no Metrics movement), so a later measurement
 	// window does not see state that went stale across a fast-forward
-	// gap. The flag is owned by the session and only flipped at a trace
-	// rendezvous (ring drained), so the consumer goroutine never observes
-	// a mid-batch change.
+	// gap. The flag is owned by the session and only flipped between
+	// batches, so no batch is consumed half in each mode.
 	funcWarm bool
 }
 
@@ -430,7 +429,7 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 }
 
 // SetFuncWarm flips the functional-warming consume path. Callers must
-// only flip it at a trace rendezvous (no batches in flight).
+// only flip it between batches (the emulator's trace flushed).
 func (p *Pipeline) SetFuncWarm(on bool) { p.funcWarm = on }
 
 // FuncWarm reports whether the functional-warming path is active.

@@ -20,8 +20,8 @@
 //
 // The schedule is a pure function of the absolute retired-instruction
 // count, so a sampled run is deterministic: the same configuration
-// times exactly the same instruction windows regardless of chunking,
-// parallelism, or sync-vs-async trace delivery, and a checkpoint
+// times exactly the same instruction windows regardless of chunking or
+// parallelism, and a checkpoint
 // resumed mid-run rejoins the schedule exactly where it left off.
 // sim.Session drives the three phases (see sim.WithSampledTiming);
 // this package owns only the arithmetic and the estimate.

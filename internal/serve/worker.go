@@ -53,10 +53,7 @@ type Worker struct {
 	// Programs caches assembled programs across points. Workers on one
 	// machine should share a cache; nil builds a private one.
 	Programs *sweep.ProgramCache
-	// SyncTiming forces every session onto the synchronous timing path.
-	// Results are identical either way (the async pipeline is pinned
-	// byte-identical); set it when co-located workers already saturate
-	// the machine, mirroring the engine's goroutine budget.
+	// Deprecated: ignored; timing is always synchronous.
 	SyncTiming bool
 	// Poll is the idle re-poll interval floor; the zero value defers to
 	// the server's suggestion (or 100ms).
@@ -268,7 +265,7 @@ func (w *Worker) runLeased(ctx context.Context, p sweep.Point, lr LeaseResponse,
 			last = time.Now()
 			ck, err := s.Checkpoint()
 			if err != nil {
-				continue // not at a rendezvous point; the next chunk will be
+				continue // not checkpointable here; the next chunk will be
 			}
 			var rr RenewResponse
 			if err := w.post(ctx, "/v1/renew", RenewRequest{Lease: lr.Lease, Checkpoint: ck.Bytes(), Instrs: ck.Instructions()}, &rr); err == nil && rr.Status != StatusOK {
@@ -300,9 +297,6 @@ func (w *Worker) startSession(ctx context.Context, p sweep.Point, progress []byt
 	opts, err := p.Options()
 	if err != nil {
 		return nil, err
-	}
-	if w.SyncTiming {
-		opts = append(opts, sim.WithSyncTiming())
 	}
 	prog, err := w.Programs.Get(p.Workload, p.Scale, p.Variant)
 	if err != nil {

@@ -38,10 +38,8 @@ const (
 // embedded configuration alone.
 //
 // Not captured: observer registrations (callbacks are process state,
-// re-register after Resume), the async trace ring (always drained at a
-// checkpoint boundary), and scheduling knobs (SyncTiming, TraceRing) —
-// a resumed session chooses its own scheduling, which cannot change
-// results.
+// re-register after Resume) and the emulator's trace buffer (always
+// flushed at a checkpoint boundary).
 type Checkpoint struct {
 	data     []byte
 	cfg      Config
@@ -60,10 +58,10 @@ func (c *Checkpoint) Config() Config { return c.cfg }
 func (c *Checkpoint) Instructions() uint64 { return c.instrs }
 
 // Checkpoint serializes the session's complete machine state. The
-// session must be at a rendezvous point — which it always is when the
-// caller can call anything: between New/RunFor/Run calls, or inside an
-// Observe callback (the ring drains before observers fire). A dead
-// session (faulted) cannot be checkpointed.
+// trace is flushed whenever the caller can call anything — between
+// New/RunFor/Run calls, or inside an Observe callback — so the timing
+// model is always caught up. A dead session (faulted) cannot be
+// checkpointed.
 func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if s.err != nil {
 		return nil, fmt.Errorf("sim: cannot checkpoint a faulted session: %w", s.err)
@@ -163,10 +161,10 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 //
 // Options may not change what the machine is (program, seed, PBS
 // hardware — the functional state would be inconsistent) but may change
-// how it continues: scheduling (WithSyncTiming, WithTraceRing), the
-// instruction budget (WithMaxInstrs), and — for a functional-only
-// checkpoint — turning the timing model on, which starts predictor,
-// caches and pipeline cold at the checkpoint boundary. That is the
+// how it continues: the instruction budget (WithMaxInstrs) and — for a
+// functional-only checkpoint — turning the timing model on, which
+// starts predictor, caches and pipeline cold at the checkpoint
+// boundary. That is the
 // warm-prefix fast-forward of the sweep engine: functional state is
 // exact, timing state accumulates only over the measured suffix.
 func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
@@ -271,9 +269,7 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 }
 
 // writeConfig serializes the run configuration and the program content
-// hash. Scheduling knobs (SyncTiming, TraceRing) are deliberately not
-// captured: they cannot change results, and a resumed session picks its
-// own.
+// hash.
 func writeConfig(w *ckpt.Writer, cfg Config, progHash uint64) {
 	w.String(cfg.Workload)
 	w.Int(int64(cfg.Params.Scale))

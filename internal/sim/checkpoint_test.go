@@ -70,27 +70,21 @@ func compareResults(t *testing.T, got, want *Result) {
 	}
 }
 
-// TestCheckpointRestoreGolden: for every golden configuration, on both
-// the synchronous and the forced-async timing path, interrupting a run
-// with checkpoint→serialize→restore must not move a single counter
-// relative to the uninterrupted run.
+// TestCheckpointRestoreGolden: for every golden configuration,
+// interrupting a run with checkpoint→serialize→restore must not move a
+// single counter relative to the uninterrupted run.
 func TestCheckpointRestoreGolden(t *testing.T) {
 	for name, cfg := range goldenConfigs() {
-		for _, mode := range []string{"", "/async"} {
-			name, cfg, mode := name, cfg, mode
-			t.Run(name+mode, func(t *testing.T) {
-				t.Parallel()
-				if mode == "/async" {
-					cfg.TraceRing = 2
-				}
-				want, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := runInterrupted(t, cfg, restoreK)
-				compareResults(t, got, want)
-			})
-		}
+		name, cfg := name, cfg
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runInterrupted(t, cfg, restoreK)
+			compareResults(t, got, want)
+		})
 	}
 }
 

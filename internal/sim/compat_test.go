@@ -96,68 +96,58 @@ func TestRunMatchesGolden(t *testing.T) {
 	}
 
 	for _, e := range entries {
-		for _, mode := range []string{"", "/async"} {
-			e, mode := e, mode
-			t.Run(e.Name+mode, func(t *testing.T) {
-				t.Parallel()
-				cfg, ok := cfgs[e.Name]
-				if !ok {
-					t.Fatalf("no config for golden entry %q", e.Name)
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			cfg, ok := cfgs[e.Name]
+			if !ok {
+				t.Fatalf("no config for golden entry %q", e.Name)
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Workload != e.Workload {
+				t.Errorf("workload label %q, golden %q", res.Workload, e.Workload)
+			}
+			if res.Timing != e.Timing {
+				t.Errorf("timing metrics diverged:\n got %+v\nwant %+v", res.Timing, e.Timing)
+			}
+			emuGot := map[string]uint64{
+				"Instructions": res.Emu.Instructions, "Branches": res.Emu.Branches,
+				"CondBranches": res.Emu.CondBranches, "ProbBranches": res.Emu.ProbBranches,
+				"Calls": res.Emu.Calls, "Returns": res.Emu.Returns,
+				"Loads": res.Emu.Loads, "Stores": res.Emu.Stores,
+				"RandDraws": res.Emu.RandDraws, "Outputs": res.Emu.Outputs,
+			}
+			for k, want := range e.Emu {
+				if emuGot[k] != want {
+					t.Errorf("emu %s = %d, golden %d", k, emuGot[k], want)
 				}
-				if mode == "/async" {
-					// Force the asynchronous trace pipeline (the default on
-					// multi-CPU processes) even where the session would fall
-					// back to synchronous delivery, with enough backpressure
-					// to exercise the ring hand-off; the golden counters
-					// must not move by a bit.
-					cfg.TraceRing = 2
+			}
+			pbsGot := map[string]int64{
+				"Resolutions": int64(res.PBSStats.Resolutions), "Steered": int64(res.PBSStats.Steered),
+				"Bootstrap": int64(res.PBSStats.Bootstrap), "Regular": int64(res.PBSStats.Regular),
+				"ConstViolations": int64(res.PBSStats.ConstViolations), "CapacityMisses": int64(res.PBSStats.CapacityMisses),
+				"ValueOverflows": int64(res.PBSStats.ValueOverflows), "UntrackableCtx": int64(res.PBSStats.UntrackableCtx),
+				"Allocations": int64(res.PBSStats.Allocations), "ContextClears": int64(res.PBSStats.ContextClears),
+				"MaxLiveBranches": int64(res.PBSStats.MaxLiveBranches),
+			}
+			for k, want := range e.PBS {
+				if pbsGot[k] != want {
+					t.Errorf("pbs %s = %d, golden %d", k, pbsGot[k], want)
 				}
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Workload != e.Workload {
-					t.Errorf("workload label %q, golden %q", res.Workload, e.Workload)
-				}
-				if res.Timing != e.Timing {
-					t.Errorf("timing metrics diverged:\n got %+v\nwant %+v", res.Timing, e.Timing)
-				}
-				emuGot := map[string]uint64{
-					"Instructions": res.Emu.Instructions, "Branches": res.Emu.Branches,
-					"CondBranches": res.Emu.CondBranches, "ProbBranches": res.Emu.ProbBranches,
-					"Calls": res.Emu.Calls, "Returns": res.Emu.Returns,
-					"Loads": res.Emu.Loads, "Stores": res.Emu.Stores,
-					"RandDraws": res.Emu.RandDraws, "Outputs": res.Emu.Outputs,
-				}
-				for k, want := range e.Emu {
-					if emuGot[k] != want {
-						t.Errorf("emu %s = %d, golden %d", k, emuGot[k], want)
-					}
-				}
-				pbsGot := map[string]int64{
-					"Resolutions": int64(res.PBSStats.Resolutions), "Steered": int64(res.PBSStats.Steered),
-					"Bootstrap": int64(res.PBSStats.Bootstrap), "Regular": int64(res.PBSStats.Regular),
-					"ConstViolations": int64(res.PBSStats.ConstViolations), "CapacityMisses": int64(res.PBSStats.CapacityMisses),
-					"ValueOverflows": int64(res.PBSStats.ValueOverflows), "UntrackableCtx": int64(res.PBSStats.UntrackableCtx),
-					"Allocations": int64(res.PBSStats.Allocations), "ContextClears": int64(res.PBSStats.ContextClears),
-					"MaxLiveBranches": int64(res.PBSStats.MaxLiveBranches),
-				}
-				for k, want := range e.PBS {
-					if pbsGot[k] != want {
-						t.Errorf("pbs %s = %d, golden %d", k, pbsGot[k], want)
-					}
-				}
-				if len(res.Outputs) != e.OutputsLen || hashU64(res.Outputs) != e.OutputsHash {
-					t.Errorf("outputs diverged: %d values hash %#x, golden %d values hash %#x",
-						len(res.Outputs), hashU64(res.Outputs), e.OutputsLen, e.OutputsHash)
-				}
-				if len(res.Generated) != e.GenLen || hashF64(res.Generated) != e.GenHash {
-					t.Errorf("generated stream diverged")
-				}
-				if hashF64(res.Consumed) != e.ConsHash {
-					t.Errorf("consumed stream diverged")
-				}
-			})
-		}
+			}
+			if len(res.Outputs) != e.OutputsLen || hashU64(res.Outputs) != e.OutputsHash {
+				t.Errorf("outputs diverged: %d values hash %#x, golden %d values hash %#x",
+					len(res.Outputs), hashU64(res.Outputs), e.OutputsLen, e.OutputsHash)
+			}
+			if len(res.Generated) != e.GenLen || hashF64(res.Generated) != e.GenHash {
+				t.Errorf("generated stream diverged")
+			}
+			if hashF64(res.Consumed) != e.ConsHash {
+				t.Errorf("consumed stream diverged")
+			}
+		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 //
 // The schedule is a pure function of the retired-instruction count, so
 // a sampled run is deterministic — the same configuration times exactly
-// the same windows regardless of RunFor chunking, observer placement,
-// or sync-vs-async trace delivery. Incompatible with WithoutTiming.
+// the same windows regardless of RunFor chunking or observer placement.
+// Incompatible with WithoutTiming.
 func WithSampledTiming(cfg sample.Config) Option {
 	return func(c *Config) { c.Sample = &cfg }
 }
@@ -87,8 +87,10 @@ func (sp *sampler) snapshot() SampledTiming {
 // retired-instruction position cur: it closes a window whose end has
 // been reached, then switches trace production and the warming flag to
 // match PhaseAt(cur). advance calls it at every chunk boundary (and
-// once more after the run ends, while the trace consumer is still
-// live, so a window closing exactly at the end of the run is counted).
+// once more after the run ends, so a window closing exactly at the end
+// of the run is counted). The emulator stops exactly on every schedule
+// boundary and flushes its trace first, so each switch lands between
+// batches and the window delta sees a fully caught-up timing model.
 //
 // The window close must compare against the absolute winEnd rather
 // than watch for a phase change: with Period == Warmup+Window there is
@@ -98,11 +100,6 @@ func (sp *sampler) snapshot() SampledTiming {
 func (s *Session) syncSample(cur uint64) {
 	sp := s.sampler
 	if sp.open && cur >= sp.winEnd {
-		// Rendezvous so the window delta sees a fully caught-up timing
-		// model; the emulator stopped exactly on the boundary and flushed.
-		if s.ring != nil {
-			s.ring.Drain()
-		}
 		d := s.pipe.WindowDelta()
 		sp.cpis = append(sp.cpis, d.CPI())
 		sp.mpkis = append(sp.mpkis, d.MPKI())
@@ -111,9 +108,6 @@ func (s *Session) syncSample(cur uint64) {
 	switch sp.cfg.PhaseAt(cur) {
 	case sample.Measuring:
 		if !sp.open {
-			if s.ring != nil {
-				s.ring.Drain()
-			}
 			s.pipe.SetFuncWarm(false)
 			s.cpu.ResumeTrace()
 			s.pipe.SetWarming(false)
@@ -122,28 +116,14 @@ func (s *Session) syncSample(cur uint64) {
 			sp.winEnd = sp.cfg.WindowEnd(cur)
 		}
 	case sample.Warming:
-		if s.pipe.FuncWarm() {
-			// Leaving a functionally-warmed gap: rendezvous before the
-			// consumer flips back to detailed retirement.
-			if s.ring != nil {
-				s.ring.Drain()
-			}
-			s.pipe.SetFuncWarm(false)
-		}
+		s.pipe.SetFuncWarm(false)
 		s.cpu.ResumeTrace()
 		s.pipe.SetWarming(true)
 	case sample.FastForward:
 		if sp.cfg.FuncWarm {
-			if !s.pipe.FuncWarm() {
-				// Entering a functionally-warmed gap: the trace keeps
-				// flowing, but the consumer switches to the cheap
-				// cache+predictor path. Drain so no detailed-phase batch
-				// can be consumed in warm mode (and vice versa).
-				if s.ring != nil {
-					s.ring.Drain()
-				}
-				s.pipe.SetFuncWarm(true)
-			}
+			// Functionally-warmed gap: the trace keeps flowing, but the
+			// pipeline takes the cheap cache+predictor path.
+			s.pipe.SetFuncWarm(true)
 			s.cpu.ResumeTrace()
 			return
 		}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/branch"
 	"repro/internal/core"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/rng"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -104,27 +102,6 @@ func WithTiming(on bool) Option {
 	return func(c *Config) { c.SkipTiming = !on }
 }
 
-// WithSyncTiming makes the timing model consume the trace synchronously
-// on the emulating goroutine instead of on its own consumer goroutine.
-// Results are byte-identical to the default asynchronous pipeline — this
-// trades the emulation/timing overlap away for a single-goroutine
-// session (useful when the caller already saturates every core, as the
-// sweep engine's pool does).
-func WithSyncTiming() Option {
-	return func(c *Config) { c.SyncTiming = true }
-}
-
-// WithTraceRing sizes the asynchronous trace ring in batches (minimum 1;
-// the default is trace.DefaultBatches) and forces the asynchronous path
-// even where the session would fall back to synchronous delivery (a
-// single-CPU process). A 1-batch ring forces a lockstep hand-off per
-// batch — full backpressure — which the race stress tests use; real
-// runs rarely benefit from more than a few batches, since the timing
-// consumer is the slow side.
-func WithTraceRing(batches int) Option {
-	return func(c *Config) { c.TraceRing = batches }
-}
-
 // observer is one Observe registration.
 type observer struct {
 	every uint64  // sampling interval in retired instructions
@@ -144,14 +121,11 @@ type observer struct {
 // WithProgram). Observe callbacks run synchronously on the goroutine
 // that advances the session.
 //
-// By default a timing session is an asynchronous two-goroutine pipeline
-// while it advances: the caller's goroutine emulates and produces trace
-// batches into a bounded ring, and a consumer goroutine — spawned on
-// entry to RunFor/Run and joined before they return, so an idle session
-// owns no goroutines — drains them through the timing model. The ring
-// rendezvous at every observer boundary, instruction limit and stop
-// keeps snapshot semantics exactly those of the synchronous path (see
-// internal/trace); WithSyncTiming restores that path outright.
+// The timing model consumes the trace synchronously on that same
+// goroutine: the emulator hands it batches through emu.TraceSink and
+// flushes on every return from cpu.Run, so whenever an observer or the
+// caller can look, the timing model has caught up. A session never owns
+// a goroutine.
 type Session struct {
 	cfg  Config
 	name string // workload label for errors and Result
@@ -161,9 +135,6 @@ type Session struct {
 	pipe *pipeline.Pipeline
 	unit *core.Unit
 	pred branch.Predictor
-
-	ring    *trace.Ring // nil: synchronous timing (or no timing at all)
-	serving bool        // a consumer goroutine is live (advance is on the stack)
 
 	sampler *sampler // nil: full timing (see WithSampledTiming)
 
@@ -245,32 +216,7 @@ func newSession(cfg Config) (*Session, error) {
 		}
 		s.pipe = pipe
 		s.pred = pred
-		// The async pipeline needs a second CPU to overlap emulation with
-		// timing; on a single-CPU process it could only add hand-off
-		// overhead, so the default degrades to the synchronous path
-		// there. WithTraceRing forces async regardless (the backpressure
-		// stress tests want it even on one CPU); results are identical on
-		// every path.
-		sync := cfg.SyncTiming || (cfg.TraceRing == 0 && runtime.GOMAXPROCS(0) < 2)
-		if sync {
-			// Synchronous batched delivery: the pipeline consumes reusable
-			// []emu.DynInstr chunks on the emulating goroutine; cpu.Run
-			// flushes on every return, so observer boundaries and snapshots
-			// see a fully caught-up timing model.
-			cpu.SetTraceSink(pipe)
-		} else {
-			// Asynchronous delivery: the emulator fills ring-owned batch
-			// buffers while a consumer goroutine (spawned per advance)
-			// drains them through the pipeline. advance still stops the
-			// emulator exactly on interval boundaries, and rendezvous
-			// (ring.Drain) before any observer reads timing state.
-			batches := cfg.TraceRing
-			if batches <= 0 {
-				batches = trace.DefaultBatches
-			}
-			s.ring = trace.New(batches)
-			cpu.SetTraceRing(s.ring)
-		}
+		cpu.SetTraceSink(pipe)
 		if cfg.Sample != nil {
 			sp, err := newSampler(*cfg.Sample)
 			if err != nil {
@@ -327,11 +273,9 @@ func (s *Session) Observe(every uint64, fn func(Snapshot)) error {
 	return nil
 }
 
-// collect builds the unified metrics view of the machine right now. With
-// async timing it must run at a rendezvous: either no consumer goroutine
-// is live (the session is idle between RunFor/Run calls) or the ring has
-// just drained (an observer callback) — both are where every caller
-// sits, so timing counters are always caught up and race-free here.
+// collect builds the unified metrics view of the machine right now.
+// Every caller sits between cpu.Run calls, where the trace is flushed,
+// so timing counters are always caught up here.
 func (s *Session) collect() Metrics {
 	var t pipeline.Metrics
 	if s.pipe != nil {
@@ -392,15 +336,9 @@ func (s *Session) Run() error {
 // advance executes until the absolute retired-instruction count reaches
 // target (0 = no target), the configured MaxInstrs cap, or HALT,
 // chunking the emulator so observers fire exactly on their interval
-// boundaries.
-//
-// With async timing, advance owns the consumer goroutine's lifetime: it
-// spawns ring.Serve on entry and joins it (ring.Stop, a full drain) on
-// every exit, so the session never holds a goroutine while idle and
-// timing state is caught up whenever the caller can next observe it.
-// Observer boundaries rendezvous with ring.Drain before sampling. A
-// nested advance — an Observe callback stepping the session further —
-// reuses the live consumer instead of spawning a second one.
+// boundaries. An Observe callback may itself advance the session (a
+// nested RunFor); the outer loop then resumes from wherever the callback
+// left the machine.
 func (s *Session) advance(target uint64) error {
 	limit := target
 	if s.cfg.MaxInstrs > 0 && (limit == 0 || s.cfg.MaxInstrs < limit) {
@@ -409,31 +347,10 @@ func (s *Session) advance(target uint64) error {
 	if s.cpu.Halted() {
 		return nil
 	}
-	if s.ring != nil {
-		if s.serving {
-			// Nested advance (an Observe callback stepping the session
-			// further): reuse the live consumer, but rendezvous on exit
-			// so the callback returns to a caught-up timing model.
-			defer s.ring.Drain()
-		} else {
-			s.serving = true
-			go s.ring.Serve(s.pipe)
-			// Stop drains and shuts the consumer down; after it returns
-			// the goroutine touches neither the ring nor the pipeline
-			// again, so the next advance (or a caller reading metrics)
-			// proceeds safely.
-			defer func() {
-				s.ring.Stop()
-				s.serving = false
-			}()
-		}
-	}
 	if s.sampler != nil {
-		// Reconcile once more on the way out — while the trace consumer
-		// is still live — so a window that closes exactly where the run
-		// ends (halt or budget) joins the population. Registered after
-		// the ring defers, so it runs before Stop. Idempotent with the
-		// loop-top reconcile.
+		// Reconcile once more on the way out so a window that closes
+		// exactly where the run ends (halt or budget) joins the
+		// population. Idempotent with the loop-top reconcile.
 		defer func() {
 			if s.err == nil {
 				s.syncSample(s.cpu.Stats().Instructions)
@@ -480,30 +397,15 @@ func (s *Session) advance(target uint64) error {
 		if s.sampler != nil {
 			s.sampler.account(prev, cur-prev)
 		}
-		drained := false
 		for _, ob := range s.observers {
 			if ob.next > cur {
 				continue // halted before the boundary: no partial sample
-			}
-			if s.ring != nil && !drained {
-				// Rendezvous: the emulator stopped exactly on the earliest
-				// due boundary and flushed; wait for the consumer to catch
-				// up so the sample sees the same machine a synchronous run
-				// would.
-				s.ring.Drain()
-				drained = true
 			}
 			total := s.collect()
 			snap := Snapshot{Total: total, Delta: total.Delta(ob.prev)}
 			ob.prev = total
 			ob.next += ob.every
 			ob.fn(snap)
-			if s.cpu.Stats().Instructions != cur {
-				// The callback advanced the session (nested RunFor): new
-				// batches are in flight, so rendezvous again before the
-				// next observer samples.
-				drained = false
-			}
 		}
 	}
 	return nil

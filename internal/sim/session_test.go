@@ -302,3 +302,100 @@ func TestConcurrentSessionsShareProgram(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestNestedAdvance: an Observe callback may itself step the session (a
+// nested RunFor); the outer advance resumes from wherever the callback
+// left the machine. Every snapshot — the observer's, the one taken
+// inside the callback, and the final totals — must equal those of a
+// session stepped to the same counts without nesting.
+func TestNestedAdvance(t *testing.T) {
+	opts := []Option{WithSeed(11), WithPBS(true), WithMaxInstrs(150_000)}
+	newObserved := func(obs *[]Snapshot, fn func(*Session)) *Session {
+		s, err := New("PI", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Observe(30_000, func(snap Snapshot) {
+			*obs = append(*obs, snap)
+			if fn != nil {
+				fn(s)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	var nestedObs, nestedRecs []Snapshot
+	nested := false
+	s := newObserved(&nestedObs, func(s *Session) {
+		if nested {
+			return
+		}
+		nested = true
+		if _, err := s.RunFor(5_000); err != nil {
+			t.Error(err)
+			return
+		}
+		nestedRecs = append(nestedRecs, s.Snapshot())
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	nestedRecs = append(nestedRecs, s.Snapshot())
+
+	// Reference: the same counts (35k inside the first interval, then
+	// to completion) reached by plain top-level stepping.
+	var refObs, refRecs []Snapshot
+	ref := newObserved(&refObs, nil)
+	if _, err := ref.RunFor(35_000); err != nil {
+		t.Fatal(err)
+	}
+	refRecs = append(refRecs, ref.Snapshot())
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	refRecs = append(refRecs, ref.Snapshot())
+
+	if len(nestedObs) != 5 || len(nestedObs) != len(refObs) {
+		t.Fatalf("observer fired %d times nested, %d plain; want 5", len(nestedObs), len(refObs))
+	}
+	for i := range refObs {
+		if nestedObs[i] != refObs[i] {
+			t.Errorf("observer sample %d diverged:\nnested %+v\n plain %+v", i, nestedObs[i], refObs[i])
+		}
+	}
+	if len(nestedRecs) != len(refRecs) {
+		t.Fatalf("nested run recorded %d snapshots, plain %d", len(nestedRecs), len(refRecs))
+	}
+	for i := range refRecs {
+		if nestedRecs[i] != refRecs[i] {
+			t.Errorf("snapshot %d diverged:\nnested %+v\n plain %+v", i, nestedRecs[i], refRecs[i])
+		}
+	}
+}
+
+// TestSteadyStateAllocs pins the allocation freedom of the steady
+// state: once warm, advancing a session allocates nothing per batch or
+// per instruction (the trace buffer is reused and the retire path is
+// allocation-free).
+func TestSteadyStateAllocs(t *testing.T) {
+	s, err := New("PI", WithSeed(5), WithPBS(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunFor(100_000); err != nil { // warm up pools and output buffers
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := s.RunFor(20_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// ~78 batches reach the pipeline per run; a leak of even one
+	// allocation per batch would blow far past this bound, which only
+	// tolerates the occasional output-append amortization.
+	if avg > 8 {
+		t.Fatalf("advance allocates %.1f times per 20k-instruction chunk", avg)
+	}
+}

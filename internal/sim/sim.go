@@ -74,15 +74,8 @@ type Config struct {
 	// SkipTiming runs only the functional emulator (for accuracy and
 	// randomness experiments, which need no pipeline).
 	SkipTiming bool
-	// SyncTiming forces the timing model to run synchronously on the
-	// emulating goroutine (the pre-async behavior). By default the
-	// pipeline consumes the trace on its own goroutine through a bounded
-	// batch ring; results are byte-identical either way, so this is a
-	// scheduling escape hatch, not a semantic switch.
+	// Deprecated: ignored; timing is always synchronous.
 	SyncTiming bool
-	// TraceRing sizes the async trace ring in batches (0 = the
-	// internal/trace default). Ignored with SyncTiming or SkipTiming.
-	TraceRing int
 	// Sample, when non-nil, runs the timing model in SMARTS-style sampled
 	// mode: detailed timing only inside periodic warming+measurement
 	// windows, functional fast-forward between them, IPC/MPKI reported as

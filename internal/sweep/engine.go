@@ -30,11 +30,6 @@ type Engine struct {
 	// number of completed points and the total. Calls may arrive
 	// concurrently from several workers.
 	OnProgress func(done, total int)
-	// SyncTiming forces every session the engine runs onto the
-	// synchronous timing path, regardless of the goroutine budget (see
-	// RunPoints). Results are identical either way; this is the
-	// scheduling escape hatch cmd/pbsweep -sync-timing sets.
-	SyncTiming bool
 
 	// warm memoizes functional warm-prefix checkpoints by canonical warm
 	// point (see Point.WarmPoint), keyed like the result memos so repeat
@@ -182,7 +177,7 @@ func (e *Engine) Run(ctx context.Context, g Grid) (Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.runPoints(ctx, pts, g.Parallel, g.SyncTiming)
+	return e.RunPoints(ctx, pts, g.Parallel)
 }
 
 // RunPoints executes the points with at most parallel concurrent
@@ -195,17 +190,11 @@ func (e *Engine) Run(ctx context.Context, g Grid) (Results, error) {
 // and the error is returned once in-flight jobs drain — together with
 // the results of the points that did complete (in point order, fully
 // merged aggregates only), so an interrupted sweep can still flush what
-// it finished. Points with a
-// WarmPrefix fork from a shared functional checkpoint of their group's
-// prefix, run once per group (see Grid.WarmPrefix). Results are
-// positionally deterministic — the same points
-// produce the same results at any parallelism, with timing consumed
-// synchronously or asynchronously per the goroutine budget below.
+// it finished. Points with a WarmPrefix fork from a shared functional
+// checkpoint of their group's prefix, run once per group (see
+// Grid.WarmPrefix). Results are positionally deterministic — the same
+// points produce the same results at any parallelism.
 func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Results, error) {
-	return e.runPoints(ctx, pts, parallel, e.SyncTiming)
-}
-
-func (e *Engine) runPoints(ctx context.Context, pts []Point, parallel int, syncTiming bool) (Results, error) {
 	if len(pts) == 0 {
 		return nil, ctx.Err()
 	}
@@ -254,15 +243,6 @@ func (e *Engine) runPoints(ctx context.Context, pts []Point, parallel int, syncT
 	if parallel > len(jobList) {
 		parallel = len(jobList)
 	}
-	// Goroutine budget: an async-timing session runs two goroutines
-	// (emulator + timing consumer), so the sweep's total is capped at
-	// GOMAXPROCS — a pool that already saturates every core runs its
-	// points synchronously (async could only add hand-off thrash), while
-	// a small pool (say, one aggregate point's three seed shards on a
-	// wide machine) keeps the async overlap and still fits the budget.
-	if !syncTiming && 2*parallel > runtime.GOMAXPROCS(0) {
-		syncTiming = true
-	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -295,7 +275,7 @@ func (e *Engine) runPoints(ctx context.Context, pts []Point, parallel int, syncT
 				if jb.shard >= 0 {
 					p = p.Shard(seedsOf[jb.point][jb.shard])
 				}
-				res, err := e.runPoint(ctx, p, syncTiming)
+				res, err := e.runPoint(ctx, p)
 				if err != nil {
 					// No "sweep:" prefix: the wrapped error carries its
 					// package prefix already.
@@ -372,14 +352,12 @@ dispatch:
 
 // runPoint executes one point through a sim.Session, consulting the
 // caches. Cached programs are shared read-only across the concurrently
-// running sessions of the worker pool. syncTiming is a pure scheduling
-// knob — results (and therefore memo entries) are identical either way,
-// so it stays out of the point's identity. Sessions run in chunks with
+// running sessions of the worker pool. Sessions run in chunks with
 // a cancellation check between them, so an aborting sweep (first error,
 // or SIGINT in cmd/pbsweep) stops mid-point promptly; chunking is
 // byte-identical to a one-shot run (see sim.Session.RunFor), so the
 // abort path costs completed points nothing.
-func (e *Engine) runPoint(ctx context.Context, p Point, syncTiming bool) (*sim.Result, error) {
+func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
 	p = p.normalize()
 	memoize := e.Results != nil && !p.CaptureProb
 	if memoize {
@@ -390,9 +368,6 @@ func (e *Engine) runPoint(ctx context.Context, p Point, syncTiming bool) (*sim.R
 	opts, err := p.Options()
 	if err != nil {
 		return nil, err
-	}
-	if syncTiming {
-		opts = append(opts, sim.WithSyncTiming())
 	}
 	if e.Programs != nil {
 		prog, err := e.Programs.Get(p.Workload, p.Scale, p.Variant)

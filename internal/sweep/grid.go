@@ -81,10 +81,7 @@ type Grid struct {
 	SampleFuncWarm bool `json:"sample_func_warm,omitempty"`
 	// Parallel bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallel int `json:"parallel,omitempty"`
-	// SyncTiming forces every point onto the synchronous timing path.
-	// Like Parallel, it is an execution knob, not a point axis: results
-	// are identical either way. By default the engine decides per sweep
-	// from its goroutine budget (see Engine.RunPoints).
+	// Deprecated: ignored; timing is always synchronous.
 	SyncTiming bool `json:"sync_timing,omitempty"`
 	// ShardSeeds collapses the Seeds axis: instead of one grid point per
 	// seed, each coordinate becomes a single aggregate point carrying the
@@ -294,8 +291,8 @@ func (p Point) Options() ([]sim.Option, error) {
 	if p.Sharded() {
 		return nil, fmt.Errorf("sweep: aggregate point %s cannot run directly (the engine shards it per seed)", p)
 	}
-	// Spare capacity for the options the engine appends (program,
-	// sync-timing) so a hot sweep loop never regrows the slice.
+	// Spare capacity for the options the engine appends (the cached
+	// program) so a hot sweep loop never regrows the slice.
 	opts := make([]sim.Option, 0, 12)
 	opts = append(opts,
 		sim.WithScale(p.Scale),

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -140,6 +141,38 @@ func TestGridJSONRoundTrip(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("point %d differs after round trip: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestGridSpecKeepsSyncTimingKey: spec files written when "sync_timing"
+// still chose the timing path must keep parsing under the strict
+// decoding pbsweep applies, and expand exactly as without the key.
+func TestGridSpecKeepsSyncTimingKey(t *testing.T) {
+	decode := func(spec string) Grid {
+		t.Helper()
+		dec := json.NewDecoder(strings.NewReader(spec))
+		dec.DisallowUnknownFields()
+		var g Grid
+		if err := dec.Decode(&g); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	a, err := decode(`{"workloads": ["PI"], "seeds": [11, 23], "sync_timing": true}`).Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := decode(`{"workloads": ["PI"], "seeds": [11, 23]}`).Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("expansion sizes differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("point %d: %s vs %s", i, a[i], b[i])
 		}
 	}
 }

@@ -203,7 +203,6 @@ func BenchmarkWarmPrefixSweep(b *testing.B) {
 		MaxInstrs:  1_200_000,
 		WarmPrefix: 1_000_000,
 		Parallel:   1,
-		SyncTiming: true,
 	}
 	cold := warm
 	cold.WarmPrefix = 0

@@ -2,9 +2,14 @@
 // a Ring is a small, bounded hand-off of owned trace batches between one
 // producer goroutine (the emulator, via emu.CPU.SetTraceRing) and one
 // consumer goroutine (the timing model, via Serve). The emulator fills a
-// batch while the consumer drains earlier ones, so the ~6×-faster
-// functional emulation hides behind the timing model's cost instead of
-// serializing with it.
+// batch while the consumer drains earlier ones.
+//
+// sim.Session does not use it: every session times its trace
+// synchronously through emu.TraceSink, which measured faster than the
+// ring on a pipeline-bound run (see DESIGN.md, "Why the trace path is
+// synchronous"). No code under internal/, cmd/ or examples/ calls this
+// package outside its own tests; the perfbench module's traced runs
+// wire a Ring by hand to attribute hand-off time.
 //
 // Ownership protocol: the ring pre-allocates every batch buffer it will
 // ever use. Exactly one buffer is held by the producer (being filled) at

@@ -108,7 +108,12 @@ func TestRingEmptyExchangeKeepsBuffer(t *testing.T) {
 	}
 }
 
-// replaySink re-runs the trace through a Listener-recorded reference.
+// recordSink copies every delivered batch out of the CPU's reused buffer.
+type recordSink struct{ trace []emu.DynInstr }
+
+func (s *recordSink) ConsumeTrace(batch []emu.DynInstr) { s.trace = append(s.trace, batch...) }
+
+// replaySink re-runs the trace through a Step-recorded reference.
 type replaySink struct {
 	want []emu.DynInstr
 	pos  int
@@ -124,11 +129,11 @@ func (s *replaySink) ConsumeTrace(batch []emu.DynInstr) {
 	}
 }
 
-// TestRingMatchesListenerTrace: end to end through a real CPU — the
-// ring-delivered trace is instruction-for-instruction the Listener
-// trace, across chunked runs that force partial batches, at ring sizes
-// that force backpressure.
-func TestRingMatchesListenerTrace(t *testing.T) {
+// TestRingMatchesStepTrace: end to end through a real CPU — the
+// ring-delivered trace is instruction-for-instruction the trace of a
+// per-instruction Step run, across chunked runs that force partial
+// batches, at ring sizes that force backpressure.
+func TestRingMatchesStepTrace(t *testing.T) {
 	w, err := workloads.ByName("PI")
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +146,15 @@ func TestRingMatchesListenerTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []emu.DynInstr
-	ref.SetListener(func(di emu.DynInstr) { want = append(want, di) })
-	if err := ref.Run(200_000); err != nil {
-		t.Fatal(err)
+	rec := &recordSink{}
+	ref.SetTraceSink(rec)
+	for !ref.Halted() && ref.Stats().Instructions < 200_000 {
+		if err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	ref.FlushTrace()
+	want := rec.trace
 
 	for _, size := range []int{1, 3} {
 		cpu, err := emu.New(prog, rng.New(3), nil)
@@ -170,7 +179,7 @@ func TestRingMatchesListenerTrace(t *testing.T) {
 		r.Stop()
 		wg.Wait()
 		if sink.err || sink.pos != len(want) {
-			t.Fatalf("size %d: ring trace diverged from listener trace (%d/%d instructions)",
+			t.Fatalf("size %d: ring trace diverged from Step trace (%d/%d instructions)",
 				size, sink.pos, len(want))
 		}
 	}

@@ -10,6 +10,9 @@
 #     stays a readable architecture index,
 #   - Go comments under internal/ or cmd/ naming a *.md file that exists
 #     neither at the repository root nor beside the Go file,
+#   - README.md or DESIGN.md naming a With… option (WithPBS, …) that no
+#     non-test func under internal/ defines, so a removed option cannot
+#     linger in the docs,
 #   - gofmt-dirty files.
 #
 # Dependency-free by design: bash + grep + gofmt, nothing to install.
@@ -69,6 +72,15 @@ while IFS=: read -r file comment; do
   done
 done < <(grep -rE --include='*.go' '//.*\.md\b' internal cmd |
   sed -n 's|^\([^:]*\):[^/]*//\(.*\)$|\1:\2|p' || true)
+
+# --- With… options named in the prose docs must exist ---------------------
+for name in $(grep -ohE '\bWith[A-Z][A-Za-z0-9_]*' README.md DESIGN.md | sort -u); do
+  if ! grep -rqsE --include='*.go' --exclude='*_test.go' \
+    "^func (\([^)]*\) )?$name\(" internal; then
+    echo "docscheck: README.md/DESIGN.md name option $name, which no func under internal/ defines" >&2
+    fail=1
+  fi
+done
 
 # --- gofmt ----------------------------------------------------------------
 dirty="$(gofmt -l .)"
