@@ -39,8 +39,10 @@ const magic = "PBSCKPT\n"
 // touched chunks, and the Prob-BTB in strict key order. Version 3 keeps
 // all of that and writes the timing model's single ROB ring (no commit
 // ring, commit cursor, last-commit cycle or instruction index) plus
-// its L1D line-streak register.
-const Version = 3
+// its L1D line-streak register. Version 4 drops the sampling
+// schedule's offset from the session config and the pipeline's
+// detailed-warming flag from the sampler state.
+const Version = 4
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable

@@ -361,12 +361,7 @@ type Pipeline struct {
 	// BeginWindow copies the live counters into it, WindowDelta
 	// subtracts it back out, so a measurement window's metrics cost two
 	// struct copies rather than a second counter set on the retire path.
-	// warming flags the detailed-warming phase — the model runs at full
-	// fidelity either way (warming exists precisely to update predictor
-	// and cache state), so the flag steers only what the session does
-	// with the counters, never the timing itself.
 	winBase Metrics
-	warming bool
 
 	// funcWarm switches ConsumeTrace to the functional-warming path:
 	// caches and predictor keep evolving (tag/history state only — no
@@ -675,15 +670,6 @@ func (p *Pipeline) handleBranch(di *emu.DynInstr, d *plan.Decoded, fc, execDone 
 // Metrics returns the accumulated metrics. Call after the emulator run
 // completes (with a TraceSink attachment, after the final flush).
 func (p *Pipeline) Metrics() Metrics { return p.m }
-
-// SetWarming flips the detailed-warming flag. While warming the model
-// simulates at full fidelity (that is the point — predictor, cache and
-// pipeline state keep evolving) but the session excludes the interval
-// from the measured-window population.
-func (p *Pipeline) SetWarming(on bool) { p.warming = on }
-
-// Warming reports whether the pipeline is in the detailed-warming phase.
-func (p *Pipeline) Warming() bool { return p.warming }
 
 // BeginWindow resets the delta baseline: a following WindowDelta covers
 // exactly the instructions retired since this call.

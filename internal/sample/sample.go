@@ -63,12 +63,11 @@ func (p Phase) String() string {
 }
 
 // Config fixes one sampling schedule. Each period of Period retired
-// instructions, starting at Offset, opens with a measurement window of
-// Window instructions, fast-forwards the next Period-Window-Warmup, and
-// finishes with Warmup instructions of detailed warming ahead of the
-// next period's window. Offset rotates the whole schedule: the first
-// window starts at position Offset (zero keeps it at the run's cold
-// start).
+// instructions, starting at the run's first instruction, opens with a
+// measurement window of Window instructions, fast-forwards the next
+// Period-Window-Warmup, and finishes with Warmup instructions of
+// detailed warming ahead of the next period's window. The first window
+// therefore opens on the run's cold start.
 type Config struct {
 	// Window is the measured-window length W in retired instructions.
 	Window uint64 `json:"window"`
@@ -78,8 +77,6 @@ type Config struct {
 	Period uint64 `json:"period"`
 	// Warmup is the detailed-warming length ahead of each window.
 	Warmup uint64 `json:"warmup,omitempty"`
-	// Offset delays the first period's start (systematic-sampling phase).
-	Offset uint64 `json:"offset,omitempty"`
 	// FuncWarm keeps cache tags and predictor state functionally warm
 	// across fast-forward gaps: instead of detaching the trace, the gap's
 	// instructions stream through a cheap consumer that performs only the
@@ -102,19 +99,7 @@ func (c Config) Validate() error {
 }
 
 // phasePos returns n's position within its period: 0 is a window start.
-// Positions before Offset wrap modularly, so a non-zero Offset rotates
-// the schedule rather than prefixing it (the warming that precedes the
-// window at Offset lands at the run's start, truncated at zero).
-func (c Config) phasePos(n uint64) uint64 {
-	if n >= c.Offset {
-		return (n - c.Offset) % c.Period
-	}
-	d := (c.Offset - n) % c.Period
-	if d == 0 {
-		return 0
-	}
-	return c.Period - d
-}
+func (c Config) phasePos(n uint64) uint64 { return n % c.Period }
 
 // PhaseAt returns the schedule's phase at absolute retired-instruction
 // position n. The phase governs the instructions retired at positions

@@ -28,18 +28,16 @@ func TestValidate(t *testing.T) {
 
 func TestPhaseAt(t *testing.T) {
 	// Per 100-instruction period: 30 measuring, 50 fast-forward, 20
-	// warming. Offset 10 rotates the schedule so the first window opens
-	// at 10, preceded by truncated warming over [0,10).
-	cfg := Config{Window: 30, Period: 100, Warmup: 20, Offset: 10}
+	// warming.
+	cfg := Config{Window: 30, Period: 100, Warmup: 20}
 	cases := []struct {
 		n    uint64
 		want Phase
 	}{
-		{0, Warming}, {9, Warming}, // truncated pre-window warming
-		{10, Measuring}, {39, Measuring},
-		{40, FastForward}, {89, FastForward},
-		{90, Warming}, {109, Warming},
-		{110, Measuring}, {140, FastForward}, {190, Warming},
+		{0, Measuring}, {29, Measuring},
+		{30, FastForward}, {79, FastForward},
+		{80, Warming}, {99, Warming},
+		{100, Measuring}, {130, FastForward}, {180, Warming},
 	}
 	for _, c := range cases {
 		if got := cfg.PhaseAt(c.n); got != c.want {
@@ -49,8 +47,8 @@ func TestPhaseAt(t *testing.T) {
 }
 
 func TestPhaseAtZeroOffset(t *testing.T) {
-	// Offset 0: window 0 opens at the run's first instruction, cold —
-	// exactly what a full-timing run measures there.
+	// Window 0 opens at the run's first instruction, cold — exactly
+	// what a full-timing run measures there.
 	cfg := Config{Window: 30, Period: 100, Warmup: 20}
 	if got := cfg.PhaseAt(0); got != Measuring {
 		t.Fatalf("PhaseAt(0) = %v, want Measuring", got)
@@ -83,16 +81,15 @@ func TestPhaseAtNoGap(t *testing.T) {
 }
 
 func TestNextBoundary(t *testing.T) {
-	cfg := Config{Window: 30, Period: 100, Warmup: 20, Offset: 10}
+	cfg := Config{Window: 30, Period: 100, Warmup: 20}
 	cases := []struct{ n, want uint64 }{
-		{0, 10}, // truncated warming -> first window
-		{9, 10},
-		{10, 40}, // measuring -> fast-forward
-		{39, 40},
-		{40, 90}, // fast-forward -> warming
-		{89, 90},
-		{90, 110}, // warming -> next period's window
-		{110, 140},
+		{0, 30}, // measuring -> fast-forward
+		{29, 30},
+		{30, 80}, // fast-forward -> warming
+		{79, 80},
+		{80, 100}, // warming -> next period's window
+		{99, 100},
+		{100, 130},
 	}
 	for _, c := range cases {
 		if got := cfg.NextBoundary(c.n); got != c.want {
@@ -115,14 +112,14 @@ func TestNextBoundary(t *testing.T) {
 }
 
 func TestWindowEnd(t *testing.T) {
-	cfg := Config{Window: 30, Period: 100, Warmup: 20, Offset: 10}
-	for _, n := range []uint64{10, 25, 39} {
-		if got := cfg.WindowEnd(n); got != 40 {
-			t.Errorf("WindowEnd(%d) = %d, want 40", n, got)
+	cfg := Config{Window: 30, Period: 100, Warmup: 20}
+	for _, n := range []uint64{0, 15, 29} {
+		if got := cfg.WindowEnd(n); got != 30 {
+			t.Errorf("WindowEnd(%d) = %d, want 30", n, got)
 		}
 	}
-	if got := cfg.WindowEnd(130); got != 140 {
-		t.Errorf("WindowEnd(130) = %d, want 140", got)
+	if got := cfg.WindowEnd(120); got != 130 {
+		t.Errorf("WindowEnd(120) = %d, want 130", got)
 	}
 }
 

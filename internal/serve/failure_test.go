@@ -88,9 +88,9 @@ func TestStalledWorkerLateCompletion(t *testing.T) {
 	}
 
 	// Compute the point's result for real (the stall is in reporting,
-	// not in the simulation).
-	w := &Worker{Server: base, Programs: sweep.NewProgramCache()}
-	res, err := w.runPoint(context.Background(), *lr.Point)
+	// not in the simulation), through the in-process engine: a
+	// deterministic result is the same wherever it runs.
+	rs, err := sweep.NewEngine().RunPoints(context.Background(), []sweep.Point{*lr.Point}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestStalledWorkerLateCompletion(t *testing.T) {
 
 	// The late completion, under the now-dead lease, still lands.
 	var cr CompleteResponse
-	fpost(t, base, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: *lr.Point, Result: wireResult(res)}, &cr)
+	fpost(t, base, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: *lr.Point, Result: wireResult(rs[0].Sim)}, &cr)
 	if cr.Status != StatusOK {
 		t.Fatalf("late completion: status %q, want %q", cr.Status, StatusOK)
 	}

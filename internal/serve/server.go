@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -804,7 +805,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	addr := Addr("warm", req.Point.Canonical())
+	addr := warmAddr(req.Point.Canonical(), ckpt.Version)
 	if data, ok := s.store.Get(addr); ok {
 		if len(data) == 0 {
 			writeJSON(w, WarmResponse{Status: StatusCold})
@@ -837,7 +838,7 @@ func (s *Server) handleWarmComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	addr := Addr("warm", req.Point.Canonical())
+	addr := warmAddr(req.Point.Canonical(), ckpt.Version)
 	s.mu.Lock()
 	slot := s.warm[addr]
 	// Accept any upload, current token or stale: checkpoints are

@@ -17,11 +17,23 @@ import (
 // (sweep.Point.Canonical), which is well-defined before the result
 // exists, so overlapping grids from different clients resolve to the
 // same address and hit the cache instead of the worker pool. The kind
-// prefix ("result", "warm") keeps result and warm-checkpoint spaces
-// disjoint even for coincidentally equal canonical strings.
+// prefix ("result", or "warm/v<N>" from warmAddr) keeps result and
+// warm-checkpoint spaces disjoint even for coincidentally equal
+// canonical strings.
 func Addr(kind, canonical string) string {
 	h := sha256.Sum256([]byte(kind + "\x00" + canonical))
 	return hex.EncodeToString(h[:])
+}
+
+// warmAddr is the content address of a warm-prefix checkpoint in
+// checkpoint format version (the server asks for ckpt.Version). The
+// version is part of the namespace because a directory store outlives
+// the build that wrote it: a checkpoint from another format version is
+// bytes sim.LoadCheckpoint rejects, so a restarted server must not
+// serve it — the group rebuilds its warm-up instead of failing every
+// point that forks from it.
+func warmAddr(canonical string, version uint64) string {
+	return Addr(fmt.Sprintf("warm/v%d", version), canonical)
 }
 
 // Store is the content-addressed blob store behind the sweep service:

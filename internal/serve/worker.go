@@ -16,12 +16,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// runChunk is the default RunFor granularity of a worker's simulations:
-// coarse enough that chunking cost vanishes (sessions retire the same
-// stream at any chunk size, see sim.Session.RunFor), fine enough that a
-// lost lease or worker shutdown aborts a point promptly.
-const runChunk = 1 << 18
-
 // errReleased marks a run the worker deliberately handed back
 // (checkpoint released to the server) during drain.
 var errReleased = errors.New("serve: lease released")
@@ -31,11 +25,12 @@ var errReleased = errors.New("serve: lease released")
 var errLeaseLost = errors.New("serve: lease lost")
 
 // Worker pulls leased points from a Server and executes them through
-// the same session path as the in-process engine: cached shared
-// programs, warm-prefix forking from the group checkpoint (fetched
-// from — or built once for — the server), and chunked runs that abort
-// when the lease is lost. A Worker runs one point at a time; start
-// several (sharing one ProgramCache) to use more cores.
+// the in-process engine's point runner (sweep.Point.Start and
+// sweep.RunWarmPrefix): cached shared programs, warm-prefix forking
+// from the group checkpoint (fetched from — or built once for — the
+// server), and chunked runs that abort when the lease is lost. A
+// Worker runs one point at a time; start several (sharing one
+// ProgramCache) to use more cores.
 //
 // Fault posture: transient request failures retry with jittered
 // exponential backoff bounded by RetryBudget; renewals piggyback
@@ -59,8 +54,8 @@ type Worker struct {
 	// the server's suggestion (or 100ms).
 	Poll time.Duration
 	// Chunk overrides the RunFor granularity (and with it the progress
-	// check cadence); the zero value means runChunk. Tests shrink it so
-	// short points still cross chunk boundaries.
+	// check cadence); the zero value means sweep.RunChunk. Tests shrink
+	// it so short points still cross chunk boundaries.
 	Chunk uint64
 	// ProgressEvery is the minimum interval between progress checkpoints
 	// piggybacked on renewals; the zero value means a third of the lease
@@ -115,7 +110,7 @@ func (w *Worker) chunk() uint64 {
 	if w.Chunk > 0 {
 		return w.Chunk
 	}
-	return runChunk
+	return sweep.RunChunk
 }
 
 func (w *Worker) retryBudget() time.Duration {
@@ -294,58 +289,30 @@ func (w *Worker) release(ctx context.Context, lease uint64, s *sim.Session) {
 // that fails to load or resume is only a lost optimization — the point
 // falls back to the warm/cold path and produces the identical result.
 func (w *Worker) startSession(ctx context.Context, p sweep.Point, progress []byte) (*sim.Session, error) {
-	opts, err := p.Options()
-	if err != nil {
-		return nil, err
-	}
 	prog, err := w.Programs.Get(p.Workload, p.Scale, p.Variant)
 	if err != nil {
 		return nil, err
 	}
-	opts = append(opts, sim.WithProgram(prog))
-
 	if len(progress) > 0 {
 		if ck, err := sim.LoadCheckpoint(progress); err == nil {
-			if s, err := sim.Resume(ck, opts...); err == nil {
+			if s, err := p.Start(prog, ck); err == nil {
 				return s, nil
 			}
 		}
 	}
+	var from *sim.Checkpoint
 	if wp, ok := p.WarmPoint(); ok {
 		data, cold, err := w.warmBytes(ctx, wp)
 		if err != nil {
 			return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
 		}
 		if !cold {
-			ck, err := sim.LoadCheckpoint(data)
-			if err != nil {
+			if from, err = sim.LoadCheckpoint(data); err != nil {
 				return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
 			}
-			return sim.Resume(ck, opts...)
 		}
 	}
-	return sim.New(p.Workload, opts...)
-}
-
-// runPoint executes one single-seed point exactly as the in-process
-// engine's runPoint does: shared cached program, warm-prefix fork when
-// the point calls for one, then a (chunked, abortable) run to
-// completion. Determinism of sessions makes the execution site
-// irrelevant: this result is byte-for-byte the engine's.
-func (w *Worker) runPoint(ctx context.Context, p sweep.Point) (*sim.Result, error) {
-	s, err := w.startSession(ctx, p, nil)
-	if err != nil {
-		return nil, err
-	}
-	for !s.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if _, err := s.RunFor(w.chunk()); err != nil {
-			return nil, err
-		}
-	}
-	return s.Result(), nil
+	return p.Start(prog, from)
 }
 
 // warmBytes resolves the group's warm checkpoint through the server's
@@ -388,37 +355,21 @@ func (w *Worker) warmBytes(ctx context.Context, wp sweep.Point) (data []byte, co
 	}
 }
 
-// buildWarm runs the functional prefix locally, mirroring the engine's
-// runWarmPrefix: chunked so an abort lands promptly, halted=true when
-// the program ends inside the prefix (no suffix to share).
+// buildWarm runs the functional prefix locally through
+// sweep.RunWarmPrefix, in the worker's chunk size so an abort lands
+// promptly; halted=true when the program ends inside the prefix (no
+// suffix to share).
 func (w *Worker) buildWarm(ctx context.Context, wp sweep.Point) (data []byte, halted bool, err error) {
-	opts, err := wp.Options()
-	if err != nil {
-		return nil, false, err
-	}
 	prog, err := w.Programs.Get(wp.Workload, wp.Scale, wp.Variant)
 	if err != nil {
 		return nil, false, err
 	}
-	opts = append(opts, sim.WithProgram(prog))
-	s, err := sim.New(wp.Workload, opts...)
-	if err != nil {
+	ck, err := sweep.RunWarmPrefix(ctx, wp, prog, w.chunk())
+	switch {
+	case err != nil:
 		return nil, false, err
-	}
-	for !s.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		if _, err := s.RunFor(w.chunk()); err != nil {
-			return nil, false, err
-		}
-	}
-	if s.Halted() {
+	case ck == nil:
 		return nil, true, nil
-	}
-	ck, err := s.Checkpoint()
-	if err != nil {
-		return nil, false, err
 	}
 	return ck.Bytes(), false, nil
 }

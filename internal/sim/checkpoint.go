@@ -102,10 +102,10 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if s.sampler != nil {
 		// The sampler's schedule position is implied by the instruction
 		// count; what must survive is the window populations, the phase
-		// accounting, the open window's delta baseline, and the pipeline's
-		// warming flag. Trace-pause state is NOT serialized: the next
-		// advance's schedule reconcile re-pauses or resumes as the phase
-		// dictates before any instruction retires.
+		// accounting and the open window's delta baseline. Trace-pause
+		// state is NOT serialized: the next advance's schedule reconcile
+		// re-pauses or resumes as the phase dictates before any
+		// instruction retires.
 		sp := s.sampler
 		sw.Floats(sp.cpis)
 		sw.Floats(sp.mpkis)
@@ -115,7 +115,6 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		sw.Bool(sp.open)
 		sw.Uint(sp.winEnd)
 		writePipeMetrics(sw, s.pipe.WindowBase())
-		sw.Bool(s.pipe.Warming())
 	}
 	data, err := enc.Encode()
 	if err != nil {
@@ -260,7 +259,6 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		sp.open = sr.Bool()
 		sp.winEnd = sr.Uint()
 		s.pipe.SetWindowBase(readPipeMetrics(sr))
-		s.pipe.SetWarming(sr.Bool())
 		if err := sr.Err(); err != nil {
 			return nil, fmt.Errorf("sim: resume: sampler state: %w", err)
 		}
@@ -303,7 +301,6 @@ func writeConfig(w *ckpt.Writer, cfg Config, progHash uint64) {
 		w.Uint(cfg.Sample.Window)
 		w.Uint(cfg.Sample.Period)
 		w.Uint(cfg.Sample.Warmup)
-		w.Uint(cfg.Sample.Offset)
 		w.Bool(cfg.Sample.FuncWarm)
 	}
 	w.U64(progHash)
@@ -344,7 +341,6 @@ func readConfig(r *ckpt.Reader) (Config, uint64, error) {
 			Window:   r.Uint(),
 			Period:   r.Uint(),
 			Warmup:   r.Uint(),
-			Offset:   r.Uint(),
 			FuncWarm: r.Bool(),
 		}
 	}

@@ -23,7 +23,7 @@ func WithSampledTiming(cfg sample.Config) Option {
 
 // sampler is the per-session schedule driver: it tracks which phase the
 // machine is in, switches the emulator's trace production and the
-// pipeline's warming flag at phase boundaries, closes measurement
+// pipeline's consume path at phase boundaries, closes measurement
 // windows into the IPC/MPKI populations, and accounts every retired
 // instruction to exactly one phase.
 type sampler struct {
@@ -85,7 +85,7 @@ func (sp *sampler) snapshot() SampledTiming {
 
 // syncSample reconciles the machine with the schedule at absolute
 // retired-instruction position cur: it closes a window whose end has
-// been reached, then switches trace production and the warming flag to
+// been reached, then switches trace production and the consume path to
 // match PhaseAt(cur). advance calls it at every chunk boundary (and
 // once more after the run ends, so a window closing exactly at the end
 // of the run is counted). The emulator stops exactly on every schedule
@@ -110,7 +110,6 @@ func (s *Session) syncSample(cur uint64) {
 		if !sp.open {
 			s.pipe.SetFuncWarm(false)
 			s.cpu.ResumeTrace()
-			s.pipe.SetWarming(false)
 			s.pipe.BeginWindow()
 			sp.open = true
 			sp.winEnd = sp.cfg.WindowEnd(cur)
@@ -118,7 +117,6 @@ func (s *Session) syncSample(cur uint64) {
 	case sample.Warming:
 		s.pipe.SetFuncWarm(false)
 		s.cpu.ResumeTrace()
-		s.pipe.SetWarming(true)
 	case sample.FastForward:
 		if sp.cfg.FuncWarm {
 			// Functionally-warmed gap: the trace keeps flowing, but the

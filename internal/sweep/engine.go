@@ -351,12 +351,10 @@ dispatch:
 }
 
 // runPoint executes one point through a sim.Session, consulting the
-// caches. Cached programs are shared read-only across the concurrently
-// running sessions of the worker pool. Sessions run in chunks with
-// a cancellation check between them, so an aborting sweep (first error,
-// or SIGINT in cmd/pbsweep) stops mid-point promptly; chunking is
-// byte-identical to a one-shot run (see sim.Session.RunFor), so the
-// abort path costs completed points nothing.
+// caches: the result memo first, then the group's shared warm
+// checkpoint, then Start and a chunked run to the end (see runSession).
+// Cached programs are shared read-only across the concurrently running
+// sessions of the worker pool.
 func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
 	p = p.normalize()
 	memoize := e.Results != nil && !p.CaptureProb
@@ -365,55 +363,56 @@ func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
 			return res, nil
 		}
 	}
-	opts, err := p.Options()
+	var (
+		prog *isa.Program
+		from *sim.Checkpoint
+		err  error
+	)
+	if e.Programs != nil {
+		if prog, err = e.Programs.Get(p.Workload, p.Scale, p.Variant); err != nil {
+			return nil, err
+		}
+	}
+	if wp, ok := p.WarmPoint(); ok {
+		if from, err = e.warmCheckpoint(ctx, wp, prog); err != nil {
+			return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
+		}
+	}
+	s, err := p.Start(prog, from)
 	if err != nil {
 		return nil, err
 	}
-	if e.Programs != nil {
-		prog, err := e.Programs.Get(p.Workload, p.Scale, p.Variant)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, sim.WithProgram(prog))
-	}
-	var s *sim.Session
-	if wp, ok := p.WarmPoint(); ok {
-		ck, err := e.warmCheckpoint(ctx, wp)
-		if err != nil {
-			return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
-		}
-		if ck != nil {
-			// Fork the point from the group's shared functional prefix.
-			// The point's own options land on top of the checkpoint's
-			// embedded config, turning the timing model (back) on where
-			// the point wants it — it starts cold at the boundary — and
-			// restoring the point's predictor, width, filter setting and
-			// instruction budget.
-			s, err = sim.Resume(ck, opts...)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if s == nil {
-		s, err = sim.New(p.Workload, opts...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for !s.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if _, err := s.RunFor(warmChunk); err != nil {
-			return nil, err
-		}
+	if err := runSession(ctx, s, RunChunk); err != nil {
+		return nil, err
 	}
 	res := s.Result()
 	if memoize {
 		e.Results.put(p, res)
 	}
 	return res, nil
+}
+
+// Start builds the point's session on prog (nil builds the program
+// from scratch): forked from the checkpoint from when one is given,
+// else cold. On a fork the point's own options land on top of the
+// checkpoint's embedded config, turning the timing model (back) on
+// where the point wants it — it starts cold at the fork — and restoring
+// the point's predictor, width, filter setting and instruction budget.
+// The in-process engine and the sweep service's workers both build
+// every session through Start, so a point runs the same wherever it
+// runs.
+func (p Point) Start(prog *isa.Program, from *sim.Checkpoint) (*sim.Session, error) {
+	opts, err := p.Options()
+	if err != nil {
+		return nil, err
+	}
+	if prog != nil {
+		opts = append(opts, sim.WithProgram(prog))
+	}
+	if from != nil {
+		return sim.Resume(from, opts...)
+	}
+	return sim.New(p.Workload, opts...)
 }
 
 // WarmPoint returns the canonical point whose functional checkpoint this
@@ -453,7 +452,7 @@ func (p Point) WarmPoint() (Point, bool) {
 // cancellation is evicted rather than memoized: the abort belongs to
 // that sweep, and a later Run on the same engine must redo the work, not
 // inherit the stale context's error.
-func (e *Engine) warmCheckpoint(ctx context.Context, wp Point) (*sim.Checkpoint, error) {
+func (e *Engine) warmCheckpoint(ctx context.Context, wp Point, prog *isa.Program) (*sim.Checkpoint, error) {
 	e.warmMu.Lock()
 	if e.warm == nil {
 		e.warm = make(map[Point]*warmEntry)
@@ -465,7 +464,7 @@ func (e *Engine) warmCheckpoint(ctx context.Context, wp Point) (*sim.Checkpoint,
 	}
 	e.warmMu.Unlock()
 	ent.once.Do(func() {
-		ent.ck, ent.err = e.runWarmPrefix(ctx, wp)
+		ent.ck, ent.err = RunWarmPrefix(ctx, wp, prog, RunChunk)
 	})
 	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
 		e.warmMu.Lock()
@@ -477,43 +476,46 @@ func (e *Engine) warmCheckpoint(ctx context.Context, wp Point) (*sim.Checkpoint,
 	return ent.ck, ent.err
 }
 
-// warmChunk is the RunFor granularity of a warm-up run: coarse enough
-// that the chunking cost vanishes, fine enough that a first-error abort
-// cancels an in-flight warm-up promptly.
-const warmChunk = 1 << 18
+// RunChunk is the default RunFor granularity of the sessions the sweep
+// code drives: coarse enough that the chunking cost vanishes (sessions
+// retire the same stream at any chunk size, see sim.Session.RunFor),
+// fine enough that a cancelled sweep or a lost lease stops a point
+// promptly.
+const RunChunk = 1 << 18
 
-// runWarmPrefix executes the canonical warm point's functional prefix
-// and checkpoints it, checking for sweep cancellation between chunks.
-// A nil, nil return means the program halted before the prefix ended:
-// there is no suffix to share, and the caller runs its points cold.
-func (e *Engine) runWarmPrefix(ctx context.Context, wp Point) (*sim.Checkpoint, error) {
-	opts, err := wp.Options()
+// RunWarmPrefix executes the canonical warm point wp's functional
+// prefix on prog (see Start) in chunks of chunk instructions, and
+// checkpoints it. A nil, nil return means the program halted before the
+// prefix ended: there is no suffix to share, and the group's points run
+// cold.
+func RunWarmPrefix(ctx context.Context, wp Point, prog *isa.Program, chunk uint64) (*sim.Checkpoint, error) {
+	s, err := wp.Start(prog, nil)
 	if err != nil {
 		return nil, err
 	}
-	if e.Programs != nil {
-		prog, err := e.Programs.Get(wp.Workload, wp.Scale, wp.Variant)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, sim.WithProgram(prog))
-	}
-	s, err := sim.New(wp.Workload, opts...)
-	if err != nil {
+	if err := runSession(ctx, s, chunk); err != nil {
 		return nil, err
-	}
-	for !s.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if _, err := s.RunFor(warmChunk); err != nil {
-			return nil, err
-		}
 	}
 	if s.Halted() {
 		return nil, nil
 	}
 	return s.Checkpoint()
+}
+
+// runSession runs s to the end in chunks, checking ctx between them, so
+// an aborting sweep (first error, or SIGINT in cmd/pbsweep) stops
+// mid-point promptly. Chunking is byte-identical to a one-shot run, so
+// the abort path costs completed points nothing.
+func runSession(ctx context.Context, s *sim.Session, chunk uint64) error {
+	for !s.Done() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if _, err := s.RunFor(chunk); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // progKey identifies one assembled program.

@@ -284,15 +284,15 @@ func (p Point) Shard(seed uint64) Point {
 	return p
 }
 
-// Options translates the point into session options for sim.New; append
-// sim.WithProgram to run a cached program build. Aggregate points do not
-// run directly — the engine shards them — so they have no options.
+// Options translates the point into session options; Start adds the
+// cached program and builds the session. Aggregate points do not run
+// directly — the engine shards them — so they have no options.
 func (p Point) Options() ([]sim.Option, error) {
 	if p.Sharded() {
 		return nil, fmt.Errorf("sweep: aggregate point %s cannot run directly (the engine shards it per seed)", p)
 	}
-	// Spare capacity for the options the engine appends (the cached
-	// program) so a hot sweep loop never regrows the slice.
+	// Spare capacity for the option Start appends (the cached program)
+	// so a hot sweep loop never regrows the slice.
 	opts := make([]sim.Option, 0, 12)
 	opts = append(opts,
 		sim.WithScale(p.Scale),
@@ -303,7 +303,7 @@ func (p Point) Options() ([]sim.Option, error) {
 		sim.WithFilterProb(p.FilterProb),
 		sim.WithCaptureProb(p.CaptureProb),
 		sim.WithMaxInstrs(p.MaxInstrs),
-		// Timing is set explicitly both ways: when the engine resumes the
+		// Timing is set explicitly both ways: when Start resumes the
 		// point from a functional warm checkpoint (whose embedded config
 		// has SkipTiming on), the option must override it back on.
 		sim.WithTiming(!p.SkipTiming),
