@@ -163,9 +163,9 @@ func main() {
 		fmt.Printf("%12s  %7s  %7s  %7s  %7s  %8s\n",
 			"instrs", "IPC", "MPKI", "prob", "reg", "steered%")
 		err := s.Observe(*sample, func(snap sim.Snapshot) {
-			d := snap.Delta
+			d := snap.Delta.Timing
 			fmt.Printf("%12d  %7.3f  %7.2f  %7.2f  %7.2f  %8.1f\n",
-				snap.Total.Instructions, d.IPC(), d.MPKI(), d.MPKIProb(), d.MPKIReg(),
+				snap.Total.Emu.Instructions, d.IPC(), d.MPKI(), d.MPKIProb(), d.MPKIReg(),
 				100*d.SteerRate())
 		})
 		if err != nil {
@@ -193,7 +193,12 @@ func main() {
 
 	m := res.Timing
 	fmt.Printf("workload      %s (PBS %v, %s predictor, %d-wide)\n", res.Workload, showPBS, showPred, showWide)
-	fmt.Printf("instructions  %d\n", m.Instructions)
+	// A sampled run times only its detailed phases; name that share.
+	timed := ""
+	if res.Sampled != nil {
+		timed = fmt.Sprintf(" (%d timed)", m.Instructions)
+	}
+	fmt.Printf("instructions  %d%s\n", res.Emu.Instructions, timed)
 	fmt.Printf("cycles        %d\n", m.Cycles)
 	if e := res.Sampled; e != nil {
 		fmt.Printf("IPC           %.3f ± %.3f (sampled 95%% CI [%.3f, %.3f], %d windows of %d)\n",

@@ -1,6 +1,6 @@
 // Session: drive a live simulated machine through the sim.Session API —
 // incremental stepping with RunFor, interval observation with Observe,
-// and unified metrics snapshots with deltas. Both capabilities are new
+// and metrics snapshots with deltas. Both capabilities are new
 // scenario classes the one-shot sim.Run cannot express: the machine is
 // inspected (and could be reconfigured, checkpointed, or raced against
 // others) *while it runs*, here watching the PBS unit warm up from
@@ -31,9 +31,9 @@ func main() {
 	fmt.Println("interval samples (each row is one 400k-instruction window):")
 	fmt.Printf("%12s  %7s  %9s  %9s\n", "instrs", "IPC", "prob MPKI", "steered%")
 	err = s.Observe(400_000, func(snap sim.Snapshot) {
-		d := snap.Delta
+		d := snap.Delta.Timing
 		fmt.Printf("%12d  %7.3f  %9.2f  %9.1f\n",
-			snap.Total.Instructions, d.IPC(), d.MPKIProb(), 100*d.SteerRate())
+			snap.Total.Timing.Instructions, d.IPC(), d.MPKIProb(), 100*d.SteerRate())
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -54,14 +54,15 @@ func main() {
 		}
 	}
 
-	// A closing snapshot unifies pipeline, emulator and PBS-unit counters
-	// in one struct.
+	// A closing snapshot carries the timing, emulator and PBS-unit
+	// counters side by side.
 	total := s.Snapshot().Total
+	t := total.Timing
 	fmt.Printf("\nran to completion in %d RunFor slices\n", slices)
-	fmt.Printf("instructions  %d\n", total.Instructions)
-	fmt.Printf("IPC           %.3f\n", total.IPC())
-	fmt.Printf("MPKI          %.2f (prob %.2f, regular %.2f)\n", total.MPKI(), total.MPKIProb(), total.MPKIReg())
+	fmt.Printf("instructions  %d\n", t.Instructions)
+	fmt.Printf("IPC           %.3f\n", t.IPC())
+	fmt.Printf("MPKI          %.2f (prob %.2f, regular %.2f)\n", t.MPKI(), t.MPKIProb(), t.MPKIReg())
 	fmt.Printf("PBS           %d/%d prob branches steered, %d Prob-BTB allocations\n",
-		total.ProbSteered, total.ProbBranches, total.PBSAllocations)
-	fmt.Printf("outputs       %d values\n", total.Outputs)
+		t.ProbSteered, t.ProbBranches, total.PBSStats.Allocations)
+	fmt.Printf("outputs       %d values\n", total.Emu.Outputs)
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"reflect"
 )
 
 // magic is the 8-byte container preamble; the trailing newline makes an
@@ -41,8 +42,11 @@ const magic = "PBSCKPT\n"
 // ring, commit cursor, last-commit cycle or instruction index) plus
 // its L1D line-streak register. Version 4 drops the sampling
 // schedule's offset from the session config and the pipeline's
-// detailed-warming flag from the sampler state.
-const Version = 4
+// detailed-warming flag from the sampler state. Version 5 writes the
+// session's last Snapshot sample as the three component counter sets
+// (emulator, timing, PBS unit) through Counters instead of one flat
+// list; every component section is unchanged.
+const Version = 5
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable
@@ -119,6 +123,25 @@ func (w *Writer) Int8s(vs []int8) {
 	w.Uint(uint64(len(vs)))
 	for _, v := range vs {
 		w.buf = append(w.buf, byte(v))
+	}
+}
+
+// Counters appends every field of the counter struct s in declaration
+// order: each uint64 as a Uint, each int as an Int. s is a struct or a
+// pointer to one; any other field type panics, so a counter struct
+// cannot grow a field the codec would silently skip. Components declare
+// a counter once and checkpoint it through here (see Reader.Counters).
+func (w *Writer) Counters(s any) {
+	v := reflect.Indirect(reflect.ValueOf(s))
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			w.Uint(f.Uint())
+		case reflect.Int:
+			w.Int(f.Int())
+		default:
+			badCounter(v, i)
+		}
 	}
 }
 
@@ -214,6 +237,27 @@ func (r *Reader) U64() uint64 {
 
 // Float reads a fixed 8-byte IEEE-754 float64.
 func (r *Reader) Float() float64 { return math.Float64frombits(r.U64()) }
+
+// Counters reads the field sequence Writer.Counters wrote into the
+// struct p points to.
+func (r *Reader) Counters(p any) {
+	v := reflect.ValueOf(p).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(r.Uint())
+		case reflect.Int:
+			f.SetInt(r.Int())
+		default:
+			badCounter(v, i)
+		}
+	}
+}
+
+func badCounter(v reflect.Value, i int) {
+	f := v.Type().Field(i)
+	panic(fmt.Sprintf("ckpt: counter field %s.%s has unsupported type %s", v.Type(), f.Name, f.Type))
+}
 
 // length reads a count prefix and validates it against the bytes
 // remaining at elemSize bytes per element, so a corrupted count cannot

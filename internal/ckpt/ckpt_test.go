@@ -285,3 +285,42 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	}
 }
+
+// TestCounters: the counter codec writes a struct's uint64 and int
+// fields in declaration order with the scalar primitives, reads them
+// back, and refuses a struct with any other field type.
+func TestCounters(t *testing.T) {
+	type counters struct {
+		A uint64
+		B int
+		C uint64
+	}
+	in := counters{A: 1 << 60, B: -42, C: 7}
+	var w Writer
+	w.Counters(&in)
+	var manual Writer
+	manual.Uint(in.A)
+	manual.Int(int64(in.B))
+	manual.Uint(in.C)
+	if !bytes.Equal(w.buf, manual.buf) {
+		t.Errorf("Counters wrote %x, field-by-field primitives write %x", w.buf, manual.buf)
+	}
+	var out counters
+	r := NewReader(w.buf)
+	r.Counters(&out)
+	if r.Err() != nil || out != in || r.Len() != 0 {
+		t.Errorf("round trip: got %+v (err %v, %d bytes left), want %+v", out, r.Err(), r.Len(), in)
+	}
+	r = NewReader(w.buf[:len(w.buf)-1])
+	r.Counters(&out)
+	if r.Err() == nil {
+		t.Error("truncated counters decoded without error")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Counters accepted a float field")
+		}
+	}()
+	w.Counters(struct{ X float64 }{1})
+}

@@ -14,17 +14,7 @@ import (
 // and the allocation-recycling pools (handed, freeVals) are not state:
 // pools only affect storage reuse, never behavior.
 func (u *Unit) CheckpointState(w *ckpt.Writer) error {
-	w.Uint(u.stats.Resolutions)
-	w.Uint(u.stats.Steered)
-	w.Uint(u.stats.Bootstrap)
-	w.Uint(u.stats.Regular)
-	w.Uint(u.stats.ConstViolations)
-	w.Uint(u.stats.CapacityMisses)
-	w.Uint(u.stats.ValueOverflows)
-	w.Uint(u.stats.UntrackableCtx)
-	w.Uint(u.stats.Allocations)
-	w.Uint(u.stats.ContextClears)
-	w.Int(int64(u.stats.MaxLiveBranches))
+	w.Counters(&u.stats)
 
 	rows := make([]*slot, 0, u.live)
 	for i := range u.slots {
@@ -83,17 +73,7 @@ func (u *Unit) CheckpointState(w *ckpt.Writer) error {
 // scratch and the recycling pools cleared, so restoring onto a used
 // unit is equivalent to restoring onto a fresh one.
 func (u *Unit) RestoreState(r *ckpt.Reader) error {
-	u.stats.Resolutions = r.Uint()
-	u.stats.Steered = r.Uint()
-	u.stats.Bootstrap = r.Uint()
-	u.stats.Regular = r.Uint()
-	u.stats.ConstViolations = r.Uint()
-	u.stats.CapacityMisses = r.Uint()
-	u.stats.ValueOverflows = r.Uint()
-	u.stats.UntrackableCtx = r.Uint()
-	u.stats.Allocations = r.Uint()
-	u.stats.ContextClears = r.Uint()
-	u.stats.MaxLiveBranches = int(r.Int())
+	r.Counters(&u.stats)
 
 	u.slots = make([]slot, u.cfg.Branches)
 	u.live = 0

@@ -139,6 +139,23 @@ type Stats struct {
 	Outputs      uint64
 }
 
+// Delta returns the change from prev to s: every counter is s's value
+// minus prev's. prev must be an earlier sample of the same CPU, so
+// counters never decrease.
+func (s Stats) Delta(prev Stats) Stats {
+	s.Instructions -= prev.Instructions
+	s.Branches -= prev.Branches
+	s.CondBranches -= prev.CondBranches
+	s.ProbBranches -= prev.ProbBranches
+	s.Calls -= prev.Calls
+	s.Returns -= prev.Returns
+	s.Loads -= prev.Loads
+	s.Stores -= prev.Stores
+	s.RandDraws -= prev.RandDraws
+	s.Outputs -= prev.Outputs
+	return s
+}
+
 // CPU executes one program. Construct with New.
 type CPU struct {
 	prog *isa.Program

@@ -29,16 +29,7 @@ func (c *CPU) CheckpointState(w *ckpt.Writer) error {
 	w.Bool(c.halted)
 	w.Uint64s(c.regs[:isa.NumDataflowRegs])
 	w.Bytes(c.mem)
-	w.Uint(c.stats.Instructions)
-	w.Uint(c.stats.Branches)
-	w.Uint(c.stats.CondBranches)
-	w.Uint(c.stats.ProbBranches)
-	w.Uint(c.stats.Calls)
-	w.Uint(c.stats.Returns)
-	w.Uint(c.stats.Loads)
-	w.Uint(c.stats.Stores)
-	w.Uint(c.stats.RandDraws)
-	w.Uint(c.stats.Outputs)
+	w.Counters(&c.stats)
 	w.Uint64s(c.out)
 	w.Bool(c.group.open)
 	if c.group.open {
@@ -77,16 +68,7 @@ func (c *CPU) RestoreState(r *ckpt.Reader) error {
 	c.halted = halted
 	copy(c.regs[:], regs)
 	copy(c.mem, mem)
-	c.stats.Instructions = r.Uint()
-	c.stats.Branches = r.Uint()
-	c.stats.CondBranches = r.Uint()
-	c.stats.ProbBranches = r.Uint()
-	c.stats.Calls = r.Uint()
-	c.stats.Returns = r.Uint()
-	c.stats.Loads = r.Uint()
-	c.stats.Stores = r.Uint()
-	c.stats.RandDraws = r.Uint()
-	c.stats.Outputs = r.Uint()
+	r.Counters(&c.stats)
 	c.out = r.Uint64s()
 	c.group = probGroup{open: r.Bool()}
 	if c.group.open {

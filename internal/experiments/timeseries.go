@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -61,8 +62,10 @@ func timeSeriesSeed(workload string, pbs bool, interval uint64, scale int, seed 
 		return nil, err
 	}
 	out := &Series{Workload: workload, PBS: pbs, Interval: interval}
-	var last sim.Metrics
-	sample := func(total, delta sim.Metrics) {
+	// A full-timing session times every retired instruction, so the
+	// timing counters alone describe each interval.
+	var last pipeline.Metrics
+	sample := func(total, delta pipeline.Metrics) {
 		out.Points = append(out.Points, SeriesPoint{
 			Instructions: total.Instructions,
 			IPC:          delta.IPC(),
@@ -75,7 +78,7 @@ func timeSeriesSeed(workload string, pbs bool, interval uint64, scale int, seed 
 		})
 		last = total
 	}
-	if err := s.Observe(interval, func(snap sim.Snapshot) { sample(snap.Total, snap.Delta) }); err != nil {
+	if err := s.Observe(interval, func(snap sim.Snapshot) { sample(snap.Total.Timing, snap.Delta.Timing) }); err != nil {
 		return nil, err
 	}
 	if err := s.Run(); err != nil {
@@ -83,7 +86,7 @@ func timeSeriesSeed(workload string, pbs bool, interval uint64, scale int, seed 
 	}
 	// Close with the partial final interval, if the program did not halt
 	// exactly on a boundary.
-	if final := s.Snapshot().Total; final.Instructions > last.Instructions {
+	if final := s.Snapshot().Total.Timing; final.Instructions > last.Instructions {
 		sample(final, final.Delta(last))
 	}
 	return out, nil

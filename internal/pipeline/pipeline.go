@@ -198,6 +198,15 @@ func (m Metrics) MPKIReg() float64 {
 	return 1000 * float64(m.MispredictsReg) / float64(m.Instructions)
 }
 
+// SteerRate returns the fraction of dynamic probabilistic branches the
+// Prob-BTB steered (0 when none executed).
+func (m Metrics) SteerRate() float64 {
+	if m.ProbBranches == 0 {
+		return 0
+	}
+	return float64(m.ProbSteered) / float64(m.ProbBranches)
+}
+
 // fuRingMin is the initial size, in cycles, of each functional-unit
 // class's time ring: 8 classes × 256 one-word cells = 16 KiB. A ring
 // doubles whenever a live cell would be overwritten, so it only grows

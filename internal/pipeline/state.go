@@ -25,22 +25,7 @@ import (
 // cell, so the bytes depend on the schedule alone, not on a ring's size
 // or the order in which it grew.
 func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
-	w.Uint(p.m.Instructions)
-	w.Uint(p.m.Cycles)
-	w.Uint(p.m.Branches)
-	w.Uint(p.m.CondBranches)
-	w.Uint(p.m.ProbBranches)
-	w.Uint(p.m.ProbSteered)
-	w.Uint(p.m.ProbBoot)
-	w.Uint(p.m.ProbRegular)
-	w.Uint(p.m.Mispredicts)
-	w.Uint(p.m.MispredictsProb)
-	w.Uint(p.m.MispredictsReg)
-	w.Uint(p.m.L1IMisses)
-	w.Uint(p.m.L1DMisses)
-	w.Uint(p.m.L2Misses)
-	w.Uint(p.m.L1IAccesses)
-	w.Uint(p.m.L1DAccesses)
+	w.Counters(&p.m)
 
 	w.Uint(p.curFetchCycle)
 	w.Int(int64(p.fetchedInCycle))
@@ -79,22 +64,7 @@ func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 // RestoreState reads the field sequence written by CheckpointState into
 // a pipeline built with the same configuration.
 func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
-	p.m.Instructions = r.Uint()
-	p.m.Cycles = r.Uint()
-	p.m.Branches = r.Uint()
-	p.m.CondBranches = r.Uint()
-	p.m.ProbBranches = r.Uint()
-	p.m.ProbSteered = r.Uint()
-	p.m.ProbBoot = r.Uint()
-	p.m.ProbRegular = r.Uint()
-	p.m.Mispredicts = r.Uint()
-	p.m.MispredictsProb = r.Uint()
-	p.m.MispredictsReg = r.Uint()
-	p.m.L1IMisses = r.Uint()
-	p.m.L1DMisses = r.Uint()
-	p.m.L2Misses = r.Uint()
-	p.m.L1IAccesses = r.Uint()
-	p.m.L1DAccesses = r.Uint()
+	r.Counters(&p.m)
 
 	p.curFetchCycle = r.Uint()
 	p.fetchedInCycle = int(r.Int())

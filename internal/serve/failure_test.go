@@ -106,7 +106,7 @@ func TestStalledWorkerLateCompletion(t *testing.T) {
 
 	// The late completion, under the now-dead lease, still lands.
 	var cr CompleteResponse
-	fpost(t, base, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: *lr.Point, Result: wireResult(rs[0].Sim)}, &cr)
+	fpost(t, base, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: *lr.Point, Result: rs[0].Sim}, &cr)
 	if cr.Status != StatusOK {
 		t.Fatalf("late completion: status %q, want %q", cr.Status, StatusOK)
 	}

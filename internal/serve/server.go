@@ -377,11 +377,11 @@ func (s *Server) loadResult(p sweep.Point) (*sim.Result, error) {
 	if !ok || len(data) == 0 {
 		return nil, fmt.Errorf("result for %s missing from store", p)
 	}
-	var pr PointResult
-	if err := json.Unmarshal(data, &pr); err != nil {
+	var res sim.Result
+	if err := json.Unmarshal(data, &res); err != nil {
 		return nil, fmt.Errorf("result for %s corrupt in store: %w", p, err)
 	}
-	return pr.simResult(), nil
+	return &res, nil
 }
 
 // AttachJournal opens the durable job journal at path, replays whatever
@@ -791,9 +791,8 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if data, err := json.Marshal(req.Result); err == nil {
 		s.store.Put(ru.addr, data)
 	}
-	res := req.Result.simResult()
 	for _, ref := range waiters {
-		s.deliver(ref, res)
+		s.deliver(ref, req.Result)
 	}
 	s.mu.Unlock()
 	writeJSON(w, CompleteResponse{Status: StatusOK})

@@ -22,10 +22,6 @@ package serve
 import (
 	"encoding/json"
 
-	"repro/internal/core"
-	"repro/internal/emu"
-	"repro/internal/pipeline"
-	"repro/internal/sample"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -149,15 +145,16 @@ type ReleaseResponse struct {
 }
 
 // CompleteRequest reports a finished run: POST /v1/complete. Exactly
-// one of Result and Error is set. Point re-identifies the run so a
-// result that arrives after its lease expired (the worker stalled but
-// survived) is still accepted — results are deterministic, so any
-// completion of a point is as good as any other.
+// one of Result and Error is set; Result travels in sim.Result's own
+// JSON form, which is also what the server stores. Point re-identifies
+// the run so a result that arrives after its lease expired (the worker
+// stalled but survived) is still accepted — results are deterministic,
+// so any completion of a point is as good as any other.
 type CompleteRequest struct {
-	Lease  uint64       `json:"lease"`
-	Point  sweep.Point  `json:"point"`
-	Result *PointResult `json:"result,omitempty"`
-	Error  string       `json:"error,omitempty"`
+	Lease  uint64      `json:"lease"`
+	Point  sweep.Point `json:"point"`
+	Result *sim.Result `json:"result,omitempty"`
+	Error  string      `json:"error,omitempty"`
 }
 
 // CompleteResponse acknowledges a completion.
@@ -204,48 +201,4 @@ type StreamEntry struct {
 	Done bool            `json:"done,omitempty"`
 	Rows int             `json:"rows,omitempty"`
 	Err  string          `json:"error,omitempty"`
-}
-
-// PointResult is the wire form of one completed simulation: exactly the
-// component stats structs a sim.Result carries, minus the program
-// pointer (workers and server share programs by building them, not by
-// shipping them) and the captured value streams (capture_prob grids are
-// batch-only; the server rejects them at submission).
-type PointResult struct {
-	Workload string           `json:"workload"`
-	Emu      emu.Stats        `json:"emu"`
-	Timing   pipeline.Metrics `json:"timing"`
-	PBS      core.Stats       `json:"pbs"`
-	Outputs  []uint64         `json:"outputs,omitempty"`
-	// Sampled carries the SMARTS estimate of a sampled-timing point
-	// (nil for full-timing runs), so streamed rows reproduce the CI
-	// columns an in-process sweep would emit.
-	Sampled *sample.Estimate `json:"sampled,omitempty"`
-}
-
-// wireResult flattens a sim.Result for the wire.
-func wireResult(r *sim.Result) *PointResult {
-	return &PointResult{
-		Workload: r.Workload,
-		Emu:      r.Emu,
-		Timing:   r.Timing,
-		PBS:      r.PBSStats,
-		Outputs:  r.Outputs,
-		Sampled:  r.Sampled,
-	}
-}
-
-// simResult rebuilds the sim.Result the record layer consumes. The
-// fields it carries are exactly those sweep's Record flattening reads,
-// so a record built from a wire result is byte-identical to one built
-// from the in-process original.
-func (pr *PointResult) simResult() *sim.Result {
-	return &sim.Result{
-		Workload: pr.Workload,
-		Emu:      pr.Emu,
-		Timing:   pr.Timing,
-		PBSStats: pr.PBS,
-		Outputs:  pr.Outputs,
-		Sampled:  pr.Sampled,
-	}
 }

@@ -180,7 +180,7 @@ func (w *Worker) execute(ctx context.Context, lr LeaseResponse) {
 	res, err := w.runLeased(pctx, p, lr, ttl)
 	switch {
 	case err == nil:
-		w.postRetry(ctx, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: p, Result: wireResult(res)}, &CompleteResponse{})
+		w.postRetry(ctx, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: p, Result: res}, &CompleteResponse{})
 	case errors.Is(err, errReleased) || errors.Is(err, errLeaseLost):
 		// Released with its checkpoint, or owned elsewhere: not ours to
 		// report either way.

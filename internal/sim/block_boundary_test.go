@@ -14,7 +14,7 @@ func TestObserverFiresOnExactCount(t *testing.T) {
 	const every = 997 // prime, so intervals never align with block boundaries
 	var fired []uint64
 	if err := s.Observe(every, func(sn Snapshot) {
-		fired = append(fired, sn.Total.Instructions)
+		fired = append(fired, sn.Total.Emu.Instructions)
 	}); err != nil {
 		t.Fatal(err)
 	}

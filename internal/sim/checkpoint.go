@@ -98,7 +98,12 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	}
 	sw := enc.Section(secSession)
 	sw.Uint(s.Instructions())
-	writeMetrics(sw, s.lastDirect)
+	// The last direct Snapshot sample, so a Snapshot after Resume reports
+	// the same Delta an uninterrupted session would. Its Sampled estimate
+	// is derived state Delta never reads.
+	sw.Counters(&s.lastDirect.Emu)
+	sw.Counters(&s.lastDirect.Timing)
+	sw.Counters(&s.lastDirect.PBSStats)
 	if s.sampler != nil {
 		// The sampler's schedule position is implied by the instruction
 		// count; what must survive is the window populations, the phase
@@ -114,7 +119,9 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		sw.Uint(sp.instrMeas)
 		sw.Bool(sp.open)
 		sw.Uint(sp.winEnd)
-		writePipeMetrics(sw, s.pipe.WindowBase())
+		// The open window's delta baseline. Kept out of the pipeline
+		// section so a non-sampled checkpoint's bytes do not depend on it.
+		sw.Counters(s.pipe.WindowBase())
 	}
 	data, err := enc.Encode()
 	if err != nil {
@@ -239,11 +246,12 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		return nil, fmt.Errorf("sim: checkpoint has no %s section", secSession)
 	}
 	sr.Uint() // instruction count, already exposed via Checkpoint.Instructions
-	last, err := readMetrics(sr)
-	if err != nil {
+	sr.Counters(&s.lastDirect.Emu)
+	sr.Counters(&s.lastDirect.Timing)
+	sr.Counters(&s.lastDirect.PBSStats)
+	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("sim: resume: %w", err)
 	}
-	s.lastDirect = last
 	if c.cfg.Sample != nil {
 		// Gate on the embedded (pre-option) config — that is what
 		// Checkpoint wrote. Options cannot clear Sample, so the resumed
@@ -258,7 +266,9 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		sp.instrMeas = sr.Uint()
 		sp.open = sr.Bool()
 		sp.winEnd = sr.Uint()
-		s.pipe.SetWindowBase(readPipeMetrics(sr))
+		var base pipeline.Metrics
+		sr.Counters(&base)
+		s.pipe.SetWindowBase(base)
 		if err := sr.Err(); err != nil {
 			return nil, fmt.Errorf("sim: resume: sampler state: %w", err)
 		}
@@ -400,126 +410,6 @@ func readCoreConfig(r *ckpt.Reader) pipeline.Config {
 		PerfectBranches:   r.Bool(),
 		ResolutionPenalty: r.Bool(),
 	}
-}
-
-// writeMetrics serializes a unified Metrics view (the session's
-// lastDirect sample, so a Snapshot after Resume reports the same Delta
-// an uninterrupted session would).
-func writeMetrics(w *ckpt.Writer, m Metrics) {
-	w.Uint(m.Instructions)
-	w.Uint(m.Branches)
-	w.Uint(m.CondBranches)
-	w.Uint(m.ProbBranches)
-	w.Uint(m.Calls)
-	w.Uint(m.Returns)
-	w.Uint(m.Loads)
-	w.Uint(m.Stores)
-	w.Uint(m.RandDraws)
-	w.Uint(m.Outputs)
-	w.Uint(m.Cycles)
-	w.Uint(m.ProbSteered)
-	w.Uint(m.ProbBoot)
-	w.Uint(m.ProbRegular)
-	w.Uint(m.Mispredicts)
-	w.Uint(m.MispredictsProb)
-	w.Uint(m.MispredictsReg)
-	w.Uint(m.L1IAccesses)
-	w.Uint(m.L1IMisses)
-	w.Uint(m.L1DAccesses)
-	w.Uint(m.L1DMisses)
-	w.Uint(m.L2Misses)
-	w.Uint(m.PBSResolutions)
-	w.Uint(m.PBSSteered)
-	w.Uint(m.PBSBootstrap)
-	w.Uint(m.PBSRegular)
-	w.Uint(m.PBSConstViolations)
-	w.Uint(m.PBSCapacityMisses)
-	w.Uint(m.PBSValueOverflows)
-	w.Uint(m.PBSUntrackableCtx)
-	w.Uint(m.PBSAllocations)
-	w.Uint(m.PBSContextClears)
-	w.Int(int64(m.PBSMaxLiveBranches))
-}
-
-func readMetrics(r *ckpt.Reader) (Metrics, error) {
-	var m Metrics
-	m.Instructions = r.Uint()
-	m.Branches = r.Uint()
-	m.CondBranches = r.Uint()
-	m.ProbBranches = r.Uint()
-	m.Calls = r.Uint()
-	m.Returns = r.Uint()
-	m.Loads = r.Uint()
-	m.Stores = r.Uint()
-	m.RandDraws = r.Uint()
-	m.Outputs = r.Uint()
-	m.Cycles = r.Uint()
-	m.ProbSteered = r.Uint()
-	m.ProbBoot = r.Uint()
-	m.ProbRegular = r.Uint()
-	m.Mispredicts = r.Uint()
-	m.MispredictsProb = r.Uint()
-	m.MispredictsReg = r.Uint()
-	m.L1IAccesses = r.Uint()
-	m.L1IMisses = r.Uint()
-	m.L1DAccesses = r.Uint()
-	m.L1DMisses = r.Uint()
-	m.L2Misses = r.Uint()
-	m.PBSResolutions = r.Uint()
-	m.PBSSteered = r.Uint()
-	m.PBSBootstrap = r.Uint()
-	m.PBSRegular = r.Uint()
-	m.PBSConstViolations = r.Uint()
-	m.PBSCapacityMisses = r.Uint()
-	m.PBSValueOverflows = r.Uint()
-	m.PBSUntrackableCtx = r.Uint()
-	m.PBSAllocations = r.Uint()
-	m.PBSContextClears = r.Uint()
-	m.PBSMaxLiveBranches = int(r.Int())
-	return m, r.Err()
-}
-
-// writePipeMetrics serializes a raw pipeline.Metrics (the open sampled
-// window's delta baseline). Kept out of the pipeline section so a
-// non-sampled checkpoint's bytes are unchanged from earlier versions.
-func writePipeMetrics(w *ckpt.Writer, m pipeline.Metrics) {
-	w.Uint(m.Instructions)
-	w.Uint(m.Cycles)
-	w.Uint(m.Branches)
-	w.Uint(m.CondBranches)
-	w.Uint(m.ProbBranches)
-	w.Uint(m.ProbSteered)
-	w.Uint(m.ProbBoot)
-	w.Uint(m.ProbRegular)
-	w.Uint(m.Mispredicts)
-	w.Uint(m.MispredictsProb)
-	w.Uint(m.MispredictsReg)
-	w.Uint(m.L1IMisses)
-	w.Uint(m.L1DMisses)
-	w.Uint(m.L2Misses)
-	w.Uint(m.L1IAccesses)
-	w.Uint(m.L1DAccesses)
-}
-
-func readPipeMetrics(r *ckpt.Reader) pipeline.Metrics {
-	var m pipeline.Metrics
-	m.Instructions = r.Uint()
-	m.Cycles = r.Uint()
-	m.Branches = r.Uint()
-	m.CondBranches = r.Uint()
-	m.ProbBranches = r.Uint()
-	m.ProbSteered = r.Uint()
-	m.ProbBoot = r.Uint()
-	m.ProbRegular = r.Uint()
-	m.Mispredicts = r.Uint()
-	m.MispredictsProb = r.Uint()
-	m.MispredictsReg = r.Uint()
-	m.L1IMisses = r.Uint()
-	m.L1DMisses = r.Uint()
-	m.L2Misses = r.Uint()
-	m.L1IAccesses = r.Uint()
-	m.L1DAccesses = r.Uint()
-	return m
 }
 
 // programHash is a stable FNV-64a content hash over everything that

@@ -4,209 +4,45 @@ import (
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/pipeline"
+	"repro/internal/sample"
 )
 
-// Metrics is the unified view of one machine's counters, combining the
-// three per-component stats structs — pipeline.Metrics (timing),
-// emu.Stats (functional execution) and core.Stats (PBS unit activity) —
-// into a single flat struct that can be sampled while the machine runs
-// and subtracted to form interval deltas (see Delta and Session.Observe).
+// Metrics is one sample of a machine's counters: the three component
+// stats structs a Result carries, under the same field names, taken
+// while the machine runs and subtracted to form interval deltas (see
+// Delta and Session.Observe).
 //
-// The functional counters come from the emulator and are always
-// populated; the timing counters are zero when the session runs without
-// the pipeline (WithoutTiming), and the PBS counters are zero when the
-// PBS hardware is disabled.
+// Emu is always populated. Timing is zero when the session runs
+// without the pipeline (WithoutTiming) and covers only the timed
+// instructions otherwise: the detailed phases of a sampled run, the
+// suffix of a warm-prefix Resume. Rates therefore come from Timing
+// alone (m.Timing.IPC(), m.Timing.MPKI(), ...), never from a mix of
+// emulator and timing counts. PBSStats is zero when the PBS hardware is
+// disabled.
 type Metrics struct {
-	// Functional execution (emu.Stats).
-	Instructions uint64 // retired dynamic instructions
-	Branches     uint64 // control transfers with a static target + RET
-	CondBranches uint64 // conditional branches (incl. terminal PROB_JMPs)
-	ProbBranches uint64 // terminal PROB_JMP executions
-	Calls        uint64
-	Returns      uint64
-	Loads        uint64
-	Stores       uint64
-	RandDraws    uint64
-	Outputs      uint64
-
-	// Timing (pipeline.Metrics).
-	Cycles          uint64
-	ProbSteered     uint64 // probabilistic branches steered by the Prob-BTB
-	ProbBoot        uint64 // probabilistic branches in bootstrap mode
-	ProbRegular     uint64 // probabilistic branches executed as regular
-	Mispredicts     uint64 // total counted mispredictions
-	MispredictsProb uint64 // from probabilistic branches
-	MispredictsReg  uint64 // from regular branches
-	L1IAccesses     uint64
-	L1IMisses       uint64
-	L1DAccesses     uint64
-	L1DMisses       uint64
-	L2Misses        uint64
-
-	// PBS unit (core.Stats).
-	PBSResolutions     uint64 // dynamic probabilistic branch instances seen
-	PBSSteered         uint64
-	PBSBootstrap       uint64
-	PBSRegular         uint64
-	PBSConstViolations uint64
-	PBSCapacityMisses  uint64
-	PBSValueOverflows  uint64
-	PBSUntrackableCtx  uint64
-	PBSAllocations     uint64
-	PBSContextClears   uint64
-	// PBSMaxLiveBranches is a high-water mark, not a counter: Delta
-	// carries the current value through unchanged.
-	PBSMaxLiveBranches int
-
+	Emu      emu.Stats
+	Timing   pipeline.Metrics
+	PBSStats core.Stats
 	// Sampled is the sampled-timing estimate so far (zero on full-timing
-	// runs). Like PBSMaxLiveBranches it is a derived state, not a
-	// counter: Delta carries the current value through unchanged, so
-	// observers watch the estimate converge as windows accumulate.
-	Sampled SampledTiming
+	// runs). It is a derived state, not a counter: Delta carries the
+	// current value through unchanged, so observers watch the estimate
+	// converge as windows accumulate.
+	Sampled sample.Estimate
 }
 
-// SampledTiming is the SMARTS estimate embedded in Metrics when the
-// session runs with WithSampledTiming: the window-population mean and
-// 95% CI half-width for IPC and MPKI, plus the phase breakdown. Windows
-// counts closed measurement windows; the CI half-widths are zero until
-// two windows exist.
-type SampledTiming struct {
-	Windows             int
-	EstIPC              float64
-	EstMPKI             float64
-	IPCHalfWidth        float64
-	MPKIHalfWidth       float64
-	InstrsMeasured      uint64
-	InstrsWarmed        uint64
-	InstrsFastForwarded uint64
-}
-
-// merge builds the unified view from the three component structs.
-func mergeMetrics(e emu.Stats, t pipeline.Metrics, p core.Stats) Metrics {
-	return Metrics{
-		Instructions: e.Instructions,
-		Branches:     e.Branches,
-		CondBranches: e.CondBranches,
-		ProbBranches: e.ProbBranches,
-		Calls:        e.Calls,
-		Returns:      e.Returns,
-		Loads:        e.Loads,
-		Stores:       e.Stores,
-		RandDraws:    e.RandDraws,
-		Outputs:      e.Outputs,
-
-		Cycles:          t.Cycles,
-		ProbSteered:     t.ProbSteered,
-		ProbBoot:        t.ProbBoot,
-		ProbRegular:     t.ProbRegular,
-		Mispredicts:     t.Mispredicts,
-		MispredictsProb: t.MispredictsProb,
-		MispredictsReg:  t.MispredictsReg,
-		L1IAccesses:     t.L1IAccesses,
-		L1IMisses:       t.L1IMisses,
-		L1DAccesses:     t.L1DAccesses,
-		L1DMisses:       t.L1DMisses,
-		L2Misses:        t.L2Misses,
-
-		PBSResolutions:     p.Resolutions,
-		PBSSteered:         p.Steered,
-		PBSBootstrap:       p.Bootstrap,
-		PBSRegular:         p.Regular,
-		PBSConstViolations: p.ConstViolations,
-		PBSCapacityMisses:  p.CapacityMisses,
-		PBSValueOverflows:  p.ValueOverflows,
-		PBSUntrackableCtx:  p.UntrackableCtx,
-		PBSAllocations:     p.Allocations,
-		PBSContextClears:   p.ContextClears,
-		PBSMaxLiveBranches: p.MaxLiveBranches,
-	}
-}
-
-// Delta returns the change from prev to m: every counter is m's value
-// minus prev's. prev must be an earlier sample of the same machine, so
-// counters never decrease. PBSMaxLiveBranches (a high-water mark) and
-// Sampled (a derived estimate) are passed through at m's value. Interval
-// rates fall out directly: the IPC over an interval is
-// total.Delta(prev).IPC().
+// Delta returns the change from prev to m, component by component.
+// prev must be an earlier sample of the same machine, so counters never
+// decrease. PBSStats.MaxLiveBranches (a high-water mark) and Sampled (a
+// derived estimate) are passed through at m's value. Interval rates
+// fall out directly: the IPC over an interval is
+// total.Delta(prev).Timing.IPC().
 func (m Metrics) Delta(prev Metrics) Metrics {
-	d := m
-	d.Instructions -= prev.Instructions
-	d.Branches -= prev.Branches
-	d.CondBranches -= prev.CondBranches
-	d.ProbBranches -= prev.ProbBranches
-	d.Calls -= prev.Calls
-	d.Returns -= prev.Returns
-	d.Loads -= prev.Loads
-	d.Stores -= prev.Stores
-	d.RandDraws -= prev.RandDraws
-	d.Outputs -= prev.Outputs
-
-	d.Cycles -= prev.Cycles
-	d.ProbSteered -= prev.ProbSteered
-	d.ProbBoot -= prev.ProbBoot
-	d.ProbRegular -= prev.ProbRegular
-	d.Mispredicts -= prev.Mispredicts
-	d.MispredictsProb -= prev.MispredictsProb
-	d.MispredictsReg -= prev.MispredictsReg
-	d.L1IAccesses -= prev.L1IAccesses
-	d.L1IMisses -= prev.L1IMisses
-	d.L1DAccesses -= prev.L1DAccesses
-	d.L1DMisses -= prev.L1DMisses
-	d.L2Misses -= prev.L2Misses
-
-	d.PBSResolutions -= prev.PBSResolutions
-	d.PBSSteered -= prev.PBSSteered
-	d.PBSBootstrap -= prev.PBSBootstrap
-	d.PBSRegular -= prev.PBSRegular
-	d.PBSConstViolations -= prev.PBSConstViolations
-	d.PBSCapacityMisses -= prev.PBSCapacityMisses
-	d.PBSValueOverflows -= prev.PBSValueOverflows
-	d.PBSUntrackableCtx -= prev.PBSUntrackableCtx
-	d.PBSAllocations -= prev.PBSAllocations
-	d.PBSContextClears -= prev.PBSContextClears
-	return d
-}
-
-// IPC returns retired instructions per cycle (0 without timing).
-func (m Metrics) IPC() float64 {
-	if m.Cycles == 0 {
-		return 0
+	return Metrics{
+		Emu:      m.Emu.Delta(prev.Emu),
+		Timing:   m.Timing.Delta(prev.Timing),
+		PBSStats: m.PBSStats.Delta(prev.PBSStats),
+		Sampled:  m.Sampled,
 	}
-	return float64(m.Instructions) / float64(m.Cycles)
-}
-
-// MPKI returns mispredictions per 1000 instructions.
-func (m Metrics) MPKI() float64 {
-	if m.Instructions == 0 {
-		return 0
-	}
-	return 1000 * float64(m.Mispredicts) / float64(m.Instructions)
-}
-
-// MPKIProb returns probabilistic-branch mispredictions per 1000
-// instructions.
-func (m Metrics) MPKIProb() float64 {
-	if m.Instructions == 0 {
-		return 0
-	}
-	return 1000 * float64(m.MispredictsProb) / float64(m.Instructions)
-}
-
-// MPKIReg returns regular-branch mispredictions per 1000 instructions.
-func (m Metrics) MPKIReg() float64 {
-	if m.Instructions == 0 {
-		return 0
-	}
-	return 1000 * float64(m.MispredictsReg) / float64(m.Instructions)
-}
-
-// SteerRate returns the fraction of dynamic probabilistic branches the
-// Prob-BTB steered (0 when none executed).
-func (m Metrics) SteerRate() float64 {
-	if m.ProbBranches == 0 {
-		return 0
-	}
-	return float64(m.ProbSteered) / float64(m.ProbBranches)
 }
 
 // Snapshot is one observation of a live session: Total holds the

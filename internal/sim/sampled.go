@@ -62,25 +62,8 @@ func (sp *sampler) account(from, n uint64) {
 }
 
 // estimate condenses the window populations into the SMARTS estimate.
-func (sp *sampler) estimate() *sample.Estimate {
-	e := sample.Estimate95(sp.cpis, sp.mpkis, sp.instrMeas, sp.instrWarm, sp.instrFF)
-	return &e
-}
-
-// snapshot flattens the current estimate into the Metrics view so
-// observers watch it converge while the session runs.
-func (sp *sampler) snapshot() SampledTiming {
-	e := sp.estimate()
-	return SampledTiming{
-		Windows:             e.Windows,
-		EstIPC:              e.IPC.Mean,
-		EstMPKI:             e.MPKI.Mean,
-		IPCHalfWidth:        e.IPCHalfWidth(),
-		MPKIHalfWidth:       e.MPKIHalfWidth(),
-		InstrsMeasured:      e.InstrsMeasured,
-		InstrsWarmed:        e.InstrsWarmed,
-		InstrsFastForwarded: e.InstrsFastForwarded,
-	}
+func (sp *sampler) estimate() sample.Estimate {
+	return sample.Estimate95(sp.cpis, sp.mpkis, sp.instrMeas, sp.instrWarm, sp.instrFF)
 }
 
 // syncSample reconciles the machine with the schedule at absolute

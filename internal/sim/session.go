@@ -273,21 +273,19 @@ func (s *Session) Observe(every uint64, fn func(Snapshot)) error {
 	return nil
 }
 
-// collect builds the unified metrics view of the machine right now.
-// Every caller sits between cpu.Run calls, where the trace is flushed,
-// so timing counters are always caught up here.
+// collect samples the machine's counters right now. Every caller sits
+// between cpu.Run calls, where the trace is flushed, so timing counters
+// are always caught up here.
 func (s *Session) collect() Metrics {
-	var t pipeline.Metrics
+	m := Metrics{Emu: s.cpu.Stats()}
 	if s.pipe != nil {
-		t = s.pipe.Metrics()
+		m.Timing = s.pipe.Metrics()
 	}
-	var p core.Stats
 	if s.unit != nil {
-		p = s.unit.Stats()
+		m.PBSStats = s.unit.Stats()
 	}
-	m := mergeMetrics(s.cpu.Stats(), t, p)
 	if s.sampler != nil {
-		m.Sampled = s.sampler.snapshot()
+		m.Sampled = s.sampler.estimate()
 	}
 	return m
 }
@@ -415,22 +413,20 @@ func (s *Session) advance(target uint64) error {
 // returns. Valid at any point; a caller that stops early via RunFor gets
 // the partial outputs produced so far.
 func (s *Session) Result() *Result {
+	m := s.collect()
 	res := &Result{
 		Workload:  s.name,
 		Program:   s.prog,
-		Emu:       s.cpu.Stats(),
+		Timing:    m.Timing,
+		Emu:       m.Emu,
+		PBSStats:  m.PBSStats,
 		Outputs:   s.cpu.Output(),
 		Generated: s.cpu.Generated,
 		Consumed:  s.cpu.Consumed,
 	}
-	if s.pipe != nil {
-		res.Timing = s.pipe.Metrics()
-	}
-	if s.unit != nil {
-		res.PBSStats = s.unit.Stats()
-	}
 	if s.sampler != nil {
-		res.Sampled = s.sampler.estimate()
+		e := m.Sampled
+		res.Sampled = &e
 	}
 	return res
 }

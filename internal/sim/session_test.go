@@ -126,41 +126,39 @@ func TestObserveIntervals(t *testing.T) {
 	var sumInstr, sumCycles, sumSteered uint64
 	for i, snap := range samples {
 		want := uint64(i+1) * every
-		if snap.Total.Instructions != want {
-			t.Errorf("sample %d at %d instructions, want %d", i, snap.Total.Instructions, want)
+		if snap.Total.Emu.Instructions != want {
+			t.Errorf("sample %d at %d instructions, want %d", i, snap.Total.Emu.Instructions, want)
 		}
-		if snap.Delta.Instructions != every {
-			t.Errorf("sample %d delta %d instructions, want %d", i, snap.Delta.Instructions, every)
+		if snap.Delta.Timing.Instructions != every {
+			t.Errorf("sample %d delta %d instructions, want %d", i, snap.Delta.Timing.Instructions, every)
 		}
-		sumInstr += snap.Delta.Instructions
-		sumCycles += snap.Delta.Cycles
-		sumSteered += snap.Delta.ProbSteered
-		if snap.Delta.IPC() <= 0 {
+		sumInstr += snap.Delta.Timing.Instructions
+		sumCycles += snap.Delta.Timing.Cycles
+		sumSteered += snap.Delta.PBSStats.Steered
+		if snap.Delta.Timing.IPC() <= 0 {
 			t.Errorf("sample %d: interval IPC not positive", i)
 		}
 	}
 	last := samples[len(samples)-1]
-	if sumInstr != last.Total.Instructions || sumCycles != last.Total.Cycles || sumSteered != last.Total.ProbSteered {
+	if sumInstr != last.Total.Timing.Instructions || sumCycles != last.Total.Timing.Cycles || sumSteered != last.Total.PBSStats.Steered {
 		t.Error("deltas do not sum to totals")
 	}
 
 	final := s.Snapshot()
-	if final.Total.Instructions <= last.Total.Instructions {
+	if final.Total.Emu.Instructions <= last.Total.Emu.Instructions {
 		t.Error("final snapshot did not advance past the last interval")
 	}
 	if final.Delta != final.Total {
 		t.Error("first direct Snapshot must carry the full totals as its delta")
 	}
 	again := s.Snapshot()
-	if again.Delta.Instructions != 0 || again.Total != final.Total {
+	if again.Delta.Emu.Instructions != 0 || again.Total != final.Total {
 		t.Error("second direct Snapshot of an idle session must have a zero delta")
 	}
-	// The unified view agrees with the component structs.
+	// A snapshot carries exactly the component structs Result does.
 	res := s.Result()
-	if final.Total.Cycles != res.Timing.Cycles ||
-		final.Total.Instructions != res.Emu.Instructions ||
-		final.Total.PBSSteered != res.PBSStats.Steered {
-		t.Error("unified metrics disagree with component stats")
+	if final.Total.Timing != res.Timing || final.Total.Emu != res.Emu || final.Total.PBSStats != res.PBSStats {
+		t.Error("snapshot metrics disagree with the result's component stats")
 	}
 }
 
@@ -177,8 +175,8 @@ func TestObserveTwoPhases(t *testing.T) {
 	}
 	if err := s.Observe(45_000, func(snap Snapshot) {
 		b++
-		if snap.Total.Instructions%45_000 != 0 {
-			t.Errorf("observer B fired off its boundary at %d", snap.Total.Instructions)
+		if snap.Total.Emu.Instructions%45_000 != 0 {
+			t.Errorf("observer B fired off its boundary at %d", snap.Total.Emu.Instructions)
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -219,7 +217,7 @@ func TestProgramOnlySession(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Snapshot().Total.Instructions == 0 {
+	if s.Snapshot().Total.Emu.Instructions == 0 {
 		t.Error("program-only session retired nothing")
 	}
 

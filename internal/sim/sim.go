@@ -2,7 +2,7 @@
 // Session: a live machine built with sim.New and functional options that
 // wires a workload program, the PBS unit, a branch predictor and the
 // out-of-order timing model together, supports incremental stepping
-// (RunFor), interval observation of a unified metrics view (Observe,
+// (RunFor), interval observation of the component counters (Observe,
 // Snapshot), and runs to completion with Run. The one-shot Run(Config)
 // entry point every experiment in the paper's evaluation (Figures 1,
 // 6-9, Tables II-III, §VII-D) uses is a thin wrapper over a Session and
@@ -84,25 +84,28 @@ type Config struct {
 	Sample *sample.Config
 }
 
-// Result bundles everything a run produced.
+// Result bundles everything a run produced. Its JSON form is the sweep
+// service's wire and store format for a completed point: the program
+// pointer and the captured value streams stay out of it (programs are
+// rebuilt, not shipped, and capture_prob grids are batch-only).
 type Result struct {
-	Workload string
-	Program  *isa.Program
-	Timing   pipeline.Metrics
-	Emu      emu.Stats
-	PBSStats core.Stats
-	Outputs  []uint64
+	Workload string           `json:"workload"`
+	Program  *isa.Program     `json:"-"`
+	Timing   pipeline.Metrics `json:"timing"`
+	Emu      emu.Stats        `json:"emu"`
+	PBSStats core.Stats       `json:"pbs"`
+	Outputs  []uint64         `json:"outputs,omitempty"`
 
 	// Generated and Consumed are the probabilistic value streams when
 	// CaptureProb was set.
-	Generated []float64
-	Consumed  []float64
+	Generated []float64 `json:"-"`
+	Consumed  []float64 `json:"-"`
 
 	// Sampled is the SMARTS estimate of a sampled-timing run (nil on a
 	// full-timing run). Timing then holds only the detailed intervals'
 	// counters — use EffectiveIPC/EffectiveMPKI for the run's headline
 	// numbers regardless of mode.
-	Sampled *sample.Estimate
+	Sampled *sample.Estimate `json:"sampled,omitempty"`
 }
 
 // EffectiveIPC returns the run's headline IPC: the sampled estimate's

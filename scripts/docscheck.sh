@@ -13,6 +13,11 @@
 #   - README.md or DESIGN.md naming a With… option (WithPBS, …) that no
 #     non-test func under internal/ defines, so a removed option cannot
 #     linger in the docs,
+#   - README.md or DESIGN.md naming a backticked `pkg.Ident` (`sim.New`,
+#     `ckpt.Version`, …) for a package under internal/ whose non-test Go
+#     files declare no func, method, type, var, const or grouped name
+#     Ident, so a removed identifier cannot linger in the docs (for
+#     `pkg.Type.Method` only `pkg.Type` is checked),
 #   - gofmt-dirty files.
 #
 # Dependency-free by design: bash + grep + gofmt, nothing to install.
@@ -81,6 +86,16 @@ for name in $(grep -ohE '\bWith[A-Z][A-Za-z0-9_]*' README.md DESIGN.md | sort -u
     fail=1
   fi
 done
+
+# --- internal identifiers named in the prose docs must exist ------------
+while IFS=. read -r pkg name; do
+  [ -d "internal/$pkg" ] || continue
+  if ! grep -rqsE --include='*.go' --exclude='*_test.go' \
+    "^(func (\([^)]*\) )?|type |var |const |[[:space:]]+)$name\b" "internal/$pkg"; then
+    echo "docscheck: README.md/DESIGN.md name \`$pkg.$name\`, which no non-test file in internal/$pkg declares" >&2
+    fail=1
+  fi
+done < <(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md | tr -d '`' | sort -u)
 
 # --- gofmt ----------------------------------------------------------------
 dirty="$(gofmt -l .)"
