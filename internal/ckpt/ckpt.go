@@ -45,8 +45,11 @@ const magic = "PBSCKPT\n"
 // detailed-warming flag from the sampler state. Version 5 writes the
 // session's last Snapshot sample as the three component counter sets
 // (emulator, timing, PBS unit) through Counters instead of one flat
-// list; every component section is unchanged.
-const Version = 5
+// list; every component section is unchanged. Version 6 writes the
+// session config as the JSON of sim.Config (plus the program hash) in
+// place of a hand-written field list; every other section is
+// unchanged.
+const Version = 6
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable

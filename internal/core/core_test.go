@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ckpt"
 )
 
 func TestDefaultConfigCost193(t *testing.T) {
@@ -298,10 +300,26 @@ func TestSaveRestoreState(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		u.Resolve(Group{PC: 9, CmpVal: 3, Outcome: i%3 == 0, Vals: []uint64{uint64(i)}})
 	}
-	saved := u.SaveState()
+	// Snapshot the PBS state, as a context switch saving it would
+	// (§V-C2).
+	enc := ckpt.NewEncoder()
+	if err := u.CheckpointState(enc.Section("pbs")); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := enc.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Drain the unit past the snapshot.
 	next := u.Resolve(Group{PC: 9, CmpVal: 3, Outcome: true, Vals: []uint64{100}})
-	u.RestoreSaved(saved)
+	dec, err := ckpt.NewDecoder(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := dec.Section("pbs")
+	if err := u.RestoreState(r); err != nil {
+		t.Fatal(err)
+	}
 	replay := u.Resolve(Group{PC: 9, CmpVal: 3, Outcome: true, Vals: []uint64{100}})
 	if next.Taken != replay.Taken || next.Vals[0] != replay.Vals[0] || next.Mode != replay.Mode {
 		t.Errorf("restore did not reproduce the pre-snapshot behaviour: %+v vs %+v", next, replay)

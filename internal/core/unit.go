@@ -406,46 +406,3 @@ func (u *Unit) LiveBranches() int { return u.live }
 // ContextTracker exposes the context tracker for tests; nil when context
 // support is disabled.
 func (u *Unit) ContextTracker() *ContextTracker { return u.ctx }
-
-// SaveState returns an opaque snapshot of the PBS architectural state, and
-// RestoreSaved reinstates it. The paper recommends saving/restoring the
-// 193 bytes of PBS state across context switches so no new initialization
-// phase is needed (§V-C2); these methods model that.
-func (u *Unit) SaveState() *SavedState {
-	return &SavedState{slots: copySlots(u.slots)}
-}
-
-// SavedState is an opaque PBS state snapshot.
-type SavedState struct {
-	slots []slot
-}
-
-// RestoreSaved reinstates a snapshot produced by SaveState.
-func (u *Unit) RestoreSaved(s *SavedState) {
-	// Drop the recycling scratch: the previous Resolution predates the
-	// restored state and must not be overwritten by post-restore records.
-	u.handed = nil
-	u.slots = copySlots(s.slots)
-	u.live = 0
-	for i := range u.slots {
-		if u.slots[i].valid {
-			u.live++
-		}
-	}
-}
-
-// copySlots deep-copies Prob-BTB rows, sharing no record storage.
-func copySlots(src []slot) []slot {
-	out := make([]slot, len(src))
-	for i, s := range src {
-		if !s.valid {
-			continue
-		}
-		out[i] = s
-		out[i].e.queue = make([]record, len(s.e.queue))
-		for j, r := range s.e.queue {
-			out[i].e.queue[j] = record{taken: r.taken, vals: append([]uint64(nil), r.vals...)}
-		}
-	}
-	return out
-}

@@ -365,13 +365,6 @@ type Pipeline struct {
 	// functional units: backfill scheduler
 	fus fuSched
 
-	// Sampled-timing window state (see internal/sample and
-	// sim.WithSampledTiming). winBase is the resettable delta baseline:
-	// BeginWindow copies the live counters into it, WindowDelta
-	// subtracts it back out, so a measurement window's metrics cost two
-	// struct copies rather than a second counter set on the retire path.
-	winBase Metrics
-
 	// funcWarm switches ConsumeTrace to the functional-warming path:
 	// caches and predictor keep evolving (tag/history state only — no
 	// cycle accounting, no Metrics movement), so a later measurement
@@ -679,16 +672,3 @@ func (p *Pipeline) handleBranch(di *emu.DynInstr, d *plan.Decoded, fc, execDone 
 // Metrics returns the accumulated metrics. Call after the emulator run
 // completes (with a TraceSink attachment, after the final flush).
 func (p *Pipeline) Metrics() Metrics { return p.m }
-
-// BeginWindow resets the delta baseline: a following WindowDelta covers
-// exactly the instructions retired since this call.
-func (p *Pipeline) BeginWindow() { p.winBase = p.m }
-
-// WindowDelta returns the counters accumulated since BeginWindow.
-func (p *Pipeline) WindowDelta() Metrics { return p.m.Delta(p.winBase) }
-
-// WindowBase returns the current delta baseline (checkpoint support).
-func (p *Pipeline) WindowBase() Metrics { return p.winBase }
-
-// SetWindowBase restores a delta baseline (checkpoint support).
-func (p *Pipeline) SetWindowBase(m Metrics) { p.winBase = m }

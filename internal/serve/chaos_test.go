@@ -327,6 +327,108 @@ func TestServerRestartReplaysJournal(t *testing.T) {
 	}
 }
 
+// TestReplayEmitsMissingAggregateRow pins recovery of a crash between
+// a sharded point's last shard row and its aggregate row: the journal
+// records every shard row but not the merge. With every shard result
+// already in the store and no worker attached, the successor must emit
+// the aggregate row at its layout position, run nothing, and finish the
+// job with records byte-identical to the in-process engine.
+func TestReplayEmitsMissingAggregateRow(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, "journal.ndjson")
+	g := sweep.Grid{Workloads: []string{"PI"}, Seeds: []uint64{3, 5, 7}, ShardSeeds: true, PBS: []bool{true}, MaxInstrs: 50_000}
+	wantJSON, _ := batchOutputs(t, []sweep.Grid{g})
+
+	res, err := sweep.NewEngine().Run(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || res[0].Agg == nil {
+		t.Fatalf("grid expands to %d results, want one aggregate", len(res))
+	}
+	agg := res[0].Agg
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range agg.Seeds {
+		data, err := json.Marshal(agg.Sims[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(Addr("result", res[0].Point.Shard(seed).Canonical()), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The predecessor's journal: the job, then its three shard rows.
+	jn, _, err := OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []JournalEntry{{T: journalJob, Job: "j1", Grid: &g}}
+	for pos := range agg.Seeds {
+		entries = append(entries, JournalEntry{T: journalRow, Job: "j1", Seq: pos, Pos: pos})
+	}
+	for _, e := range entries {
+		if err := jn.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jn.Close()
+
+	lb := &logBuf{}
+	srv := NewServer(store)
+	srv.Logf = lb.logf
+	if err := srv.AttachJournal(jpath); err != nil {
+		t.Fatalf("journal replay: %v", err)
+	}
+	if !lb.contains("0 cached, 0 re-queued") {
+		t.Fatalf("recovery did not resolve the job from the journal alone:\n%s", strings.Join(lb.lines, "\n"))
+	}
+	_, base := startServer(t, srv)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var stream []StreamEntry
+	if err := (&Client{Server: base}).Stream(ctx, "j1", 0, func(e StreamEntry) error {
+		stream = append(stream, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(stream) != 5 {
+		t.Fatalf("stream has %d entries, want 3 shard rows, the aggregate row and done", len(stream))
+	}
+	for i, e := range stream[:4] {
+		if e.Seq != i || e.Pos != i || e.Done {
+			t.Errorf("entry %d is seq %d pos %d done=%v, want row %d at its position", i, e.Seq, e.Pos, e.Done, i)
+		}
+	}
+	last := stream[4]
+	if !last.Done || last.Err != "" || last.Rows != 4 {
+		t.Fatalf("terminal entry done=%v err=%q rows=%d, want a clean 4-row completion", last.Done, last.Err, last.Rows)
+	}
+	rows := make([]json.RawMessage, last.Rows)
+	for _, e := range stream[:4] {
+		rows[e.Pos] = e.Row
+	}
+	recs, err := decodeRows(rows, 4, last.Rows, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recs[3].Aggregate {
+		t.Errorf("row 3 is not the aggregate row: %+v", recs[3])
+	}
+	var got bytes.Buffer
+	if err := sweep.WriteRecordsJSON(&got, recs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantJSON[0]) {
+		t.Errorf("recovered stream differs from batch output\n%s", firstDiff(got.Bytes(), wantJSON[0]))
+	}
+}
+
 // TestChaosSweep is the acceptance chaos run: the full 13-point smoke
 // suite executed by workers whose every request passes through a seeded
 // fault injector (drops, resets, duplicated deliveries, delays), with

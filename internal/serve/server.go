@@ -83,13 +83,10 @@ func NewServer(store *Store) *Server {
 	}
 }
 
-// taskRef names one output slot of a job: pointIdx indexes the job's
-// points, shardIdx the seed within a sharded point (-1 for a plain
-// single-seed point).
+// taskRef names one run of a job's batch (an index into its Runs).
 type taskRef struct {
-	job      *job
-	pointIdx int
-	shardIdx int
+	job *job
+	run int
 }
 
 const (
@@ -131,20 +128,17 @@ type warmSlot struct {
 	deadline time.Time
 }
 
-// job is one submitted grid: its expanded points, the layout of its
-// output rows, partial results, and the append-only stream log.
+// job is one submitted grid: its batch (the runs, the output-row
+// layout and the partial results, see sweep.Batch) and the append-only
+// stream log.
 type job struct {
-	id        string
-	points    []sweep.Point
-	seedsOf   [][]uint64      // per point; nil for single-seed points
-	rowBase   []int           // first output row of each point
-	shardSims [][]*sim.Result // per sharded point, by seed index
-	totalRows int
-	rowsLeft  int
-	log       []StreamEntry
-	notify    chan struct{} // closed and replaced on every append
-	finished  bool
-	errmsg    string
+	id       string
+	batch    *sweep.Batch
+	rowsLeft int
+	log      []StreamEntry
+	notify   chan struct{} // closed and replaced on every append
+	finished bool
+	errmsg   string
 }
 
 // Handler returns the server's HTTP interface.
@@ -205,10 +199,10 @@ func (s *Server) retryMS() int64 {
 	return 100
 }
 
-// buildJob expands a grid into a job skeleton: points, per-point seed
-// sets, and the fixed output-row layout. It touches no server state, so
-// submission and journal replay build byte-identical layouts from one
-// grid.
+// buildJob expands a grid into a job skeleton: its batch, whose
+// output-row layout is exactly the in-process engine's Records order. It
+// touches no server state, so submission and journal replay build
+// byte-identical layouts from one grid.
 func buildJob(g sweep.Grid) (*job, error) {
 	pts, err := g.Points()
 	if err != nil {
@@ -217,29 +211,11 @@ func buildJob(g sweep.Grid) (*job, error) {
 	if len(pts) == 0 {
 		return nil, errors.New("serve: grid expanded to no runnable points")
 	}
-	j := &job{
-		points:  pts,
-		seedsOf: make([][]uint64, len(pts)),
-		rowBase: make([]int, len(pts)),
-		notify:  make(chan struct{}),
+	b, err := sweep.NewBatch(pts)
+	if err != nil {
+		return nil, err
 	}
-	j.shardSims = make([][]*sim.Result, len(pts))
-	for i, p := range pts {
-		j.rowBase[i] = j.totalRows
-		if !p.Sharded() {
-			j.totalRows++
-			continue
-		}
-		seeds := p.Key.Seeds.Seeds()
-		if len(seeds) == 0 {
-			return nil, fmt.Errorf("serve: point %s has a malformed seed set", p)
-		}
-		j.seedsOf[i] = seeds
-		j.shardSims[i] = make([]*sim.Result, len(seeds))
-		j.totalRows += len(seeds) + 1 // per-seed rows, then the aggregate row
-	}
-	j.rowsLeft = j.totalRows
-	return j, nil
+	return &job{batch: b, rowsLeft: b.Rows(), notify: make(chan struct{})}, nil
 }
 
 // handleSubmit expands a grid into a job. Store hits resolve
@@ -280,73 +256,55 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	cached, scheduled := s.resolveJob(j)
 	s.mu.Unlock()
-	s.logf("serve: job %s: %d points, %d rows, %d cached, %d scheduled", j.id, len(j.points), j.totalRows, cached, scheduled)
+	points, rows := len(j.batch.Points()), j.batch.Rows()
+	s.logf("serve: job %s: %d points, %d rows, %d cached, %d scheduled", j.id, points, rows, cached, scheduled)
 
-	writeJSON(w, JobResponse{ID: j.id, Rows: j.totalRows, Points: len(j.points), Cached: cached, Runs: scheduled})
+	writeJSON(w, JobResponse{ID: j.id, Rows: rows, Points: points, Cached: cached, Runs: scheduled})
 }
 
 // resolveJob (mu held) resolves every output row of j not already in
-// its log: store hits deliver immediately (in point order), misses
-// attach the job as a waiter to singleflight runs. It finishes the job
-// if nothing is left. Shared by submission (empty log) and journal
+// its log: store hits deliver immediately (in run order), misses attach
+// the job as a waiter to singleflight runs. It finishes the job if
+// nothing is left. Shared by submission (empty log) and journal
 // recovery (log prefilled by replay).
 func (s *Server) resolveJob(j *job) (cached, scheduled int) {
 	if j.finished {
 		return 0, 0
 	}
+	b := j.batch
 	delivered := make(map[int]bool, len(j.log))
 	for _, le := range j.log {
 		if !le.Done {
 			delivered[le.Pos] = true
 		}
 	}
-	for i, p := range j.points {
-		if !p.Sharded() {
-			if delivered[j.rowBase[i]] {
-				continue
-			}
-			if s.resolveUnit(p, taskRef{j, i, -1}) {
-				cached++
-			} else {
-				scheduled++
-			}
+	// An undelivered row whose inputs replay already loaded: the
+	// predecessor crashed between a sharded point's last shard row and
+	// its aggregate row. Emit such rows before resolving anything, so
+	// only replayed inputs count; a row some resolution below completes
+	// is emitted by deliver as usual.
+	for pos := range b.Rows() {
+		if delivered[pos] {
 			continue
 		}
-		seeds := j.seedsOf[i]
-		allRows := true
-		for si, seed := range seeds {
-			if delivered[j.rowBase[i]+si] {
-				continue
-			}
-			allRows = false
-			if s.resolveUnit(p.Shard(seed), taskRef{j, i, si}) {
-				cached++
-			} else {
-				scheduled++
-			}
+		if rec, ok := b.Record(pos); ok {
+			s.emitRow(j, pos, rec)
 		}
-		// Every shard row was already delivered (replayed) but the
-		// aggregate row was not: the predecessor crashed between the last
-		// shard and the merge. Emit it now; when instead some shard
-		// resolves above, deliver() emits the aggregate as usual.
-		if allRows && !delivered[j.rowBase[i]+len(seeds)] && shardsComplete(j.shardSims[i]) {
-			agg := sweep.NewAggregate(seeds, j.shardSims[i])
-			s.emitRow(j, j.rowBase[i]+len(seeds), sweep.Result{Point: p, Agg: agg}.Record())
+	}
+	for r, ru := range b.Runs() {
+		if delivered[ru.Row] {
+			continue
+		}
+		if s.resolveUnit(ru.Point, taskRef{j, r}) {
+			cached++
+		} else {
+			scheduled++
 		}
 	}
 	if j.rowsLeft == 0 && !j.finished {
 		s.finishJob(j, "")
 	}
 	return cached, scheduled
-}
-
-func shardsComplete(sims []*sim.Result) bool {
-	for _, sr := range sims {
-		if sr == nil {
-			return false
-		}
-	}
-	return true
 }
 
 // resolveUnit (mu held) resolves one executable unit against the two
@@ -411,7 +369,7 @@ func (s *Server) AttachJournal(path string) error {
 		}
 		cached, scheduled := s.resolveJob(j)
 		s.logf("serve: journal: job %s recovered: %d/%d rows already streamed, %d cached, %d re-queued",
-			j.id, len(j.log), j.totalRows, cached, scheduled)
+			j.id, len(j.log), j.batch.Rows(), cached, scheduled)
 	}
 	return nil
 }
@@ -459,47 +417,27 @@ func (s *Server) replay(entries []JournalEntry) {
 	}
 }
 
-// replayRow (mu held) re-emits one journaled row from the store.
+// replayRow (mu held) re-emits one journaled row from the store,
+// loading whatever results the row still needs. Journal order puts an
+// aggregate row after its shard rows, so that is normally nothing; a
+// straggler shard loads all the same.
 func (s *Server) replayRow(j *job, e JournalEntry) error {
 	if e.Seq != len(j.log) {
 		return fmt.Errorf("row seq %d does not follow log length %d", e.Seq, len(j.log))
 	}
-	if e.Pos < 0 || e.Pos >= j.totalRows {
-		return fmt.Errorf("row pos %d outside the %d-row layout", e.Pos, j.totalRows)
+	b := j.batch
+	if e.Pos < 0 || e.Pos >= b.Rows() {
+		return fmt.Errorf("row pos %d outside the %d-row layout", e.Pos, b.Rows())
 	}
-	// The owning point: the last rowBase at or before pos.
-	i := sort.Search(len(j.rowBase), func(i int) bool { return j.rowBase[i] > e.Pos }) - 1
-	p := j.points[i]
-	if !p.Sharded() {
-		res, err := s.loadResult(p)
+	for _, r := range b.Needs(e.Pos) {
+		res, err := s.loadResult(b.Runs()[r].Point)
 		if err != nil {
 			return err
 		}
-		s.emitRow(j, e.Pos, sweep.Result{Point: p, Sim: res}.Record())
-		return nil
+		b.Put(r, res)
 	}
-	seeds := j.seedsOf[i]
-	if off := e.Pos - j.rowBase[i]; off < len(seeds) {
-		res, err := s.loadResult(p.Shard(seeds[off]))
-		if err != nil {
-			return err
-		}
-		j.shardSims[i][off] = res
-		s.emitRow(j, e.Pos, sweep.Result{Point: p.Shard(seeds[off]), Sim: res}.Record())
-		return nil
-	}
-	// The aggregate row. Journal order guarantees the shard rows came
-	// first, but load any straggler defensively.
-	for si, sr := range j.shardSims[i] {
-		if sr == nil {
-			res, err := s.loadResult(p.Shard(seeds[si]))
-			if err != nil {
-				return err
-			}
-			j.shardSims[i][si] = res
-		}
-	}
-	s.emitRow(j, e.Pos, sweep.Result{Point: p, Agg: sweep.NewAggregate(seeds, j.shardSims[i])}.Record())
+	rec, _ := b.Record(e.Pos)
+	s.emitRow(j, e.Pos, rec)
 	return nil
 }
 
@@ -536,7 +474,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := s.jobs[r.PathValue("id")]
 	var st JobStatus
 	if j != nil {
-		st = JobStatus{ID: j.id, Rows: j.totalRows, Emitted: len(j.log), Done: j.finished, Error: j.errmsg}
+		st = JobStatus{ID: j.id, Rows: j.batch.Rows(), Emitted: len(j.log), Done: j.finished, Error: j.errmsg}
 	}
 	s.mu.Unlock()
 	if j == nil {
@@ -883,25 +821,18 @@ func (s *Server) reclaim(now time.Time) {
 	}
 }
 
-// deliver (mu held) records one completed unit in a job, emitting its
-// row — and, when it completes a sharded point's seed set, the merged
-// aggregate row — and finishing the job when every row is out.
+// deliver (mu held) records one completed run in a job, emitting the
+// rows it completes — its own and, when it is a sharded point's last
+// shard, the merged aggregate row — and finishing the job when every
+// row is out.
 func (s *Server) deliver(ref taskRef, res *sim.Result) {
 	j := ref.job
 	if j.finished {
 		return
 	}
-	p := j.points[ref.pointIdx]
-	if ref.shardIdx < 0 {
-		s.emitRow(j, j.rowBase[ref.pointIdx], sweep.Result{Point: p, Sim: res}.Record())
-	} else {
-		seeds := j.seedsOf[ref.pointIdx]
-		j.shardSims[ref.pointIdx][ref.shardIdx] = res
-		s.emitRow(j, j.rowBase[ref.pointIdx]+ref.shardIdx, sweep.Result{Point: p.Shard(seeds[ref.shardIdx]), Sim: res}.Record())
-		if shardsComplete(j.shardSims[ref.pointIdx]) {
-			agg := sweep.NewAggregate(seeds, j.shardSims[ref.pointIdx])
-			s.emitRow(j, j.rowBase[ref.pointIdx]+len(seeds), sweep.Result{Point: p, Agg: agg}.Record())
-		}
+	for _, pos := range j.batch.Put(ref.run, res) {
+		rec, _ := j.batch.Record(pos)
+		s.emitRow(j, pos, rec)
 	}
 	if j.rowsLeft == 0 {
 		s.finishJob(j, "")
@@ -937,7 +868,7 @@ func (s *Server) finishJob(j *job, errmsg string) {
 	}
 	j.finished = true
 	j.errmsg = errmsg
-	j.log = append(j.log, StreamEntry{Seq: len(j.log), Done: true, Rows: j.totalRows, Err: errmsg})
+	j.log = append(j.log, StreamEntry{Seq: len(j.log), Done: true, Rows: j.batch.Rows(), Err: errmsg})
 	if s.journal != nil {
 		if err := s.journal.Append(JournalEntry{T: journalDone, Job: j.id, Seq: len(j.log) - 1, Err: errmsg}); err != nil {
 			s.logf("serve: journal: %v", err)

@@ -1,18 +1,15 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
 
-	"repro/internal/cache"
 	"repro/internal/ckpt"
-	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/pipeline"
-	"repro/internal/sample"
-	"repro/internal/workloads"
 )
 
 // Checkpoint section names, in container order. A functional-only
@@ -68,7 +65,15 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	}
 	hash := programHash(s.prog)
 	enc := ckpt.NewEncoder()
-	writeConfig(enc.Section(secConfig), s.cfg, hash)
+	// The config section: the run configuration as JSON (Program is not
+	// encoded), then the program content hash.
+	cfgJSON, err := json.Marshal(s.cfg)
+	if err != nil {
+		return nil, fmt.Errorf("sim: checkpoint config: %w", err)
+	}
+	cw := enc.Section(secConfig)
+	cw.Bytes(cfgJSON)
+	cw.U64(hash)
 	if err := s.cpu.CheckpointState(enc.Section(secEmu)); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint: %w", err)
 	}
@@ -119,9 +124,7 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 		sw.Uint(sp.instrMeas)
 		sw.Bool(sp.open)
 		sw.Uint(sp.winEnd)
-		// The open window's delta baseline. Kept out of the pipeline
-		// section so a non-sampled checkpoint's bytes do not depend on it.
-		sw.Counters(s.pipe.WindowBase())
+		sw.Counters(&sp.winBase)
 	}
 	data, err := enc.Encode()
 	if err != nil {
@@ -144,8 +147,14 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: checkpoint has no %s section", secConfig)
 	}
-	cfg, hash, err := readConfig(cr)
-	if err != nil {
+	cfgJSON, hash := cr.Bytes(), cr.U64()
+	if err := cr.Err(); err != nil {
+		return nil, fmt.Errorf("sim: checkpoint config: %w", err)
+	}
+	var cfg Config
+	jd := json.NewDecoder(bytes.NewReader(cfgJSON))
+	jd.DisallowUnknownFields()
+	if err := jd.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint config: %w", err)
 	}
 	sr, ok := dec.Section(secSession)
@@ -266,150 +275,12 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		sp.instrMeas = sr.Uint()
 		sp.open = sr.Bool()
 		sp.winEnd = sr.Uint()
-		var base pipeline.Metrics
-		sr.Counters(&base)
-		s.pipe.SetWindowBase(base)
+		sr.Counters(&sp.winBase)
 		if err := sr.Err(); err != nil {
 			return nil, fmt.Errorf("sim: resume: sampler state: %w", err)
 		}
 	}
 	return s, nil
-}
-
-// writeConfig serializes the run configuration and the program content
-// hash.
-func writeConfig(w *ckpt.Writer, cfg Config, progHash uint64) {
-	w.String(cfg.Workload)
-	w.Int(int64(cfg.Params.Scale))
-	w.Uint(cfg.Seed)
-	w.String(string(cfg.Predictor))
-	w.Bool(cfg.PBS)
-	w.Bool(cfg.PBSConfig != nil)
-	if cfg.PBSConfig != nil {
-		p := cfg.PBSConfig
-		w.Int(int64(p.Branches))
-		w.Int(int64(p.ValuesPerBranch))
-		w.Int(int64(p.InFlight))
-		w.Int(int64(p.ContextLoops))
-		w.Bool(p.EnableContext)
-		w.Int(int64(p.PCBits))
-		w.Int(int64(p.RegIdxBits))
-		w.Int(int64(p.ValueBits))
-		w.Int(int64(p.BTBIndexBits))
-	}
-	w.Bool(cfg.Core != nil)
-	if cfg.Core != nil {
-		writeCoreConfig(w, *cfg.Core)
-	}
-	w.Bool(cfg.FilterProb)
-	w.Bool(cfg.CaptureProb)
-	w.Uint(cfg.MaxInstrs)
-	w.Int(int64(cfg.Variant))
-	w.Bool(cfg.SkipTiming)
-	w.Bool(cfg.Sample != nil)
-	if cfg.Sample != nil {
-		w.Uint(cfg.Sample.Window)
-		w.Uint(cfg.Sample.Period)
-		w.Uint(cfg.Sample.Warmup)
-		w.Bool(cfg.Sample.FuncWarm)
-	}
-	w.U64(progHash)
-}
-
-func readConfig(r *ckpt.Reader) (Config, uint64, error) {
-	var cfg Config
-	cfg.Workload = r.String()
-	cfg.Params.Scale = int(r.Int())
-	cfg.Seed = r.Uint()
-	cfg.Predictor = PredictorKind(r.String())
-	cfg.PBS = r.Bool()
-	if r.Bool() {
-		p := &core.Config{
-			Branches:        int(r.Int()),
-			ValuesPerBranch: int(r.Int()),
-			InFlight:        int(r.Int()),
-			ContextLoops:    int(r.Int()),
-			EnableContext:   r.Bool(),
-			PCBits:          int(r.Int()),
-			RegIdxBits:      int(r.Int()),
-			ValueBits:       int(r.Int()),
-			BTBIndexBits:    int(r.Int()),
-		}
-		cfg.PBSConfig = p
-	}
-	if r.Bool() {
-		c := readCoreConfig(r)
-		cfg.Core = &c
-	}
-	cfg.FilterProb = r.Bool()
-	cfg.CaptureProb = r.Bool()
-	cfg.MaxInstrs = r.Uint()
-	cfg.Variant = workloads.Variant(r.Int())
-	cfg.SkipTiming = r.Bool()
-	if r.Bool() {
-		cfg.Sample = &sample.Config{
-			Window:   r.Uint(),
-			Period:   r.Uint(),
-			Warmup:   r.Uint(),
-			FuncWarm: r.Bool(),
-		}
-	}
-	hash := r.U64()
-	return cfg, hash, r.Err()
-}
-
-func writeCacheConfig(w *ckpt.Writer, c cache.Config) {
-	w.Int(int64(c.SizeBytes))
-	w.Int(int64(c.LineBytes))
-	w.Int(int64(c.Ways))
-	w.Int(int64(c.HitLatency))
-}
-
-func readCacheConfig(r *ckpt.Reader) cache.Config {
-	return cache.Config{
-		SizeBytes:  int(r.Int()),
-		LineBytes:  int(r.Int()),
-		Ways:       int(r.Int()),
-		HitLatency: int(r.Int()),
-	}
-}
-
-func writeCoreConfig(w *ckpt.Writer, c pipeline.Config) {
-	w.Int(int64(c.Width))
-	w.Int(int64(c.ROBSize))
-	w.Int(int64(c.FrontendDepth))
-	w.Int(int64(c.MispredictPenalty))
-	w.Int(int64(c.IntALUs))
-	w.Int(int64(c.FPUs))
-	w.Int(int64(c.MemPorts))
-	w.Int(int64(c.BranchUnits))
-	writeCacheConfig(w, c.L1I)
-	writeCacheConfig(w, c.L1D)
-	writeCacheConfig(w, c.L2)
-	w.Int(int64(c.MemLatency))
-	w.Bool(c.FilterProb)
-	w.Bool(c.PerfectBranches)
-	w.Bool(c.ResolutionPenalty)
-}
-
-func readCoreConfig(r *ckpt.Reader) pipeline.Config {
-	return pipeline.Config{
-		Width:             int(r.Int()),
-		ROBSize:           int(r.Int()),
-		FrontendDepth:     int(r.Int()),
-		MispredictPenalty: int(r.Int()),
-		IntALUs:           int(r.Int()),
-		FPUs:              int(r.Int()),
-		MemPorts:          int(r.Int()),
-		BranchUnits:       int(r.Int()),
-		L1I:               readCacheConfig(r),
-		L1D:               readCacheConfig(r),
-		L2:                readCacheConfig(r),
-		MemLatency:        int(r.Int()),
-		FilterProb:        r.Bool(),
-		PerfectBranches:   r.Bool(),
-		ResolutionPenalty: r.Bool(),
-	}
 }
 
 // programHash is a stable FNV-64a content hash over everything that

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/pipeline"
 	"repro/internal/sample"
 )
 
@@ -35,8 +36,9 @@ type sampler struct {
 	instrWarm uint64 // instructions run under detailed warming
 	instrMeas uint64 // instructions inside measured windows
 
-	open   bool   // a measurement window is open
-	winEnd uint64 // absolute position where the open window closes
+	open    bool             // a measurement window is open
+	winEnd  uint64           // absolute position where the open window closes
+	winBase pipeline.Metrics // timing counters when the open window began
 }
 
 func newSampler(cfg sample.Config) (*sampler, error) {
@@ -83,7 +85,7 @@ func (sp *sampler) estimate() sample.Estimate {
 func (s *Session) syncSample(cur uint64) {
 	sp := s.sampler
 	if sp.open && cur >= sp.winEnd {
-		d := s.pipe.WindowDelta()
+		d := s.pipe.Metrics().Delta(sp.winBase)
 		sp.cpis = append(sp.cpis, d.CPI())
 		sp.mpkis = append(sp.mpkis, d.MPKI())
 		sp.open = false
@@ -93,7 +95,7 @@ func (s *Session) syncSample(cur uint64) {
 		if !sp.open {
 			s.pipe.SetFuncWarm(false)
 			s.cpu.ResumeTrace()
-			s.pipe.BeginWindow()
+			sp.winBase = s.pipe.Metrics()
 			sp.open = true
 			sp.winEnd = sp.cfg.WindowEnd(cur)
 		}

@@ -70,12 +70,12 @@ type Config struct {
 	// and need not name a registered workload. A run never mutates a
 	// program, so one build may be shared read-only by any number of
 	// concurrent simulations (internal/sweep caches programs this way).
-	Program *isa.Program
+	Program *isa.Program `json:"-"`
 	// SkipTiming runs only the functional emulator (for accuracy and
 	// randomness experiments, which need no pipeline).
 	SkipTiming bool
 	// Deprecated: ignored; timing is always synchronous.
-	SyncTiming bool
+	SyncTiming bool `json:"-"`
 	// Sample, when non-nil, runs the timing model in SMARTS-style sampled
 	// mode: detailed timing only inside periodic warming+measurement
 	// windows, functional fast-forward between them, IPC/MPKI reported as

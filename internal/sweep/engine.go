@@ -86,7 +86,7 @@ type Aggregate struct {
 }
 
 // NewAggregate merges completed per-seed shard results, in seed order,
-// into the aggregate record the engine memoizes for a sharded point. The
+// into the aggregate record of a sharded point (see Batch.Put). The
 // merge is a pure function of the per-seed results — merging results a
 // remote worker produced yields byte-for-byte the record an in-process
 // sharded run would, which is why the sweep service can fan shards
@@ -182,15 +182,15 @@ func (e *Engine) Run(ctx context.Context, g Grid) (Results, error) {
 
 // RunPoints executes the points with at most parallel concurrent
 // simulations (0 means GOMAXPROCS). An aggregate point (non-empty
-// Key.Seeds) fans out into one shard job per seed, so a lone multi-seed
-// point saturates the pool; its shards are ordinary single-seed points
-// that hit the shared result memo, and their completed results merge
-// into an Aggregate in seed order. The first error aborts the sweep: no
-// further jobs are dispatched, in-flight warm-prefix runs are cancelled,
-// and the error is returned once in-flight jobs drain — together with
-// the results of the points that did complete (in point order, fully
-// merged aggregates only), so an interrupted sweep can still flush what
-// it finished. Points with a WarmPrefix fork from a shared functional
+// Key.Seeds) fans out into one shard run per seed (see Batch), so a
+// lone multi-seed point saturates the pool; its shards are ordinary
+// single-seed points that hit the shared result memo, and their
+// completed results merge into an Aggregate in seed order. The first
+// error aborts the sweep: no further runs are dispatched, in-flight
+// warm-prefix runs are cancelled, and the error is returned once
+// in-flight runs drain — together with the results of the points that
+// did complete (in point order, fully merged aggregates only), so an
+// interrupted sweep can still flush what it finished. Points with a WarmPrefix fork from a shared functional
 // checkpoint of their group's prefix, run once per group (see
 // Grid.WarmPrefix). Results are positionally deterministic — the same
 // points produce the same results at any parallelism.
@@ -198,57 +198,24 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 	if len(pts) == 0 {
 		return nil, ctx.Err()
 	}
-
-	// Expand the points into shard-level jobs. shard -1 is a plain
-	// single-seed point; otherwise the job runs seedsOf[point][shard] of
-	// an aggregate point. Aggregates already in the memo skip scheduling
-	// entirely.
-	type job struct{ point, shard int }
-	norm := make([]Point, len(pts))
-	var jobList []job
-	sims := make([]*sim.Result, len(pts))
-	aggs := make([]*Aggregate, len(pts))
-	shardSims := make([][]*sim.Result, len(pts))
-	seedsOf := make([][]uint64, len(pts))
-	for i, p := range pts {
-		p = p.normalize()
-		norm[i] = p
-		if !p.Sharded() {
-			jobList = append(jobList, job{i, -1})
-			continue
-		}
-		if p.Seed != 0 {
-			return nil, fmt.Errorf("sweep: aggregate point %s sets both Seed and Seeds", p)
-		}
-		seeds := p.Key.Seeds.Seeds()
-		if len(seeds) == 0 {
-			return nil, fmt.Errorf("sweep: aggregate point %s has a malformed seed set %q", p, p.Key.Seeds)
-		}
-		seedsOf[i] = seeds
-		if e.Results != nil && !p.CaptureProb {
-			if agg, ok := e.Results.getAgg(p); ok {
-				aggs[i] = agg
-				continue
-			}
-		}
-		shardSims[i] = make([]*sim.Result, len(seeds))
-		for j := range seeds {
-			jobList = append(jobList, job{i, j})
-		}
+	b, err := NewBatch(pts)
+	if err != nil {
+		return nil, err
 	}
+	runs := b.Runs()
 
 	if parallel < 1 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > len(jobList) {
-		parallel = len(jobList)
+	if parallel > len(runs) {
+		parallel = len(runs)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var (
-		mu       sync.Mutex
+		mu       sync.Mutex // guards b and firstErr
 		firstErr error
 		done     atomic.Int64
 		wg       sync.WaitGroup
@@ -262,19 +229,16 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 		cancel()
 	}
 
-	jobs := make(chan job)
+	jobs := make(chan int)
 	for range parallel {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for jb := range jobs {
+			for r := range jobs {
 				if ctx.Err() != nil {
 					continue // drain without running after an abort
 				}
-				p := norm[jb.point]
-				if jb.shard >= 0 {
-					p = p.Shard(seedsOf[jb.point][jb.shard])
-				}
+				p := runs[r].Point
 				res, err := e.runPoint(ctx, p)
 				if err != nil {
 					// No "sweep:" prefix: the wrapped error carries its
@@ -282,21 +246,19 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 					fail(fmt.Errorf("%s: %w", p, err))
 					continue
 				}
-				if jb.shard >= 0 {
-					shardSims[jb.point][jb.shard] = res
-				} else {
-					sims[jb.point] = res
-				}
+				mu.Lock()
+				b.Put(r, res)
+				mu.Unlock()
 				if e.OnProgress != nil {
-					e.OnProgress(int(done.Add(1)), len(jobList))
+					e.OnProgress(int(done.Add(1)), len(runs))
 				}
 			}
 		}()
 	}
 dispatch:
-	for _, jb := range jobList {
+	for r := range runs {
 		select {
-		case jobs <- jb:
+		case jobs <- r:
 		case <-ctx.Done():
 			break dispatch
 		}
@@ -304,50 +266,15 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 
-	// Merge completed shards, in seed order; the merge is a pure function
-	// of the per-seed results, so re-merging memoized shards is
-	// idempotent. On an aborted sweep only fully sharded points merge —
-	// a partial seed set would summarize a different study.
-	for i, shards := range shardSims {
-		if shards == nil {
-			continue
-		}
-		complete := true
-		for _, s := range shards {
-			if s == nil {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			continue
-		}
-		agg := NewAggregate(seedsOf[i], shards)
-		if e.Results != nil && !norm[i].CaptureProb {
-			e.Results.putAgg(norm[i], agg)
-		}
-		aggs[i] = agg
+	// On an abort, return the completed points alongside the error, so
+	// an interrupted batch (SIGINT in cmd/pbsweep) can still flush the
+	// records it paid for. Unfinished points — aggregates with a partial
+	// seed set included — are simply absent.
+	err = firstErr
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := firstErr; err != nil || ctx.Err() != nil {
-		if err == nil {
-			err = ctx.Err()
-		}
-		// Return the completed points alongside the error, in point order,
-		// so an interrupted batch (SIGINT in cmd/pbsweep) can still flush
-		// the records it paid for. Unfinished points are simply absent.
-		var partial Results
-		for i := range norm {
-			if sims[i] != nil || aggs[i] != nil {
-				partial = append(partial, Result{Point: norm[i], Sim: sims[i], Agg: aggs[i]})
-			}
-		}
-		return partial, err
-	}
-	out := make(Results, len(pts))
-	for i := range norm {
-		out[i] = Result{Point: norm[i], Sim: sims[i], Agg: aggs[i]}
-	}
-	return out, nil
+	return b.Results(), err
 }
 
 // runPoint executes one point through a sim.Session, consulting the
@@ -565,22 +492,20 @@ func (c *ProgramCache) Get(workload string, scale int, variant workloads.Variant
 	return e.prog, e.err
 }
 
-// ResultCache memoizes completed simulations by normalized point, and
-// merged aggregates by normalized aggregate point. Results are
-// deterministic functions of their point, so a memoized result is
-// indistinguishable from a fresh run; callers must treat them as
-// read-only, as they are shared. Aggregates memoize independently of
-// their shards: an aggregate built partly from memoized shards merges to
-// the same record as one built fresh, so the two layers never disagree.
+// ResultCache memoizes completed single-seed simulations by normalized
+// point. Results are deterministic functions of their point, so a
+// memoized result is indistinguishable from a fresh run; callers must
+// treat them as read-only, as they are shared. Aggregates are not
+// memoized: a re-run re-merges its memoized shards, and the merge is a
+// pure function of them (see NewAggregate).
 type ResultCache struct {
-	mu   sync.Mutex
-	m    map[Point]*sim.Result
-	aggs map[Point]*Aggregate
+	mu sync.Mutex
+	m  map[Point]*sim.Result
 }
 
 // NewResultCache returns an empty result cache.
 func NewResultCache() *ResultCache {
-	return &ResultCache{m: make(map[Point]*sim.Result), aggs: make(map[Point]*Aggregate)}
+	return &ResultCache{m: make(map[Point]*sim.Result)}
 }
 
 func (c *ResultCache) get(p Point) (*sim.Result, bool) {
@@ -594,17 +519,4 @@ func (c *ResultCache) put(p Point, res *sim.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m[p] = res
-}
-
-func (c *ResultCache) getAgg(p Point) (*Aggregate, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	agg, ok := c.aggs[p]
-	return agg, ok
-}
-
-func (c *ResultCache) putAgg(p Point, agg *Aggregate) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.aggs[p] = agg
 }

@@ -116,7 +116,8 @@ func TestShardedDeterminism(t *testing.T) {
 // TestShardMergeIdempotent checks the two cache-merge properties: an
 // aggregate built partly from shards memoized by earlier single-seed
 // runs is identical to one built cold, and re-running the aggregate
-// serves the memoized merge unchanged.
+// re-merges its memoized shards into the same record without running
+// (or memoizing) anything new.
 func TestShardMergeIdempotent(t *testing.T) {
 	agg := Grid{
 		Workloads:  []string{"PI"},
@@ -146,12 +147,16 @@ func TestShardMergeIdempotent(t *testing.T) {
 		t.Error("aggregate merged over memoized shards differs from a cold merge")
 	}
 
+	memoized := len(warm.Results.m)
 	again, err := warm.Run(context.Background(), agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again[0].Agg != partial[0].Agg {
-		t.Error("re-run did not serve the memoized aggregate")
+	if !reflect.DeepEqual(again[0].Agg, partial[0].Agg) {
+		t.Error("re-run merged a different aggregate")
+	}
+	if n := len(warm.Results.m); n != memoized {
+		t.Errorf("re-run grew the result memo from %d to %d entries; its shards were all memoized", memoized, n)
 	}
 }
 
