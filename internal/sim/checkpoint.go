@@ -58,11 +58,16 @@ func (c *Checkpoint) Instructions() uint64 { return c.instrs }
 // trace is flushed whenever the caller can call anything — between
 // New/RunFor/Run calls, or inside an Observe callback — so the timing
 // model is always caught up. A dead session (faulted) cannot be
-// checkpointed.
+// checkpointed, nor can a session with several members (see AddMember):
+// the format holds one timing model.
 func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if s.err != nil {
 		return nil, fmt.Errorf("sim: cannot checkpoint a faulted session: %w", s.err)
 	}
+	if len(s.members) > 1 {
+		return nil, fmt.Errorf("sim: cannot checkpoint a session with %d members", len(s.members))
+	}
+	m := s.members[0]
 	hash := programHash(s.prog)
 	enc := ckpt.NewEncoder()
 	// The config section: the run configuration as JSON (Program is not
@@ -85,19 +90,19 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: checkpoint: %w", err)
 		}
 	}
-	if s.pred != nil {
-		cp, ok := s.pred.(ckpt.Checkpointable)
+	if m.pred != nil {
+		cp, ok := m.pred.(ckpt.Checkpointable)
 		if !ok {
-			return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", s.pred.Name())
+			return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
 		}
 		w := enc.Section(secPredictor)
-		w.String(s.pred.Name())
+		w.String(m.pred.Name())
 		if err := cp.CheckpointState(w); err != nil {
 			return nil, fmt.Errorf("sim: checkpoint: %w", err)
 		}
 	}
-	if s.pipe != nil {
-		if err := s.pipe.CheckpointState(enc.Section(secPipeline)); err != nil {
+	if m.pipe != nil {
+		if err := m.pipe.CheckpointState(enc.Section(secPipeline)); err != nil {
 			return nil, fmt.Errorf("sim: checkpoint: %w", err)
 		}
 	}
@@ -109,14 +114,13 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	sw.Counters(&s.lastDirect.Emu)
 	sw.Counters(&s.lastDirect.Timing)
 	sw.Counters(&s.lastDirect.PBSStats)
-	if s.sampler != nil {
+	if sp := m.sampler; sp != nil {
 		// The sampler's schedule position is implied by the instruction
 		// count; what must survive is the window populations, the phase
 		// accounting and the open window's delta baseline. Trace-pause
 		// state is NOT serialized: the next advance's schedule reconcile
 		// re-pauses or resumes as the phase dictates before any
 		// instruction retires.
-		sp := s.sampler
 		sw.Floats(sp.cpis)
 		sw.Floats(sp.mpkis)
 		sw.Uint(sp.instrFF)
@@ -195,6 +199,8 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.origin = c.cfg
+	m := s.members[0]
 	if got := programHash(s.prog); got != c.progHash {
 		return nil, fmt.Errorf("sim: resume: program %q does not match the checkpointed program (hash %#x, want %#x)",
 			s.prog.Name, got, c.progHash)
@@ -228,26 +234,28 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		}
 	}
 
-	if br, ok := dec.Section(secPredictor); ok && s.pred != nil {
+	if br, ok := dec.Section(secPredictor); ok && m.pred != nil {
 		name := br.String()
 		if err := br.Err(); err != nil {
 			return nil, fmt.Errorf("sim: resume: %w", err)
 		}
-		if name != s.pred.Name() {
-			return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, s.pred.Name())
+		if name != m.pred.Name() {
+			return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
 		}
-		cp, ok := s.pred.(ckpt.Checkpointable)
+		cp, ok := m.pred.(ckpt.Checkpointable)
 		if !ok {
-			return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", s.pred.Name())
+			return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
 		}
 		if err := cp.RestoreState(br); err != nil {
 			return nil, fmt.Errorf("sim: resume: %w", err)
 		}
+		s.timedResume = true
 	}
-	if tr, ok := dec.Section(secPipeline); ok && s.pipe != nil {
-		if err := s.pipe.RestoreState(tr); err != nil {
+	if tr, ok := dec.Section(secPipeline); ok && m.pipe != nil {
+		if err := m.pipe.RestoreState(tr); err != nil {
 			return nil, fmt.Errorf("sim: resume: %w", err)
 		}
+		s.timedResume = true
 	}
 
 	sr, ok := dec.Section(secSession)
@@ -267,7 +275,7 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		// session always has a sampler to restore into; a checkpoint
 		// WITHOUT sampler state resumed WITH WithSampledTiming simply
 		// starts the sampler fresh at the checkpoint position.
-		sp := s.sampler
+		sp := m.sampler
 		sp.cpis = sr.Floats()
 		sp.mpkis = sr.Floats()
 		sp.instrFF = sr.Uint()

@@ -166,7 +166,7 @@ func TestCounterCheckpointRoundTrip(t *testing.T) {
 	var base pipeline.Metrics
 	fillCounters(t, &base, &next)
 	s.lastDirect = last
-	s.sampler.winBase = base
+	s.members[0].sampler.winBase = base
 
 	ck, err := s.Checkpoint()
 	if err != nil {
@@ -189,7 +189,7 @@ func TestCounterCheckpointRoundTrip(t *testing.T) {
 	if r.lastDirect.PBSStats != last.PBSStats {
 		t.Errorf("pbs counters:\n got %+v\nwant %+v", r.lastDirect.PBSStats, last.PBSStats)
 	}
-	if got := r.sampler.winBase; got != base {
+	if got := r.members[0].sampler.winBase; got != base {
 		t.Errorf("window baseline:\n got %+v\nwant %+v", got, base)
 	}
 }

@@ -22,11 +22,11 @@ func WithSampledTiming(cfg sample.Config) Option {
 	return func(c *Config) { c.Sample = &cfg }
 }
 
-// sampler is the per-session schedule driver: it tracks which phase the
-// machine is in, switches the emulator's trace production and the
-// pipeline's consume path at phase boundaries, closes measurement
-// windows into the IPC/MPKI populations, and accounts every retired
-// instruction to exactly one phase.
+// sampler is one member's schedule driver: it tracks which phase the
+// machine is in, switches its pipeline's consume path at phase
+// boundaries (the session switches trace production, see syncSample),
+// closes measurement windows into the IPC/MPKI populations, and
+// accounts every retired instruction to exactly one phase.
 type sampler struct {
 	cfg   sample.Config
 	cpis  []float64 // per-window CPI population (see sample.Estimate)
@@ -69,52 +69,61 @@ func (sp *sampler) estimate() sample.Estimate {
 }
 
 // syncSample reconciles the machine with the schedule at absolute
-// retired-instruction position cur: it closes a window whose end has
-// been reached, then switches trace production and the consume path to
-// match PhaseAt(cur). advance calls it at every chunk boundary (and
-// once more after the run ends, so a window closing exactly at the end
-// of the run is counted). The emulator stops exactly on every schedule
-// boundary and flushes its trace first, so each switch lands between
-// batches and the window delta sees a fully caught-up timing model.
+// retired-instruction position cur: every member's sampler closes a
+// window whose end has been reached and switches its pipeline's consume
+// path to match PhaseAt(cur), then trace production follows the phase.
+// advance calls it at every chunk boundary (and once more after the run
+// ends, so a window closing exactly at the end of the run is counted).
+// The emulator stops exactly on every schedule boundary and flushes its
+// trace first, so each switch lands between batches and the window
+// delta sees a fully caught-up timing model.
+func (s *Session) syncSample(cur uint64) {
+	trace := true
+	for _, m := range s.members {
+		trace = m.sampler.sync(cur, m.pipe)
+	}
+	if trace {
+		s.cpu.ResumeTrace()
+		return
+	}
+	// PauseTrace flushes any straggling batch and detaches the trace
+	// buffer, so the emulator's fused loop runs its zero-overhead
+	// untraced path until the next detailed phase resumes it.
+	s.cpu.PauseTrace()
+}
+
+// sync brings the sampler and its pipeline to position cur (see
+// syncSample) and reports whether the phase needs the trace.
 //
 // The window close must compare against the absolute winEnd rather
 // than watch for a phase change: with Period == Warmup+Window there is
 // no fast-forward gap and the phase stays Measuring straight across
 // the boundary from one window into the next period's warming-free
 // window.
-func (s *Session) syncSample(cur uint64) {
-	sp := s.sampler
+func (sp *sampler) sync(cur uint64, pipe *pipeline.Pipeline) bool {
 	if sp.open && cur >= sp.winEnd {
-		d := s.pipe.Metrics().Delta(sp.winBase)
+		d := pipe.Metrics().Delta(sp.winBase)
 		sp.cpis = append(sp.cpis, d.CPI())
 		sp.mpkis = append(sp.mpkis, d.MPKI())
 		sp.open = false
 	}
 	switch sp.cfg.PhaseAt(cur) {
 	case sample.Measuring:
+		pipe.SetFuncWarm(false)
 		if !sp.open {
-			s.pipe.SetFuncWarm(false)
-			s.cpu.ResumeTrace()
-			sp.winBase = s.pipe.Metrics()
+			sp.winBase = pipe.Metrics()
 			sp.open = true
 			sp.winEnd = sp.cfg.WindowEnd(cur)
 		}
 	case sample.Warming:
-		s.pipe.SetFuncWarm(false)
-		s.cpu.ResumeTrace()
+		pipe.SetFuncWarm(false)
 	case sample.FastForward:
-		if sp.cfg.FuncWarm {
-			// Functionally-warmed gap: the trace keeps flowing, but the
-			// pipeline takes the cheap cache+predictor path.
-			s.pipe.SetFuncWarm(true)
-			s.cpu.ResumeTrace()
-			return
-		}
-		// PauseTrace flushes any straggling batch and detaches the trace
-		// buffer, so the emulator's fused loop runs its zero-overhead
-		// untraced path until the next detailed phase resumes it.
-		s.cpu.PauseTrace()
+		// A functionally-warmed gap keeps the trace flowing through the
+		// pipeline's cheap cache+predictor path; any other gap pauses it.
+		pipe.SetFuncWarm(sp.cfg.FuncWarm)
+		return sp.cfg.FuncWarm
 	}
+	return true
 }
 
 // validateSample checks the sampled-timing configuration at session

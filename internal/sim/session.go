@@ -126,21 +126,41 @@ type observer struct {
 // flushes on every return from cpu.Run, so whenever an observer or the
 // caller can look, the timing model has caught up. A session never owns
 // a goroutine.
+//
+// A session may carry several timing models over one emulator (see
+// AddMember): timing never feeds back into emulation, so configurations
+// that differ only in predictor, core or predictor filtering retire the
+// same instruction stream, and one emulation can feed them all.
 type Session struct {
-	cfg  Config
-	name string // workload label for errors and Result
+	cfg    Config // the first member's configuration
+	origin Config // the configuration options apply to (see AddMember)
+	name   string // workload label for errors and Result
 
 	prog *isa.Program
 	cpu  *emu.CPU
-	pipe *pipeline.Pipeline
 	unit *core.Unit
-	pred branch.Predictor
 
-	sampler *sampler // nil: full timing (see WithSampledTiming)
+	members []*member // timing models, in AddMember order; never empty
+
+	// timedResume records that the first member restored predictor and
+	// pipeline state from a checkpoint, which a joining member could not
+	// share; started records that the session has advanced. Either
+	// closes the session to new members.
+	timedResume bool
+	started     bool
 
 	observers  []*observer
 	lastDirect Metrics // previous Snapshot() sample, for its Delta
 	err        error   // first run error; the session is dead once set
+}
+
+// member is one timing model of a session: the pipeline and predictor
+// the trace feeds, and the sampler driving them on a sampled run. All
+// three are nil on a functional-only (WithoutTiming) session.
+type member struct {
+	pipe    *pipeline.Pipeline
+	pred    branch.Predictor
+	sampler *sampler // nil: full timing (see WithSampledTiming)
 }
 
 // New builds a live machine for the named workload, configured by the
@@ -148,11 +168,17 @@ type Session struct {
 // WithProgram supplies a prebuilt program, in which case the name is
 // only a label and may be empty.
 func New(workload string, opts ...Option) (*Session, error) {
-	cfg := Config{Workload: workload}
+	origin := Config{Workload: workload}
+	cfg := origin
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return newSession(cfg)
+	s, err := newSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.origin = origin
+	return s, nil
 }
 
 // newSession wires emulator, PBS unit, predictor and pipeline exactly as
@@ -190,42 +216,147 @@ func newSession(cfg Config) (*Session, error) {
 	cpu.CaptureProb = cfg.CaptureProb
 
 	s := &Session{
-		cfg:  cfg,
-		name: cfg.Workload,
-		prog: prog,
-		cpu:  cpu,
-		unit: unit,
+		cfg:    cfg,
+		origin: cfg,
+		name:   cfg.Workload,
+		prog:   prog,
+		cpu:    cpu,
+		unit:   unit,
 	}
-	if !cfg.SkipTiming {
-		pcfg := pipeline.FourWide()
-		if cfg.Core != nil {
-			pcfg = *cfg.Core
-		}
-		pcfg.FilterProb = cfg.FilterProb
-		predKind := cfg.Predictor
-		if predKind == "" {
-			predKind = PredTAGESCL
-		}
-		pred, err := NewPredictor(predKind)
-		if err != nil {
-			return nil, err
-		}
-		pipe, err := pipeline.New(pcfg, prog, pred)
-		if err != nil {
-			return nil, err
-		}
-		s.pipe = pipe
-		s.pred = pred
-		cpu.SetTraceSink(pipe)
-		if cfg.Sample != nil {
-			sp, err := newSampler(*cfg.Sample)
-			if err != nil {
-				return nil, err
-			}
-			s.sampler = sp
-		}
+	m, err := newMember(cfg, prog)
+	if err != nil {
+		return nil, err
+	}
+	s.members = []*member{m}
+	if m.pipe != nil {
+		cpu.SetTraceSink(m.pipe)
 	}
 	return s, nil
+}
+
+// newMember builds the timing model cfg asks for over prog: nothing for
+// a functional-only configuration.
+func newMember(cfg Config, prog *isa.Program) (*member, error) {
+	m := &member{}
+	if cfg.SkipTiming {
+		return m, nil
+	}
+	pcfg := pipeline.FourWide()
+	if cfg.Core != nil {
+		pcfg = *cfg.Core
+	}
+	pcfg.FilterProb = cfg.FilterProb
+	predKind := cfg.Predictor
+	if predKind == "" {
+		predKind = PredTAGESCL
+	}
+	pred, err := NewPredictor(predKind)
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := pipeline.New(pcfg, prog, pred)
+	if err != nil {
+		return nil, err
+	}
+	m.pipe = pipe
+	m.pred = pred
+	if cfg.Sample != nil {
+		if m.sampler, err = newSampler(*cfg.Sample); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// AddMember adds a timing model to the session: the options, applied to
+// the configuration New or Resume started from, describe the member
+// exactly as they would describe a session of its own. Every field that
+// shapes emulation — workload, program, params, variant, seed, PBS
+// hardware, value capture, SkipTiming, MaxInstrs and the sampling
+// schedule — must agree with the session's; the member may differ only
+// in predictor, core and predictor filtering. The emulator then runs
+// once, its trace batches go to every member in turn, and each member's
+// result (see Results) is byte-identical to its solo run.
+//
+// Members join before the session first advances, and not once an
+// observer is registered or the session was resumed from a checkpoint
+// carrying timing state (a member would start cold where the solo run
+// restores). A multi-member session cannot Checkpoint or Observe;
+// Snapshot and Result report the first member.
+func (s *Session) AddMember(opts ...Option) error {
+	cfg := s.origin
+	for _, o := range opts {
+		o(&cfg)
+	}
+	switch {
+	case s.started:
+		return fmt.Errorf("sim: a member cannot join a session that has advanced")
+	case len(s.observers) > 0:
+		return fmt.Errorf("sim: a member cannot join an observed session")
+	case s.timedResume:
+		return fmt.Errorf("sim: a member cannot join a session resumed with timing state")
+	}
+	if err := sameStream(s.cfg, cfg); err != nil {
+		return err
+	}
+	m, err := newMember(cfg, s.prog)
+	if err != nil {
+		return err
+	}
+	s.members = append(s.members, m)
+	if m.pipe != nil {
+		sinks := make(fanout, len(s.members))
+		for i, m := range s.members {
+			sinks[i] = m.pipe
+		}
+		s.cpu.SetTraceSink(sinks)
+	}
+	return nil
+}
+
+// sameStream returns an error naming the first field on which member
+// configuration b would retire a different instruction stream than a.
+func sameStream(a, b Config) error {
+	var field string
+	switch {
+	case a.Workload != b.Workload || a.Params != b.Params || a.Variant != b.Variant || a.Program != b.Program:
+		field = "program"
+	case a.Seed != b.Seed:
+		field = "seed"
+	case a.PBS != b.PBS || !equalPtr(a.PBSConfig, b.PBSConfig):
+		field = "PBS hardware"
+	case a.CaptureProb != b.CaptureProb:
+		field = "value capture"
+	case a.SkipTiming != b.SkipTiming:
+		field = "timing mode"
+	case a.MaxInstrs != b.MaxInstrs:
+		field = "instruction budget"
+	case !equalPtr(a.Sample, b.Sample):
+		field = "sampling schedule"
+	default:
+		return nil
+	}
+	return fmt.Errorf("sim: member %s differs from the session's functional stream in its %s", b.Workload, field)
+}
+
+// equalPtr reports whether two optional settings are both unset or
+// both set to equal values.
+func equalPtr[T comparable](a, b *T) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
+
+// fanout is the trace sink of a multi-member session: it hands every
+// batch to each member's pipeline in member order. Pipelines only read
+// the batch, so all of them see the emulator's stream unchanged.
+type fanout []*pipeline.Pipeline
+
+func (f fanout) ConsumeTrace(batch []emu.DynInstr) {
+	for _, p := range f {
+		p.ConsumeTrace(batch)
+	}
 }
 
 // Program returns the program the session executes.
@@ -264,37 +395,41 @@ func (s *Session) Observe(every uint64, fn func(Snapshot)) error {
 	if fn == nil {
 		return fmt.Errorf("sim: Observe with nil callback")
 	}
+	if len(s.members) > 1 {
+		return fmt.Errorf("sim: cannot observe a session with %d members", len(s.members))
+	}
 	s.observers = append(s.observers, &observer{
 		every: every,
 		next:  s.Instructions() + every,
-		prev:  s.collect(),
+		prev:  s.collect(s.members[0]),
 		fn:    fn,
 	})
 	return nil
 }
 
-// collect samples the machine's counters right now. Every caller sits
-// between cpu.Run calls, where the trace is flushed, so timing counters
-// are always caught up here.
-func (s *Session) collect() Metrics {
-	m := Metrics{Emu: s.cpu.Stats()}
-	if s.pipe != nil {
-		m.Timing = s.pipe.Metrics()
+// collect samples the machine's counters as member m sees them right
+// now. Every caller sits between cpu.Run calls, where the trace is
+// flushed, so timing counters are always caught up here.
+func (s *Session) collect(m *member) Metrics {
+	out := Metrics{Emu: s.cpu.Stats()}
+	if m.pipe != nil {
+		out.Timing = m.pipe.Metrics()
 	}
 	if s.unit != nil {
-		m.PBSStats = s.unit.Stats()
+		out.PBSStats = s.unit.Stats()
 	}
-	if s.sampler != nil {
-		m.Sampled = s.sampler.estimate()
+	if m.sampler != nil {
+		out.Sampled = m.sampler.estimate()
 	}
-	return m
+	return out
 }
 
 // Snapshot returns the cumulative metrics plus the delta since the
 // previous direct Snapshot call (the full totals on the first call).
-// Valid at any point, including mid-run from an Observe callback.
+// Valid at any point, including mid-run from an Observe callback. On a
+// multi-member session it reports the first member.
 func (s *Session) Snapshot() Snapshot {
-	total := s.collect()
+	total := s.collect(s.members[0])
 	// On the first call lastDirect is the zero Metrics, so the delta is
 	// the full totals, as the Snapshot contract promises.
 	snap := Snapshot{Total: total, Delta: total.Delta(s.lastDirect)}
@@ -345,7 +480,11 @@ func (s *Session) advance(target uint64) error {
 	if s.cpu.Halted() {
 		return nil
 	}
-	if s.sampler != nil {
+	s.started = true
+	// Members share the schedule (see AddMember), so the first member's
+	// sampler stands for all of them.
+	sp := s.members[0].sampler
+	if sp != nil {
 		// Reconcile once more on the way out so a window that closes
 		// exactly where the run ends (halt or budget) joins the
 		// population. Idempotent with the loop-top reconcile.
@@ -357,7 +496,7 @@ func (s *Session) advance(target uint64) error {
 	}
 	for !s.cpu.Halted() {
 		cur := s.cpu.Stats().Instructions
-		if s.sampler != nil {
+		if sp != nil {
 			// Reconcile before the limit check so a window closing exactly
 			// at the limit is recorded on this advance, not the next.
 			s.syncSample(cur)
@@ -373,11 +512,11 @@ func (s *Session) advance(target uint64) error {
 				stop = ob.next
 			}
 		}
-		if s.sampler != nil {
+		if sp != nil {
 			// Never cross a schedule edge inside one emulator chunk: every
 			// retired interval then belongs wholly to one phase, which keeps
 			// the accounting exact and the phase switches on-boundary.
-			if nb := s.sampler.cfg.NextBoundary(cur); stop == 0 || nb < stop {
+			if nb := sp.cfg.NextBoundary(cur); stop == 0 || nb < stop {
 				stop = nb
 			}
 		}
@@ -392,14 +531,16 @@ func (s *Session) advance(target uint64) error {
 		}
 		prev := cur
 		cur = s.cpu.Stats().Instructions
-		if s.sampler != nil {
-			s.sampler.account(prev, cur-prev)
+		if sp != nil {
+			for _, m := range s.members {
+				m.sampler.account(prev, cur-prev)
+			}
 		}
 		for _, ob := range s.observers {
 			if ob.next > cur {
 				continue // halted before the boundary: no partial sample
 			}
-			total := s.collect()
+			total := s.collect(s.members[0])
 			snap := Snapshot{Total: total, Delta: total.Delta(ob.prev)}
 			ob.prev = total
 			ob.next += ob.every
@@ -411,9 +552,22 @@ func (s *Session) advance(target uint64) error {
 
 // Result bundles the run's products in the shape the one-shot Run API
 // returns. Valid at any point; a caller that stops early via RunFor gets
-// the partial outputs produced so far.
-func (s *Session) Result() *Result {
-	m := s.collect()
+// the partial outputs produced so far. On a multi-member session it is
+// the first member's result (see Results).
+func (s *Session) Result() *Result { return s.result(s.members[0]) }
+
+// Results returns every member's result, in AddMember order; the first
+// is Result's.
+func (s *Session) Results() []*Result {
+	out := make([]*Result, len(s.members))
+	for i, m := range s.members {
+		out[i] = s.result(m)
+	}
+	return out
+}
+
+func (s *Session) result(mb *member) *Result {
+	m := s.collect(mb)
 	res := &Result{
 		Workload:  s.name,
 		Program:   s.prog,
@@ -424,7 +578,7 @@ func (s *Session) Result() *Result {
 		Generated: s.cpu.Generated,
 		Consumed:  s.cpu.Consumed,
 	}
-	if s.sampler != nil {
+	if mb.sampler != nil {
 		e := m.Sampled
 		res.Sampled = &e
 	}

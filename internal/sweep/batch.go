@@ -82,6 +82,26 @@ func (b *Batch) Points() []Point { return b.points }
 // is its identity in Put and Needs.
 func (b *Batch) Runs() []Run { return b.runs }
 
+// Groups partitions the batch's runs into stream groups: runs whose
+// points share a StreamPoint, and so one emulated instruction stream.
+// Each group lists its runs in dispatch order, and the groups follow
+// the dispatch order of their first runs.
+func (b *Batch) Groups() [][]int {
+	var groups [][]int
+	idx := make(map[Point]int)
+	for r, run := range b.runs {
+		sp := run.Point.StreamPoint()
+		g, ok := idx[sp]
+		if !ok {
+			g = len(groups)
+			idx[sp] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], r)
+	}
+	return groups
+}
+
 // Rows returns the number of output rows.
 func (b *Batch) Rows() int { return b.rows }
 

@@ -81,11 +81,11 @@ func TestBatchLayout(t *testing.T) {
 		if recs[ru.Row].Seed != ru.Point.Seed || recs[ru.Row].Aggregate {
 			t.Fatalf("run %d (%s) sits at row %d, which holds %+v", r, ru.Point, ru.Row, recs[ru.Row])
 		}
-		res, err := eng.runPoint(context.Background(), ru.Point)
+		res, err := eng.runGroup(context.Background(), []Point{ru.Point})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := b.Put(r, res)
+		rows := b.Put(r, res[0])
 		if len(rows) == 0 || rows[0] != ru.Row {
 			t.Fatalf("Put(%d) completed rows %v, want its own row %d first", r, rows, ru.Row)
 		}
@@ -133,11 +133,11 @@ func TestBatchPartialResults(t *testing.T) {
 		t.Fatalf("got %d runs and %d rows, want 4 and 5", len(runs), b.Rows())
 	}
 	for r := range runs[:3] { // all but the last shard
-		res, err := eng.runPoint(context.Background(), runs[r].Point)
+		res, err := eng.runGroup(context.Background(), []Point{runs[r].Point})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Put(r, res)
+		b.Put(r, res[0])
 	}
 	got := b.Results()
 	if len(got) != 1 || got[0].Sim == nil || got[0].Point != pts[0].normalize() {

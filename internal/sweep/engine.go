@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -185,15 +186,19 @@ func (e *Engine) Run(ctx context.Context, g Grid) (Results, error) {
 // Key.Seeds) fans out into one shard run per seed (see Batch), so a
 // lone multi-seed point saturates the pool; its shards are ordinary
 // single-seed points that hit the shared result memo, and their
-// completed results merge into an Aggregate in seed order. The first
-// error aborts the sweep: no further runs are dispatched, in-flight
-// warm-prefix runs are cancelled, and the error is returned once
-// in-flight runs drain — together with the results of the points that
-// did complete (in point order, fully merged aggregates only), so an
-// interrupted sweep can still flush what it finished. Points with a WarmPrefix fork from a shared functional
-// checkpoint of their group's prefix, run once per group (see
-// Grid.WarmPrefix). Results are positionally deterministic — the same
-// points produce the same results at any parallelism.
+// completed results merge into an Aggregate in seed order. Runs that
+// share a functional stream execute as one stream group: one emulator
+// feeding every member's timing model (see Batch.Groups and
+// Point.Join). Groups are split while there are fewer of them than
+// workers, so grouping never costs concurrency. The first error aborts
+// the sweep: no further groups are dispatched, in-flight warm-prefix
+// runs are cancelled, and the error is returned once in-flight groups
+// drain — together with the results of the points that did complete (in
+// point order, fully merged aggregates only), so an interrupted sweep
+// can still flush what it finished. Points with a WarmPrefix fork from
+// a shared functional checkpoint of their group's prefix, run once per
+// group (see Grid.WarmPrefix). Results are positionally deterministic —
+// the same points produce the same results at any parallelism.
 func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Results, error) {
 	if len(pts) == 0 {
 		return nil, ctx.Err()
@@ -207,8 +212,9 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 	if parallel < 1 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	if parallel > len(runs) {
-		parallel = len(runs)
+	groups := splitGroups(b.Groups(), parallel)
+	if parallel > len(groups) {
+		parallel = len(groups)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -229,36 +235,41 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 		cancel()
 	}
 
-	jobs := make(chan int)
+	jobs := make(chan []int)
 	for range parallel {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := range jobs {
+			for g := range jobs {
 				if ctx.Err() != nil {
 					continue // drain without running after an abort
 				}
-				p := runs[r].Point
-				res, err := e.runPoint(ctx, p)
+				pts := make([]Point, len(g))
+				for i, r := range g {
+					pts[i] = runs[r].Point
+				}
+				res, err := e.runGroup(ctx, pts)
 				if err != nil {
-					// No "sweep:" prefix: the wrapped error carries its
-					// package prefix already.
-					fail(fmt.Errorf("%s: %w", p, err))
+					fail(err)
 					continue
 				}
 				mu.Lock()
-				b.Put(r, res)
+				for i, r := range g {
+					b.Put(r, res[i])
+				}
 				mu.Unlock()
 				if e.OnProgress != nil {
-					e.OnProgress(int(done.Add(1)), len(runs))
+					for range g {
+						e.OnProgress(int(done.Add(1)), len(runs))
+					}
 				}
 			}
 		}()
 	}
 dispatch:
-	for r := range runs {
+	for _, g := range groups {
 		select {
-		case jobs <- r:
+		case jobs <- g:
 		case <-ctx.Done():
 			break dispatch
 		}
@@ -277,47 +288,100 @@ dispatch:
 	return b.Results(), err
 }
 
-// runPoint executes one point through a sim.Session, consulting the
-// caches: the result memo first, then the group's shared warm
-// checkpoint, then Start and a chunked run to the end (see runSession).
-// Cached programs are shared read-only across the concurrently running
-// sessions of the worker pool.
-func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
-	p = p.normalize()
-	memoize := e.Results != nil && !p.CaptureProb
-	if memoize {
-		if res, ok := e.Results.get(p); ok {
-			return res, nil
+// splitGroups halves the largest stream group, keeping dispatch order,
+// until there are at least n groups or every group is a single run: a
+// small batch then still fills the pool, and only spare runs share an
+// emulator.
+func splitGroups(groups [][]int, n int) [][]int {
+	for len(groups) < n {
+		big := 0
+		for i, g := range groups {
+			if len(g) > len(groups[big]) {
+				big = i
+			}
 		}
+		g := groups[big]
+		if len(g) < 2 {
+			break
+		}
+		h := len(g) / 2
+		groups = slices.Insert(groups, big+1, g[h:])
+		groups[big] = g[:h]
 	}
+	return groups
+}
+
+// runGroup executes one stream group (see Batch.Groups) and returns its
+// points' results in order, consulting the caches: memoized points are
+// served from the result memo and leave the group, and the rest share
+// one session — forked from the group's warm checkpoint when the points
+// have a WarmPrefix, else cold — run in chunks to the end (see
+// runSession). Cached programs are shared read-only across the
+// concurrently running sessions of the worker pool. Errors name the
+// point they belong to: the failing member, or the first simulated one
+// for the shared stream.
+func (e *Engine) runGroup(ctx context.Context, pts []Point) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(pts))
+	var (
+		run  []int // indices of the points to simulate
+		todo []Point
+	)
+	for i, p := range pts {
+		p = p.normalize()
+		if e.memoize(p) {
+			if res, ok := e.Results.get(p); ok {
+				out[i] = res
+				continue
+			}
+		}
+		run = append(run, i)
+		todo = append(todo, p)
+	}
+	if len(todo) == 0 {
+		return out, nil
+	}
+	lead := todo[0]
 	var (
 		prog *isa.Program
 		from *sim.Checkpoint
 		err  error
 	)
 	if e.Programs != nil {
-		if prog, err = e.Programs.Get(p.Workload, p.Scale, p.Variant); err != nil {
-			return nil, err
+		if prog, err = e.Programs.Get(lead.Workload, lead.Scale, lead.Variant); err != nil {
+			return nil, fmt.Errorf("%s: %w", lead, err)
 		}
 	}
-	if wp, ok := p.WarmPoint(); ok {
+	if wp, ok := lead.WarmPoint(); ok {
 		if from, err = e.warmCheckpoint(ctx, wp, prog); err != nil {
-			return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
+			return nil, fmt.Errorf("%s: warm prefix %s: %w", lead, wp, err)
 		}
 	}
-	s, err := p.Start(prog, from)
+	s, err := lead.Start(prog, from)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", lead, err)
+	}
+	for _, p := range todo[1:] {
+		if err := p.Join(s, prog); err != nil {
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
 	}
 	if err := runSession(ctx, s, RunChunk); err != nil {
-		return nil, err
+		// No "sweep:" prefix: the wrapped error carries its package
+		// prefix already.
+		return nil, fmt.Errorf("%s: %w", lead, err)
 	}
-	res := s.Result()
-	if memoize {
-		e.Results.put(p, res)
+	for k, res := range s.Results() {
+		out[run[k]] = res
+		if e.memoize(todo[k]) {
+			e.Results.put(todo[k], res)
+		}
 	}
-	return res, nil
+	return out, nil
 }
+
+// memoize reports whether the engine memoizes p's result: it has a
+// result memo, and p captures no value streams (they are large).
+func (e *Engine) memoize(p Point) bool { return e.Results != nil && !p.CaptureProb }
 
 // Start builds the point's session on prog (nil builds the program
 // from scratch): forked from the checkpoint from when one is given,
@@ -325,16 +389,13 @@ func (e *Engine) runPoint(ctx context.Context, p Point) (*sim.Result, error) {
 // checkpoint's embedded config, turning the timing model (back) on
 // where the point wants it — it starts cold at the fork — and restoring
 // the point's predictor, width, filter setting and instruction budget.
-// The in-process engine and the sweep service's workers both build
-// every session through Start, so a point runs the same wherever it
-// runs.
+// The in-process engine and the sweep service's workers build every
+// session through Start, so a point runs the same wherever it runs; the
+// engine then adds the rest of the point's stream group with Join.
 func (p Point) Start(prog *isa.Program, from *sim.Checkpoint) (*sim.Session, error) {
-	opts, err := p.Options()
+	opts, err := p.sessionOptions(prog)
 	if err != nil {
 		return nil, err
-	}
-	if prog != nil {
-		opts = append(opts, sim.WithProgram(prog))
 	}
 	if from != nil {
 		return sim.Resume(from, opts...)
@@ -342,32 +403,66 @@ func (p Point) Start(prog *isa.Program, from *sim.Checkpoint) (*sim.Session, err
 	return sim.New(p.Workload, opts...)
 }
 
+// Join adds the point's timing model to s, a session another point of
+// its stream group (same StreamPoint) started on prog and that has not
+// advanced yet (see sim.Session.AddMember). The session then emulates
+// the stream once for both, and the point's result is byte-identical to
+// the one its own Start would produce.
+func (p Point) Join(s *sim.Session, prog *isa.Program) error {
+	opts, err := p.sessionOptions(prog)
+	if err != nil {
+		return err
+	}
+	return s.AddMember(opts...)
+}
+
+// sessionOptions is the point's Options plus the cached program.
+func (p Point) sessionOptions(prog *isa.Program) ([]sim.Option, error) {
+	opts, err := p.Options()
+	if err != nil {
+		return nil, err
+	}
+	if prog != nil {
+		opts = append(opts, sim.WithProgram(prog))
+	}
+	return opts, nil
+}
+
+// StreamPoint returns the canonical point of p's functional stream: p
+// with the timing-only axes — predictor, core width, predictor
+// filtering — at their defaults. Emulation never consumes timing
+// results, so points with one StreamPoint retire the same instruction
+// stream; a batch runs each such set as one stream group (see
+// Batch.Groups and Join). What remains — workload, variant, scale, seed, PBS
+// hardware, value capture, SkipTiming, MaxInstrs, WarmPrefix and the
+// sampling schedule — is exactly what shapes the stream and its
+// schedule.
+func (p Point) StreamPoint() Point {
+	p = p.normalize()
+	p.Predictor = sim.PredTAGESCL
+	p.Width = 4
+	p.FilterProb = false
+	return p
+}
+
 // WarmPoint returns the canonical point whose functional checkpoint this
-// point forks from, and whether warm-prefix reuse applies at all. The
-// timing-only axes — predictor, core width, predictor filtering — are
-// canonicalized away, because emulation never consumes timing results:
-// points differing only there produce the same retired-instruction
-// stream and so share one warm-up. What remains (workload, variant,
-// scale, seed, PBS hardware, value capture) is exactly what shapes
-// functional state. Reuse is skipped when the point's own budget ends
-// inside the prefix — fast-forwarding past MaxInstrs would simulate a
-// different run — and for aggregate points, which never run directly.
-// Exported so the sweep service's workers group points around the same
-// shared prefixes the in-process engine does.
+// point forks from, and whether warm-prefix reuse applies at all. It is
+// the StreamPoint run functional-only up to the prefix, with the
+// sampling schedule canonicalized away too: the prefix runs with the
+// timing model off, so sampled and full points of one functional group
+// share a single warm checkpoint. Reuse is skipped when the point's own
+// budget ends inside the prefix — fast-forwarding past MaxInstrs would
+// simulate a different run — and for aggregate points, which never run
+// directly. Exported so the sweep service's workers group points around
+// the same shared prefixes the in-process engine does.
 func (p Point) WarmPoint() (Point, bool) {
 	if p.WarmPrefix == 0 || p.Sharded() || (p.MaxInstrs != 0 && p.MaxInstrs <= p.WarmPrefix) {
 		return Point{}, false
 	}
-	w := p.normalize()
-	w.Predictor = sim.PredTAGESCL
-	w.Width = 4
-	w.FilterProb = false
+	w := p.StreamPoint()
 	w.SkipTiming = true
 	w.MaxInstrs = p.WarmPrefix
 	w.WarmPrefix = 0
-	// The sampling schedule is timing-only too: the prefix runs with the
-	// timing model off, so sampled and full points of one functional
-	// group share a single warm checkpoint.
 	w.SampleWindow, w.SamplePeriod, w.SampleWarmup, w.SampleFuncWarm = 0, 0, 0, false
 	return w, true
 }

@@ -3,8 +3,10 @@
 // on/off × core width × seeds × variants) into simulation configurations,
 // executes them on a bounded worker pool that stops dispatching on the
 // first error, caches assembled programs so each distinct (workload,
-// scale, variant) is built once and shared read-only across runs, and
-// returns structured per-point results that serialize to JSON or CSV.
+// scale, variant) is built once and shared read-only across runs, runs
+// the points that differ only in timing-only axes on one emulator (see
+// Point.StreamPoint), and returns structured per-point results that
+// serialize to JSON or CSV.
 //
 // internal/experiments regenerates every figure and table of the paper
 // through this engine, and cmd/pbsweep exposes it on the command line.
@@ -284,15 +286,15 @@ func (p Point) Shard(seed uint64) Point {
 	return p
 }
 
-// Options translates the point into session options; Start adds the
-// cached program and builds the session. Aggregate points do not run
+// Options translates the point into session options; Start and Join
+// add the cached program and build or join the session. Aggregate points do not run
 // directly — the engine shards them — so they have no options.
 func (p Point) Options() ([]sim.Option, error) {
 	if p.Sharded() {
 		return nil, fmt.Errorf("sweep: aggregate point %s cannot run directly (the engine shards it per seed)", p)
 	}
-	// Spare capacity for the option Start appends (the cached program)
-	// so a hot sweep loop never regrows the slice.
+	// Spare capacity for the option Start and Join append (the cached
+	// program) so a hot sweep loop never regrows the slice.
 	opts := make([]sim.Option, 0, 12)
 	opts = append(opts,
 		sim.WithScale(p.Scale),
