@@ -76,7 +76,7 @@ func runServe(args []string) {
 	var (
 		addr     = fs.String("addr", ":9571", "listen address")
 		storeDir = fs.String("store", "", "content-addressed result store directory (empty = in-memory only; results vanish with the process)")
-		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "worker lease deadline; a worker silent for this long has its point re-leased")
+		leaseTTL = fs.Duration("lease-ttl", 30*time.Second, "worker lease deadline; a worker silent for this long has its stream group re-leased")
 		memCap   = fs.Int64("mem-cache-mb", 0, "cap the store's in-memory layer at this many MiB, evicting LRU entries to the backing directory (0 = unbounded; requires -store)")
 		noJrnl   = fs.Bool("no-journal", false, "disable the durable job journal even with -store (open jobs then die with the process)")
 		quiet    = fs.Bool("quiet", false, "suppress per-event protocol logging on stderr")
@@ -123,7 +123,7 @@ func runServe(args []string) {
 	}
 	stop()
 
-	// Drain: no new leases; wait for in-flight points to complete or
+	// Drain: no new leases; wait for in-flight groups to complete or
 	// expire. A second signal gives up on the stragglers.
 	fmt.Fprintln(os.Stderr, "pbsweep: draining leases (interrupt again to abort)")
 	dctx, dstop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -186,8 +186,8 @@ func runWorker(args []string) {
 		}()
 	}
 	// First signal: graceful drain — each worker finishes or checkpoints
-	// and releases its current point, then exits. Second signal: hard
-	// abort (leases expire server-side; the points re-lease with
+	// and releases its current stream group, then exits. Second signal:
+	// hard abort (leases expire server-side; the groups re-lease with
 	// whatever progress their renewals shipped).
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

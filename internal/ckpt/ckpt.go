@@ -48,8 +48,12 @@ const magic = "PBSCKPT\n"
 // list; every component section is unchanged. Version 6 writes the
 // session config as the JSON of sim.Config (plus the program hash) in
 // place of a hand-written field list; every other section is
-// unchanged.
-const Version = 6
+// unchanged. Version 7 checkpoints a whole stream group: the config
+// section lists every member's configuration, each member writes its
+// own predictor and pipeline section, and the session section writes
+// the shared sampling-schedule state once, then each member's window
+// populations.
+const Version = 7
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -550,4 +551,62 @@ func TestChaosSweep(t *testing.T) {
 		t.Errorf("the injector never fired (%+v); the sweep was not actually under chaos", st)
 	}
 	t.Logf("chaos: %d requests, %d drops, %d resets, %d dups, %d delays", st.Requests, st.Drops, st.Resets, st.Dups, st.Delays)
+}
+
+// TestChaosGroupKill is migration at group granularity: one worker
+// leases a whole stream group (two predictors × two widths over one
+// functional stream), piggybacks a checkpoint of the shared session and
+// is killed without ceremony. The successor resumes every member from
+// that checkpoint, and each member's record is byte-identical to the
+// in-process engine's.
+func TestChaosGroupKill(t *testing.T) {
+	g := sweep.Grid{
+		Workloads:  []string{"Bandit"},
+		Predictors: []sim.PredictorKind{sim.PredTAGESCL, sim.PredTournament},
+		Widths:     []int{4, 8},
+		PBS:        []bool{true},
+		Seeds:      []uint64{19},
+		MaxInstrs:  400_000,
+	}
+	wantJSON, _ := batchOutputs(t, []sweep.Grid{g})
+
+	lb := &logBuf{}
+	srv := NewServer(NewMemStore())
+	srv.LeaseTTL = 3 * time.Second
+	srv.RetryMS = 5
+	srv.Logf = lb.logf
+	_, base := startServer(t, srv)
+
+	var recs []sweep.Record
+	var cerr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		recs, cerr = (&Client{Server: base}).Collect(context.Background(), g, nil)
+	}()
+
+	vctx, vcancel := context.WithCancel(context.Background())
+	defer vcancel()
+	go migrationWorker(base, "victim").Run(vctx)
+	waitFor(t, func() bool { return lb.contains("serve: progress ") }, 30*time.Second, "a group progress checkpoint to land")
+	vcancel()
+
+	startWorkers(t, base, 1)
+	<-done
+	if cerr != nil {
+		t.Fatalf("collect across the group migration: %v", cerr)
+	}
+	if !lb.contains("(4 points, victim)") {
+		t.Fatal("the victim did not lease the whole stream group")
+	}
+	if !lb.contains("(4 points, w0) resumes @") {
+		t.Fatal("the successor did not resume the group from the victim's checkpoint")
+	}
+	var j bytes.Buffer
+	if err := sweep.WriteRecordsJSON(&j, recs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(j.Bytes(), wantJSON[0]) {
+		t.Errorf("migrated group differs from the in-process engine\n%s", firstDiff(j.Bytes(), wantJSON[0]))
+	}
 }

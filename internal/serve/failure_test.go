@@ -3,11 +3,17 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -90,7 +96,7 @@ func TestStalledWorkerLateCompletion(t *testing.T) {
 	// Compute the point's result for real (the stall is in reporting,
 	// not in the simulation), through the in-process engine: a
 	// deterministic result is the same wherever it runs.
-	rs, err := sweep.NewEngine().RunPoints(context.Background(), []sweep.Point{*lr.Point}, 1)
+	rs, err := sweep.NewEngine().RunPoints(context.Background(), lr.Points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +112,7 @@ func TestStalledWorkerLateCompletion(t *testing.T) {
 
 	// The late completion, under the now-dead lease, still lands.
 	var cr CompleteResponse
-	fpost(t, base, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: *lr.Point, Result: rs[0].Sim}, &cr)
+	fpost(t, base, "/v1/complete", CompleteRequest{Lease: lr.Lease, Members: []MemberResult{{Point: lr.Points[0], Result: rs[0].Sim}}}, &cr)
 	if cr.Status != StatusOK {
 		t.Fatalf("late completion: status %q, want %q", cr.Status, StatusOK)
 	}
@@ -146,7 +152,7 @@ func TestRunErrorCancelsJob(t *testing.T) {
 
 	// Worker a reports a failure.
 	var cr CompleteResponse
-	fpost(t, base, "/v1/complete", CompleteRequest{Lease: la.Lease, Point: *la.Point, Error: "synthetic failure"}, &cr)
+	fpost(t, base, "/v1/complete", CompleteRequest{Lease: la.Lease, Members: []MemberResult{{Point: la.Points[0], Error: "synthetic failure"}}}, &cr)
 
 	// The job is finished with the error, and the stream says so.
 	var last StreamEntry
@@ -240,5 +246,180 @@ func TestClientDisconnectDoesNotAbort(t *testing.T) {
 	if len(seen) != jr.Rows || !last.Done || last.Err != "" {
 		t.Errorf("replay: %d rows, done=%v err=%q; want %d rows and a clean terminal entry",
 			len(seen), last.Done, last.Err, jr.Rows)
+	}
+}
+
+// TestServeLeasesStreamGroups pins lease-time grouping: the four points
+// of a 1-workload × 2-predictor × 2-width × 1-seed grid share one
+// functional stream. With one worker they go out as one lease; with two
+// workers that both polled before the job landed, the group splits so
+// that both lease. Either way the job's records are byte-identical to
+// the in-process engine's.
+func TestServeLeasesStreamGroups(t *testing.T) {
+	g := sweep.Grid{
+		Workloads:  []string{"PI"},
+		Predictors: []sim.PredictorKind{sim.PredTAGESCL, sim.PredTournament},
+		Widths:     []int{4, 8},
+		Seeds:      []uint64{3},
+		MaxInstrs:  40_000,
+	}
+	wantJSON, _ := batchOutputs(t, []sweep.Grid{g})
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			srv := NewServer(NewMemStore())
+			srv.RetryMS = 5
+			_, base := startServer(t, srv)
+			names := []string{"a", "b"}[:workers]
+			for _, name := range names {
+				var lr LeaseResponse
+				fpost(t, base, "/v1/lease", LeaseRequest{Worker: name}, &lr)
+				if lr.Status != StatusIdle {
+					t.Fatalf("lease before any job: status %q, want %q", lr.Status, StatusIdle)
+				}
+			}
+			c := &Client{Server: base}
+			jr, err := c.Submit(context.Background(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var leases []LeaseResponse
+			seen := map[sweep.Point]bool{}
+			for _, name := range names {
+				var lr LeaseResponse
+				fpost(t, base, "/v1/lease", LeaseRequest{Worker: name}, &lr)
+				if lr.Status != StatusPoint {
+					t.Fatalf("worker %s: lease status %q, want %q", name, lr.Status, StatusPoint)
+				}
+				if len(lr.Points) != 4/workers {
+					t.Errorf("worker %s leased %d points, want %d", name, len(lr.Points), 4/workers)
+				}
+				for _, p := range lr.Points {
+					seen[p] = true
+				}
+				leases = append(leases, lr)
+			}
+			if len(seen) != 4 {
+				t.Errorf("the leases cover %d distinct points, want 4", len(seen))
+			}
+			var idle LeaseResponse
+			fpost(t, base, "/v1/lease", LeaseRequest{Worker: names[0]}, &idle)
+			if idle.Status != StatusIdle {
+				t.Errorf("lease after the grid went out: status %q, want %q", idle.Status, StatusIdle)
+			}
+
+			for _, lr := range leases {
+				rs, err := sweep.NewEngine().RunPoints(context.Background(), lr.Points, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				members := make([]MemberResult, len(rs))
+				for i, r := range rs {
+					members[i] = MemberResult{Point: r.Point, Result: r.Sim}
+				}
+				var cr CompleteResponse
+				fpost(t, base, "/v1/complete", CompleteRequest{Lease: lr.Lease, Members: members}, &cr)
+				if cr.Status != StatusOK {
+					t.Fatalf("completion: status %q, want %q", cr.Status, StatusOK)
+				}
+			}
+			rows := make([]json.RawMessage, jr.Rows)
+			var last StreamEntry
+			if err := c.Stream(context.Background(), jr.ID, 0, func(e StreamEntry) error {
+				if !e.Done {
+					rows[e.Pos] = e.Row
+				}
+				last = e
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !last.Done || last.Err != "" {
+				t.Fatalf("terminal entry done=%v err=%q, want a clean completion", last.Done, last.Err)
+			}
+			recs, err := decodeRows(rows, jr.Rows, jr.Rows, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var j bytes.Buffer
+			if err := sweep.WriteRecordsJSON(&j, recs); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(j.Bytes(), wantJSON[0]) {
+				t.Errorf("grouped records differ from the in-process engine\n%s", firstDiff(j.Bytes(), wantJSON[0]))
+			}
+		})
+	}
+}
+
+// TestStoreFailureFailsJob: a result the store cannot make durable is
+// never promised. The store's directory vanishes after OpenStore, so
+// the completion's Put fails; the job fails with the store error
+// instead of streaming (and journaling) a row a restarted server could
+// not rebuild, and the store keeps missing the address rather than
+// serving the result from memory.
+func TestStoreFailureFailsJob(t *testing.T) {
+	g := sweep.Grid{Workloads: []string{"PI"}, Seeds: []uint64{9}, MaxInstrs: 40_000}
+	dir := filepath.Join(t.TempDir(), "store")
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	srv.RetryMS = 5
+	_, base := startServer(t, srv)
+	startWorkers(t, base, 1)
+
+	c := &Client{Server: base}
+	jr, err := c.Submit(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var entries []StreamEntry
+	if err := c.Stream(ctx, jr.ID, 0, func(e StreamEntry) error {
+		entries = append(entries, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if last := entries[len(entries)-1]; len(entries) != 1 || !strings.Contains(last.Err, "store put") {
+		t.Fatalf("stream has %d entries ending in done=%v err=%q, want only a terminal entry carrying the store error",
+			len(entries), last.Done, last.Err)
+	}
+	pts, err := g.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Get(Addr("result", pts[0].Canonical())); ok {
+		t.Error("the store serves a result it failed to persist")
+	}
+}
+
+// TestConcurrentDrain: Drain is safe from any number of goroutines at
+// once, and a drained worker's Run returns nil.
+func TestConcurrentDrain(t *testing.T) {
+	for range 2000 {
+		w := &Worker{Server: "http://127.0.0.1:1"}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				w.Drain()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if err := w.Run(context.Background()); err != nil {
+			t.Fatalf("drained worker: Run returned %v, want nil", err)
+		}
 	}
 }

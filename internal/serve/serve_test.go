@@ -3,16 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -112,24 +108,13 @@ func startWorkers(t *testing.T, base string, n int) (stop func()) {
 // TestServeMatchesBatch is the acceptance smoke: one server, two
 // workers, the 13-point grid suite — every job's reassembled stream
 // must serialize byte-identically (JSON and CSV) to the in-process
-// batch engine, each record streamed exactly once. It also pins the
-// cluster-wide warm singleflight: the warm-prefix group's checkpoint is
-// built exactly once across both workers.
+// batch engine, each record streamed exactly once.
 func TestServeMatchesBatch(t *testing.T) {
 	grids := smokeGrids()
 	wantJSON, wantCSV := batchOutputs(t, grids)
 
-	var logMu sync.Mutex
-	warmBuilds := 0
 	srv := NewServer(NewMemStore())
 	srv.RetryMS = 5
-	srv.Logf = func(format string, args ...any) {
-		if strings.HasPrefix(format, "serve: warm build") && !strings.Contains(format, "failed") {
-			logMu.Lock()
-			warmBuilds++
-			logMu.Unlock()
-		}
-	}
 	_, base := startServer(t, srv)
 	startWorkers(t, base, 2)
 
@@ -159,12 +144,6 @@ func TestServeMatchesBatch(t *testing.T) {
 		if !bytes.Equal(cv.Bytes(), wantCSV[i]) {
 			t.Errorf("grid %d: streamed CSV differs from batch engine output\n%s", i, firstDiff(cv.Bytes(), wantCSV[i]))
 		}
-	}
-
-	logMu.Lock()
-	defer logMu.Unlock()
-	if warmBuilds != 1 {
-		t.Errorf("warm prefix built %d times across the cluster, want exactly 1", warmBuilds)
 	}
 }
 
@@ -261,88 +240,10 @@ func TestServerRestartServesFromStore(t *testing.T) {
 	}
 }
 
-// TestStaleWarmCheckpointRebuilt pins the warm namespace's version: a
-// server restarted on a store directory that an older build wrote must
-// not serve that build's warm checkpoints, which this build's
-// sim.LoadCheckpoint rejects. The store is preloaded with an
-// older-version blob at both the unversioned "warm" address and the
-// previous version's address; the group rebuilds its warm-up and the
-// job finishes byte-identical to the in-process engine.
-func TestStaleWarmCheckpointRebuilt(t *testing.T) {
-	g := sweep.Grid{
-		Workloads:  []string{"PI"},
-		Predictors: []sim.PredictorKind{sim.PredTAGESCL, sim.PredTournament},
-		Seeds:      []uint64{11},
-		WarmPrefix: 20_000,
-		MaxInstrs:  80_000,
-	}
-	wantJSON, _ := batchOutputs(t, []sweep.Grid{g})
-	pts, err := g.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, ok := pts[0].WarmPoint()
-	if !ok {
-		t.Fatal("grid has no warm group")
-	}
-	ck, err := sweep.RunWarmPrefix(context.Background(), wp, nil, sweep.RunChunk)
-	if err != nil || ck == nil {
-		t.Fatalf("warm prefix: %v, %v", ck, err)
-	}
-	// The same checkpoint as an older build wrote it: the version varint
-	// follows the 8-byte magic, and the trailing FNV-64a covers the rest.
-	old := append([]byte(nil), ck.Bytes()...)
-	old[8] = ckpt.Version - 1
-	body := old[:len(old)-8]
-	h := fnv.New64a()
-	h.Write(body)
-	binary.LittleEndian.PutUint64(old[len(body):], h.Sum64())
-	if _, err := sim.LoadCheckpoint(old); err == nil {
-		t.Fatal("older-version checkpoint loads; the test would prove nothing")
-	}
-
-	dir := t.TempDir()
-	store, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, addr := range []string{Addr("warm", wp.Canonical()), warmAddr(wp.Canonical(), ckpt.Version-1)} {
-		if err := store.Put(addr, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	store, err = OpenStore(dir) // the restart
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(store)
-	srv.RetryMS = 5
-	_, base := startServer(t, srv)
-	startWorkers(t, base, 1)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	recs, err := (&Client{Server: base}).Collect(ctx, g, nil)
-	if err != nil {
-		t.Fatalf("job over a store with stale warm checkpoints: %v", err)
-	}
-	var j bytes.Buffer
-	if err := sweep.WriteRecordsJSON(&j, recs); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j.Bytes(), wantJSON[0]) {
-		t.Errorf("records differ from batch output\n%s", firstDiff(j.Bytes(), wantJSON[0]))
-	}
-	if data, ok := store.Get(warmAddr(wp.Canonical(), ckpt.Version)); !ok || !bytes.Equal(data, ck.Bytes()) {
-		t.Errorf("rebuilt warm checkpoint not stored at the current version's address (found=%v)", ok)
-	}
-}
-
 // TestServeWarmPrefixHaltInsidePrefix is the service side of the
 // engine's TestWarmPrefixHaltInsidePrefix: the program halts before the
-// prefix ends, so the group's one build stores the zero-length "run
-// cold" marker and the group's second point reads it as StatusCold.
-// The output is byte-identical to the in-process engine's.
+// prefix ends, so the group runs cold, and the output is byte-identical
+// to the in-process engine's.
 func TestServeWarmPrefixHaltInsidePrefix(t *testing.T) {
 	g := sweep.Grid{
 		Workloads:  []string{"Photon"},
@@ -353,18 +254,8 @@ func TestServeWarmPrefixHaltInsidePrefix(t *testing.T) {
 	}
 	wantJSON, wantCSV := batchOutputs(t, []sweep.Grid{g})
 
-	var logMu sync.Mutex
-	warmBuilds := 0
-	store := NewMemStore()
-	srv := NewServer(store)
+	srv := NewServer(NewMemStore())
 	srv.RetryMS = 5
-	srv.Logf = func(format string, args ...any) {
-		if strings.HasPrefix(format, "serve: warm build") && !strings.Contains(format, "failed") {
-			logMu.Lock()
-			warmBuilds++
-			logMu.Unlock()
-		}
-	}
 	_, base := startServer(t, srv)
 	startWorkers(t, base, 1)
 
@@ -385,23 +276,10 @@ func TestServeWarmPrefixHaltInsidePrefix(t *testing.T) {
 	if !bytes.Equal(cv.Bytes(), wantCSV[0]) {
 		t.Errorf("streamed CSV differs from batch output\n%s", firstDiff(cv.Bytes(), wantCSV[0]))
 	}
-	pts, err := g.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wp, _ := pts[0].WarmPoint()
-	if data, ok := store.Get(warmAddr(wp.Canonical(), ckpt.Version)); !ok || len(data) != 0 {
-		t.Errorf("warm slot holds %d bytes (found=%v), want the zero-length run-cold marker", len(data), ok)
-	}
-	logMu.Lock()
-	defer logMu.Unlock()
-	if warmBuilds != 1 {
-		t.Errorf("warm prefix built %d times, want 1 (the second point must read StatusCold)", warmBuilds)
-	}
 }
 
 // TestStoreRoundTrip covers the store's basics: immutability, zero-byte
-// entries (the warm "run cold" marker), persistence across reopen.
+// entries, persistence across reopen.
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir)

@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -22,6 +22,17 @@ import (
 // workers lease, execute and complete, and the server merges completed
 // results back into jobs — including the per-seed shard merge of
 // aggregate points — exactly as the in-process engine would.
+//
+// The unit of leasing is a stream group: pending runs that share a
+// functional stream (sweep.Point.StreamPoint), which a worker emulates
+// once for all of them (sweep.StartGroup). Runs gather in their
+// stream's group until it is leased. Like the engine's pool, the server
+// splits queued groups (sweep.SplitGroups) while there are fewer of
+// them than active workers — those holding a lease or asking for one
+// within the last lease TTL — so grouping never idles a worker; with
+// one worker no group is split. Once leased, a group's membership is
+// fixed: it is renewed, released, expired and re-queued as a unit,
+// together with its progress checkpoint.
 //
 // Deduplication happens at two layers. In flight, runs are singleflight
 // by content address: points shared by concurrent jobs (or repeated
@@ -33,12 +44,13 @@ import (
 // Failure semantics mirror the engine's first-error abort, scoped per
 // job: a worker-reported error fails every job waiting on that run,
 // cancels the jobs' other pending runs, and answers subsequent renewals
-// of their in-flight leases with StatusGone so workers abandon them
-// mid-point. A lease that is neither renewed nor completed within its
-// TTL is reclaimed and the point re-leased — worker loss delays a job,
-// never wedges it. Workers piggyback mid-point progress checkpoints on
-// their renewals, so a re-leased point resumes where its dead worker
-// left off instead of restarting cold.
+// of their in-flight leases with StatusGone once no member of the group
+// is still wanted, so workers abandon it mid-run. A lease that is
+// neither renewed nor completed within its TTL is reclaimed and the
+// group re-leased — worker loss delays a job, never wedges it. Workers
+// piggyback mid-run progress checkpoints on their renewals, so a
+// re-leased group resumes where its dead worker left off instead of
+// restarting cold.
 //
 // With AttachJournal, accepted jobs and delivered rows are also
 // recorded in a durable journal; a restarted server replays it, rebuilds
@@ -48,8 +60,8 @@ type Server struct {
 	// LeaseTTL is the worker lease deadline (renewals reset it). The
 	// zero value means 30s.
 	LeaseTTL time.Duration
-	// RetryMS is the poll interval the server suggests to idle workers
-	// and warm-checkpoint waiters. The zero value means 100ms.
+	// RetryMS is the poll interval the server suggests to idle workers.
+	// The zero value means 100ms.
 	RetryMS int64
 	// Logf, when set, receives one line per protocol event.
 	Logf func(format string, args ...any)
@@ -60,13 +72,13 @@ type Server struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	runs      map[string]*run // live (pending or leased) runs by address
-	queue     []*run          // FIFO of pending runs; may hold stale entries
-	leases    map[uint64]*run
-	warm      map[string]*warmSlot // in-flight warm builds by address
+	runs      map[string]*run      // queued or leased runs by address
+	open      map[string]*group    // per stream, the queued group still gathering runs
+	queue     []*group             // FIFO of queued groups; may hold dead ones
+	leases    map[uint64]*group    // leased groups by lease
+	asked     map[string]time.Time // per worker name, its last lease request
 	nextJob   uint64
 	nextLease uint64
-	nextToken uint64
 	draining  bool
 }
 
@@ -78,8 +90,9 @@ func NewServer(store *Store) *Server {
 		now:    time.Now,
 		jobs:   make(map[string]*job),
 		runs:   make(map[string]*run),
-		leases: make(map[uint64]*run),
-		warm:   make(map[string]*warmSlot),
+		open:   make(map[string]*group),
+		leases: make(map[uint64]*group),
+		asked:  make(map[string]time.Time),
 	}
 }
 
@@ -89,43 +102,55 @@ type taskRef struct {
 	run int
 }
 
-const (
-	runPending = iota
-	runLeased
-	runDone
-)
-
-// run is the unit of leasing: one executable single-seed point, plus
-// every job output slot waiting on it. Runs are singleflight by
-// address — a point two jobs need executes once.
+// run is one executable single-seed point, plus every job output slot
+// waiting on it. Runs are singleflight by address — a point two jobs
+// need executes once. A run with no waiters left (its jobs failed) is
+// dead: a queued group drops it, a leased one carries it to the end.
 type run struct {
-	addr     string
-	point    sweep.Point
-	state    int
-	lease    uint64
+	addr    string
+	point   sweep.Point
+	waiters []taskRef
+}
+
+// group is the unit of leasing: runs sharing one functional stream.
+type group struct {
+	stream string // the runs' StreamPoint().Canonical()
+	runs   []*run
+	// fixed records that the membership no longer changes: the group was
+	// leased (its progress checkpoint holds one timing model per run) or
+	// split. Until then a queued group gathers its stream's new runs.
+	fixed    bool
+	lease    uint64 // 0 while queued
+	worker   string
 	deadline time.Time
-	waiters  []taskRef
-	// progress is the latest mid-point checkpoint a worker piggybacked
-	// on a renewal (or handed back with a released lease). A re-lease
+	// progress is the latest mid-run checkpoint a worker piggybacked on
+	// a renewal (or handed back with a released lease). A re-lease
 	// ships it so the next worker resumes instead of restarting cold.
-	// Entries replace only on a higher instruction count and are
-	// dropped on completion or cancellation — the mutable, in-memory
-	// contrast to the immutable result store: progress is a hint worth
-	// at most one TTL of work, never a value anyone depends on.
+	// It replaces only on a higher instruction count and is dropped
+	// with the group — the mutable, in-memory contrast to the immutable
+	// result store: progress is a hint worth at most one TTL of work,
+	// never a value anyone depends on.
 	progress       []byte
 	progressInstrs uint64
 }
 
-// warmSlot tracks an in-flight warm-prefix build. Completed warm
-// checkpoints live in the store (a zero-length entry means "halted
-// inside the prefix: run cold"), so slots exist only between handing a
-// build to a worker and its upload. A slot whose deadline passes is
-// rebuilt by the next requester; should the original build still land,
-// it is accepted anyway — checkpoints are deterministic bytes, so
-// duplicate builders are wasteful, never wrong.
-type warmSlot struct {
-	token    uint64
-	deadline time.Time
+// live reports whether any run of the group is still wanted.
+func (g *group) live() bool {
+	for _, ru := range g.runs {
+		if len(ru.waiters) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// points lists the group's points in member order.
+func (g *group) points() []sweep.Point {
+	pts := make([]sweep.Point, len(g.runs))
+	for i, ru := range g.runs {
+		pts[i] = ru.point
+	}
+	return pts
 }
 
 // job is one submitted grid: its batch (the runs, the output-row
@@ -151,8 +176,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/renew", s.handleRenew)
 	mux.HandleFunc("POST /v1/release", s.handleRelease)
 	mux.HandleFunc("POST /v1/complete", s.handleComplete)
-	mux.HandleFunc("POST /v1/warm", s.handleWarm)
-	mux.HandleFunc("POST /v1/warm/complete", s.handleWarmComplete)
 	return mux
 }
 
@@ -310,7 +333,7 @@ func (s *Server) resolveJob(j *job) (cached, scheduled int) {
 // resolveUnit (mu held) resolves one executable unit against the two
 // dedup layers: a store hit delivers ref's row immediately and reports
 // true; a miss attaches ref to the in-flight singleflight run for the
-// point, enqueueing a new one if needed.
+// point, queueing a new one in its stream's gathering group if needed.
 func (s *Server) resolveUnit(p sweep.Point, ref taskRef) bool {
 	if res, err := s.loadResult(p); err == nil {
 		s.deliver(ref, res)
@@ -320,13 +343,65 @@ func (s *Server) resolveUnit(p sweep.Point, ref taskRef) bool {
 	// store entry schedules a run.
 	addr := Addr("result", p.Canonical())
 	ru := s.runs[addr]
-	if ru == nil || ru.state == runDone {
-		ru = &run{addr: addr, point: p, state: runPending}
+	if ru == nil {
+		ru = &run{addr: addr, point: p}
 		s.runs[addr] = ru
-		s.queue = append(s.queue, ru)
+		s.enqueue(ru)
 	}
 	ru.waiters = append(ru.waiters, ref)
 	return false
+}
+
+// enqueue (mu held) adds a new run to its stream's gathering group,
+// queueing a new group when the stream has none.
+func (s *Server) enqueue(ru *run) {
+	stream := ru.point.StreamPoint().Canonical()
+	g := s.open[stream]
+	if g == nil {
+		g = &group{stream: stream}
+		s.open[stream] = g
+		s.queue = append(s.queue, g)
+	}
+	g.runs = append(g.runs, ru)
+}
+
+// fix (mu held) closes g's membership: its dead runs leave, and its
+// stream's later runs gather in a new group.
+func (s *Server) fix(g *group) {
+	if g.fixed {
+		return
+	}
+	g.fixed = true
+	if s.open[g.stream] == g {
+		delete(s.open, g.stream)
+	}
+	kept := g.runs[:0]
+	for _, ru := range g.runs {
+		if len(ru.waiters) > 0 {
+			kept = append(kept, ru)
+		} else {
+			s.forget(ru)
+		}
+	}
+	g.runs = kept
+}
+
+// drop (mu held) discards a group none of whose runs is wanted.
+func (s *Server) drop(g *group) {
+	if s.open[g.stream] == g {
+		delete(s.open, g.stream)
+	}
+	for _, ru := range g.runs {
+		s.forget(ru)
+	}
+}
+
+// forget (mu held) removes a finished or dead run from the address
+// index, unless a newer run took its address.
+func (s *Server) forget(ru *run) {
+	if s.runs[ru.addr] == ru {
+		delete(s.runs, ru.addr)
+	}
 }
 
 // loadResult fetches and decodes a point's result from the store.
@@ -557,43 +632,109 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	now := s.now()
 	s.mu.Lock()
 	s.reclaim(now)
-	var ru *run
-	if !s.draining {
-		for len(s.queue) > 0 {
-			cand := s.queue[0]
-			s.queue = s.queue[1:]
-			if cand.state != runPending || len(cand.waiters) == 0 {
-				continue // reclaimed elsewhere, cancelled, or already done
-			}
-			ru = cand
-			break
-		}
-	}
-	if ru == nil {
+	s.asked[req.Worker] = now
+	g := s.nextGroup(now)
+	if g == nil {
 		s.mu.Unlock()
 		writeJSON(w, LeaseResponse{Status: StatusIdle, RetryMS: s.retryMS()})
 		return
 	}
-	ru.state = runLeased
 	s.nextLease++
-	ru.lease = s.nextLease
-	ru.deadline = now.Add(s.leaseTTL())
-	s.leases[ru.lease] = ru
-	resp := LeaseResponse{Status: StatusPoint, Lease: ru.lease, Point: &ru.point, TTLMS: s.leaseTTL().Milliseconds()}
-	point := ru.point
-	if len(ru.progress) > 0 {
+	g.lease = s.nextLease
+	g.worker = req.Worker
+	g.deadline = now.Add(s.leaseTTL())
+	s.leases[g.lease] = g
+	resp := LeaseResponse{Status: StatusPoint, Lease: g.lease, Points: g.points(), TTLMS: s.leaseTTL().Milliseconds()}
+	if len(g.progress) > 0 {
 		// Ship the predecessor's progress: the new worker resumes at
 		// this instruction count instead of restarting cold.
-		resp.Checkpoint = ru.progress
-		resp.Instrs = ru.progressInstrs
+		resp.Checkpoint = g.progress
+		resp.Instrs = g.progressInstrs
 	}
 	s.mu.Unlock()
+	lead, n := resp.Points[0], len(resp.Points)
 	if resp.Instrs > 0 {
-		s.logf("serve: lease %d -> %s (%s) resumes @%d", resp.Lease, point, req.Worker, resp.Instrs)
+		s.logf("serve: lease %d -> %s (%d points, %s) resumes @%d", resp.Lease, lead, n, req.Worker, resp.Instrs)
 	} else {
-		s.logf("serve: lease %d -> %s (%s)", resp.Lease, point, req.Worker)
+		s.logf("serve: lease %d -> %s (%d points, %s)", resp.Lease, lead, n, req.Worker)
 	}
 	writeJSON(w, resp)
+}
+
+// nextGroup (mu held) takes the first live queued group off the queue
+// and fixes its membership, after splitting queued groups while there
+// are fewer of them than active workers. It returns nil when draining
+// or when nothing is queued.
+func (s *Server) nextGroup(now time.Time) *group {
+	if s.draining {
+		return nil
+	}
+	if n := s.activeWorkers(now); len(s.queue) < n {
+		s.split(n)
+	}
+	for len(s.queue) > 0 {
+		g := s.queue[0]
+		s.queue = s.queue[1:]
+		s.fix(g)
+		if g.live() {
+			return g
+		}
+		s.drop(g)
+	}
+	return nil
+}
+
+// activeWorkers (mu held) counts the workers that hold a lease or asked
+// for one within the last lease TTL, forgetting those that did neither.
+func (s *Server) activeWorkers(now time.Time) int {
+	active := make(map[string]bool, len(s.asked))
+	for name, t := range s.asked {
+		if now.Sub(t) > s.leaseTTL() {
+			delete(s.asked, name)
+			continue
+		}
+		active[name] = true
+	}
+	for _, g := range s.leases {
+		active[g.worker] = true
+	}
+	return len(active)
+}
+
+// split (mu held) splits the queued groups with the engine's rule
+// (sweep.SplitGroups) until there are n of them or none can split. Only
+// groups still gathering runs split — a fixed group's membership
+// matches its progress checkpoint — and each becomes fixed groups that
+// keep its queue position. The queue is shorter than n, so this walks
+// only a handful of groups.
+func (s *Server) split(n int) {
+	var runs [][]*run
+	gathering := make([]bool, len(s.queue))
+	for i, g := range s.queue {
+		if g.fixed {
+			n--
+			continue
+		}
+		gathering[i] = true
+		s.fix(g)
+		if len(g.runs) > 0 {
+			runs = append(runs, g.runs)
+		}
+	}
+	// SplitGroups keeps each group's parts contiguous and in order.
+	parts := sweep.SplitGroups(runs, n)
+	queue := make([]*group, 0, len(s.queue)+len(parts))
+	for i, g := range s.queue {
+		if !gathering[i] {
+			queue = append(queue, g)
+			continue
+		}
+		for covered := 0; covered < len(g.runs); parts = parts[1:] {
+			covered += len(parts[0])
+			queue = append(queue, &group{stream: g.stream, runs: parts[0], fixed: true})
+		}
+	}
+	s.queue = queue
 }
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
@@ -605,33 +746,38 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	now := s.now()
 	s.mu.Lock()
 	s.reclaim(now)
-	ru := s.leases[req.Lease]
-	// A run whose every waiter vanished (all its jobs failed) is
-	// cancelled: tell the worker to stop burning cycles on it.
-	if ru == nil || len(ru.waiters) == 0 {
+	g := s.leases[req.Lease]
+	// A group none of whose runs is wanted any more (all their jobs
+	// failed) is cancelled: tell the worker to stop burning cycles on it.
+	if g == nil || !g.live() {
 		s.mu.Unlock()
 		writeJSON(w, RenewResponse{Status: StatusGone})
 		return
 	}
-	ru.deadline = now.Add(s.leaseTTL())
-	var progressed uint64
-	if len(req.Checkpoint) > 0 && req.Instrs > ru.progressInstrs {
-		// Replace-on-higher-count: a stale renewal (delayed, duplicated,
-		// or from a worker that fell behind) never regresses progress.
-		ru.progress = req.Checkpoint
-		ru.progressInstrs = req.Instrs
-		progressed = req.Instrs
-	}
-	point := ru.point
+	g.deadline = now.Add(s.leaseTTL())
+	progressed := s.progress(g, req.Checkpoint, req.Instrs)
+	lead := g.runs[0].point
 	s.mu.Unlock()
-	if progressed > 0 {
-		s.logf("serve: progress %s @%d", point, progressed)
+	if progressed {
+		s.logf("serve: progress %s @%d", lead, req.Instrs)
 	}
 	writeJSON(w, RenewResponse{Status: StatusOK, TTLMS: s.leaseTTL().Milliseconds()})
 }
 
+// progress (mu held) keeps a group's newer progress checkpoint and
+// reports whether it did. Replace-on-higher-count: a stale renewal
+// (delayed, duplicated, or from a worker that fell behind) never
+// regresses progress.
+func (s *Server) progress(g *group, ck []byte, instrs uint64) bool {
+	if len(ck) == 0 || instrs <= g.progressInstrs {
+		return false
+	}
+	g.progress, g.progressInstrs = ck, instrs
+	return true
+}
+
 // handleRelease hands a lease back voluntarily — the graceful half of
-// lease expiry, used by draining workers. The point returns to the
+// lease expiry, used by draining workers. The group returns to the
 // queue with the released checkpoint as its progress, so the next
 // worker continues instead of restarting.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -643,181 +789,132 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	now := s.now()
 	s.mu.Lock()
 	s.reclaim(now)
-	ru := s.leases[req.Lease]
-	if ru == nil {
+	g := s.leases[req.Lease]
+	if g == nil {
 		s.mu.Unlock()
 		writeJSON(w, ReleaseResponse{Status: StatusGone})
 		return
 	}
-	delete(s.leases, req.Lease)
-	ru.lease = 0
-	if len(req.Checkpoint) > 0 && req.Instrs > ru.progressInstrs {
-		ru.progress = req.Checkpoint
-		ru.progressInstrs = req.Instrs
-	}
-	if len(ru.waiters) == 0 {
-		ru.state = runDone
-		ru.progress, ru.progressInstrs = nil, 0
-		delete(s.runs, ru.addr)
-	} else {
-		ru.state = runPending
-		s.queue = append(s.queue, ru)
-		s.logf("serve: lease %d on %s released @%d; re-queueing", req.Lease, ru.point, ru.progressInstrs)
+	s.progress(g, req.Checkpoint, req.Instrs)
+	if s.requeue(g) {
+		s.logf("serve: lease %d on %s released @%d; re-queueing", req.Lease, g.runs[0].point, g.progressInstrs)
 	}
 	s.mu.Unlock()
 	writeJSON(w, ReleaseResponse{Status: StatusOK})
 }
 
+// requeue (mu held) ends g's lease and puts the group back in the
+// queue, progress and all, or drops it when none of its runs is wanted
+// any more. It reports whether the group was re-queued.
+func (s *Server) requeue(g *group) bool {
+	delete(s.leases, g.lease)
+	g.lease = 0
+	if !g.live() {
+		s.drop(g)
+		return false
+	}
+	s.queue = append(s.queue, g)
+	return true
+}
+
+// handleComplete records a finished group, member by member. A member
+// is matched to its run by address, not by lease, so a result that
+// arrives after its lease expired (and may have been re-leased) is
+// still a valid, deterministic completion of the point.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Error == "" && req.Result == nil {
-		http.Error(w, "serve: completion carries neither result nor error", http.StatusBadRequest)
+	if len(req.Members) == 0 {
+		http.Error(w, "serve: completion carries no members", http.StatusBadRequest)
 		return
 	}
-	addr := Addr("result", req.Point.Canonical())
-	s.mu.Lock()
-	ru := s.leases[req.Lease]
-	if ru == nil || ru.addr != addr {
-		// The lease expired (and may have been re-leased) or its job was
-		// cancelled. The result is still a valid, deterministic completion
-		// of the point, so accept it by address if the run is still live.
-		ru = s.runs[addr]
-	} else {
-		delete(s.leases, req.Lease)
+	for _, m := range req.Members {
+		if (m.Error == "") == (m.Result == nil) {
+			http.Error(w, fmt.Sprintf("serve: completion of %s carries neither or both of result and error", m.Point), http.StatusBadRequest)
+			return
+		}
 	}
-	if ru == nil || ru.state == runDone {
-		s.mu.Unlock()
-		// Persist even an orphaned success: the work is done, let the
-		// store remember it. (A duplicated completion delivery lands
-		// here too; Put is first-write-wins, so it is a no-op.)
-		if req.Error == "" && req.Result != nil {
-			if data, err := json.Marshal(req.Result); err == nil {
-				s.store.Put(addr, data)
+	s.mu.Lock()
+	g := s.leases[req.Lease]
+	if g != nil {
+		delete(s.leases, req.Lease)
+		g.lease = 0
+	}
+	accepted := g != nil
+	for _, m := range req.Members {
+		addr := Addr("result", m.Point.Canonical())
+		ru := s.runs[addr]
+		if ru == nil {
+			// Persist even an orphaned success: the work is done, let the
+			// store remember it. (A duplicated completion delivery lands
+			// here too; Put is first-write-wins, so it is a no-op.)
+			if m.Result != nil {
+				if data, err := json.Marshal(m.Result); err == nil {
+					s.store.Put(addr, data)
+				}
+			}
+			continue
+		}
+		accepted = true
+		s.forget(ru)
+		waiters := ru.waiters
+		ru.waiters = nil
+		if m.Error == "" {
+			// Persist before delivering: a journaled row entry implies its
+			// result is durably in the store, which is what lets a
+			// restarted server rebuild the row byte-for-byte. A result the
+			// store cannot keep fails its jobs instead.
+			data, err := json.Marshal(m.Result)
+			if err == nil {
+				err = s.store.Put(addr, data)
+			}
+			if err == nil {
+				for _, ref := range waiters {
+					s.deliver(ref, m.Result)
+				}
+				continue
+			}
+			m.Error = fmt.Sprintf("%s: %v", ru.point, err)
+		}
+		for _, ref := range waiters {
+			s.failJob(ref.job, m.Error)
+		}
+		s.logf("serve: run %s failed: %s", ru.point, m.Error)
+	}
+	if g != nil {
+		// A member the worker did not report runs again if it is still
+		// wanted.
+		for _, ru := range g.runs {
+			switch {
+			case s.runs[ru.addr] != ru:
+			case len(ru.waiters) > 0:
+				s.enqueue(ru)
+			default:
+				s.forget(ru)
 			}
 		}
-		writeJSON(w, CompleteResponse{Status: StatusGone})
-		return
-	}
-	if ru.lease != 0 {
-		delete(s.leases, ru.lease)
-		ru.lease = 0
-	}
-	ru.state = runDone
-	// Progress checkpoints are worth nothing once the point is done;
-	// drop the bytes with the run.
-	ru.progress, ru.progressInstrs = nil, 0
-	delete(s.runs, ru.addr)
-	waiters := ru.waiters
-	ru.waiters = nil
-	if req.Error != "" {
-		msg := fmt.Sprintf("%s: %s", ru.point, req.Error)
-		for _, ref := range waiters {
-			s.failJob(ref.job, msg)
-		}
-		s.mu.Unlock()
-		s.logf("serve: run %s failed: %s", ru.point, req.Error)
-		writeJSON(w, CompleteResponse{Status: StatusOK})
-		return
-	}
-	// Persist before delivering: a journaled row entry implies its
-	// result is durably in the store, which is what lets a restarted
-	// server rebuild the row byte-for-byte.
-	if data, err := json.Marshal(req.Result); err == nil {
-		s.store.Put(ru.addr, data)
-	}
-	for _, ref := range waiters {
-		s.deliver(ref, req.Result)
 	}
 	s.mu.Unlock()
-	writeJSON(w, CompleteResponse{Status: StatusOK})
+	status := StatusOK
+	if !accepted {
+		status = StatusGone
+	}
+	writeJSON(w, CompleteResponse{Status: status})
 }
 
-func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
-	var req WarmRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	addr := warmAddr(req.Point.Canonical(), ckpt.Version)
-	if data, ok := s.store.Get(addr); ok {
-		if len(data) == 0 {
-			writeJSON(w, WarmResponse{Status: StatusCold})
-		} else {
-			writeJSON(w, WarmResponse{Status: StatusReady, Data: data})
-		}
-		return
-	}
-	now := s.now()
-	s.mu.Lock()
-	slot := s.warm[addr]
-	if slot != nil && now.Before(slot.deadline) {
-		s.mu.Unlock()
-		writeJSON(w, WarmResponse{Status: StatusWait, RetryMS: s.retryMS()})
-		return
-	}
-	// No build in flight (or the builder's deadline lapsed): hand the
-	// build to this requester.
-	s.nextToken++
-	token := s.nextToken
-	s.warm[addr] = &warmSlot{token: token, deadline: now.Add(s.leaseTTL())}
-	s.mu.Unlock()
-	s.logf("serve: warm build %s -> token %d", req.Point, token)
-	writeJSON(w, WarmResponse{Status: StatusBuild, Token: token})
-}
-
-func (s *Server) handleWarmComplete(w http.ResponseWriter, r *http.Request) {
-	var req WarmCompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	addr := warmAddr(req.Point.Canonical(), ckpt.Version)
-	s.mu.Lock()
-	slot := s.warm[addr]
-	// Accept any upload, current token or stale: checkpoints are
-	// deterministic, so every builder of this warm point produced the
-	// same bytes. Errors just clear the slot; the next requester
-	// retries the build (and its point will carry the error to its job
-	// if the failure is real).
-	if slot != nil {
-		delete(s.warm, addr)
-	}
-	s.mu.Unlock()
-	switch {
-	case req.Error != "":
-		s.logf("serve: warm build %s failed: %s", req.Point, req.Error)
-	case req.Halted:
-		s.store.Put(addr, nil)
-	default:
-		s.store.Put(addr, req.Data)
-	}
-	writeJSON(w, CompleteResponse{Status: StatusOK})
-}
-
-// reclaim (mu held) returns expired leases to the queue, or drops them
-// entirely when every waiter's job has since failed.
+// reclaim (mu held) re-queues the groups whose leases expired, or drops
+// them when none of their runs is wanted any more.
 func (s *Server) reclaim(now time.Time) {
-	for id, ru := range s.leases {
-		if !ru.deadline.Before(now) {
+	for id, g := range s.leases {
+		if !g.deadline.Before(now) {
 			continue
 		}
-		delete(s.leases, id)
-		ru.lease = 0
-		if len(ru.waiters) == 0 {
-			// Cancelled while leased: the run dies here, and its progress
-			// checkpoint — now orphaned — goes with it.
-			ru.state = runDone
-			ru.progress, ru.progressInstrs = nil, 0
-			delete(s.runs, ru.addr)
-			continue
+		if s.requeue(g) {
+			s.logf("serve: lease %d on %s expired; re-queueing (progress @%d)", id, g.runs[0].point, g.progressInstrs)
 		}
-		s.logf("serve: lease %d on %s expired; re-queueing (progress @%d)", id, ru.point, ru.progressInstrs)
-		ru.state = runPending
-		s.queue = append(s.queue, ru)
 	}
 }
 
@@ -879,26 +976,16 @@ func (s *Server) finishJob(j *job, errmsg string) {
 }
 
 // failJob (mu held) fails a job and cancels its share of outstanding
-// work: pending runs it alone was waiting on are dropped, and leased
-// runs left without waiters answer their next renewal with StatusGone.
+// work: its waiters leave every run, so queued groups drop the runs it
+// alone was waiting on, and a leased group left with no wanted run
+// answers its next renewal with StatusGone.
 func (s *Server) failJob(j *job, errmsg string) {
 	if j.finished {
 		return
 	}
 	s.finishJob(j, errmsg)
-	for addr, ru := range s.runs {
-		kept := ru.waiters[:0]
-		for _, ref := range ru.waiters {
-			if ref.job != j {
-				kept = append(kept, ref)
-			}
-		}
-		ru.waiters = kept
-		if len(ru.waiters) == 0 && ru.state == runPending {
-			ru.state = runDone
-			ru.progress, ru.progressInstrs = nil, 0
-			delete(s.runs, addr)
-		}
+	for _, ru := range s.runs {
+		ru.waiters = slices.DeleteFunc(ru.waiters, func(ref taskRef) bool { return ref.job == j })
 	}
 }
 

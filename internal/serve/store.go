@@ -17,33 +17,20 @@ import (
 // (sweep.Point.Canonical), which is well-defined before the result
 // exists, so overlapping grids from different clients resolve to the
 // same address and hit the cache instead of the worker pool. The kind
-// prefix ("result", or "warm/v<N>" from warmAddr) keeps result and
-// warm-checkpoint spaces disjoint even for coincidentally equal
-// canonical strings.
+// prefix (the server stores only "result" blobs) keeps address spaces
+// disjoint even for coincidentally equal canonical strings.
 func Addr(kind, canonical string) string {
 	h := sha256.Sum256([]byte(kind + "\x00" + canonical))
 	return hex.EncodeToString(h[:])
 }
 
-// warmAddr is the content address of a warm-prefix checkpoint in
-// checkpoint format version (the server asks for ckpt.Version). The
-// version is part of the namespace because a directory store outlives
-// the build that wrote it: a checkpoint from another format version is
-// bytes sim.LoadCheckpoint rejects, so a restarted server must not
-// serve it — the group rebuilds its warm-up instead of failing every
-// point that forks from it.
-func warmAddr(canonical string, version uint64) string {
-	return Addr(fmt.Sprintf("warm/v%d", version), canonical)
-}
-
 // Store is the content-addressed blob store behind the sweep service:
-// completed point results and warm-prefix checkpoints land here keyed
-// by Addr. Entries are immutable — simulation is deterministic, so two
+// completed point results land here keyed by Addr. Entries are immutable — simulation is deterministic, so two
 // writers of one address always carry identical-meaning bytes and the
-// first write wins. With a backing directory every entry is also
-// persisted (one file per address, written atomically and fsynced —
-// file and directory entry both — before Put returns), so a restarted
-// or power-cycled server serves memoized results without re-simulating;
+// first write wins. With a backing directory every entry is persisted
+// (one file per address, written atomically and fsynced — file and
+// directory entry both) before Put makes it visible, so a restarted or
+// power-cycled server serves memoized results without re-simulating;
 // with dir == "" the store is memory-only. Safe for concurrent use.
 //
 // For long-lived servers the in-memory layer can be bounded: with
@@ -87,9 +74,7 @@ func NewMemStore() *Store {
 }
 
 // Get returns the blob at addr. Callers must treat the bytes as
-// read-only; they are shared. A zero-length blob is a valid entry (the
-// warm-prefix protocol stores one to mean "the program halted inside
-// the prefix; run cold").
+// read-only; they are shared. A zero-length blob is a valid entry.
 func (s *Store) Get(addr string) ([]byte, bool) {
 	s.mu.Lock()
 	if el, ok := s.mem[addr]; ok {
@@ -123,18 +108,32 @@ func (s *Store) Get(addr string) ([]byte, bool) {
 // see Store). The write to the backing directory is atomic AND durable:
 // the temp file is fsynced before the rename and the directory entry is
 // fsynced after it, so a crashed — or power-lost — server never leaves
-// a torn or vanishing entry for its successor to trust.
+// a torn or vanishing entry for its successor to trust. Only a durable
+// entry becomes visible: when the write fails, Put returns the error,
+// Get keeps missing, and a later Put of the address writes again.
 func (s *Store) Put(addr string, data []byte) error {
 	s.mu.Lock()
-	if _, ok := s.mem[addr]; ok {
-		s.mu.Unlock()
-		return nil
-	}
-	s.insert(addr, data)
+	_, ok := s.mem[addr]
 	s.mu.Unlock()
-	if s.dir == "" {
+	if ok {
 		return nil
 	}
+	if s.dir != "" {
+		if err := s.write(addr, data); err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	if _, ok := s.mem[addr]; !ok {
+		s.insert(addr, data)
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// write persists one blob in the backing directory, atomically and
+// durably (see Put).
+func (s *Store) write(addr string, data []byte) error {
 	path := filepath.Join(s.dir, addr)
 	if _, err := os.Stat(path); err == nil {
 		return nil

@@ -1,10 +1,10 @@
 // Package serve promotes the batch sweep engine (internal/sweep) to a
 // long-lived, multi-host service: a job server that accepts grid
-// specifications over HTTP/JSON, expands them into point specs, leases
-// the resulting single-seed runs to pull-based workers with deadlines
-// and automatic re-lease on worker loss, and merges completed results —
-// per-seed shards and warm-prefix groups included — through the exact
-// semantics of the in-process engine. Completed results land in a
+// specifications over HTTP/JSON, expands them into single-seed runs,
+// leases the runs that share a functional stream to pull-based workers
+// as one stream group with deadlines and automatic re-lease on worker
+// loss, and merges completed results — per-seed shards included —
+// through the exact semantics of the in-process engine. Completed results land in a
 // content-addressed store keyed by the canonical sweep point, so
 // overlapping grids from any number of clients simulate each distinct
 // point once cluster-wide, and clients watch their grid fill in live
@@ -29,27 +29,18 @@ import (
 // Protocol statuses. Every response names its outcome explicitly rather
 // than overloading HTTP codes, so workers can switch on one field.
 const (
-	// StatusPoint (lease): the response carries a leased point to run.
+	// StatusPoint (lease): the response carries a leased stream group
+	// to run.
 	StatusPoint = "point"
 	// StatusIdle (lease): no work right now; retry after RetryMS.
 	StatusIdle = "idle"
-	// StatusOK (renew, complete, warm-complete): accepted.
+	// StatusOK (renew, release, complete): accepted.
 	StatusOK = "ok"
-	// StatusGone (renew, complete): the lease no longer exists — expired
-	// and reclaimed, or its job was cancelled. The worker abandons the
-	// point; the server has already arranged for it to run elsewhere or
-	// not at all.
+	// StatusGone (renew, release, complete): the lease no longer exists
+	// — expired and reclaimed, or its jobs were cancelled. The worker
+	// abandons the group; the server has already arranged for it to run
+	// elsewhere or not at all.
 	StatusGone = "gone"
-	// StatusReady (warm): the response carries the group's checkpoint.
-	StatusReady = "ready"
-	// StatusBuild (warm): the requester should run the prefix itself and
-	// upload the checkpoint under Token.
-	StatusBuild = "build"
-	// StatusWait (warm): another worker is building; retry after RetryMS.
-	StatusWait = "wait"
-	// StatusCold (warm): the program halts inside the prefix; there is no
-	// shared suffix, run the point cold.
-	StatusCold = "cold"
 )
 
 // JobRequest submits a grid: POST /v1/jobs.
@@ -82,33 +73,37 @@ type JobStatus struct {
 }
 
 // LeaseRequest asks for work: POST /v1/lease. Worker names the
-// requester for logs only; it carries no semantics.
+// requester in logs and tells workers apart: the server splits queued
+// stream groups so that every worker that asked within the last lease
+// TTL can hold one (see Server). Workers without a name count as one.
 type LeaseRequest struct {
 	Worker string `json:"worker,omitempty"`
 }
 
-// LeaseResponse answers a lease request. With StatusPoint, Point is the
-// single-seed point spec to run, Lease the handle for renew/complete,
-// and TTLMS the lease deadline — the worker must renew (or complete)
-// within it or the server re-leases the point to another worker. When a
-// previous holder of this point left a progress checkpoint behind (via
+// LeaseResponse answers a lease request. With StatusPoint, Points is
+// the stream group to run — single-seed points sharing one functional
+// stream (sweep.Point.StreamPoint), run as one session by
+// sweep.StartGroup — Lease the handle for renew/release/complete, and
+// TTLMS the lease deadline: the worker must renew (or complete) within
+// it or the server re-leases the group to another worker. When a
+// previous holder of this group left a progress checkpoint behind (via
 // renew or release), Checkpoint carries it and Instrs the instruction
-// count it represents: the worker resumes there instead of starting
-// cold.
+// count it represents: the worker resumes every member there instead
+// of starting cold.
 type LeaseResponse struct {
-	Status     string       `json:"status"`
-	Lease      uint64       `json:"lease,omitempty"`
-	Point      *sweep.Point `json:"point,omitempty"`
-	TTLMS      int64        `json:"ttl_ms,omitempty"`
-	RetryMS    int64        `json:"retry_ms,omitempty"`
-	Checkpoint []byte       `json:"checkpoint,omitempty"`
-	Instrs     uint64       `json:"instrs,omitempty"`
+	Status     string        `json:"status"`
+	Lease      uint64        `json:"lease,omitempty"`
+	Points     []sweep.Point `json:"points,omitempty"`
+	TTLMS      int64         `json:"ttl_ms,omitempty"`
+	RetryMS    int64         `json:"retry_ms,omitempty"`
+	Checkpoint []byte        `json:"checkpoint,omitempty"`
+	Instrs     uint64        `json:"instrs,omitempty"`
 }
 
 // RenewRequest extends a lease: POST /v1/renew. A renewal may piggyback
-// a progress checkpoint of the leased point (Checkpoint, with Instrs
-// the instruction count it represents); the server keeps the
-// highest-count checkpoint per leased point and ships it with a
+// a progress checkpoint of the leased group's session (Checkpoint, with
+// Instrs the instruction count it represents); the server keeps the
+// highest-count checkpoint per leased group and ships it with a
 // re-lease, so worker loss costs at most one renew interval of work.
 type RenewRequest struct {
 	Lease      uint64 `json:"lease"`
@@ -126,10 +121,10 @@ type RenewResponse struct {
 }
 
 // ReleaseRequest hands a lease back voluntarily: POST /v1/release. A
-// draining worker that cannot finish its point in time checkpoints it
-// and releases the lease; the server re-queues the point with the
+// draining worker that cannot finish its group in time checkpoints it
+// and releases the lease; the server re-queues the group with the
 // checkpoint as its progress, so the handoff loses no work. Checkpoint
-// may be empty (release without progress — the point restarts from
+// may be empty (release without progress — the group restarts from
 // whatever progress the server already holds).
 type ReleaseRequest struct {
 	Lease      uint64 `json:"lease"`
@@ -138,20 +133,26 @@ type ReleaseRequest struct {
 }
 
 // ReleaseResponse acknowledges a release: StatusOK, or StatusGone when
-// the lease had already expired (harmless — the point was re-queued by
+// the lease had already expired (harmless — the group was re-queued by
 // reclaim instead).
 type ReleaseResponse struct {
 	Status string `json:"status"`
 }
 
-// CompleteRequest reports a finished run: POST /v1/complete. Exactly
-// one of Result and Error is set; Result travels in sim.Result's own
-// JSON form, which is also what the server stores. Point re-identifies
-// the run so a result that arrives after its lease expired (the worker
-// stalled but survived) is still accepted — results are deterministic,
-// so any completion of a point is as good as any other.
+// CompleteRequest reports a finished group: POST /v1/complete, with
+// one entry per member of the lease. Results travel in sim.Result's own
+// JSON form, which is also what the server stores.
 type CompleteRequest struct {
-	Lease  uint64      `json:"lease"`
+	Lease   uint64         `json:"lease"`
+	Members []MemberResult `json:"members"`
+}
+
+// MemberResult is one member's outcome: exactly one of Result and
+// Error is set. Point re-identifies the run so a result that arrives
+// after its lease expired (the worker stalled but survived) is still
+// accepted — results are deterministic, so any completion of a point is
+// as good as any other.
+type MemberResult struct {
 	Point  sweep.Point `json:"point"`
 	Result *sim.Result `json:"result,omitempty"`
 	Error  string      `json:"error,omitempty"`
@@ -160,33 +161,6 @@ type CompleteRequest struct {
 // CompleteResponse acknowledges a completion.
 type CompleteResponse struct {
 	Status string `json:"status"`
-}
-
-// WarmRequest asks for a warm-prefix group's functional checkpoint:
-// POST /v1/warm. Point is the canonical warm point
-// (sweep.Point.WarmPoint), the identity the server singleflights on.
-type WarmRequest struct {
-	Point sweep.Point `json:"point"`
-}
-
-// WarmResponse answers a warm request; see the warm statuses above.
-// Data is the serialized sim checkpoint (base64 in JSON).
-type WarmResponse struct {
-	Status  string `json:"status"`
-	Data    []byte `json:"data,omitempty"`
-	Token   uint64 `json:"token,omitempty"`
-	RetryMS int64  `json:"retry_ms,omitempty"`
-}
-
-// WarmCompleteRequest uploads a built warm checkpoint (or reports that
-// the build failed, or that the program halted inside the prefix):
-// POST /v1/warm/complete.
-type WarmCompleteRequest struct {
-	Point  sweep.Point `json:"point"`
-	Token  uint64      `json:"token"`
-	Data   []byte      `json:"data,omitempty"`
-	Halted bool        `json:"halted,omitempty"`
-	Error  string      `json:"error,omitempty"`
 }
 
 // StreamEntry is one line of a job's NDJSON stream: either a row entry

@@ -21,22 +21,22 @@ import (
 var errReleased = errors.New("serve: lease released")
 
 // errLeaseLost marks a run whose lease the server reported gone on a
-// progress renewal: someone else owns the point now, abandon silently.
+// progress renewal: someone else owns the group now, abandon silently.
 var errLeaseLost = errors.New("serve: lease lost")
 
-// Worker pulls leased points from a Server and executes them through
-// the in-process engine's point runner (sweep.Point.Start and
-// sweep.RunWarmPrefix): cached shared programs, warm-prefix forking
-// from the group checkpoint (fetched from — or built once for — the
-// server), and chunked runs that abort when the lease is lost. A
-// Worker runs one point at a time; start several (sharing one
+// Worker pulls leased stream groups from a Server and executes each as
+// one session started by the in-process engine's group starter
+// (sweep.StartGroup): cached shared programs, the group's warm prefix
+// run once and forked, and chunked runs that abort when the lease is
+// lost. A Worker runs one group at a time; start several (sharing one
 // ProgramCache) to use more cores.
 //
 // Fault posture: transient request failures retry with jittered
 // exponential backoff bounded by RetryBudget; renewals piggyback
-// progress checkpoints so the server can migrate the point if this
-// worker dies; and Drain stops the worker gracefully — it finishes or
-// checkpoints-and-releases its current point instead of abandoning it.
+// progress checkpoints of the whole group so the server can migrate it
+// if this worker dies; and Drain stops the worker gracefully — it
+// finishes or checkpoints-and-releases its current group instead of
+// abandoning it.
 type Worker struct {
 	// Server is the base URL of the job server, e.g. "http://host:9571".
 	Server string
@@ -66,34 +66,21 @@ type Worker struct {
 	// zero value means 2 minutes — enough to ride out a server restart.
 	RetryBudget time.Duration
 
-	drainOnce sync.Once
-	drain     chan struct{}
+	drainInit  sync.Once
+	drainClose sync.Once
+	drain      chan struct{}
 }
 
 // Drain asks the worker to stop gracefully: it finishes — or
-// checkpoints and releases — the point it is running, then Run returns
+// checkpoints and releases — the group it is running, then Run returns
 // nil. Safe to call from any goroutine, any number of times.
 func (w *Worker) Drain() {
-	w.drainOnce.Do(func() {
-		if w.drain == nil {
-			w.drain = make(chan struct{})
-		}
-	})
-	select {
-	case <-w.drain:
-	default:
-		close(w.drain)
-	}
+	w.drainClose.Do(func() { close(w.drainC()) })
 }
 
-// drainC returns the drain channel, creating it on first use. The same
-// sync.Once guards creation here and in Drain so the two never race.
-func (w *Worker) drainC() <-chan struct{} {
-	w.drainOnce.Do(func() {
-		if w.drain == nil {
-			w.drain = make(chan struct{})
-		}
-	})
+// drainC returns the drain channel, creating it on first use.
+func (w *Worker) drainC() chan struct{} {
+	w.drainInit.Do(func() { w.drain = make(chan struct{}) })
 	return w.drain
 }
 
@@ -120,7 +107,7 @@ func (w *Worker) retryBudget() time.Duration {
 	return 2 * time.Minute
 }
 
-// Run leases and executes points until ctx is cancelled, Drain is
+// Run leases and executes groups until ctx is cancelled, Drain is
 // called (graceful: returns nil), or the server stays unreachable past
 // the retry budget (returns the last transport error).
 func (w *Worker) Run(ctx context.Context) error {
@@ -152,7 +139,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		failSince = time.Time{}
 		bo.reset()
-		if lr.Status != StatusPoint || lr.Point == nil {
+		if lr.Status != StatusPoint || len(lr.Points) == 0 {
 			w.wait(ctx, w.idleDelay(lr.RetryMS))
 			continue
 		}
@@ -160,13 +147,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// execute runs one leased point, renewing the lease in the background
+// execute runs one leased group, renewing the lease in the background
 // and aborting the simulation if the lease is lost (the server
-// re-leased it or cancelled the job). The completion report is skipped
-// when the run was aborted — someone else owns the point now — and
+// re-leased it or cancelled its jobs). The completion report is skipped
+// when the run was aborted — someone else owns the group now — and
 // replaced by a checkpoint release when the worker is draining.
 func (w *Worker) execute(ctx context.Context, lr LeaseResponse) {
-	p := *lr.Point
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := make(chan struct{})
@@ -177,19 +163,27 @@ func (w *Worker) execute(ctx context.Context, lr LeaseResponse) {
 	}
 	go w.renewLoop(pctx, cancel, stop, lr.Lease, ttl)
 
-	res, err := w.runLeased(pctx, p, lr, ttl)
+	res, err := w.runLeased(pctx, lr, ttl)
 	switch {
-	case err == nil:
-		w.postRetry(ctx, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: p, Result: res}, &CompleteResponse{})
 	case errors.Is(err, errReleased) || errors.Is(err, errLeaseLost):
 		// Released with its checkpoint, or owned elsewhere: not ours to
 		// report either way.
-	case pctx.Err() != nil:
+		return
+	case err != nil && pctx.Err() != nil:
 		// Aborted: lease lost via renewals or worker shutdown. Do not
 		// report — an abort is not a simulation failure.
-	default:
-		w.postRetry(ctx, "/v1/complete", CompleteRequest{Lease: lr.Lease, Point: p, Error: err.Error()}, &CompleteResponse{})
+		return
 	}
+	members := make([]MemberResult, len(lr.Points))
+	for i, p := range lr.Points {
+		members[i].Point = p
+		if err != nil {
+			members[i].Error = err.Error()
+		} else {
+			members[i].Result = res[i]
+		}
+	}
+	w.postRetry(ctx, "/v1/complete", CompleteRequest{Lease: lr.Lease, Members: members}, &CompleteResponse{})
 }
 
 // renewLoop keeps the lease alive at a jittered TTL/3 cadence (jitter
@@ -225,13 +219,23 @@ func (w *Worker) renewLoop(pctx context.Context, cancel context.CancelFunc, stop
 	}
 }
 
-// runLeased executes the leased point: resumed from a migrated progress
-// checkpoint when the lease ships one, else warm-forked or cold. Along
-// the way it piggybacks fresh progress checkpoints on renewals (so the
-// server can migrate the point if this worker dies) and honors drain by
-// checkpointing and releasing the lease mid-point.
-func (w *Worker) runLeased(ctx context.Context, p sweep.Point, lr LeaseResponse, ttl time.Duration) (*sim.Result, error) {
-	s, err := w.startSession(ctx, p, lr.Checkpoint)
+// runLeased executes the leased group (see sweep.StartGroup): resumed
+// from a migrated progress checkpoint when the lease ships one, else
+// warm-forked or cold. Along the way it piggybacks fresh progress
+// checkpoints on renewals (so the server can migrate the group if this
+// worker dies) and honors drain by checkpointing and releasing the
+// lease mid-run. Errors name the point they belong to.
+func (w *Worker) runLeased(ctx context.Context, lr LeaseResponse, ttl time.Duration) ([]*sim.Result, error) {
+	lead := lr.Points[0]
+	prog, err := w.Programs.Get(lead.Workload, lead.Scale, lead.Variant)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", lead, err)
+	}
+	// A progress checkpoint that fails to load is only a lost
+	// optimization: the group starts afresh and produces the identical
+	// results.
+	from, _ := sim.LoadCheckpoint(lr.Checkpoint)
+	s, err := sweep.StartGroup(ctx, lr.Points, prog, from, w.chunk())
 	if err != nil {
 		return nil, err
 	}
@@ -245,13 +249,13 @@ func (w *Worker) runLeased(ctx context.Context, p sweep.Point, lr LeaseResponse,
 			return nil, err
 		}
 		if _, err := s.RunFor(w.chunk()); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", lead, err)
 		}
 		if s.Done() {
 			break
 		}
 		if w.drained() {
-			// Graceful drain mid-point: hand the progress back with the
+			// Graceful drain mid-run: hand the progress back with the
 			// lease so the next worker continues where this one stopped.
 			w.release(ctx, lr.Lease, s)
 			return nil, errReleased
@@ -268,12 +272,12 @@ func (w *Worker) runLeased(ctx context.Context, p sweep.Point, lr LeaseResponse,
 			}
 		}
 	}
-	return s.Result(), nil
+	return s.Results(), nil
 }
 
 // release posts the current session state back with the lease. A
 // checkpoint failure degrades to a bare release — the server re-queues
-// the point with whatever progress it already holds.
+// the group with whatever progress it already holds.
 func (w *Worker) release(ctx context.Context, lease uint64, s *sim.Session) {
 	req := ReleaseRequest{Lease: lease}
 	if ck, err := s.Checkpoint(); err == nil {
@@ -281,97 +285,6 @@ func (w *Worker) release(ctx context.Context, lease uint64, s *sim.Session) {
 		req.Instrs = ck.Instructions()
 	}
 	w.postRetry(ctx, "/v1/release", req, &ReleaseResponse{})
-}
-
-// startSession builds the session for a point: resumed from a
-// predecessor's progress checkpoint when one is supplied, else
-// warm-forked from the group prefix, else cold. A progress checkpoint
-// that fails to load or resume is only a lost optimization — the point
-// falls back to the warm/cold path and produces the identical result.
-func (w *Worker) startSession(ctx context.Context, p sweep.Point, progress []byte) (*sim.Session, error) {
-	prog, err := w.Programs.Get(p.Workload, p.Scale, p.Variant)
-	if err != nil {
-		return nil, err
-	}
-	if len(progress) > 0 {
-		if ck, err := sim.LoadCheckpoint(progress); err == nil {
-			if s, err := p.Start(prog, ck); err == nil {
-				return s, nil
-			}
-		}
-	}
-	var from *sim.Checkpoint
-	if wp, ok := p.WarmPoint(); ok {
-		data, cold, err := w.warmBytes(ctx, wp)
-		if err != nil {
-			return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
-		}
-		if !cold {
-			if from, err = sim.LoadCheckpoint(data); err != nil {
-				return nil, fmt.Errorf("warm prefix %s: %w", wp, err)
-			}
-		}
-	}
-	return p.Start(prog, from)
-}
-
-// warmBytes resolves the group's warm checkpoint through the server's
-// singleflight: served bytes if some worker already built it, a local
-// build (uploaded for the rest of the cluster) if this worker drew the
-// build token, or cold=true when the program halts inside the prefix.
-func (w *Worker) warmBytes(ctx context.Context, wp sweep.Point) (data []byte, cold bool, err error) {
-	for {
-		var wr WarmResponse
-		// Retried like every other protocol request: a dropped response
-		// just re-asks, which the server treats as a duplicated delivery
-		// (an outstanding build token answers wait until its deadline).
-		if err := w.postRetry(ctx, "/v1/warm", WarmRequest{Point: wp}, &wr); err != nil {
-			return nil, false, err
-		}
-		switch wr.Status {
-		case StatusReady:
-			return wr.Data, false, nil
-		case StatusCold:
-			return nil, true, nil
-		case StatusBuild:
-			data, halted, err := w.buildWarm(ctx, wp)
-			if err != nil {
-				// Report the failure so the slot clears for the next
-				// requester, then surface it to this point's job.
-				w.post(ctx, "/v1/warm/complete", WarmCompleteRequest{Point: wp, Token: wr.Token, Error: err.Error()}, &CompleteResponse{})
-				return nil, false, err
-			}
-			if err := w.postRetry(ctx, "/v1/warm/complete", WarmCompleteRequest{Point: wp, Token: wr.Token, Data: data, Halted: halted}, &CompleteResponse{}); err != nil {
-				return nil, false, err
-			}
-			return data, halted, nil
-		case StatusWait:
-			if !sleepCtx(ctx, w.idleDelay(wr.RetryMS)) {
-				return nil, false, ctx.Err()
-			}
-		default:
-			return nil, false, fmt.Errorf("serve: unexpected warm status %q", wr.Status)
-		}
-	}
-}
-
-// buildWarm runs the functional prefix locally through
-// sweep.RunWarmPrefix, in the worker's chunk size so an abort lands
-// promptly; halted=true when the program ends inside the prefix (no
-// suffix to share).
-func (w *Worker) buildWarm(ctx context.Context, wp sweep.Point) (data []byte, halted bool, err error) {
-	prog, err := w.Programs.Get(wp.Workload, wp.Scale, wp.Variant)
-	if err != nil {
-		return nil, false, err
-	}
-	ck, err := sweep.RunWarmPrefix(ctx, wp, prog, w.chunk())
-	switch {
-	case err != nil:
-		return nil, false, err
-	case ck == nil:
-		return nil, true, nil
-	}
-	return ck.Bytes(), false, nil
 }
 
 // idleDelay computes the jittered idle re-poll delay: the larger of the

@@ -12,11 +12,15 @@ import (
 	"repro/internal/isa"
 )
 
-// Checkpoint section names, in container order. A functional-only
-// session writes no predictor or pipeline section; a session without
-// PBS writes no pbs section. Resume treats a missing timing section as
-// "start the timing model cold" — the seam warm-prefix reuse builds on
-// — but requires the functional sections and an exact program match.
+// Checkpoint section names, in container order. The emulator, RNG,
+// PBS unit and session sections describe the shared functional stream
+// and appear once; each member writes its own predictor and pipeline
+// section, suffixed with its index (see memberSection). A
+// functional-only session writes no predictor or pipeline section; a
+// session without PBS writes no pbs section. Resume treats a missing
+// timing section as "start the timing model cold" — the seam
+// warm-prefix reuse builds on — but requires the functional sections
+// and an exact program match.
 const (
 	secConfig    = "config"
 	secEmu       = "emu"
@@ -27,19 +31,22 @@ const (
 	secSession   = "session"
 )
 
+// memberSection names member i's copy of a per-member section.
+func memberSection(name string, i int) string { return fmt.Sprintf("%s/%d", name, i) }
+
 // Checkpoint is a serialized snapshot of a Session's complete machine
-// state: the embedded configuration plus one section per stateful
-// component (see internal/ckpt for the container format). Checkpoints
-// are deterministic — the same machine state always encodes to the same
-// bytes — and self-describing: Resume rebuilds a session from the
-// embedded configuration alone.
+// state: the embedded configuration of every member plus one section
+// per stateful component (see internal/ckpt for the container format).
+// Checkpoints are deterministic — the same machine state always encodes
+// to the same bytes — and self-describing: Resume rebuilds a session,
+// every member included, from the embedded configurations alone.
 //
 // Not captured: observer registrations (callbacks are process state,
 // re-register after Resume) and the emulator's trace buffer (always
 // flushed at a checkpoint boundary).
 type Checkpoint struct {
 	data     []byte
-	cfg      Config
+	cfgs     []Config // per member, in AddMember order; never empty
 	instrs   uint64
 	progHash uint64
 }
@@ -47,37 +54,40 @@ type Checkpoint struct {
 // Bytes returns the serialized container, suitable for os.WriteFile.
 func (c *Checkpoint) Bytes() []byte { return c.data }
 
-// Config returns the embedded run configuration (Program is nil; the
-// program is revalidated by content hash on Resume).
-func (c *Checkpoint) Config() Config { return c.cfg }
+// Config returns the first member's embedded run configuration
+// (Program is nil; the program is revalidated by content hash on
+// Resume).
+func (c *Checkpoint) Config() Config { return c.cfgs[0] }
 
 // Instructions returns the retired-instruction count at the checkpoint.
 func (c *Checkpoint) Instructions() uint64 { return c.instrs }
 
-// Checkpoint serializes the session's complete machine state. The
-// trace is flushed whenever the caller can call anything — between
-// New/RunFor/Run calls, or inside an Observe callback — so the timing
-// model is always caught up. A dead session (faulted) cannot be
-// checkpointed, nor can a session with several members (see AddMember):
-// the format holds one timing model.
+// Checkpoint serializes the session's complete machine state, every
+// member's timing model included. The trace is flushed whenever the
+// caller can call anything — between New/RunFor/Run calls, or inside an
+// Observe callback — so the timing models are always caught up. A dead
+// session (faulted) cannot be checkpointed.
 func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if s.err != nil {
 		return nil, fmt.Errorf("sim: cannot checkpoint a faulted session: %w", s.err)
 	}
-	if len(s.members) > 1 {
-		return nil, fmt.Errorf("sim: cannot checkpoint a session with %d members", len(s.members))
-	}
-	m := s.members[0]
 	hash := programHash(s.prog)
 	enc := ckpt.NewEncoder()
-	// The config section: the run configuration as JSON (Program is not
-	// encoded), then the program content hash.
-	cfgJSON, err := json.Marshal(s.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sim: checkpoint config: %w", err)
-	}
+	// The config section: the member count, each member's run
+	// configuration as JSON (Program is not encoded), then the program
+	// content hash.
+	cfgs := make([]Config, len(s.members))
 	cw := enc.Section(secConfig)
-	cw.Bytes(cfgJSON)
+	cw.Uint(uint64(len(cfgs)))
+	for i, m := range s.members {
+		cfgs[i] = m.cfg
+		cfgs[i].Program = nil
+		cfgJSON, err := json.Marshal(cfgs[i])
+		if err != nil {
+			return nil, fmt.Errorf("sim: checkpoint config: %w", err)
+		}
+		cw.Bytes(cfgJSON)
+	}
 	cw.U64(hash)
 	if err := s.cpu.CheckpointState(enc.Section(secEmu)); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint: %w", err)
@@ -90,20 +100,22 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: checkpoint: %w", err)
 		}
 	}
-	if m.pred != nil {
-		cp, ok := m.pred.(ckpt.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
+	for i, m := range s.members {
+		if m.pred != nil {
+			cp, ok := m.pred.(ckpt.Checkpointable)
+			if !ok {
+				return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
+			}
+			w := enc.Section(memberSection(secPredictor, i))
+			w.String(m.pred.Name())
+			if err := cp.CheckpointState(w); err != nil {
+				return nil, fmt.Errorf("sim: checkpoint: %w", err)
+			}
 		}
-		w := enc.Section(secPredictor)
-		w.String(m.pred.Name())
-		if err := cp.CheckpointState(w); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint: %w", err)
-		}
-	}
-	if m.pipe != nil {
-		if err := m.pipe.CheckpointState(enc.Section(secPipeline)); err != nil {
-			return nil, fmt.Errorf("sim: checkpoint: %w", err)
+		if m.pipe != nil {
+			if err := m.pipe.CheckpointState(enc.Section(memberSection(secPipeline, i))); err != nil {
+				return nil, fmt.Errorf("sim: checkpoint: %w", err)
+			}
 		}
 	}
 	sw := enc.Section(secSession)
@@ -114,33 +126,33 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	sw.Counters(&s.lastDirect.Emu)
 	sw.Counters(&s.lastDirect.Timing)
 	sw.Counters(&s.lastDirect.PBSStats)
-	if sp := m.sampler; sp != nil {
-		// The sampler's schedule position is implied by the instruction
-		// count; what must survive is the window populations, the phase
-		// accounting and the open window's delta baseline. Trace-pause
+	if sc := s.sched; sc != nil {
+		// The schedule position is implied by the instruction count; what
+		// must survive is the phase accounting, the open window and each
+		// member's window populations and delta baseline. Trace-pause
 		// state is NOT serialized: the next advance's schedule reconcile
 		// re-pauses or resumes as the phase dictates before any
 		// instruction retires.
-		sw.Floats(sp.cpis)
-		sw.Floats(sp.mpkis)
-		sw.Uint(sp.instrFF)
-		sw.Uint(sp.instrWarm)
-		sw.Uint(sp.instrMeas)
-		sw.Bool(sp.open)
-		sw.Uint(sp.winEnd)
-		sw.Counters(&sp.winBase)
+		sw.Uint(sc.instrFF)
+		sw.Uint(sc.instrWarm)
+		sw.Uint(sc.instrMeas)
+		sw.Bool(sc.open)
+		sw.Uint(sc.winEnd)
+		for _, m := range s.members {
+			sw.Floats(m.sampler.cpis)
+			sw.Floats(m.sampler.mpkis)
+			sw.Counters(&m.sampler.winBase)
+		}
 	}
 	data, err := enc.Encode()
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint: %w", err)
 	}
-	cfg := s.cfg
-	cfg.Program = nil
-	return &Checkpoint{data: data, cfg: cfg, instrs: s.Instructions(), progHash: hash}, nil
+	return &Checkpoint{data: data, cfgs: cfgs, instrs: s.Instructions(), progHash: hash}, nil
 }
 
 // LoadCheckpoint validates a serialized checkpoint and decodes its
-// configuration, without building a machine. Truncated, corrupted, or
+// configurations, without building a machine. Truncated, corrupted, or
 // version-mismatched data returns an error, never panics.
 func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	dec, err := ckpt.NewDecoder(data)
@@ -151,14 +163,26 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: checkpoint has no %s section", secConfig)
 	}
-	cfgJSON, hash := cr.Bytes(), cr.U64()
-	if err := cr.Err(); err != nil {
-		return nil, fmt.Errorf("sim: checkpoint config: %w", err)
+	n := cr.Uint()
+	if cr.Err() == nil && n == 0 {
+		return nil, fmt.Errorf("sim: checkpoint config: no members")
 	}
-	var cfg Config
-	jd := json.NewDecoder(bytes.NewReader(cfgJSON))
-	jd.DisallowUnknownFields()
-	if err := jd.Decode(&cfg); err != nil {
+	var cfgs []Config
+	for range n {
+		cfgJSON := cr.Bytes()
+		if cr.Err() != nil {
+			break
+		}
+		var cfg Config
+		jd := json.NewDecoder(bytes.NewReader(cfgJSON))
+		jd.DisallowUnknownFields()
+		if err := jd.Decode(&cfg); err != nil {
+			return nil, fmt.Errorf("sim: checkpoint config: %w", err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	hash := cr.U64()
+	if err := cr.Err(); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint config: %w", err)
 	}
 	sr, ok := dec.Section(secSession)
@@ -169,38 +193,48 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("sim: checkpoint session section: %w", err)
 	}
-	return &Checkpoint{data: data, cfg: cfg, instrs: instrs, progHash: hash}, nil
+	return &Checkpoint{data: data, cfgs: cfgs, instrs: instrs, progHash: hash}, nil
 }
 
-// Resume builds a live session from a checkpoint: the embedded
-// configuration (with opts applied on top) wires a fresh machine, then
-// every component restores its serialized state. The program — rebuilt
-// from the workload or supplied via WithProgram — must hash-match the
-// checkpointed one.
+// Resume builds a live session from a checkpoint: each embedded member
+// configuration (with opts applied on top of every one) wires a fresh
+// machine with all its members, then every component restores its
+// serialized state. The program — rebuilt from the workload or supplied
+// via WithProgram — must hash-match the checkpointed one.
 //
 // Options may not change what the machine is (program, seed, PBS
 // hardware — the functional state would be inconsistent) but may change
 // how it continues: the instruction budget (WithMaxInstrs) and — for a
 // functional-only checkpoint — turning the timing model on, which
 // starts predictor, caches and pipeline cold at the checkpoint
-// boundary. That is the
-// warm-prefix fast-forward of the sweep engine: functional state is
-// exact, timing state accumulates only over the measured suffix.
+// boundary. That is the warm-prefix fast-forward of the sweep engine:
+// functional state is exact, timing state accumulates only over the
+// measured suffix.
 func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
-	cfg := c.cfg
-	for _, o := range opts {
-		o(&cfg)
+	cfgs := make([]Config, len(c.cfgs))
+	for i, cfg := range c.cfgs {
+		for _, o := range opts {
+			o(&cfg)
+		}
+		cfgs[i] = cfg
 	}
 	dec, err := ckpt.NewDecoder(c.data)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s, err := newSession(cfg)
+	s, err := newSession(cfgs[0])
 	if err != nil {
 		return nil, err
 	}
-	s.origin = c.cfg
-	m := s.members[0]
+	s.origin = c.cfgs[0]
+	for _, cfg := range cfgs[1:] {
+		if err := sameStream(cfgs[0], cfg); err != nil {
+			return nil, fmt.Errorf("sim: resume: %w", err)
+		}
+		if err := s.addMember(cfg); err != nil {
+			return nil, err
+		}
+	}
 	if got := programHash(s.prog); got != c.progHash {
 		return nil, fmt.Errorf("sim: resume: program %q does not match the checkpointed program (hash %#x, want %#x)",
 			s.prog.Name, got, c.progHash)
@@ -234,28 +268,30 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		}
 	}
 
-	if br, ok := dec.Section(secPredictor); ok && m.pred != nil {
-		name := br.String()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("sim: resume: %w", err)
+	for i, m := range s.members {
+		if br, ok := dec.Section(memberSection(secPredictor, i)); ok && m.pred != nil {
+			name := br.String()
+			if err := br.Err(); err != nil {
+				return nil, fmt.Errorf("sim: resume: %w", err)
+			}
+			if name != m.pred.Name() {
+				return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
+			}
+			cp, ok := m.pred.(ckpt.Checkpointable)
+			if !ok {
+				return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
+			}
+			if err := cp.RestoreState(br); err != nil {
+				return nil, fmt.Errorf("sim: resume: %w", err)
+			}
+			s.timedResume = true
 		}
-		if name != m.pred.Name() {
-			return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
+		if tr, ok := dec.Section(memberSection(secPipeline, i)); ok && m.pipe != nil {
+			if err := m.pipe.RestoreState(tr); err != nil {
+				return nil, fmt.Errorf("sim: resume: %w", err)
+			}
+			s.timedResume = true
 		}
-		cp, ok := m.pred.(ckpt.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
-		}
-		if err := cp.RestoreState(br); err != nil {
-			return nil, fmt.Errorf("sim: resume: %w", err)
-		}
-		s.timedResume = true
-	}
-	if tr, ok := dec.Section(secPipeline); ok && m.pipe != nil {
-		if err := m.pipe.RestoreState(tr); err != nil {
-			return nil, fmt.Errorf("sim: resume: %w", err)
-		}
-		s.timedResume = true
 	}
 
 	sr, ok := dec.Section(secSession)
@@ -269,21 +305,23 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("sim: resume: %w", err)
 	}
-	if c.cfg.Sample != nil {
+	if c.cfgs[0].Sample != nil {
 		// Gate on the embedded (pre-option) config — that is what
 		// Checkpoint wrote. Options cannot clear Sample, so the resumed
-		// session always has a sampler to restore into; a checkpoint
+		// session always has a schedule to restore into; a checkpoint
 		// WITHOUT sampler state resumed WITH WithSampledTiming simply
-		// starts the sampler fresh at the checkpoint position.
-		sp := m.sampler
-		sp.cpis = sr.Floats()
-		sp.mpkis = sr.Floats()
-		sp.instrFF = sr.Uint()
-		sp.instrWarm = sr.Uint()
-		sp.instrMeas = sr.Uint()
-		sp.open = sr.Bool()
-		sp.winEnd = sr.Uint()
-		sr.Counters(&sp.winBase)
+		// starts the schedule fresh at the checkpoint position.
+		sc := s.sched
+		sc.instrFF = sr.Uint()
+		sc.instrWarm = sr.Uint()
+		sc.instrMeas = sr.Uint()
+		sc.open = sr.Bool()
+		sc.winEnd = sr.Uint()
+		for _, m := range s.members {
+			m.sampler.cpis = sr.Floats()
+			m.sampler.mpkis = sr.Floats()
+			sr.Counters(&m.sampler.winBase)
+		}
 		if err := sr.Err(); err != nil {
 			return nil, fmt.Errorf("sim: resume: sampler state: %w", err)
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -40,7 +41,9 @@ func groupMembers() [][]Option {
 // TestStreamGroupEquivalence: a session whose members share one
 // emulator reports, for every member, the Result JSON and value streams
 // the member's solo run produces — over full and sampled timing, a
-// warm-prefix resume, functional-only runs and value capture.
+// warm-prefix resume, functional-only runs and value capture. So does
+// the same group checkpointed at a seeded random cut, serialized,
+// resumed and run to the end.
 func TestStreamGroupEquivalence(t *testing.T) {
 	prog, err := BuildProgram("Swaptions", workloads.Params{}, workloads.VariantPlain)
 	if err != nil {
@@ -74,7 +77,7 @@ func TestStreamGroupEquivalence(t *testing.T) {
 		{"Genetic/skiptiming", []Option{WithSeed(13), WithPBS(true), WithoutTiming(), WithMaxInstrs(100_000)}, nil},
 		{"Photon/capture", []Option{WithSeed(17), WithPBS(true), WithCaptureProb(true), WithMaxInstrs(100_000)}, nil},
 	}
-	for _, st := range streams {
+	for n, st := range streams {
 		t.Run(st.name, func(t *testing.T) {
 			t.Parallel()
 			workload, _, _ := strings.Cut(st.name, "/")
@@ -94,12 +97,17 @@ func TestStreamGroupEquivalence(t *testing.T) {
 				return s
 			}
 			members := groupMembers()
-			group := start(members[0])
-			for _, m := range members[1:] {
-				if err := group.AddMember(append(append([]Option(nil), st.base...), m...)...); err != nil {
-					t.Fatal(err)
+			newGroup := func() *Session {
+				t.Helper()
+				group := start(members[0])
+				for _, m := range members[1:] {
+					if err := group.AddMember(append(append([]Option(nil), st.base...), m...)...); err != nil {
+						t.Fatal(err)
+					}
 				}
+				return group
 			}
+			group := newGroup()
 			if err := group.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -110,6 +118,34 @@ func TestStreamGroupEquivalence(t *testing.T) {
 			if a, b := mustJSON(t, group.Result()), mustJSON(t, got[0]); !bytes.Equal(a, b) {
 				t.Errorf("Result is not the first member's result")
 			}
+
+			// The checkpointed group: cut somewhere inside the run, whose
+			// shortest budget here is 100k instructions.
+			cut := 1 + rand.New(rand.NewPCG(2018, uint64(n))).Uint64N(99_999)
+			cutGroup := newGroup()
+			if _, err := cutGroup.RunFor(cut); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := cutGroup.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadCheckpoint(ck.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := Resume(loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.Run(); err != nil {
+				t.Fatal(err)
+			}
+			gotResumed := resumed.Results()
+			if len(gotResumed) != len(members) {
+				t.Fatalf("%d resumed results for %d members", len(gotResumed), len(members))
+			}
+
 			for i, m := range members {
 				solo := start(m)
 				if err := solo.Run(); err != nil {
@@ -120,6 +156,10 @@ func TestStreamGroupEquivalence(t *testing.T) {
 					t.Errorf("member %d: result JSON differs from its solo run:\n got %s\nwant %s", i, a, b)
 				}
 				compareResults(t, got[i], want)
+				if a, b := mustJSON(t, gotResumed[i]), mustJSON(t, want); !bytes.Equal(a, b) {
+					t.Errorf("member %d: result JSON after a resume at %d differs from its solo run:\n got %s\nwant %s", i, cut, a, b)
+				}
+				compareResults(t, gotResumed[i], want)
 			}
 		})
 	}
@@ -136,7 +176,7 @@ func mustJSON(t *testing.T, r *Result) []byte {
 
 // TestStreamGroupRejects: a member that would retire a different
 // instruction stream cannot join, nor can one join too late; a
-// multi-member session neither checkpoints nor takes observers.
+// multi-member session takes no observers.
 func TestStreamGroupRejects(t *testing.T) {
 	base := []Option{WithSeed(7), WithPBS(true), WithMaxInstrs(50_000)}
 	newGroup := func(t *testing.T) *Session {
@@ -171,9 +211,6 @@ func TestStreamGroupRejects(t *testing.T) {
 	s := newGroup(t)
 	if err := s.AddMember(append(base, WithPredictor(PredTournament))...); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := s.Checkpoint(); err == nil {
-		t.Error("Checkpoint of a two-member session succeeded")
 	}
 	if err := s.Observe(1000, func(Snapshot) {}); err == nil {
 		t.Error("Observe on a two-member session succeeded")

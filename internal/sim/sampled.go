@@ -22,67 +22,94 @@ func WithSampledTiming(cfg sample.Config) Option {
 	return func(c *Config) { c.Sample = &cfg }
 }
 
-// sampler is one member's schedule driver: it tracks which phase the
-// machine is in, switches its pipeline's consume path at phase
-// boundaries (the session switches trace production, see syncSample),
-// closes measurement windows into the IPC/MPKI populations, and
+// schedule is a sampled session's position in its schedule, shared by
+// every member (AddMember requires one schedule): it tracks which phase
+// the machine is in, whether a measurement window is open, and
 // accounts every retired instruction to exactly one phase.
-type sampler struct {
-	cfg   sample.Config
-	cpis  []float64 // per-window CPI population (see sample.Estimate)
-	mpkis []float64 // per-window MPKI population
+type schedule struct {
+	cfg sample.Config
 
 	instrFF   uint64 // instructions fast-forwarded (timing model idle)
 	instrWarm uint64 // instructions run under detailed warming
 	instrMeas uint64 // instructions inside measured windows
 
-	open    bool             // a measurement window is open
-	winEnd  uint64           // absolute position where the open window closes
-	winBase pipeline.Metrics // timing counters when the open window began
+	open   bool   // a measurement window is open
+	winEnd uint64 // absolute position where the open window closes
 }
 
-func newSampler(cfg sample.Config) (*sampler, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &sampler{cfg: cfg}, nil
+// sampler is one member's share of a sampled run: the window
+// populations its timing model measured, and its counters when the
+// open window began.
+type sampler struct {
+	cpis    []float64        // per-window CPI population (see sample.Estimate)
+	mpkis   []float64        // per-window MPKI population
+	winBase pipeline.Metrics // timing counters when the open window began
 }
 
 // account charges the instructions retired over [from, from+n) to their
 // phase. advance never lets the emulator cross a schedule boundary in
 // one chunk (stop is capped at NextBoundary), so the whole interval
 // belongs to PhaseAt(from).
-func (sp *sampler) account(from, n uint64) {
-	switch sp.cfg.PhaseAt(from) {
+func (sc *schedule) account(from, n uint64) {
+	switch sc.cfg.PhaseAt(from) {
 	case sample.FastForward:
-		sp.instrFF += n
+		sc.instrFF += n
 	case sample.Warming:
-		sp.instrWarm += n
+		sc.instrWarm += n
 	case sample.Measuring:
-		sp.instrMeas += n
+		sc.instrMeas += n
 	}
 }
 
-// estimate condenses the window populations into the SMARTS estimate.
-func (sp *sampler) estimate() sample.Estimate {
-	return sample.Estimate95(sp.cpis, sp.mpkis, sp.instrMeas, sp.instrWarm, sp.instrFF)
+// estimate condenses the member's window populations into the SMARTS
+// estimate.
+func (sp *sampler) estimate(sc *schedule) sample.Estimate {
+	return sample.Estimate95(sp.cpis, sp.mpkis, sc.instrMeas, sc.instrWarm, sc.instrFF)
 }
 
 // syncSample reconciles the machine with the schedule at absolute
-// retired-instruction position cur: every member's sampler closes a
-// window whose end has been reached and switches its pipeline's consume
-// path to match PhaseAt(cur), then trace production follows the phase.
-// advance calls it at every chunk boundary (and once more after the run
-// ends, so a window closing exactly at the end of the run is counted).
-// The emulator stops exactly on every schedule boundary and flushes its
-// trace first, so each switch lands between batches and the window
-// delta sees a fully caught-up timing model.
+// retired-instruction position cur: a window whose end has been reached
+// closes into every member's populations, every pipeline's consume path
+// switches to match PhaseAt(cur), a window opens if the phase measures,
+// and trace production follows the phase. advance calls it at every
+// chunk boundary (and once more after the run ends, so a window closing
+// exactly at the end of the run is counted). The emulator stops exactly
+// on every schedule boundary and flushes its trace first, so each
+// switch lands between batches and the window delta sees a fully
+// caught-up timing model.
+//
+// The window close compares against the absolute winEnd rather than
+// watching for a phase change: with Period == Warmup+Window there is no
+// fast-forward gap and the phase stays Measuring straight across the
+// boundary from one window into the next period's warming-free window.
 func (s *Session) syncSample(cur uint64) {
-	trace := true
+	sc := s.sched
+	closing := sc.open && cur >= sc.winEnd
+	phase := sc.cfg.PhaseAt(cur)
+	opening := phase == sample.Measuring && (closing || !sc.open)
+	// A functionally-warmed gap keeps the trace flowing through the
+	// pipeline's cheap cache+predictor path; any other gap pauses it.
+	funcWarm := phase == sample.FastForward && sc.cfg.FuncWarm
 	for _, m := range s.members {
-		trace = m.sampler.sync(cur, m.pipe)
+		sp := m.sampler
+		if closing {
+			d := m.pipe.Metrics().Delta(sp.winBase)
+			sp.cpis = append(sp.cpis, d.CPI())
+			sp.mpkis = append(sp.mpkis, d.MPKI())
+		}
+		m.pipe.SetFuncWarm(funcWarm)
+		if opening {
+			sp.winBase = m.pipe.Metrics()
+		}
 	}
-	if trace {
+	if closing {
+		sc.open = false
+	}
+	if opening {
+		sc.open = true
+		sc.winEnd = sc.cfg.WindowEnd(cur)
+	}
+	if phase != sample.FastForward || funcWarm {
 		s.cpu.ResumeTrace()
 		return
 	}
@@ -90,40 +117,6 @@ func (s *Session) syncSample(cur uint64) {
 	// buffer, so the emulator's fused loop runs its zero-overhead
 	// untraced path until the next detailed phase resumes it.
 	s.cpu.PauseTrace()
-}
-
-// sync brings the sampler and its pipeline to position cur (see
-// syncSample) and reports whether the phase needs the trace.
-//
-// The window close must compare against the absolute winEnd rather
-// than watch for a phase change: with Period == Warmup+Window there is
-// no fast-forward gap and the phase stays Measuring straight across
-// the boundary from one window into the next period's warming-free
-// window.
-func (sp *sampler) sync(cur uint64, pipe *pipeline.Pipeline) bool {
-	if sp.open && cur >= sp.winEnd {
-		d := pipe.Metrics().Delta(sp.winBase)
-		sp.cpis = append(sp.cpis, d.CPI())
-		sp.mpkis = append(sp.mpkis, d.MPKI())
-		sp.open = false
-	}
-	switch sp.cfg.PhaseAt(cur) {
-	case sample.Measuring:
-		pipe.SetFuncWarm(false)
-		if !sp.open {
-			sp.winBase = pipe.Metrics()
-			sp.open = true
-			sp.winEnd = sp.cfg.WindowEnd(cur)
-		}
-	case sample.Warming:
-		pipe.SetFuncWarm(false)
-	case sample.FastForward:
-		// A functionally-warmed gap keeps the trace flowing through the
-		// pipeline's cheap cache+predictor path; any other gap pauses it.
-		pipe.SetFuncWarm(sp.cfg.FuncWarm)
-		return sp.cfg.FuncWarm
-	}
-	return true
 }
 
 // validateSample checks the sampled-timing configuration at session

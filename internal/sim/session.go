@@ -132,7 +132,6 @@ type observer struct {
 // that differ only in predictor, core or predictor filtering retire the
 // same instruction stream, and one emulation can feed them all.
 type Session struct {
-	cfg    Config // the first member's configuration
 	origin Config // the configuration options apply to (see AddMember)
 	name   string // workload label for errors and Result
 
@@ -141,8 +140,9 @@ type Session struct {
 	unit *core.Unit
 
 	members []*member // timing models, in AddMember order; never empty
+	sched   *schedule // shared sampling schedule; nil: full timing
 
-	// timedResume records that the first member restored predictor and
+	// timedResume records that members restored predictor and
 	// pipeline state from a checkpoint, which a joining member could not
 	// share; started records that the session has advanced. Either
 	// closes the session to new members.
@@ -154,10 +154,12 @@ type Session struct {
 	err        error   // first run error; the session is dead once set
 }
 
-// member is one timing model of a session: the pipeline and predictor
-// the trace feeds, and the sampler driving them on a sampled run. All
-// three are nil on a functional-only (WithoutTiming) session.
+// member is one timing model of a session: its configuration, the
+// pipeline and predictor the trace feeds, and its window populations
+// on a sampled run. Pipeline and predictor are nil on a functional-only
+// (WithoutTiming) session.
 type member struct {
+	cfg     Config
 	pipe    *pipeline.Pipeline
 	pred    branch.Predictor
 	sampler *sampler // nil: full timing (see WithSampledTiming)
@@ -216,20 +218,17 @@ func newSession(cfg Config) (*Session, error) {
 	cpu.CaptureProb = cfg.CaptureProb
 
 	s := &Session{
-		cfg:    cfg,
 		origin: cfg,
 		name:   cfg.Workload,
 		prog:   prog,
 		cpu:    cpu,
 		unit:   unit,
 	}
-	m, err := newMember(cfg, prog)
-	if err != nil {
-		return nil, err
+	if cfg.Sample != nil {
+		s.sched = &schedule{cfg: *cfg.Sample}
 	}
-	s.members = []*member{m}
-	if m.pipe != nil {
-		cpu.SetTraceSink(m.pipe)
+	if err := s.addMember(cfg); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -237,7 +236,7 @@ func newSession(cfg Config) (*Session, error) {
 // newMember builds the timing model cfg asks for over prog: nothing for
 // a functional-only configuration.
 func newMember(cfg Config, prog *isa.Program) (*member, error) {
-	m := &member{}
+	m := &member{cfg: cfg}
 	if cfg.SkipTiming {
 		return m, nil
 	}
@@ -261,9 +260,7 @@ func newMember(cfg Config, prog *isa.Program) (*member, error) {
 	m.pipe = pipe
 	m.pred = pred
 	if cfg.Sample != nil {
-		if m.sampler, err = newSampler(*cfg.Sample); err != nil {
-			return nil, err
-		}
+		m.sampler = &sampler{}
 	}
 	return m, nil
 }
@@ -281,8 +278,9 @@ func newMember(cfg Config, prog *isa.Program) (*member, error) {
 // Members join before the session first advances, and not once an
 // observer is registered or the session was resumed from a checkpoint
 // carrying timing state (a member would start cold where the solo run
-// restores). A multi-member session cannot Checkpoint or Observe;
-// Snapshot and Result report the first member.
+// restores). A multi-member session checkpoints every member (see
+// Checkpoint) but cannot Observe; Snapshot and Result report the first
+// member.
 func (s *Session) AddMember(opts ...Option) error {
 	cfg := s.origin
 	for _, o := range opts {
@@ -296,15 +294,25 @@ func (s *Session) AddMember(opts ...Option) error {
 	case s.timedResume:
 		return fmt.Errorf("sim: a member cannot join a session resumed with timing state")
 	}
-	if err := sameStream(s.cfg, cfg); err != nil {
+	if err := sameStream(s.members[0].cfg, cfg); err != nil {
 		return err
 	}
+	return s.addMember(cfg)
+}
+
+// addMember builds member cfg's timing model and points the emulator's
+// trace at every member's pipeline.
+func (s *Session) addMember(cfg Config) error {
 	m, err := newMember(cfg, s.prog)
 	if err != nil {
 		return err
 	}
 	s.members = append(s.members, m)
-	if m.pipe != nil {
+	switch {
+	case m.pipe == nil:
+	case len(s.members) == 1:
+		s.cpu.SetTraceSink(m.pipe)
+	default:
 		sinks := make(fanout, len(s.members))
 		for i, m := range s.members {
 			sinks[i] = m.pipe
@@ -375,7 +383,8 @@ func (s *Session) Done() bool {
 	if s.err != nil || s.cpu.Halted() {
 		return true
 	}
-	return s.cfg.MaxInstrs > 0 && s.Instructions() >= s.cfg.MaxInstrs
+	limit := s.members[0].cfg.MaxInstrs
+	return limit > 0 && s.Instructions() >= limit
 }
 
 // Err returns the fault that stopped the session, if any.
@@ -419,7 +428,7 @@ func (s *Session) collect(m *member) Metrics {
 		out.PBSStats = s.unit.Stats()
 	}
 	if m.sampler != nil {
-		out.Sampled = m.sampler.estimate()
+		out.Sampled = m.sampler.estimate(s.sched)
 	}
 	return out
 }
@@ -474,17 +483,15 @@ func (s *Session) Run() error {
 // left the machine.
 func (s *Session) advance(target uint64) error {
 	limit := target
-	if s.cfg.MaxInstrs > 0 && (limit == 0 || s.cfg.MaxInstrs < limit) {
-		limit = s.cfg.MaxInstrs
+	if budget := s.members[0].cfg.MaxInstrs; budget > 0 && (limit == 0 || budget < limit) {
+		limit = budget
 	}
 	if s.cpu.Halted() {
 		return nil
 	}
 	s.started = true
-	// Members share the schedule (see AddMember), so the first member's
-	// sampler stands for all of them.
-	sp := s.members[0].sampler
-	if sp != nil {
+	sc := s.sched
+	if sc != nil {
 		// Reconcile once more on the way out so a window that closes
 		// exactly where the run ends (halt or budget) joins the
 		// population. Idempotent with the loop-top reconcile.
@@ -496,7 +503,7 @@ func (s *Session) advance(target uint64) error {
 	}
 	for !s.cpu.Halted() {
 		cur := s.cpu.Stats().Instructions
-		if sp != nil {
+		if sc != nil {
 			// Reconcile before the limit check so a window closing exactly
 			// at the limit is recorded on this advance, not the next.
 			s.syncSample(cur)
@@ -512,11 +519,11 @@ func (s *Session) advance(target uint64) error {
 				stop = ob.next
 			}
 		}
-		if sp != nil {
+		if sc != nil {
 			// Never cross a schedule edge inside one emulator chunk: every
 			// retired interval then belongs wholly to one phase, which keeps
 			// the accounting exact and the phase switches on-boundary.
-			if nb := sp.cfg.NextBoundary(cur); stop == 0 || nb < stop {
+			if nb := sc.cfg.NextBoundary(cur); stop == 0 || nb < stop {
 				stop = nb
 			}
 		}
@@ -531,10 +538,8 @@ func (s *Session) advance(target uint64) error {
 		}
 		prev := cur
 		cur = s.cpu.Stats().Instructions
-		if sp != nil {
-			for _, m := range s.members {
-				m.sampler.account(prev, cur-prev)
-			}
+		if sc != nil {
+			sc.account(prev, cur-prev)
 		}
 		for _, ob := range s.observers {
 			if ob.next > cur {

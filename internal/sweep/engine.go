@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -31,26 +30,6 @@ type Engine struct {
 	// number of completed points and the total. Calls may arrive
 	// concurrently from several workers.
 	OnProgress func(done, total int)
-
-	// warm memoizes functional warm-prefix checkpoints by canonical warm
-	// point (see Point.WarmPoint), keyed like the result memos so repeat
-	// sweeps on one engine reuse the same warm-ups. Unlike Programs and
-	// Results it is always on — sharing the prefix run across a group is
-	// what WarmPrefix means, not an optional cache. Entries singleflight:
-	// concurrent points of one group run the prefix exactly once, the
-	// rest wait for that run. Lazily built; guarded by warmMu.
-	warmMu sync.Mutex
-	warm   map[Point]*warmEntry
-}
-
-// warmEntry is one singleflight slot of the warm-checkpoint memo. After
-// once completes, ck == nil with err == nil means the program halted
-// inside the would-be prefix: there is no shared suffix to fork, and the
-// group's points run cold instead.
-type warmEntry struct {
-	once sync.Once
-	ck   *sim.Checkpoint
-	err  error
 }
 
 // NewEngine returns an engine with program and result caching enabled.
@@ -189,16 +168,17 @@ func (e *Engine) Run(ctx context.Context, g Grid) (Results, error) {
 // completed results merge into an Aggregate in seed order. Runs that
 // share a functional stream execute as one stream group: one emulator
 // feeding every member's timing model (see Batch.Groups and
-// Point.Join). Groups are split while there are fewer of them than
+// StartGroup). Groups are split while there are fewer of them than
 // workers, so grouping never costs concurrency. The first error aborts
-// the sweep: no further groups are dispatched, in-flight warm-prefix
-// runs are cancelled, and the error is returned once in-flight groups
-// drain — together with the results of the points that did complete (in
-// point order, fully merged aggregates only), so an interrupted sweep
-// can still flush what it finished. Points with a WarmPrefix fork from
-// a shared functional checkpoint of their group's prefix, run once per
-// group (see Grid.WarmPrefix). Results are positionally deterministic —
-// the same points produce the same results at any parallelism.
+// the sweep: no further groups are dispatched, in-flight groups —
+// warm prefixes included — stop at their next chunk boundary, and the
+// error is returned once they drain — together with the results of the
+// points that did complete (in point order, fully merged aggregates
+// only), so an interrupted sweep can still flush what it finished.
+// Points with a WarmPrefix fork from a functional checkpoint of the
+// prefix their group runs once (see Grid.WarmPrefix). Results are
+// positionally deterministic — the same points produce the same results
+// at any parallelism.
 func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Results, error) {
 	if len(pts) == 0 {
 		return nil, ctx.Err()
@@ -212,7 +192,7 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 	if parallel < 1 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	groups := splitGroups(b.Groups(), parallel)
+	groups := SplitGroups(b.Groups(), parallel)
 	if parallel > len(groups) {
 		parallel = len(groups)
 	}
@@ -288,12 +268,13 @@ dispatch:
 	return b.Results(), err
 }
 
-// splitGroups halves the largest stream group, keeping dispatch order,
+// SplitGroups halves the largest stream group, keeping dispatch order,
 // until there are at least n groups or every group is a single run: a
 // small batch then still fills the pool, and only spare runs share an
-// emulator.
-func splitGroups(groups [][]int, n int) [][]int {
-	for len(groups) < n {
+// emulator. The engine splits its batch's groups for its workers, the
+// sweep service its queued groups for the workers polling it.
+func SplitGroups[T any](groups [][]T, n int) [][]T {
+	for len(groups) > 0 && len(groups) < n {
 		big := 0
 		for i, g := range groups {
 			if len(g) > len(groups[big]) {
@@ -314,8 +295,7 @@ func splitGroups(groups [][]int, n int) [][]int {
 // runGroup executes one stream group (see Batch.Groups) and returns its
 // points' results in order, consulting the caches: memoized points are
 // served from the result memo and leave the group, and the rest share
-// one session — forked from the group's warm checkpoint when the points
-// have a WarmPrefix, else cold — run in chunks to the end (see
+// one session built by StartGroup and run in chunks to the end (see
 // runSession). Cached programs are shared read-only across the
 // concurrently running sessions of the worker pool. Errors name the
 // point they belong to: the failing member, or the first simulated one
@@ -341,29 +321,16 @@ func (e *Engine) runGroup(ctx context.Context, pts []Point) ([]*sim.Result, erro
 		return out, nil
 	}
 	lead := todo[0]
-	var (
-		prog *isa.Program
-		from *sim.Checkpoint
-		err  error
-	)
+	var prog *isa.Program
 	if e.Programs != nil {
+		var err error
 		if prog, err = e.Programs.Get(lead.Workload, lead.Scale, lead.Variant); err != nil {
 			return nil, fmt.Errorf("%s: %w", lead, err)
 		}
 	}
-	if wp, ok := lead.WarmPoint(); ok {
-		if from, err = e.warmCheckpoint(ctx, wp, prog); err != nil {
-			return nil, fmt.Errorf("%s: warm prefix %s: %w", lead, wp, err)
-		}
-	}
-	s, err := lead.Start(prog, from)
+	s, err := StartGroup(ctx, todo, prog, nil, RunChunk)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", lead, err)
-	}
-	for _, p := range todo[1:] {
-		if err := p.Join(s, prog); err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
+		return nil, err
 	}
 	if err := runSession(ctx, s, RunChunk); err != nil {
 		// No "sweep:" prefix: the wrapped error carries its package
@@ -383,37 +350,60 @@ func (e *Engine) runGroup(ctx context.Context, pts []Point) ([]*sim.Result, erro
 // result memo, and p captures no value streams (they are large).
 func (e *Engine) memoize(p Point) bool { return e.Results != nil && !p.CaptureProb }
 
-// Start builds the point's session on prog (nil builds the program
-// from scratch): forked from the checkpoint from when one is given,
-// else cold. On a fork the point's own options land on top of the
-// checkpoint's embedded config, turning the timing model (back) on
-// where the point wants it — it starts cold at the fork — and restoring
-// the point's predictor, width, filter setting and instruction budget.
-// The in-process engine and the sweep service's workers build every
-// session through Start, so a point runs the same wherever it runs; the
-// engine then adds the rest of the point's stream group with Join.
-func (p Point) Start(prog *isa.Program, from *sim.Checkpoint) (*sim.Session, error) {
-	opts, err := p.sessionOptions(prog)
-	if err != nil {
-		return nil, err
-	}
+// StartGroup builds the session of one stream group — points sharing a
+// StreamPoint, which the session emulates once for all of them (see
+// sim.Session.AddMember) — on prog (nil builds the program from
+// scratch). The in-process engine and the sweep service's workers start
+// every group here, so a group runs the same wherever it runs:
+//
+//   - with a progress checkpoint from, every member resumes from it (a
+//     checkpoint that does not resume into exactly these points' members
+//     is only a lost optimization: the group starts afresh below);
+//   - else, when the points have a warm prefix (see WarmPoint), the
+//     group runs it functional-only in chunks of chunk instructions —
+//     stopping at the first chunk boundary after ctx ends — then forks
+//     its first point from the prefix and joins the rest, each timing
+//     model starting cold at the fork;
+//   - else the group starts cold.
+//
+// Each point's result is byte-identical to the one its own single-point
+// group produces. Errors name the point they belong to.
+func StartGroup(ctx context.Context, pts []Point, prog *isa.Program, from *sim.Checkpoint, chunk uint64) (*sim.Session, error) {
+	lead := pts[0]
 	if from != nil {
-		return sim.Resume(from, opts...)
+		if s, err := sim.Resume(from, sim.WithProgram(prog)); err == nil && len(s.Results()) == len(pts) {
+			return s, nil
+		}
 	}
-	return sim.New(p.Workload, opts...)
-}
-
-// Join adds the point's timing model to s, a session another point of
-// its stream group (same StreamPoint) started on prog and that has not
-// advanced yet (see sim.Session.AddMember). The session then emulates
-// the stream once for both, and the point's result is byte-identical to
-// the one its own Start would produce.
-func (p Point) Join(s *sim.Session, prog *isa.Program) error {
-	opts, err := p.sessionOptions(prog)
+	opts, err := lead.sessionOptions(prog)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("%s: %w", lead, err)
 	}
-	return s.AddMember(opts...)
+	var warm *sim.Checkpoint
+	if wp, ok := lead.WarmPoint(); ok {
+		if warm, err = runWarmPrefix(ctx, wp, prog, chunk); err != nil {
+			return nil, fmt.Errorf("%s: warm prefix %s: %w", lead, wp, err)
+		}
+	}
+	var s *sim.Session
+	if warm != nil {
+		s, err = sim.Resume(warm, opts...)
+	} else {
+		s, err = sim.New(lead.Workload, opts...)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", lead, err)
+	}
+	for _, p := range pts[1:] {
+		opts, err := p.sessionOptions(prog)
+		if err == nil {
+			err = s.AddMember(opts...)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p, err)
+		}
+	}
+	return s, nil
 }
 
 // sessionOptions is the point's Options plus the cached program.
@@ -433,10 +423,10 @@ func (p Point) sessionOptions(prog *isa.Program) ([]sim.Option, error) {
 // filtering — at their defaults. Emulation never consumes timing
 // results, so points with one StreamPoint retire the same instruction
 // stream; a batch runs each such set as one stream group (see
-// Batch.Groups and Join). What remains — workload, variant, scale, seed, PBS
-// hardware, value capture, SkipTiming, MaxInstrs, WarmPrefix and the
-// sampling schedule — is exactly what shapes the stream and its
-// schedule.
+// Batch.Groups and StartGroup). What remains — workload, variant,
+// scale, seed, PBS hardware, value capture, SkipTiming, MaxInstrs,
+// WarmPrefix and the sampling schedule — is exactly what shapes the
+// stream and its schedule.
 func (p Point) StreamPoint() Point {
 	p = p.normalize()
 	p.Predictor = sim.PredTAGESCL
@@ -449,12 +439,9 @@ func (p Point) StreamPoint() Point {
 // point forks from, and whether warm-prefix reuse applies at all. It is
 // the StreamPoint run functional-only up to the prefix, with the
 // sampling schedule canonicalized away too: the prefix runs with the
-// timing model off, so sampled and full points of one functional group
-// share a single warm checkpoint. Reuse is skipped when the point's own
-// budget ends inside the prefix — fast-forwarding past MaxInstrs would
-// simulate a different run — and for aggregate points, which never run
-// directly. Exported so the sweep service's workers group points around
-// the same shared prefixes the in-process engine does.
+// timing model off. Reuse is skipped when the point's own budget ends
+// inside the prefix — fast-forwarding past MaxInstrs would simulate a
+// different run — and for aggregate points, which never run directly.
 func (p Point) WarmPoint() (Point, bool) {
 	if p.WarmPrefix == 0 || p.Sharded() || (p.MaxInstrs != 0 && p.MaxInstrs <= p.WarmPrefix) {
 		return Point{}, false
@@ -467,37 +454,6 @@ func (p Point) WarmPoint() (Point, bool) {
 	return w, true
 }
 
-// warmCheckpoint returns the group's shared prefix checkpoint, running
-// the warm-up on the first request and parking concurrent requesters on
-// that run. A checkpoint is immutable bytes, so any number of points
-// fork from one entry concurrently. A warm-up aborted by sweep
-// cancellation is evicted rather than memoized: the abort belongs to
-// that sweep, and a later Run on the same engine must redo the work, not
-// inherit the stale context's error.
-func (e *Engine) warmCheckpoint(ctx context.Context, wp Point, prog *isa.Program) (*sim.Checkpoint, error) {
-	e.warmMu.Lock()
-	if e.warm == nil {
-		e.warm = make(map[Point]*warmEntry)
-	}
-	ent := e.warm[wp]
-	if ent == nil {
-		ent = &warmEntry{}
-		e.warm[wp] = ent
-	}
-	e.warmMu.Unlock()
-	ent.once.Do(func() {
-		ent.ck, ent.err = RunWarmPrefix(ctx, wp, prog, RunChunk)
-	})
-	if ent.err != nil && (errors.Is(ent.err, context.Canceled) || errors.Is(ent.err, context.DeadlineExceeded)) {
-		e.warmMu.Lock()
-		if e.warm[wp] == ent {
-			delete(e.warm, wp)
-		}
-		e.warmMu.Unlock()
-	}
-	return ent.ck, ent.err
-}
-
 // RunChunk is the default RunFor granularity of the sessions the sweep
 // code drives: coarse enough that the chunking cost vanishes (sessions
 // retire the same stream at any chunk size, see sim.Session.RunFor),
@@ -505,13 +461,16 @@ func (e *Engine) warmCheckpoint(ctx context.Context, wp Point, prog *isa.Program
 // promptly.
 const RunChunk = 1 << 18
 
-// RunWarmPrefix executes the canonical warm point wp's functional
-// prefix on prog (see Start) in chunks of chunk instructions, and
-// checkpoints it. A nil, nil return means the program halted before the
-// prefix ended: there is no suffix to share, and the group's points run
-// cold.
-func RunWarmPrefix(ctx context.Context, wp Point, prog *isa.Program, chunk uint64) (*sim.Checkpoint, error) {
-	s, err := wp.Start(prog, nil)
+// runWarmPrefix executes the canonical warm point wp's functional
+// prefix on prog in chunks of chunk instructions, and checkpoints it. A
+// nil, nil return means the program halted before the prefix ended:
+// there is no suffix to fork, and the group runs cold.
+func runWarmPrefix(ctx context.Context, wp Point, prog *isa.Program, chunk uint64) (*sim.Checkpoint, error) {
+	opts, err := wp.sessionOptions(prog)
+	if err != nil {
+		return nil, err
+	}
+	s, err := sim.New(wp.Workload, opts...)
 	if err != nil {
 		return nil, err
 	}

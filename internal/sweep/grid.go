@@ -286,14 +286,15 @@ func (p Point) Shard(seed uint64) Point {
 	return p
 }
 
-// Options translates the point into session options; Start and Join
-// add the cached program and build or join the session. Aggregate points do not run
-// directly — the engine shards them — so they have no options.
+// Options translates the point into session options; StartGroup adds
+// the cached program and builds or joins the group's session. Aggregate
+// points do not run directly — the engine shards them — so they have no
+// options.
 func (p Point) Options() ([]sim.Option, error) {
 	if p.Sharded() {
 		return nil, fmt.Errorf("sweep: aggregate point %s cannot run directly (the engine shards it per seed)", p)
 	}
-	// Spare capacity for the option Start and Join append (the cached
+	// Spare capacity for the option StartGroup appends (the cached
 	// program) so a hot sweep loop never regrows the slice.
 	opts := make([]sim.Option, 0, 12)
 	opts = append(opts,
@@ -305,7 +306,7 @@ func (p Point) Options() ([]sim.Option, error) {
 		sim.WithFilterProb(p.FilterProb),
 		sim.WithCaptureProb(p.CaptureProb),
 		sim.WithMaxInstrs(p.MaxInstrs),
-		// Timing is set explicitly both ways: when Start resumes the
+		// Timing is set explicitly both ways: when StartGroup resumes the
 		// point from a functional warm checkpoint (whose embedded config
 		// has SkipTiming on), the option must override it back on.
 		sim.WithTiming(!p.SkipTiming),

@@ -138,12 +138,12 @@ func TestSplitGroupsKeepsPoolBusy(t *testing.T) {
 		{2, [][]int{{0}, {1}}},
 		{8, [][]int{{0}, {1}}},
 	} {
-		if got := splitGroups(b.Groups(), tc.parallel); !reflect.DeepEqual(got, tc.want) {
+		if got := SplitGroups(b.Groups(), tc.parallel); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parallel %d: jobs %v, want %v", tc.parallel, got, tc.want)
 		}
 	}
 	// Halving the largest group first keeps dispatch order.
-	if got, want := splitGroups([][]int{{0, 1, 2, 3}, {4}}, 4), [][]int{{0}, {1}, {2, 3}, {4}}; !reflect.DeepEqual(got, want) {
+	if got, want := SplitGroups([][]int{{0, 1, 2, 3}, {4}}, 4), [][]int{{0}, {1}, {2, 3}, {4}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("split jobs %v, want %v", got, want)
 	}
 }

@@ -124,9 +124,9 @@ func TestSampledRecords(t *testing.T) {
 	}
 }
 
-// TestSampledWarmPoint: the sampling schedule is timing-only, so it
-// must not split warm-prefix groups — and the warm (functional) point
-// itself must never sample.
+// TestSampledWarmPoint: the warm prefix runs functional-only, so a
+// sampled point forks from the same warm point as its full-timing twin,
+// and the warm point itself never samples.
 func TestSampledWarmPoint(t *testing.T) {
 	p := Point{Key: Key{Workload: "PI", Seed: 1}, WarmPrefix: 10_000,
 		SampleWindow: 1_000, SamplePeriod: 5_000, SampleWarmup: 500}

@@ -64,8 +64,7 @@ func TestWarmPrefixFunctionalIdentity(t *testing.T) {
 }
 
 // TestWarmPrefixDeterminism: two fresh engines produce identical record
-// sets for the same warm grid, regardless of which worker won the
-// singleflight race.
+// sets for the same warm grid.
 func TestWarmPrefixDeterminism(t *testing.T) {
 	g := warmGrid()
 	a, err := NewEngine().Run(context.Background(), g)
@@ -81,38 +80,9 @@ func TestWarmPrefixDeterminism(t *testing.T) {
 	}
 }
 
-// TestWarmPrefixSingleflight: points sharing all functional coordinates
-// share a single warm-up. The grid's 8 points split into 4 functional
-// groups — 2 seeds × PBS on/off; predictor is a timing axis and does
-// not split — so the memo holds exactly 4 entries, and a rerun reuses
-// them rather than re-warming.
-func TestWarmPrefixSingleflight(t *testing.T) {
-	g := warmGrid()
-	g.Seeds = []uint64{11, 23}
-	e := NewEngine()
-	if _, err := e.Run(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	e.warmMu.Lock()
-	n := len(e.warm)
-	e.warmMu.Unlock()
-	if n != 4 {
-		t.Errorf("warm memo holds %d entries, want 4 (2 seeds × PBS on/off)", n)
-	}
-	if _, err := e.Run(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	e.warmMu.Lock()
-	n = len(e.warm)
-	e.warmMu.Unlock()
-	if n != 4 {
-		t.Errorf("warm memo holds %d entries after rerun, want 4", n)
-	}
-}
-
 // TestWarmPrefixCancellation: aborting a sweep mid-warm-up surfaces the
 // context error and must not poison the engine — the next Run on the
-// same engine redoes the warm-up and succeeds.
+// same engine runs the warm-up again and succeeds.
 func TestWarmPrefixCancellation(t *testing.T) {
 	g := warmGrid()
 	g.MaxInstrs = 0           // run to completion
@@ -128,13 +98,6 @@ func TestWarmPrefixCancellation(t *testing.T) {
 	} else if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
-	e.warmMu.Lock()
-	for wp, ent := range e.warm {
-		if ent.err != nil {
-			t.Errorf("aborted warm-up left a poisoned memo entry for %s: %v", wp, ent.err)
-		}
-	}
-	e.warmMu.Unlock()
 	g.WarmPrefix = 100_000
 	g.MaxInstrs = 250_000
 	if _, err := e.Run(context.Background(), g); err != nil {
