@@ -222,7 +222,7 @@ func runBatch(args []string) {
 		seeds     = fs.String("seeds", "1", "comma-separated machine RNG seeds")
 		variants  = fs.String("variants", "plain", "comma-separated program variants: plain | predicated | cfd (inapplicable combinations are skipped)")
 		shard     = fs.Bool("shard-seeds", false, "collapse the seed axis: run each coordinate as one aggregate point whose per-seed shards fan across the worker pool; output gains a mean/95%-CI aggregate row per point alongside the per-seed rows")
-		warm      = fs.Uint64("warm-prefix", 0, "fast-forward each point over its first N instructions via a functional checkpoint shared across points that differ only in timing axes; timing metrics then cover the post-prefix suffix (0 = run every point cold)")
+		warm      = fs.Uint64("warm-prefix", 0, "fast-forward each point over its first N instructions with the timing model idle, once per group of points that differ only in timing axes; timing metrics then cover the post-prefix suffix (0 = run every point cold)")
 		sampleWin = fs.Uint64("sample-window", 0, "SMARTS sampled timing: measured-window length in instructions (needs -sample-period)")
 		samplePer = fs.Uint64("sample-period", 0, "SMARTS sampled timing: measure one window every N retired instructions per point, fast-forwarding the gaps; rows then carry the IPC/MPKI estimate and its 95% CI (0 = full timing)")
 		sampleWrm = fs.Uint64("sample-warmup", 0, "SMARTS sampled timing: detailed-warming instructions ahead of each window")

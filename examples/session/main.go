@@ -56,7 +56,7 @@ func main() {
 
 	// A closing snapshot carries the timing, emulator and PBS-unit
 	// counters side by side.
-	total := s.Snapshot().Total
+	total := s.Snapshot()
 	t := total.Timing
 	fmt.Printf("\nran to completion in %d RunFor slices\n", slices)
 	fmt.Printf("instructions  %d\n", t.Instructions)

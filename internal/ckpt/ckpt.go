@@ -52,8 +52,9 @@ const magic = "PBSCKPT\n"
 // section lists every member's configuration, each member writes its
 // own predictor and pipeline section, and the session section writes
 // the shared sampling-schedule state once, then each member's window
-// populations.
-const Version = 7
+// populations. Version 8 drops the session's last Snapshot sample from
+// the session section.
+const Version = 8
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable

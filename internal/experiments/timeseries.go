@@ -86,7 +86,7 @@ func timeSeriesSeed(workload string, pbs bool, interval uint64, scale int, seed 
 	}
 	// Close with the partial final interval, if the program did not halt
 	// exactly on a boundary.
-	if final := s.Snapshot().Total.Timing; final.Instructions > last.Instructions {
+	if final := s.Snapshot().Timing; final.Instructions > last.Instructions {
 		sample(final, final.Delta(last))
 	}
 	return out, nil

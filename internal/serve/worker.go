@@ -27,9 +27,9 @@ var errLeaseLost = errors.New("serve: lease lost")
 // Worker pulls leased stream groups from a Server and executes each as
 // one session started by the in-process engine's group starter
 // (sweep.StartGroup): cached shared programs, the group's warm prefix
-// run once and forked, and chunked runs that abort when the lease is
-// lost. A Worker runs one group at a time; start several (sharing one
-// ProgramCache) to use more cores.
+// fast-forwarded once for every member, and chunked runs that abort
+// when the lease is lost. A Worker runs one group at a time; start
+// several (sharing one ProgramCache) to use more cores.
 //
 // Fault posture: transient request failures retry with jittered
 // exponential backoff bounded by RetryBudget; renewals piggyback
@@ -221,10 +221,11 @@ func (w *Worker) renewLoop(pctx context.Context, cancel context.CancelFunc, stop
 
 // runLeased executes the leased group (see sweep.StartGroup): resumed
 // from a migrated progress checkpoint when the lease ships one, else
-// warm-forked or cold. Along the way it piggybacks fresh progress
-// checkpoints on renewals (so the server can migrate the group if this
-// worker dies) and honors drain by checkpointing and releasing the
-// lease mid-run. Errors name the point they belong to.
+// cold, fast-forwarded over any warm prefix. Along the way it
+// piggybacks fresh progress checkpoints on renewals (so the server can
+// migrate the group if this worker dies) and honors drain by
+// checkpointing and releasing the lease mid-run. Errors name the point
+// they belong to.
 func (w *Worker) runLeased(ctx context.Context, lr LeaseResponse, ttl time.Duration) ([]*sim.Result, error) {
 	lead := lr.Points[0]
 	prog, err := w.Programs.Get(lead.Workload, lead.Scale, lead.Variant)

@@ -16,11 +16,9 @@ import (
 // PBS unit and session sections describe the shared functional stream
 // and appear once; each member writes its own predictor and pipeline
 // section, suffixed with its index (see memberSection). A
-// functional-only session writes no predictor or pipeline section; a
-// session without PBS writes no pbs section. Resume treats a missing
-// timing section as "start the timing model cold" — the seam
-// warm-prefix reuse builds on — but requires the functional sections
-// and an exact program match.
+// functional-only member writes no predictor or pipeline section; a
+// session without PBS writes no pbs section. Resume requires exactly
+// the sections the resumed members write, and an exact program match.
 const (
 	secConfig    = "config"
 	secEmu       = "emu"
@@ -120,12 +118,6 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	}
 	sw := enc.Section(secSession)
 	sw.Uint(s.Instructions())
-	// The last direct Snapshot sample, so a Snapshot after Resume reports
-	// the same Delta an uninterrupted session would. Its Sampled estimate
-	// is derived state Delta never reads.
-	sw.Counters(&s.lastDirect.Emu)
-	sw.Counters(&s.lastDirect.Timing)
-	sw.Counters(&s.lastDirect.PBSStats)
 	if sc := s.sched; sc != nil {
 		// The schedule position is implied by the instruction count; what
 		// must survive is the phase accounting, the open window and each
@@ -203,13 +195,12 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 // via WithProgram — must hash-match the checkpointed one.
 //
 // Options may not change what the machine is (program, seed, PBS
-// hardware — the functional state would be inconsistent) but may change
-// how it continues: the instruction budget (WithMaxInstrs) and — for a
-// functional-only checkpoint — turning the timing model on, which
-// starts predictor, caches and pipeline cold at the checkpoint
-// boundary. That is the warm-prefix fast-forward of the sweep engine:
-// functional state is exact, timing state accumulates only over the
-// measured suffix.
+// hardware — the functional state would be inconsistent) nor whether a
+// member times (a timed member needs its predictor and pipeline
+// sections, a functional-only member has none), but may change how it
+// continues: the instruction budget (WithMaxInstrs) or the sampling
+// schedule. The resumed session counts as started: it takes no new
+// member and no FastForward.
 func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	cfgs := make([]Config, len(c.cfgs))
 	for i, cfg := range c.cfgs {
@@ -226,7 +217,7 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.origin = c.cfgs[0]
+	s.started = true
 	for _, cfg := range cfgs[1:] {
 		if err := sameStream(cfgs[0], cfg); err != nil {
 			return nil, fmt.Errorf("sim: resume: %w", err)
@@ -269,28 +260,32 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	}
 
 	for i, m := range s.members {
-		if br, ok := dec.Section(memberSection(secPredictor, i)); ok && m.pred != nil {
-			name := br.String()
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("sim: resume: %w", err)
-			}
-			if name != m.pred.Name() {
-				return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
-			}
-			cp, ok := m.pred.(ckpt.Checkpointable)
-			if !ok {
-				return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
-			}
-			if err := cp.RestoreState(br); err != nil {
-				return nil, fmt.Errorf("sim: resume: %w", err)
-			}
-			s.timedResume = true
+		br, hasPred := dec.Section(memberSection(secPredictor, i))
+		tr, hasPipe := dec.Section(memberSection(secPipeline, i))
+		switch timed := m.pipe != nil; {
+		case timed && !(hasPred && hasPipe):
+			return nil, fmt.Errorf("sim: resume: timed member %d has no %s and %s state in the checkpoint", i, secPredictor, secPipeline)
+		case !timed && (hasPred || hasPipe):
+			return nil, fmt.Errorf("sim: resume: functional-only member %d has timing state in the checkpoint", i)
+		case !timed:
+			continue
 		}
-		if tr, ok := dec.Section(memberSection(secPipeline, i)); ok && m.pipe != nil {
-			if err := m.pipe.RestoreState(tr); err != nil {
-				return nil, fmt.Errorf("sim: resume: %w", err)
-			}
-			s.timedResume = true
+		name := br.String()
+		if err := br.Err(); err != nil {
+			return nil, fmt.Errorf("sim: resume: %w", err)
+		}
+		if name != m.pred.Name() {
+			return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
+		}
+		cp, ok := m.pred.(ckpt.Checkpointable)
+		if !ok {
+			return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
+		}
+		if err := cp.RestoreState(br); err != nil {
+			return nil, fmt.Errorf("sim: resume: %w", err)
+		}
+		if err := m.pipe.RestoreState(tr); err != nil {
+			return nil, fmt.Errorf("sim: resume: %w", err)
 		}
 	}
 
@@ -299,9 +294,6 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		return nil, fmt.Errorf("sim: checkpoint has no %s section", secSession)
 	}
 	sr.Uint() // instruction count, already exposed via Checkpoint.Instructions
-	sr.Counters(&s.lastDirect.Emu)
-	sr.Counters(&s.lastDirect.Timing)
-	sr.Counters(&s.lastDirect.PBSStats)
 	if err := sr.Err(); err != nil {
 		return nil, fmt.Errorf("sim: resume: %w", err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sample"
 )
 
 // restoreK is where the restore-identity tests interrupt the run:
@@ -135,49 +137,135 @@ func TestCheckpointByteStable(t *testing.T) {
 	}
 }
 
-// TestResumeFunctionalThenTiming models the warm-prefix path: a
-// functional-only checkpoint resumed with the timing model enabled.
-// Functional results must equal the uninterrupted functional run; the
-// timing model must cover exactly the post-checkpoint suffix.
-func TestResumeFunctionalThenTiming(t *testing.T) {
-	cfg := Config{Workload: "Genetic", Seed: 13, PBS: true, SkipTiming: true, MaxInstrs: 300_000}
-	want, err := Run(cfg)
+// TestFastForwardThenTiming models the warm-prefix path: a timed
+// session fast-forwarded over a prefix, then run to the end. Functional
+// results must equal the uninterrupted run, and the timing model must
+// cover exactly the post-prefix suffix. The sampled case's prefix ends
+// inside a measurement window (period 100003, window 10007, warmup
+// 20011: a window covers 100003..110010): the schedule counts no
+// prefix instruction, so its phase counters add up to the suffix.
+func TestFastForwardThenTiming(t *testing.T) {
+	sc := sample.Config{Period: 100_003, Window: 10_007, Warmup: 20_011}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		prefix uint64
+	}{
+		{"full", Config{Workload: "Genetic", Seed: 13, PBS: true, MaxInstrs: 300_000}, restoreK},
+		{"sampled", Config{Workload: "PI", Seed: 3, PBS: true, MaxInstrs: 600_000, Sample: &sc}, 105_003},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			s, err := newSession(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			functional := tc.cfg
+			functional.SkipTiming = true
+			functional.Sample = nil
+			want, err := Run(functional)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done, err := s.FastForward(tc.prefix); err != nil || done {
+				t.Fatalf("FastForward: done=%v err=%v", done, err)
+			}
+			if got := s.Instructions(); got != tc.prefix {
+				t.Fatalf("fast-forwarded to %d instructions, want %d", got, tc.prefix)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got := s.Result()
+			if got.Emu != want.Emu {
+				t.Errorf("functional stats diverged:\n got %+v\nwant %+v", got.Emu, want.Emu)
+			}
+			if got.PBSStats != want.PBSStats {
+				t.Errorf("pbs stats diverged:\n got %+v\nwant %+v", got.PBSStats, want.PBSStats)
+			}
+			if hashU64(got.Outputs) != hashU64(want.Outputs) {
+				t.Errorf("outputs diverged")
+			}
+			suffix := want.Emu.Instructions - tc.prefix
+			if got.Timing.Cycles == 0 {
+				t.Error("timing model produced no cycles after the fast-forward")
+			}
+			if got.Sampled == nil {
+				if got.Timing.Instructions != suffix {
+					t.Errorf("timing model saw %d instructions, want the %d-instruction suffix", got.Timing.Instructions, suffix)
+				}
+				return
+			}
+			e := got.Sampled
+			if sum := e.InstrsMeasured + e.InstrsWarmed + e.InstrsFastForwarded; sum != suffix {
+				t.Errorf("schedule accounted %d instructions (measured %d, warmed %d, fast-forwarded %d), want the %d-instruction suffix",
+					sum, e.InstrsMeasured, e.InstrsWarmed, e.InstrsFastForwarded, suffix)
+			}
+			if timed := e.InstrsMeasured + e.InstrsWarmed; got.Timing.Instructions != timed {
+				t.Errorf("timing model saw %d instructions, want the suffix's %d detailed ones", got.Timing.Instructions, timed)
+			}
+			if e.Windows == 0 {
+				t.Error("sampled suffix measured no window")
+			}
+		})
+	}
+}
+
+// TestFastForwardRejects: FastForward is refused once the session has
+// run timed, was resumed or is observed; and Resume refuses a member
+// whose timing mode does not match the checkpoint's sections.
+func TestFastForwardRejects(t *testing.T) {
+	newPI := func(t *testing.T, opts ...Option) *Session {
+		t.Helper()
+		s, err := New("PI", append([]Option{WithSeed(1), WithPBS(true)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	ran := newPI(t)
+	if _, err := ran.RunFor(1000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ran.FastForward(1000); err == nil {
+		t.Error("FastForward after RunFor succeeded")
+	}
+
+	ck, err := ran.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newSession(cfg)
+	resumed, err := Resume(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunFor(restoreK); err != nil {
+	if _, err := resumed.FastForward(1000); err == nil {
+		t.Error("FastForward after Resume succeeded")
+	}
+
+	observed := newPI(t)
+	if err := observed.Observe(1000, func(Snapshot) {}); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := s.Checkpoint()
+	if _, err := observed.FastForward(1000); err == nil {
+		t.Error("FastForward on an observed session succeeded")
+	}
+
+	functional := newPI(t, WithoutTiming())
+	if _, err := functional.RunFor(1000); err != nil {
+		t.Fatal(err)
+	}
+	fck, err := functional.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Resume(ck, WithTiming(true))
-	if err != nil {
-		t.Fatal(err)
+	timingOn := func(c *Config) { c.SkipTiming = false }
+	if _, err := Resume(fck, timingOn); err == nil || !strings.Contains(err.Error(), "member 0") {
+		t.Errorf("a timed member resumed without its sections: err = %v, want one naming member 0", err)
 	}
-	if err := restored.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := restored.Result()
-	if got.Emu != want.Emu {
-		t.Errorf("functional stats diverged:\n got %+v\nwant %+v", got.Emu, want.Emu)
-	}
-	if got.PBSStats != want.PBSStats {
-		t.Errorf("pbs stats diverged:\n got %+v\nwant %+v", got.PBSStats, want.PBSStats)
-	}
-	if hashU64(got.Outputs) != hashU64(want.Outputs) {
-		t.Errorf("outputs diverged")
-	}
-	if wantSuffix := want.Emu.Instructions - restoreK; got.Timing.Instructions != wantSuffix {
-		t.Errorf("timing model saw %d instructions, want the %d-instruction suffix", got.Timing.Instructions, wantSuffix)
-	}
-	if got.Timing.Cycles == 0 {
-		t.Error("timing model produced no cycles after functional resume")
+	if _, err := Resume(ck, WithoutTiming()); err == nil || !strings.Contains(err.Error(), "member 0") {
+		t.Errorf("a functional-only member resumed over timing sections: err = %v, want one naming member 0", err)
 	}
 }
 

@@ -41,41 +41,25 @@ func groupMembers() [][]Option {
 // TestStreamGroupEquivalence: a session whose members share one
 // emulator reports, for every member, the Result JSON and value streams
 // the member's solo run produces — over full and sampled timing, a
-// warm-prefix resume, functional-only runs and value capture. So does
-// the same group checkpointed at a seeded random cut, serialized,
-// resumed and run to the end.
+// fast-forwarded warm prefix, functional-only runs and value capture.
+// So does the same group checkpointed at a seeded random cut,
+// serialized, resumed and run to the end.
 func TestStreamGroupEquivalence(t *testing.T) {
-	prog, err := BuildProgram("Swaptions", workloads.Params{}, workloads.VariantPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix, err := New("Swaptions", WithProgram(prog), WithSeed(29), WithPBS(true), WithoutTiming(), WithMaxInstrs(100_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prefix.Run(); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := prefix.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	streams := []struct {
-		name string
-		base []Option
-		from *Checkpoint
+		name   string
+		base   []Option
+		prefix uint64 // instructions fast-forwarded before the members join
 	}{
-		{"PI/pbs", []Option{WithSeed(1), WithPBS(true), WithMaxInstrs(100_000)}, nil},
-		{"Bandit/pbs", []Option{WithSeed(5), WithPBS(true), WithMaxInstrs(100_000)}, nil},
-		{"DOP/predicated", []Option{WithSeed(31), WithVariant(workloads.VariantPredicated), WithMaxInstrs(100_000)}, nil},
+		{"PI/pbs", []Option{WithSeed(1), WithPBS(true), WithMaxInstrs(100_000)}, 0},
+		{"Bandit/pbs", []Option{WithSeed(5), WithPBS(true), WithMaxInstrs(100_000)}, 0},
+		{"DOP/predicated", []Option{WithSeed(31), WithVariant(workloads.VariantPredicated), WithMaxInstrs(100_000)}, 0},
 		{"PI/sampled-funcwarm", []Option{WithSeed(3), WithPBS(true), WithMaxInstrs(200_000),
-			WithSampledTiming(sample.Config{Window: 10007, Period: 50021, Warmup: 20011, FuncWarm: true})}, nil},
+			WithSampledTiming(sample.Config{Window: 10007, Period: 50021, Warmup: 20011, FuncWarm: true})}, 0},
 		{"MC-integ/sampled", []Option{WithSeed(23), WithMaxInstrs(200_000),
-			WithSampledTiming(sample.Config{Window: 10007, Period: 50021, Warmup: 20011})}, nil},
-		{"Swaptions/warm-resume", []Option{WithProgram(prog), WithTiming(true), WithMaxInstrs(200_000)}, warm},
-		{"Genetic/skiptiming", []Option{WithSeed(13), WithPBS(true), WithoutTiming(), WithMaxInstrs(100_000)}, nil},
-		{"Photon/capture", []Option{WithSeed(17), WithPBS(true), WithCaptureProb(true), WithMaxInstrs(100_000)}, nil},
+			WithSampledTiming(sample.Config{Window: 10007, Period: 50021, Warmup: 20011})}, 0},
+		{"Swaptions/fast-forward", []Option{WithSeed(29), WithPBS(true), WithMaxInstrs(200_000)}, 100_000},
+		{"Genetic/skiptiming", []Option{WithSeed(13), WithPBS(true), WithoutTiming(), WithMaxInstrs(100_000)}, 0},
+		{"Photon/capture", []Option{WithSeed(17), WithPBS(true), WithCaptureProb(true), WithMaxInstrs(100_000)}, 0},
 	}
 	for n, st := range streams {
 		t.Run(st.name, func(t *testing.T) {
@@ -83,15 +67,11 @@ func TestStreamGroupEquivalence(t *testing.T) {
 			workload, _, _ := strings.Cut(st.name, "/")
 			start := func(opts []Option) *Session {
 				t.Helper()
-				opts = append(append([]Option(nil), st.base...), opts...)
-				var s *Session
-				var err error
-				if st.from != nil {
-					s, err = Resume(st.from, opts...)
-				} else {
-					s, err = New(workload, opts...)
-				}
+				s, err := New(workload, append(append([]Option(nil), st.base...), opts...)...)
 				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.FastForward(st.prefix); err != nil {
 					t.Fatal(err)
 				}
 				return s

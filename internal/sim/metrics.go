@@ -15,7 +15,7 @@ import (
 // Emu is always populated. Timing is zero when the session runs
 // without the pipeline (WithoutTiming) and covers only the timed
 // instructions otherwise: the detailed phases of a sampled run, the
-// suffix of a warm-prefix Resume. Rates therefore come from Timing
+// suffix after a FastForward. Rates therefore come from Timing
 // alone (m.Timing.IPC(), m.Timing.MPKI(), ...), never from a mix of
 // emulator and timing counts. PBSStats is zero when the PBS hardware is
 // disabled.
@@ -45,11 +45,10 @@ func (m Metrics) Delta(prev Metrics) Metrics {
 	}
 }
 
-// Snapshot is one observation of a live session: Total holds the
+// Snapshot is one Observe sample of a live session: Total holds the
 // cumulative metrics since the machine started, Delta the change since
-// the previous snapshot on the same channel (the same observer for
-// Observe callbacks, previous direct calls for Session.Snapshot). The
-// first snapshot on a channel has Delta == Total.
+// the same observer's previous sample (since registration for its
+// first).
 type Snapshot struct {
 	Total Metrics
 	Delta Metrics

@@ -11,8 +11,8 @@ import (
 // TestIntervalRatesUseTimedCounts pins Snapshot rates to the timing
 // model's own instruction count on the two kinds of run that time only
 // part of the retired stream: a SMARTS-sampled session (timed windows
-// and warm-ups between fast-forward gaps) and a warm-prefix Resume
-// (functional prefix, timed suffix). Every interval and cumulative IPC
+// and warm-ups between fast-forward gaps) and a warm prefix
+// (FastForward, then a timed suffix). Every interval and cumulative IPC
 // must be a real rate — positive and at most the core width — and the
 // interval timed-instruction counts, closed with the trailing partial
 // interval, must add up to the run's timed total.
@@ -31,22 +31,14 @@ func TestIntervalRatesUseTimedCounts(t *testing.T) {
 			return s
 		}},
 		{"warm-prefix", func(t *testing.T) *Session {
-			s, err := New("PI", WithoutTiming())
+			s, err := New("PI")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.RunFor(2_500_000); err != nil {
+			if _, err := s.FastForward(2_500_000); err != nil {
 				t.Fatal(err)
 			}
-			ck, err := s.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := Resume(ck, WithTiming(true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
+			return s
 		}},
 	}
 	width := float64(pipeline.FourWide().Width)
@@ -63,7 +55,7 @@ func TestIntervalRatesUseTimedCounts(t *testing.T) {
 			if len(snaps) < 2 {
 				t.Fatalf("observer fired %d times, want at least 2", len(snaps))
 			}
-			final := s.Snapshot().Total
+			final := s.Snapshot()
 			snaps = append(snaps, Snapshot{Total: final, Delta: final.Delta(snaps[len(snaps)-1].Total)})
 			var sum uint64
 			for i, snap := range snaps {
@@ -143,12 +135,11 @@ func fillCounters(t *testing.T, p any, next *uint64) {
 	}
 }
 
-// TestCounterCheckpointRoundTrip fills every field of the three counter
-// structs with a distinct value and checks each survives a checkpoint
-// round trip, both as the session's last Snapshot sample and (timing)
-// as a sampled session's open-window baseline. A counter added to
-// emu.Stats, pipeline.Metrics or core.Stats is covered without touching
-// this test or any codec.
+// TestCounterCheckpointRoundTrip fills every field of the timing
+// counter struct with a distinct value and checks each survives a
+// checkpoint round trip as a sampled session's open-window baseline. A
+// counter added to pipeline.Metrics is covered without touching this
+// test or any codec.
 func TestCounterCheckpointRoundTrip(t *testing.T) {
 	sc := sample.Config{Period: 100_000, Window: 10_000, Warmup: 20_000}
 	s, err := New("PI", WithPBS(true), WithSampledTiming(sc))
@@ -159,13 +150,8 @@ func TestCounterCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var next uint64
-	var last Metrics
-	fillCounters(t, &last.Emu, &next)
-	fillCounters(t, &last.Timing, &next)
-	fillCounters(t, &last.PBSStats, &next)
 	var base pipeline.Metrics
 	fillCounters(t, &base, &next)
-	s.lastDirect = last
 	s.members[0].sampler.winBase = base
 
 	ck, err := s.Checkpoint()
@@ -179,15 +165,6 @@ func TestCounterCheckpointRoundTrip(t *testing.T) {
 	r, err := Resume(loaded)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.lastDirect.Emu != last.Emu {
-		t.Errorf("emu counters:\n got %+v\nwant %+v", r.lastDirect.Emu, last.Emu)
-	}
-	if r.lastDirect.Timing != last.Timing {
-		t.Errorf("timing counters:\n got %+v\nwant %+v", r.lastDirect.Timing, last.Timing)
-	}
-	if r.lastDirect.PBSStats != last.PBSStats {
-		t.Errorf("pbs counters:\n got %+v\nwant %+v", r.lastDirect.PBSStats, last.PBSStats)
 	}
 	if got := r.members[0].sampler.winBase; got != base {
 		t.Errorf("window baseline:\n got %+v\nwant %+v", got, base)

@@ -94,14 +94,6 @@ func WithoutTiming() Option {
 	return func(c *Config) { c.SkipTiming = true }
 }
 
-// WithTiming sets the timing model on or off explicitly. WithTiming(true)
-// overrides an inherited SkipTiming — in particular, Resume on a
-// functional-only (warm-prefix) checkpoint uses it to continue with a
-// full timing pipeline started cold at the checkpoint boundary.
-func WithTiming(on bool) Option {
-	return func(c *Config) { c.SkipTiming = !on }
-}
-
 // observer is one Observe registration.
 type observer struct {
 	every uint64  // sampling interval in retired instructions
@@ -132,7 +124,7 @@ type observer struct {
 // that differ only in predictor, core or predictor filtering retire the
 // same instruction stream, and one emulation can feed them all.
 type Session struct {
-	origin Config // the configuration options apply to (see AddMember)
+	origin Config // the configuration New's options applied to (see AddMember)
 	name   string // workload label for errors and Result
 
 	prog *isa.Program
@@ -142,16 +134,12 @@ type Session struct {
 	members []*member // timing models, in AddMember order; never empty
 	sched   *schedule // shared sampling schedule; nil: full timing
 
-	// timedResume records that members restored predictor and
-	// pipeline state from a checkpoint, which a joining member could not
-	// share; started records that the session has advanced. Either
-	// closes the session to new members.
-	timedResume bool
-	started     bool
+	// started records that the session has run timed (RunFor, Run) or
+	// was resumed; it closes the session to new members and FastForward.
+	started bool
 
-	observers  []*observer
-	lastDirect Metrics // previous Snapshot() sample, for its Delta
-	err        error   // first run error; the session is dead once set
+	observers []*observer
+	err       error // first run error; the session is dead once set
 }
 
 // member is one timing model of a session: its configuration, the
@@ -218,11 +206,10 @@ func newSession(cfg Config) (*Session, error) {
 	cpu.CaptureProb = cfg.CaptureProb
 
 	s := &Session{
-		origin: cfg,
-		name:   cfg.Workload,
-		prog:   prog,
-		cpu:    cpu,
-		unit:   unit,
+		name: cfg.Workload,
+		prog: prog,
+		cpu:  cpu,
+		unit: unit,
 	}
 	if cfg.Sample != nil {
 		s.sched = &schedule{cfg: *cfg.Sample}
@@ -275,12 +262,12 @@ func newMember(cfg Config, prog *isa.Program) (*member, error) {
 // once, its trace batches go to every member in turn, and each member's
 // result (see Results) is byte-identical to its solo run.
 //
-// Members join before the session first advances, and not once an
+// Members join before the session first runs timed — before or after
+// a FastForward, whose timing models all start cold — and not once an
 // observer is registered or the session was resumed from a checkpoint
-// carrying timing state (a member would start cold where the solo run
-// restores). A multi-member session checkpoints every member (see
-// Checkpoint) but cannot Observe; Snapshot and Result report the first
-// member.
+// (a member would start cold where the solo run restores). A
+// multi-member session checkpoints every member (see Checkpoint) but
+// cannot Observe; Snapshot and Result report the first member.
 func (s *Session) AddMember(opts ...Option) error {
 	cfg := s.origin
 	for _, o := range opts {
@@ -288,11 +275,9 @@ func (s *Session) AddMember(opts ...Option) error {
 	}
 	switch {
 	case s.started:
-		return fmt.Errorf("sim: a member cannot join a session that has advanced")
+		return fmt.Errorf("sim: a member cannot join a session that has run timed or was resumed")
 	case len(s.observers) > 0:
 		return fmt.Errorf("sim: a member cannot join an observed session")
-	case s.timedResume:
-		return fmt.Errorf("sim: a member cannot join a session resumed with timing state")
 	}
 	if err := sameStream(s.members[0].cfg, cfg); err != nil {
 		return err
@@ -433,18 +418,11 @@ func (s *Session) collect(m *member) Metrics {
 	return out
 }
 
-// Snapshot returns the cumulative metrics plus the delta since the
-// previous direct Snapshot call (the full totals on the first call).
-// Valid at any point, including mid-run from an Observe callback. On a
-// multi-member session it reports the first member.
-func (s *Session) Snapshot() Snapshot {
-	total := s.collect(s.members[0])
-	// On the first call lastDirect is the zero Metrics, so the delta is
-	// the full totals, as the Snapshot contract promises.
-	snap := Snapshot{Total: total, Delta: total.Delta(s.lastDirect)}
-	s.lastDirect = total
-	return snap
-}
+// Snapshot returns the cumulative metrics. Valid at any point,
+// including mid-run from an Observe callback; an interval rate is the
+// Delta of two snapshots (see Metrics.Delta). On a multi-member session
+// it reports the first member.
+func (s *Session) Snapshot() Metrics { return s.collect(s.members[0]) }
 
 // RunFor advances the machine by up to n retired instructions, firing
 // due observers along the way, and reports whether the machine is done
@@ -458,12 +436,59 @@ func (s *Session) RunFor(n uint64) (bool, error) {
 	if n == 0 {
 		return s.Done(), nil
 	}
-	target := s.Instructions() + n
-	if target < n {
-		target = 0 // overflowed: n exceeds any possible remainder, run to completion
-	}
-	err := s.advance(target)
+	err := s.advance(s.stop(n))
 	return s.Done(), err
+}
+
+// FastForward retires up to n instructions (capped by WithMaxInstrs)
+// with the trace paused and reports, as RunFor does, whether the machine
+// is done: no observer fires, a sampled schedule counts none of them, and
+// every timing model starts cold where it ends — the functional prefix of
+// a SMARTS-style measured region. Members may join before or after it;
+// it is refused once the session has run timed or was resumed, and on an
+// observed session.
+func (s *Session) FastForward(n uint64) (bool, error) {
+	switch {
+	case s.err != nil:
+		return true, s.err
+	case s.started:
+		return s.Done(), fmt.Errorf("sim: cannot fast-forward a session that has run timed or was resumed")
+	case len(s.observers) > 0:
+		return s.Done(), fmt.Errorf("sim: cannot fast-forward an observed session")
+	}
+	if n == 0 || s.Done() {
+		return s.Done(), nil
+	}
+	s.cpu.PauseTrace()
+	err := s.cpu.Run(s.stop(n))
+	s.cpu.ResumeTrace()
+	if err != nil {
+		return true, s.fault(err)
+	}
+	return s.Done(), nil
+}
+
+// stop returns the absolute retired-instruction count at which running
+// n more instructions (0 = to completion) ends, capped by the budget; 0
+// when nothing caps the run.
+func (s *Session) stop(n uint64) uint64 {
+	target := s.Instructions() + n
+	if n == 0 || target < n {
+		target = 0 // to completion, or n exceeds any possible remainder
+	}
+	if budget := s.members[0].cfg.MaxInstrs; budget > 0 && (target == 0 || budget < target) {
+		return budget
+	}
+	return target
+}
+
+// fault records err, an emulator fault, as the session's fatal error.
+func (s *Session) fault(err error) error {
+	if s.name != "" {
+		err = fmt.Errorf("%s: %w", s.name, err)
+	}
+	s.err = fmt.Errorf("sim: %w", err)
+	return s.err
 }
 
 // Run advances the machine until the program halts or the WithMaxInstrs
@@ -472,20 +497,15 @@ func (s *Session) Run() error {
 	if s.err != nil {
 		return s.err
 	}
-	return s.advance(0)
+	return s.advance(s.stop(0))
 }
 
 // advance executes until the absolute retired-instruction count reaches
-// target (0 = no target), the configured MaxInstrs cap, or HALT,
-// chunking the emulator so observers fire exactly on their interval
-// boundaries. An Observe callback may itself advance the session (a
-// nested RunFor); the outer loop then resumes from wherever the callback
-// left the machine.
-func (s *Session) advance(target uint64) error {
-	limit := target
-	if budget := s.members[0].cfg.MaxInstrs; budget > 0 && (limit == 0 || budget < limit) {
-		limit = budget
-	}
+// limit (0 = none; see stop) or HALT, chunking the emulator so observers
+// fire exactly on their interval boundaries. An Observe callback may
+// itself advance the session (a nested RunFor); the outer loop then
+// resumes from wherever the callback left the machine.
+func (s *Session) advance(limit uint64) error {
 	if s.cpu.Halted() {
 		return nil
 	}
@@ -528,13 +548,7 @@ func (s *Session) advance(target uint64) error {
 			}
 		}
 		if err := s.cpu.Run(stop); err != nil {
-			if s.name != "" {
-				err = fmt.Errorf("sim: %s: %w", s.name, err)
-			} else {
-				err = fmt.Errorf("sim: %w", err)
-			}
-			s.err = err
-			return err
+			return s.fault(err)
 		}
 		prev := cur
 		cur = s.cpu.Stats().Instructions

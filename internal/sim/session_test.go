@@ -145,19 +145,12 @@ func TestObserveIntervals(t *testing.T) {
 	}
 
 	final := s.Snapshot()
-	if final.Total.Emu.Instructions <= last.Total.Emu.Instructions {
+	if final.Emu.Instructions <= last.Total.Emu.Instructions {
 		t.Error("final snapshot did not advance past the last interval")
-	}
-	if final.Delta != final.Total {
-		t.Error("first direct Snapshot must carry the full totals as its delta")
-	}
-	again := s.Snapshot()
-	if again.Delta.Emu.Instructions != 0 || again.Total != final.Total {
-		t.Error("second direct Snapshot of an idle session must have a zero delta")
 	}
 	// A snapshot carries exactly the component structs Result does.
 	res := s.Result()
-	if final.Total.Timing != res.Timing || final.Total.Emu != res.Emu || final.Total.PBSStats != res.PBSStats {
+	if final.Timing != res.Timing || final.Emu != res.Emu || final.PBSStats != res.PBSStats {
 		t.Error("snapshot metrics disagree with the result's component stats")
 	}
 }
@@ -217,7 +210,7 @@ func TestProgramOnlySession(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Snapshot().Total.Emu.Instructions == 0 {
+	if s.Snapshot().Emu.Instructions == 0 {
 		t.Error("program-only session retired nothing")
 	}
 
@@ -324,7 +317,8 @@ func TestNestedAdvance(t *testing.T) {
 		return s
 	}
 
-	var nestedObs, nestedRecs []Snapshot
+	var nestedObs []Snapshot
+	var nestedRecs []Metrics
 	nested := false
 	s := newObserved(&nestedObs, func(s *Session) {
 		if nested {
@@ -344,7 +338,8 @@ func TestNestedAdvance(t *testing.T) {
 
 	// Reference: the same counts (35k inside the first interval, then
 	// to completion) reached by plain top-level stepping.
-	var refObs, refRecs []Snapshot
+	var refObs []Snapshot
+	var refRecs []Metrics
 	ref := newObserved(&refObs, nil)
 	if _, err := ref.RunFor(35_000); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -61,22 +62,23 @@ func TestPBSNeverHurtsMPKI(t *testing.T) {
 	// mispredictions and predictor pollution).
 	for _, name := range workloads.Names() {
 		for seed := uint64(1); seed <= 2; seed++ {
-			base, err := Run(Config{Workload: name, Seed: seed, Predictor: PredTAGESCL})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pbs, err := Run(Config{Workload: name, Seed: seed, Predictor: PredTAGESCL, PBS: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pbs.Timing.MPKI() > base.Timing.MPKI()*1.05+0.1 {
-				t.Errorf("%s seed %d: PBS increased MPKI %.2f -> %.2f",
-					name, seed, base.Timing.MPKI(), pbs.Timing.MPKI())
-			}
-			if pbs.Timing.MPKIProb() > 0.2 {
-				t.Errorf("%s seed %d: residual probabilistic MPKI %.2f under PBS",
-					name, seed, pbs.Timing.MPKIProb())
-			}
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				t.Parallel()
+				base, err := Run(Config{Workload: name, Seed: seed, Predictor: PredTAGESCL})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pbs, err := Run(Config{Workload: name, Seed: seed, Predictor: PredTAGESCL, PBS: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pbs.Timing.MPKI() > base.Timing.MPKI()*1.05+0.1 {
+					t.Errorf("PBS increased MPKI %.2f -> %.2f", base.Timing.MPKI(), pbs.Timing.MPKI())
+				}
+				if pbs.Timing.MPKIProb() > 0.2 {
+					t.Errorf("residual probabilistic MPKI %.2f under PBS", pbs.Timing.MPKIProb())
+				}
+			})
 		}
 	}
 }

@@ -175,8 +175,8 @@ func (e *Engine) Run(ctx context.Context, g Grid) (Results, error) {
 // error is returned once they drain — together with the results of the
 // points that did complete (in point order, fully merged aggregates
 // only), so an interrupted sweep can still flush what it finished.
-// Points with a WarmPrefix fork from a functional checkpoint of the
-// prefix their group runs once (see Grid.WarmPrefix). Results are
+// Points with a WarmPrefix fast-forward over it once per group, in the
+// group's own session (see Grid.WarmPrefix). Results are
 // positionally deterministic — the same points produce the same results
 // at any parallelism.
 func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Results, error) {
@@ -359,12 +359,12 @@ func (e *Engine) memoize(p Point) bool { return e.Results != nil && !p.CapturePr
 //   - with a progress checkpoint from, every member resumes from it (a
 //     checkpoint that does not resume into exactly these points' members
 //     is only a lost optimization: the group starts afresh below);
-//   - else, when the points have a warm prefix (see WarmPoint), the
-//     group runs it functional-only in chunks of chunk instructions —
-//     stopping at the first chunk boundary after ctx ends — then forks
-//     its first point from the prefix and joins the rest, each timing
-//     model starting cold at the fork;
-//   - else the group starts cold.
+//   - else the group starts cold and, when the points have a warm prefix
+//     (see WarmPoint), fast-forwards over it in chunks of chunk
+//     instructions — stopping at the first chunk boundary after ctx ends
+//     — so every timing model starts cold where the prefix ends; a
+//     program that halts inside the prefix leaves no suffix to measure,
+//     and the group starts cold again and runs in full.
 //
 // Each point's result is byte-identical to the one its own single-point
 // group produces. Errors name the point they belong to.
@@ -375,24 +375,38 @@ func StartGroup(ctx context.Context, pts []Point, prog *isa.Program, from *sim.C
 			return s, nil
 		}
 	}
-	opts, err := lead.sessionOptions(prog)
+	s, err := newGroup(pts, prog)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", lead, err)
+		return nil, err
 	}
-	var warm *sim.Checkpoint
-	if wp, ok := lead.WarmPoint(); ok {
-		if warm, err = runWarmPrefix(ctx, wp, prog, chunk); err != nil {
-			return nil, fmt.Errorf("%s: warm prefix %s: %w", lead, wp, err)
+	if _, ok := lead.WarmPoint(); !ok {
+		return s, nil
+	}
+	for !s.Done() && s.Instructions() < lead.WarmPrefix {
+		err := ctx.Err()
+		if err == nil {
+			_, err = s.FastForward(min(chunk, lead.WarmPrefix-s.Instructions()))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: warm prefix: %w", lead, err)
 		}
 	}
-	var s *sim.Session
-	if warm != nil {
-		s, err = sim.Resume(warm, opts...)
-	} else {
-		s, err = sim.New(lead.Workload, opts...)
+	if s.Halted() {
+		return newGroup(pts, prog)
 	}
+	return s, nil
+}
+
+// newGroup builds the cold session of the stream group pts: the first
+// point's session, with every other point joined as a member.
+func newGroup(pts []Point, prog *isa.Program) (*sim.Session, error) {
+	opts, err := pts[0].sessionOptions(prog)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", lead, err)
+		return nil, fmt.Errorf("%s: %w", pts[0], err)
+	}
+	s, err := sim.New(pts[0].Workload, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", pts[0], err)
 	}
 	for _, p := range pts[1:] {
 		opts, err := p.sessionOptions(prog)
@@ -435,11 +449,12 @@ func (p Point) StreamPoint() Point {
 	return p
 }
 
-// WarmPoint returns the canonical point whose functional checkpoint this
-// point forks from, and whether warm-prefix reuse applies at all. It is
+// WarmPoint returns the canonical point of the functional prefix this
+// point fast-forwards over, and whether it fast-forwards at all. It is
 // the StreamPoint run functional-only up to the prefix, with the
 // sampling schedule canonicalized away too: the prefix runs with the
-// timing model off. Reuse is skipped when the point's own budget ends
+// timing model idle, so every point with one WarmPoint retires the same
+// prefix. The fast-forward is skipped when the point's own budget ends
 // inside the prefix — fast-forwarding past MaxInstrs would simulate a
 // different run — and for aggregate points, which never run directly.
 func (p Point) WarmPoint() (Point, bool) {
@@ -460,28 +475,6 @@ func (p Point) WarmPoint() (Point, bool) {
 // fine enough that a cancelled sweep or a lost lease stops a point
 // promptly.
 const RunChunk = 1 << 18
-
-// runWarmPrefix executes the canonical warm point wp's functional
-// prefix on prog in chunks of chunk instructions, and checkpoints it. A
-// nil, nil return means the program halted before the prefix ended:
-// there is no suffix to fork, and the group runs cold.
-func runWarmPrefix(ctx context.Context, wp Point, prog *isa.Program, chunk uint64) (*sim.Checkpoint, error) {
-	opts, err := wp.sessionOptions(prog)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.New(wp.Workload, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if err := runSession(ctx, s, chunk); err != nil {
-		return nil, err
-	}
-	if s.Halted() {
-		return nil, nil
-	}
-	return s.Checkpoint()
-}
 
 // runSession runs s to the end in chunks, checking ctx between them, so
 // an aborting sweep (first error, or SIGINT in cmd/pbsweep) stops

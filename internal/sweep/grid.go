@@ -56,14 +56,14 @@ type Grid struct {
 	// MaxInstrs caps emulation per point; 0 runs to completion.
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 	// WarmPrefix fast-forwards each point over its first N instructions
-	// using a shared functional checkpoint: points that agree on the
-	// functional coordinates (workload, program variant, scale, seed, PBS
-	// hardware) run the prefix once per group with the timing model off,
-	// checkpoint, and every member forks from the restored state. The
-	// emulator's trace never depends on the timing-only axes (predictor,
-	// width, predictor filtering), so functional results are exactly those
-	// of a cold run; timing metrics cover only the post-prefix suffix —
-	// the SimPoint-style measured region. 0 runs every point cold.
+	// with the timing model idle (see sim.Session.FastForward): points
+	// that agree on the functional coordinates (workload, program
+	// variant, scale, seed, PBS hardware) form one stream group, whose
+	// session runs the prefix once for every member. The emulator's trace
+	// never depends on the timing-only axes (predictor, width, predictor
+	// filtering), so functional results are exactly those of a cold run;
+	// timing metrics cover only the post-prefix suffix — the
+	// SimPoint-style measured region. 0 runs every point cold.
 	WarmPrefix uint64 `json:"warm_prefix,omitempty"`
 	// SampleWindow, SamplePeriod and SampleWarmup put every point of the
 	// grid in SMARTS-style sampled-timing mode (see sim.WithSampledTiming):
@@ -201,7 +201,7 @@ type Point struct {
 	CaptureProb bool   `json:"capture_prob,omitempty"`
 	MaxInstrs   uint64 `json:"max_instrs,omitempty"`
 	// WarmPrefix is part of the point's identity, not just scheduling: a
-	// warm-forked run reports timing only over the post-prefix suffix, so
+	// fast-forwarded run reports timing only over the post-prefix suffix, so
 	// it must never share a memo entry with a cold run of the same Key.
 	WarmPrefix uint64 `json:"warm_prefix,omitempty"`
 	// The sampling schedule (see Grid) is likewise identity: a sampled
@@ -306,11 +306,10 @@ func (p Point) Options() ([]sim.Option, error) {
 		sim.WithFilterProb(p.FilterProb),
 		sim.WithCaptureProb(p.CaptureProb),
 		sim.WithMaxInstrs(p.MaxInstrs),
-		// Timing is set explicitly both ways: when StartGroup resumes the
-		// point from a functional warm checkpoint (whose embedded config
-		// has SkipTiming on), the option must override it back on.
-		sim.WithTiming(!p.SkipTiming),
 	)
+	if p.SkipTiming {
+		opts = append(opts, sim.WithoutTiming())
+	}
 	if sc, ok := p.SampleConfig(); ok {
 		opts = append(opts, sim.WithSampledTiming(sc))
 	}
