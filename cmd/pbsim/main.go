@@ -1,7 +1,7 @@
 // Command pbsim runs one benchmark on the simulated machine and prints
 // branch and timing metrics, with and without PBS as requested. With
-// -sample N it prints an interval snapshot of the live machine every N
-// retired instructions (IPC, MPKI and steering time-series).
+// -sample N it steps the live machine N retired instructions at a time
+// and prints each interval's IPC, MPKI and steering (a time-series).
 //
 // A run can be checkpointed and resumed: -checkpoint-out saves the
 // complete machine state (at -checkpoint-at instructions, or at the end
@@ -159,34 +159,55 @@ func main() {
 			fail(err)
 		}
 	}
+	if *ckptAt > 0 && *ckptAt <= s.Instructions() {
+		fmt.Fprintf(os.Stderr, "pbsim: -checkpoint-at %d is not past the resumed position of %d instructions\n",
+			*ckptAt, s.Instructions())
+		os.Exit(2)
+	}
 	if *sample > 0 {
 		fmt.Printf("%12s  %7s  %7s  %7s  %7s  %8s\n",
 			"instrs", "IPC", "MPKI", "prob", "reg", "steered%")
-		err := s.Observe(*sample, func(snap sim.Snapshot) {
-			d := snap.Delta.Timing
-			fmt.Printf("%12d  %7.3f  %7.2f  %7.2f  %7.2f  %8.1f\n",
-				snap.Total.Emu.Instructions, d.IPC(), d.MPKI(), d.MPKIProb(), d.MPKIReg(),
-				100*d.SteerRate())
-		})
+	}
+	// Step to whichever comes first, the next -sample boundary or
+	// -checkpoint-at; the sample intervals count from where the run
+	// starts. The checkpoint is taken at -checkpoint-at, or where the
+	// run ends if that comes first or -checkpoint-at is 0.
+	nextSample := s.Instructions() + *sample
+	last := s.Snapshot().Timing
+	pendingCkpt := *ckptOut != ""
+	for {
+		var stop uint64 // 0: to completion
+		if *sample > 0 {
+			stop = nextSample
+		}
+		if pendingCkpt && *ckptAt > 0 && (stop == 0 || *ckptAt < stop) {
+			stop = *ckptAt
+		}
+		var err error
+		if stop == 0 {
+			err = s.Run()
+		} else {
+			_, err = s.RunFor(stop - s.Instructions())
+		}
 		if err != nil {
 			fail(err)
 		}
-	}
-	if *ckptOut != "" && *ckptAt > 0 && s.Instructions() < *ckptAt {
-		// Stop exactly at the requested boundary, checkpoint, continue.
-		if _, err := s.RunFor(*ckptAt - s.Instructions()); err != nil {
-			fail(err)
+		if *sample > 0 && s.Instructions() == nextSample {
+			total := s.Snapshot().Timing
+			d := total.Delta(last)
+			fmt.Printf("%12d  %7.3f  %7.2f  %7.2f  %7.2f  %8.1f\n",
+				nextSample, d.IPC(), d.MPKI(), d.MPKIProb(), d.MPKIReg(), 100*d.SteerRate())
+			last = total
+			nextSample += *sample
 		}
-		if err := writeCheckpoint(s, *ckptOut); err != nil {
-			fail(err)
+		if pendingCkpt && (s.Instructions() == *ckptAt || s.Done()) {
+			if err := writeCheckpoint(s, *ckptOut); err != nil {
+				fail(err)
+			}
+			pendingCkpt = false
 		}
-	}
-	if err := s.Run(); err != nil {
-		fail(err)
-	}
-	if *ckptOut != "" && *ckptAt == 0 {
-		if err := writeCheckpoint(s, *ckptOut); err != nil {
-			fail(err)
+		if s.Done() {
+			break
 		}
 	}
 	res := s.Result()

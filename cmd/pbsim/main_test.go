@@ -1,0 +1,61 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain runs the command itself when PBSIM_RUN_MAIN is set, so a test
+// can drive pbsim end to end by re-executing the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("PBSIM_RUN_MAIN") != "" {
+		os.Args = append([]string{"pbsim"}, os.Args[1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// pbsim runs the command with args in dir and returns its stderr and
+// exit code.
+func pbsim(t *testing.T, dir string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "PBSIM_RUN_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return stderr.String(), 0
+	case errors.As(err, &exit):
+		return stderr.String(), exit.ExitCode()
+	}
+	t.Fatal(err)
+	return "", 0
+}
+
+// TestResumeRejectsPastCheckpointAt: a resumed run cannot checkpoint at
+// or below the position it resumes from, so pbsim refuses such a
+// -checkpoint-at up front, naming both counts, and writes nothing.
+func TestResumeRejectsPastCheckpointAt(t *testing.T) {
+	dir := t.TempDir()
+	if stderr, code := pbsim(t, dir, "-workload", "PI", "-pbs", "-checkpoint-out", "a.ckpt", "-checkpoint-at", "100000"); code != 0 {
+		t.Fatalf("checkpointing run exited %d: %s", code, stderr)
+	}
+	for _, at := range []string{"50000", "100000"} {
+		stderr, code := pbsim(t, dir, "-resume", "a.ckpt", "-checkpoint-out", "b.ckpt", "-checkpoint-at", at)
+		if code != 2 || !strings.Contains(stderr, at) || !strings.Contains(stderr, "100000") {
+			t.Errorf("-checkpoint-at %s on a run resumed at 100000: exit %d, stderr %q; want exit 2 naming both counts", at, code, stderr)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "b.ckpt")); err == nil {
+			t.Errorf("-checkpoint-at %s wrote a checkpoint", at)
+		}
+	}
+}

@@ -1,10 +1,10 @@
 // Session: drive a live simulated machine through the sim.Session API —
-// incremental stepping with RunFor, interval observation with Observe,
-// and metrics snapshots with deltas. Both capabilities are new
-// scenario classes the one-shot sim.Run cannot express: the machine is
-// inspected (and could be reconfigured, checkpointed, or raced against
-// others) *while it runs*, here watching the PBS unit warm up from
-// bootstrap to full steering.
+// incremental stepping with RunFor, and metrics snapshots between
+// steps whose differences give interval rates. Both are scenario
+// classes the one-shot sim.Run cannot express: the machine is inspected
+// (and could be reconfigured, checkpointed, or raced against others)
+// *while it runs*, here watching the PBS unit warm up from bootstrap to
+// full steering.
 package main
 
 import (
@@ -25,30 +25,30 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Interval observation: every 400k retired instructions the callback
-	// receives a Snapshot whose Delta covers just that interval — an
-	// IPC/misprediction/steering time-series as the machine runs.
+	// Incremental stepping: advance the machine in 400k-instruction
+	// slices. Between slices the session is quiescent — inspect it,
+	// interleave other work, or stop early; state carries over exactly.
+	// The difference of two snapshots' timing counters covers just the
+	// slice between them — an IPC/misprediction/steering time-series as
+	// the machine runs.
 	fmt.Println("interval samples (each row is one 400k-instruction window):")
 	fmt.Printf("%12s  %7s  %9s  %9s\n", "instrs", "IPC", "prob MPKI", "steered%")
-	err = s.Observe(400_000, func(snap sim.Snapshot) {
-		d := snap.Delta.Timing
-		fmt.Printf("%12d  %7.3f  %9.2f  %9.1f\n",
-			snap.Total.Timing.Instructions, d.IPC(), d.MPKIProb(), 100*d.SteerRate())
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Incremental stepping: advance the machine in 1M-instruction slices.
-	// Between slices the session is quiescent — inspect it, interleave
-	// other work, or stop early; state carries over exactly.
-	slices := 0
+	const interval = 400_000
+	last := s.Snapshot().Timing
+	var slices uint64
 	for {
-		done, err := s.RunFor(1_000_000)
+		done, err := s.RunFor(interval)
 		if err != nil {
 			log.Fatal(err)
 		}
 		slices++
+		// A row per full slice; the final, partial one has none.
+		if t := s.Snapshot().Timing; t.Instructions == slices*interval {
+			d := t.Delta(last)
+			fmt.Printf("%12d  %7.3f  %9.2f  %9.1f\n",
+				t.Instructions, d.IPC(), d.MPKIProb(), 100*d.SteerRate())
+			last = t
+		}
 		if done {
 			break
 		}

@@ -81,24 +81,6 @@ type Stats struct {
 	MaxLiveBranches int    // high-water mark of simultaneously tracked branches
 }
 
-// Delta returns the change from prev to s: every counter is s's value
-// minus prev's. prev must be an earlier sample of the same unit, so
-// counters never decrease. MaxLiveBranches is a high-water mark, not a
-// counter, and carries s's value through unchanged.
-func (s Stats) Delta(prev Stats) Stats {
-	s.Resolutions -= prev.Resolutions
-	s.Steered -= prev.Steered
-	s.Bootstrap -= prev.Bootstrap
-	s.Regular -= prev.Regular
-	s.ConstViolations -= prev.ConstViolations
-	s.CapacityMisses -= prev.CapacityMisses
-	s.ValueOverflows -= prev.ValueOverflows
-	s.UntrackableCtx -= prev.UntrackableCtx
-	s.Allocations -= prev.Allocations
-	s.ContextClears -= prev.ContextClears
-	return s
-}
-
 // record is one Prob-in-Flight row pair (outcome + values).
 type record struct {
 	taken bool

@@ -139,23 +139,6 @@ type Stats struct {
 	Outputs      uint64
 }
 
-// Delta returns the change from prev to s: every counter is s's value
-// minus prev's. prev must be an earlier sample of the same CPU, so
-// counters never decrease.
-func (s Stats) Delta(prev Stats) Stats {
-	s.Instructions -= prev.Instructions
-	s.Branches -= prev.Branches
-	s.CondBranches -= prev.CondBranches
-	s.ProbBranches -= prev.ProbBranches
-	s.Calls -= prev.Calls
-	s.Returns -= prev.Returns
-	s.Loads -= prev.Loads
-	s.Stores -= prev.Stores
-	s.RandDraws -= prev.RandDraws
-	s.Outputs -= prev.Outputs
-	return s
-}
-
 // CPU executes one program. Construct with New.
 type CPU struct {
 	prog *isa.Program
@@ -417,8 +400,8 @@ func bits(f float64) uint64   { return math.Float64bits(f) }
 // single block-exit dispatch — with pc, the retired-instruction count
 // and the trace batch committed in bulk. Budget limits and trace-buffer
 // room truncate a dispatch to fewer instructions, so Run still stops on
-// exact instruction boundaries: chunked execution, observers,
-// checkpoints and faults see precisely the per-Step machine states.
+// exact instruction boundaries: chunked execution, checkpoints and
+// faults see precisely the per-Step machine states.
 // Step is the reference the fused path is fuzzed against.
 func (c *CPU) Run(maxInstrs uint64) error {
 	err := c.runFused(maxInstrs)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -32,7 +31,7 @@ type SeriesPoint struct {
 
 // Series is an IPC/misprediction time-series for one configuration: a
 // scenario class the one-shot harness could not express, produced by
-// interval observation of a sim.Session.
+// stepping a sim.Session one interval at a time.
 type Series struct {
 	Workload string
 	PBS      bool
@@ -41,8 +40,10 @@ type Series struct {
 }
 
 // TimeSeries runs one workload and samples the machine every interval
-// retired instructions via Session.Observe, returning the interval and
-// cumulative metric series. A trailing partial interval is sampled too.
+// retired instructions, stepping it with Session.RunFor and reading
+// Session.Snapshot after each step, and returns the interval and
+// cumulative metric series. Every full interval ends exactly on a
+// multiple of interval; a trailing partial interval is sampled too.
 func TimeSeries(workload string, pbs bool, interval uint64, opt Options) (*Series, error) {
 	return timeSeriesSeed(workload, pbs, interval, opt.Scale, opt.seed0())
 }
@@ -63,9 +64,17 @@ func timeSeriesSeed(workload string, pbs bool, interval uint64, scale int, seed 
 	}
 	out := &Series{Workload: workload, PBS: pbs, Interval: interval}
 	// A full-timing session times every retired instruction, so the
-	// timing counters alone describe each interval.
-	var last pipeline.Metrics
-	sample := func(total, delta pipeline.Metrics) {
+	// timing counters alone describe each interval. RunFor stops exactly
+	// on each boundary; the step on which the program halts closes the
+	// series, with a partial interval unless it halted on a boundary.
+	last := s.Snapshot().Timing
+	for {
+		done, err := s.RunFor(interval)
+		if err != nil {
+			return nil, err
+		}
+		total := s.Snapshot().Timing
+		delta := total.Delta(last)
 		out.Points = append(out.Points, SeriesPoint{
 			Instructions: total.Instructions,
 			IPC:          delta.IPC(),
@@ -77,19 +86,10 @@ func timeSeriesSeed(workload string, pbs bool, interval uint64, scale int, seed 
 			CumMPKI:      total.MPKI(),
 		})
 		last = total
+		if done {
+			return out, nil
+		}
 	}
-	if err := s.Observe(interval, func(snap sim.Snapshot) { sample(snap.Total.Timing, snap.Delta.Timing) }); err != nil {
-		return nil, err
-	}
-	if err := s.Run(); err != nil {
-		return nil, err
-	}
-	// Close with the partial final interval, if the program did not halt
-	// exactly on a boundary.
-	if final := s.Snapshot().Timing; final.Instructions > last.Instructions {
-		sample(final, final.Delta(last))
-	}
-	return out, nil
 }
 
 // String renders the series as a fixed-width table.

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -24,6 +26,44 @@ func TestTimeSeries(t *testing.T) {
 		if i > 0 && p.Instructions <= ts.Points[i-1].Instructions {
 			t.Errorf("sample %d not monotone in instructions", i)
 		}
+	}
+	// The series is exact: every full interval ends on a multiple of the
+	// interval, the last point is the run's timed total, and the
+	// intervals' cycles and mispredictions add up to the run's.
+	s, err := sim.New("PI", sim.WithScale(QuickOptions().Scale), sim.WithSeed(QuickOptions().seed0()), sim.WithPBS(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	total := s.Snapshot().Timing
+	n := len(ts.Points)
+	for i, p := range ts.Points[:n-1] {
+		if want := uint64(i+1) * interval; p.Instructions != want {
+			t.Errorf("sample %d at %d instructions, want %d", i, p.Instructions, want)
+		}
+	}
+	last := ts.Points[n-1]
+	if last.Instructions != total.Instructions || last.Instructions <= uint64(n-1)*interval {
+		t.Errorf("last sample at %d instructions, want the run's total %d past %d",
+			last.Instructions, total.Instructions, uint64(n-1)*interval)
+	}
+	if last.CumIPC != total.IPC() || last.CumMPKI != total.MPKI() {
+		t.Errorf("last sample's cumulative IPC %v, MPKI %v; run's %v, %v", last.CumIPC, last.CumMPKI, total.IPC(), total.MPKI())
+	}
+	var cycles, mispredicts, prev float64
+	for _, p := range ts.Points {
+		instrs := float64(p.Instructions) - prev
+		cycles += instrs / p.IPC
+		mispredicts += p.MPKI * instrs / 1000
+		prev = float64(p.Instructions)
+	}
+	if math.Abs(cycles-float64(total.Cycles)) > 1e-6*float64(total.Cycles) {
+		t.Errorf("interval cycles sum to %.1f, run took %d", cycles, total.Cycles)
+	}
+	if math.Abs(mispredicts-float64(total.Mispredicts)) > 1e-6*float64(total.Mispredicts)+1e-6 {
+		t.Errorf("interval mispredictions sum to %.3f, run had %d", mispredicts, total.Mispredicts)
 	}
 	// The PBS warm-up dynamic: by the last interval steering is active
 	// and the probabilistic MPKI far below the first interval's.

@@ -2,35 +2,32 @@ package sim
 
 import "testing"
 
-// TestObserverFiresOnExactCount pins the observer contract under
-// superblock dispatch: even though the emulator retires whole blocks
-// per dispatch, every observer sample must land on an exact multiple of
-// its interval — the session truncates the fused run at the due point.
-func TestObserverFiresOnExactCount(t *testing.T) {
-	s, err := New("PI", WithSeed(7), WithPBS(true), WithMaxInstrs(50_000))
+// TestRunForStopsOnExactCount pins interval stepping under superblock
+// dispatch: even though the emulator retires whole blocks per dispatch,
+// every RunFor step must stop on an exact multiple of its interval —
+// the session truncates the fused run at the due point — until the
+// budget ends the run.
+func TestRunForStopsOnExactCount(t *testing.T) {
+	const budget = 50_000
+	s, err := New("PI", WithSeed(7), WithPBS(true), WithMaxInstrs(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const every = 997 // prime, so intervals never align with block boundaries
-	var fired []uint64
-	if err := s.Observe(every, func(sn Snapshot) {
-		fired = append(fired, sn.Total.Emu.Instructions)
-	}); err != nil {
+	snaps, err := stepSnapshots(s, every)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+	if want := budget/every + 2; len(snaps) != want {
+		t.Fatalf("took %d snapshots, want %d", len(snaps), want)
 	}
-	if len(fired) == 0 {
-		t.Fatal("observer never fired")
-	}
-	for i, got := range fired {
-		if want := uint64(every) * uint64(i+1); got != want {
-			t.Errorf("sample %d fired at %d instructions, want %d", i, got, want)
+	for i, sn := range snaps[:len(snaps)-1] {
+		if want := uint64(every * i); sn.Emu.Instructions != want {
+			t.Errorf("step %d stopped at %d instructions, want %d", i, sn.Emu.Instructions, want)
 		}
 	}
-	if last := fired[len(fired)-1]; s.Instructions()-last >= 2*every {
-		t.Errorf("observer stopped firing at %d of %d instructions", last, s.Instructions())
+	if got := snaps[len(snaps)-1].Emu.Instructions; got != budget {
+		t.Errorf("last step stopped at %d instructions, want the budget %d", got, budget)
 	}
 }
 

@@ -39,9 +39,8 @@ func memberSection(name string, i int) string { return fmt.Sprintf("%s/%d", name
 // to the same bytes — and self-describing: Resume rebuilds a session,
 // every member included, from the embedded configurations alone.
 //
-// Not captured: observer registrations (callbacks are process state,
-// re-register after Resume) and the emulator's trace buffer (always
-// flushed at a checkpoint boundary).
+// Not captured: the emulator's trace buffer (always flushed at a
+// checkpoint boundary).
 type Checkpoint struct {
 	data     []byte
 	cfgs     []Config // per member, in AddMember order; never empty
@@ -62,9 +61,9 @@ func (c *Checkpoint) Instructions() uint64 { return c.instrs }
 
 // Checkpoint serializes the session's complete machine state, every
 // member's timing model included. The trace is flushed whenever the
-// caller can call anything — between New/RunFor/Run calls, or inside an
-// Observe callback — so the timing models are always caught up. A dead
-// session (faulted) cannot be checkpointed.
+// caller can call anything — between New/RunFor/Run calls — so the
+// timing models are always caught up. A dead session (faulted) cannot
+// be checkpointed.
 func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if s.err != nil {
 		return nil, fmt.Errorf("sim: cannot checkpoint a faulted session: %w", s.err)

@@ -155,8 +155,7 @@ func mustJSON(t *testing.T, r *Result) []byte {
 }
 
 // TestStreamGroupRejects: a member that would retire a different
-// instruction stream cannot join, nor can one join too late; a
-// multi-member session takes no observers.
+// instruction stream cannot join, nor can one join too late.
 func TestStreamGroupRejects(t *testing.T) {
 	base := []Option{WithSeed(7), WithPBS(true), WithMaxInstrs(50_000)}
 	newGroup := func(t *testing.T) *Session {
@@ -192,22 +191,11 @@ func TestStreamGroupRejects(t *testing.T) {
 	if err := s.AddMember(append(base, WithPredictor(PredTournament))...); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Observe(1000, func(Snapshot) {}); err == nil {
-		t.Error("Observe on a two-member session succeeded")
-	}
 	if _, err := s.RunFor(1000); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddMember(base...); err == nil {
 		t.Error("a member joined a session that had advanced")
-	}
-
-	observed := newGroup(t)
-	if err := observed.Observe(1000, func(Snapshot) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := observed.AddMember(base...); err == nil {
-		t.Error("a member joined an observed session")
 	}
 
 	timed := newGroup(t)

@@ -9,8 +9,8 @@ import (
 
 // Metrics is one sample of a machine's counters: the three component
 // stats structs a Result carries, under the same field names, taken
-// while the machine runs and subtracted to form interval deltas (see
-// Delta and Session.Observe).
+// while the machine runs (see Session.Snapshot). The timing counters of
+// two samples subtract into an interval's (see pipeline.Metrics.Delta).
 //
 // Emu is always populated. Timing is zero when the session runs
 // without the pipeline (WithoutTiming) and covers only the timed
@@ -24,32 +24,7 @@ type Metrics struct {
 	Timing   pipeline.Metrics
 	PBSStats core.Stats
 	// Sampled is the sampled-timing estimate so far (zero on full-timing
-	// runs). It is a derived state, not a counter: Delta carries the
-	// current value through unchanged, so observers watch the estimate
-	// converge as windows accumulate.
+	// runs). It is a derived state, not a counter: successive samples
+	// show the estimate converge as windows accumulate.
 	Sampled sample.Estimate
-}
-
-// Delta returns the change from prev to m, component by component.
-// prev must be an earlier sample of the same machine, so counters never
-// decrease. PBSStats.MaxLiveBranches (a high-water mark) and Sampled (a
-// derived estimate) are passed through at m's value. Interval rates
-// fall out directly: the IPC over an interval is
-// total.Delta(prev).Timing.IPC().
-func (m Metrics) Delta(prev Metrics) Metrics {
-	return Metrics{
-		Emu:      m.Emu.Delta(prev.Emu),
-		Timing:   m.Timing.Delta(prev.Timing),
-		PBSStats: m.PBSStats.Delta(prev.PBSStats),
-		Sampled:  m.Sampled,
-	}
-}
-
-// Snapshot is one Observe sample of a live session: Total holds the
-// cumulative metrics since the machine started, Delta the change since
-// the same observer's previous sample (since registration for its
-// first).
-type Snapshot struct {
-	Total Metrics
-	Delta Metrics
 }

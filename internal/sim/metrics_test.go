@@ -45,30 +45,26 @@ func TestIntervalRatesUseTimedCounts(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := c.start(t)
-			var snaps []Snapshot
-			if err := s.Observe(every, func(snap Snapshot) { snaps = append(snaps, snap) }); err != nil {
+			snaps, err := stepSnapshots(s, every)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Run(); err != nil {
-				t.Fatal(err)
+			if len(snaps) < 4 {
+				t.Fatalf("run took %d interval steps, want at least 3", len(snaps)-1)
 			}
-			if len(snaps) < 2 {
-				t.Fatalf("observer fired %d times, want at least 2", len(snaps))
-			}
-			final := s.Snapshot()
-			snaps = append(snaps, Snapshot{Total: final, Delta: final.Delta(snaps[len(snaps)-1].Total)})
 			var sum uint64
-			for i, snap := range snaps {
+			for i := 1; i < len(snaps); i++ {
+				snap, d := snaps[i], snaps[i].Timing.Delta(snaps[i-1].Timing)
 				for _, r := range []struct {
 					what string
 					ipc  float64
-				}{{"interval", snap.Delta.Timing.IPC()}, {"cumulative", snap.Total.Timing.IPC()}} {
+				}{{"interval", d.IPC()}, {"cumulative", snap.Timing.IPC()}} {
 					if r.ipc <= 0 || r.ipc > width {
 						t.Errorf("sample %d at %d instructions: %s IPC %.3f outside (0, %v]",
-							i, snap.Total.Emu.Instructions, r.what, r.ipc, width)
+							i, snap.Emu.Instructions, r.what, r.ipc, width)
 					}
 				}
-				sum += snap.Delta.Timing.Instructions
+				sum += d.Instructions
 			}
 			if want := s.Result().Timing.Instructions; sum != want {
 				t.Errorf("interval timed instructions sum to %d, run timed %d", sum, want)

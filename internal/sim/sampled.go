@@ -16,7 +16,7 @@ import (
 //
 // The schedule is a pure function of the retired-instruction count, so
 // a sampled run is deterministic — the same configuration times exactly
-// the same windows regardless of RunFor chunking or observer placement.
+// the same windows regardless of RunFor chunking.
 // Incompatible with WithoutTiming.
 func WithSampledTiming(cfg sample.Config) Option {
 	return func(c *Config) { c.Sample = &cfg }

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
+	"os"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/sample"
 )
 
@@ -18,28 +22,88 @@ var accuracySchedules = []sample.Config{
 	{Window: 49999, Period: 150001, Warmup: 75017, FuncWarm: true},
 }
 
+// goldenTimings returns each golden entry's full-timing counters, keyed
+// by entry name. TestRunMatchesGolden pins them byte-identical to
+// sim.Run, so a test that needs a golden configuration's full-timing
+// rates reads them here instead of rerunning it.
+func goldenTimings(t *testing.T) map[string]pipeline.Metrics {
+	t.Helper()
+	data, err := os.ReadFile("testdata/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []goldenEntry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]pipeline.Metrics, len(entries))
+	for _, e := range entries {
+		out[e.Name] = e.Timing
+	}
+	return out
+}
+
+// accuracyRuns memoizes the golden configurations' sampled runs under
+// accuracySchedules[0], which TestSampledAccuracy and
+// TestSampledCIShrinks both need. It fills on first use, so either test
+// still runs alone.
+var accuracyRuns struct {
+	sync.Mutex
+	res map[string]*Result
+}
+
+// sampledGoldenRun returns golden configuration name, timed, under
+// schedule sc: memoized for accuracySchedules[0], run afresh otherwise.
+func sampledGoldenRun(name string, cfg Config, sc sample.Config) (*Result, error) {
+	cfg.SkipTiming = false
+	cfg.Sample = &sc
+	if sc != accuracySchedules[0] {
+		return Run(cfg)
+	}
+	accuracyRuns.Lock()
+	defer accuracyRuns.Unlock()
+	if res, ok := accuracyRuns.res[name]; ok {
+		return res, nil
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if accuracyRuns.res == nil {
+		accuracyRuns.res = make(map[string]*Result)
+	}
+	accuracyRuns.res[name] = res
+	return res, nil
+}
+
 // TestSampledAccuracy is the SMARTS error-model validation: for every
 // golden configuration and both schedules, the full-timing IPC must lie
 // inside the sampled run's 95% confidence interval, and the MPKI
 // estimate must agree within its interval plus a small absolute slack
 // (near-zero-MPKI configs measure windows with zero misses, collapsing
-// the interval).
+// the interval). The full-timing rates come from the golden data; only
+// the skip-timing configuration, whose golden entry has no timing, is
+// run in full.
 func TestSampledAccuracy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("13 configs x (1 full + 2 sampled) runs")
+		t.Skip("13 configs x 2 sampled runs")
 	}
+	golden := goldenTimings(t)
 	for name, cfg := range goldenConfigs() {
-		cfg.SkipTiming = false
-		full, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: full run: %v", name, err)
-		}
-		fullIPC := full.Timing.IPC()
-		fullMPKI := full.Timing.MPKI()
-		for i, sc := range accuracySchedules {
+		full := golden[name]
+		if cfg.SkipTiming {
 			c := cfg
-			c.Sample = &sc
+			c.SkipTiming = false
 			res, err := Run(c)
+			if err != nil {
+				t.Fatalf("%s: full run: %v", name, err)
+			}
+			full = res.Timing
+		}
+		fullIPC := full.IPC()
+		fullMPKI := full.MPKI()
+		for i, sc := range accuracySchedules {
+			res, err := sampledGoldenRun(name, cfg, sc)
 			if err != nil {
 				t.Fatalf("%s S%d: sampled run: %v", name, i, err)
 			}
@@ -72,20 +136,18 @@ func TestSampledAccuracy(t *testing.T) {
 // the measured-instruction mass W*n (same period, larger windows) must
 // tighten the aggregate relative confidence interval across the golden
 // matrix. Individual configs can go either way (window variance is
-// workload-dependent); the aggregate may not.
+// workload-dependent); the aggregate may not. The fine schedule is
+// accuracySchedules[0], so its runs are TestSampledAccuracy's.
 func TestSampledCIShrinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("26 sampled runs")
 	}
 	coarse := sample.Config{Window: 6007, Period: 125003, Warmup: 75017, FuncWarm: true}
-	fine := sample.Config{Window: 25013, Period: 125003, Warmup: 75017, FuncWarm: true}
+	fine := accuracySchedules[0]
 	var relCoarse, relFine float64
 	for name, cfg := range goldenConfigs() {
-		cfg.SkipTiming = false
-		for _, sc := range []*sample.Config{&coarse, &fine} {
-			c := cfg
-			c.Sample = sc
-			res, err := Run(c)
+		for _, sc := range []sample.Config{coarse, fine} {
+			res, err := sampledGoldenRun(name, cfg, sc)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -94,7 +156,7 @@ func TestSampledCIShrinks(t *testing.T) {
 				t.Fatalf("%s: zero IPC estimate", name)
 			}
 			rel := e.IPCHalfWidth() / e.IPC.Mean
-			if sc == &coarse {
+			if sc == coarse {
 				relCoarse += rel
 			} else {
 				relFine += rel

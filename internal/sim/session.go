@@ -94,30 +94,24 @@ func WithoutTiming() Option {
 	return func(c *Config) { c.SkipTiming = true }
 }
 
-// observer is one Observe registration.
-type observer struct {
-	every uint64  // sampling interval in retired instructions
-	next  uint64  // absolute instruction count of the next sample
-	prev  Metrics // metrics at the previous sample (for Delta)
-	fn    func(Snapshot)
-}
-
 // Session is a live simulated machine. Construct one with New, advance
 // it incrementally with RunFor or to completion with Run, and inspect it
 // at any point with Snapshot — the machine keeps its full architectural
 // and microarchitectural state between calls, so interleaved stepping
 // and observation see exactly the run a one-shot sim.Run would produce.
+// An interval series is RunFor(interval) steps, each followed by a
+// Snapshot; the interval's rates come from the difference of two
+// snapshots' Timing (see pipeline.Metrics.Delta).
 //
 // A Session is not safe for concurrent use; concurrency comes from
 // running many sessions, which may share read-only programs (see
-// WithProgram). Observe callbacks run synchronously on the goroutine
-// that advances the session.
+// WithProgram).
 //
-// The timing model consumes the trace synchronously on that same
-// goroutine: the emulator hands it batches through emu.TraceSink and
-// flushes on every return from cpu.Run, so whenever an observer or the
-// caller can look, the timing model has caught up. A session never owns
-// a goroutine.
+// The timing model consumes the trace synchronously on the goroutine
+// that advances the session: the emulator hands it batches through
+// emu.TraceSink and flushes on every return from cpu.Run, so whenever
+// the caller can look, the timing model has caught up. A session never
+// owns a goroutine.
 //
 // A session may carry several timing models over one emulator (see
 // AddMember): timing never feeds back into emulation, so configurations
@@ -138,8 +132,7 @@ type Session struct {
 	// was resumed; it closes the session to new members and FastForward.
 	started bool
 
-	observers []*observer
-	err       error // first run error; the session is dead once set
+	err error // first run error; the session is dead once set
 }
 
 // member is one timing model of a session: its configuration, the
@@ -263,21 +256,18 @@ func newMember(cfg Config, prog *isa.Program) (*member, error) {
 // result (see Results) is byte-identical to its solo run.
 //
 // Members join before the session first runs timed — before or after
-// a FastForward, whose timing models all start cold — and not once an
-// observer is registered or the session was resumed from a checkpoint
-// (a member would start cold where the solo run restores). A
-// multi-member session checkpoints every member (see Checkpoint) but
-// cannot Observe; Snapshot and Result report the first member.
+// a FastForward, whose timing models all start cold — and not once the
+// session was resumed from a checkpoint (a member would start cold
+// where the solo run restores). A multi-member session checkpoints
+// every member (see Checkpoint); Snapshot and Result report the first
+// member.
 func (s *Session) AddMember(opts ...Option) error {
 	cfg := s.origin
 	for _, o := range opts {
 		o(&cfg)
 	}
-	switch {
-	case s.started:
+	if s.started {
 		return fmt.Errorf("sim: a member cannot join a session that has run timed or was resumed")
-	case len(s.observers) > 0:
-		return fmt.Errorf("sim: a member cannot join an observed session")
 	}
 	if err := sameStream(s.members[0].cfg, cfg); err != nil {
 		return err
@@ -375,32 +365,6 @@ func (s *Session) Done() bool {
 // Err returns the fault that stopped the session, if any.
 func (s *Session) Err() error { return s.err }
 
-// Observe registers fn to be called synchronously every `every` retired
-// instructions while the session advances, with a Snapshot whose Delta
-// is relative to this observer's previous sample. Observers registered
-// mid-run sample relative to the current position. An observer does not
-// fire on the final partial interval; take a closing Snapshot after the
-// run for that. Multiple observers may be registered; each keeps its own
-// interval phase and delta state.
-func (s *Session) Observe(every uint64, fn func(Snapshot)) error {
-	if every == 0 {
-		return fmt.Errorf("sim: Observe interval must be positive")
-	}
-	if fn == nil {
-		return fmt.Errorf("sim: Observe with nil callback")
-	}
-	if len(s.members) > 1 {
-		return fmt.Errorf("sim: cannot observe a session with %d members", len(s.members))
-	}
-	s.observers = append(s.observers, &observer{
-		every: every,
-		next:  s.Instructions() + every,
-		prev:  s.collect(s.members[0]),
-		fn:    fn,
-	})
-	return nil
-}
-
 // collect samples the machine's counters as member m sees them right
 // now. Every caller sits between cpu.Run calls, where the trace is
 // flushed, so timing counters are always caught up here.
@@ -418,17 +382,18 @@ func (s *Session) collect(m *member) Metrics {
 	return out
 }
 
-// Snapshot returns the cumulative metrics. Valid at any point,
-// including mid-run from an Observe callback; an interval rate is the
-// Delta of two snapshots (see Metrics.Delta). On a multi-member session
-// it reports the first member.
+// Snapshot returns the cumulative metrics. Valid at any point; an
+// interval rate comes from the difference of two snapshots' Timing (see
+// pipeline.Metrics.Delta). On a multi-member session it reports the
+// first member.
 func (s *Session) Snapshot() Metrics { return s.collect(s.members[0]) }
 
-// RunFor advances the machine by up to n retired instructions, firing
-// due observers along the way, and reports whether the machine is done
-// (halted, out of budget, or faulted). Running a session in chunks of
-// any size retires the same instruction stream — and therefore produces
-// byte-identical metrics and outputs — as a single Run.
+// RunFor advances the machine by up to n retired instructions and
+// reports whether the machine is done (halted, out of budget, or
+// faulted); unless it is done, it stops exactly n instructions on.
+// Running a session in chunks of any size retires the same instruction
+// stream — and therefore produces byte-identical metrics and outputs —
+// as a single Run.
 func (s *Session) RunFor(n uint64) (bool, error) {
 	if s.err != nil {
 		return true, s.err
@@ -442,19 +407,16 @@ func (s *Session) RunFor(n uint64) (bool, error) {
 
 // FastForward retires up to n instructions (capped by WithMaxInstrs)
 // with the trace paused and reports, as RunFor does, whether the machine
-// is done: no observer fires, a sampled schedule counts none of them, and
-// every timing model starts cold where it ends — the functional prefix of
-// a SMARTS-style measured region. Members may join before or after it;
-// it is refused once the session has run timed or was resumed, and on an
-// observed session.
+// is done: a sampled schedule counts none of them, and every timing
+// model starts cold where it ends — the functional prefix of a
+// SMARTS-style measured region. Members may join before or after it;
+// it is refused once the session has run timed or was resumed.
 func (s *Session) FastForward(n uint64) (bool, error) {
 	switch {
 	case s.err != nil:
 		return true, s.err
 	case s.started:
 		return s.Done(), fmt.Errorf("sim: cannot fast-forward a session that has run timed or was resumed")
-	case len(s.observers) > 0:
-		return s.Done(), fmt.Errorf("sim: cannot fast-forward an observed session")
 	}
 	if n == 0 || s.Done() {
 		return s.Done(), nil
@@ -492,7 +454,7 @@ func (s *Session) fault(err error) error {
 }
 
 // Run advances the machine until the program halts or the WithMaxInstrs
-// budget is exhausted, firing due observers along the way.
+// budget is exhausted.
 func (s *Session) Run() error {
 	if s.err != nil {
 		return s.err
@@ -501,10 +463,8 @@ func (s *Session) Run() error {
 }
 
 // advance executes until the absolute retired-instruction count reaches
-// limit (0 = none; see stop) or HALT, chunking the emulator so observers
-// fire exactly on their interval boundaries. An Observe callback may
-// itself advance the session (a nested RunFor); the outer loop then
-// resumes from wherever the callback left the machine.
+// limit (0 = none; see stop) or HALT; a sampled run chunks the emulator
+// on its schedule boundaries.
 func (s *Session) advance(limit uint64) error {
 	if s.cpu.Halted() {
 		return nil
@@ -531,14 +491,7 @@ func (s *Session) advance(limit uint64) error {
 		if limit > 0 && cur >= limit {
 			return nil
 		}
-		// Stop at the earliest due observer so the sample lands exactly on
-		// its boundary.
 		stop := limit
-		for _, ob := range s.observers {
-			if stop == 0 || ob.next < stop {
-				stop = ob.next
-			}
-		}
 		if sc != nil {
 			// Never cross a schedule edge inside one emulator chunk: every
 			// retired interval then belongs wholly to one phase, which keeps
@@ -550,20 +503,8 @@ func (s *Session) advance(limit uint64) error {
 		if err := s.cpu.Run(stop); err != nil {
 			return s.fault(err)
 		}
-		prev := cur
-		cur = s.cpu.Stats().Instructions
 		if sc != nil {
-			sc.account(prev, cur-prev)
-		}
-		for _, ob := range s.observers {
-			if ob.next > cur {
-				continue // halted before the boundary: no partial sample
-			}
-			total := s.collect(s.members[0])
-			snap := Snapshot{Total: total, Delta: total.Delta(ob.prev)}
-			ob.prev = total
-			ob.next += ob.every
-			ob.fn(snap)
+			sc.account(cur, s.cpu.Stats().Instructions-cur)
 		}
 	}
 	return nil

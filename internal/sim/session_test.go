@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -102,96 +103,70 @@ func TestRunForRunsToHalt(t *testing.T) {
 	}
 }
 
-// TestObserveIntervals: observers fire exactly on their instruction
-// boundaries, deltas chain back to totals, and a final Snapshot sees the
-// closing partial interval.
-func TestObserveIntervals(t *testing.T) {
+// stepSnapshots steps s every instructions at a time to the end of the
+// run and returns the Snapshot taken before the first step and after
+// each step: one per full interval, then the trailing partial one
+// unless the run ended on a boundary.
+func stepSnapshots(s *Session, every uint64) ([]Metrics, error) {
+	snaps := []Metrics{s.Snapshot()}
+	for {
+		done, err := s.RunFor(every)
+		if err != nil {
+			return nil, err
+		}
+		snaps = append(snaps, s.Snapshot())
+		if done {
+			return snaps, nil
+		}
+	}
+}
+
+// TestSnapshotIntervals: RunFor stepping stops exactly on interval
+// boundaries, interval deltas chain back to totals, and the final
+// Snapshot sees the closing partial interval and equals the Result's
+// component stats.
+func TestSnapshotIntervals(t *testing.T) {
 	const every = 50_000
 	s, err := New("PI", WithSeed(5), WithPBS(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var samples []Snapshot
-	if err := s.Observe(every, func(snap Snapshot) {
-		samples = append(samples, snap)
-	}); err != nil {
+	snaps, err := stepSnapshots(s, every)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) == 0 {
-		t.Fatal("observer never fired")
+	full, final := snaps[:len(snaps)-1], snaps[len(snaps)-1]
+	if len(full) < 2 {
+		t.Fatal("run ended inside the first interval")
 	}
 	var sumInstr, sumCycles, sumSteered uint64
-	for i, snap := range samples {
-		want := uint64(i+1) * every
-		if snap.Total.Emu.Instructions != want {
-			t.Errorf("sample %d at %d instructions, want %d", i, snap.Total.Emu.Instructions, want)
+	for i := 1; i < len(full); i++ {
+		snap, d := full[i], full[i].Timing.Delta(full[i-1].Timing)
+		if want := uint64(i) * every; snap.Emu.Instructions != want {
+			t.Errorf("sample %d at %d instructions, want %d", i, snap.Emu.Instructions, want)
 		}
-		if snap.Delta.Timing.Instructions != every {
-			t.Errorf("sample %d delta %d instructions, want %d", i, snap.Delta.Timing.Instructions, every)
+		if d.Instructions != every {
+			t.Errorf("sample %d delta %d instructions, want %d", i, d.Instructions, every)
 		}
-		sumInstr += snap.Delta.Timing.Instructions
-		sumCycles += snap.Delta.Timing.Cycles
-		sumSteered += snap.Delta.PBSStats.Steered
-		if snap.Delta.Timing.IPC() <= 0 {
+		sumInstr += d.Instructions
+		sumCycles += d.Cycles
+		sumSteered += snap.PBSStats.Steered - full[i-1].PBSStats.Steered
+		if d.IPC() <= 0 {
 			t.Errorf("sample %d: interval IPC not positive", i)
 		}
 	}
-	last := samples[len(samples)-1]
-	if sumInstr != last.Total.Timing.Instructions || sumCycles != last.Total.Timing.Cycles || sumSteered != last.Total.PBSStats.Steered {
+	last := full[len(full)-1]
+	if sumInstr != last.Timing.Instructions || sumCycles != last.Timing.Cycles || sumSteered != last.PBSStats.Steered {
 		t.Error("deltas do not sum to totals")
 	}
 
-	final := s.Snapshot()
-	if final.Emu.Instructions <= last.Total.Emu.Instructions {
-		t.Error("final snapshot did not advance past the last interval")
+	if final.Emu.Instructions <= last.Emu.Instructions || final.Emu.Instructions >= last.Emu.Instructions+every {
+		t.Errorf("final snapshot at %d instructions, want a partial interval past %d", final.Emu.Instructions, last.Emu.Instructions)
 	}
 	// A snapshot carries exactly the component structs Result does.
 	res := s.Result()
 	if final.Timing != res.Timing || final.Emu != res.Emu || final.PBSStats != res.PBSStats {
 		t.Error("snapshot metrics disagree with the result's component stats")
-	}
-}
-
-// TestObserveTwoPhases: two observers keep independent phase and delta
-// state.
-func TestObserveTwoPhases(t *testing.T) {
-	s, err := New("PI", WithSeed(5), WithMaxInstrs(100_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b int
-	if err := s.Observe(30_000, func(Snapshot) { a++ }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Observe(45_000, func(snap Snapshot) {
-		b++
-		if snap.Total.Emu.Instructions%45_000 != 0 {
-			t.Errorf("observer B fired off its boundary at %d", snap.Total.Emu.Instructions)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if a != 3 || b != 2 {
-		t.Errorf("observer counts a=%d b=%d, want 3 and 2", a, b)
-	}
-}
-
-func TestObserveErrors(t *testing.T) {
-	s, err := New("PI")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Observe(0, func(Snapshot) {}); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if err := s.Observe(10, nil); err == nil {
-		t.Error("nil callback accepted")
 	}
 }
 
@@ -247,125 +222,47 @@ func TestSessionErrors(t *testing.T) {
 }
 
 // TestConcurrentSessionsShareProgram: many sessions over one read-only
-// program build, advanced concurrently with observers attached — the
-// contract the race-detector CI job guards.
+// program build, stepped interval by interval concurrently — the
+// contract the race-detector CI job guards. Every session's snapshots
+// equal those of a reference session stepped alone.
 func TestConcurrentSessionsShareProgram(t *testing.T) {
 	prog, err := BuildProgram("PI", workloads.Params{}, workloads.VariantPlain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(Config{Workload: "PI", Seed: 1, PBS: true, MaxInstrs: 120_000, Program: prog})
+	opts := []Option{WithProgram(prog), WithSeed(1), WithPBS(true), WithMaxInstrs(120_000)}
+	ref, err := New("PI", opts...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := stepSnapshots(ref, 40_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 4 {
+		t.Fatalf("reference took %d snapshots, want 4", len(want))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := New("PI", WithProgram(prog), WithSeed(1), WithPBS(true), WithMaxInstrs(120_000))
+			s, err := New("PI", opts...)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			fired := 0
-			if err := s.Observe(40_000, func(Snapshot) { fired++ }); err != nil {
+			got, err := stepSnapshots(s, 40_000)
+			if err != nil {
 				t.Error(err)
 				return
 			}
-			for {
-				done, err := s.RunFor(25_000)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if done {
-					break
-				}
-			}
-			if fired != 3 {
-				t.Errorf("observer fired %d times, want 3", fired)
-			}
-			if s.Result().Timing != ref.Timing {
+			if !slices.Equal(got, want) {
 				t.Error("concurrent session diverged from reference")
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// TestNestedAdvance: an Observe callback may itself step the session (a
-// nested RunFor); the outer advance resumes from wherever the callback
-// left the machine. Every snapshot — the observer's, the one taken
-// inside the callback, and the final totals — must equal those of a
-// session stepped to the same counts without nesting.
-func TestNestedAdvance(t *testing.T) {
-	opts := []Option{WithSeed(11), WithPBS(true), WithMaxInstrs(150_000)}
-	newObserved := func(obs *[]Snapshot, fn func(*Session)) *Session {
-		s, err := New("PI", opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Observe(30_000, func(snap Snapshot) {
-			*obs = append(*obs, snap)
-			if fn != nil {
-				fn(s)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	var nestedObs []Snapshot
-	var nestedRecs []Metrics
-	nested := false
-	s := newObserved(&nestedObs, func(s *Session) {
-		if nested {
-			return
-		}
-		nested = true
-		if _, err := s.RunFor(5_000); err != nil {
-			t.Error(err)
-			return
-		}
-		nestedRecs = append(nestedRecs, s.Snapshot())
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	nestedRecs = append(nestedRecs, s.Snapshot())
-
-	// Reference: the same counts (35k inside the first interval, then
-	// to completion) reached by plain top-level stepping.
-	var refObs []Snapshot
-	var refRecs []Metrics
-	ref := newObserved(&refObs, nil)
-	if _, err := ref.RunFor(35_000); err != nil {
-		t.Fatal(err)
-	}
-	refRecs = append(refRecs, ref.Snapshot())
-	if err := ref.Run(); err != nil {
-		t.Fatal(err)
-	}
-	refRecs = append(refRecs, ref.Snapshot())
-
-	if len(nestedObs) != 5 || len(nestedObs) != len(refObs) {
-		t.Fatalf("observer fired %d times nested, %d plain; want 5", len(nestedObs), len(refObs))
-	}
-	for i := range refObs {
-		if nestedObs[i] != refObs[i] {
-			t.Errorf("observer sample %d diverged:\nnested %+v\n plain %+v", i, nestedObs[i], refObs[i])
-		}
-	}
-	if len(nestedRecs) != len(refRecs) {
-		t.Fatalf("nested run recorded %d snapshots, plain %d", len(nestedRecs), len(refRecs))
-	}
-	for i := range refRecs {
-		if nestedRecs[i] != refRecs[i] {
-			t.Errorf("snapshot %d diverged:\nnested %+v\n plain %+v", i, nestedRecs[i], refRecs[i])
-		}
-	}
 }
 
 // TestSteadyStateAllocs pins the allocation freedom of the steady

@@ -2,8 +2,8 @@
 // Session: a live machine built with sim.New and functional options that
 // wires a workload program, the PBS unit, a branch predictor and the
 // out-of-order timing model together, supports incremental stepping
-// (RunFor), interval observation of the component counters (Observe,
-// Snapshot), and runs to completion with Run. The one-shot Run(Config)
+// (RunFor) with a look at the component counters between steps
+// (Snapshot), and runs to completion with Run. The one-shot Run(Config)
 // entry point every experiment in the paper's evaluation (Figures 1,
 // 6-9, Tables II-III, §VII-D) uses is a thin wrapper over a Session and
 // produces byte-identical results.

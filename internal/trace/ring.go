@@ -21,12 +21,12 @@
 // sides.
 //
 // Rendezvous: Drain is the deterministic barrier the simulation harness
-// uses at observer boundaries and instruction limits — it returns only
-// after the consumer has processed every batch delivered before the
-// call, at which point timing-model state is safe to read from the
-// producer side (the channel acknowledgement establishes the
-// happens-before edge). Stop is Drain plus consumer shutdown; Serve can
-// then be restarted for the next run segment.
+// uses at instruction limits — it returns only after the consumer has
+// processed every batch delivered before the call, at which point
+// timing-model state is safe to read from the producer side (the
+// channel acknowledgement establishes the happens-before edge). Stop is
+// Drain plus consumer shutdown; Serve can then be restarted for the
+// next run segment.
 package trace
 
 import (
