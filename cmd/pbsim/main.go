@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	profStop = stopProf // fail() finishes the profiles on error exits too
+	profStop = stopProf // exit finishes the profiles on error exits too
 	defer func() {
 		if err := stopProf(); err != nil {
 			fail(err)
@@ -89,7 +89,7 @@ func main() {
 		opts = append(opts, sim.WithSampledTiming(sampleCfg))
 	} else if *sampleWin > 0 || *sampleWrm > 0 || *sampleFW {
 		fmt.Fprintln(os.Stderr, "pbsim: -sample-window/-sample-warmup/-sample-func-warm need -sample-period")
-		os.Exit(2)
+		exit(2)
 	}
 	switch *wide {
 	case 4:
@@ -97,7 +97,7 @@ func main() {
 		opts = append(opts, sim.WithCore(pipeline.EightWide()))
 	default:
 		fmt.Fprintln(os.Stderr, "pbsim: -wide must be 4 or 8")
-		os.Exit(2)
+		exit(2)
 	}
 
 	if *dump {
@@ -115,7 +115,7 @@ func main() {
 
 	if *ckptAt > 0 && *ckptOut == "" {
 		fmt.Fprintln(os.Stderr, "pbsim: -checkpoint-at needs -checkpoint-out")
-		os.Exit(2)
+		exit(2)
 	}
 
 	// Display fields default to the flags; a resumed run reports the
@@ -162,7 +162,7 @@ func main() {
 	if *ckptAt > 0 && *ckptAt <= s.Instructions() {
 		fmt.Fprintf(os.Stderr, "pbsim: -checkpoint-at %d is not past the resumed position of %d instructions\n",
 			*ckptAt, s.Instructions())
-		os.Exit(2)
+		exit(2)
 	}
 	if *sample > 0 {
 		fmt.Printf("%12s  %7s  %7s  %7s  %7s  %8s\n",
@@ -260,13 +260,18 @@ func writeCheckpoint(s *sim.Session, path string) error {
 }
 
 // profStop finishes any active pprof profiles (idempotent; see
-// prof.Start). fail runs it so os.Exit does not truncate profile files.
+// prof.Start). exit runs it so os.Exit does not truncate profile files.
 var profStop = func() error { return nil }
 
-func fail(err error) {
+// exit finishes the profiles and exits with code.
+func exit(code int) {
 	if perr := profStop(); perr != nil {
 		fmt.Fprintln(os.Stderr, "pbsim:", perr)
 	}
+	os.Exit(code)
+}
+
+func fail(err error) {
 	fmt.Fprintln(os.Stderr, "pbsim:", err)
-	os.Exit(1)
+	exit(1)
 }

@@ -6,10 +6,51 @@
 // baselines for testing.
 package branch
 
+import (
+	"fmt"
+
+	"repro/internal/ckpt"
+)
+
+// predictors is the fixed set of front-end predictors, in the order the
+// paper discusses them. Adding a predictor is one line here; each
+// factory returns a fresh predictor in its power-on state.
+var predictors = [...]struct {
+	name    string
+	factory func() Predictor
+}{
+	{"tournament", func() Predictor { return NewTournament() }},
+	{"tage-sc-l", func() Predictor { return NewTAGESCL() }},
+	{"always-taken", func() Predictor { return AlwaysTaken{} }},
+	{"never-taken", func() Predictor { return NeverTaken{} }},
+}
+
+// New instantiates a fresh predictor by name.
+func New(name string) (Predictor, error) {
+	for _, p := range predictors {
+		if p.name == name {
+			return p.factory(), nil
+		}
+	}
+	return nil, fmt.Errorf("branch: unknown predictor %q (known: %v)", name, Names())
+}
+
+// Names lists the predictor names in table order.
+func Names() []string {
+	out := make([]string, len(predictors))
+	for i, p := range predictors {
+		out[i] = p.name
+	}
+	return out
+}
+
 // Predictor is a conditional branch direction predictor. Predict is called
 // at fetch with the branch PC; Update is called in retirement order with
-// the actual outcome and the prediction previously returned.
+// the actual outcome and the prediction previously returned. Every
+// predictor checkpoints its mutable state (see state.go).
 type Predictor interface {
+	ckpt.Checkpointable
+
 	// Predict returns the predicted direction for the branch at pc.
 	Predict(pc uint64) bool
 	// Update trains the predictor with the resolved outcome.

@@ -1,28 +1,23 @@
 package branch
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestRegistryBuiltins(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"tournament", "tage-sc-l", "always-taken", "never-taken"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("builtin %q missing from registry %v", want, names)
-		}
-		p, err := New(want)
+	want := []string{"tournament", "tage-sc-l", "always-taken", "never-taken"}
+	if names := Names(); !slices.Equal(names, want) {
+		t.Errorf("Names() = %v, want %v", names, want)
+	}
+	for _, name := range want {
+		p, err := New(name)
 		if err != nil {
-			t.Fatalf("New(%q): %v", want, err)
+			t.Fatalf("New(%q): %v", name, err)
 		}
-		if p.Name() != want {
-			t.Errorf("New(%q).Name() = %q", want, p.Name())
+		if p.Name() != name {
+			t.Errorf("New(%q).Name() = %q", name, p.Name())
 		}
 	}
 	// Factories return fresh instances, not shared state.
@@ -36,35 +31,5 @@ func TestRegistryBuiltins(t *testing.T) {
 func TestRegistryErrors(t *testing.T) {
 	if _, err := New("no-such-predictor"); err == nil || !strings.Contains(err.Error(), "unknown predictor") {
 		t.Errorf("unknown name: %v", err)
-	}
-	if err := Register("", func() Predictor { return AlwaysTaken{} }); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := Register("registry-test-nilfactory", nil); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if err := Register("tage-sc-l", func() Predictor { return AlwaysTaken{} }); err == nil ||
-		!strings.Contains(err.Error(), "already registered") {
-		t.Errorf("duplicate registration: %v", err)
-	}
-}
-
-func TestRegisterCustomPredictor(t *testing.T) {
-	const name = "registry-test-custom"
-	// With -count > 1 the global registry already holds the name from the
-	// previous run; only an unexpected error is fatal.
-	if err := Register(name, func() Predictor { return NeverTaken{} }); err != nil &&
-		!strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
-	if err := Register(name, func() Predictor { return NeverTaken{} }); err == nil {
-		t.Error("second registration of the same name accepted")
-	}
-	p, err := New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Predict(0) {
-		t.Error("wrong factory resolved")
 	}
 }

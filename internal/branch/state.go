@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the ckpt.Checkpointable protocol for every
-// registered predictor. Only mutable prediction state is serialized —
+// predictor in the table. Only mutable prediction state is serialized —
 // table geometry is configuration the factory rebuilds — and the
 // scratch carried from Predict to Update (TAGESCL.p and its index
 // buffers, Tournament.last*) is deliberately excluded: the simulator

@@ -49,9 +49,6 @@ type Cache struct {
 	setMask  uint64
 	lineBits uint
 	clock    uint64
-
-	Hits   uint64
-	Misses uint64
 }
 
 // New builds a cache. Size, line size and ways must describe a power-of-two
@@ -95,7 +92,7 @@ func (c *Cache) alloc(i uint64) []uint64 {
 // together — and does no victim bookkeeping; the victim is chosen by a
 // second pass only on a miss (same selection as a single combined pass,
 // since a hit returns before any replacement happens). Replacement
-// decisions, and therefore hit and miss counts, are bit-for-bit those of
+// decisions, and therefore hits and misses, are bit-for-bit those of
 // the unpacked struct-per-line layout this replaced.
 func (c *Cache) Access(addr uint64) bool {
 	c.clock++
@@ -116,7 +113,6 @@ func (c *Cache) Access(addr uint64) bool {
 	for i := range tags {
 		if tags[i] == tag {
 			ch[base+c.ways+i] = c.clock
-			c.Hits++
 			return true
 		}
 	}
@@ -131,16 +127,7 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	tags[victim] = tag
 	lru[victim] = c.clock
-	c.Misses++
 	return false
-}
-
-// Reset clears contents and statistics, dropping every allocated chunk.
-func (c *Cache) Reset() {
-	clear(c.chunks)
-	c.clock = 0
-	c.Hits = 0
-	c.Misses = 0
 }
 
 // Hierarchy is a two-level hierarchy with split L1 and unified L2.
@@ -191,11 +178,4 @@ func (h *Hierarchy) access(l1 *Cache, addr uint64) (int, Level) {
 		return h.L2.cfg.HitLatency, LevelL2
 	}
 	return h.MemLatency, LevelMem
-}
-
-// Reset clears all levels.
-func (h *Hierarchy) Reset() {
-	h.L1I.Reset()
-	h.L1D.Reset()
-	h.L2.Reset()
 }

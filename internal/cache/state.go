@@ -6,9 +6,8 @@ import (
 	"repro/internal/ckpt"
 )
 
-// CheckpointState serializes the cache contents and statistics: the
-// allocated chunks in index order, then the global clock and the
-// hit/miss counters. Geometry is configuration, rebuilt by New. Only
+// CheckpointState serializes the cache contents: the allocated chunks
+// in index order, then the global clock. Geometry is configuration, rebuilt by New. Only
 // touched chunks are written, and within one every way costs a varint:
 // 0 for an invalid way (its LRU clock is never read), otherwise the tag
 // plus one and the way's LRU clock — so a checkpoint grows with the
@@ -39,8 +38,6 @@ func (c *Cache) CheckpointState(w *ckpt.Writer) error {
 		}
 	}
 	w.Uint(c.clock)
-	w.Uint(c.Hits)
-	w.Uint(c.Misses)
 	return nil
 }
 
@@ -79,8 +76,6 @@ func (c *Cache) RestoreState(r *ckpt.Reader) error {
 		}
 	}
 	c.clock = r.Uint()
-	c.Hits = r.Uint()
-	c.Misses = r.Uint()
 	return r.Err()
 }
 

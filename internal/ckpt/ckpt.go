@@ -53,8 +53,10 @@ const magic = "PBSCKPT\n"
 // own predictor and pipeline section, and the session section writes
 // the shared sampling-schedule state once, then each member's window
 // populations. Version 8 drops the session's last Snapshot sample from
-// the session section.
-const Version = 8
+// the session section. Version 9 drops each cache's hit and miss
+// counters from the pipeline section and the PBS hardware override from
+// the session config.
+const Version = 9
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable

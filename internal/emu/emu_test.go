@@ -9,6 +9,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/progb"
 	"repro/internal/rng"
+	"repro/internal/workloads"
 )
 
 // run builds a program with the builder, executes it and returns the CPU.
@@ -300,6 +301,41 @@ func TestProbCaptureStreams(t *testing.T) {
 	for i := 5; i < 1000; i++ {
 		if cpu.Consumed[i] != cpu.Generated[i-4] {
 			t.Fatalf("consumed[%d] != generated[%d]", i, i-4)
+		}
+	}
+}
+
+// TestInFlightBootstrapLength: a context bootstraps until its
+// Prob-in-Flight queue holds InFlight recorded instances, so with a
+// one-deep queue PI bootstraps about once per context. PI has one
+// probabilistic context, whose first instance also bootstraps because it
+// executes before the loop's backward branch has been seen (see
+// TestProbCaptureStreams).
+func TestInFlightBootstrapLength(t *testing.T) {
+	w, err := workloads.ByName("PI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Build(workloads.DefaultParams(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inFlight := range []int{1, 4} {
+		cfg := core.DefaultConfig()
+		cfg.InFlight = inFlight
+		unit, err := core.NewUnit(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu, err := New(prog, rng.New(1), unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cpu.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if st := unit.Stats(); st.Bootstrap != uint64(inFlight)+1 || st.Steered == 0 {
+			t.Errorf("InFlight=%d: want %d bootstrapped instances and steering after them: %+v", inFlight, inFlight+1, st)
 		}
 	}
 }

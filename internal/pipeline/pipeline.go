@@ -445,15 +445,11 @@ func (p *Pipeline) warmRetire(di *emu.DynInstr) {
 	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
 		p.lastIBlock = iblock
 		p.hier.InstrLatency(uint64(di.PC) * 8)
-	} else {
-		p.hier.L1I.Hits++
 	}
 	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
 		if dblock := di.MemAddr >> p.dblockShift; dblock != p.lastDBlock {
 			p.lastDBlock = dblock
 			p.hier.DataLatency(di.MemAddr)
-		} else {
-			p.hier.L1D.Hits++
 		}
 	}
 	if d.Flags&plan.FBranch == 0 || d.Flags&(plan.FMidProb|plan.FCond) != plan.FCond || p.cfg.PerfectBranches {
@@ -526,8 +522,6 @@ func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
 					p.fetchedInCycle = 0
 				}
 			}
-		} else {
-			p.hier.L1I.Hits++ // keep the cache's own counters consistent
 		}
 		p.curFetchCycle = fc // fc only ever moves forward from the cursor
 		p.fetchedInCycle++
@@ -577,8 +571,6 @@ func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
 						p.m.L2Misses++
 					}
 				}
-			} else {
-				p.hier.L1D.Hits++
 			}
 			if d.Flags&plan.FLoad != 0 {
 				lat = uint64(dlat)

@@ -91,8 +91,6 @@ func (p *refPipeline) warmRetire(di *emu.DynInstr) {
 	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
 		p.lastIBlock = iblock
 		p.hier.InstrLatency(uint64(di.PC) * 8)
-	} else {
-		p.hier.L1I.Hits++
 	}
 	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
 		p.hier.DataLatency(di.MemAddr)
@@ -140,8 +138,6 @@ func (p *refPipeline) retire(di *emu.DynInstr) {
 				p.fetchedInCycle = 0
 			}
 		}
-	} else {
-		p.hier.L1I.Hits++
 	}
 	if fc > p.curFetchCycle {
 		p.curFetchCycle = fc
@@ -253,11 +249,14 @@ func (p *refPipeline) handleBranch(di *emu.DynInstr, d *plan.Decoded, fc, execDo
 	}
 }
 
-// cacheCounts is the hit/miss record of the three cache levels.
-type cacheCounts [3][2]uint64
-
-func countsOf(h *cache.Hierarchy) cacheCounts {
-	return cacheCounts{{h.L1I.Hits, h.L1I.Misses}, {h.L1D.Hits, h.L1D.Misses}, {h.L2.Hits, h.L2.Misses}}
+// levelCounts is the [accesses misses] record of the three cache
+// levels in m: the L2 sees every L1I and L1D miss.
+func levelCounts(m Metrics) [3][2]uint64 {
+	return [3][2]uint64{
+		{m.L1IAccesses, m.L1IMisses},
+		{m.L1DAccesses, m.L1DMisses},
+		{m.L1IMisses + m.L1DMisses, m.L2Misses},
+	}
 }
 
 // lastDataLine returns the L1D line of the last data access in trace,
@@ -277,8 +276,9 @@ func lastDataLine(p *Pipeline, trace []emu.DynInstr) uint64 {
 // instruction at a time), across core configurations and both
 // predictors. The replay is detailed, then functionally warmed, then
 // detailed again, and at each switch and at the end the two must agree
-// on every Metrics counter and on the hits and misses of every cache
-// level.
+// on every Metrics counter, the accesses and misses of every cache level
+// among them. Warming moves no counter, so the warm segment's cache
+// contents show in the detailed segment after it.
 func TestRetireKernelMatchesReference(t *testing.T) {
 	const n, batch = 200_000, 251
 	cuts := []int{80_000, 120_000, n} // detailed, warm, detailed
@@ -330,8 +330,10 @@ func TestRetireKernelMatchesReference(t *testing.T) {
 						if kern.Metrics() != ref.m {
 							t.Fatalf("%s: after %d instructions:\n kernel    %+v\n reference %+v", label, cut, kern.Metrics(), ref.m)
 						}
-						if got, want := countsOf(kern.hier), countsOf(ref.hier); got != want {
-							t.Fatalf("%s: after %d instructions, cache [L1I L1D L2][hits misses]: kernel %v, reference %v", label, cut, got, want)
+						for lvl, c := range levelCounts(kern.Metrics()) {
+							if c[1] > c[0] {
+								t.Fatalf("%s: after %d instructions, cache level %d has %d misses in %d accesses", label, cut, lvl, c[1], c[0])
+							}
 						}
 						// In either mode the streak registers name the
 						// lines of the last fetch and the last data access.

@@ -1,7 +1,7 @@
 package plan
 
 // Structural invariants of the superblock map and the fusion vocabulary,
-// checked over the decode-edge-case program and every registered
+// checked over the decode-edge-case program and every Table II
 // workload in both prob variants: blocks partition the code, fusions
 // never cross a block or interior boundary, and the entry-anywhere
 // IntEnd table is consistent with the fused handler codes.

@@ -99,13 +99,9 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	}
 	for i, m := range s.members {
 		if m.pred != nil {
-			cp, ok := m.pred.(ckpt.Checkpointable)
-			if !ok {
-				return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
-			}
 			w := enc.Section(memberSection(secPredictor, i))
 			w.String(m.pred.Name())
-			if err := cp.CheckpointState(w); err != nil {
+			if err := m.pred.CheckpointState(w); err != nil {
 				return nil, fmt.Errorf("sim: checkpoint: %w", err)
 			}
 		}
@@ -276,11 +272,7 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		if name != m.pred.Name() {
 			return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
 		}
-		cp, ok := m.pred.(ckpt.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("sim: predictor %s does not support checkpointing", m.pred.Name())
-		}
-		if err := cp.RestoreState(br); err != nil {
+		if err := m.pred.RestoreState(br); err != nil {
 			return nil, fmt.Errorf("sim: resume: %w", err)
 		}
 		if err := m.pipe.RestoreState(tr); err != nil {

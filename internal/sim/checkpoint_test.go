@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/sample"
 )
 
@@ -86,6 +87,23 @@ func TestCheckpointRestoreGolden(t *testing.T) {
 			}
 			got := runInterrupted(t, cfg, restoreK)
 			compareResults(t, got, want)
+		})
+	}
+}
+
+// TestCheckpointEveryPredictor: every predictor in the branch table
+// checkpoints, and a run interrupted by checkpoint→serialize→restore
+// matches the uninterrupted one.
+func TestCheckpointEveryPredictor(t *testing.T) {
+	for _, name := range branch.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{Workload: "Bandit", Seed: 3, Predictor: PredictorKind(name), MaxInstrs: 2 * restoreK}
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, runInterrupted(t, cfg, restoreK), want)
 		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 // Option configures a Session at construction (see New).
 type Option func(*Config)
 
-// WithPredictor selects the front-end branch predictor by registered
-// name (see branch.Register; the default is tage-sc-l).
+// WithPredictor selects the front-end branch predictor by name (see
+// branch.Names; the default is tage-sc-l).
 func WithPredictor(kind PredictorKind) Option {
 	return func(c *Config) { c.Predictor = kind }
 }
@@ -27,15 +27,6 @@ func WithPBS(on bool) Option {
 	return func(c *Config) { c.PBS = on }
 }
 
-// WithPBSConfig sets the PBS hardware configuration and implies
-// WithPBS(true).
-func WithPBSConfig(cfg core.Config) Option {
-	return func(c *Config) {
-		c.PBS = true
-		c.PBSConfig = &cfg
-	}
-}
-
 // WithCore sets the pipeline configuration (default pipeline.FourWide).
 func WithCore(cfg pipeline.Config) Option {
 	return func(c *Config) { c.Core = &cfg }
@@ -44,8 +35,8 @@ func WithCore(cfg pipeline.Config) Option {
 // WithProgram runs the given program instead of assembling one from the
 // workload name. The session never mutates the program, so one build may
 // be shared read-only by any number of concurrent sessions. With a
-// program supplied, the workload name is only a label and need not be
-// registered; it may be empty.
+// program supplied, the workload name is only a label and need not name
+// a workload; it may be empty.
 func WithProgram(p *isa.Program) Option {
 	return func(c *Config) { c.Program = p }
 }
@@ -54,11 +45,6 @@ func WithProgram(p *isa.Program) Option {
 // non-zero state).
 func WithSeed(seed uint64) Option {
 	return func(c *Config) { c.Seed = seed }
-}
-
-// WithParams sets the workload parameters.
-func WithParams(p workloads.Params) Option {
-	return func(c *Config) { c.Params = p }
 }
 
 // WithScale multiplies the workload's baseline iteration count.
@@ -147,7 +133,7 @@ type member struct {
 }
 
 // New builds a live machine for the named workload, configured by the
-// options. The workload must be registered (workloads.Register) unless
+// options. The workload must be one of workloads.Names unless
 // WithProgram supplies a prebuilt program, in which case the name is
 // only a label and may be empty.
 func New(workload string, opts ...Option) (*Session, error) {
@@ -181,12 +167,8 @@ func newSession(cfg Config) (*Session, error) {
 
 	var unit *core.Unit
 	if cfg.PBS {
-		pbsCfg := core.DefaultConfig()
-		if cfg.PBSConfig != nil {
-			pbsCfg = *cfg.PBSConfig
-		}
 		var err error
-		unit, err = core.NewUnit(pbsCfg)
+		unit, err = core.NewUnit(core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +288,7 @@ func sameStream(a, b Config) error {
 		field = "program"
 	case a.Seed != b.Seed:
 		field = "seed"
-	case a.PBS != b.PBS || !equalPtr(a.PBSConfig, b.PBSConfig):
+	case a.PBS != b.PBS:
 		field = "PBS hardware"
 	case a.CaptureProb != b.CaptureProb:
 		field = "value capture"

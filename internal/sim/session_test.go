@@ -170,7 +170,7 @@ func TestSnapshotIntervals(t *testing.T) {
 	}
 }
 
-// TestProgramOnlySession: a raw program runs without any registered
+// TestProgramOnlySession: a raw program runs without any known
 // workload name — through the Session API and through the Run wrapper
 // (the old harness required a valid Workload even with Program set).
 func TestProgramOnlySession(t *testing.T) {
@@ -198,7 +198,7 @@ func TestProgramOnlySession(t *testing.T) {
 	}
 	named, err := Run(Config{Workload: "my-custom-kernel", Program: prog, Seed: 2, PBS: true})
 	if err != nil {
-		t.Fatalf("Run with Program and unregistered label: %v", err)
+		t.Fatalf("Run with Program and unknown label: %v", err)
 	}
 	if named.Workload != "my-custom-kernel" {
 		t.Errorf("label %q not preserved", named.Workload)
@@ -208,7 +208,7 @@ func TestProgramOnlySession(t *testing.T) {
 	}
 }
 
-// TestSessionErrors: construction and registry failures surface cleanly.
+// TestSessionErrors: construction and unknown-name failures surface cleanly.
 func TestSessionErrors(t *testing.T) {
 	if _, err := New("nope"); err == nil || !strings.Contains(err.Error(), "unknown workload") {
 		t.Errorf("unknown workload: %v", err)

@@ -22,17 +22,17 @@ import (
 )
 
 // PredictorKind names a front-end predictor in the branch package's
-// registry (see branch.Register and branch.Names).
+// table (see branch.Names).
 type PredictorKind string
 
-// The predictors the paper evaluates (more may be registered).
+// The predictors the paper evaluates.
 const (
 	PredTournament PredictorKind = "tournament"
 	PredTAGESCL    PredictorKind = "tage-sc-l"
 	PredAlways     PredictorKind = "always-taken"
 )
 
-// NewPredictor instantiates a predictor by registered name.
+// NewPredictor instantiates a predictor by name.
 func NewPredictor(kind PredictorKind) (branch.Predictor, error) {
 	return branch.New(string(kind))
 }
@@ -47,12 +47,9 @@ type Config struct {
 	Seed uint64
 	// Predictor selects the front-end predictor.
 	Predictor PredictorKind
-	// PBS enables the PBS hardware (probabilistic instructions execute as
-	// regular branches when false).
+	// PBS enables the PBS hardware, configured as core.DefaultConfig;
+	// when false, probabilistic instructions execute as regular branches.
 	PBS bool
-	// PBSConfig overrides the PBS hardware configuration; zero value means
-	// core.DefaultConfig.
-	PBSConfig *core.Config
 	// Core is the pipeline configuration; zero value means
 	// pipeline.FourWide.
 	Core *pipeline.Config
@@ -67,7 +64,7 @@ type Config struct {
 	Variant workloads.Variant
 	// Program, when non-nil, is executed instead of assembling
 	// Workload/Params/Variant from scratch; Workload is then only a label
-	// and need not name a registered workload. A run never mutates a
+	// and need not name a known workload. A run never mutates a
 	// program, so one build may be shared read-only by any number of
 	// concurrent simulations (internal/sweep caches programs this way).
 	Program *isa.Program `json:"-"`
@@ -153,7 +150,7 @@ func BuildProgram(workload string, params workloads.Params, variant workloads.Va
 // Run executes one configuration to completion: a thin compatibility
 // wrapper that builds a Session from cfg and runs it, producing results
 // byte-identical to the pre-Session one-shot harness. With cfg.Program
-// set, the workload name is only a label and need not be registered.
+// set, the workload name is only a label and need not name a workload.
 func Run(cfg Config) (*Result, error) {
 	s, err := newSession(cfg)
 	if err != nil {

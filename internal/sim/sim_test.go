@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/workloads"
 )
 
@@ -41,18 +40,6 @@ func TestSkipTimingProducesNoCycles(t *testing.T) {
 	}
 	if res.PBSStats.Resolutions == 0 {
 		t.Error("PBS stats missing")
-	}
-}
-
-func TestCustomPBSConfig(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.InFlight = 1
-	res, err := Run(Config{Workload: "PI", Seed: 1, PBS: true, PBSConfig: &cfg, SkipTiming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PBSStats.Bootstrap > res.PBSStats.Steered/100 {
-		t.Errorf("InFlight=1 should bootstrap ~once per context: %+v", res.PBSStats)
 	}
 }
 

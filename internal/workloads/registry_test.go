@@ -1,22 +1,15 @@
 package workloads
 
 import (
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/isa"
 )
 
 func TestRegistryTableIIOrder(t *testing.T) {
 	want := []string{"DOP", "Greeks", "Swaptions", "Genetic", "Photon", "MC-integ", "PI", "Bandit"}
-	names := Names()
-	if len(names) < len(want) {
-		t.Fatalf("registry holds %v, want at least the Table II benchmarks", names)
-	}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("Names()[%d] = %q, want %q (Table II order)", i, names[i], n)
-		}
+	if names := Names(); !slices.Equal(names, want) {
+		t.Fatalf("Names() = %v, want %v (Table II order)", names, want)
 	}
 	for _, n := range want {
 		w, err := ByName(n)
@@ -32,61 +25,5 @@ func TestRegistryTableIIOrder(t *testing.T) {
 func TestRegistryErrors(t *testing.T) {
 	if _, err := ByName("no-such-workload"); err == nil || !strings.Contains(err.Error(), "unknown workload") {
 		t.Errorf("unknown name: %v", err)
-	}
-	if err := Register(nil); err == nil {
-		t.Error("nil workload accepted")
-	}
-	if err := Register(&Workload{Build: stubBuild}); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := Register(&Workload{Name: "registry-test-nobuild"}); err == nil {
-		t.Error("nil Build accepted")
-	}
-	if err := Register(&Workload{Name: "PI", Build: stubBuild}); err == nil ||
-		!strings.Contains(err.Error(), "already registered") {
-		t.Errorf("duplicate registration: %v", err)
-	}
-}
-
-func stubBuild(p Params, prob bool) (*isa.Program, error) {
-	return PI().Build(p, prob)
-}
-
-// testWorkload clones PI under a new name: a fully valid descriptor, so
-// the package-wide build-and-run tests keep passing over a registry that
-// test registrations have extended.
-func testWorkload(name string) *Workload {
-	w := *PI()
-	w.Name = name
-	return &w
-}
-
-func TestRegisterCustomWorkload(t *testing.T) {
-	const name = "registry-test-custom"
-	// With -count > 1 the global registry already holds the name from the
-	// previous run; only an unexpected error is fatal.
-	if err := Register(testWorkload(name)); err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
-	if err := Register(testWorkload(name)); err == nil {
-		t.Error("second registration of the same name accepted")
-	}
-	w, err := ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Build(DefaultParams(), true); err != nil {
-		t.Fatal(err)
-	}
-	// The registered workload appears after the built-ins in All().
-	all := All()
-	found := false
-	for _, reg := range all[8:] {
-		if reg.Name == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("custom workload missing from All()")
 	}
 }

@@ -19,7 +19,6 @@ package workloads
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/isa"
 )
@@ -156,84 +155,39 @@ type Workload struct {
 	CompareOutputs func(orig, pbs []uint64) Accuracy
 }
 
-// The workload registry maps names to benchmark descriptors so new
-// workloads plug into the simulation stack (sim.Session, sweep grids, the
-// CLIs) without editing this package. The paper's eight benchmarks
-// register themselves at package initialization, in Table II order;
-// external packages add their own with Register.
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]*Workload)
-	regOrder []*Workload
-)
-
-func init() {
-	for _, w := range []*Workload{
-		DOP(),
-		Greeks(),
-		Swaptions(),
-		Genetic(),
-		Photon(),
-		MCInteg(),
-		PI(),
-		Bandit(),
-	} {
-		if err := Register(w); err != nil {
-			panic(err)
-		}
-	}
+// table is the paper's eight benchmarks in Table II order. Adding a
+// workload is one line here. The descriptors are shared by every caller
+// and must not be mutated.
+var table = [...]*Workload{
+	DOP(),
+	Greeks(),
+	Swaptions(),
+	Genetic(),
+	Photon(),
+	MCInteg(),
+	PI(),
+	Bandit(),
 }
 
-// Register adds a workload to the registry. Registering nil, a workload
-// without a name or Build function, or a name already taken is an error.
-// Registered workloads are shared by every caller and must not be mutated
-// afterwards. Safe for concurrent use.
-func Register(w *Workload) error {
-	if w == nil {
-		return fmt.Errorf("workloads: Register(nil)")
-	}
-	if w.Name == "" {
-		return fmt.Errorf("workloads: Register with empty workload name")
-	}
-	if w.Build == nil {
-		return fmt.Errorf("workloads: Register %q with nil Build", w.Name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[w.Name]; dup {
-		return fmt.Errorf("workloads: workload %q already registered", w.Name)
-	}
-	registry[w.Name] = w
-	regOrder = append(regOrder, w)
-	return nil
-}
-
-// All returns the registered benchmarks in registration order — the
-// paper's Table II order for the built-ins, then any external workloads.
+// All returns the benchmarks in Table II order.
 func All() []*Workload {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]*Workload, len(regOrder))
-	copy(out, regOrder)
-	return out
+	return append([]*Workload(nil), table[:]...)
 }
 
 // ByName returns the named workload.
 func ByName(name string) (*Workload, error) {
-	regMu.RLock()
-	w := registry[name]
-	regMu.RUnlock()
-	if w == nil {
-		return nil, fmt.Errorf("workloads: unknown workload %q", name)
+	for _, w := range table {
+		if w.Name == name {
+			return w, nil
+		}
 	}
-	return w, nil
+	return nil, fmt.Errorf("workloads: unknown workload %q", name)
 }
 
-// Names lists all registered workload names in registration order.
+// Names lists the workload names in Table II order.
 func Names() []string {
-	ws := All()
-	names := make([]string, len(ws))
-	for i, w := range ws {
+	names := make([]string, len(table))
+	for i, w := range table {
 		names[i] = w.Name
 	}
 	return names

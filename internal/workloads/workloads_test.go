@@ -104,7 +104,7 @@ func TestTableIApplicability(t *testing.T) {
 	// PI; CFD exactly to DOP, Greeks, Genetic, MC-integ, PI.
 	pred := map[string]bool{"DOP": true, "MC-integ": true, "PI": true}
 	cfd := map[string]bool{"DOP": true, "Greeks": true, "Genetic": true, "MC-integ": true, "PI": true}
-	for _, w := range tableII(t) {
+	for _, w := range All() {
 		if got := w.BuildVariant[VariantPredicated] != nil; got != pred[w.Name] {
 			t.Errorf("%s: predication applicability %v, Table I says %v", w.Name, got, pred[w.Name])
 		}
@@ -120,7 +120,7 @@ func TestCategoriesAndMetadata(t *testing.T) {
 		"Genetic": Category1, "Photon": Category2, "MC-integ": Category1,
 		"PI": Category1, "Bandit": Category1,
 	}
-	for _, w := range tableII(t) {
+	for _, w := range All() {
 		if w.Category != want[w.Name] {
 			t.Errorf("%s: category %d, Table II says %d", w.Name, w.Category, want[w.Name])
 		}
@@ -249,27 +249,9 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	// The registry may hold extra (test-registered) workloads, but the
-	// Table II benchmarks always lead it, in order.
-	if names := Names(); len(names) < 8 {
+	if names := Names(); len(names) != 8 {
 		t.Errorf("Names: %v", names)
 	}
-}
-
-// tableII returns the paper's eight benchmarks, skipping any workloads
-// tests registered on top of them.
-func tableII(t *testing.T) []*Workload {
-	t.Helper()
-	names := [...]string{"DOP", "Greeks", "Swaptions", "Genetic", "Photon", "MC-integ", "PI", "Bandit"}
-	ws := make([]*Workload, len(names))
-	for i, n := range names {
-		w, err := ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = w
-	}
-	return ws
 }
 
 func TestSoftLibMathKernels(t *testing.T) {

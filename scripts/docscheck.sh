@@ -18,6 +18,9 @@
 #     files declare no func, method, type, var, const or grouped name
 #     Ident, so a removed identifier cannot linger in the docs (for
 #     `pkg.Type.Method` only `pkg.Type` is checked),
+#   - a checkpoint "format vN" in README.md or "Format version N" in
+#     DESIGN.md that differs from `const Version` in
+#     internal/ckpt/ckpt.go, so the docs cannot drift from the format,
 #   - gofmt-dirty files.
 #
 # Dependency-free by design: bash + grep + gofmt, nothing to install.
@@ -96,6 +99,20 @@ while IFS=. read -r pkg name; do
     fail=1
   fi
 done < <(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md | tr -d '`' | sort -u)
+
+# --- checkpoint format versions in the docs must match ckpt.Version -------
+version="$(sed -n 's/^const Version = \([0-9][0-9]*\)$/\1/p' internal/ckpt/ckpt.go)"
+if [ -z "$version" ]; then
+  echo "docscheck: no 'const Version = N' in internal/ckpt/ckpt.go" >&2
+  fail=1
+fi
+while IFS=: read -r doc n; do
+  if [ "$n" != "$version" ]; then
+    echo "docscheck: $doc names checkpoint format version $n, ckpt.Version is $version" >&2
+    fail=1
+  fi
+done < <({ grep -oE 'format v[0-9]+' README.md | sed 's/^format v/README.md:/'
+  grep -oE 'Format version [0-9]+' DESIGN.md | sed 's/^Format version /DESIGN.md:/'; } || true)
 
 # --- gofmt ----------------------------------------------------------------
 dirty="$(gofmt -l .)"
