@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,21 +25,71 @@ func TestMain(m *testing.M) {
 // exit code.
 func pbsim(t *testing.T, dir string, args ...string) (string, int) {
 	t.Helper()
+	_, stderr, code := pbsimOutput(t, dir, args...)
+	return stderr, code
+}
+
+// pbsimOutput runs the command with args in dir and returns its stdout,
+// stderr and exit code.
+func pbsimOutput(t *testing.T, dir string, args ...string) (string, string, int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "PBSIM_RUN_MAIN=1")
-	var stderr strings.Builder
+	var stdout, stderr strings.Builder
+	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return stderr.String(), 0
+		return stdout.String(), stderr.String(), 0
 	case errors.As(err, &exit):
-		return stderr.String(), exit.ExitCode()
+		return stdout.String(), stderr.String(), exit.ExitCode()
 	}
 	t.Fatal(err)
-	return "", 0
+	return "", "", 0
+}
+
+// TestSampleSeries: -sample prints one row per full interval, each at
+// an exact multiple of the interval, and the last row shows the PBS
+// warm-up finished (nearly every probabilistic branch steered).
+func TestSampleSeries(t *testing.T) {
+	const interval = 250_000
+	stdout, stderr, code := pbsimOutput(t, t.TempDir(), "-workload", "PI", "-pbs", "-sample", strconv.Itoa(interval))
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	// The series rows sit between the header and the summary, whose
+	// first line starts with "workload".
+	series, summary, _ := strings.Cut(stdout, "workload ")
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(series), "\n")[1:] {
+		rows = append(rows, strings.Fields(line))
+	}
+	var retired uint64
+	for _, line := range strings.Split(summary, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "instructions" {
+			retired, _ = strconv.ParseUint(f[1], 10, 64)
+		}
+	}
+	if retired == 0 {
+		t.Fatalf("no instruction count in output:\n%s", stdout)
+	}
+	if want := int(retired / interval); len(rows) != want {
+		t.Fatalf("%d sample rows for %d retired instructions, want %d", len(rows), retired, want)
+	}
+	for i, r := range rows {
+		if len(r) != 6 {
+			t.Fatalf("row %d has %d columns, want 6: %q", i, len(r), r)
+		}
+		if want := strconv.Itoa((i + 1) * interval); r[0] != want {
+			t.Errorf("row %d at %s instructions, want %s", i, r[0], want)
+		}
+	}
+	if steered, err := strconv.ParseFloat(rows[len(rows)-1][5], 64); err != nil || steered < 90 {
+		t.Errorf("last row steered%% %q, want >= 90", rows[len(rows)-1][5])
+	}
 }
 
 // TestResumeRejectsPastCheckpointAt: a resumed run cannot checkpoint at

@@ -83,8 +83,8 @@ func (l *LoopPredictor) Update(pc uint64, taken bool) {
 // valid 1 per entry.
 func (l *LoopPredictor) SizeBits() int { return len(l.entries) * (16 + 14 + 14 + 2 + 1) }
 
-// Reset restores the power-on state.
-func (l *LoopPredictor) Reset() {
+// reset sets the power-on state.
+func (l *LoopPredictor) reset() {
 	for i := range l.entries {
 		l.entries[i] = loopPredEntry{}
 	}

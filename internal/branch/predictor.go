@@ -57,10 +57,6 @@ type Predictor interface {
 	Update(pc uint64, taken, pred bool)
 	// Name identifies the predictor.
 	Name() string
-	// SizeBits returns the hardware storage budget in bits.
-	SizeBits() int
-	// Reset restores the power-on state.
-	Reset()
 }
 
 // counter helpers: n-bit saturating counters stored as unsigned with
@@ -107,12 +103,6 @@ func (AlwaysTaken) Update(uint64, bool, bool) {}
 // Name implements Predictor.
 func (AlwaysTaken) Name() string { return "always-taken" }
 
-// SizeBits implements Predictor.
-func (AlwaysTaken) SizeBits() int { return 0 }
-
-// Reset implements Predictor.
-func (AlwaysTaken) Reset() {}
-
 // NeverTaken predicts every branch not taken.
 type NeverTaken struct{}
 
@@ -124,12 +114,6 @@ func (NeverTaken) Update(uint64, bool, bool) {}
 
 // Name implements Predictor.
 func (NeverTaken) Name() string { return "never-taken" }
-
-// SizeBits implements Predictor.
-func (NeverTaken) SizeBits() int { return 0 }
-
-// Reset implements Predictor.
-func (NeverTaken) Reset() {}
 
 // mix hashes a PC into a table index seed (Fibonacci hashing).
 func mix(pc uint64) uint64 {

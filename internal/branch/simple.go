@@ -13,7 +13,7 @@ func NewBimodal(entries int) *Bimodal {
 		panic("branch: bimodal entries must be a positive power of two")
 	}
 	b := &Bimodal{ctrs: make([]uint8, entries), mask: uint64(entries - 1)}
-	b.Reset()
+	b.reset()
 	return b
 }
 
@@ -35,11 +35,11 @@ func (b *Bimodal) Update(pc uint64, taken, _ bool) {
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return "bimodal" }
 
-// SizeBits implements Predictor.
+// SizeBits returns the hardware storage budget in bits.
 func (b *Bimodal) SizeBits() int { return 2 * len(b.ctrs) }
 
-// Reset implements Predictor.
-func (b *Bimodal) Reset() {
+// reset sets the power-on state.
+func (b *Bimodal) reset() {
 	for i := range b.ctrs {
 		b.ctrs[i] = 1 // weakly not-taken
 	}
@@ -64,7 +64,7 @@ func NewGShare(entries int, histLen uint) *GShare {
 		panic("branch: gshare history too long")
 	}
 	g := &GShare{ctrs: make([]uint8, entries), mask: uint64(entries - 1), histLen: histLen}
-	g.Reset()
+	g.reset()
 	return g
 }
 
@@ -89,11 +89,11 @@ func (g *GShare) Update(pc uint64, taken, _ bool) {
 // Name implements Predictor.
 func (g *GShare) Name() string { return "gshare" }
 
-// SizeBits implements Predictor.
+// SizeBits returns the hardware storage budget in bits.
 func (g *GShare) SizeBits() int { return 2*len(g.ctrs) + int(g.histLen) }
 
-// Reset implements Predictor.
-func (g *GShare) Reset() {
+// reset sets the power-on state.
+func (g *GShare) reset() {
 	for i := range g.ctrs {
 		g.ctrs[i] = 1
 	}

@@ -198,7 +198,7 @@ func NewTAGESCL() *TAGESCL {
 		t.scSlot[i] = slotOf(hl)
 	}
 	t.foldOut = make([]uint8, len(t.foldTaps))
-	t.Reset()
+	t.reset()
 	return t
 }
 
@@ -439,7 +439,7 @@ func ctrInit(taken bool) int8 {
 // Name implements Predictor.
 func (t *TAGESCL) Name() string { return "tage-sc-l" }
 
-// SizeBits implements Predictor.
+// SizeBits returns the hardware storage budget in bits.
 func (t *TAGESCL) SizeBits() int {
 	bits := 2 * len(t.base)
 	bits += tageTables * len(t.tables[0].entries) * (tageTagBits + 3 + 2) // tag, ctr, u
@@ -449,8 +449,8 @@ func (t *TAGESCL) SizeBits() int {
 	return bits
 }
 
-// Reset implements Predictor.
-func (t *TAGESCL) Reset() {
+// reset sets the power-on state.
+func (t *TAGESCL) reset() {
 	for i := range t.base {
 		t.base[i] = 1
 	}
@@ -467,7 +467,7 @@ func (t *TAGESCL) Reset() {
 		t.scFolds[k].comp = 0
 	}
 	t.hist = histBuf{}
-	t.loop.Reset()
+	t.loop.reset()
 	t.useAltOnNA = 0
 	t.tick = 0
 	t.lfsr = 0xace1

@@ -39,7 +39,7 @@ func NewTournamentSized(bimodalEntries, gshareEntries, chooserEntries int, histL
 		chooser: make([]uint8, chooserEntries),
 		mask:    uint64(chooserEntries - 1),
 	}
-	t.Reset()
+	t.reset()
 	return t
 }
 
@@ -78,16 +78,16 @@ func (t *Tournament) Update(pc uint64, taken, pred bool) {
 // Name implements Predictor.
 func (t *Tournament) Name() string { return "tournament" }
 
-// SizeBits implements Predictor.
+// SizeBits returns the hardware storage budget in bits.
 func (t *Tournament) SizeBits() int {
 	return t.bimodal.SizeBits() + t.gshare.SizeBits() + t.loop.SizeBits() + 2*len(t.chooser)
 }
 
-// Reset implements Predictor.
-func (t *Tournament) Reset() {
-	t.bimodal.Reset()
-	t.gshare.Reset()
-	t.loop.Reset()
+// reset sets the power-on state.
+func (t *Tournament) reset() {
+	t.bimodal.reset()
+	t.gshare.reset()
+	t.loop.reset()
 	for i := range t.chooser {
 		t.chooser[i] = 1
 	}

@@ -297,9 +297,6 @@ func (c *CPU) ResumeTrace() {
 	c.paused = false
 }
 
-// TracePaused reports whether trace delivery is paused.
-func (c *CPU) TracePaused() bool { return c.paused }
-
 // clearPause drops pause state when a setter installs a new trace
 // destination: the stashed buffer belonged to the old destination.
 func (c *CPU) clearPause() {
@@ -315,15 +312,6 @@ func (c *CPU) Halted() bool { return c.halted }
 // never mutates a previously returned slice.
 func (c *CPU) Output() []uint64 {
 	return append([]uint64(nil), c.out...)
-}
-
-// OutputFloats returns a copy of the OUT stream interpreted as float64s.
-func (c *CPU) OutputFloats() []float64 {
-	fs := make([]float64, len(c.out))
-	for i, v := range c.out {
-		fs[i] = math.Float64frombits(v)
-	}
-	return fs
 }
 
 // Stats returns the functional execution counters.

@@ -123,6 +123,9 @@ func TestMemoryAndOutput(t *testing.T) {
 	if len(out) != 2 || out[0] != 0xdeadbeef || out[1] != 77 {
 		t.Errorf("output stream: %v", out)
 	}
+	if _, err := cpu.ReadWord(-1); err == nil {
+		t.Error("ReadWord(-1) must error")
+	}
 }
 
 func TestControlFlowAndCalls(t *testing.T) {
@@ -455,19 +458,4 @@ func New2Halted(t *testing.T) error {
 		t.Error("step after halt must error")
 	}
 	return nil
-}
-
-func TestOutputFloats(t *testing.T) {
-	cpu := run(t, false, func(b *progb.Builder) {
-		b.MovFloat(1, 3.5)
-		b.Out(1)
-		b.Halt()
-	})
-	fs := cpu.OutputFloats()
-	if len(fs) != 1 || fs[0] != 3.5 {
-		t.Errorf("OutputFloats: %v", fs)
-	}
-	if _, err := cpu.ReadWord(-1); err == nil {
-		t.Error("ReadWord(-1) must error")
-	}
 }

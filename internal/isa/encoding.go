@@ -1,7 +1,6 @@
 package isa
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -39,27 +38,6 @@ func Decode(w Word) Instr {
 		Rb:  Reg(w >> 32),
 		Imm: int32(uint32(w)),
 	}
-}
-
-// EncodeCode serialises a code segment to little-endian bytes.
-func EncodeCode(code []Instr) []byte {
-	out := make([]byte, 8*len(code))
-	for idx, ins := range code {
-		binary.LittleEndian.PutUint64(out[idx*8:], uint64(ins.Encode()))
-	}
-	return out
-}
-
-// DecodeCode deserialises a code segment produced by EncodeCode.
-func DecodeCode(b []byte) ([]Instr, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("isa: code segment length %d is not a multiple of 8", len(b))
-	}
-	code := make([]Instr, len(b)/8)
-	for idx := range code {
-		code[idx] = Decode(Word(binary.LittleEndian.Uint64(b[idx*8:])))
-	}
-	return code, nil
 }
 
 // legacyProbBit is the bit of the rd field (unused by CMP/FCMP and the
@@ -167,9 +145,3 @@ func EvalCmp(k CmpKind, a, b uint64) bool {
 	}
 	return EvalCmpInt(k, int64(a), int64(b))
 }
-
-// F64 converts a float64 to register bits.
-func F64(f float64) uint64 { return math.Float64bits(f) }
-
-// AsF64 converts register bits to float64.
-func AsF64(bits uint64) float64 { return math.Float64frombits(bits) }

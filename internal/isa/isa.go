@@ -384,18 +384,6 @@ func (i Instr) DstRegs(dst []Reg) []Reg {
 	return dst
 }
 
-// DstReg returns the primary architectural destination register of i and
-// whether one exists (the value-carrying destination; see DstRegs for the
-// complete set including flags).
-func (i Instr) DstReg() (Reg, bool) {
-	var buf [2]Reg
-	ds := i.DstRegs(buf[:0])
-	if len(ds) == 0 {
-		return 0, false
-	}
-	return ds[0], true
-}
-
 // Target returns the PC-relative target (as an absolute instruction index)
 // of a branch at index pc, and whether the instruction has a static target.
 // RET has no static target; an intermediate PROBJMP (Imm == NoTarget) has

@@ -343,19 +343,6 @@ func (d *Decoded) EndsBlock() bool {
 	return d.Flags&FBranch != 0 || d.H == HHalt
 }
 
-// NumBlocks returns the number of maximal straight-line runs the program
-// partitions into when entered from pc 0 (diagnostic; the emulator only
-// uses BlockEnd).
-func (p *Plan) NumBlocks() int {
-	n := 0
-	for pc := 0; pc < len(p.Code); {
-		end, _ := p.Block(pc)
-		pc = end
-		n++
-	}
-	return n
-}
-
 // computeBlocks fills BlockEnd with a single backward scan: a terminator
 // at pc closes the run [.., pc+1); every pc above an unclosed suffix
 // shares the (negatively encoded) program end.

@@ -186,9 +186,6 @@ func (b *Builder) StoreB(ra isa.Reg, off int32, rb isa.Reg) {
 // RandU emits rd = uniform [0,1).
 func (b *Builder) RandU(rd isa.Reg) { b.Emit(isa.Instr{Op: isa.RANDU, Rd: rd}) }
 
-// RandN emits rd = standard normal.
-func (b *Builder) RandN(rd isa.Reg) { b.Emit(isa.Instr{Op: isa.RANDN, Rd: rd}) }
-
 // RandI emits rd = uniform integer in [0, ra).
 func (b *Builder) RandI(rd, ra isa.Reg) { b.Emit(isa.Instr{Op: isa.RANDI, Rd: rd, Ra: ra}) }
 

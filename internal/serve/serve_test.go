@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,10 +64,10 @@ func batchOutputs(t *testing.T, grids []sweep.Grid) (jsons, csvs [][]byte) {
 			t.Fatalf("batch run: %v", err)
 		}
 		var j, c bytes.Buffer
-		if err := res.WriteJSON(&j); err != nil {
+		if err := sweep.WriteRecordsJSON(&j, res.Records()); err != nil {
 			t.Fatal(err)
 		}
-		if err := res.WriteCSV(&c); err != nil {
+		if err := sweep.WriteRecordsCSV(&c, res.Records()); err != nil {
 			t.Fatal(err)
 		}
 		jsons = append(jsons, j.Bytes())
@@ -196,6 +199,22 @@ func TestResubmitServesFromStore(t *testing.T) {
 	}
 	if !bytes.Equal(j.Bytes(), wantJSON[0]) {
 		t.Errorf("store-served records differ from batch output\n%s", firstDiff(j.Bytes(), wantJSON[0]))
+	}
+}
+
+// TestSubmitRejectsUnknownGridField: a typoed axis name is a 400 naming
+// the field, not a job over the default axis (every workload).
+func TestSubmitRejectsUnknownGridField(t *testing.T) {
+	_, base := startServer(t, NewServer(NewMemStore()))
+	body := `{"grid":{"workload":["PI"],"seeds":[1],"skip_timing":true}}`
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `"workload"`) {
+		t.Errorf("typoed grid field: status %d, body %q; want 400 naming \"workload\"", resp.StatusCode, msg)
 	}
 }
 

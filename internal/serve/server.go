@@ -247,7 +247,9 @@ func buildJob(g sweep.Grid) (*job, error) {
 // attached, the submission is durable before it is acknowledged.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields() // a typoed axis must not silently sweep the defaults
+	if err := dec.Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("serve: bad job request: %v", err), http.StatusBadRequest)
 		return
 	}

@@ -122,9 +122,9 @@ func stepSnapshots(s *Session, every uint64) ([]Metrics, error) {
 }
 
 // TestSnapshotIntervals: RunFor stepping stops exactly on interval
-// boundaries, interval deltas chain back to totals, and the final
-// Snapshot sees the closing partial interval and equals the Result's
-// component stats.
+// boundaries, interval deltas chain back to totals and show the PBS
+// warm-up, and the final Snapshot sees the closing partial interval and
+// equals the Result's component stats.
 func TestSnapshotIntervals(t *testing.T) {
 	const every = 50_000
 	s, err := New("PI", WithSeed(5), WithPBS(true))
@@ -139,7 +139,7 @@ func TestSnapshotIntervals(t *testing.T) {
 	if len(full) < 2 {
 		t.Fatal("run ended inside the first interval")
 	}
-	var sumInstr, sumCycles, sumSteered uint64
+	var sumInstr, sumCycles, sumMispredicts, sumSteered uint64
 	for i := 1; i < len(full); i++ {
 		snap, d := full[i], full[i].Timing.Delta(full[i-1].Timing)
 		if want := uint64(i) * every; snap.Emu.Instructions != want {
@@ -150,13 +150,30 @@ func TestSnapshotIntervals(t *testing.T) {
 		}
 		sumInstr += d.Instructions
 		sumCycles += d.Cycles
+		sumMispredicts += d.Mispredicts
 		sumSteered += snap.PBSStats.Steered - full[i-1].PBSStats.Steered
 		if d.IPC() <= 0 {
 			t.Errorf("sample %d: interval IPC not positive", i)
 		}
 	}
 	last := full[len(full)-1]
-	if sumInstr != last.Timing.Instructions || sumCycles != last.Timing.Cycles || sumSteered != last.PBSStats.Steered {
+	// The PBS warm-up (§III-B): the unit runs a branch's first InFlight
+	// instances as regular branches, so bootstrapping happens in the
+	// first interval only, steering covers nearly every probabilistic
+	// branch by the last full interval, and probabilistic mispredictions
+	// fall to at most half the first interval's.
+	firstD, lastD := full[1].Timing.Delta(full[0].Timing), last.Timing.Delta(full[len(full)-2].Timing)
+	if firstD.ProbBoot == 0 || lastD.ProbBoot != 0 {
+		t.Errorf("bootstrapped prob branches: first interval %d, last full %d; want some, then none", firstD.ProbBoot, lastD.ProbBoot)
+	}
+	if lastD.SteerRate() < 0.9 {
+		t.Errorf("steering never warmed up: %.2f of prob branches steered in the last full interval", lastD.SteerRate())
+	}
+	if 2*lastD.MispredictsProb > firstD.MispredictsProb {
+		t.Errorf("prob mispredictions did not collapse: first interval %d, last full %d", firstD.MispredictsProb, lastD.MispredictsProb)
+	}
+	if sumInstr != last.Timing.Instructions || sumCycles != last.Timing.Cycles ||
+		sumMispredicts != last.Timing.Mispredicts || sumSteered != last.PBSStats.Steered {
 		t.Error("deltas do not sum to totals")
 	}
 

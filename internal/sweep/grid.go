@@ -114,9 +114,10 @@ func MakeSeedSet(seeds []uint64) SeedSet {
 	return SeedSet(sb.String())
 }
 
-// Seeds decodes the set back into its ordered seed list (nil for the
-// empty set). Malformed entries cannot arise from MakeSeedSet; a
-// hand-built set with one fails decoding as a zero seed.
+// Seeds decodes the set back into its ordered seed list. It returns nil
+// for the empty set and for a set with any malformed entry, which cannot
+// arise from MakeSeedSet; NewBatch rejects an aggregate point whose set
+// decodes to nil.
 func (s SeedSet) Seeds() []uint64 {
 	if s == "" {
 		return nil

@@ -222,23 +222,16 @@ func (rs Results) Records() []Record {
 	return out
 }
 
-// WriteJSON writes the results as an indented JSON array of records.
-func (rs Results) WriteJSON(w io.Writer) error {
-	return WriteRecordsJSON(w, rs.Records())
-}
-
-// WriteRecordsJSON writes already-flattened records as an indented JSON
-// array, byte-identical to Results.WriteJSON of the results they came
-// from. It exists for consumers that hold rows rather than results —
-// the sweep service's client reassembles streamed rows and emits the
-// same file a local batch run would.
+// WriteRecordsJSON writes flattened records (Results.Records) as an
+// indented JSON array. Rows a client reassembles from the sweep service's
+// stream give the same bytes as the Records of a local batch run.
 func WriteRecordsJSON(w io.Writer, recs []Record) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(recs)
 }
 
-// csvColumns is the WriteCSV column order.
+// csvColumns is the WriteRecordsCSV column order.
 var csvColumns = []string{
 	"workload", "predictor", "pbs", "width", "seed", "variant", "filter_prob", "scale",
 	"skip_timing", "capture_prob", "max_instrs", "warm_prefix",
@@ -251,14 +244,8 @@ var csvColumns = []string{
 	"sample_window", "sample_period", "sample_warmup", "sample_func_warm", "sample_windows",
 }
 
-// WriteCSV writes the results as CSV with a header row.
-func (rs Results) WriteCSV(w io.Writer) error {
-	return WriteRecordsCSV(w, rs.Records())
-}
-
-// WriteRecordsCSV writes already-flattened records as CSV with a header
-// row, byte-identical to Results.WriteCSV of the results they came from
-// (see WriteRecordsJSON).
+// WriteRecordsCSV writes flattened records (Results.Records) as CSV with
+// a header row (see WriteRecordsJSON).
 func WriteRecordsCSV(w io.Writer, recs []Record) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvColumns); err != nil {

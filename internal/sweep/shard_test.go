@@ -224,7 +224,7 @@ func TestAggregateRecords(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := res.WriteCSV(&buf); err != nil {
+	if err := WriteRecordsCSV(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()

@@ -266,14 +266,14 @@ func TestRecords(t *testing.T) {
 	}
 
 	var json strings.Builder
-	if err := res.WriteJSON(&json); err != nil {
+	if err := WriteRecordsJSON(&json, recs); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(json.String(), `"workload": "PI"`) {
 		t.Errorf("JSON output missing workload field:\n%s", json.String())
 	}
 	var csv strings.Builder
-	if err := res.WriteCSV(&csv); err != nil {
+	if err := WriteRecordsCSV(&csv, recs); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")

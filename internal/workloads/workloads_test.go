@@ -276,7 +276,7 @@ func TestSoftLibMathKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpu.SetReg(20, isa.F64(x))
+		cpu.SetReg(20, math.Float64bits(x))
 		if err := cpu.Run(0); err != nil {
 			t.Fatal(err)
 		}

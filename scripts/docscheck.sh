@@ -16,8 +16,11 @@
 #   - README.md or DESIGN.md naming a backticked `pkg.Ident` (`sim.New`,
 #     `ckpt.Version`, …) for a package under internal/ whose non-test Go
 #     files declare no func, method, type, var, const or grouped name
-#     Ident, so a removed identifier cannot linger in the docs (for
-#     `pkg.Type.Method` only `pkg.Type` is checked),
+#     Ident, so a removed identifier cannot linger in the docs,
+#   - README.md or DESIGN.md naming a backticked `pkg.Type.Member`
+#     (`sim.Session.RunFor`, …) for a package under internal/ whose
+#     non-test Go files declare neither a method `func (… Type) Member(`
+#     nor an indented field or interface method Member,
 #   - a checkpoint "format vN" in README.md or "Format version N" in
 #     DESIGN.md that differs from `const Version` in
 #     internal/ckpt/ckpt.go, so the docs cannot drift from the format,
@@ -99,6 +102,16 @@ while IFS=. read -r pkg name; do
     fail=1
   fi
 done < <(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md | tr -d '`' | sort -u)
+
+# --- members named in the prose docs must exist --------------------------
+while IFS=. read -r pkg typ member; do
+  [ -d "internal/$pkg" ] || continue
+  if ! grep -rqsE --include='*.go' --exclude='*_test.go' \
+    "^(func \([^)]*[ *]$typ\) |[[:space:]]+)$member\b" "internal/$pkg"; then
+    echo "docscheck: README.md/DESIGN.md name \`$pkg.$typ.$member\`, which no non-test file in internal/$pkg declares" >&2
+    fail=1
+  fi
+done < <(grep -ohE '`[a-z][a-z0-9]*\.[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*' README.md DESIGN.md | tr -d '`' | sort -u)
 
 # --- checkpoint format versions in the docs must match ckpt.Version -------
 version="$(sed -n 's/^const Version = \([0-9][0-9]*\)$/\1/p' internal/ckpt/ckpt.go)"
