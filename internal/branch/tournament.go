@@ -32,6 +32,8 @@ func NewTournamentSized(bimodalEntries, gshareEntries, chooserEntries int, histL
 	if chooserEntries <= 0 || chooserEntries&(chooserEntries-1) != 0 {
 		panic("branch: chooser entries must be a positive power of two")
 	}
+	// The component constructors set their own power-on state; the
+	// chooser's starts weakly preferring the bimodal component.
 	t := &Tournament{
 		bimodal: NewBimodal(bimodalEntries),
 		gshare:  NewGShare(gshareEntries, histLen),
@@ -39,7 +41,9 @@ func NewTournamentSized(bimodalEntries, gshareEntries, chooserEntries int, histL
 		chooser: make([]uint8, chooserEntries),
 		mask:    uint64(chooserEntries - 1),
 	}
-	t.reset()
+	for i := range t.chooser {
+		t.chooser[i] = 1
+	}
 	return t
 }
 
@@ -81,14 +85,4 @@ func (t *Tournament) Name() string { return "tournament" }
 // SizeBits returns the hardware storage budget in bits.
 func (t *Tournament) SizeBits() int {
 	return t.bimodal.SizeBits() + t.gshare.SizeBits() + t.loop.SizeBits() + 2*len(t.chooser)
-}
-
-// reset sets the power-on state.
-func (t *Tournament) reset() {
-	t.bimodal.reset()
-	t.gshare.reset()
-	t.loop.reset()
-	for i := range t.chooser {
-		t.chooser[i] = 1
-	}
 }

@@ -460,6 +460,14 @@ func (d *Decoder) Section(name string) (*Reader, bool) {
 	return NewReader(p), true
 }
 
+// Payload returns the named section's raw payload, or false if the
+// container has no such section. The bytes are the container's: callers
+// must not modify them.
+func (d *Decoder) Payload(name string) ([]byte, bool) {
+	p, ok := d.secs[name]
+	return p, ok
+}
+
 // Sections lists the section names in container order.
 func (d *Decoder) Sections() []string {
 	out := make([]string, len(d.names))

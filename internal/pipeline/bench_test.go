@@ -86,6 +86,74 @@ func BenchmarkRetireMix(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(replayed), "ns/instr")
 }
 
+// BenchmarkRetireGroup measures what sharing a miss-event stage saves:
+// the traces BenchmarkRetireMix records are replayed, with both
+// predictors, through four pipelines — a 4-wide core, an 8-wide one, a
+// 4-wide one charging the resolution penalty, and a 4-wide one whose
+// ROB is as small as its width. The group sub-benchmark builds the
+// first as the lead and the other three as its followers; the solo
+// sub-benchmark builds all four with their own stages. Both report
+// nanoseconds per instruction per member.
+func BenchmarkRetireGroup(b *testing.B) {
+	const n = 1 << 20
+	resolution, tight := FourWide(), FourWide()
+	resolution.ResolutionPenalty = true
+	tight.ROBSize = tight.Width
+	cfgs := []Config{FourWide(), EightWide(), resolution, tight}
+	type recording struct {
+		prog  *isa.Program
+		trace []emu.DynInstr
+	}
+	var recs []recording
+	for _, name := range workloads.Names() {
+		for _, pbs := range []bool{false, true} {
+			prog, trace := recordWorkload(b, name, pbs, n)
+			recs = append(recs, recording{prog, trace})
+		}
+	}
+	for _, shared := range []bool{true, false} {
+		label := "solo"
+		if shared {
+			label = "group"
+		}
+		b.Run(label, func(b *testing.B) {
+			var replayed uint64
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				for _, rec := range recs {
+					for _, pred := range []string{"tage-sc-l", "tournament"} {
+						pipes := make([]*Pipeline, len(cfgs))
+						for k, cfg := range cfgs {
+							var err error
+							if shared && k > 0 {
+								pipes[k], err = NewFollower(cfg, pipes[0])
+							} else {
+								var bp branch.Predictor
+								if bp, err = branch.New(pred); err == nil {
+									pipes[k], err = New(cfg, rec.prog, bp)
+								}
+							}
+							if err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.StartTimer()
+						for off := 0; off < len(rec.trace); off += emu.TraceBatch {
+							batch := rec.trace[off:min(off+emu.TraceBatch, len(rec.trace))]
+							for _, p := range pipes {
+								p.ConsumeTrace(batch)
+							}
+						}
+						b.StopTimer()
+						replayed += uint64(len(cfgs) * len(rec.trace))
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(replayed), "ns/instr")
+		})
+	}
+}
+
 // BenchmarkRetireBatch measures the steady-state retire path in
 // isolation: a prerecorded trace is replayed through
 // Pipeline.ConsumeTrace in emulator-sized batches, exercising fetch

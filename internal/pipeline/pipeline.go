@@ -113,6 +113,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// SameEvents reports whether pipelines built from c and o see the same
+// miss events (see Events) for the same trace and predictor: they agree
+// on the caches, the memory latency, predictor filtering and the oracle
+// front end, and may differ in width, ROB size, functional units,
+// front-end depth and the misprediction penalty and its model.
+func (c Config) SameEvents(o Config) bool {
+	return c.L1I == o.L1I && c.L1D == o.L1D && c.L2 == o.L2 && c.MemLatency == o.MemLatency &&
+		c.FilterProb == o.FilterProb && c.PerfectBranches == o.PerfectBranches
+}
+
 // Metrics aggregates timing and branch statistics for one run.
 type Metrics struct {
 	Instructions uint64
@@ -318,15 +328,181 @@ func (s *fuSched) claim(class plan.FUClass, t, now uint64) *fuCell {
 	}
 }
 
-// Pipeline is the timing model for one run. It consumes the emulator's
-// trace batch-wise through ConsumeTrace (the emu.TraceSink contract).
-type Pipeline struct {
-	cfg  Config
-	plan *plan.Plan
+// event is one instruction's miss events, the byte the miss-event stage
+// hands the schedule: the cache level that served its fetch (bits 0-1),
+// the level that served its data access (bits 2-3) and a
+// misprediction (bit 4). An access inside a line streak (see the
+// retire kernel), and a data side the instruction does not have, read
+// as cache.LevelL1.
+type event uint8
+
+const (
+	evDataShift        = 2
+	evMispredict event = 1 << 4
+)
+
+// Events is the miss-event stage of the timing model: the branch
+// predictor, the cache hierarchy, the L1I and L1D line-streak registers
+// and every Metrics counter the trace alone determines, which is all of
+// them but Instructions and Cycles. The caches and the predictor are
+// accessed in program order and never read a cycle count, so whether
+// an access hits and where, and whether a branch mispredicts, depend
+// only on the trace, the predictor and the configuration fields
+// Config.SameEvents compares. Pipelines that differ only in their
+// schedule can therefore share one stage. The pipeline New builds
+// leads its stage: its retire kernel computes each instruction's
+// events inline (fetchEvent, dataEvent, branchEvent) and records them.
+// A pipeline NewFollower builds replays the lead's record of the same
+// batch instead.
+type Events struct {
 	pred branch.Predictor
 	hier *cache.Hierarchy
 
-	m Metrics
+	filterProb, perfect bool // Config.FilterProb, Config.PerfectBranches
+
+	m Metrics // the trace-determined counters; Instructions and Cycles stay 0
+
+	// Line-streak state of the two L1s: an access to the line of the
+	// previous access to the same cache bypasses the cache model (see
+	// the retire kernel). The shifts map an instruction index and a data
+	// address to their line numbers; both last-line registers start at
+	// a value no real access produces.
+	iblockShift uint
+	dblockShift uint
+	lastIBlock  uint64
+	lastDBlock  uint64
+
+	rec [emu.TraceBatch]event // the events of the lead's last batch
+	n   int                   // the length of the lead's last batch
+}
+
+// The lead's stage. These methods run the caches and the predictor of
+// p.own, the stage of a pipeline New built, and so run only on a lead:
+// inline in the retire kernel, and in functional warming. They take
+// the pipeline rather than the stage so that the kernel passes the
+// pointer it already holds instead of keeping a second one live across
+// its loop.
+
+// fetchEvent returns the I-side event of fetching the instruction at
+// pc: a lookup of its line, unless the previous fetch was from that
+// line. It must stay within the compiler's inlining budget (see
+// go build -gcflags=-m), or every instruction pays a call.
+func (p *Pipeline) fetchEvent(pc int32) event {
+	if iblock := uint64(pc) >> p.own.iblockShift; iblock != p.own.lastIBlock {
+		return p.fetchLookup(iblock, pc)
+	}
+	return 0
+}
+
+// fetchLookup looks up iblock, the fetch line of the instruction at pc,
+// and counts its misses. Like dataLookup, it calls the caches itself
+// rather than through cache.Hierarchy, which keeps a lookup one call
+// level below the retire kernel.
+func (p *Pipeline) fetchLookup(iblock uint64, pc int32) event {
+	st := &p.own
+	st.lastIBlock = iblock
+	if st.hier.L1I.Access(uint64(pc) * 8) {
+		return event(cache.LevelL1)
+	}
+	st.m.L1IMisses++
+	if st.hier.L2.Access(uint64(pc) * 8) {
+		return event(cache.LevelL2)
+	}
+	st.m.L2Misses++
+	return event(cache.LevelMem)
+}
+
+// dataEvent returns the D-side event of a data access to addr: a lookup
+// of its line, unless the previous data access was to that line. Like
+// fetchEvent, it must stay inlinable.
+func (p *Pipeline) dataEvent(addr uint64) event {
+	if dblock := addr >> p.own.dblockShift; dblock != p.own.lastDBlock {
+		return p.dataLookup(dblock, addr)
+	}
+	return 0
+}
+
+// dataLookup looks up dblock, the data line of addr, and counts its
+// misses.
+func (p *Pipeline) dataLookup(dblock, addr uint64) event {
+	st := &p.own
+	st.lastDBlock = dblock
+	if st.hier.L1D.Access(addr) {
+		return event(cache.LevelL1) << evDataShift
+	}
+	st.m.L1DMisses++
+	if st.hier.L2.Access(addr) {
+		return event(cache.LevelL2) << evDataShift
+	}
+	st.m.L2Misses++
+	return event(cache.LevelMem) << evDataShift
+}
+
+// branchEvent counts a control transfer and, for a conditional branch
+// the front end must predict, predicts it, trains the predictor and
+// returns evMispredict when the prediction was wrong.
+func (p *Pipeline) branchEvent(di *emu.DynInstr, d *plan.Decoded) event {
+	st := &p.own
+	st.m.Branches++
+	if d.Flags&(plan.FMidProb|plan.FCond) != plan.FCond {
+		// An intermediate value-transfer PROB_JMP is no control
+		// transfer, and JMP/CALL/RET take their target from the BTB/RAS,
+		// assumed perfect.
+		return 0
+	}
+	st.m.CondBranches++
+	if st.perfect {
+		return 0
+	}
+	isProb := di.Prob != emu.ProbNone
+	if isProb {
+		st.m.ProbBranches++
+		switch di.Prob {
+		case emu.ProbSteered:
+			st.m.ProbSteered++
+			// Direction known at fetch (Prob-BTB): no prediction, no
+			// penalty, no predictor pollution.
+			return 0
+		case emu.ProbBootstrap:
+			st.m.ProbBoot++
+		case emu.ProbRegular:
+			st.m.ProbRegular++
+		}
+		if st.filterProb {
+			// Interference experiment: probabilistic branches neither
+			// access nor update the predictor.
+			return 0
+		}
+	}
+	pred := st.pred.Predict(uint64(di.PC))
+	st.pred.Update(uint64(di.PC), di.Taken, pred)
+	if pred == di.Taken {
+		return 0
+	}
+	st.m.Mispredicts++
+	if isProb {
+		st.m.MispredictsProb++
+	} else {
+		st.m.MispredictsReg++
+	}
+	return evMispredict
+}
+
+// Pipeline is the timing model for one run. It consumes the emulator's
+// trace batch-wise through ConsumeTrace (the emu.TraceSink contract).
+// It has two parts, joined by one event byte per instruction: the
+// miss-event stage (Events), which it may share with other pipelines,
+// and the schedule — fetch cursor, dataflow, functional-unit rings,
+// ROB and commit — which is its own.
+type Pipeline struct {
+	*Events // the miss-event stage this pipeline leads or follows
+
+	cfg  Config
+	plan *plan.Plan
+
+	// The two counters the schedule owns (see Metrics).
+	instructions uint64
+	cycles       uint64
 
 	// fetch state
 	curFetchCycle     uint64
@@ -347,36 +523,35 @@ type Pipeline struct {
 	robPos  int
 
 	// precomputed config values on the hot path
-	feDepth   uint64
-	misPen    uint64
-	l1iHitLat int
-	l1dHitLat int
-
-	// Line-streak state of the two L1s: an access to the line of the
-	// previous access to the same cache bypasses the cache model (see
-	// ConsumeTrace). The shifts map an instruction index and a data
-	// address to their line numbers; both last-line registers start at
-	// a value no real access produces.
-	iblockShift uint
-	dblockShift uint
-	lastIBlock  uint64
-	lastDBlock  uint64
+	feDepth uint64
+	misPen  uint64
+	// istall is the fetch stall per I-side event level: the serving
+	// level's latency beyond the L1 hit time, or 0 (an L1 hit, or a
+	// degenerate configuration that serves misses no slower). dlat is a
+	// load's latency per D-side event level. Index 3 is unused.
+	istall [4]uint64
+	dlat   [4]uint64
 
 	// functional units: backfill scheduler
 	fus fuSched
 
-	// funcWarm switches ConsumeTrace to the functional-warming path:
-	// caches and predictor keep evolving (tag/history state only — no
-	// cycle accounting, no Metrics movement), so a later measurement
+	own  Events // the stage of a pipeline New built; unused by a follower
+	lead bool   // p leads its stage: p.Events is &p.own
+
+	// funcWarm switches ConsumeTrace to functional warming: the lead
+	// runs its stage alone, so caches and predictor keep evolving (no
+	// cycle accounting, no Metrics movement) and a later measurement
 	// window does not see state that went stale across a fast-forward
-	// gap. The flag is owned by the session and only flipped between
-	// batches, so no batch is consumed half in each mode.
+	// gap; a follower does nothing. The flag is owned by the session
+	// and only flipped between batches, so no batch is consumed half in
+	// each mode.
 	funcWarm bool
 }
 
-// New builds a pipeline bound to a program, predictor and fresh caches.
-// The program must not be mutated afterwards (its decoded execution plan
-// is shared read-only; see internal/plan).
+// New builds a pipeline bound to a program, predictor and fresh caches:
+// the lead of its own miss-event stage. The program must not be mutated
+// afterwards (its decoded execution plan is shared read-only; see
+// internal/plan).
 func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -389,18 +564,53 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{
-		cfg:        cfg,
-		plan:       pl,
+	p := newSchedule(cfg, pl)
+	p.own = Events{
 		pred:       pred,
 		hier:       hier,
-		robRing:    make([]uint64, cfg.ROBSize),
-		feDepth:    uint64(cfg.FrontendDepth),
-		misPen:     uint64(cfg.MispredictPenalty),
-		l1iHitLat:  cfg.L1I.HitLatency,
-		l1dHitLat:  cfg.L1D.HitLatency,
+		filterProb: cfg.FilterProb,
+		perfect:    cfg.PerfectBranches,
 		lastIBlock: ^uint64(0),
 		lastDBlock: ^uint64(0),
+	}
+	// Instructions are 8 bytes, so PC>>(log2(LineBytes)-3) is the fetch
+	// line number (line sizes below 8 bytes degrade to per-PC streaks,
+	// which are still sound: the same PC fetches the same line). Data
+	// lines are addr>>log2(LineBytes), the cache's own block number.
+	for lb := cfg.L1I.LineBytes; lb > 8; lb >>= 1 {
+		p.own.iblockShift++
+	}
+	for lb := cfg.L1D.LineBytes; lb > 1; lb >>= 1 {
+		p.own.dblockShift++
+	}
+	p.Events, p.lead = &p.own, true
+	return p, nil
+}
+
+// NewFollower builds a pipeline that shares lead's miss-event stage: it
+// schedules the events the stage's lead records instead of computing
+// them, so it must consume every batch right after the lead does. cfg
+// may differ from lead's only in the schedule (see Config.SameEvents).
+func NewFollower(cfg Config, lead *Pipeline) (*Pipeline, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if !cfg.SameEvents(lead.cfg) {
+		return nil, fmt.Errorf("pipeline: a follower needs its lead's caches, memory latency, predictor filtering and front end")
+	}
+	p := newSchedule(cfg, lead.plan)
+	p.Events = lead.Events
+	return p, nil
+}
+
+// newSchedule builds the schedule of a pipeline with no stage yet.
+func newSchedule(cfg Config, pl *plan.Plan) *Pipeline {
+	p := &Pipeline{
+		cfg:     cfg,
+		plan:    pl,
+		robRing: make([]uint64, cfg.ROBSize),
+		feDepth: uint64(cfg.FrontendDepth),
+		misPen:  uint64(cfg.MispredictPenalty),
 		fus: newFUSched([plan.NumFUClasses]uint8{
 			plan.FUALU:    uint8(cfg.IntALUs),
 			plan.FUMul:    1,
@@ -412,77 +622,90 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 			plan.FUBranch: uint8(cfg.BranchUnits),
 		}),
 	}
-	// Instructions are 8 bytes, so PC>>(log2(LineBytes)-3) is the fetch
-	// line number (line sizes below 8 bytes degrade to per-PC streaks,
-	// which are still sound: the same PC fetches the same line). Data
-	// lines are addr>>log2(LineBytes), the cache's own block number.
-	for lb := cfg.L1I.LineBytes; lb > 8; lb >>= 1 {
-		p.iblockShift++
+	for lvl, lat := range []int{cfg.L1I.HitLatency, cfg.L2.HitLatency, cfg.MemLatency} {
+		if lvl != int(cache.LevelL1) && lat > cfg.L1I.HitLatency {
+			p.istall[lvl] = uint64(lat)
+		}
 	}
-	for lb := cfg.L1D.LineBytes; lb > 1; lb >>= 1 {
-		p.dblockShift++
+	for lvl, lat := range []int{cfg.L1D.HitLatency, cfg.L2.HitLatency, cfg.MemLatency} {
+		p.dlat[lvl] = uint64(lat)
 	}
-	return p, nil
+	return p
 }
 
 // SetFuncWarm flips the functional-warming consume path. Callers must
 // only flip it between batches (the emulator's trace flushed).
 func (p *Pipeline) SetFuncWarm(on bool) { p.funcWarm = on }
 
-// FuncWarm reports whether the functional-warming path is active.
-func (p *Pipeline) FuncWarm() bool { return p.funcWarm }
-
-// warmRetire is the functional-warming counterpart of the retire
-// kernel: it feeds the instruction's cache and predictor footprint
-// through the models — the same accesses, the same update policy, the
-// same streak bypasses as the detailed path — and nothing else. No
-// cycle accounting, no fetch or dataflow modelling, no Metrics
-// movement; the long-lived state that survives a fast-forward gap
-// (cache tags, predictor tables and histories) stays exactly what a
-// detailed run would have left behind.
-func (p *Pipeline) warmRetire(di *emu.DynInstr) {
-	d := &p.plan.Code[di.PC]
-	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
-		p.lastIBlock = iblock
-		p.hier.InstrLatency(uint64(di.PC) * 8)
-	}
-	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
-		if dblock := di.MemAddr >> p.dblockShift; dblock != p.lastDBlock {
-			p.lastDBlock = dblock
-			p.hier.DataLatency(di.MemAddr)
-		}
-	}
-	if d.Flags&plan.FBranch == 0 || d.Flags&(plan.FMidProb|plan.FCond) != plan.FCond || p.cfg.PerfectBranches {
-		return
-	}
-	if di.Prob != emu.ProbNone && (di.Prob == emu.ProbSteered || p.cfg.FilterProb) {
-		// Steered and filtered probabilistic branches never touch the
-		// predictor in the detailed path either.
-		return
-	}
-	pred := p.pred.Predict(uint64(di.PC))
-	p.pred.Update(uint64(di.PC), di.Taken, pred)
-}
-
 // ConsumeTrace implements emu.TraceSink: it retires one batch of
 // instructions in program order. Pass the pipeline to
-// emu.CPU.SetTraceSink.
-//
-// The loop body is the retire kernel: fetch, issue, execute, branch
-// and commit of one instruction, with the fetch cursors kept in the
-// struct rather than in locals (locals spill across the predictor and
-// cache calls).
+// emu.CPU.SetTraceSink. A lead takes batches of any length; a follower
+// takes exactly the batch its lead consumed last, which is at most
+// emu.TraceBatch long.
 func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
 	if p.funcWarm {
-		for i := range batch {
-			p.warmRetire(&batch[i])
+		if p.lead {
+			p.warm(batch)
 		}
 		return
+	}
+	if p.lead {
+		for len(batch) > emu.TraceBatch {
+			p.retire(batch[:emu.TraceBatch])
+			batch = batch[emu.TraceBatch:]
+		}
+	}
+	p.retire(batch)
+}
+
+// retire is the retire kernel: the miss events, then fetch, issue,
+// execute, branch and commit of each instruction of a batch of at most
+// emu.TraceBatch, with the fetch cursors kept in the struct rather
+// than in locals (locals spill across the predictor and cache calls).
+// A lead computes each instruction's events inline and records them; a
+// follower reads them from the record. Either way the schedule below
+// sees only the event byte, and the kernel calls out only on a line
+// change or at a branch.
+func (p *Pipeline) retire(batch []emu.DynInstr) {
+	if p.lead {
+		p.own.n = len(batch)
+		p.own.m.L1IAccesses += uint64(len(batch))
+	} else if len(batch) != p.Events.n {
+		panic("pipeline: a follower consumed a batch its lead did not")
 	}
 	code := p.plan.Code
 	for i := range batch {
 		di := &batch[i]
 		d := &code[di.PC]
+
+		// ---- miss events ----
+		// The line streaks: a fetch from the line of the previous fetch
+		// bypasses the cache model, since the line is resident (whatever
+		// filled it left it so, and no other instruction line has been
+		// touched since) and so a hit. The bypass keeps miss counts
+		// byte-identical to touching the cache every fetch — within a
+		// streak no other line is accessed, so the skipped LRU updates
+		// cannot reorder any set — and straight-line code makes the
+		// streak the common case (one Access per line instead of per
+		// instruction). Data accesses have their own streak with the
+		// same invariant: only data accesses touch the L1D, so an access
+		// to the line of the previous one finds it resident, and the
+		// skipped LRU update cannot reorder its set (that line is
+		// already the set's most recent).
+		var e event
+		if p.lead {
+			e = p.fetchEvent(di.PC)
+			if d.Flags&(plan.FLoad|plan.FStore) != 0 {
+				p.own.m.L1DAccesses++
+				e |= p.dataEvent(di.MemAddr)
+			}
+			if d.Flags&plan.FBranch != 0 {
+				e |= p.branchEvent(di, d)
+			}
+			p.own.rec[i] = e
+		} else {
+			e = p.Events.rec[i]
+		}
 
 		// ---- fetch ----
 		fc := p.curFetchCycle
@@ -498,29 +721,12 @@ func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
 			fc = stall
 			p.fetchedInCycle = 0
 		}
-		// Instruction cache. A fetch from the line of the previous fetch
-		// bypasses the cache model: the line is resident (whatever filled
-		// it left it so, and no other instruction line has been touched
-		// since), so it is a hit with no stall. The bypass keeps miss
-		// counts byte-identical to touching the cache every fetch —
-		// within a streak no other line is accessed, so the skipped LRU
-		// updates cannot reorder any set — and straight-line code makes
-		// the streak the common case (one Access per line instead of per
-		// instruction).
-		p.m.L1IAccesses++
-		if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
-			p.lastIBlock = iblock
-			if lat, lvl := p.hier.InstrLatency(uint64(di.PC) * 8); lvl != cache.LevelL1 {
-				p.m.L1IMisses++
-				if lvl == cache.LevelMem {
-					p.m.L2Misses++
-				}
-				// A fetch stalls only for latency beyond the L1 hit time
-				// (a degenerate configuration may serve misses no slower).
-				if lat > p.l1iHitLat {
-					fc += uint64(lat)
-					p.fetchedInCycle = 0
-				}
+		// A fetch that misses the L1I stalls for the serving level's
+		// latency beyond the L1 hit time.
+		if e&3 != 0 {
+			if stall := p.istall[e&3]; stall != 0 {
+				fc += stall
+				p.fetchedInCycle = 0
 			}
 		}
 		p.curFetchCycle = fc // fc only ever moves forward from the cursor
@@ -554,28 +760,10 @@ func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
 			issue = p.fus.schedule(d.FU, issue, uint64(d.Occ), fc)
 		}
 		lat := uint64(d.Lat)
-		if d.Flags&(plan.FLoad|plan.FStore) != 0 {
-			// Data cache, with the same line-streak bypass and the same
-			// invariant: only data accesses touch the L1D, so an access to
-			// the line of the previous one finds it resident, and the
-			// skipped LRU update cannot reorder its set (that line is
-			// already the set's most recent).
-			p.m.L1DAccesses++
-			dlat := p.l1dHitLat
-			if dblock := di.MemAddr >> p.dblockShift; dblock != p.lastDBlock {
-				p.lastDBlock = dblock
-				var lvl cache.Level
-				if dlat, lvl = p.hier.DataLatency(di.MemAddr); lvl != cache.LevelL1 {
-					p.m.L1DMisses++
-					if lvl == cache.LevelMem {
-						p.m.L2Misses++
-					}
-				}
-			}
-			if d.Flags&plan.FLoad != 0 {
-				lat = uint64(dlat)
-			}
-			// Stores retire without blocking (write buffer); latency stays 1.
+		if d.Flags&plan.FLoad != 0 {
+			// A load takes the serving data level's latency. Stores
+			// retire without blocking (write buffer); latency stays 1.
+			lat = p.dlat[e>>evDataShift&3]
 		}
 		execDone := issue + lat
 		rr[d.Dst[0]] = execDone
@@ -583,7 +771,18 @@ func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
 
 		// ---- branches ----
 		if d.Flags&plan.FBranch != 0 {
-			p.handleBranch(di, d, fc, execDone)
+			if di.Taken && d.Flags&plan.FMidProb == 0 {
+				p.breakFetch = true
+			}
+			if e&evMispredict != 0 {
+				// Fetch restarts the penalty after the branch resolves:
+				// where it leaves the front end, or where it executes.
+				resolved := fc + p.feDepth + 1
+				if p.cfg.ResolutionPenalty || execDone < resolved {
+					resolved = execDone
+				}
+				p.fetchBlockedUntil = max(p.fetchBlockedUntil, resolved+p.misPen)
+			}
 		}
 
 		// ---- commit ----
@@ -594,73 +793,44 @@ func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
 		if w < 0 {
 			w += len(p.robRing)
 		}
-		cc := max(execDone+1, p.m.Cycles, p.robRing[w]+1)
+		cc := max(execDone+1, p.cycles, p.robRing[w]+1)
 		p.robRing[p.robPos] = cc
 		if p.robPos++; p.robPos == len(p.robRing) {
 			p.robPos = 0
 		}
-		p.m.Cycles = cc
-		p.m.Instructions++
+		p.cycles = cc
 	}
+	p.instructions += uint64(len(batch))
 }
 
-// handleBranch performs prediction accounting and misprediction redirects.
-// fc is the branch's fetch cycle, execDone its execution-complete cycle.
-func (p *Pipeline) handleBranch(di *emu.DynInstr, d *plan.Decoded, fc, execDone uint64) {
-	p.m.Branches++
-	if d.Flags&plan.FMidProb != 0 {
-		return // intermediate value-transfer PROB_JMP: not a control transfer
-	}
-	if di.Taken {
-		p.breakFetch = true
-	}
-	if d.Flags&plan.FCond == 0 {
-		// JMP/CALL/RET: target from BTB/RAS, assumed perfect.
-		return
-	}
-	p.m.CondBranches++
-	if p.cfg.PerfectBranches {
-		return
-	}
-
-	isProb := di.Prob != emu.ProbNone
-	if isProb {
-		p.m.ProbBranches++
-		switch di.Prob {
-		case emu.ProbSteered:
-			p.m.ProbSteered++
-			// Direction known at fetch (Prob-BTB): no prediction, no
-			// penalty, no predictor pollution.
-			return
-		case emu.ProbBootstrap:
-			p.m.ProbBoot++
-		case emu.ProbRegular:
-			p.m.ProbRegular++
+// warm is functional warming: the lead's stage alone over a batch — the
+// same lookups, streak bypasses and predictor training as the retire
+// kernel, and nothing else. Its counters are put back afterwards, so
+// warming moves no Metrics counter and the long-lived state that
+// survives a fast-forward gap (cache tags, predictor tables and
+// histories) is exactly what a detailed run would have left behind.
+func (p *Pipeline) warm(batch []emu.DynInstr) {
+	saved := p.own.m
+	code := p.plan.Code
+	for i := range batch {
+		di := &batch[i]
+		d := &code[di.PC]
+		p.fetchEvent(di.PC)
+		if d.Flags&(plan.FLoad|plan.FStore) != 0 {
+			p.dataEvent(di.MemAddr)
 		}
-		if p.cfg.FilterProb {
-			// Interference experiment: probabilistic branches neither
-			// access nor update the predictor.
-			return
+		if d.Flags&plan.FBranch != 0 {
+			p.branchEvent(di, d)
 		}
 	}
-
-	pred := p.pred.Predict(uint64(di.PC))
-	p.pred.Update(uint64(di.PC), di.Taken, pred)
-	if pred != di.Taken {
-		p.m.Mispredicts++
-		if isProb {
-			p.m.MispredictsProb++
-		} else {
-			p.m.MispredictsReg++
-		}
-		resolved := fc + p.feDepth + 1
-		if p.cfg.ResolutionPenalty || execDone < resolved {
-			resolved = execDone
-		}
-		p.fetchBlockedUntil = max(p.fetchBlockedUntil, resolved+p.misPen)
-	}
+	p.own.m = saved
 }
 
-// Metrics returns the accumulated metrics. Call after the emulator run
+// Metrics returns the accumulated metrics: the stage's counters with
+// the schedule's Instructions and Cycles. Call after the emulator run
 // completes (with a TraceSink attachment, after the final flush).
-func (p *Pipeline) Metrics() Metrics { return p.m }
+func (p *Pipeline) Metrics() Metrics {
+	m := p.Events.m
+	m.Instructions, m.Cycles = p.instructions, p.cycles
+	return m
+}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -346,5 +347,105 @@ func TestRetireKernelMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFollowersMatchSolo replays recorded traces through a lead and
+// three followers of its miss-event stage, and through the same four
+// cores as solo pipelines, in emulator-sized batches with a
+// functional-warming stretch in the middle. Every follower must end
+// each segment with its solo pipeline's Metrics and checkpoint bytes.
+func TestFollowersMatchSolo(t *testing.T) {
+	const n = 150_000
+	cuts := []int{60_000, 90_000, n} // detailed, warm, detailed
+	resolution, tight := FourWide(), FourWide()
+	resolution.ResolutionPenalty = true
+	tight.ROBSize = tight.Width
+	for _, lead := range []Config{FourWide(), resolution} {
+		cfgs := []Config{lead, EightWide(), resolution, tight}
+		if lead.ResolutionPenalty {
+			for i := range cfgs {
+				cfgs[i].FilterProb = true
+			}
+		}
+		for _, name := range []string{"PI", "Bandit", "Swaptions"} {
+			prog, trace := recordWorkload(t, name, true, n)
+			for _, predName := range []string{"tage-sc-l", "tournament"} {
+				label := fmt.Sprintf("%s/%s/filter=%v", name, predName, cfgs[0].FilterProb)
+				group := make([]*Pipeline, len(cfgs))
+				solo := make([]*Pipeline, len(cfgs))
+				newPred := func() branch.Predictor {
+					bp, err := branch.New(predName)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return bp
+				}
+				for k, cfg := range cfgs {
+					var err error
+					if solo[k], err = New(cfg, prog, newPred()); err != nil {
+						t.Fatal(err)
+					}
+					if k == 0 {
+						group[k], err = New(cfg, prog, newPred())
+					} else {
+						group[k], err = NewFollower(cfg, group[0])
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				from := 0
+				for seg, cut := range cuts {
+					cut = min(cut, len(trace))
+					for _, p := range append(group, solo...) {
+						p.SetFuncWarm(seg%2 == 1)
+					}
+					for off := from; off < cut; off += emu.TraceBatch {
+						batch := trace[off:min(off+emu.TraceBatch, cut)]
+						for k := range cfgs {
+							group[k].ConsumeTrace(batch)
+							solo[k].ConsumeTrace(batch)
+						}
+					}
+					for k := range cfgs {
+						if group[k].Metrics() != solo[k].Metrics() {
+							t.Fatalf("%s: member %d after %d instructions:\n group %+v\n solo  %+v", label, k, cut, group[k].Metrics(), solo[k].Metrics())
+						}
+						if !bytes.Equal(snapshot(t, group[k]), snapshot(t, solo[k])) {
+							t.Fatalf("%s: member %d after %d instructions: checkpoint differs from its solo pipeline's", label, k, cut)
+						}
+					}
+					from = cut
+				}
+			}
+		}
+	}
+}
+
+// TestNewFollowerRejectsOtherEvents: a follower must see its lead's
+// caches and predictor filtering.
+func TestNewFollowerRejectsOtherEvents(t *testing.T) {
+	prog, _ := recordWorkload(t, "PI", false, 1)
+	lead, err := New(FourWide(), prog, branch.NewTAGESCL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, vary := range []func(*Config){
+		func(c *Config) { c.L1I.SizeBytes /= 2 },
+		func(c *Config) { c.L1D.Ways *= 2 },
+		func(c *Config) { c.L2.HitLatency++ },
+		func(c *Config) { c.MemLatency++ },
+		func(c *Config) { c.FilterProb = true },
+		func(c *Config) { c.PerfectBranches = true },
+	} {
+		cfg := EightWide()
+		vary(&cfg)
+		if _, err := NewFollower(cfg, lead); err == nil {
+			t.Errorf("NewFollower accepted %+v as a follower of the default core", cfg)
+		}
+	}
+	if _, err := NewFollower(EightWide(), lead); err != nil {
+		t.Fatal(err)
 	}
 }

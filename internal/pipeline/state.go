@@ -14,7 +14,9 @@ import (
 // ring, the L1I and L1D line-streak registers, the cache hierarchy, and
 // the live slice of the functional-unit time rings. Config-derived
 // fields (latencies, depths, masks) are rebuilt by New; the predictor
-// is a separate component the session checkpoints itself.
+// is a separate component the session checkpoints itself. A follower
+// writes its stage's state as its lead does, so the bytes do not
+// depend on whether a pipeline shares its miss-event stage.
 //
 // The FU rings are encoded as their live cells only: schedule only ever
 // probes cycles at or after the current fetch cycle, so cells whose
@@ -25,7 +27,8 @@ import (
 // cell, so the bytes depend on the schedule alone, not on a ring's size
 // or the order in which it grew.
 func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
-	w.Counters(&p.m)
+	m := p.Metrics()
+	w.Counters(&m)
 
 	w.Uint(p.curFetchCycle)
 	w.Int(int64(p.fetchedInCycle))
@@ -62,9 +65,15 @@ func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 }
 
 // RestoreState reads the field sequence written by CheckpointState into
-// a pipeline built with the same configuration.
+// a pipeline built with the same configuration. A follower restores its
+// shared stage again, which leaves it as its lead restored it when both
+// sections were written from one stage.
 func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
-	r.Counters(&p.m)
+	var m Metrics
+	r.Counters(&m)
+	p.instructions, p.cycles = m.Instructions, m.Cycles
+	m.Instructions, m.Cycles = 0, 0
+	p.Events.m = m
 
 	p.curFetchCycle = r.Uint()
 	p.fetchedInCycle = int(r.Int())

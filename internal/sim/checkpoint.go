@@ -196,6 +196,11 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 // continues: the instruction budget (WithMaxInstrs) or the sampling
 // schedule. The resumed session counts as started: it takes no new
 // member and no FastForward.
+//
+// Members share miss-event stages as AddMember would share them.
+// Sharing members must carry byte-identical predictor sections, as
+// every checkpoint of a shared stage does; Resume refuses one where
+// they differ, naming both members.
 func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	cfgs := make([]Config, len(c.cfgs))
 	for i, cfg := range c.cfgs {
@@ -265,15 +270,26 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		case !timed:
 			continue
 		}
-		name := br.String()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("sim: resume: %w", err)
-		}
-		if name != m.pred.Name() {
-			return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
-		}
-		if err := m.pred.RestoreState(br); err != nil {
-			return nil, fmt.Errorf("sim: resume: %w", err)
+		if lead := stageLead(s.members, i); lead != i {
+			// The stage, predictor included, is restored already; a
+			// checkpoint whose sections disagree about it is refused
+			// rather than resolved by whichever restores last.
+			a, _ := dec.Payload(memberSection(secPredictor, lead))
+			b, _ := dec.Payload(memberSection(secPredictor, i))
+			if !bytes.Equal(a, b) {
+				return nil, fmt.Errorf("sim: resume: members %d and %d share a miss-event stage, but their %s sections differ", lead, i, secPredictor)
+			}
+		} else {
+			name := br.String()
+			if err := br.Err(); err != nil {
+				return nil, fmt.Errorf("sim: resume: %w", err)
+			}
+			if name != m.pred.Name() {
+				return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
+			}
+			if err := m.pred.RestoreState(br); err != nil {
+				return nil, fmt.Errorf("sim: resume: %w", err)
+			}
 		}
 		if err := m.pipe.RestoreState(tr); err != nil {
 			return nil, fmt.Errorf("sim: resume: %w", err)
@@ -310,6 +326,17 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		}
 	}
 	return s, nil
+}
+
+// stageLead returns the index of the first of members that shares
+// member i's miss-event stage, which is i itself unless i follows it.
+func stageLead(members []*member, i int) int {
+	for j, m := range members[:i] {
+		if m.pred == members[i].pred {
+			return j
+		}
+	}
+	return i
 }
 
 // programHash is a stable FNV-64a content hash over everything that

@@ -102,7 +102,10 @@ func WithoutTiming() Option {
 // A session may carry several timing models over one emulator (see
 // AddMember): timing never feeds back into emulation, so configurations
 // that differ only in predictor, core or predictor filtering retire the
-// same instruction stream, and one emulation can feed them all.
+// same instruction stream, and one emulation can feed them all. Members
+// that also agree on their event key share one miss-event stage
+// (pipeline.Events), so the caches and the predictor run once for all
+// of them.
 type Session struct {
 	origin Config // the configuration New's options applied to (see AddMember)
 	name   string // workload label for errors and Result
@@ -122,9 +125,10 @@ type Session struct {
 }
 
 // member is one timing model of a session: its configuration, the
-// pipeline and predictor the trace feeds, and its window populations
-// on a sampled run. Pipeline and predictor are nil on a functional-only
-// (WithoutTiming) session.
+// pipeline the trace feeds, the predictor of the pipeline's miss-event
+// stage (the same predictor for members that share the stage), and its
+// window populations on a sampled run. Pipeline and predictor are nil
+// on a functional-only (WithoutTiming) session.
 type member struct {
 	cfg     Config
 	pipe    *pipeline.Pipeline
@@ -195,36 +199,67 @@ func newSession(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// newMember builds the timing model cfg asks for over prog: nothing for
-// a functional-only configuration.
-func newMember(cfg Config, prog *isa.Program) (*member, error) {
+// newMember builds the timing model cfg asks for: nothing for a
+// functional-only configuration, and a follower of the first member
+// with the same event key (see sharesEvents), if there is one.
+func (s *Session) newMember(cfg Config) (*member, error) {
 	m := &member{cfg: cfg}
 	if cfg.SkipTiming {
 		return m, nil
 	}
+	if cfg.Sample != nil {
+		m.sampler = &sampler{}
+	}
+	pcfg := coreConfig(cfg)
+	for _, l := range s.members {
+		if l.pipe != nil && sharesEvents(l.cfg, cfg) {
+			pipe, err := pipeline.NewFollower(pcfg, l.pipe)
+			if err != nil {
+				return nil, err
+			}
+			m.pipe, m.pred = pipe, l.pred
+			return m, nil
+		}
+	}
+	pred, err := NewPredictor(predictorKind(cfg))
+	if err != nil {
+		return nil, err
+	}
+	pipe, err := pipeline.New(pcfg, s.prog, pred)
+	if err != nil {
+		return nil, err
+	}
+	m.pipe, m.pred = pipe, pred
+	return m, nil
+}
+
+// coreConfig returns the pipeline configuration of member cfg.
+func coreConfig(cfg Config) pipeline.Config {
 	pcfg := pipeline.FourWide()
 	if cfg.Core != nil {
 		pcfg = *cfg.Core
 	}
 	pcfg.FilterProb = cfg.FilterProb
-	predKind := cfg.Predictor
-	if predKind == "" {
-		predKind = PredTAGESCL
+	return pcfg
+}
+
+// predictorKind returns the predictor of member cfg.
+func predictorKind(cfg Config) PredictorKind {
+	if cfg.Predictor == "" {
+		return PredTAGESCL
 	}
-	pred, err := NewPredictor(predKind)
-	if err != nil {
-		return nil, err
-	}
-	pipe, err := pipeline.New(pcfg, prog, pred)
-	if err != nil {
-		return nil, err
-	}
-	m.pipe = pipe
-	m.pred = pred
-	if cfg.Sample != nil {
-		m.sampler = &sampler{}
-	}
-	return m, nil
+	return cfg.Predictor
+}
+
+// sharesEvents reports whether members a and b of one stream have the
+// same event key: the predictor, the caches, the memory latency,
+// predictor filtering and the oracle front end. Their caches and
+// predictors then go through the same states and produce the same miss
+// events, so b can replay a's instead of computing its own; width, ROB
+// size, functional units, front-end depth and the penalty model shape
+// only the schedule.
+func sharesEvents(a, b Config) bool {
+	return predictorKind(a) == predictorKind(b) && coreConfig(a).SameEvents(coreConfig(b))
 }
 
 // AddMember adds a timing model to the session: the options, applied to
@@ -236,6 +271,14 @@ func newMember(cfg Config, prog *isa.Program) (*member, error) {
 // in predictor, core and predictor filtering. The emulator then runs
 // once, its trace batches go to every member in turn, and each member's
 // result (see Results) is byte-identical to its solo run.
+//
+// A member whose event key — predictor, caches, memory latency,
+// predictor filtering and oracle front end — is that of an earlier
+// member shares that member's miss-event stage: it replays the cache
+// levels and mispredictions the earlier member computes for each batch
+// through its own schedule (width, ROB, functional units, front-end
+// depth, penalty model) instead of running the caches and the predictor
+// again.
 //
 // Members join before the session first runs timed — before or after
 // a FastForward, whose timing models all start cold — and not once the
@@ -260,7 +303,7 @@ func (s *Session) AddMember(opts ...Option) error {
 // addMember builds member cfg's timing model and points the emulator's
 // trace at every member's pipeline.
 func (s *Session) addMember(cfg Config) error {
-	m, err := newMember(cfg, s.prog)
+	m, err := s.newMember(cfg)
 	if err != nil {
 		return err
 	}
@@ -315,7 +358,9 @@ func equalPtr[T comparable](a, b *T) bool {
 
 // fanout is the trace sink of a multi-member session: it hands every
 // batch to each member's pipeline in member order. Pipelines only read
-// the batch, so all of them see the emulator's stream unchanged.
+// the batch, so all of them see the emulator's stream unchanged, and a
+// member that shares an earlier member's miss-event stage finds that
+// stage's events for the batch already recorded.
 type fanout []*pipeline.Pipeline
 
 func (f fanout) ConsumeTrace(batch []emu.DynInstr) {
