@@ -1,23 +1,8 @@
 // Package repro's root benchmarks regenerate every table and figure of
-// the paper's evaluation (go test -bench=.). Each benchmark runs the full
-// experiment once per iteration and reports the headline quantity as a
-// custom metric, so `go test -bench=. -benchmem` reproduces the entire
-// evaluation and prints the paper-vs-measured numbers.
-//
-// Mapping (see DESIGN.md §4 for the full index):
-//
-//	BenchmarkFigure1    — misprediction breakdown (Fig 1)
-//	BenchmarkFigure6    — MPKI reduction through PBS (Fig 6)
-//	BenchmarkFigure7    — normalized IPC, 4-wide core (Fig 7)
-//	BenchmarkFigure8    — normalized IPC, 8-wide core (Fig 8)
-//	BenchmarkFigure9    — predictor interference (Fig 9)
-//	BenchmarkTableII    — benchmark characteristics (Table II)
-//	BenchmarkTableIII   — randomness battery (Table III)
-//	BenchmarkAccuracy   — §VII-D output accuracy
-//	BenchmarkBaselines  — §IV PBS vs predication/CFD
-//	BenchmarkWorkload*  — per-benchmark simulation throughput, PBS on/off
-//	BenchmarkResolutionPenalty — ablation: honest dataflow penalty model
-//	BenchmarkSweep      — batch engine end to end, cold caches (Fig 6 grid)
+// the paper's evaluation (go test -bench=.). BenchmarkArtifact/<id> runs
+// one row of experiments.Artifacts per iteration and reports the
+// measured value of each of its paper quantities as a custom metric.
+// The others measure the simulator (see DESIGN.md §4 for the index).
 package repro
 
 import (
@@ -42,127 +27,31 @@ func benchOptions() experiments.Options {
 	return opt
 }
 
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		f, err := experiments.Figure1(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + f.String())
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		f, err := experiments.Figure6(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f.AvgTageRed, "avg-tage-MPKI-red-%")
-		b.ReportMetric(f.AvgTournRed, "avg-tourn-MPKI-red-%")
-		if i == 0 {
-			b.Log("\n" + f.String())
-		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		f, err := experiments.Figure7(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f.AvgTagePBS, "avg-tage-IPC-gain-%")
-		b.ReportMetric(f.MaxTagePBS, "max-tage-IPC-gain-%")
-		if i == 0 {
-			b.Log("\n" + f.String())
-		}
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		f, err := experiments.Figure8(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(f.AvgTagePBS, "avg-tage-IPC-gain-%")
-		if i == 0 {
-			b.Log("\n" + f.String())
-		}
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		f, err := experiments.Figure9(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + f.String())
-		}
-	}
-}
-
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		tab, err := experiments.TableII(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.TableI().String())
-			b.Log("\n" + tab.String())
-			b.Log("\n" + experiments.HardwareCost().String())
-		}
-	}
-}
-
-func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		tab, err := experiments.TableIII(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + tab.String())
-		}
-	}
-}
-
-func BenchmarkAccuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		acc, err := experiments.Accuracy(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + acc.String())
-		}
-	}
-}
-
-func BenchmarkBaselines(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.ResetEngine()
-		bc, err := experiments.BaselineComparison(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + bc.String())
-		}
+// BenchmarkArtifact runs each row of experiments.Artifacts cold, logs
+// its text once and reports the measured value of each of its paper
+// quantities as a custom metric named after the quantity.
+func BenchmarkArtifact(b *testing.B) {
+	for _, a := range experiments.Artifacts {
+		b.Run(a.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				experiments.ResetEngine()
+				d, err := a.Run(benchOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Log("\n" + d.String())
+				}
+				m := d.Measured()
+				for _, q := range a.Paper {
+					v, ok := m[q.Name]
+					if !ok {
+						b.Fatalf("%s measures no %s", a.ID, q.Name)
+					}
+					b.ReportMetric(v, q.Name)
+				}
+			}
+		})
 	}
 }
 

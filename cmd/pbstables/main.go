@@ -1,11 +1,11 @@
 // Command pbstables regenerates the tables and figures of the paper's
-// evaluation. With no flags it produces everything; individual artifacts
-// can be selected.
+// evaluation, one per row of experiments.Artifacts, in table order.
+// With no flags it produces everything; -only selects artifacts by ID.
 //
 // Usage:
 //
-//	pbstables                 # everything, default scale and 7 seeds
-//	pbstables -fig6 -fig7     # only Figures 6 and 7
+//	pbstables                   # everything, default scale and 7 seeds
+//	pbstables -only fig6,fig7   # only Figures 6 and 7
 //	pbstables -seeds 3 -scale 1
 package main
 
@@ -13,79 +13,62 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
 func main() {
 	var (
-		fig1   = flag.Bool("fig1", false, "Figure 1: misprediction breakdown")
-		table1 = flag.Bool("table1", false, "Table I: predication/CFD applicability")
-		table2 = flag.Bool("table2", false, "Table II: benchmark characteristics")
-		fig6   = flag.Bool("fig6", false, "Figure 6: MPKI reduction")
-		fig7   = flag.Bool("fig7", false, "Figure 7: normalized IPC, 4-wide")
-		fig8   = flag.Bool("fig8", false, "Figure 8: normalized IPC, 8-wide")
-		fig9   = flag.Bool("fig9", false, "Figure 9: predictor interference")
-		table3 = flag.Bool("table3", false, "Table III: randomness battery")
-		acc    = flag.Bool("accuracy", false, "Section VII-D: output accuracy")
-		cost   = flag.Bool("cost", false, "Section V-C2: hardware cost")
-		basel  = flag.Bool("baselines", false, "Section IV: PBS vs predication/CFD")
-		scale  = flag.Int("scale", 1, "workload iteration scale")
-		seeds  = flag.Int("seeds", 7, "number of seeds for multi-seed experiments")
+		only  = flag.String("only", "", "comma-separated artifact IDs to print, in table order (default all)")
+		scale = flag.Int("scale", 1, "workload iteration scale")
+		seeds = flag.Int("seeds", 7, "number of seeds for multi-seed experiments")
 	)
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintln(w, "usage: pbstables [flags]")
+		flag.PrintDefaults()
+		fmt.Fprintln(w, "artifacts:")
+		for _, a := range experiments.Artifacts {
+			fmt.Fprintf(w, "  %-10s %s\n", a.ID, a.Title)
+		}
+	}
 	flag.Parse()
+	if *seeds < 1 {
+		fmt.Fprintln(os.Stderr, "pbstables: -seeds must be at least 1")
+		os.Exit(2)
+	}
 
-	all := !(*fig1 || *table1 || *table2 || *fig6 || *fig7 || *fig8 || *fig9 ||
-		*table3 || *acc || *cost || *basel)
+	var ids []string
+	for _, a := range experiments.Artifacts {
+		ids = append(ids, a.ID)
+	}
+	want := ids
+	if *only != "" {
+		want = strings.Split(*only, ",")
+		for _, id := range want {
+			if !slices.Contains(ids, id) {
+				fmt.Fprintf(os.Stderr, "pbstables: unknown artifact %q; valid IDs: %s\n", id, strings.Join(ids, ","))
+				os.Exit(2)
+			}
+		}
+	}
 
 	opt := experiments.DefaultOptions()
 	opt.Scale = *scale
 	if *seeds < len(opt.Seeds) {
 		opt.Seeds = opt.Seeds[:*seeds]
 	}
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "pbstables:", err)
-		os.Exit(1)
-	}
-	show := func(v fmt.Stringer, err error) {
-		if err != nil {
-			fail(err)
+	for _, a := range experiments.Artifacts {
+		if !slices.Contains(want, a.ID) {
+			continue
 		}
-		fmt.Println(v)
-	}
-
-	if all || *fig1 {
-		show(experiments.Figure1(opt))
-	}
-	if all || *table1 {
-		fmt.Println(experiments.TableI())
-	}
-	if all || *table2 {
-		show(experiments.TableII(opt))
-	}
-	if all || *fig6 {
-		show(experiments.Figure6(opt))
-	}
-	if all || *fig7 {
-		show(experiments.Figure7(opt))
-	}
-	if all || *fig8 {
-		show(experiments.Figure8(opt))
-	}
-	if all || *fig9 {
-		show(experiments.Figure9(opt))
-	}
-	if all || *table3 {
-		show(experiments.TableIII(opt))
-	}
-	if all || *acc {
-		show(experiments.Accuracy(opt))
-	}
-	if all || *cost {
-		fmt.Println(experiments.HardwareCost())
-	}
-	if all || *basel {
-		show(experiments.BaselineComparison(opt))
+		d, err := a.Run(opt)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "pbstables:", err)
+			os.Exit(1)
+		}
+		fmt.Println(d)
 	}
 }

@@ -37,7 +37,7 @@ type AccuracyData struct {
 // runs against the original code with the same seed. Genetic additionally
 // gets the multi-seed success-rate confidence-interval comparison.
 func Accuracy(opt Options) (*AccuracyData, error) {
-	names := workloadNames()
+	names := workloads.Names()
 	res, err := runGrids(opt,
 		sweep.Grid{
 			Workloads:  names,
@@ -125,16 +125,39 @@ func (a *AccuracyData) String() string {
 	sb.WriteString("Section VII-D: output correctness under PBS (same seed as original)\n")
 	header(&sb, "benchmark", "metric", "measured", "bound", "ok")
 	for _, r := range a.Rows {
+		detail := r.Result.Detail
+		if r.Workload == "Photon" {
+			detail += fmt.Sprintf(" (paper: %g%%)", paper("accuracy", "photon-image-RMS-%"))
+		}
 		fmt.Fprintf(&sb, "%-14s%-28s%-14.4g%-14.4g%-6v %s\n",
-			r.Workload, r.Result.Metric, r.Result.Value, r.Result.Bound, r.Result.OK, r.Result.Detail)
+			r.Workload, r.Result.Metric, r.Result.Value, r.Result.Bound, r.Result.OK, detail)
 	}
 	if a.Genetic != nil {
 		g := a.Genetic
 		fmt.Fprintf(&sb, "Genetic success rate over %d seeds: original %.3f %v vs PBS %.3f %v; CIs overlap: %v\n",
 			g.Trials, g.OrigRate, g.OrigCI, g.PBSRate, g.PBSCI, g.Overlap)
-		sb.WriteString("(paper: 0.2 [0.18,0.22] vs 0.206 [0.18,0.23], overlapping)\n")
+		p := func(name string) float64 { return paper("accuracy", "genetic-"+name) }
+		fmt.Fprintf(&sb, "(paper: %g [%g,%g] vs %g [%g,%g], overlapping)\n",
+			p("orig-success"), p("orig-success-lo"), p("orig-success-hi"),
+			p("pbs-success"), p("pbs-success-lo"), p("pbs-success-hi"))
 	}
 	return sb.String()
+}
+
+// Measured reports Photon's image RMS error in percent and the Genetic
+// success rates with their 95% CIs.
+func (a *AccuracyData) Measured() map[string]float64 {
+	m := make(map[string]float64)
+	for _, r := range a.Rows {
+		if r.Workload == "Photon" {
+			m["photon-image-RMS-%"] = 100 * r.Result.Value
+		}
+	}
+	if g := a.Genetic; g != nil {
+		m["genetic-orig-success"], m["genetic-orig-success-lo"], m["genetic-orig-success-hi"] = g.OrigRate, g.OrigCI.Lo, g.OrigCI.Hi
+		m["genetic-pbs-success"], m["genetic-pbs-success-lo"], m["genetic-pbs-success-hi"] = g.PBSRate, g.PBSCI.Lo, g.PBSCI.Hi
+	}
+	return m
 }
 
 // BaselineRow compares PBS against the Table I alternative techniques on
@@ -155,7 +178,7 @@ type BaselineData struct{ Rows []BaselineRow }
 // apply (CFD pays loop-splitting and queue push/pop overhead; predication
 // pays fetch of both paths).
 func BaselineComparison(opt Options) (*BaselineData, error) {
-	names := workloadNames()
+	names := workloads.Names()
 	res, err := runGrids(opt,
 		sweep.Grid{
 			Workloads: names,
@@ -226,3 +249,6 @@ func (b *BaselineData) String() string {
 	}
 	return sb.String()
 }
+
+// Measured reports nothing: the paper's §IV comparison gives no number.
+func (b *BaselineData) Measured() map[string]float64 { return nil }

@@ -1,9 +1,6 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§VI-§VII): Figure 1 (motivation breakdown), Table I
-// (predication/CFD applicability), Table II (benchmark characteristics),
-// Figure 6 (MPKI reduction), Figures 7-8 (normalized IPC, 4- and 8-wide),
-// Figure 9 (predictor interference), Table III (randomness battery), the
-// §VII-D output-accuracy study, and the §V-C2 hardware cost breakdown.
+// Package experiments regenerates the tables and figures of the paper's
+// evaluation (§VI-§VII). Artifacts lists them in print order, each with
+// its run function and the values the paper reports.
 package experiments
 
 import (
@@ -13,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/sweep"
-	"repro/internal/workloads"
 )
 
 // Options control experiment scale and statistics.
@@ -23,8 +19,6 @@ type Options struct {
 	// Seeds are the RNG seeds used by multi-seed experiments (the paper
 	// uses 7 for randomness/interference and 8 for Genetic).
 	Seeds []uint64
-	// Parallel caps concurrent simulations (0 = GOMAXPROCS).
-	Parallel int
 }
 
 // DefaultOptions returns the experiment defaults.
@@ -33,11 +27,6 @@ func DefaultOptions() Options {
 		Scale: 1,
 		Seeds: []uint64{11, 23, 37, 41, 53, 67, 79},
 	}
-}
-
-// QuickOptions returns a reduced configuration for tests.
-func QuickOptions() Options {
-	return Options{Scale: 1, Seeds: []uint64{11, 23, 37}}
 }
 
 func (o Options) seed0() uint64 {
@@ -89,7 +78,7 @@ func runGrids(opt Options, grids ...sweep.Grid) (sweep.Results, error) {
 			}
 		}
 	}
-	return engine.RunPoints(context.Background(), pts, opt.Parallel)
+	return engine.RunPoints(context.Background(), pts, 0)
 }
 
 // geomean returns the geometric mean of positive values.
@@ -118,6 +107,3 @@ func header(sb *strings.Builder, cols ...string) {
 	}
 	sb.WriteByte('\n')
 }
-
-// workloadNames returns the Table II ordering.
-func workloadNames() []string { return workloads.Names() }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
 
 // bothPredictors is the predictor pair most figures sweep.
@@ -27,7 +28,7 @@ type Fig1 struct{ Rows []Fig1Row }
 // Figure1 reproduces Figure 1: probabilistic branches are a minority of
 // dynamic branches but a disproportionate share of mispredictions.
 func Figure1(opt Options) (*Fig1, error) {
-	names := workloadNames()
+	names := workloads.Names()
 	res, err := runGrids(opt, sweep.Grid{
 		Workloads:  names,
 		Predictors: bothPredictors,
@@ -68,6 +69,9 @@ func (f *Fig1) String() string {
 	return sb.String()
 }
 
+// Measured reports nothing: the paper's Figure 1 gives no number.
+func (f *Fig1) Measured() map[string]float64 { return nil }
+
 // Fig6Row is one benchmark of Figure 6.
 type Fig6Row struct {
 	Workload       string
@@ -89,7 +93,7 @@ type Fig6 struct {
 // Figure6 reproduces Figure 6: MPKI reduction through PBS for both
 // predictors.
 func Figure6(opt Options) (*Fig6, error) {
-	names := workloadNames()
+	names := workloads.Names()
 	res, err := runGrids(opt, sweep.Grid{
 		Workloads:  names,
 		Predictors: bothPredictors,
@@ -128,12 +132,8 @@ func Figure6(opt Options) (*Fig6, error) {
 	for _, r := range rows {
 		f.AvgTournRed += r.TournReduction / float64(len(rows))
 		f.AvgTageRed += r.TageReduction / float64(len(rows))
-		if r.TournReduction > f.MaxTournRed {
-			f.MaxTournRed = r.TournReduction
-		}
-		if r.TageReduction > f.MaxTageRed {
-			f.MaxTageRed = r.TageReduction
-		}
+		f.MaxTournRed = max(f.MaxTournRed, r.TournReduction)
+		f.MaxTageRed = max(f.MaxTageRed, r.TageReduction)
 	}
 	return f, nil
 }
@@ -147,11 +147,20 @@ func (f *Fig6) String() string {
 			r.Workload, r.TournBaseMPKI, r.TournPBSMPKI, r.TournReduction,
 			r.TageBaseMPKI, r.TagePBSMPKI, r.TageReduction)
 	}
-	fmt.Fprintf(&sb, "average reduction: tournament %.1f%% (paper: 29.9%%), TAGE-SC-L %.1f%% (paper: 44.8%%)\n",
-		f.AvgTournRed, f.AvgTageRed)
-	fmt.Fprintf(&sb, "max reduction:     tournament %.1f%% (paper: up to 99%%), TAGE-SC-L %.1f%% (paper: up to 99%%)\n",
-		f.MaxTournRed, f.MaxTageRed)
+	fmt.Fprintf(&sb, "average reduction: tournament %.1f%% (paper: %.1f%%), TAGE-SC-L %.1f%% (paper: %.1f%%)\n",
+		f.AvgTournRed, paper("fig6", "avg-tourn-MPKI-red-%"), f.AvgTageRed, paper("fig6", "avg-tage-MPKI-red-%"))
+	fmt.Fprintf(&sb, "max reduction:     tournament %.1f%% (paper: up to %g%%), TAGE-SC-L %.1f%% (paper: up to %g%%)\n",
+		f.MaxTournRed, paper("fig6", "max-tourn-MPKI-red-%"), f.MaxTageRed, paper("fig6", "max-tage-MPKI-red-%"))
 	return sb.String()
+}
+
+func (f *Fig6) Measured() map[string]float64 {
+	return map[string]float64{
+		"avg-tourn-MPKI-red-%": f.AvgTournRed,
+		"avg-tage-MPKI-red-%":  f.AvgTageRed,
+		"max-tourn-MPKI-red-%": f.MaxTournRed,
+		"max-tage-MPKI-red-%":  f.MaxTageRed,
+	}
 }
 
 // FigIPCRow is one benchmark of Figures 7/8: IPC normalized to the
@@ -177,7 +186,7 @@ type FigIPC struct {
 // figureIPC runs the four configurations of Figures 7/8 on the given core
 // width.
 func figureIPC(opt Options, wide int) (*FigIPC, error) {
-	names := workloadNames()
+	names := workloads.Names()
 	res, err := runGrids(opt, sweep.Grid{
 		Workloads:  names,
 		Predictors: bothPredictors,
@@ -190,35 +199,23 @@ func figureIPC(opt Options, wide int) (*FigIPC, error) {
 	}
 	rows := make([]FigIPCRow, len(names))
 	for i, name := range names {
-		ipc := func(pred sim.PredictorKind, pbs bool) (float64, error) {
-			r, err := res.Get(sweep.Key{Workload: name, Predictor: pred, PBS: pbs, Width: wide, Seed: opt.seed0()})
-			if err != nil {
-				return 0, err
+		var ipc [2][2]float64 // by bothPredictors index, then PBS off/on
+		for p, pred := range bothPredictors {
+			for pbs := range 2 {
+				r, err := res.Get(sweep.Key{Workload: name, Predictor: pred, PBS: pbs == 1, Width: wide, Seed: opt.seed0()})
+				if err != nil {
+					return nil, err
+				}
+				ipc[p][pbs] = r.Timing.IPC()
 			}
-			return r.Timing.IPC(), nil
 		}
-		tour, err := ipc(sim.PredTournament, false)
-		if err != nil {
-			return nil, err
-		}
-		tage, err := ipc(sim.PredTAGESCL, false)
-		if err != nil {
-			return nil, err
-		}
-		tourPB, err := ipc(sim.PredTournament, true)
-		if err != nil {
-			return nil, err
-		}
-		tagePB, err := ipc(sim.PredTAGESCL, true)
-		if err != nil {
-			return nil, err
-		}
+		tour := ipc[0][0]
 		rows[i] = FigIPCRow{
 			Workload:     name,
 			Tournament:   1,
-			Tage:         tage / tour,
-			TournamentPB: tourPB / tour,
-			TagePB:       tagePB / tour,
+			Tage:         ipc[1][0] / tour,
+			TournamentPB: ipc[0][1] / tour,
+			TagePB:       ipc[1][1] / tour,
 		}
 	}
 	f := &FigIPC{Wide: wide, Rows: rows}
@@ -228,12 +225,8 @@ func figureIPC(opt Options, wide int) (*FigIPC, error) {
 		gg := r.TagePB / r.Tage
 		tGains = append(tGains, tg)
 		gGains = append(gGains, gg)
-		if p := 100 * (tg - 1); p > f.MaxTournPBS {
-			f.MaxTournPBS = p
-		}
-		if p := 100 * (gg - 1); p > f.MaxTagePBS {
-			f.MaxTagePBS = p
-		}
+		f.MaxTournPBS = max(f.MaxTournPBS, 100*(tg-1))
+		f.MaxTagePBS = max(f.MaxTagePBS, 100*(gg-1))
 	}
 	f.AvgTournPBS = 100 * (geomean(tGains) - 1)
 	f.AvgTagePBS = 100 * (geomean(gGains) - 1)
@@ -248,12 +241,11 @@ func Figure8(opt Options) (*FigIPC, error) { return figureIPC(opt, 8) }
 
 func (f *FigIPC) String() string {
 	var sb strings.Builder
-	paper := "6.7%/17% TAGE, 9%/26% tournament"
-	if f.Wide == 8 {
-		paper = "10.8%/19% TAGE, 13.8%/25% tournament"
-	}
-	fmt.Fprintf(&sb, "Figure %d: normalized IPC, %d-wide core (paper avg/max gains: %s)\n",
-		map[int]int{4: 7, 8: 8}[f.Wide], f.Wide, paper)
+	id := map[int]string{4: "fig7", 8: "fig8"}[f.Wide]
+	fmt.Fprintf(&sb, "Figure %d: normalized IPC, %d-wide core (paper avg/max gains: %g%%/%g%% TAGE, %g%%/%g%% tournament)\n",
+		map[int]int{4: 7, 8: 8}[f.Wide], f.Wide,
+		paper(id, "avg-tage-IPC-gain-%"), paper(id, "max-tage-IPC-gain-%"),
+		paper(id, "avg-tourn-IPC-gain-%"), paper(id, "max-tourn-IPC-gain-%"))
 	header(&sb, "benchmark", "tournament", "tage-sc-l", "tourn+PBS", "tage+PBS")
 	for _, r := range f.Rows {
 		fmt.Fprintf(&sb, "%-14s%-14.3f%-14.3f%-14.3f%-14.3f\n",
@@ -262,6 +254,15 @@ func (f *FigIPC) String() string {
 	fmt.Fprintf(&sb, "PBS gain: tournament avg %.1f%% max %.1f%%; TAGE-SC-L avg %.1f%% max %.1f%%\n",
 		f.AvgTournPBS, f.MaxTournPBS, f.AvgTagePBS, f.MaxTagePBS)
 	return sb.String()
+}
+
+func (f *FigIPC) Measured() map[string]float64 {
+	return map[string]float64{
+		"avg-tage-IPC-gain-%":  f.AvgTagePBS,
+		"max-tage-IPC-gain-%":  f.MaxTagePBS,
+		"avg-tourn-IPC-gain-%": f.AvgTournPBS,
+		"max-tourn-IPC-gain-%": f.MaxTournPBS,
+	}
 }
 
 // Fig9Row is one benchmark of Figure 9.
@@ -280,7 +281,7 @@ type Fig9 struct{ Rows []Fig9Row }
 // the predictor, maximum over the seeds (the paper reports the maximum
 // across 7 seeds).
 func Figure9(opt Options) (*Fig9, error) {
-	names := workloadNames()
+	names := workloads.Names()
 	// Sharded: each (workload, filter setting) is one aggregate point
 	// whose per-seed runs fan across the pool, rather than seven
 	// sequentialized cache lookups.
@@ -313,9 +314,7 @@ func Figure9(opt Options) (*Fig9, error) {
 			if b > 0 {
 				inc = 100 * (a - b) / b
 			}
-			if inc > row.MaxIncrease {
-				row.MaxIncrease = inc
-			}
+			row.MaxIncrease = max(row.MaxIncrease, inc)
 			row.AvgIncrease += inc / float64(len(opt.Seeds))
 		}
 		rows[i] = row
@@ -326,10 +325,19 @@ func Figure9(opt Options) (*Fig9, error) {
 func (f *Fig9) String() string {
 	var sb strings.Builder
 	sb.WriteString("Figure 9: regular-branch MPKI increase from probabilistic-branch interference\n")
-	sb.WriteString("(tournament predictor; max over seeds; paper: up to 5.8%, couple % average)\n")
+	fmt.Fprintf(&sb, "(tournament predictor; max over seeds; paper: up to %g%%, couple %% average)\n",
+		paper("fig9", "max-reg-MPKI-incr-%"))
 	header(&sb, "benchmark", "max incr %", "avg incr %")
 	for _, r := range f.Rows {
 		fmt.Fprintf(&sb, "%-14s%-14.2f%-14.2f\n", r.Workload, r.MaxIncrease, r.AvgIncrease)
 	}
 	return sb.String()
+}
+
+func (f *Fig9) Measured() map[string]float64 {
+	most := 0.0
+	for _, r := range f.Rows {
+		most = max(most, r.MaxIncrease)
+	}
+	return map[string]float64{"max-reg-MPKI-incr-%": most}
 }

@@ -1,43 +1,28 @@
 package experiments
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
+// TestQuickExperiments runs every artifact at two seeds and checks that
+// its dataset measures each of its paper quantities. Figures 8 and 9
+// and Table III cost seconds each even at two seeds; BenchmarkArtifact
+// and pbstables run them.
 func TestQuickExperiments(t *testing.T) {
-	opt := QuickOptions()
-	opt.Seeds = opt.Seeds[:2]
-	f1, err := Figure1(opt)
-	if err != nil {
-		t.Fatal(err)
+	opt := Options{Scale: 1, Seeds: []uint64{11, 23}}
+	slow := map[string]bool{"fig8": true, "fig9": true, "table3": true}
+	for _, a := range Artifacts {
+		if slow[a.ID] {
+			continue
+		}
+		d, err := a.Run(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", a.ID, err)
+		}
+		t.Log(d)
+		m := d.Measured()
+		for _, q := range a.Paper {
+			if _, ok := m[q.Name]; !ok {
+				t.Errorf("%s measures no %s", a.ID, q.Name)
+			}
+		}
 	}
-	fmt.Println(f1)
-	f6, err := Figure6(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println(f6)
-	f7, err := Figure7(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println(f7)
-	fmt.Println(TableI())
-	t2, err := TableII(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println(t2)
-	acc, err := Accuracy(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println(acc)
-	fmt.Println(HardwareCost())
-	bc, err := BaselineComparison(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Println(bc)
 }

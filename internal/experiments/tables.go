@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -24,8 +25,9 @@ type TableIData struct{ Rows []TableIRow }
 
 // TableI reproduces Table I: whether predication and control-flow
 // decoupling can be applied to each benchmark. The applicability is a
-// static property of the workload (which transformed variants exist).
-func TableI() *TableIData {
+// static property of the workload (which transformed variants exist), so
+// TableI ignores its options.
+func TableI(Options) (*TableIData, error) {
 	reasons := map[string]string{
 		"DOP":       "digital payoff if-converts; loop splits cleanly",
 		"Greeks":    "live value in control-dependent code defeats if-conversion",
@@ -45,7 +47,7 @@ func TableI() *TableIData {
 			Reason:      reasons[w.Name],
 		})
 	}
-	return &TableIData{Rows: rows}
+	return &TableIData{Rows: rows}, nil
 }
 
 func (t *TableIData) String() string {
@@ -64,6 +66,9 @@ func (t *TableIData) String() string {
 	return sb.String()
 }
 
+// Measured reports nothing: Table I holds no number.
+func (t *TableIData) Measured() map[string]float64 { return nil }
+
 // TableIIRow is one benchmark of Table II.
 type TableIIRow struct {
 	Workload       string
@@ -80,7 +85,7 @@ type TableIIData struct{ Rows []TableIIRow }
 // of probabilistic to static branches, the category, and the number of
 // dynamically executed instructions at the experiment scale.
 func TableII(opt Options) (*TableIIData, error) {
-	names := workloadNames()
+	names := workloads.Names()
 	res, err := runGrids(opt, sweep.Grid{
 		Workloads:  names,
 		Seeds:      []uint64{opt.seed0()},
@@ -113,13 +118,25 @@ func TableII(opt Options) (*TableIIData, error) {
 func (t *TableIIData) String() string {
 	var sb strings.Builder
 	sb.WriteString("Table II: benchmark characteristics (instruction counts at experiment scale;\n")
-	sb.WriteString("the paper simulates 1.3-17 B instructions per benchmark)\n")
+	fmt.Fprintf(&sb, "the paper simulates %g-%g B instructions per benchmark)\n",
+		paper("table2", "min-instructions-B"), paper("table2", "max-instructions-B"))
 	header(&sb, "benchmark", "prob/static", "category", "instructions")
 	for _, r := range t.Rows {
 		fmt.Fprintf(&sb, "%-14s%-14s%-14d%-14d\n",
 			r.Workload, fmt.Sprintf("%d/%d", r.ProbBranches, r.StaticBranches), r.Category, r.Instructions)
 	}
 	return sb.String()
+}
+
+// Measured reports the fewest and the most instructions a benchmark
+// executes, in billions.
+func (t *TableIIData) Measured() map[string]float64 {
+	lo, hi := math.Inf(1), 0.0
+	for _, r := range t.Rows {
+		b := float64(r.Instructions) / 1e9
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	return map[string]float64{"min-instructions-B": lo, "max-instructions-B": hi}
 }
 
 // TableIIIRow is one benchmark of Table III: 95% confidence intervals of
@@ -171,9 +188,7 @@ func TableIII(opt Options) (*TableIIIData, error) {
 	set := sweep.MakeSeedSet(opt.Seeds)
 	var rows []TableIIIRow
 	for _, w := range uniform {
-		type counts struct{ pass, weak, fail float64 }
-		orig := make([]counts, len(opt.Seeds))
-		pbs := make([]counts, len(opt.Seeds))
+		var orig, pbs [3][]float64 // PASS, WEAK and FAIL counts by seed
 		nTests := 0
 		// Original stream: the values the baseline binary generates.
 		baseAgg, err := res.GetAggregate(sweep.Key{Workload: w.Name, Seeds: set})
@@ -188,29 +203,27 @@ func TableIII(opt Options) (*TableIIIData, error) {
 		for s := range opt.Seeds {
 			so := randtest.Summarize(uniformize(w, baseAgg.Sims[s].Generated))
 			sp := randtest.Summarize(uniformize(w, pbsAgg.Sims[s].Consumed))
-			orig[s] = counts{float64(so.Pass), float64(so.Weak), float64(so.Fail)}
-			pbs[s] = counts{float64(sp.Pass), float64(sp.Weak), float64(sp.Fail)}
-			if so.Total() > nTests {
-				nTests = so.Total()
+			for k, n := range [3]int{so.Pass, so.Weak, so.Fail} {
+				orig[k] = append(orig[k], float64(n))
 			}
+			for k, n := range [3]int{sp.Pass, sp.Weak, sp.Fail} {
+				pbs[k] = append(pbs[k], float64(n))
+			}
+			nTests = max(nTests, so.Total())
 		}
-		collect := func(cs []counts, f func(counts) float64) stats.Interval {
-			xs := make([]float64, len(cs))
-			for i, c := range cs {
-				xs[i] = f(c)
-			}
+		ci := func(xs []float64) stats.Interval {
 			_, iv := stats.MeanCI95(xs)
 			return iv
 		}
 		row := TableIIIRow{
 			Workload: w.Name,
 			Tests:    nTests,
-			OrigPass: collect(orig, func(c counts) float64 { return c.pass }),
-			OrigWeak: collect(orig, func(c counts) float64 { return c.weak }),
-			OrigFail: collect(orig, func(c counts) float64 { return c.fail }),
-			PBSPass:  collect(pbs, func(c counts) float64 { return c.pass }),
-			PBSWeak:  collect(pbs, func(c counts) float64 { return c.weak }),
-			PBSFail:  collect(pbs, func(c counts) float64 { return c.fail }),
+			OrigPass: ci(orig[0]),
+			OrigWeak: ci(orig[1]),
+			OrigFail: ci(orig[2]),
+			PBSPass:  ci(pbs[0]),
+			PBSWeak:  ci(pbs[1]),
+			PBSFail:  ci(pbs[2]),
 		}
 		row.Overlap = row.OrigPass.Overlaps(row.PBSPass) &&
 			row.OrigWeak.Overlaps(row.PBSWeak) &&
@@ -245,9 +258,18 @@ func (t *TableIIIData) String() string {
 			r.PBSPass, r.PBSWeak, r.PBSFail, r.Overlap)
 	}
 	if len(t.Rows) > 0 {
-		fmt.Fprintf(&sb, "battery size: %d test cases (paper used DieHarder's 114)\n", t.Rows[0].Tests)
+		fmt.Fprintf(&sb, "battery size: %d test cases (paper used DieHarder's %d)\n",
+			t.Rows[0].Tests, int(paper("table3", "battery-tests")))
 	}
 	return sb.String()
+}
+
+func (t *TableIIIData) Measured() map[string]float64 {
+	tests := 0
+	if len(t.Rows) > 0 {
+		tests = t.Rows[0].Tests
+	}
+	return map[string]float64{"battery-tests": float64(tests)}
 }
 
 // CostData is the §V-C2 hardware cost breakdown.
@@ -257,10 +279,11 @@ type CostData struct {
 }
 
 // HardwareCost reproduces the §V-C2 storage accounting for the paper's
-// default configuration (193 bytes).
-func HardwareCost() *CostData {
+// default configuration. The cost is a function of the configuration
+// alone, so HardwareCost ignores its options.
+func HardwareCost(Options) (*CostData, error) {
 	cfg := core.DefaultConfig()
-	return &CostData{Config: cfg, Cost: cfg.Cost()}
+	return &CostData{Config: cfg, Cost: cfg.Cost()}, nil
 }
 
 func (c *CostData) String() string {
@@ -272,6 +295,11 @@ func (c *CostData) String() string {
 	fmt.Fprintf(&sb, "  SwapTable     %5d bits (%6.1f bytes)\n", c.Cost.SwapTableBits, float64(c.Cost.SwapTableBits)/8)
 	fmt.Fprintf(&sb, "  Prob-in-Flight%5d bits (%6.1f bytes)\n", c.Cost.InFlightBits, float64(c.Cost.InFlightBits)/8)
 	fmt.Fprintf(&sb, "  Context-Table %5d bits (%6.1f bytes)\n", c.Cost.ContextBits, float64(c.Cost.ContextBits)/8)
-	fmt.Fprintf(&sb, "  total         %5d bits (%d bytes; paper: 193 bytes)\n", c.Cost.TotalBits(), c.Cost.TotalBytes())
+	fmt.Fprintf(&sb, "  total         %5d bits (%d bytes; paper: %d bytes)\n",
+		c.Cost.TotalBits(), c.Cost.TotalBytes(), int(paper("cost", "total-bytes")))
 	return sb.String()
+}
+
+func (c *CostData) Measured() map[string]float64 {
+	return map[string]float64{"total-bytes": float64(c.Cost.TotalBytes())}
 }

@@ -64,10 +64,22 @@ func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 	return nil
 }
 
+// CheckpointStage writes the state of p's miss-event stage alone: the
+// trace-determined counters, the two line-streak registers and the
+// cache hierarchy, the parts of CheckpointState that a follower shares
+// with its lead.
+func (p *Pipeline) CheckpointStage(w *ckpt.Writer) error {
+	w.Counters(&p.Events.m)
+	w.U64(p.lastIBlock)
+	w.U64(p.lastDBlock)
+	return p.hier.CheckpointState(w)
+}
+
 // RestoreState reads the field sequence written by CheckpointState into
 // a pipeline built with the same configuration. A follower restores its
 // shared stage again, which leaves it as its lead restored it when both
-// sections were written from one stage.
+// sections were written from one stage; CheckpointStage lets a caller
+// check that they were.
 func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
 	var m Metrics
 	r.Counters(&m)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/isa"
+	"repro/internal/pipeline"
 )
 
 // Checkpoint section names, in container order. The emulator, RNG,
@@ -198,9 +199,10 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 // member and no FastForward.
 //
 // Members share miss-event stages as AddMember would share them.
-// Sharing members must carry byte-identical predictor sections, as
-// every checkpoint of a shared stage does; Resume refuses one where
-// they differ, naming both members.
+// Sharing members must carry byte-identical predictor sections and
+// pipeline sections that agree about the stage (its counters, line
+// streaks and caches), as every checkpoint of a shared stage does;
+// Resume refuses one where they differ, naming both members.
 func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	cfgs := make([]Config, len(c.cfgs))
 	for i, cfg := range c.cfgs {
@@ -270,7 +272,9 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		case !timed:
 			continue
 		}
-		if lead := stageLead(s.members, i); lead != i {
+		var stage []byte // a follower's stage as its lead restored it
+		lead := stageLead(s.members, i)
+		if lead != i {
 			// The stage, predictor included, is restored already; a
 			// checkpoint whose sections disagree about it is refused
 			// rather than resolved by whichever restores last.
@@ -278,6 +282,9 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 			b, _ := dec.Payload(memberSection(secPredictor, i))
 			if !bytes.Equal(a, b) {
 				return nil, fmt.Errorf("sim: resume: members %d and %d share a miss-event stage, but their %s sections differ", lead, i, secPredictor)
+			}
+			if stage, err = stageState(m.pipe); err != nil {
+				return nil, fmt.Errorf("sim: resume: %w", err)
 			}
 		} else {
 			name := br.String()
@@ -293,6 +300,16 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		}
 		if err := m.pipe.RestoreState(tr); err != nil {
 			return nil, fmt.Errorf("sim: resume: %w", err)
+		}
+		if stage != nil {
+			// The follower's pipeline section restored the stage again.
+			again, err := stageState(m.pipe)
+			if err != nil {
+				return nil, fmt.Errorf("sim: resume: %w", err)
+			}
+			if !bytes.Equal(stage, again) {
+				return nil, fmt.Errorf("sim: resume: members %d and %d share a miss-event stage, but their %s sections differ in it", lead, i, secPipeline)
+			}
 		}
 	}
 
@@ -337,6 +354,15 @@ func stageLead(members []*member, i int) int {
 		}
 	}
 	return i
+}
+
+// stageState returns the encoded state of p's miss-event stage.
+func stageState(p *pipeline.Pipeline) ([]byte, error) {
+	enc := ckpt.NewEncoder()
+	if err := p.CheckpointStage(enc.Section("stage")); err != nil {
+		return nil, err
+	}
+	return enc.Encode()
 }
 
 // programHash is a stable FNV-64a content hash over everything that

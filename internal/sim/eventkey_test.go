@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/workloads"
@@ -281,4 +282,60 @@ func TestResumeRejectsDivergentSharedStage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "members 1 and 2") {
 		t.Fatalf("Resume of diverging shared predictor sections: err = %v, want one naming members 1 and 2", err)
 	}
+}
+
+// TestResumeRejectsDivergentStageState: a follower's pipeline section
+// restores its shared stage (counters, line streaks, caches) again, so
+// Resume refuses a checkpoint where that part of it disagrees with the
+// lead's, naming both members, instead of letting the last one win.
+func TestResumeRejectsDivergentStageState(t *testing.T) {
+	base := []Option{WithSeed(7), WithPBS(true), WithMaxInstrs(50_000)}
+	s := groupOf(t, "PI", base, [][]Option{
+		{WithPredictor(PredTournament)},
+		{WithCore(pipeline.FourWide())},
+		{WithCore(pipeline.EightWide())},
+	})
+	if _, err := s.RunFor(10_000); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Member 2 writes a stage that never ran; its schedule and its
+	// predictor section stay as they were.
+	cold := groupOf(t, "PI", base, [][]Option{{WithCore(pipeline.EightWide())}})
+	s.members[2].pipe.Events = cold.members[0].pipe.Events
+	edited, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := sections(t, intact), sections(t, edited)
+	pred, pipe := memberSection(secPredictor, 2), memberSection(secPipeline, 2)
+	if !bytes.Equal(a[pred], b[pred]) || bytes.Equal(a[pipe], b[pipe]) {
+		t.Fatal("the edit should change member 2's pipeline section and nothing of its predictor's")
+	}
+	loaded, err := LoadCheckpoint(edited.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Resume(loaded)
+	if err == nil || !strings.Contains(err.Error(), "members 1 and 2") {
+		t.Fatalf("Resume of a diverging shared stage: err = %v, want one naming members 1 and 2", err)
+	}
+}
+
+// sections returns a checkpoint's section payloads by name.
+func sections(t *testing.T, c *Checkpoint) map[string][]byte {
+	t.Helper()
+	dec, err := ckpt.NewDecoder(c.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte)
+	for _, name := range dec.Sections() {
+		out[name], _ = dec.Payload(name)
+	}
+	return out
 }

@@ -3,6 +3,11 @@
 // across seeds), proportion intervals for the Genetic success rate, RMS
 // error, and the special-function CDFs (normal, chi-square, Kolmogorov)
 // that the randomness battery converts test statistics into p-values with.
+//
+// A product that feeds a sum is written float64(x*y): the explicit
+// conversion rounds it, which forbids the compiler from fusing the two
+// into one FMA instruction (arm64, ppc64le and s390x would), so every
+// GOARCH computes the same bits as amd64.
 package stats
 
 import (
@@ -33,7 +38,7 @@ func Variance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(n-1)
 }
@@ -52,7 +57,7 @@ func RMS(a, b []float64) (float64, error) {
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(a))), nil
 }
@@ -136,7 +141,7 @@ func ProportionCI95(k, n int) Interval {
 }
 
 // NormalCDF is Φ(x), the standard normal CDF.
-func NormalCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
+func NormalCDF(x float64) float64 { return float64(0.5 * math.Erfc(-x/math.Sqrt2)) }
 
 // TwoSidedNormalP converts a z-score to a two-sided p-value.
 func TwoSidedNormalP(z float64) float64 {
@@ -160,14 +165,14 @@ func regularizedGammaP(a, x float64) float64 {
 		del := sum
 		for i := 0; i < 500; i++ {
 			ap++
-			del *= x / ap
+			del = float64(del * (x / ap))
 			sum += del
 			if math.Abs(del) < math.Abs(sum)*1e-15 {
 				break
 			}
 		}
 		lg, _ := math.Lgamma(a)
-		return sum * math.Exp(-x+a*math.Log(x)-lg)
+		return sum * math.Exp(-x+float64(a*math.Log(x))-lg)
 	default:
 		// Continued fraction for Q(a,x), then P = 1-Q.
 		const tiny = 1e-300
@@ -178,7 +183,7 @@ func regularizedGammaP(a, x float64) float64 {
 		for i := 1; i < 500; i++ {
 			an := -float64(i) * (float64(i) - a)
 			b += 2
-			d = an*d + b
+			d = float64(an*d) + b
 			if math.Abs(d) < tiny {
 				d = tiny
 			}
@@ -187,14 +192,14 @@ func regularizedGammaP(a, x float64) float64 {
 				c = tiny
 			}
 			d = 1 / d
-			del := d * c
+			del := float64(d * c)
 			h *= del
 			if math.Abs(del-1) < 1e-15 {
 				break
 			}
 		}
 		lg, _ := math.Lgamma(a)
-		return 1 - math.Exp(-x+a*math.Log(x)-lg)*h
+		return 1 - float64(math.Exp(-x+float64(a*math.Log(x))-lg)*h)
 	}
 }
 
@@ -220,7 +225,7 @@ func KolmogorovP(d float64, n int) float64 {
 	sum := 0.0
 	sign := 1.0
 	for j := 1; j <= 100; j++ {
-		term := sign * math.Exp(-2*float64(j*j)*lambda*lambda)
+		term := float64(sign * math.Exp(-2*float64(j*j)*lambda*lambda))
 		sum += term
 		if math.Abs(term) < 1e-12 {
 			break
@@ -284,7 +289,7 @@ func RankUniformize(vals []float64) []float64 {
 		for j+1 < n && vals[idx[j+1]] == vals[idx[i]] {
 			j++
 		}
-		avg := (float64(i+j)/2 + 0.5) / float64(n)
+		avg := (float64(float64(i+j)/2) + 0.5) / float64(n)
 		for k := i; k <= j; k++ {
 			out[idx[k]] = avg
 		}

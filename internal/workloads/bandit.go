@@ -17,8 +17,9 @@ const (
 )
 
 // bdArmMean is the success probability of arm k (deterministic spread with
-// a unique best arm).
-func bdArmMean(k int) float64 { return 0.15 + 0.08*float64(k) }
+// a unique best arm). The float64 conversion rounds the product before
+// the sum, so no GOARCH fuses them into one FMA (see package stats).
+func bdArmMean(k int) float64 { return 0.15 + float64(0.08*float64(k)) }
 
 // Bandit runs an epsilon-greedy multi-armed bandit. The explore/exploit
 // decision — one Category-1 probabilistic branch on a uniform draw against

@@ -38,9 +38,9 @@ func mcIntegCDF(t float64) float64 {
 	case t <= -1:
 		return 0
 	case t <= 0:
-		return t + 1.0/3.0 + (2.0/3.0)*math.Pow(-t, 1.5)
+		return t + 1.0/3.0 + float64((2.0/3.0)*math.Pow(-t, 1.5))
 	case t < 1:
-		return 1 - (2.0/3.0)*math.Pow(1-t, 1.5)
+		return 1 - float64((2.0/3.0)*math.Pow(1-t, 1.5))
 	default:
 		return 1
 	}

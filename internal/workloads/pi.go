@@ -40,7 +40,7 @@ func piCDF(s float64) float64 {
 	case s <= 1:
 		return math.Pi * s / 4
 	case s < 2:
-		return math.Sqrt(s-1) + s*math.Asin(1/math.Sqrt(s)) - math.Pi*s/4
+		return math.Sqrt(s-1) + float64(s*math.Asin(1/math.Sqrt(s))) - float64(math.Pi*s/4)
 	default:
 		return 1
 	}

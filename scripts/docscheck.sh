@@ -24,6 +24,9 @@
 #   - a checkpoint "format vN" in README.md or "Format version N" in
 #     DESIGN.md that differs from `const Version` in
 #     internal/ckpt/ckpt.go, so the docs cannot drift from the format,
+#   - DESIGN.md §4's artifact rows (| `id` | `BenchmarkArtifact/id` | …)
+#     naming other IDs, or another order, than experiments.Artifacts in
+#     internal/experiments/artifacts.go,
 #   - gofmt-dirty files.
 #
 # Dependency-free by design: bash + grep + gofmt, nothing to install.
@@ -126,6 +129,15 @@ while IFS=: read -r doc n; do
   fi
 done < <({ grep -oE 'format v[0-9]+' README.md | sed 's/^format v/README.md:/'
   grep -oE 'Format version [0-9]+' DESIGN.md | sed 's/^Format version /DESIGN.md:/'; } || true)
+
+# --- DESIGN.md §4 lists exactly the rows of experiments.Artifacts ---------
+table_ids="$(sed -n 's/^[[:space:]]*{ID: "\([^"]*\)".*/\1/p' internal/experiments/artifacts.go)"
+design_ids="$(sed -n '/^## 4\./,/^## 5\./p' DESIGN.md |
+  sed -n 's/^| `\([^`]*\)` | `BenchmarkArtifact\/\1` |.*/\1/p')"
+if [ -z "$table_ids" ] || [ "$table_ids" != "$design_ids" ]; then
+  echo "docscheck: DESIGN.md §4 lists artifacts [$(echo $design_ids)], experiments.Artifacts has [$(echo $table_ids)]" >&2
+  fail=1
+fi
 
 # --- gofmt ----------------------------------------------------------------
 dirty="$(gofmt -l .)"
