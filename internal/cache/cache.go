@@ -3,7 +3,10 @@
 // + unified 2 MB L2, §VI-B).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -27,24 +30,31 @@ func L2Unified2M() Config { return Config{SizeBytes: 2 << 20, LineBytes: 64, Way
 // 2^63 the tag cannot collide with the bit.
 const validBit uint64 = 1 << 63
 
-// chunkSets is the allocation granule: tag and LRU storage for this
+// granuleSets is the allocation granule: tag and LRU storage for this
 // many consecutive sets is allocated by the first access that reaches
 // one of them. A run pays only for the sets its accesses touch — a short
-// run's L1 misses reach a few chunks of the 2 MB L2, not its 512 KiB of
-// tag and LRU words — and an untouched chunk behaves exactly like a
-// zeroed one (every way invalid), so replacement is unchanged.
-const chunkSets = 64
+// run's L1 misses reach a few dozen of the 2 MB L2's 2,048 sets, not its
+// 512 KiB of tag and LRU words — and an untouched granule behaves
+// exactly like a zeroed one (every way invalid), so replacement is
+// unchanged. Finer granules store less but index more: on the grid
+// benchmark, granules of 1, 4, 16 and 64 sets allocated about 420, 395,
+// 386 and 437 bytes per thousand instructions, since the per-granule
+// index of the L2 alone takes 8 KiB at one set a granule.
+const granuleSets = 16
 
 // Cache is one set-associative cache level. Tag and valid state are
 // packed into one uint64 per way (validBit | tag), so the hit scan — the
-// timing model runs one per fetched instruction — is a handful of
+// timing model runs one per fetched instruction line — is a handful of
 // contiguous single-word compares with no struct field loads. Each set
 // is stored as its ways' tags followed by their last-touch LRU clocks,
-// so a hit's clock update lands next to the tag it matched; sets are
-// grouped into lazily allocated chunks of chunkSets (see chunkSets).
+// so a hit's clock update lands next to the tag it matched. Sets are
+// grouped into granules of granuleSets, stored back to back in one
+// slice in the order a run first touches them; a per-granule index of
+// word offsets finds a set's words with one load.
 type Cache struct {
 	cfg      Config
-	chunks   [][]uint64 // per chunk of sets: nil until touched, else set-major [tags | lru] words
+	index    []uint32 // per granule: 0 until touched, else 1 + the offset of its words in words
+	words    []uint64 // the touched granules, each set-major [tags | lru] words
 	ways     int
 	setMask  uint64
 	lineBits uint
@@ -65,6 +75,9 @@ func New(cfg Config) (*Cache, error) {
 	if nSets&(nSets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d is not a power of two", nSets)
 	}
+	if uint64(nLines)*2 >= math.MaxUint32 {
+		return nil, fmt.Errorf("cache: %d lines exceed the tag index range", nLines)
+	}
 	lineBits := uint(0)
 	for 1<<lineBits < cfg.LineBytes {
 		lineBits++
@@ -73,18 +86,31 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache: line size %d is not a power of two", cfg.LineBytes)
 	}
 	c := &Cache{cfg: cfg, ways: cfg.Ways, setMask: uint64(nSets - 1), lineBits: lineBits}
-	c.chunks = make([][]uint64, (nSets+chunkSets-1)/chunkSets)
+	c.index = make([]uint32, (nSets+granuleSets-1)/granuleSets)
 	return c, nil
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// alloc allocates zeroed (all ways invalid) storage for chunk i.
-func (c *Cache) alloc(i uint64) []uint64 {
-	ch := make([]uint64, min(chunkSets, int(c.setMask)+1)*2*c.ways)
-	c.chunks[i] = ch
-	return ch
+// granuleWords is the length of one granule's storage.
+func (c *Cache) granuleWords() int { return min(granuleSets, int(c.setMask)+1) * 2 * c.ways }
+
+// alloc appends zeroed (all ways invalid) storage for granule g and
+// returns its index entry. The slice doubles when full, so a run's
+// storage costs at most about twice what it touches.
+func (c *Cache) alloc(g uint64) uint32 {
+	n := len(c.words)
+	need := n + c.granuleWords()
+	if need > cap(c.words) {
+		grown := make([]uint64, n, max(2*cap(c.words), need))
+		copy(grown, c.words)
+		c.words = grown
+	}
+	c.words = c.words[:need]
+	clear(c.words[n:])
+	c.index[g] = uint32(n) + 1
+	return uint32(n) + 1
 }
 
 // Access looks up addr, filling the line on a miss, and reports whether it
@@ -98,14 +124,15 @@ func (c *Cache) Access(addr uint64) bool {
 	c.clock++
 	block := addr >> c.lineBits
 	set := block & c.setMask
-	ch := c.chunks[set/chunkSets]
-	if ch == nil {
-		ch = c.alloc(set / chunkSets)
+	off := c.index[set/granuleSets]
+	if off == 0 {
+		off = c.alloc(set / granuleSets)
 	}
 	// A hit slices only the tags and stores the matched way's clock by
 	// index; slicing the clocks up front as well cost an L1 hit about a
 	// tenth more.
-	base := int(set%chunkSets) * 2 * c.ways
+	ch := c.words
+	base := int(off) - 1 + int(set%granuleSets)*2*c.ways
 	tags := ch[base : base+c.ways]
 	// Keep set bits out of the tag (harmless overlap otherwise); the
 	// shifted block stays below validBit for any address under 2^63.
@@ -130,14 +157,15 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Hierarchy is a two-level hierarchy with split L1 and unified L2.
+// Hierarchy is a two-level hierarchy with split L1 and unified L2. It
+// holds the levels' contents; the timing model looks them up in order
+// and charges the latency of the level that served an access.
 type Hierarchy struct {
 	L1I, L1D, L2 *Cache
-	MemLatency   int
 }
 
 // NewHierarchy builds the hierarchy from per-level configurations.
-func NewHierarchy(l1i, l1d, l2 Config, memLatency int) (*Hierarchy, error) {
+func NewHierarchy(l1i, l1d, l2 Config) (*Hierarchy, error) {
 	ci, err := New(l1i)
 	if err != nil {
 		return nil, err
@@ -150,7 +178,7 @@ func NewHierarchy(l1i, l1d, l2 Config, memLatency int) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Hierarchy{L1I: ci, L1D: cd, L2: c2, MemLatency: memLatency}, nil
+	return &Hierarchy{L1I: ci, L1D: cd, L2: c2}, nil
 }
 
 // Level names the hierarchy level that served an access.
@@ -161,21 +189,3 @@ const (
 	LevelL2               // L1 miss, L2 hit
 	LevelMem              // missed both levels
 )
-
-// InstrLatency returns the access latency for an instruction fetch and
-// the level that served it.
-func (h *Hierarchy) InstrLatency(addr uint64) (int, Level) { return h.access(h.L1I, addr) }
-
-// DataLatency returns the access latency for a data access and the
-// level that served it.
-func (h *Hierarchy) DataLatency(addr uint64) (int, Level) { return h.access(h.L1D, addr) }
-
-func (h *Hierarchy) access(l1 *Cache, addr uint64) (int, Level) {
-	if l1.Access(addr) {
-		return l1.cfg.HitLatency, LevelL1
-	}
-	if h.L2.Access(addr) {
-		return h.L2.cfg.HitLatency, LevelL2
-	}
-	return h.MemLatency, LevelMem
-}

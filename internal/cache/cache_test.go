@@ -67,7 +67,7 @@ func TestPackedMatchesReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{SizeBytes: 1024, LineBytes: 64, Ways: 2, HitLatency: 1},
 		{SizeBytes: 4096, LineBytes: 64, Ways: 4, HitLatency: 1},
-		L1I32K(), L1D32K(),
+		L1I32K(), L1D32K(), L2Unified2M(),
 	} {
 		c, err := New(cfg)
 		if err != nil {
@@ -142,6 +142,7 @@ func TestGeometryValidation(t *testing.T) {
 		{SizeBytes: 1024, LineBytes: 60, Ways: 2},
 		{SizeBytes: 1024, LineBytes: 64, Ways: 3},
 		{SizeBytes: 3 * 64 * 2, LineBytes: 64, Ways: 2}, // 3 sets
+		{SizeBytes: 1 << 40, LineBytes: 64, Ways: 16},   // 2^34 lines: tag words beyond the index range
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
@@ -175,14 +176,24 @@ func TestWorkingSetProperty(t *testing.T) {
 }
 
 func TestHierarchyLatencies(t *testing.T) {
-	h, err := NewHierarchy(
-		Config{SizeBytes: 1024, LineBytes: 64, Ways: 2, HitLatency: 1},
-		Config{SizeBytes: 1024, LineBytes: 64, Ways: 2, HitLatency: 4},
-		Config{SizeBytes: 8192, LineBytes: 64, Ways: 4, HitLatency: 12},
-		100,
-	)
+	l1i := Config{SizeBytes: 1024, LineBytes: 64, Ways: 2, HitLatency: 1}
+	l1d := Config{SizeBytes: 1024, LineBytes: 64, Ways: 2, HitLatency: 4}
+	l2 := Config{SizeBytes: 8192, LineBytes: 64, Ways: 4, HitLatency: 12}
+	const memLatency = 100
+	h, err := NewHierarchy(l1i, l1d, l2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// access serves addr through l1 and then the L2, the way the timing
+	// model does, with the latency of the level that served it.
+	access := func(l1 *Cache, addr uint64) (int, Level) {
+		if l1.Access(addr) {
+			return l1.Config().HitLatency, LevelL1
+		}
+		if h.L2.Access(addr) {
+			return l2.HitLatency, LevelL2
+		}
+		return memLatency, LevelMem
 	}
 	check := func(what string, lat int, lvl Level, wantLat int, wantLvl Level) {
 		t.Helper()
@@ -190,19 +201,19 @@ func TestHierarchyLatencies(t *testing.T) {
 			t.Errorf("%s: latency %d at level %d, want %d at level %d", what, lat, lvl, wantLat, wantLvl)
 		}
 	}
-	lat, lvl := h.DataLatency(0)
+	lat, lvl := access(h.L1D, 0)
 	check("cold data access", lat, lvl, 100, LevelMem)
-	lat, lvl = h.DataLatency(0)
+	lat, lvl = access(h.L1D, 0)
 	check("warm L1D", lat, lvl, 4, LevelL1)
 	// Evict from L1D but not L2: touch enough conflicting lines.
 	for i := 1; i <= 4; i++ {
-		h.DataLatency(uint64(i * 512))
+		access(h.L1D, uint64(i*512))
 	}
-	lat, lvl = h.DataLatency(0)
+	lat, lvl = access(h.L1D, 0)
 	check("L2 hit", lat, lvl, 12, LevelL2)
-	lat, lvl = h.InstrLatency(1 << 20)
+	lat, lvl = access(h.L1I, 1<<20)
 	check("cold fetch", lat, lvl, 100, LevelMem)
-	lat, lvl = h.InstrLatency(1 << 20)
+	lat, lvl = access(h.L1I, 1<<20)
 	check("warm L1I", lat, lvl, 1, LevelL1)
 }
 

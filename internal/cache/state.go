@@ -6,25 +6,29 @@ import (
 	"repro/internal/ckpt"
 )
 
-// CheckpointState serializes the cache contents: the allocated chunks
-// in index order, then the global clock. Geometry is configuration, rebuilt by New. Only
-// touched chunks are written, and within one every way costs a varint:
-// 0 for an invalid way (its LRU clock is never read), otherwise the tag
-// plus one and the way's LRU clock — so a checkpoint grows with the
-// lines a run has filled, not with the cache's capacity.
+// CheckpointState serializes the cache contents: the touched granules
+// in index order, then the global clock. Geometry is configuration,
+// rebuilt by New. Only touched granules are written, and within one
+// every way costs a varint: 0 for an invalid way (its LRU clock is never
+// read), otherwise the tag plus one and the way's LRU clock — so a
+// checkpoint grows with the lines a run has filled, not with the
+// cache's capacity, and does not depend on the order in which the
+// granules were touched.
 func (c *Cache) CheckpointState(w *ckpt.Writer) error {
 	n := 0
-	for _, ch := range c.chunks {
-		if ch != nil {
+	for _, off := range c.index {
+		if off != 0 {
 			n++
 		}
 	}
 	w.Uint(uint64(n))
-	for i, ch := range c.chunks {
-		if ch == nil {
+	gw := c.granuleWords()
+	for g, off := range c.index {
+		if off == 0 {
 			continue
 		}
-		w.Uint(uint64(i))
+		w.Uint(uint64(g))
+		ch := c.words[off-1 : int(off)-1+gw]
 		for base := 0; base < len(ch); base += 2 * c.ways {
 			for k := 0; k < c.ways; k++ {
 				tag := ch[base+k]
@@ -42,25 +46,27 @@ func (c *Cache) CheckpointState(w *ckpt.Writer) error {
 }
 
 // RestoreState reads the field sequence written by CheckpointState into
-// a cache of the same geometry, replacing its contents: chunks the
+// a cache of the same geometry, replacing its contents: granules the
 // checkpoint does not list are dropped.
 func (c *Cache) RestoreState(r *ckpt.Reader) error {
-	clear(c.chunks)
+	clear(c.index)
+	c.words = c.words[:0]
 	n := r.Uint()
-	if r.Err() == nil && n > uint64(len(c.chunks)) {
-		return fmt.Errorf("cache: checkpoint has %d chunks, cache has %d", n, len(c.chunks))
+	if r.Err() == nil && n > uint64(len(c.index)) {
+		return fmt.Errorf("cache: checkpoint has %d granules, cache has %d", n, len(c.index))
 	}
-	next := uint64(0) // chunk indices are strictly increasing
+	next := uint64(0) // granule indices are strictly increasing
 	for j := uint64(0); j < n && r.Err() == nil; j++ {
-		i := r.Uint()
+		g := r.Uint()
 		if r.Err() != nil {
 			break
 		}
-		if i < next || i >= uint64(len(c.chunks)) {
-			return fmt.Errorf("cache: checkpoint chunk index %d out of order or beyond %d chunks", i, len(c.chunks))
+		if g < next || g >= uint64(len(c.index)) {
+			return fmt.Errorf("cache: checkpoint granule index %d out of order or beyond %d granules", g, len(c.index))
 		}
-		next = i + 1
-		ch := c.alloc(i)
+		next = g + 1
+		off := c.alloc(g)
+		ch := c.words[off-1:]
 		for base := 0; base < len(ch); base += 2 * c.ways {
 			for k := 0; k < c.ways; k++ {
 				v := r.Uint()

@@ -55,8 +55,9 @@ const magic = "PBSCKPT\n"
 // populations. Version 8 drops the session's last Snapshot sample from
 // the session section. Version 9 drops each cache's hit and miss
 // counters from the pipeline section and the PBS hardware override from
-// the session config.
-const Version = 9
+// the session config. Version 10 writes each cache's touched sets in
+// granules of 16 sets instead of chunks of 64.
+const Version = 10
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable

@@ -130,8 +130,8 @@ func Figure6(opt Options) (*Fig6, error) {
 	}
 	f := &Fig6{Rows: rows}
 	for _, r := range rows {
-		f.AvgTournRed += r.TournReduction / float64(len(rows))
-		f.AvgTageRed += r.TageReduction / float64(len(rows))
+		f.AvgTournRed += float64(r.TournReduction / float64(len(rows)))
+		f.AvgTageRed += float64(r.TageReduction / float64(len(rows)))
 		f.MaxTournRed = max(f.MaxTournRed, r.TournReduction)
 		f.MaxTageRed = max(f.MaxTageRed, r.TageReduction)
 	}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/branch"
@@ -46,16 +47,18 @@ func (r *refSched) schedule(class plan.FUClass, ready, occ uint64) uint64 {
 	}
 }
 
-// grown reports whether any class's time ring has outgrown its initial
-// size.
-func grown(s *fuSched) bool {
+// grown reports whether any class's time ring has outgrown start cells.
+func grown(s *fuSched, start int) bool {
 	for _, r := range s.rings {
-		if len(r) > fuRingMin {
+		if len(r) > start {
 			return true
 		}
 	}
 	return false
 }
+
+// allFUs is the set of every functional-unit class.
+const allFUs = plan.FUSet(1<<plan.NumFUClasses - 1)
 
 // TestFUSchedMatchesReference feeds the same random operation streams to
 // the growable time rings and to the map-backed reference and requires
@@ -63,6 +66,10 @@ func grown(s *fuSched) bool {
 // than 16,384 cycles while every cell is still live (the floor stays at
 // zero, so nothing may be forgotten), a sliding floor that recycles dead
 // cells, and multi-cycle occupancies long enough to wrap a small ring.
+// Each stream runs on three ring layouts: every class at fuRingMin
+// cells, every class starting at one cell (so every ring grows from
+// the first collision), and rings for three classes only, the others
+// absent as for a program that uses none of their instructions.
 func TestFUSchedMatchesReference(t *testing.T) {
 	streams := []struct {
 		name   string
@@ -79,39 +86,64 @@ func TestFUSchedMatchesReference(t *testing.T) {
 		{"sliding-occ", 2_500, 3, 24, false, 40_000},
 		{"dense", 64, 3, 6, false, 40_000},
 	}
+	layouts := []struct {
+		name  string
+		start int // initial ring length
+		used  plan.FUSet
+	}{
+		{"full", fuRingMin, allFUs},
+		{"one-cell", 1, allFUs},
+		{"three-classes", fuRingMin, 1<<plan.FUALU | 1<<plan.FUDiv | 1<<plan.FUMem},
+	}
 	for si, st := range streams {
 		t.Run(st.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(si + 1)))
-			var units [plan.NumFUClasses]uint8
-			for c := range units {
-				units[c] = uint8(1 + r.Intn(4))
-			}
-			s := newFUSched(units)
-			ref := &refSched{units: units, busy: map[uint64]*[plan.NumFUClasses]uint8{}}
-			var floor, maxIssue uint64
-			for i := 0; i < st.ops; i++ {
-				if st.step > 0 {
-					floor += uint64(r.Int63n(int64(st.step)))
-				}
-				class := plan.FUClass(r.Intn(int(plan.NumFUClasses)))
-				ready := floor + uint64(r.Int63n(int64(st.spread)))
-				occ := uint64(1)
-				if st.maxOcc > 1 && (st.allOcc || r.Intn(4) == 0) {
-					occ = uint64(1 + r.Intn(st.maxOcc))
-				}
-				got := s.schedule(class, ready, occ, floor)
-				want := ref.schedule(class, ready, occ)
-				if got != want {
-					t.Fatalf("op %d (class %d, ready %d, occ %d, floor %d): ring issued at %d, reference at %d",
-						i, class, ready, occ, floor, got, want)
-				}
-				maxIssue = max(maxIssue, got)
-			}
-			if st.step == 0 && maxIssue < 1<<14 {
-				t.Fatalf("stream spans only %d cycles; the test needs more than 16,384", maxIssue)
-			}
-			if st.step == 0 && !grown(&s) {
-				t.Fatalf("no ring grew on a stream with %d live cycles", maxIssue)
+			for _, lay := range layouts {
+				t.Run(lay.name, func(t *testing.T) {
+					r := rand.New(rand.NewSource(int64(si + 1)))
+					var units [plan.NumFUClasses]uint8
+					var classes []plan.FUClass
+					for c := range units {
+						units[c] = uint8(1 + r.Intn(4))
+						if lay.used.Has(plan.FUClass(c)) {
+							classes = append(classes, plan.FUClass(c))
+						}
+					}
+					s := newFUSched(units, lay.used)
+					for _, c := range classes {
+						s.rings[c] = make([]fuCell, lay.start)
+					}
+					ref := &refSched{units: units, busy: map[uint64]*[plan.NumFUClasses]uint8{}}
+					var floor, maxIssue uint64
+					for i := 0; i < st.ops; i++ {
+						if st.step > 0 {
+							floor += uint64(r.Int63n(int64(st.step)))
+						}
+						class := classes[r.Intn(len(classes))]
+						ready := floor + uint64(r.Int63n(int64(st.spread)))
+						occ := uint64(1)
+						if st.maxOcc > 1 && (st.allOcc || r.Intn(4) == 0) {
+							occ = uint64(1 + r.Intn(st.maxOcc))
+						}
+						got := s.schedule(class, ready, occ, floor)
+						want := ref.schedule(class, ready, occ)
+						if got != want {
+							t.Fatalf("op %d (class %d, ready %d, occ %d, floor %d): ring issued at %d, reference at %d",
+								i, class, ready, occ, floor, got, want)
+						}
+						maxIssue = max(maxIssue, got)
+					}
+					if st.step == 0 && maxIssue < 1<<14 {
+						t.Fatalf("stream spans only %d cycles; the test needs more than 16,384", maxIssue)
+					}
+					if st.step == 0 && !grown(&s, lay.start) {
+						t.Fatalf("no ring grew on a stream with %d live cycles", maxIssue)
+					}
+					for c, ring := range s.rings {
+						if !lay.used.Has(plan.FUClass(c)) && ring != nil {
+							t.Fatalf("class %d, which the stream never schedules, has a %d-cell ring", c, len(ring))
+						}
+					}
+				})
 			}
 		})
 	}
@@ -122,7 +154,7 @@ func TestFUSchedMatchesReference(t *testing.T) {
 // load misses L1 and L2 (cyclic reuse of 32 lines through 16 ways) and
 // depends on the previous node, so the in-flight schedule outgrows the
 // initial FU ring, while the misses allocate only a few of the L2's
-// chunks. Each node is read twice, a payload word and then the link in
+// granules. Each node is read twice, a payload word and then the link in
 // the same line, so every node is a two-access L1D line streak.
 func chaseTrace(t *testing.T) ([]emu.DynInstr, func() *Pipeline) {
 	t.Helper()
@@ -203,7 +235,7 @@ func restore(t *testing.T, p *Pipeline, data []byte) {
 }
 
 // TestCheckpointSparseStateRoundTrip: after the FU ring has grown and
-// cache chunks have been allocated, checkpoint → restore → checkpoint is
+// cache granules have been allocated, checkpoint → restore → checkpoint is
 // byte-identical, the restored machine (a fresh, minimum-size ring)
 // times the rest of the trace exactly as the original does, and both end
 // in byte-identical state. It cuts the trace twice: halfway, and between
@@ -244,10 +276,10 @@ func TestCheckpointSparseStateRoundTrip(t *testing.T) {
 func roundTrip(t *testing.T, trace []emu.DynInstr, cut int, newPipe func() *Pipeline) {
 	orig := newPipe()
 	orig.ConsumeTrace(trace[:cut])
-	if !grown(&orig.fus) {
+	if !grown(&orig.fus, fuRingMin) {
 		t.Fatal("no FU ring grew; the test needs a grown ring")
 	}
-	// A cache's state leads with the number of chunks it has allocated.
+	// A cache's state leads with the number of granules it has touched.
 	e := ckpt.NewEncoder()
 	if err := orig.hier.L2.CheckpointState(e.Section("l2")); err != nil {
 		t.Fatal(err)
@@ -261,8 +293,10 @@ func roundTrip(t *testing.T, trace []emu.DynInstr, cut int, newPipe func() *Pipe
 		t.Fatal(err)
 	}
 	r, _ := d.Section("l2")
-	if n := r.Uint(); n < 2 || n > 8 {
-		t.Fatalf("L2 has %d of its 32 chunks allocated; the test needs a partial footprint", n)
+	n := r.Uint()
+	t.Logf("L2 has %d granules allocated", n)
+	if n < 2 || n > 8 {
+		t.Fatalf("L2 has %d granules allocated; the test needs a partial footprint", n)
 	}
 
 	data := snapshot(t, orig)
@@ -282,5 +316,42 @@ func roundTrip(t *testing.T, trace []emu.DynInstr, cut int, newPipe func() *Pipe
 	}
 	if !bytes.Equal(snapshot(t, orig), snapshot(t, restored)) {
 		t.Fatal("final states differ after replaying the same trace")
+	}
+}
+
+// TestRestoreRejectsCellsOfAbsentClass: a checkpoint with live FU cells
+// of a class the restoring pipeline's program never uses, and so has no
+// ring for, is refused rather than scheduled into a missing ring.
+func TestRestoreRejectsCellsOfAbsentClass(t *testing.T) {
+	trace, newPipe := chaseTrace(t)
+	orig := newPipe()
+	orig.ConsumeTrace(trace[:len(trace)/2])
+	if orig.fus.rings[plan.FUDiv] == nil {
+		t.Fatal("the chase program has no divide ring")
+	}
+	data := snapshot(t, orig)
+
+	b := progb.New("no-divide", false)
+	b.MovInt(1, 1)
+	b.Halt()
+	prog, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(FourWide(), prog, branch.NewTAGESCL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.fus.rings[plan.FUDiv] != nil {
+		t.Fatal("a program with no divide has a divide ring")
+	}
+	d, err := ckpt.NewDecoder(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := d.Section("pipe")
+	err = p.RestoreState(r)
+	if err == nil || !strings.Contains(err.Error(), "does not use") {
+		t.Fatalf("RestoreState = %v, want a refusal of the divide cells", err)
 	}
 }

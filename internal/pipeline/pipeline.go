@@ -217,12 +217,18 @@ func (m Metrics) SteerRate() float64 {
 	return float64(m.ProbSteered) / float64(m.ProbBranches)
 }
 
-// fuRingMin is the initial size, in cycles, of each functional-unit
-// class's time ring: 8 classes × 256 one-word cells = 16 KiB. A ring
-// doubles whenever a live cell would be overwritten, so it only grows
-// past this for runs whose in-flight schedule spans more cycles — long
-// chains of dependent memory misses.
-const fuRingMin = 1 << 8
+// fuRingMin is the initial size, in cycles, of a functional-unit
+// class's time ring: 32 one-word cells, 256 B. A ring doubles whenever
+// a live cell would be overwritten, so it only grows past this for runs
+// whose in-flight schedule spans more cycles. Over the eight workloads'
+// first 300k instructions, PI's and MC-integ's rings end at 8 to 64
+// cells, while the divide-bound DOP, Greeks, Swaptions and Photon grow
+// their ALU, FP, FP-divide and branch rings to 256 cells (512 on the
+// 8-wide core). Starting at 16, 32 or 64 cells allocated alike on the
+// grid benchmark, about 5 KB a pipeline less than 256 cells: the
+// doubling garbage of the rings that grow stays below what the small
+// ones save.
+const fuRingMin = 1 << 5
 
 // fuSched models functional-unit contention with backfill, the way an
 // out-of-order scheduler fills idle issue slots: for every cycle and unit
@@ -242,9 +248,14 @@ const fuRingMin = 1 << 8
 // classes' counts is as small, but successive operations of different
 // classes then read and write the same cell, and scheduling measured
 // about half again as slow.)
+//
+// Only the classes the program's plan uses (plan.Plan.FUs) get a ring:
+// no instruction of another class is ever scheduled, so its ring would
+// be storage no probe reads, and the retire kernel indexes a class's
+// ring with no check that it exists.
 type fuSched struct {
 	units [plan.NumFUClasses]uint8
-	rings [plan.NumFUClasses][]fuCell // power-of-two lengths
+	rings [plan.NumFUClasses][]fuCell // power-of-two lengths; nil for a class not in the set
 }
 
 // fuCell packs one time-ring cell as cycle<<8 | count: cycles stay below
@@ -256,19 +267,23 @@ func (c fuCell) cycle() uint64        { return uint64(c) >> 8 }
 func (c fuCell) count() uint8         { return uint8(c) }
 func (c fuCell) live(now uint64) bool { return c.cycle() >= now && c.count() != 0 }
 
-func newFUSched(units [plan.NumFUClasses]uint8) fuSched {
+// newFUSched builds empty rings for the classes in used.
+func newFUSched(units [plan.NumFUClasses]uint8, used plan.FUSet) fuSched {
 	s := fuSched{units: units}
 	for class := range s.rings {
-		s.rings[class] = make([]fuCell, fuRingMin)
+		if used.Has(plan.FUClass(class)) {
+			s.rings[class] = make([]fuCell, fuRingMin)
+		}
 	}
 	return s
 }
 
-// schedule returns the issue cycle for an operation of the given class
-// that becomes ready at `ready` (>= now) and occupies its unit for occ
-// cycles; now is the current fetch cycle. The retire kernel schedules
-// fully pipelined operations (occ == 1, the vast majority) inline and
-// calls this only for multi-cycle ones; it is exact for any occ.
+// schedule returns the issue cycle for an operation of the given class,
+// which must have a ring, that becomes ready at `ready` (>= now) and
+// occupies its unit for occ cycles; now is the current fetch cycle. The
+// retire kernel schedules fully pipelined operations (occ == 1, the
+// vast majority) inline and calls this only for multi-cycle ones; it is
+// exact for any occ.
 func (s *fuSched) schedule(class plan.FUClass, ready, occ, now uint64) uint64 {
 	units := s.units[class]
 	for t := ready; ; t++ {
@@ -560,7 +575,7 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 	if err != nil {
 		return nil, err
 	}
-	hier, err := cache.NewHierarchy(cfg.L1I, cfg.L1D, cfg.L2, cfg.MemLatency)
+	hier, err := cache.NewHierarchy(cfg.L1I, cfg.L1D, cfg.L2)
 	if err != nil {
 		return nil, err
 	}
@@ -620,7 +635,7 @@ func newSchedule(cfg Config, pl *plan.Plan) *Pipeline {
 			plan.FUFLong:  1,
 			plan.FUMem:    uint8(cfg.MemPorts),
 			plan.FUBranch: uint8(cfg.BranchUnits),
-		}),
+		}, pl.FUs),
 	}
 	for lvl, lat := range []int{cfg.L1I.HitLatency, cfg.L2.HitLatency, cfg.MemLatency} {
 		if lvl != int(cache.LevelL1) && lat > cfg.L1I.HitLatency {

@@ -87,14 +87,27 @@ func (p *refPipeline) consume(trace []emu.DynInstr) {
 	}
 }
 
+// access serves addr through l1, one of the pipeline's L1s, and then
+// the L2, and returns the latency of the level that served it, from the
+// configuration.
+func (p *refPipeline) access(l1 *cache.Cache, addr uint64) (int, cache.Level) {
+	if l1.Access(addr) {
+		return l1.Config().HitLatency, cache.LevelL1
+	}
+	if p.hier.L2.Access(addr) {
+		return p.cfg.L2.HitLatency, cache.LevelL2
+	}
+	return p.cfg.MemLatency, cache.LevelMem
+}
+
 func (p *refPipeline) warmRetire(di *emu.DynInstr) {
 	d := &p.plan.Code[di.PC]
 	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
 		p.lastIBlock = iblock
-		p.hier.InstrLatency(uint64(di.PC) * 8)
+		p.access(p.hier.L1I, uint64(di.PC)*8)
 	}
 	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
-		p.hier.DataLatency(di.MemAddr)
+		p.access(p.hier.L1D, di.MemAddr)
 	}
 	if d.Flags&plan.FBranch == 0 || d.Flags&(plan.FMidProb|plan.FCond) != plan.FCond || p.cfg.PerfectBranches {
 		return
@@ -129,7 +142,7 @@ func (p *refPipeline) retire(di *emu.DynInstr) {
 	p.m.L1IAccesses++
 	if iblock := uint64(di.PC) >> p.iblockShift; iblock != p.lastIBlock {
 		p.lastIBlock = iblock
-		if lat, lvl := p.hier.InstrLatency(uint64(di.PC) * 8); lvl != cache.LevelL1 {
+		if lat, lvl := p.access(p.hier.L1I, uint64(di.PC)*8); lvl != cache.LevelL1 {
 			p.m.L1IMisses++
 			if lvl == cache.LevelMem {
 				p.m.L2Misses++
@@ -157,7 +170,7 @@ func (p *refPipeline) retire(di *emu.DynInstr) {
 	issue = p.fus.schedule(d.FU, issue, uint64(d.Occ), fc)
 	if d.Flags&(plan.FLoad|plan.FStore) != 0 {
 		p.m.L1DAccesses++
-		dlat, lvl := p.hier.DataLatency(di.MemAddr)
+		dlat, lvl := p.access(p.hier.L1D, di.MemAddr)
 		if lvl != cache.LevelL1 {
 			p.m.L1DMisses++
 			if lvl == cache.LevelMem {

@@ -25,7 +25,7 @@ import (
 // behavior. Each class writes its live cells as (cycle, count) pairs in
 // cycle order, the cycle as a delta from the fetch cycle or the previous
 // cell, so the bytes depend on the schedule alone, not on a ring's size
-// or the order in which it grew.
+// or the order in which it grew. A class with no ring writes no cells.
 func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 	m := p.Metrics()
 	w.Counters(&m)
@@ -76,10 +76,11 @@ func (p *Pipeline) CheckpointStage(w *ckpt.Writer) error {
 }
 
 // RestoreState reads the field sequence written by CheckpointState into
-// a pipeline built with the same configuration. A follower restores its
-// shared stage again, which leaves it as its lead restored it when both
-// sections were written from one stage; CheckpointStage lets a caller
-// check that they were.
+// a pipeline built with the same configuration and program. Live FU
+// cells of a class the program does not use are an error. A follower
+// restores its shared stage again, which leaves it as its lead restored
+// it when both sections were written from one stage; CheckpointStage
+// lets a caller check that they were.
 func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
 	var m Metrics
 	r.Counters(&m)
@@ -115,11 +116,14 @@ func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
 		return err
 	}
 
-	p.fus = newFUSched(p.fus.units)
+	p.fus = newFUSched(p.fus.units, p.plan.FUs)
 	for class := range p.fus.rings {
 		live := r.Uint()
 		if r.Err() == nil && live > uint64(r.Len()) {
 			return fmt.Errorf("pipeline: checkpoint claims %d live FU cells with %d bytes left", live, r.Len())
+		}
+		if r.Err() == nil && live > 0 && p.fus.rings[class] == nil {
+			return fmt.Errorf("pipeline: checkpoint has %d live FU cells of class %d, which the program does not use", live, class)
 		}
 		cycle := p.curFetchCycle
 		for i := uint64(0); i < live && r.Err() == nil; i++ {

@@ -196,6 +196,12 @@ const (
 	NumFUClasses
 )
 
+// FUSet is a set of functional unit classes, one bit per class.
+type FUSet uint8
+
+// Has reports whether class c is in the set.
+func (s FUSet) Has(c FUClass) bool { return s&(1<<c) != 0 }
+
 // Static instruction property flags.
 const (
 	// FBranch marks any control transfer (conditional or not).
@@ -317,6 +323,10 @@ type Plan struct {
 	// fused-terminator test (IntEnd[pc] < end-1) from one load instead
 	// of inspecting the terminator per dispatch.
 	IntEnd []int32
+
+	// FUs is the set of functional unit classes Code's instructions use:
+	// the only classes a timing model running the program schedules.
+	FUs FUSet
 }
 
 // Block returns the maximal straight-line run [pc, end) containing pc
@@ -590,6 +600,7 @@ func build(prog *isa.Program) *Plan {
 	p := &Plan{Code: make([]Decoded, len(prog.Code))}
 	for pc, ins := range prog.Code {
 		p.Code[pc] = decode(prog, pc, ins)
+		p.FUs |= 1 << p.Code[pc].FU
 	}
 	p.computeBlocks()
 	p.fusePairs()

@@ -89,6 +89,16 @@ func TestDecode(t *testing.T) {
 		}
 		check(pc, "Dst", d.Dst, dst)
 	}
+
+	// FUs holds exactly the instructions' classes: this program has
+	// integer, memory and branch instructions and no multiply, divide,
+	// floating-point or RNG one.
+	for c := FUClass(0); c < NumFUClasses; c++ {
+		want := c == FUALU || c == FUMem || c == FUBranch
+		if p.FUs.Has(c) != want {
+			t.Errorf("FUs %08b: class %d present = %t, want %t", p.FUs, c, p.FUs.Has(c), want)
+		}
+	}
 }
 
 func TestForCachesPerProgram(t *testing.T) {

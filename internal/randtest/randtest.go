@@ -250,7 +250,7 @@ func runsTest(vals []float64) float64 {
 	}
 	nf1, nf2 := float64(n1), float64(n2)
 	mean := 2*nf1*nf2/(nf1+nf2) + 1
-	vari := 2 * nf1 * nf2 * (2*nf1*nf2 - nf1 - nf2) /
+	vari := 2 * nf1 * nf2 * (float64(2*nf1*nf2) - nf1 - nf2) /
 		((nf1 + nf2) * (nf1 + nf2) * (nf1 + nf2 - 1))
 	if vari <= 0 {
 		return 0
@@ -269,10 +269,10 @@ func autocorrTest(vals []float64, lag int) float64 {
 	m := stats.Mean(vals)
 	var num, den float64
 	for i := 0; i < n; i++ {
-		num += (vals[i] - m) * (vals[i+lag] - m)
+		num += float64((vals[i] - m) * (vals[i+lag] - m))
 	}
 	for _, v := range vals {
-		den += (v - m) * (v - m)
+		den += float64((v - m) * (v - m))
 	}
 	if den == 0 {
 		return 0
@@ -330,7 +330,7 @@ func gapTest(vals []float64, lo, hi float64) float64 {
 		} else {
 			prob = math.Pow(1-p, float64(maxGap))
 		}
-		expected := prob * float64(total)
+		expected := float64(prob * float64(total))
 		if expected < 1e-9 {
 			continue
 		}
@@ -416,14 +416,14 @@ func couponTest(vals []float64, d int) float64 {
 	probs := make([]float64, maxLen+1)
 	cum := 0.0
 	for l := d; l < maxLen; l++ {
-		probs[l] = dFact / math.Pow(float64(d), float64(l)) * s2[l-1][d-1]
+		probs[l] = float64(dFact / math.Pow(float64(d), float64(l)) * s2[l-1][d-1])
 		cum += probs[l]
 	}
 	probs[maxLen] = 1 - cum // tail mass for truncated lengths
 	chi2 := 0.0
 	df := 0
 	for l := d; l <= maxLen; l++ {
-		expected := probs[l] * float64(total)
+		expected := float64(probs[l] * float64(total))
 		if expected < 1 {
 			continue
 		}
@@ -468,7 +468,7 @@ func pokerTest(vals []float64, k, d int) float64 {
 			perm *= float64(d - i)
 		}
 		prob := perm / math.Pow(float64(d), float64(k)) * stirling[k][r]
-		expected := prob * float64(hands)
+		expected := float64(prob * float64(hands))
 		if expected < 1 {
 			continue
 		}
@@ -491,7 +491,7 @@ func stirling2(n int) [][]float64 {
 	s[0][0] = 1
 	for i := 1; i <= n; i++ {
 		for j := 1; j <= i; j++ {
-			s[i][j] = float64(j)*s[i-1][j] + s[i-1][j-1]
+			s[i][j] = float64(float64(j)*s[i-1][j]) + s[i-1][j-1]
 		}
 	}
 	return s
@@ -551,8 +551,8 @@ func blockFrequency(vals []float64) float64 {
 		for i := 0; i < m; i++ {
 			ones += bitOf(vals[b*m+i], 1)
 		}
-		pi := float64(ones) / m
-		chi2 += 4 * m * (pi - 0.5) * (pi - 0.5)
+		pi := float64(float64(ones) / m)
+		chi2 += float64(4 * m * (pi - 0.5) * (pi - 0.5))
 	}
 	return stats.ChiSquareP(chi2, blocks)
 }
@@ -588,7 +588,7 @@ func longestRun(vals []float64) float64 {
 	}
 	chi2 := 0.0
 	for i, p := range probs {
-		expected := p * float64(blocks)
+		expected := float64(p * float64(blocks))
 		d := counts[i] - expected
 		chi2 += d * d / expected
 	}

@@ -9,8 +9,10 @@ import (
 
 // TestNewSessionAllocation pins the construction cost of a default
 // full-timing session: timing-model storage grows with what a run
-// touches (a 1,024-cycle FU ring, cache chunks on first access), so
-// building a session allocates no megabyte-scale tables up front.
+// touches (FU rings only for the unit classes the program uses, 32
+// cycles each to start; cache tag storage for a set's granule on first
+// access), so building a session allocates no megabyte-scale tables up
+// front. It measures about 35 KB (Go 1.24, amd64).
 func TestNewSessionAllocation(t *testing.T) {
 	prog, err := BuildProgram("PI", workloads.Params{}, workloads.VariantPlain)
 	if err != nil {
@@ -19,20 +21,58 @@ func TestNewSessionAllocation(t *testing.T) {
 	if _, err := New("PI", WithProgram(prog)); err != nil { // predecode the plan once
 		t.Fatal(err)
 	}
-	const sessions = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < sessions; i++ {
+	per := allocPer(8, func() {
 		if _, err := New("PI", WithProgram(prog)); err != nil {
 			t.Fatal(err)
 		}
+	})
+	t.Logf("sim.New allocates %d bytes per default full-timing session", per)
+	if per >= 40<<10 {
+		t.Fatalf("sim.New allocates %d bytes per session, want < %d", per, 40<<10)
+	}
+}
+
+// TestShortGroupAllocation pins what a short two-predictor stream group
+// allocates from construction to its result, the shape of a served
+// sweep point: Photon, TAGE-SC-L and tournament members, 50k
+// instructions. It measures about 88 KB (Go 1.24, amd64); the timing
+// state is a minority of it once rings and cache storage follow what
+// the run touches.
+func TestShortGroupAllocation(t *testing.T) {
+	prog, err := BuildProgram("Photon", workloads.Params{}, workloads.VariantPlain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		s, err := New("Photon", WithProgram(prog), WithMaxInstrs(50_000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddMember(WithProgram(prog), WithMaxInstrs(50_000), WithPredictor(PredTournament)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // predecode the plan once
+	per := allocPer(4, run)
+	t.Logf("a 50k-instruction two-predictor Photon group allocates %d bytes", per)
+	if per >= 104<<10 {
+		t.Fatalf("the group allocates %d bytes, want < %d", per, 104<<10)
+	}
+}
+
+// allocPer returns the heap bytes one call of f allocates, averaged
+// over n calls.
+func allocPer(n int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
 	}
 	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / sessions
-	t.Logf("sim.New allocates %d bytes per default full-timing session", per)
-	if per >= 128<<10 {
-		t.Fatalf("sim.New allocates %d bytes per session, want < %d", per, 128<<10)
-	}
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }
 
 // TestTimedCheckpointSize pins the size of a timed checkpoint: it
