@@ -56,8 +56,12 @@ const magic = "PBSCKPT\n"
 // the session section. Version 9 drops each cache's hit and miss
 // counters from the pipeline section and the PBS hardware override from
 // the session config. Version 10 writes each cache's touched sets in
-// granules of 16 sets instead of chunks of 64.
-const Version = 10
+// granules of 16 sets instead of chunks of 64. Version 11 writes each
+// miss-event stage once, as a stage section holding its predictor, its
+// trace-determined counters, line streaks and caches, and leaves each
+// member's pipeline section only its schedule; the predictor sections
+// go.
+const Version = 11
 
 // Checkpointable is the state-snapshot protocol implemented by every
 // stateful simulator component. CheckpointState serializes the mutable
@@ -459,14 +463,6 @@ func (d *Decoder) Section(name string) (*Reader, bool) {
 		return nil, false
 	}
 	return NewReader(p), true
-}
-
-// Payload returns the named section's raw payload, or false if the
-// container has no such section. The bytes are the container's: callers
-// must not modify them.
-func (d *Decoder) Payload(name string) ([]byte, bool) {
-	p, ok := d.secs[name]
-	return p, ok
 }
 
 // Sections lists the section names in container order.

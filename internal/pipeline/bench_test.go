@@ -91,9 +91,10 @@ func BenchmarkRetireMix(b *testing.B) {
 // predictors, through four pipelines — a 4-wide core, an 8-wide one, a
 // 4-wide one charging the resolution penalty, and a 4-wide one whose
 // ROB is as small as its width. The group sub-benchmark builds the
-// first as the lead and the other three as its followers; the solo
-// sub-benchmark builds all four with their own stages. Both report
-// nanoseconds per instruction per member.
+// first as the lead and the other three as its followers, and per batch
+// runs the shared stage's event pass once and then the four schedule
+// passes; the solo sub-benchmark builds all four with their own stages.
+// Both report nanoseconds per instruction per member.
 func BenchmarkRetireGroup(b *testing.B) {
 	const n = 1 << 20
 	resolution, tight := FourWide(), FourWide()
@@ -140,8 +141,15 @@ func BenchmarkRetireGroup(b *testing.B) {
 						b.StartTimer()
 						for off := 0; off < len(rec.trace); off += emu.TraceBatch {
 							batch := rec.trace[off:min(off+emu.TraceBatch, len(rec.trace))]
+							if !shared {
+								for _, p := range pipes {
+									p.ConsumeTrace(batch)
+								}
+								continue
+							}
+							pipes[0].Record(batch)
 							for _, p := range pipes {
-								p.ConsumeTrace(batch)
+								p.Schedule(batch)
 							}
 						}
 						b.StopTimer()

@@ -198,15 +198,15 @@ func chaseTrace(t *testing.T) ([]emu.DynInstr, func() *Pipeline) {
 	}
 }
 
-// snapshot encodes the pipeline and its predictor.
+// snapshot encodes the pipeline's miss-event stage, predictor included,
+// and its schedule, as sections "stage" and "pipe".
 func snapshot(t *testing.T, p *Pipeline) []byte {
 	t.Helper()
 	e := ckpt.NewEncoder()
-	w := e.Section("pipe")
-	if err := p.CheckpointState(w); err != nil {
+	if err := p.Events.CheckpointState(e.Section("stage")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.pred.(ckpt.Checkpointable).CheckpointState(w); err != nil {
+	if err := p.CheckpointState(e.Section("pipe")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := e.Encode()
@@ -222,15 +222,16 @@ func restore(t *testing.T, p *Pipeline, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := d.Section("pipe")
-	if err := p.RestoreState(r); err != nil {
+	sr, _ := d.Section("stage")
+	if err := p.Events.RestoreState(sr); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.pred.(ckpt.Checkpointable).RestoreState(r); err != nil {
+	pr, _ := d.Section("pipe")
+	if err := p.RestoreState(pr); err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 0 {
-		t.Fatalf("%d checkpoint bytes left unread", r.Len())
+	if n := sr.Len() + pr.Len(); n != 0 {
+		t.Fatalf("%d checkpoint bytes left unread", n)
 	}
 }
 

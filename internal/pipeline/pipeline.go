@@ -251,7 +251,7 @@ const fuRingMin = 1 << 5
 //
 // Only the classes the program's plan uses (plan.Plan.FUs) get a ring:
 // no instruction of another class is ever scheduled, so its ring would
-// be storage no probe reads, and the retire kernel indexes a class's
+// be storage no probe reads, and the schedule pass indexes a class's
 // ring with no check that it exists.
 type fuSched struct {
 	units [plan.NumFUClasses]uint8
@@ -281,7 +281,7 @@ func newFUSched(units [plan.NumFUClasses]uint8, used plan.FUSet) fuSched {
 // schedule returns the issue cycle for an operation of the given class,
 // which must have a ring, that becomes ready at `ready` (>= now) and
 // occupies its unit for occ cycles; now is the current fetch cycle. The
-// retire kernel schedules fully pipelined operations (occ == 1, the
+// schedule pass schedules fully pipelined operations (occ == 1, the
 // vast majority) inline and calls this only for multi-cycle ones; it is
 // exact for any occ.
 func (s *fuSched) schedule(class plan.FUClass, ready, occ, now uint64) uint64 {
@@ -343,12 +343,11 @@ func (s *fuSched) claim(class plan.FUClass, t, now uint64) *fuCell {
 	}
 }
 
-// event is one instruction's miss events, the byte the miss-event stage
-// hands the schedule: the cache level that served its fetch (bits 0-1),
-// the level that served its data access (bits 2-3) and a
-// misprediction (bit 4). An access inside a line streak (see the
-// retire kernel), and a data side the instruction does not have, read
-// as cache.LevelL1.
+// event is one instruction's miss events, the byte the event pass hands
+// the schedule: the cache level that served its fetch (bits 0-1), the
+// level that served its data access (bits 2-3) and a misprediction (bit
+// 4). An access inside a line streak (see Record), and a data side the
+// instruction does not have, read as cache.LevelL1.
 type event uint8
 
 const (
@@ -364,14 +363,14 @@ const (
 // an access hits and where, and whether a branch mispredicts, depend
 // only on the trace, the predictor and the configuration fields
 // Config.SameEvents compares. Pipelines that differ only in their
-// schedule can therefore share one stage. The pipeline New builds
-// leads its stage: its retire kernel computes each instruction's
-// events inline (fetchEvent, dataEvent, branchEvent) and records them.
-// A pipeline NewFollower builds replays the lead's record of the same
-// batch instead.
+// schedule can therefore share one stage: per batch, the stage's event
+// pass (Record) runs once and records one event byte per instruction,
+// and then each pipeline's schedule pass (Pipeline.Schedule) reads the
+// record.
 type Events struct {
 	pred branch.Predictor
 	hier *cache.Hierarchy
+	code []plan.Decoded // the program's plan (see internal/plan)
 
 	filterProb, perfect bool // Config.FilterProb, Config.PerfectBranches
 
@@ -379,32 +378,76 @@ type Events struct {
 
 	// Line-streak state of the two L1s: an access to the line of the
 	// previous access to the same cache bypasses the cache model (see
-	// the retire kernel). The shifts map an instruction index and a data
-	// address to their line numbers; both last-line registers start at
-	// a value no real access produces.
+	// Record). The shifts map an instruction index and a data address
+	// to their line numbers; both last-line registers start at a value
+	// no real access produces.
 	iblockShift uint
 	dblockShift uint
 	lastIBlock  uint64
 	lastDBlock  uint64
 
-	rec [emu.TraceBatch]event // the events of the lead's last batch
-	n   int                   // the length of the lead's last batch
+	rec [emu.TraceBatch]event // the events of the last recorded batch
+	n   int                   // the length of the last recorded batch
 }
 
-// The lead's stage. These methods run the caches and the predictor of
-// p.own, the stage of a pipeline New built, and so run only on a lead:
-// inline in the retire kernel, and in functional warming. They take
-// the pipeline rather than the stage so that the kernel passes the
-// pointer it already holds instead of keeping a second one live across
-// its loop.
+// Record is the event pass: it looks up the caches and the predictor
+// for each instruction of a batch of at most emu.TraceBatch, in program
+// order, counts the misses and mispredictions, and records each
+// instruction's events for the schedules that read the stage.
+//
+// The line streaks: a fetch from the line of the previous fetch
+// bypasses the cache model, since the line is resident (whatever filled
+// it left it so, and no other instruction line has been touched since)
+// and so a hit. The bypass keeps miss counts byte-identical to touching
+// the cache every fetch — within a streak no other line is accessed, so
+// the skipped LRU updates cannot reorder any set — and straight-line
+// code makes the streak the common case (one Access per line instead of
+// per instruction). Data accesses have their own streak with the same
+// invariant: only data accesses touch the L1D, so an access to the line
+// of the previous one finds it resident, and the skipped LRU update
+// cannot reorder its set (that line is already the set's most recent).
+func (st *Events) Record(batch []emu.DynInstr) {
+	st.n = len(batch)
+	st.m.L1IAccesses += uint64(len(batch))
+	code, rec := st.code, st.rec[:len(batch)]
+	for i := range batch {
+		di := &batch[i]
+		d := &code[di.PC]
+		e := st.fetchEvent(di.PC)
+		if d.Flags&(plan.FLoad|plan.FStore) != 0 {
+			st.m.L1DAccesses++
+			e |= st.dataEvent(di.MemAddr)
+		}
+		if d.Flags&plan.FBranch != 0 {
+			e |= st.branchEvent(di, d)
+		}
+		rec[i] = e
+	}
+}
+
+// Warm is functional warming: the event pass over a batch of any
+// length with its counters put back afterwards, so warming moves no
+// Metrics counter and the long-lived state that survives a
+// fast-forward gap (cache tags, predictor tables and histories) is
+// exactly what a detailed run would have left behind. No schedule
+// reads a warmed batch.
+func (st *Events) Warm(batch []emu.DynInstr) {
+	saved := st.m
+	for len(batch) > 0 {
+		n := min(len(batch), emu.TraceBatch)
+		st.Record(batch[:n])
+		batch = batch[n:]
+	}
+	st.m = saved
+}
 
 // fetchEvent returns the I-side event of fetching the instruction at
 // pc: a lookup of its line, unless the previous fetch was from that
 // line. It must stay within the compiler's inlining budget (see
 // go build -gcflags=-m), or every instruction pays a call.
-func (p *Pipeline) fetchEvent(pc int32) event {
-	if iblock := uint64(pc) >> p.own.iblockShift; iblock != p.own.lastIBlock {
-		return p.fetchLookup(iblock, pc)
+func (st *Events) fetchEvent(pc int32) event {
+	if iblock := uint64(pc) >> st.iblockShift; iblock != st.lastIBlock {
+		return st.fetchLookup(iblock, pc)
 	}
 	return 0
 }
@@ -412,9 +455,8 @@ func (p *Pipeline) fetchEvent(pc int32) event {
 // fetchLookup looks up iblock, the fetch line of the instruction at pc,
 // and counts its misses. Like dataLookup, it calls the caches itself
 // rather than through cache.Hierarchy, which keeps a lookup one call
-// level below the retire kernel.
-func (p *Pipeline) fetchLookup(iblock uint64, pc int32) event {
-	st := &p.own
+// level below the event pass.
+func (st *Events) fetchLookup(iblock uint64, pc int32) event {
 	st.lastIBlock = iblock
 	if st.hier.L1I.Access(uint64(pc) * 8) {
 		return event(cache.LevelL1)
@@ -430,17 +472,16 @@ func (p *Pipeline) fetchLookup(iblock uint64, pc int32) event {
 // dataEvent returns the D-side event of a data access to addr: a lookup
 // of its line, unless the previous data access was to that line. Like
 // fetchEvent, it must stay inlinable.
-func (p *Pipeline) dataEvent(addr uint64) event {
-	if dblock := addr >> p.own.dblockShift; dblock != p.own.lastDBlock {
-		return p.dataLookup(dblock, addr)
+func (st *Events) dataEvent(addr uint64) event {
+	if dblock := addr >> st.dblockShift; dblock != st.lastDBlock {
+		return st.dataLookup(dblock, addr)
 	}
 	return 0
 }
 
 // dataLookup looks up dblock, the data line of addr, and counts its
 // misses.
-func (p *Pipeline) dataLookup(dblock, addr uint64) event {
-	st := &p.own
+func (st *Events) dataLookup(dblock, addr uint64) event {
 	st.lastDBlock = dblock
 	if st.hier.L1D.Access(addr) {
 		return event(cache.LevelL1) << evDataShift
@@ -456,8 +497,7 @@ func (p *Pipeline) dataLookup(dblock, addr uint64) event {
 // branchEvent counts a control transfer and, for a conditional branch
 // the front end must predict, predicts it, trains the predictor and
 // returns evMispredict when the prediction was wrong.
-func (p *Pipeline) branchEvent(di *emu.DynInstr, d *plan.Decoded) event {
-	st := &p.own
+func (st *Events) branchEvent(di *emu.DynInstr, d *plan.Decoded) event {
 	st.m.Branches++
 	if d.Flags&(plan.FMidProb|plan.FCond) != plan.FCond {
 		// An intermediate value-transfer PROB_JMP is no control
@@ -503,14 +543,16 @@ func (p *Pipeline) branchEvent(di *emu.DynInstr, d *plan.Decoded) event {
 	return evMispredict
 }
 
-// Pipeline is the timing model for one run. It consumes the emulator's
-// trace batch-wise through ConsumeTrace (the emu.TraceSink contract).
-// It has two parts, joined by one event byte per instruction: the
-// miss-event stage (Events), which it may share with other pipelines,
-// and the schedule — fetch cursor, dataflow, functional-unit rings,
-// ROB and commit — which is its own.
+// Pipeline is the timing model for one run. It has two parts, joined by
+// one event byte per instruction: the miss-event stage (Events), which
+// it may share with other pipelines, and the schedule — fetch cursor,
+// dataflow, functional-unit rings, ROB and commit — which is its own.
+// A pipeline that alone reads its stage consumes the emulator's trace
+// batch-wise through ConsumeTrace (the emu.TraceSink contract); a
+// caller that shares a stage runs its event pass and then each
+// pipeline's Schedule.
 type Pipeline struct {
-	*Events // the miss-event stage this pipeline leads or follows
+	*Events // the miss-event stage whose record this pipeline schedules
 
 	cfg  Config
 	plan *plan.Plan
@@ -531,7 +573,7 @@ type Pipeline struct {
 	regReady [plan.NumDataflowCells]uint64
 
 	// robRing is the one in-order ring: slot robPos (the wrapped cursor
-	// idx%ROBSize, maintained incrementally so the kernel divides by
+	// idx%ROBSize, maintained incrementally so the schedule divides by
 	// nothing) holds the commit cycle of instruction idx-ROBSize, and
 	// slot (robPos-Width) mod ROBSize that of idx-Width.
 	robRing []uint64
@@ -549,22 +591,10 @@ type Pipeline struct {
 
 	// functional units: backfill scheduler
 	fus fuSched
-
-	own  Events // the stage of a pipeline New built; unused by a follower
-	lead bool   // p leads its stage: p.Events is &p.own
-
-	// funcWarm switches ConsumeTrace to functional warming: the lead
-	// runs its stage alone, so caches and predictor keep evolving (no
-	// cycle accounting, no Metrics movement) and a later measurement
-	// window does not see state that went stale across a fast-forward
-	// gap; a follower does nothing. The flag is owned by the session
-	// and only flipped between batches, so no batch is consumed half in
-	// each mode.
-	funcWarm bool
 }
 
-// New builds a pipeline bound to a program, predictor and fresh caches:
-// the lead of its own miss-event stage. The program must not be mutated
+// New builds a pipeline bound to a program, predictor and fresh caches,
+// with a miss-event stage of its own. The program must not be mutated
 // afterwards (its decoded execution plan is shared read-only; see
 // internal/plan).
 func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error) {
@@ -579,10 +609,10 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 	if err != nil {
 		return nil, err
 	}
-	p := newSchedule(cfg, pl)
-	p.own = Events{
+	st := &Events{
 		pred:       pred,
 		hier:       hier,
+		code:       pl.Code,
 		filterProb: cfg.FilterProb,
 		perfect:    cfg.PerfectBranches,
 		lastIBlock: ^uint64(0),
@@ -593,19 +623,18 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 	// which are still sound: the same PC fetches the same line). Data
 	// lines are addr>>log2(LineBytes), the cache's own block number.
 	for lb := cfg.L1I.LineBytes; lb > 8; lb >>= 1 {
-		p.own.iblockShift++
+		st.iblockShift++
 	}
 	for lb := cfg.L1D.LineBytes; lb > 1; lb >>= 1 {
-		p.own.dblockShift++
+		st.dblockShift++
 	}
-	p.Events, p.lead = &p.own, true
-	return p, nil
+	return newSchedule(cfg, pl, st), nil
 }
 
 // NewFollower builds a pipeline that shares lead's miss-event stage: it
-// schedules the events the stage's lead records instead of computing
-// them, so it must consume every batch right after the lead does. cfg
-// may differ from lead's only in the schedule (see Config.SameEvents).
+// schedules the events the stage records, so the stage's event pass
+// must run on every batch before the follower's Schedule. cfg may
+// differ from lead's only in the schedule (see Config.SameEvents).
 func NewFollower(cfg Config, lead *Pipeline) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -613,14 +642,13 @@ func NewFollower(cfg Config, lead *Pipeline) (*Pipeline, error) {
 	if !cfg.SameEvents(lead.cfg) {
 		return nil, fmt.Errorf("pipeline: a follower needs its lead's caches, memory latency, predictor filtering and front end")
 	}
-	p := newSchedule(cfg, lead.plan)
-	p.Events = lead.Events
-	return p, nil
+	return newSchedule(cfg, lead.plan, lead.Events), nil
 }
 
-// newSchedule builds the schedule of a pipeline with no stage yet.
-func newSchedule(cfg Config, pl *plan.Plan) *Pipeline {
+// newSchedule builds a fresh schedule that reads stage st.
+func newSchedule(cfg Config, pl *plan.Plan, st *Events) *Pipeline {
 	p := &Pipeline{
+		Events:  st,
 		cfg:     cfg,
 		plan:    pl,
 		robRing: make([]uint64, cfg.ROBSize),
@@ -648,79 +676,34 @@ func newSchedule(cfg Config, pl *plan.Plan) *Pipeline {
 	return p
 }
 
-// SetFuncWarm flips the functional-warming consume path. Callers must
-// only flip it between batches (the emulator's trace flushed).
-func (p *Pipeline) SetFuncWarm(on bool) { p.funcWarm = on }
-
-// ConsumeTrace implements emu.TraceSink: it retires one batch of
-// instructions in program order. Pass the pipeline to
-// emu.CPU.SetTraceSink. A lead takes batches of any length; a follower
-// takes exactly the batch its lead consumed last, which is at most
-// emu.TraceBatch long.
+// ConsumeTrace implements emu.TraceSink for a pipeline that alone reads
+// its miss-event stage: it runs the stage's event pass and then the
+// schedule over each emulator-sized slice of a batch of any length.
+// Pass the pipeline to emu.CPU.SetTraceSink.
 func (p *Pipeline) ConsumeTrace(batch []emu.DynInstr) {
-	if p.funcWarm {
-		if p.lead {
-			p.warm(batch)
-		}
-		return
+	for len(batch) > 0 {
+		n := min(len(batch), emu.TraceBatch)
+		p.Record(batch[:n])
+		p.Schedule(batch[:n])
+		batch = batch[n:]
 	}
-	if p.lead {
-		for len(batch) > emu.TraceBatch {
-			p.retire(batch[:emu.TraceBatch])
-			batch = batch[emu.TraceBatch:]
-		}
-	}
-	p.retire(batch)
 }
 
-// retire is the retire kernel: the miss events, then fetch, issue,
-// execute, branch and commit of each instruction of a batch of at most
-// emu.TraceBatch, with the fetch cursors kept in the struct rather
-// than in locals (locals spill across the predictor and cache calls).
-// A lead computes each instruction's events inline and records them; a
-// follower reads them from the record. Either way the schedule below
-// sees only the event byte, and the kernel calls out only on a line
-// change or at a branch.
-func (p *Pipeline) retire(batch []emu.DynInstr) {
-	if p.lead {
-		p.own.n = len(batch)
-		p.own.m.L1IAccesses += uint64(len(batch))
-	} else if len(batch) != p.Events.n {
-		panic("pipeline: a follower consumed a batch its lead did not")
+// Schedule is the schedule pass: the fetch, issue, execute, branch and
+// commit of each instruction of the batch the pipeline's stage
+// recorded last, with the fetch cursors kept in the struct rather than
+// in locals (measured faster). It sees each instruction's miss events
+// only through the recorded event byte.
+func (p *Pipeline) Schedule(batch []emu.DynInstr) {
+	if len(batch) != p.n {
+		panic("pipeline: a schedule consumed a batch its stage did not record")
 	}
 	code := p.plan.Code
+	rec := p.rec[:len(batch)]
 	for i := range batch {
 		di := &batch[i]
 		d := &code[di.PC]
-
-		// ---- miss events ----
-		// The line streaks: a fetch from the line of the previous fetch
-		// bypasses the cache model, since the line is resident (whatever
-		// filled it left it so, and no other instruction line has been
-		// touched since) and so a hit. The bypass keeps miss counts
-		// byte-identical to touching the cache every fetch — within a
-		// streak no other line is accessed, so the skipped LRU updates
-		// cannot reorder any set — and straight-line code makes the
-		// streak the common case (one Access per line instead of per
-		// instruction). Data accesses have their own streak with the
-		// same invariant: only data accesses touch the L1D, so an access
-		// to the line of the previous one finds it resident, and the
-		// skipped LRU update cannot reorder its set (that line is
-		// already the set's most recent).
-		var e event
-		if p.lead {
-			e = p.fetchEvent(di.PC)
-			if d.Flags&(plan.FLoad|plan.FStore) != 0 {
-				p.own.m.L1DAccesses++
-				e |= p.dataEvent(di.MemAddr)
-			}
-			if d.Flags&plan.FBranch != 0 {
-				e |= p.branchEvent(di, d)
-			}
-			p.own.rec[i] = e
-		} else {
-			e = p.Events.rec[i]
-		}
+		e := rec[i]
 
 		// ---- fetch ----
 		fc := p.curFetchCycle
@@ -816,29 +799,6 @@ func (p *Pipeline) retire(batch []emu.DynInstr) {
 		p.cycles = cc
 	}
 	p.instructions += uint64(len(batch))
-}
-
-// warm is functional warming: the lead's stage alone over a batch — the
-// same lookups, streak bypasses and predictor training as the retire
-// kernel, and nothing else. Its counters are put back afterwards, so
-// warming moves no Metrics counter and the long-lived state that
-// survives a fast-forward gap (cache tags, predictor tables and
-// histories) is exactly what a detailed run would have left behind.
-func (p *Pipeline) warm(batch []emu.DynInstr) {
-	saved := p.own.m
-	code := p.plan.Code
-	for i := range batch {
-		di := &batch[i]
-		d := &code[di.PC]
-		p.fetchEvent(di.PC)
-		if d.Flags&(plan.FLoad|plan.FStore) != 0 {
-			p.dataEvent(di.MemAddr)
-		}
-		if d.Flags&plan.FBranch != 0 {
-			p.branchEvent(di, d)
-		}
-	}
-	p.own.m = saved
 }
 
 // Metrics returns the accumulated metrics: the stage's counters with

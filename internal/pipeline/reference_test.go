@@ -47,7 +47,7 @@ type refPipeline struct {
 	iblockShift uint
 	lastIBlock  uint64
 
-	funcWarm bool
+	warming bool // functional warming: warmRetire instead of retire
 }
 
 // newRef builds the reference model with its own caches, scheduler and
@@ -79,7 +79,7 @@ func newRef(t testing.TB, cfg Config, prog *isa.Program, pred branch.Predictor) 
 
 func (p *refPipeline) consume(trace []emu.DynInstr) {
 	for i := range trace {
-		if p.funcWarm {
+		if p.warming {
 			p.warmRetire(&trace[i])
 		} else {
 			p.retire(&trace[i])
@@ -335,10 +335,13 @@ func TestRetireKernelMatchesReference(t *testing.T) {
 					for seg, cut := range cuts {
 						cut = min(cut, len(trace))
 						warm := seg%2 == 1
-						kern.SetFuncWarm(warm)
-						ref.funcWarm = warm
+						ref.warming = warm
 						for off := from; off < cut; off += batch {
-							kern.ConsumeTrace(trace[off:min(off+batch, cut)])
+							if warm {
+								kern.Warm(trace[off:min(off+batch, cut)])
+							} else {
+								kern.ConsumeTrace(trace[off:min(off+batch, cut)])
+							}
 						}
 						ref.consume(trace[from:cut])
 						if kern.Metrics() != ref.m {
@@ -364,8 +367,9 @@ func TestRetireKernelMatchesReference(t *testing.T) {
 }
 
 // TestFollowersMatchSolo replays recorded traces through a lead and
-// three followers of its miss-event stage, and through the same four
-// cores as solo pipelines, in emulator-sized batches with a
+// three followers of its miss-event stage — one event pass per batch,
+// then each pipeline's schedule pass — and through the same four cores
+// as solo pipelines, in emulator-sized batches with a
 // functional-warming stretch in the middle. Every follower must end
 // each segment with its solo pipeline's Metrics and checkpoint bytes.
 func TestFollowersMatchSolo(t *testing.T) {
@@ -411,13 +415,20 @@ func TestFollowersMatchSolo(t *testing.T) {
 				from := 0
 				for seg, cut := range cuts {
 					cut = min(cut, len(trace))
-					for _, p := range append(group, solo...) {
-						p.SetFuncWarm(seg%2 == 1)
-					}
+					warm := seg%2 == 1
 					for off := from; off < cut; off += emu.TraceBatch {
 						batch := trace[off:min(off+emu.TraceBatch, cut)]
+						if warm {
+							group[0].Warm(batch)
+						} else {
+							group[0].Record(batch)
+						}
 						for k := range cfgs {
-							group[k].ConsumeTrace(batch)
+							if warm {
+								solo[k].Warm(batch)
+								continue
+							}
+							group[k].Schedule(batch)
 							solo[k].ConsumeTrace(batch)
 						}
 					}

@@ -9,14 +9,12 @@ import (
 	"repro/internal/plan"
 )
 
-// CheckpointState serializes the timing model's mutable state: metrics,
-// fetch cursors, the architectural dataflow readiness cells, the ROB
-// ring, the L1I and L1D line-streak registers, the cache hierarchy, and
-// the live slice of the functional-unit time rings. Config-derived
-// fields (latencies, depths, masks) are rebuilt by New; the predictor
-// is a separate component the session checkpoints itself. A follower
-// writes its stage's state as its lead does, so the bytes do not
-// depend on whether a pipeline shares its miss-event stage.
+// CheckpointState serializes the schedule's mutable state: the
+// Instructions and Cycles counters, fetch cursors, the architectural
+// dataflow readiness cells, the ROB ring and the live slice of the
+// functional-unit time rings. Config-derived fields (latencies, depths,
+// masks) are rebuilt by New; the miss-event stage, which the pipeline
+// may share, is checkpointed once by Events.CheckpointState.
 //
 // The FU rings are encoded as their live cells only: schedule only ever
 // probes cycles at or after the current fetch cycle, so cells whose
@@ -27,9 +25,8 @@ import (
 // cell, so the bytes depend on the schedule alone, not on a ring's size
 // or the order in which it grew. A class with no ring writes no cells.
 func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
-	m := p.Metrics()
-	w.Counters(&m)
-
+	w.Uint(p.instructions)
+	w.Uint(p.cycles)
 	w.Uint(p.curFetchCycle)
 	w.Int(int64(p.fetchedInCycle))
 	w.Bool(p.breakFetch)
@@ -37,12 +34,6 @@ func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 	w.Uint64s(p.regReady[:isa.NumDataflowRegs])
 	w.Uint64s(p.robRing)
 	w.Int(int64(p.robPos))
-	w.U64(p.lastIBlock)
-	w.U64(p.lastDBlock)
-
-	if err := p.hier.CheckpointState(w); err != nil {
-		return err
-	}
 
 	var live []fuCell
 	for class := range p.fus.rings {
@@ -64,30 +55,12 @@ func (p *Pipeline) CheckpointState(w *ckpt.Writer) error {
 	return nil
 }
 
-// CheckpointStage writes the state of p's miss-event stage alone: the
-// trace-determined counters, the two line-streak registers and the
-// cache hierarchy, the parts of CheckpointState that a follower shares
-// with its lead.
-func (p *Pipeline) CheckpointStage(w *ckpt.Writer) error {
-	w.Counters(&p.Events.m)
-	w.U64(p.lastIBlock)
-	w.U64(p.lastDBlock)
-	return p.hier.CheckpointState(w)
-}
-
 // RestoreState reads the field sequence written by CheckpointState into
 // a pipeline built with the same configuration and program. Live FU
-// cells of a class the program does not use are an error. A follower
-// restores its shared stage again, which leaves it as its lead restored
-// it when both sections were written from one stage; CheckpointStage
-// lets a caller check that they were.
+// cells of a class the program does not use are an error.
 func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
-	var m Metrics
-	r.Counters(&m)
-	p.instructions, p.cycles = m.Instructions, m.Cycles
-	m.Instructions, m.Cycles = 0, 0
-	p.Events.m = m
-
+	p.instructions = r.Uint()
+	p.cycles = r.Uint()
 	p.curFetchCycle = r.Uint()
 	p.fetchedInCycle = int(r.Int())
 	p.breakFetch = r.Bool()
@@ -106,14 +79,8 @@ func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
 	copy(p.regReady[:], regReady)
 	copy(p.robRing, robRing)
 	p.robPos = int(r.Int())
-	p.lastIBlock = r.U64()
-	p.lastDBlock = r.U64()
 	if r.Err() == nil && (p.robPos < 0 || p.robPos >= len(p.robRing)) {
 		return fmt.Errorf("pipeline: checkpoint ROB cursor %d out of range", p.robPos)
-	}
-
-	if err := p.hier.RestoreState(r); err != nil {
-		return err
 	}
 
 	p.fus = newFUSched(p.fus.units, p.plan.FUs)
@@ -140,4 +107,42 @@ func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
 		}
 	}
 	return r.Err()
+}
+
+// CheckpointState serializes the miss-event stage: the predictor's name
+// and state, the trace-determined counters, the L1I and L1D line-streak
+// registers and the cache hierarchy. The event record is not written:
+// it is rewritten by the next batch's event pass before any schedule
+// reads it.
+func (st *Events) CheckpointState(w *ckpt.Writer) error {
+	w.String(st.pred.Name())
+	if err := st.pred.CheckpointState(w); err != nil {
+		return err
+	}
+	w.Counters(&st.m)
+	w.U64(st.lastIBlock)
+	w.U64(st.lastDBlock)
+	return st.hier.CheckpointState(w)
+}
+
+// RestoreState reads the field sequence written by CheckpointState into
+// a stage built with the same configuration and predictor kind.
+func (st *Events) RestoreState(r *ckpt.Reader) error {
+	name := r.String()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if name != st.pred.Name() {
+		return fmt.Errorf("pipeline: checkpoint predictor %q does not match the stage's predictor %q", name, st.pred.Name())
+	}
+	if err := st.pred.RestoreState(r); err != nil {
+		return err
+	}
+	r.Counters(&st.m)
+	st.lastIBlock = r.U64()
+	st.lastDBlock = r.U64()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return st.hier.RestoreState(r)
 }

@@ -6,32 +6,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ckpt"
 	"repro/internal/isa"
-	"repro/internal/pipeline"
 )
 
 // Checkpoint section names, in container order. The emulator, RNG,
 // PBS unit and session sections describe the shared functional stream
-// and appear once; each member writes its own predictor and pipeline
-// section, suffixed with its index (see memberSection). A
-// functional-only member writes no predictor or pipeline section; a
-// session without PBS writes no pbs section. Resume requires exactly
-// the sections the resumed members write, and an exact program match.
+// and appear once; each miss-event stage writes one stage section and
+// each member one pipeline section (its schedule), suffixed with the
+// stage's or the member's index (see indexed). A functional-only
+// session writes no stage or pipeline section; a session without PBS
+// writes no pbs section. Resume requires exactly the sections the
+// resumed members write, and an exact program match.
 const (
-	secConfig    = "config"
-	secEmu       = "emu"
-	secRNG       = "rng"
-	secPBS       = "pbs"
-	secPredictor = "predictor"
-	secPipeline  = "pipeline"
-	secSession   = "session"
+	secConfig   = "config"
+	secEmu      = "emu"
+	secRNG      = "rng"
+	secPBS      = "pbs"
+	secStage    = "stage"
+	secPipeline = "pipeline"
+	secSession  = "session"
 )
 
-// memberSection names member i's copy of a per-member section.
-func memberSection(name string, i int) string { return fmt.Sprintf("%s/%d", name, i) }
+// indexed names the i-th stage's or member's section of a kind.
+func indexed(name string, i int) string { return fmt.Sprintf("%s/%d", name, i) }
 
 // Checkpoint is a serialized snapshot of a Session's complete machine
 // state: the embedded configuration of every member plus one section
@@ -61,10 +63,12 @@ func (c *Checkpoint) Config() Config { return c.cfgs[0] }
 func (c *Checkpoint) Instructions() uint64 { return c.instrs }
 
 // Checkpoint serializes the session's complete machine state, every
-// member's timing model included. The trace is flushed whenever the
-// caller can call anything — between New/RunFor/Run calls — so the
-// timing models are always caught up. A dead session (faulted) cannot
-// be checkpointed.
+// member's timing model included: each miss-event stage once, as
+// stage/<k> in order of first use (predictor, trace-determined
+// counters, line streaks, caches), and each member's schedule as
+// pipeline/<i>. The trace is flushed whenever the caller can call
+// anything — between New/RunFor/Run calls — so the timing models are
+// always caught up. A dead session (faulted) cannot be checkpointed.
 func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if s.err != nil {
 		return nil, fmt.Errorf("sim: cannot checkpoint a faulted session: %w", s.err)
@@ -98,16 +102,14 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 			return nil, fmt.Errorf("sim: checkpoint: %w", err)
 		}
 	}
-	for i, m := range s.members {
-		if m.pred != nil {
-			w := enc.Section(memberSection(secPredictor, i))
-			w.String(m.pred.Name())
-			if err := m.pred.CheckpointState(w); err != nil {
+	if t := s.timing; t != nil {
+		for k, st := range t.stages {
+			if err := st.CheckpointState(enc.Section(indexed(secStage, k))); err != nil {
 				return nil, fmt.Errorf("sim: checkpoint: %w", err)
 			}
 		}
-		if m.pipe != nil {
-			if err := m.pipe.CheckpointState(enc.Section(memberSection(secPipeline, i))); err != nil {
+		for i, p := range t.pipes {
+			if err := p.CheckpointState(enc.Section(indexed(secPipeline, i))); err != nil {
 				return nil, fmt.Errorf("sim: checkpoint: %w", err)
 			}
 		}
@@ -198,11 +200,10 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 // schedule. The resumed session counts as started: it takes no new
 // member and no FastForward.
 //
-// Members share miss-event stages as AddMember would share them.
-// Sharing members must carry byte-identical predictor sections and
-// pipeline sections that agree about the stage (its counters, line
-// streaks and caches), as every checkpoint of a shared stage does;
-// Resume refuses one where they differ, naming both members.
+// Members share miss-event stages as AddMember would share them, and
+// each stage restores once from its stage section; Resume refuses a
+// checkpoint that lacks a stage section the members' event keys need
+// or has one they do not, naming it.
 func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	cfgs := make([]Config, len(c.cfgs))
 	for i, cfg := range c.cfgs {
@@ -262,54 +263,36 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 	}
 
 	for i, m := range s.members {
-		br, hasPred := dec.Section(memberSection(secPredictor, i))
-		tr, hasPipe := dec.Section(memberSection(secPipeline, i))
+		r, ok := dec.Section(indexed(secPipeline, i))
 		switch timed := m.pipe != nil; {
-		case timed && !(hasPred && hasPipe):
-			return nil, fmt.Errorf("sim: resume: timed member %d has no %s and %s state in the checkpoint", i, secPredictor, secPipeline)
-		case !timed && (hasPred || hasPipe):
+		case timed && !ok:
+			return nil, fmt.Errorf("sim: resume: timed member %d has no %s state in the checkpoint", i, secPipeline)
+		case !timed && ok:
 			return nil, fmt.Errorf("sim: resume: functional-only member %d has timing state in the checkpoint", i)
 		case !timed:
 			continue
 		}
-		var stage []byte // a follower's stage as its lead restored it
-		lead := stageLead(s.members, i)
-		if lead != i {
-			// The stage, predictor included, is restored already; a
-			// checkpoint whose sections disagree about it is refused
-			// rather than resolved by whichever restores last.
-			a, _ := dec.Payload(memberSection(secPredictor, lead))
-			b, _ := dec.Payload(memberSection(secPredictor, i))
-			if !bytes.Equal(a, b) {
-				return nil, fmt.Errorf("sim: resume: members %d and %d share a miss-event stage, but their %s sections differ", lead, i, secPredictor)
-			}
-			if stage, err = stageState(m.pipe); err != nil {
-				return nil, fmt.Errorf("sim: resume: %w", err)
-			}
-		} else {
-			name := br.String()
-			if err := br.Err(); err != nil {
-				return nil, fmt.Errorf("sim: resume: %w", err)
-			}
-			if name != m.pred.Name() {
-				return nil, fmt.Errorf("sim: resume: checkpoint predictor %q does not match session predictor %q", name, m.pred.Name())
-			}
-			if err := m.pred.RestoreState(br); err != nil {
-				return nil, fmt.Errorf("sim: resume: %w", err)
-			}
-		}
-		if err := m.pipe.RestoreState(tr); err != nil {
+		if err := m.pipe.RestoreState(r); err != nil {
 			return nil, fmt.Errorf("sim: resume: %w", err)
 		}
-		if stage != nil {
-			// The follower's pipeline section restored the stage again.
-			again, err := stageState(m.pipe)
-			if err != nil {
-				return nil, fmt.Errorf("sim: resume: %w", err)
+	}
+	var stages []string // the stage sections the members' event keys need
+	if s.timing != nil {
+		for k, st := range s.timing.stages {
+			name := indexed(secStage, k)
+			r, ok := dec.Section(name)
+			if !ok {
+				return nil, fmt.Errorf("sim: resume: checkpoint has no %s section for its members' event key %d", name, k)
 			}
-			if !bytes.Equal(stage, again) {
-				return nil, fmt.Errorf("sim: resume: members %d and %d share a miss-event stage, but their %s sections differ in it", lead, i, secPipeline)
+			if err := st.RestoreState(r); err != nil {
+				return nil, fmt.Errorf("sim: resume: %s: %w", name, err)
 			}
+			stages = append(stages, name)
+		}
+	}
+	for _, name := range dec.Sections() {
+		if strings.HasPrefix(name, secStage+"/") && !slices.Contains(stages, name) {
+			return nil, fmt.Errorf("sim: resume: checkpoint has a %s section, but its members have %d event keys", name, len(stages))
 		}
 	}
 
@@ -343,26 +326,6 @@ func Resume(c *Checkpoint, opts ...Option) (*Session, error) {
 		}
 	}
 	return s, nil
-}
-
-// stageLead returns the index of the first of members that shares
-// member i's miss-event stage, which is i itself unless i follows it.
-func stageLead(members []*member, i int) int {
-	for j, m := range members[:i] {
-		if m.pred == members[i].pred {
-			return j
-		}
-	}
-	return i
-}
-
-// stageState returns the encoded state of p's miss-event stage.
-func stageState(p *pipeline.Pipeline) ([]byte, error) {
-	enc := ckpt.NewEncoder()
-	if err := p.CheckpointStage(enc.Section("stage")); err != nil {
-		return nil, err
-	}
-	return enc.Encode()
 }
 
 // programHash is a stable FNV-64a content hash over everything that

@@ -128,30 +128,46 @@ func TestCheckpointAtVariousPoints(t *testing.T) {
 
 // TestCheckpointByteStable: checkpoint → resume → checkpoint again must
 // reproduce the container byte for byte — machine state, not incidental
-// in-memory layout (map order, pool contents), is what gets encoded.
+// in-memory layout (map order, pool contents), is what gets encoded —
+// for a solo session and for a four-member Figure 7/8 group, whose two
+// shared stages are written once each.
 func TestCheckpointByteStable(t *testing.T) {
-	cfg := Config{Workload: "PI", Seed: 1, PBS: true}
-	s, err := newSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunFor(restoreK); err != nil {
-		t.Fatal(err)
-	}
-	ck1, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Resume(ck1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := restored.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ck1.Bytes(), ck2.Bytes()) {
-		t.Fatalf("re-checkpoint differs: %d vs %d bytes", len(ck1.Bytes()), len(ck2.Bytes()))
+	for _, tc := range []struct {
+		name string
+		new  func(t *testing.T) *Session
+	}{
+		{"solo", func(t *testing.T) *Session {
+			s, err := newSession(Config{Workload: "PI", Seed: 1, PBS: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"group", func(t *testing.T) *Session {
+			return figure78Group(t, "Bandit", []Option{WithSeed(11), WithPBS(true)})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.new(t)
+			if _, err := s.RunFor(restoreK); err != nil {
+				t.Fatal(err)
+			}
+			ck1, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := Resume(ck1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck2, err := restored.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ck1.Bytes(), ck2.Bytes()) {
+				t.Fatalf("re-checkpoint differs: %d vs %d bytes", len(ck1.Bytes()), len(ck2.Bytes()))
+			}
+		})
 	}
 }
 

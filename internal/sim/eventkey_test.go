@@ -136,7 +136,7 @@ func TestEventKeyFields(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if shared := s.members[0].pred == s.members[1].pred; shared != (f.class == scheduleOnly) {
+				if shared := s.members[0].pipe.Events == s.members[1].pipe.Events; shared != (f.class == scheduleOnly) {
 					t.Fatalf("members that differ in a %s field: shared stage = %v", f.class, shared)
 				}
 				if err := s.Run(); err != nil {
@@ -168,14 +168,28 @@ func groupOf(t *testing.T, workload string, base []Option, members [][]Option) *
 	return s
 }
 
-// predictors returns the number of distinct predictors, and so of
-// miss-event stages, among the session's members.
-func predictors(s *Session) int {
-	seen := map[any]bool{}
+// stages returns the number of distinct miss-event stages, and so of
+// predictors, among the session's members.
+func stages(s *Session) int {
+	seen := map[*pipeline.Events]bool{}
 	for _, m := range s.members {
-		seen[m.pred] = true
+		seen[m.pipe.Events] = true
 	}
 	return len(seen)
+}
+
+// figure78Group builds the four members of a Figure 7/8 stream group
+// over workload — both predictors, each on the 4- and the 8-wide core —
+// with base options.
+func figure78Group(t *testing.T, workload string, base []Option) *Session {
+	t.Helper()
+	var members [][]Option
+	for _, pred := range []PredictorKind{PredTAGESCL, PredTournament} {
+		for _, core := range []pipeline.Config{pipeline.FourWide(), pipeline.EightWide()} {
+			members = append(members, []Option{WithPredictor(pred), WithCore(core)})
+		}
+	}
+	return groupOf(t, workload, base, members)
 }
 
 // TestResumeGroupReshares: a 4-member group with two event keys (two
@@ -185,21 +199,15 @@ func predictors(s *Session) int {
 // uninterrupted run.
 func TestResumeGroupReshares(t *testing.T) {
 	base := []Option{WithSeed(11), WithPBS(true), WithMaxInstrs(120_000)}
-	var members [][]Option
-	for _, pred := range []PredictorKind{PredTAGESCL, PredTournament} {
-		for _, core := range []pipeline.Config{pipeline.FourWide(), pipeline.EightWide()} {
-			members = append(members, []Option{WithPredictor(pred), WithCore(core)})
-		}
-	}
-	whole := groupOf(t, "Bandit", base, members)
-	if n := predictors(whole); n != 2 {
-		t.Fatalf("a group with 2 event keys built %d predictors", n)
+	whole := figure78Group(t, "Bandit", base)
+	if n := stages(whole); n != 2 {
+		t.Fatalf("a group with 2 event keys built %d stages", n)
 	}
 	if err := whole.Run(); err != nil {
 		t.Fatal(err)
 	}
 
-	cut := groupOf(t, "Bandit", base, members)
+	cut := figure78Group(t, "Bandit", base)
 	if _, err := cut.RunFor(54_321); err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +223,8 @@ func TestResumeGroupReshares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := predictors(resumed); n != 2 {
-		t.Fatalf("the resumed group built %d predictors, want 2", n)
+	if n := stages(resumed); n != 2 {
+		t.Fatalf("the resumed group built %d stages, want 2", n)
 	}
 	if err := resumed.Run(); err != nil {
 		t.Fatal(err)
@@ -240,102 +248,95 @@ func TestResumeGroupReshares(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsDivergentSharedStage: members that share a
-// miss-event stage carry the same predictor section; Resume refuses a
-// checkpoint (hand-edited, say) where they differ, naming both members.
-func TestResumeRejectsDivergentSharedStage(t *testing.T) {
-	base := []Option{WithSeed(7), WithPBS(true), WithMaxInstrs(50_000)}
-	s := groupOf(t, "PI", base, [][]Option{
-		{WithPredictor(PredTournament)},
-		{WithCore(pipeline.FourWide())},
-		{WithCore(pipeline.EightWide())},
-	})
-	if s.members[1].pred != s.members[2].pred {
-		t.Fatal("the 4- and 8-wide members do not share a stage")
-	}
-	if _, err := s.RunFor(10_000); err != nil {
+// TestGroupCheckpointWritesStagesOnce: a Figure 7/8 group checkpoint writes
+// each of its two miss-event stages once, as stage/0 (TAGE-SC-L) and
+// stage/1 (tournament), and each member's pipeline section holds its
+// schedule alone: it restores into the member's pipeline with no byte
+// left over, so it carries no predictor or cache state.
+func TestGroupCheckpointWritesStagesOnce(t *testing.T) {
+	s := figure78Group(t, "Bandit", []Option{WithSeed(11), WithPBS(true), WithMaxInstrs(300_000)})
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(ck); err != nil {
+	t.Logf("four-member group checkpoint: %d bytes", len(ck.Bytes()))
+	dec, err := ckpt.NewDecoder(ck.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{secConfig, secEmu, secRNG, secPBS, "stage/0", "stage/1",
+		"pipeline/0", "pipeline/1", "pipeline/2", "pipeline/3", secSession}
+	if got := dec.Sections(); !slices.Equal(got, want) {
+		t.Fatalf("sections %q, want %q", got, want)
+	}
+	for k, pred := range []PredictorKind{PredTAGESCL, PredTournament} {
+		r, _ := dec.Section(indexed(secStage, k))
+		if name := r.String(); name != string(pred) {
+			t.Errorf("stage/%d holds predictor %q, want %q", k, name, pred)
+		}
+	}
+	fresh := figure78Group(t, "Bandit", []Option{WithSeed(11), WithPBS(true), WithMaxInstrs(300_000)})
+	for i, m := range fresh.members {
+		r, _ := dec.Section(indexed(secPipeline, i))
+		if err := m.pipe.RestoreState(r); err != nil {
+			t.Fatalf("pipeline/%d: %v", i, err)
+		}
+		if r.Len() != 0 {
+			t.Errorf("pipeline/%d holds %d bytes beyond its schedule", i, r.Len())
+		}
+	}
+}
+
+// TestResumeRejectsStageSectionMismatch: Resume refuses a group
+// checkpoint that lacks a stage section its members' event keys need,
+// or has one they do not, naming the section.
+func TestResumeRejectsStageSectionMismatch(t *testing.T) {
+	base := []Option{WithSeed(7), WithPBS(true), WithMaxInstrs(50_000)}
+	newGroup := func() *Session {
+		s := groupOf(t, "PI", base, [][]Option{
+			{WithPredictor(PredTournament)},
+			{WithCore(pipeline.FourWide())},
+			{WithCore(pipeline.EightWide())},
+		})
+		if _, err := s.RunFor(10_000); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	intact, err := newGroup().Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resume(intact); err != nil {
 		t.Fatalf("an intact group checkpoint: %v", err)
 	}
-
-	// Member 2's predictor section from a predictor that never ran.
-	cold, err := NewPredictor(PredTAGESCL)
-	if err != nil {
-		t.Fatal(err)
+	cold := groupOf(t, "PI", base, [][]Option{{WithPredictor(PredTournament)}})
+	for _, tc := range []struct {
+		name    string
+		edit    func(st []*pipeline.Events) []*pipeline.Events
+		section string
+	}{
+		{"missing", func(st []*pipeline.Events) []*pipeline.Events { return st[:1] }, "stage/1"},
+		{"extra", func(st []*pipeline.Events) []*pipeline.Events { return append(st, cold.timing.stages[0]) }, "stage/2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newGroup()
+			s.timing.stages = tc.edit(s.timing.stages)
+			edited, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadCheckpoint(edited.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Resume(loaded)
+			if err == nil || !strings.Contains(err.Error(), tc.section) {
+				t.Fatalf("Resume: err = %v, want one naming %s", err, tc.section)
+			}
+		})
 	}
-	s.members[2].pred = cold
-	edited, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCheckpoint(edited.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Resume(loaded)
-	if err == nil || !strings.Contains(err.Error(), "members 1 and 2") {
-		t.Fatalf("Resume of diverging shared predictor sections: err = %v, want one naming members 1 and 2", err)
-	}
-}
-
-// TestResumeRejectsDivergentStageState: a follower's pipeline section
-// restores its shared stage (counters, line streaks, caches) again, so
-// Resume refuses a checkpoint where that part of it disagrees with the
-// lead's, naming both members, instead of letting the last one win.
-func TestResumeRejectsDivergentStageState(t *testing.T) {
-	base := []Option{WithSeed(7), WithPBS(true), WithMaxInstrs(50_000)}
-	s := groupOf(t, "PI", base, [][]Option{
-		{WithPredictor(PredTournament)},
-		{WithCore(pipeline.FourWide())},
-		{WithCore(pipeline.EightWide())},
-	})
-	if _, err := s.RunFor(10_000); err != nil {
-		t.Fatal(err)
-	}
-	intact, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Member 2 writes a stage that never ran; its schedule and its
-	// predictor section stay as they were.
-	cold := groupOf(t, "PI", base, [][]Option{{WithCore(pipeline.EightWide())}})
-	s.members[2].pipe.Events = cold.members[0].pipe.Events
-	edited, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := sections(t, intact), sections(t, edited)
-	pred, pipe := memberSection(secPredictor, 2), memberSection(secPipeline, 2)
-	if !bytes.Equal(a[pred], b[pred]) || bytes.Equal(a[pipe], b[pipe]) {
-		t.Fatal("the edit should change member 2's pipeline section and nothing of its predictor's")
-	}
-	loaded, err := LoadCheckpoint(edited.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Resume(loaded)
-	if err == nil || !strings.Contains(err.Error(), "members 1 and 2") {
-		t.Fatalf("Resume of a diverging shared stage: err = %v, want one naming members 1 and 2", err)
-	}
-}
-
-// sections returns a checkpoint's section payloads by name.
-func sections(t *testing.T, c *Checkpoint) map[string][]byte {
-	t.Helper()
-	dec, err := ckpt.NewDecoder(c.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string][]byte)
-	for _, name := range dec.Sections() {
-		out[name], _ = dec.Payload(name)
-	}
-	return out
 }

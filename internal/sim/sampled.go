@@ -69,9 +69,10 @@ func (sp *sampler) estimate(sc *schedule) sample.Estimate {
 
 // syncSample reconciles the machine with the schedule at absolute
 // retired-instruction position cur: a window whose end has been reached
-// closes into every member's populations, every pipeline's consume path
-// switches to match PhaseAt(cur), a window opens if the phase measures,
-// and trace production follows the phase. advance calls it at every
+// closes into every member's populations, a window opens if the phase
+// measures, and the trace follows the phase — to the members' stages
+// and schedules, to the stages alone on a functionally warmed gap (see
+// warming), or nowhere on any other gap. advance calls it at every
 // chunk boundary (and once more after the run ends, so a window closing
 // exactly at the end of the run is counted). The emulator stops exactly
 // on every schedule boundary and flushes its trace first, so each
@@ -87,9 +88,6 @@ func (s *Session) syncSample(cur uint64) {
 	closing := sc.open && cur >= sc.winEnd
 	phase := sc.cfg.PhaseAt(cur)
 	opening := phase == sample.Measuring && (closing || !sc.open)
-	// A functionally-warmed gap keeps the trace flowing through the
-	// pipeline's cheap cache+predictor path; any other gap pauses it.
-	funcWarm := phase == sample.FastForward && sc.cfg.FuncWarm
 	for _, m := range s.members {
 		sp := m.sampler
 		if closing {
@@ -97,7 +95,6 @@ func (s *Session) syncSample(cur uint64) {
 			sp.cpis = append(sp.cpis, d.CPI())
 			sp.mpkis = append(sp.mpkis, d.MPKI())
 		}
-		m.pipe.SetFuncWarm(funcWarm)
 		if opening {
 			sp.winBase = m.pipe.Metrics()
 		}
@@ -109,14 +106,19 @@ func (s *Session) syncSample(cur uint64) {
 		sc.open = true
 		sc.winEnd = sc.cfg.WindowEnd(cur)
 	}
-	if phase != sample.FastForward || funcWarm {
-		s.cpu.ResumeTrace()
-		return
+	switch {
+	case phase != sample.FastForward:
+		s.cpu.SetTraceSink(s.timing)
+	case sc.cfg.FuncWarm:
+		// The gap keeps the trace flowing through the stages' cheap
+		// cache+predictor pass.
+		s.cpu.SetTraceSink((*warming)(s.timing))
+	default:
+		// PauseTrace flushes any straggling batch and detaches the trace
+		// buffer, so the emulator's fused loop runs its zero-overhead
+		// untraced path until the next detailed phase resumes it.
+		s.cpu.PauseTrace()
 	}
-	// PauseTrace flushes any straggling batch and detaches the trace
-	// buffer, so the emulator's fused loop runs its zero-overhead
-	// untraced path until the next detailed phase resumes it.
-	s.cpu.PauseTrace()
 }
 
 // validateSample checks the sampled-timing configuration at session

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/branch"
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -115,6 +115,7 @@ type Session struct {
 	unit *core.Unit
 
 	members []*member // timing models, in AddMember order; never empty
+	timing  *timing   // the members' stages and pipelines; nil: functional only
 	sched   *schedule // shared sampling schedule; nil: full timing
 
 	// started records that the session has run timed (RunFor, Run) or
@@ -124,15 +125,12 @@ type Session struct {
 	err error // first run error; the session is dead once set
 }
 
-// member is one timing model of a session: its configuration, the
-// pipeline the trace feeds, the predictor of the pipeline's miss-event
-// stage (the same predictor for members that share the stage), and its
-// window populations on a sampled run. Pipeline and predictor are nil
-// on a functional-only (WithoutTiming) session.
+// member is one timing model of a session: its configuration, its
+// pipeline (nil on a functional-only, WithoutTiming, session) and its
+// window populations on a sampled run.
 type member struct {
 	cfg     Config
 	pipe    *pipeline.Pipeline
-	pred    branch.Predictor
 	sampler *sampler // nil: full timing (see WithSampledTiming)
 }
 
@@ -213,11 +211,10 @@ func (s *Session) newMember(cfg Config) (*member, error) {
 	pcfg := coreConfig(cfg)
 	for _, l := range s.members {
 		if l.pipe != nil && sharesEvents(l.cfg, cfg) {
-			pipe, err := pipeline.NewFollower(pcfg, l.pipe)
-			if err != nil {
+			var err error
+			if m.pipe, err = pipeline.NewFollower(pcfg, l.pipe); err != nil {
 				return nil, err
 			}
-			m.pipe, m.pred = pipe, l.pred
 			return m, nil
 		}
 	}
@@ -225,11 +222,9 @@ func (s *Session) newMember(cfg Config) (*member, error) {
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := pipeline.New(pcfg, s.prog, pred)
-	if err != nil {
+	if m.pipe, err = pipeline.New(pcfg, s.prog, pred); err != nil {
 		return nil, err
 	}
-	m.pipe, m.pred = pipe, pred
 	return m, nil
 }
 
@@ -274,18 +269,18 @@ func sharesEvents(a, b Config) bool {
 //
 // A member whose event key — predictor, caches, memory latency,
 // predictor filtering and oracle front end — is that of an earlier
-// member shares that member's miss-event stage: it replays the cache
-// levels and mispredictions the earlier member computes for each batch
-// through its own schedule (width, ROB, functional units, front-end
-// depth, penalty model) instead of running the caches and the predictor
-// again.
+// member shares that member's miss-event stage: per batch the stage's
+// event pass runs the caches and the predictor once, and every member
+// on it runs the recorded cache levels and mispredictions through its
+// own schedule (width, ROB, functional units, front-end depth, penalty
+// model).
 //
 // Members join before the session first runs timed — before or after
 // a FastForward, whose timing models all start cold — and not once the
 // session was resumed from a checkpoint (a member would start cold
 // where the solo run restores). A multi-member session checkpoints
-// every member (see Checkpoint); Snapshot and Result report the first
-// member.
+// every member's schedule and each shared stage once (see Checkpoint);
+// Snapshot and Result report the first member.
 func (s *Session) AddMember(opts ...Option) error {
 	cfg := s.origin
 	for _, o := range opts {
@@ -300,25 +295,27 @@ func (s *Session) AddMember(opts ...Option) error {
 	return s.addMember(cfg)
 }
 
-// addMember builds member cfg's timing model and points the emulator's
-// trace at every member's pipeline.
+// addMember builds member cfg's timing model and adds its pipeline, and
+// its stage unless an earlier member built it, to the session's timing
+// sink.
 func (s *Session) addMember(cfg Config) error {
 	m, err := s.newMember(cfg)
 	if err != nil {
 		return err
 	}
 	s.members = append(s.members, m)
-	switch {
-	case m.pipe == nil:
-	case len(s.members) == 1:
-		s.cpu.SetTraceSink(m.pipe)
-	default:
-		sinks := make(fanout, len(s.members))
-		for i, m := range s.members {
-			sinks[i] = m.pipe
-		}
-		s.cpu.SetTraceSink(sinks)
+	if m.pipe == nil {
+		return nil
 	}
+	if s.timing == nil {
+		s.timing = &timing{}
+		s.cpu.SetTraceSink(s.timing)
+	}
+	t := s.timing
+	if !slices.Contains(t.stages, m.pipe.Events) {
+		t.stages = append(t.stages, m.pipe.Events)
+	}
+	t.pipes = append(t.pipes, m.pipe)
 	return nil
 }
 
@@ -356,16 +353,33 @@ func equalPtr[T comparable](a, b *T) bool {
 	return *a == *b
 }
 
-// fanout is the trace sink of a multi-member session: it hands every
-// batch to each member's pipeline in member order. Pipelines only read
-// the batch, so all of them see the emulator's stream unchanged, and a
-// member that shares an earlier member's miss-event stage finds that
-// stage's events for the batch already recorded.
-type fanout []*pipeline.Pipeline
+// timing is the trace sink of a timed session: per batch, the event
+// pass of each miss-event stage (in order of first use), then the
+// schedule pass of each member's pipeline (in member order), which
+// reads its stage's record of the batch. Both passes only read the
+// batch, so every member sees the emulator's stream unchanged.
+type timing struct {
+	stages []*pipeline.Events
+	pipes  []*pipeline.Pipeline
+}
 
-func (f fanout) ConsumeTrace(batch []emu.DynInstr) {
-	for _, p := range f {
-		p.ConsumeTrace(batch)
+func (t *timing) ConsumeTrace(batch []emu.DynInstr) {
+	for _, st := range t.stages {
+		st.Record(batch)
+	}
+	for _, p := range t.pipes {
+		p.Schedule(batch)
+	}
+}
+
+// warming is the trace sink of a functionally warmed gap on a sampled
+// run: each stage's event pass with its counters put back (see
+// pipeline.Events.Warm); no schedule sees the batch.
+type warming timing
+
+func (w *warming) ConsumeTrace(batch []emu.DynInstr) {
+	for _, st := range w.stages {
+		st.Warm(batch)
 	}
 }
 
