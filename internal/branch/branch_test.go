@@ -1,8 +1,10 @@
 package branch
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/rng"
 )
 
@@ -225,6 +227,42 @@ func TestFoldedHistoryMatchesDirect(t *testing.T) {
 		}
 		if f.comp != direct {
 			t.Fatalf("folded history diverged at step %d: %x vs %x", i, f.comp, direct)
+		}
+	}
+}
+
+// TestReleasedPredictorsRestartAtPowerOn: a predictor built on the
+// tables a trained one released starts from the power-on state.
+func TestReleasedPredictorsRestartAtPowerOn(t *testing.T) {
+	state := func(p Predictor) []byte {
+		e := ckpt.NewEncoder()
+		if err := p.CheckpointState(e.Section("p")); err != nil {
+			t.Fatal(err)
+		}
+		data, err := e.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, name := range []string{"tage-sc-l", "tournament"} {
+		p, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := state(p)
+		r := rng.New(7)
+		for i := 0; i < 20_000; i++ {
+			pc := uint64(r.Float64() * 64)
+			p.Update(pc, r.Float64() < 0.6, p.Predict(pc))
+		}
+		Release(p)
+		q, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(state(q), want) {
+			t.Errorf("%s built on released tables is not in its power-on state", name)
 		}
 	}
 }

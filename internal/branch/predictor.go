@@ -8,6 +8,7 @@ package branch
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ckpt"
 )
@@ -33,6 +34,23 @@ func New(name string) (Predictor, error) {
 		}
 	}
 	return nil, fmt.Errorf("branch: unknown predictor %q (known: %v)", name, Names())
+}
+
+// Released predictors wait here for the next constructor of their kind
+// (see Release), which resets one to the power-on state instead of
+// allocating its tables afresh.
+var tagePool, tournamentPool sync.Pool
+
+// Release hands p's tables back for a later constructor of its kind to
+// reuse; p must not be used afterwards. Predictors without tables are
+// not kept.
+func Release(p Predictor) {
+	switch p := p.(type) {
+	case *TAGESCL:
+		tagePool.Put(p)
+	case *Tournament:
+		tournamentPool.Put(p)
+	}
 }
 
 // Names lists the predictor names in table order.

@@ -171,12 +171,14 @@ type tagePredState struct {
 	finalPred  bool
 }
 
-// NewTAGESCL builds the ~8 KB TAGE-SC-L (see the geometry constants).
+// NewTAGESCL builds the ~8 KB TAGE-SC-L (see the geometry constants),
+// on the tables of a released one when there is one (see Release).
 func NewTAGESCL() *TAGESCL {
-	t := &TAGESCL{
-		loop: NewLoopPredictor(tageLoops),
-		lfsr: 0xace1,
+	if t, ok := tagePool.Get().(*TAGESCL); ok {
+		t.reset()
+		return t
 	}
+	t := &TAGESCL{loop: NewLoopPredictor(tageLoops)}
 	slotOf := func(l uint) uint8 {
 		for i, tap := range t.foldTaps {
 			if tap == uint32(l) {
@@ -474,4 +476,5 @@ func (t *TAGESCL) reset() {
 	t.scThresh = 2*int32(len(t.scTables)+1) + 1
 	t.scThreshC = 0
 	t.p = tagePredState{provider: -1}
+	t.idxBuf, t.tagBuf, t.scIdxBuf = [tageTables]uint32{}, [tageTables]uint16{}, [scTables]int{}
 }

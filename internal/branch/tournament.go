@@ -27,24 +27,37 @@ func NewTournament() *Tournament {
 
 // NewTournamentSized builds a tournament predictor with the given bimodal,
 // gshare and chooser table sizes (powers of two), gshare history length,
-// and loop predictor rows.
+// and loop predictor rows, on the tables of a released one of that
+// geometry when there is one (see Release).
 func NewTournamentSized(bimodalEntries, gshareEntries, chooserEntries int, histLen uint, loopEntries int) *Tournament {
 	if chooserEntries <= 0 || chooserEntries&(chooserEntries-1) != 0 {
 		panic("branch: chooser entries must be a positive power of two")
 	}
-	// The component constructors set their own power-on state; the
-	// chooser's starts weakly preferring the bimodal component.
-	t := &Tournament{
-		bimodal: NewBimodal(bimodalEntries),
-		gshare:  NewGShare(gshareEntries, histLen),
-		loop:    NewLoopPredictor(loopEntries),
-		chooser: make([]uint8, chooserEntries),
-		mask:    uint64(chooserEntries - 1),
+	t, ok := tournamentPool.Get().(*Tournament)
+	if !ok || len(t.bimodal.ctrs) != bimodalEntries || len(t.gshare.ctrs) != gshareEntries ||
+		len(t.chooser) != chooserEntries || t.gshare.histLen != histLen || len(t.loop.entries) != loopEntries {
+		t = &Tournament{
+			bimodal: NewBimodal(bimodalEntries),
+			gshare:  NewGShare(gshareEntries, histLen),
+			loop:    NewLoopPredictor(loopEntries),
+			chooser: make([]uint8, chooserEntries),
+			mask:    uint64(chooserEntries - 1),
+		}
 	}
+	t.reset()
+	return t
+}
+
+// reset sets the power-on state: every component's, and a chooser
+// weakly preferring the bimodal component.
+func (t *Tournament) reset() {
+	t.bimodal.reset()
+	t.gshare.reset()
+	t.loop.reset()
 	for i := range t.chooser {
 		t.chooser[i] = 1
 	}
-	return t
+	t.lastBimodal, t.lastGShare, t.lastLoop, t.lastLoopHit = false, false, false, false
 }
 
 func (t *Tournament) chooserIdx(pc uint64) uint64 { return mix(pc) & t.mask }

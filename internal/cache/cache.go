@@ -6,6 +6,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Config describes one cache level.
@@ -64,30 +65,47 @@ type Cache struct {
 // New builds a cache. Size, line size and ways must describe a power-of-two
 // number of sets. No tag storage is allocated until an access needs it.
 func New(cfg Config) (*Cache, error) {
+	c := new(Cache)
+	if err := c.reset(cfg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// reset empties the cache and gives it geometry cfg, keeping the
+// capacity of its granule slab and index: every way is invalid, and
+// granules are again laid out in the order a run first touches them.
+func (c *Cache) reset(cfg Config) error {
 	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
-		return nil, fmt.Errorf("cache: non-positive geometry %+v", cfg)
+		return fmt.Errorf("cache: non-positive geometry %+v", cfg)
 	}
 	nLines := cfg.SizeBytes / cfg.LineBytes
 	if nLines%cfg.Ways != 0 {
-		return nil, fmt.Errorf("cache: %d lines not divisible by %d ways", nLines, cfg.Ways)
+		return fmt.Errorf("cache: %d lines not divisible by %d ways", nLines, cfg.Ways)
 	}
 	nSets := nLines / cfg.Ways
 	if nSets&(nSets-1) != 0 {
-		return nil, fmt.Errorf("cache: set count %d is not a power of two", nSets)
+		return fmt.Errorf("cache: set count %d is not a power of two", nSets)
 	}
 	if uint64(nLines)*2 >= math.MaxUint32 {
-		return nil, fmt.Errorf("cache: %d lines exceed the tag index range", nLines)
+		return fmt.Errorf("cache: %d lines exceed the tag index range", nLines)
 	}
 	lineBits := uint(0)
 	for 1<<lineBits < cfg.LineBytes {
 		lineBits++
 	}
 	if 1<<lineBits != cfg.LineBytes {
-		return nil, fmt.Errorf("cache: line size %d is not a power of two", cfg.LineBytes)
+		return fmt.Errorf("cache: line size %d is not a power of two", cfg.LineBytes)
 	}
-	c := &Cache{cfg: cfg, ways: cfg.Ways, setMask: uint64(nSets - 1), lineBits: lineBits}
-	c.index = make([]uint32, (nSets+granuleSets-1)/granuleSets)
-	return c, nil
+	index := c.index
+	if n := (nSets + granuleSets - 1) / granuleSets; cap(index) < n {
+		index = make([]uint32, n)
+	} else {
+		index = index[:n]
+		clear(index)
+	}
+	*c = Cache{cfg: cfg, index: index, words: c.words[:0], ways: cfg.Ways, setMask: uint64(nSets - 1), lineBits: lineBits}
+	return nil
 }
 
 // Config returns the cache geometry.
@@ -164,22 +182,32 @@ type Hierarchy struct {
 	L1I, L1D, L2 *Cache
 }
 
-// NewHierarchy builds the hierarchy from per-level configurations.
+// hierPool holds released hierarchies (see Hierarchy.Release).
+var hierPool sync.Pool
+
+// NewHierarchy builds the hierarchy from per-level configurations, on
+// the storage of a released one when there is one (see Release).
 func NewHierarchy(l1i, l1d, l2 Config) (*Hierarchy, error) {
-	ci, err := New(l1i)
-	if err != nil {
+	h, ok := hierPool.Get().(*Hierarchy)
+	if !ok {
+		h = &Hierarchy{L1I: new(Cache), L1D: new(Cache), L2: new(Cache)}
+	}
+	if err := h.L1I.reset(l1i); err != nil {
 		return nil, err
 	}
-	cd, err := New(l1d)
-	if err != nil {
+	if err := h.L1D.reset(l1d); err != nil {
 		return nil, err
 	}
-	c2, err := New(l2)
-	if err != nil {
+	if err := h.L2.reset(l2); err != nil {
 		return nil, err
 	}
-	return &Hierarchy{L1I: ci, L1D: cd, L2: c2}, nil
+	return h, nil
 }
+
+// Release hands the hierarchy's granule slabs and indices back for a
+// later NewHierarchy to reuse, which empties them first; h must not be
+// used afterwards.
+func (h *Hierarchy) Release() { hierPool.Put(h) }
 
 // Level names the hierarchy level that served an access.
 type Level uint8

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -185,20 +186,36 @@ type CPU struct {
 	Consumed    []float64
 }
 
+// cpuPool holds released CPUs (see Release).
+var cpuPool sync.Pool
+
 // New builds a CPU for prog. pbs may be nil to run without PBS hardware
 // (probabilistic instructions then execute as plain compare+jump —
 // backward compatibility, §V-A2). The RNG stream must not be shared.
 // The program must not be mutated afterwards: its decoded execution plan
-// is built once and shared read-only (see internal/plan).
+// is built once and shared read-only (see internal/plan). The memory
+// image and trace buffer are those of a released CPU when there is one,
+// zeroed.
 func New(prog *isa.Program, r *rng.Stream, pbs *core.Unit) (*CPU, error) {
 	pl, err := plan.For(prog)
 	if err != nil {
 		return nil, err
 	}
-	c := &CPU{
+	c, ok := cpuPool.Get().(*CPU)
+	if !ok {
+		c = new(CPU)
+	}
+	mem := c.mem
+	if n := int(prog.MemSize); cap(mem) < n {
+		mem = make([]byte, n)
+	} else {
+		mem = mem[:n]
+		clear(mem)
+	}
+	*c = CPU{
 		prog: prog,
 		plan: pl,
-		mem:  make([]byte, prog.MemSize),
+		mem:  mem,
 		rng:  r,
 		pbs:  pbs,
 	}
@@ -206,6 +223,15 @@ func New(prog *isa.Program, r *rng.Stream, pbs *core.Unit) (*CPU, error) {
 		putWord(c.mem, uint64(addr), v)
 	}
 	return c, nil
+}
+
+// Release hands the CPU's memory image and trace buffer back for a
+// later New to reuse; c must not be used afterwards. What c returned
+// before stays valid: Output copies, and a later New starts the
+// captured value streams afresh rather than reusing theirs.
+func (c *CPU) Release() {
+	*c = CPU{mem: c.mem}
+	cpuPool.Put(c)
 }
 
 // SetTraceSink installs the batched trace consumer, called synchronously

@@ -459,3 +459,49 @@ func New2Halted(t *testing.T) error {
 	}
 	return nil
 }
+
+// TestReleasedCPUStartsAfresh: a CPU built on the memory image and trace
+// buffer a released one handed back starts with the image zeroed but
+// for its own program's data, and without the released CPU's outputs or
+// captured value streams.
+func TestReleasedCPUStartsAfresh(t *testing.T) {
+	old := run(t, false, func(b *progb.Builder) {
+		addr := b.AllocWords(64)
+		b.MovInt(1, addr)
+		b.MovInt(2, -1)
+		for i := int32(0); i < 64; i++ {
+			b.Store(1, 8*i, 2)
+		}
+		b.Out(2)
+		b.Halt()
+	})
+	old.Release()
+
+	b := progb.New("small", true)
+	addr := b.AllocWords(4)
+	b.InitWord(addr+8, 7)
+	b.Halt()
+	prog, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(prog, rng.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(c.mem)) != prog.MemSize {
+		t.Fatalf("memory image is %d bytes, program needs %d", len(c.mem), prog.MemSize)
+	}
+	for a := int64(0); a < prog.MemSize; a += 8 {
+		want := uint64(0)
+		if a == addr+8 {
+			want = 7
+		}
+		if got, _ := c.ReadWord(a); got != want {
+			t.Errorf("word at %d reads %#x, want %#x", a, got, want)
+		}
+	}
+	if len(c.Output()) != 0 || c.Generated != nil || c.Consumed != nil || c.Stats() != (Stats{}) {
+		t.Errorf("a new CPU starts with outputs %v, streams %v/%v, stats %+v", c.Output(), c.Generated, c.Consumed, c.Stats())
+	}
+}

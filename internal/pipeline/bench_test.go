@@ -48,37 +48,61 @@ func recordWorkload(tb testing.TB, name string, pbs bool, n uint64) (*isa.Progra
 	return prog, trace
 }
 
+// mixTrace is one recorded trace of the workload mix (see recordMix).
+type mixTrace struct {
+	prog  *isa.Program
+	trace []emu.DynInstr
+}
+
+// mixTraces holds the workload mix once recordMix has recorded it.
+var mixTraces []mixTrace
+
+// mixPrefix is how many instructions of each workload the mix replays.
+const mixPrefix = 1 << 15
+
+// recordMix records, once per process, each workload's first mixPrefix
+// instructions with PBS off and on (16 traces, 12 MB) for replay
+// through the timing model.
+func recordMix(b *testing.B) []mixTrace {
+	if mixTraces == nil {
+		for _, name := range workloads.Names() {
+			for _, pbs := range []bool{false, true} {
+				prog, trace := recordWorkload(b, name, pbs, mixPrefix)
+				mixTraces = append(mixTraces, mixTrace{prog, trace})
+			}
+		}
+	}
+	return mixTraces
+}
+
 // BenchmarkRetireMix measures the retire kernel over the whole workload
-// mix: each workload's first 1M instructions, PBS off and on, are
-// recorded once and replayed in 256-instruction batches through fresh
-// 4- and 8-wide pipelines with both predictors. Recording and pipeline
-// construction are excluded from the timing; the metric is nanoseconds
-// per replayed instruction. One iteration replays 64M instructions.
+// mix (see recordMix): one iteration replays every trace, in
+// emulator-sized batches, through fresh 4- and 8-wide pipelines with
+// both predictors, so every iteration times the same 2M instructions.
+// Recording and pipeline construction are excluded from the timing;
+// the metric is nanoseconds per replayed instruction.
 func BenchmarkRetireMix(b *testing.B) {
-	const n, batch = 1 << 20, 256
-	var replayed uint64
 	b.StopTimer()
-	for _, name := range workloads.Names() {
-		for _, pbs := range []bool{false, true} {
-			prog, trace := recordWorkload(b, name, pbs, n)
-			for i := 0; i < b.N; i++ {
-				for _, cfg := range []Config{FourWide(), EightWide()} {
-					for _, pred := range []string{"tage-sc-l", "tournament"} {
-						bp, err := branch.New(pred)
-						if err != nil {
-							b.Fatal(err)
-						}
-						pipe, err := New(cfg, prog, bp)
-						if err != nil {
-							b.Fatal(err)
-						}
-						b.StartTimer()
-						for off := 0; off < len(trace); off += batch {
-							pipe.ConsumeTrace(trace[off:min(off+batch, len(trace))])
-						}
-						b.StopTimer()
-						replayed += uint64(len(trace))
+	recs := recordMix(b)
+	var replayed uint64
+	for i := 0; i < b.N; i++ {
+		for _, rec := range recs {
+			for _, cfg := range []Config{FourWide(), EightWide()} {
+				for _, pred := range []string{"tage-sc-l", "tournament"} {
+					bp, err := branch.New(pred)
+					if err != nil {
+						b.Fatal(err)
 					}
+					pipe, err := New(cfg, rec.prog, bp)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					for off := 0; off < len(rec.trace); off += emu.TraceBatch {
+						pipe.ConsumeTrace(rec.trace[off:min(off+emu.TraceBatch, len(rec.trace))])
+					}
+					b.StopTimer()
+					replayed += uint64(len(rec.trace))
 				}
 			}
 		}
@@ -87,39 +111,30 @@ func BenchmarkRetireMix(b *testing.B) {
 }
 
 // BenchmarkRetireGroup measures what sharing a miss-event stage saves:
-// the traces BenchmarkRetireMix records are replayed, with both
-// predictors, through four pipelines — a 4-wide core, an 8-wide one, a
-// 4-wide one charging the resolution penalty, and a 4-wide one whose
-// ROB is as small as its width. The group sub-benchmark builds the
-// first as the lead and the other three as its followers, and per batch
-// runs the shared stage's event pass once and then the four schedule
-// passes; the solo sub-benchmark builds all four with their own stages.
-// Both report nanoseconds per instruction per member.
+// the traces of the workload mix (see recordMix) are replayed, with
+// both predictors, through four pipelines — a 4-wide core, an 8-wide
+// one, a 4-wide one charging the resolution penalty, and a 4-wide one
+// whose ROB is as small as its width. The group sub-benchmark builds
+// the first as the lead and the other three as its followers, and per
+// batch runs the shared stage's event pass once and then the four
+// schedule passes; the solo sub-benchmark builds all four with their
+// own stages. One iteration replays every trace with each predictor,
+// so both sub-benchmarks time the same work. Both report nanoseconds
+// per instruction per member.
 func BenchmarkRetireGroup(b *testing.B) {
-	const n = 1 << 20
 	resolution, tight := FourWide(), FourWide()
 	resolution.ResolutionPenalty = true
 	tight.ROBSize = tight.Width
 	cfgs := []Config{FourWide(), EightWide(), resolution, tight}
-	type recording struct {
-		prog  *isa.Program
-		trace []emu.DynInstr
-	}
-	var recs []recording
-	for _, name := range workloads.Names() {
-		for _, pbs := range []bool{false, true} {
-			prog, trace := recordWorkload(b, name, pbs, n)
-			recs = append(recs, recording{prog, trace})
-		}
-	}
 	for _, shared := range []bool{true, false} {
 		label := "solo"
 		if shared {
 			label = "group"
 		}
 		b.Run(label, func(b *testing.B) {
-			var replayed uint64
 			b.StopTimer()
+			recs := recordMix(b)
+			var replayed uint64
 			for i := 0; i < b.N; i++ {
 				for _, rec := range recs {
 					for _, pred := range []string{"tage-sc-l", "tournament"} {

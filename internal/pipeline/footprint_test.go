@@ -108,7 +108,8 @@ func TestFUSchedMatchesReference(t *testing.T) {
 							classes = append(classes, plan.FUClass(c))
 						}
 					}
-					s := newFUSched(units, lay.used)
+					var s fuSched
+					s.reset(units, lay.used)
 					for _, c := range classes {
 						s.rings[c] = make([]fuCell, lay.start)
 					}
@@ -354,5 +355,30 @@ func TestRestoreRejectsCellsOfAbsentClass(t *testing.T) {
 	err = p.RestoreState(r)
 	if err == nil || !strings.Contains(err.Error(), "does not use") {
 		t.Fatalf("RestoreState = %v, want a refusal of the divide cells", err)
+	}
+}
+
+// TestReleasedPipelineReplaysFresh: a pipeline built on the storage a
+// released one handed back (stage, predictor, caches, ROB and FU rings)
+// replays a trace to the state of a freshly allocated one, and keeps
+// its FU rings at the size they grew to.
+func TestReleasedPipelineReplaysFresh(t *testing.T) {
+	trace, newPipe := chaseTrace(t)
+	fresh := newPipe()
+	fresh.ConsumeTrace(trace)
+	want := snapshot(t, fresh)
+	if !grown(&fresh.fus, fuRingMin) {
+		t.Fatal("the chase trace grew no FU ring")
+	}
+	fresh.Events.Release()
+	fresh.Release()
+
+	again := newPipe()
+	if again == fresh && !grown(&again.fus, fuRingMin) {
+		t.Error("a recycled pipeline dropped its grown FU rings")
+	}
+	again.ConsumeTrace(trace)
+	if !bytes.Equal(snapshot(t, again), want) {
+		t.Error("a pipeline on released storage replays to a different state than a fresh one")
 	}
 }

@@ -20,6 +20,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -224,10 +225,9 @@ func (m Metrics) SteerRate() float64 {
 // first 300k instructions, PI's and MC-integ's rings end at 8 to 64
 // cells, while the divide-bound DOP, Greeks, Swaptions and Photon grow
 // their ALU, FP, FP-divide and branch rings to 256 cells (512 on the
-// 8-wide core). Starting at 16, 32 or 64 cells allocated alike on the
-// grid benchmark, about 5 KB a pipeline less than 256 cells: the
-// doubling garbage of the rings that grow stays below what the small
-// ones save.
+// 8-wide core). A released pipeline keeps its grown rings (see
+// Release), so the pipelines a process builds one after another learn
+// those sizes once.
 const fuRingMin = 1 << 5
 
 // fuSched models functional-unit contention with backfill, the way an
@@ -249,13 +249,14 @@ const fuRingMin = 1 << 5
 // classes then read and write the same cell, and scheduling measured
 // about half again as slow.)
 //
-// Only the classes the program's plan uses (plan.Plan.FUs) get a ring:
-// no instruction of another class is ever scheduled, so its ring would
-// be storage no probe reads, and the schedule pass indexes a class's
-// ring with no check that it exists.
+// Every class the program's plan uses (plan.Plan.FUs) has a ring, and
+// the schedule pass indexes a class's ring with no check that it
+// exists. Another class gets none: no instruction of it is ever
+// scheduled, so its ring would be storage no probe reads. It keeps one
+// a recycled pipeline grew for an earlier program, empty.
 type fuSched struct {
 	units [plan.NumFUClasses]uint8
-	rings [plan.NumFUClasses][]fuCell // power-of-two lengths; nil for a class not in the set
+	rings [plan.NumFUClasses][]fuCell // power-of-two lengths; nil for a class without one
 }
 
 // fuCell packs one time-ring cell as cycle<<8 | count: cycles stay below
@@ -267,15 +268,19 @@ func (c fuCell) cycle() uint64        { return uint64(c) >> 8 }
 func (c fuCell) count() uint8         { return uint8(c) }
 func (c fuCell) live(now uint64) bool { return c.cycle() >= now && c.count() != 0 }
 
-// newFUSched builds empty rings for the classes in used.
-func newFUSched(units [plan.NumFUClasses]uint8, used plan.FUSet) fuSched {
-	s := fuSched{units: units}
-	for class := range s.rings {
-		if used.Has(plan.FUClass(class)) {
+// reset empties every ring for a program that uses the classes in
+// used, keeping each ring's size; a class in used that has no ring gets
+// one of fuRingMin cycles.
+func (s *fuSched) reset(units [plan.NumFUClasses]uint8, used plan.FUSet) {
+	s.units = units
+	for class, ring := range s.rings {
+		switch {
+		case ring != nil:
+			clear(ring)
+		case used.Has(plan.FUClass(class)):
 			s.rings[class] = make([]fuCell, fuRingMin)
 		}
 	}
-	return s
 }
 
 // schedule returns the issue cycle for an operation of the given class,
@@ -593,10 +598,15 @@ type Pipeline struct {
 	fus fuSched
 }
 
+// Released stages and pipelines wait here for the next New or
+// NewFollower (see Events.Release and Pipeline.Release), which resets
+// one to the power-on state.
+var eventsPool, pipePool sync.Pool
+
 // New builds a pipeline bound to a program, predictor and fresh caches,
-// with a miss-event stage of its own. The program must not be mutated
-// afterwards (its decoded execution plan is shared read-only; see
-// internal/plan).
+// with a miss-event stage of its own, which owns the predictor from
+// then on. The program must not be mutated afterwards (its decoded
+// execution plan is shared read-only; see internal/plan).
 func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -609,7 +619,11 @@ func New(cfg Config, prog *isa.Program, pred branch.Predictor) (*Pipeline, error
 	if err != nil {
 		return nil, err
 	}
-	st := &Events{
+	st, ok := eventsPool.Get().(*Events)
+	if !ok {
+		st = new(Events)
+	}
+	*st = Events{
 		pred:       pred,
 		hier:       hier,
 		code:       pl.Code,
@@ -645,25 +659,39 @@ func NewFollower(cfg Config, lead *Pipeline) (*Pipeline, error) {
 	return newSchedule(cfg, lead.plan, lead.Events), nil
 }
 
-// newSchedule builds a fresh schedule that reads stage st.
+// newSchedule builds an empty schedule that reads stage st, on the ROB
+// and FU rings of a released pipeline when there is one.
 func newSchedule(cfg Config, pl *plan.Plan, st *Events) *Pipeline {
-	p := &Pipeline{
+	p, ok := pipePool.Get().(*Pipeline)
+	if !ok {
+		p = new(Pipeline)
+	}
+	rob := p.robRing
+	if cap(rob) < cfg.ROBSize {
+		rob = make([]uint64, cfg.ROBSize)
+	} else {
+		rob = rob[:cfg.ROBSize]
+		clear(rob)
+	}
+	fus := p.fus
+	fus.reset([plan.NumFUClasses]uint8{
+		plan.FUALU:    uint8(cfg.IntALUs),
+		plan.FUMul:    1,
+		plan.FUDiv:    1,
+		plan.FUFP:     uint8(cfg.FPUs),
+		plan.FUFDiv:   1,
+		plan.FUFLong:  1,
+		plan.FUMem:    uint8(cfg.MemPorts),
+		plan.FUBranch: uint8(cfg.BranchUnits),
+	}, pl.FUs)
+	*p = Pipeline{
 		Events:  st,
 		cfg:     cfg,
 		plan:    pl,
-		robRing: make([]uint64, cfg.ROBSize),
+		robRing: rob,
 		feDepth: uint64(cfg.FrontendDepth),
 		misPen:  uint64(cfg.MispredictPenalty),
-		fus: newFUSched([plan.NumFUClasses]uint8{
-			plan.FUALU:    uint8(cfg.IntALUs),
-			plan.FUMul:    1,
-			plan.FUDiv:    1,
-			plan.FUFP:     uint8(cfg.FPUs),
-			plan.FUFDiv:   1,
-			plan.FUFLong:  1,
-			plan.FUMem:    uint8(cfg.MemPorts),
-			plan.FUBranch: uint8(cfg.BranchUnits),
-		}, pl.FUs),
+		fus:     fus,
 	}
 	for lvl, lat := range []int{cfg.L1I.HitLatency, cfg.L2.HitLatency, cfg.MemLatency} {
 		if lvl != int(cache.LevelL1) && lat > cfg.L1I.HitLatency {
@@ -674,6 +702,25 @@ func newSchedule(cfg Config, pl *plan.Plan, st *Events) *Pipeline {
 		p.dlat[lvl] = uint64(lat)
 	}
 	return p
+}
+
+// Release hands the stage's predictor, cache hierarchy and record back
+// for later pipelines to reuse; neither the stage nor a pipeline that
+// reads it may be used afterwards.
+func (st *Events) Release() {
+	branch.Release(st.pred)
+	st.hier.Release()
+	*st = Events{}
+	eventsPool.Put(st)
+}
+
+// Release hands the schedule's ROB and FU rings back for a later
+// pipeline to reuse, the rings at the size they grew to; p must not be
+// used afterwards. It leaves p's stage alone: release that with
+// p.Events.Release once no pipeline reads it.
+func (p *Pipeline) Release() {
+	p.Events, p.plan = nil, nil
+	pipePool.Put(p)
 }
 
 // ConsumeTrace implements emu.TraceSink for a pipeline that alone reads

@@ -264,7 +264,8 @@ func TestMetricsDerived(t *testing.T) {
 }
 
 func TestFUSchedSaturation(t *testing.T) {
-	s := newFUSched([plan.NumFUClasses]uint8{plan.FUALU: 2, plan.FUDiv: 1}, 1<<plan.FUALU|1<<plan.FUDiv)
+	var s fuSched
+	s.reset([plan.NumFUClasses]uint8{plan.FUALU: 2, plan.FUDiv: 1}, 1<<plan.FUALU|1<<plan.FUDiv)
 	// Three ops ready at cycle 10 on a 2-unit class: two issue at 10,
 	// the third at 11.
 	if got := s.schedule(plan.FUALU, 10, 1, 0); got != 10 {

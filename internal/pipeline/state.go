@@ -83,13 +83,13 @@ func (p *Pipeline) RestoreState(r *ckpt.Reader) error {
 		return fmt.Errorf("pipeline: checkpoint ROB cursor %d out of range", p.robPos)
 	}
 
-	p.fus = newFUSched(p.fus.units, p.plan.FUs)
+	p.fus.reset(p.fus.units, p.plan.FUs)
 	for class := range p.fus.rings {
 		live := r.Uint()
 		if r.Err() == nil && live > uint64(r.Len()) {
 			return fmt.Errorf("pipeline: checkpoint claims %d live FU cells with %d bytes left", live, r.Len())
 		}
-		if r.Err() == nil && live > 0 && p.fus.rings[class] == nil {
+		if r.Err() == nil && live > 0 && !p.plan.FUs.Has(plan.FUClass(class)) {
 			return fmt.Errorf("pipeline: checkpoint has %d live FU cells of class %d, which the program does not use", live, class)
 		}
 		cycle := p.curFetchCycle

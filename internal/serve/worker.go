@@ -28,8 +28,11 @@ var errLeaseLost = errors.New("serve: lease lost")
 // one session started by the in-process engine's group starter
 // (sweep.StartGroup): cached shared programs, the group's warm prefix
 // fast-forwarded once for every member, and chunked runs that abort
-// when the lease is lost. A Worker runs one group at a time; start
-// several (sharing one ProgramCache) to use more cores.
+// when the lease is lost. Once a group's results are taken and any
+// checkpoint is posted, the worker closes its session, so the next
+// group runs on the same machine storage (see sim.Session.Close). A
+// Worker runs one group at a time; start several (sharing one
+// ProgramCache) to use more cores.
 //
 // Fault posture: transient request failures retry with jittered
 // exponential backoff bounded by RetryBudget; renewals piggyback
@@ -240,6 +243,7 @@ func (w *Worker) runLeased(ctx context.Context, lr LeaseResponse, ttl time.Durat
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close() // after its results are taken and any checkpoint posted
 	every := w.ProgressEvery
 	if every <= 0 {
 		every = ttl / 3
@@ -273,7 +277,7 @@ func (w *Worker) runLeased(ctx context.Context, lr LeaseResponse, ttl time.Durat
 			}
 		}
 	}
-	return s.Results(), nil
+	return s.Results()
 }
 
 // release posts the current session state back with the lease. A

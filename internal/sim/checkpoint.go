@@ -70,7 +70,10 @@ func (c *Checkpoint) Instructions() uint64 { return c.instrs }
 // anything — between New/RunFor/Run calls — so the timing models are
 // always caught up. A dead session (faulted) cannot be checkpointed.
 func (s *Session) Checkpoint() (*Checkpoint, error) {
-	if s.err != nil {
+	switch {
+	case s.err == errClosed:
+		return nil, errClosed
+	case s.err != nil:
 		return nil, fmt.Errorf("sim: cannot checkpoint a faulted session: %w", s.err)
 	}
 	hash := programHash(s.prog)

@@ -143,7 +143,7 @@ func TestEventKeyFields(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, want := range []*Result{baseline, run(t, f.vary)} {
-					if a, b := mustJSON(t, s.Results()[i]), mustJSON(t, want); !bytes.Equal(a, b) {
+					if a, b := mustJSON(t, results(t, s)[i]), mustJSON(t, want); !bytes.Equal(a, b) {
 						t.Errorf("member %d: result differs from its solo run:\n got %s\nwant %s", i, a, b)
 					}
 				}
@@ -229,7 +229,7 @@ func TestResumeGroupReshares(t *testing.T) {
 	if err := resumed.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want, got := whole.Results(), resumed.Results()
+	want, got := results(t, whole), results(t, resumed)
 	for i := range want {
 		if a, b := mustJSON(t, got[i]), mustJSON(t, want[i]); !bytes.Equal(a, b) {
 			t.Errorf("member %d: resumed result differs from the uninterrupted run's:\n got %s\nwant %s", i, a, b)

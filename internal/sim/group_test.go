@@ -91,7 +91,7 @@ func TestStreamGroupEquivalence(t *testing.T) {
 			if err := group.Run(); err != nil {
 				t.Fatal(err)
 			}
-			got := group.Results()
+			got := results(t, group)
 			if len(got) != len(members) {
 				t.Fatalf("%d results for %d members", len(got), len(members))
 			}
@@ -121,7 +121,7 @@ func TestStreamGroupEquivalence(t *testing.T) {
 			if err := resumed.Run(); err != nil {
 				t.Fatal(err)
 			}
-			gotResumed := resumed.Results()
+			gotResumed := results(t, resumed)
 			if len(gotResumed) != len(members) {
 				t.Fatalf("%d resumed results for %d members", len(gotResumed), len(members))
 			}
@@ -143,6 +143,16 @@ func TestStreamGroupEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// results returns every member's result of session s.
+func results(t *testing.T, s *Session) []*Result {
+	t.Helper()
+	res, err := s.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func mustJSON(t *testing.T, r *Result) []byte {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -106,6 +107,9 @@ func WithoutTiming() Option {
 // that also agree on their event key share one miss-event stage
 // (pipeline.Events), so the caches and the predictor run once for all
 // of them.
+//
+// Close hands the session's machine to the next session the process
+// builds (see Close); sim.Run closes its own.
 type Session struct {
 	origin Config // the configuration New's options applied to (see AddMember)
 	name   string // workload label for errors and Result
@@ -122,8 +126,11 @@ type Session struct {
 	// was resumed; it closes the session to new members and FastForward.
 	started bool
 
-	err error // first run error; the session is dead once set
+	err error // first run error, or errClosed; the session is dead once set
 }
+
+// errClosed is the error of every call on a closed session.
+var errClosed = errors.New("sim: the session is closed")
 
 // member is one timing model of a session: its configuration, its
 // pipeline (nil on a functional-only, WithoutTiming, session) and its
@@ -137,7 +144,9 @@ type member struct {
 // New builds a live machine for the named workload, configured by the
 // options. The workload must be one of workloads.Names unless
 // WithProgram supplies a prebuilt program, in which case the name is
-// only a label and may be empty.
+// only a label and may be empty. The machine is built on the storage a
+// closed session released when there is some (see Close), reset to the
+// power-on state, so it runs exactly as a freshly allocated one.
 func New(workload string, opts ...Option) (*Session, error) {
 	origin := Config{Workload: workload}
 	cfg := origin
@@ -286,7 +295,10 @@ func (s *Session) AddMember(opts ...Option) error {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if s.started {
+	switch {
+	case s.err != nil:
+		return s.err
+	case s.started:
 		return fmt.Errorf("sim: a member cannot join a session that has run timed or was resumed")
 	}
 	if err := sameStream(s.members[0].cfg, cfg); err != nil {
@@ -383,6 +395,36 @@ func (w *warming) ConsumeTrace(batch []emu.DynInstr) {
 	}
 }
 
+// Close ends the session and hands its machine to package-level pools:
+// the emulator's memory image and trace buffer, each miss-event stage's
+// predictor and cache hierarchy, and each member's pipeline with its
+// ROB and FU rings. The next session the process builds (New,
+// AddMember, Resume) takes them from there and resets them to the
+// power-on state, so a stream of short runs allocates its machine
+// about once. Results and checkpoints taken before Close stay valid:
+// none of them aliases the machine.
+//
+// A closed session refuses every later call: those that return an
+// error return one and Done reports true. Instructions, Halted,
+// Snapshot and Result panic, since Close drops the machine they read.
+// A second Close does nothing.
+func (s *Session) Close() {
+	if s.err == errClosed {
+		return
+	}
+	if t := s.timing; t != nil {
+		for _, st := range t.stages {
+			st.Release()
+		}
+		for _, p := range t.pipes {
+			p.Release()
+		}
+	}
+	s.cpu.Release()
+	s.cpu, s.timing, s.members = nil, nil, nil
+	s.err = errClosed
+}
+
 // Program returns the program the session executes.
 func (s *Session) Program() *isa.Program { return s.prog }
 
@@ -393,8 +435,8 @@ func (s *Session) Instructions() uint64 { return s.cpu.Stats().Instructions }
 func (s *Session) Halted() bool { return s.cpu.Halted() }
 
 // Done reports whether the machine can run no further: the program
-// halted, the WithMaxInstrs budget is exhausted, or a previous run
-// faulted.
+// halted, the WithMaxInstrs budget is exhausted, a previous run
+// faulted, or the session is closed.
 func (s *Session) Done() bool {
 	if s.err != nil || s.cpu.Halted() {
 		return true
@@ -403,7 +445,8 @@ func (s *Session) Done() bool {
 	return limit > 0 && s.Instructions() >= limit
 }
 
-// Err returns the fault that stopped the session, if any.
+// Err returns the fault that stopped the session, if any, or the error
+// of a closed session.
 func (s *Session) Err() error { return s.err }
 
 // collect samples the machine's counters as member m sees them right
@@ -558,13 +601,16 @@ func (s *Session) advance(limit uint64) error {
 func (s *Session) Result() *Result { return s.result(s.members[0]) }
 
 // Results returns every member's result, in AddMember order; the first
-// is Result's.
-func (s *Session) Results() []*Result {
+// is Result's. A closed session returns an error.
+func (s *Session) Results() ([]*Result, error) {
+	if s.err == errClosed {
+		return nil, errClosed
+	}
 	out := make([]*Result, len(s.members))
 	for i, m := range s.members {
 		out[i] = s.result(m)
 	}
-	return out
+	return out, nil
 }
 
 func (s *Session) result(mb *member) *Result {

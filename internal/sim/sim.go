@@ -148,14 +148,16 @@ func BuildProgram(workload string, params workloads.Params, variant workloads.Va
 }
 
 // Run executes one configuration to completion: a thin compatibility
-// wrapper that builds a Session from cfg and runs it, producing results
-// byte-identical to the pre-Session one-shot harness. With cfg.Program
-// set, the workload name is only a label and need not name a workload.
+// wrapper that builds a Session from cfg, runs it and closes it (see
+// Session.Close), producing results byte-identical to the pre-Session
+// one-shot harness. With cfg.Program set, the workload name is only a
+// label and need not name a workload.
 func Run(cfg Config) (*Result, error) {
 	s, err := newSession(cfg)
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	if err := s.Run(); err != nil {
 		return nil, err
 	}

@@ -295,9 +295,10 @@ func SplitGroups[T any](groups [][]T, n int) [][]T {
 // runGroup executes one stream group (see Batch.Groups) and returns its
 // points' results in order, consulting the caches: memoized points are
 // served from the result memo and leave the group, and the rest share
-// one session built by StartGroup and run in chunks to the end (see
-// runSession). Cached programs are shared read-only across the
-// concurrently running sessions of the worker pool. Errors name the
+// one session built by StartGroup, run in chunks to the end (see
+// runSession) and closed, so the next group reuses its machine. Cached
+// programs are shared read-only across the concurrently running
+// sessions of the worker pool. Errors name the
 // point they belong to: the failing member, or the first simulated one
 // for the shared stream.
 func (e *Engine) runGroup(ctx context.Context, pts []Point) ([]*sim.Result, error) {
@@ -332,12 +333,17 @@ func (e *Engine) runGroup(ctx context.Context, pts []Point) ([]*sim.Result, erro
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 	if err := runSession(ctx, s, RunChunk); err != nil {
 		// No "sweep:" prefix: the wrapped error carries its package
 		// prefix already.
 		return nil, fmt.Errorf("%s: %w", lead, err)
 	}
-	for k, res := range s.Results() {
+	results, err := s.Results()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", lead, err)
+	}
+	for k, res := range results {
 		out[run[k]] = res
 		if e.memoize(todo[k]) {
 			e.Results.put(todo[k], res)
@@ -367,12 +373,17 @@ func (e *Engine) memoize(p Point) bool { return e.Results != nil && !p.CapturePr
 //     and the group starts cold again and runs in full.
 //
 // Each point's result is byte-identical to the one its own single-point
-// group produces. Errors name the point they belong to.
+// group produces. Errors name the point they belong to. The caller
+// closes the session (see sim.Session.Close); a session StartGroup
+// abandons on the way, it closes itself.
 func StartGroup(ctx context.Context, pts []Point, prog *isa.Program, from *sim.Checkpoint, chunk uint64) (*sim.Session, error) {
 	lead := pts[0]
 	if from != nil {
-		if s, err := sim.Resume(from, sim.WithProgram(prog)); err == nil && len(s.Results()) == len(pts) {
-			return s, nil
+		if s, err := sim.Resume(from, sim.WithProgram(prog)); err == nil {
+			if res, _ := s.Results(); len(res) == len(pts) {
+				return s, nil
+			}
+			s.Close()
 		}
 	}
 	s, err := newGroup(pts, prog)
@@ -388,10 +399,12 @@ func StartGroup(ctx context.Context, pts []Point, prog *isa.Program, from *sim.C
 			_, err = s.FastForward(min(chunk, lead.WarmPrefix-s.Instructions()))
 		}
 		if err != nil {
+			s.Close()
 			return nil, fmt.Errorf("%s: warm prefix: %w", lead, err)
 		}
 	}
 	if s.Halted() {
+		s.Close()
 		return newGroup(pts, prog)
 	}
 	return s, nil
@@ -414,6 +427,7 @@ func newGroup(pts []Point, prog *isa.Program) (*sim.Session, error) {
 			err = s.AddMember(opts...)
 		}
 		if err != nil {
+			s.Close()
 			return nil, fmt.Errorf("%s: %w", p, err)
 		}
 	}
