@@ -1,12 +1,14 @@
 // Command pbstables regenerates the tables and figures of the paper's
 // evaluation, one per row of experiments.Artifacts, in table order.
 // With no flags it produces everything; -only selects artifacts by ID.
+// The selected artifacts simulate as one batch (experiments.Run), so
+// nothing prints until every run is done.
 //
 // Usage:
 //
 //	pbstables                   # everything, default scale and 7 seeds
 //	pbstables -only fig6,fig7   # only Figures 6 and 7
-//	pbstables -seeds 3 -scale 1
+//	pbstables -seeds 3 -scale 1  # 1 to 7 seeds
 package main
 
 import (
@@ -20,10 +22,11 @@ import (
 )
 
 func main() {
+	opt := experiments.DefaultOptions()
 	var (
 		only  = flag.String("only", "", "comma-separated artifact IDs to print, in table order (default all)")
 		scale = flag.Int("scale", 1, "workload iteration scale")
-		seeds = flag.Int("seeds", 7, "number of seeds for multi-seed experiments")
+		seeds = flag.Int("seeds", len(opt.Seeds), fmt.Sprintf("number of seeds for multi-seed experiments (1 to %d)", len(opt.Seeds)))
 	)
 	flag.Usage = func() {
 		w := flag.CommandLine.Output()
@@ -35,8 +38,8 @@ func main() {
 		}
 	}
 	flag.Parse()
-	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "pbstables: -seeds must be at least 1")
+	if *seeds < 1 || *seeds > len(opt.Seeds) {
+		fmt.Fprintf(os.Stderr, "pbstables: -seeds must be between 1 and %d\n", len(opt.Seeds))
 		os.Exit(2)
 	}
 
@@ -55,20 +58,20 @@ func main() {
 		}
 	}
 
-	opt := experiments.DefaultOptions()
 	opt.Scale = *scale
-	if *seeds < len(opt.Seeds) {
-		opt.Seeds = opt.Seeds[:*seeds]
-	}
+	opt.Seeds = opt.Seeds[:*seeds]
+	var arts []experiments.Artifact
 	for _, a := range experiments.Artifacts {
-		if !slices.Contains(want, a.ID) {
-			continue
+		if slices.Contains(want, a.ID) {
+			arts = append(arts, a)
 		}
-		d, err := a.Run(opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pbstables:", err)
-			os.Exit(1)
-		}
+	}
+	ds, err := experiments.Run(opt, arts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pbstables:", err)
+		os.Exit(1)
+	}
+	for _, d := range ds {
 		fmt.Println(d)
 	}
 }

@@ -7,16 +7,18 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sweep"
 )
 
 // TestMain runs the command itself when PBSTABLES_RUN_MAIN is set, so a
 // test can drive pbstables end to end by re-executing the test binary.
-// Every artifact then prints its title instead of running: what prints,
-// and in which order, takes no simulation to check.
+// Every artifact then declares no grid and renders its title: what
+// prints, and in which order, takes no simulation to check.
 func TestMain(m *testing.M) {
 	if os.Getenv("PBSTABLES_RUN_MAIN") != "" {
 		for i, a := range experiments.Artifacts {
-			experiments.Artifacts[i].Run = func(experiments.Options) (experiments.Dataset, error) {
+			experiments.Artifacts[i].Grids = nil
+			experiments.Artifacts[i].Render = func(experiments.Options, sweep.Results) (experiments.Dataset, error) {
 				return title(a.Title), nil
 			}
 		}
@@ -69,9 +71,10 @@ func TestPrintsInTableOrder(t *testing.T) {
 	}
 }
 
-// TestRejectsBadFlags: an unknown -only ID, or fewer than one seed,
-// exits 2 before anything prints; the message for an unknown ID names
-// it and lists the valid IDs.
+// TestRejectsBadFlags: an unknown -only ID, or a seed count outside 1
+// to the default's 7, exits 2 before anything prints; the message for
+// an unknown ID names it and lists the valid IDs, the one for too many
+// seeds names the maximum.
 func TestRejectsBadFlags(t *testing.T) {
 	var ids []string
 	for _, a := range experiments.Artifacts {
@@ -83,6 +86,7 @@ func TestRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-only", "fig6,fig99"}, []string{`"fig99"`, strings.Join(ids, ",")}},
 		{[]string{"-seeds", "-1"}, []string{"-seeds"}},
+		{[]string{"-seeds", "8"}, []string{"-seeds", "7"}},
 	} {
 		stdout, stderr, code := pbstables(t, c.args...)
 		if code != 2 || stdout != "" {

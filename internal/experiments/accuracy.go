@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/workloads"
@@ -33,31 +32,21 @@ type AccuracyData struct {
 	Genetic *GeneticAccuracy
 }
 
+// accuracyGrids is §VII-D's functional runs: every benchmark with PBS
+// off and on at the first seed, and Genetic at every seed for its
+// success-rate study.
+func accuracyGrids(opt Options) []sweep.Grid {
+	return []sweep.Grid{
+		{PBS: []bool{false, true}, Seeds: []uint64{opt.seed0()}, SkipTiming: true},
+		{Workloads: []string{"Genetic"}, PBS: []bool{false, true}, Seeds: opt.Seeds, SkipTiming: true},
+	}
+}
+
 // Accuracy reproduces §VII-D: application-specific output quality of PBS
 // runs against the original code with the same seed. Genetic additionally
 // gets the multi-seed success-rate confidence-interval comparison.
-func Accuracy(opt Options) (*AccuracyData, error) {
+func Accuracy(opt Options, res sweep.Results) (*AccuracyData, error) {
 	names := workloads.Names()
-	res, err := runGrids(opt,
-		sweep.Grid{
-			Workloads:  names,
-			PBS:        []bool{false, true},
-			Seeds:      []uint64{opt.seed0()},
-			SkipTiming: true,
-		},
-		// The Genetic success-rate study needs the full seed set; sharding
-		// fans its seeds across the whole worker pool as one aggregate
-		// point per PBS setting.
-		sweep.Grid{
-			Workloads:  []string{"Genetic"},
-			PBS:        []bool{false, true},
-			Seeds:      opt.Seeds,
-			SkipTiming: true,
-			ShardSeeds: true,
-		})
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]AccuracyRow, len(names))
 	for i, name := range names {
 		w, err := workloads.ByName(name)
@@ -83,31 +72,21 @@ func Accuracy(opt Options) (*AccuracyData, error) {
 }
 
 // geneticSuccess measures the Genetic success rate with and without PBS
-// across the seed set (the paper uses 8 seeds and compares 95% CIs). The
-// per-seed runs arrive merged in one aggregate per PBS setting; the
-// shard results are identical to the former seed-by-seed points, so the
-// success counts — and the printed study — are unchanged by sharding.
+// across the seed set (the paper uses 8 seeds and compares 95% CIs).
 func geneticSuccess(opt Options, res sweep.Results) (*GeneticAccuracy, error) {
-	succeeded := func(r *sim.Result) int {
-		if len(r.Outputs) > 0 && r.Outputs[0] == 1 {
-			return 1
+	var k [2]int // successes with PBS off, on
+	for _, seed := range opt.Seeds {
+		for pbs := range 2 {
+			r, err := res.Get(sweep.Key{Workload: "Genetic", PBS: pbs == 1, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			if len(r.Outputs) > 0 && r.Outputs[0] == 1 {
+				k[pbs]++
+			}
 		}
-		return 0
 	}
-	set := sweep.MakeSeedSet(opt.Seeds)
-	orig, err := res.GetAggregate(sweep.Key{Workload: "Genetic", Seeds: set})
-	if err != nil {
-		return nil, err
-	}
-	pbs, err := res.GetAggregate(sweep.Key{Workload: "Genetic", PBS: true, Seeds: set})
-	if err != nil {
-		return nil, err
-	}
-	ko, kp := 0, 0
-	for i := range orig.Sims {
-		ko += succeeded(orig.Sims[i])
-		kp += succeeded(pbs.Sims[i])
-	}
+	ko, kp := k[0], k[1]
 	n := len(opt.Seeds)
 	g := &GeneticAccuracy{
 		Trials:   n,
@@ -173,27 +152,25 @@ type BaselineRow struct {
 // BaselineData is the §IV / Table I quantitative comparison.
 type BaselineData struct{ Rows []BaselineRow }
 
+// baselineGrids is §IV's runs on TAGE-SC-L: the plain binary with PBS
+// off and on, and the predicated and CFD builds where they apply.
+func baselineGrids(opt Options) []sweep.Grid {
+	return []sweep.Grid{
+		{PBS: []bool{false, true}, Seeds: []uint64{opt.seed0()}},
+		{
+			Seeds:            []uint64{opt.seed0()},
+			Variants:         []workloads.Variant{workloads.VariantPredicated, workloads.VariantCFD},
+			SkipInapplicable: true,
+		},
+	}
+}
+
 // BaselineComparison quantifies the §IV trade-off discussion: PBS against
 // if-conversion and CFD for the benchmarks where those transformations
 // apply (CFD pays loop-splitting and queue push/pop overhead; predication
 // pays fetch of both paths).
-func BaselineComparison(opt Options) (*BaselineData, error) {
+func BaselineComparison(opt Options, res sweep.Results) (*BaselineData, error) {
 	names := workloads.Names()
-	res, err := runGrids(opt,
-		sweep.Grid{
-			Workloads: names,
-			PBS:       []bool{false, true},
-			Seeds:     []uint64{opt.seed0()},
-		},
-		sweep.Grid{
-			Workloads:        names,
-			Seeds:            []uint64{opt.seed0()},
-			Variants:         []workloads.Variant{workloads.VariantPredicated, workloads.VariantCFD},
-			SkipInapplicable: true,
-		})
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]BaselineRow, len(names))
 	for i, name := range names {
 		w, err := workloads.ByName(name)

@@ -1,41 +1,44 @@
 package experiments
 
+import "repro/internal/sweep"
+
 // Artifacts is the paper's evaluation, one row per figure, table or
 // section, in the order pbstables prints them. pbstables, the root
-// BenchmarkArtifact and TestQuickExperiments loop over it, so adding an
-// artifact means adding a row and its run function.
+// BenchmarkArtifact and TestQuickExperiments run rows of it through Run,
+// so adding an artifact means adding a row with its grids and render
+// function.
 var Artifacts = []Artifact{
-	{ID: "fig1", Title: "Figure 1: misprediction breakdown", Run: run(Figure1)},
-	{ID: "table1", Title: "Table I: predication/CFD applicability", Run: run(TableI)},
-	{ID: "table2", Title: "Table II: benchmark characteristics", Run: run(TableII), Paper: []Quantity{
+	{ID: "fig1", Title: "Figure 1: misprediction breakdown", Grids: figure1Grids, Render: render(Figure1)},
+	{ID: "table1", Title: "Table I: predication/CFD applicability", Render: render(TableI)},
+	{ID: "table2", Title: "Table II: benchmark characteristics", Grids: tableIIGrids, Render: render(TableII), Paper: []Quantity{
 		{"min-instructions-B", 1.3, Bound},
 		{"max-instructions-B", 17, Bound},
 	}},
-	{ID: "fig6", Title: "Figure 6: MPKI reduction", Run: run(Figure6), Paper: []Quantity{
+	{ID: "fig6", Title: "Figure 6: MPKI reduction", Grids: ipcGrids(4), Render: render(Figure6), Paper: []Quantity{
 		{"avg-tourn-MPKI-red-%", 29.9, Mean},
 		{"avg-tage-MPKI-red-%", 44.8, Mean},
 		{"max-tourn-MPKI-red-%", 99, Max},
 		{"max-tage-MPKI-red-%", 99, Max},
 	}},
-	{ID: "fig7", Title: "Figure 7: normalized IPC, 4-wide", Run: run(Figure7), Paper: []Quantity{
+	{ID: "fig7", Title: "Figure 7: normalized IPC, 4-wide", Grids: ipcGrids(4), Render: render(Figure7), Paper: []Quantity{
 		{"avg-tage-IPC-gain-%", 6.7, Mean},
 		{"max-tage-IPC-gain-%", 17, Max},
 		{"avg-tourn-IPC-gain-%", 9, Mean},
 		{"max-tourn-IPC-gain-%", 26, Max},
 	}},
-	{ID: "fig8", Title: "Figure 8: normalized IPC, 8-wide", Run: run(Figure8), Paper: []Quantity{
+	{ID: "fig8", Title: "Figure 8: normalized IPC, 8-wide", Grids: ipcGrids(8), Render: render(Figure8), Paper: []Quantity{
 		{"avg-tage-IPC-gain-%", 10.8, Mean},
 		{"max-tage-IPC-gain-%", 19, Max},
 		{"avg-tourn-IPC-gain-%", 13.8, Mean},
 		{"max-tourn-IPC-gain-%", 25, Max},
 	}},
-	{ID: "fig9", Title: "Figure 9: predictor interference", Run: run(Figure9), Paper: []Quantity{
+	{ID: "fig9", Title: "Figure 9: predictor interference", Grids: figure9Grids, Render: render(Figure9), Paper: []Quantity{
 		{"max-reg-MPKI-incr-%", 5.8, Max},
 	}},
-	{ID: "table3", Title: "Table III: randomness battery", Run: run(TableIII), Paper: []Quantity{
+	{ID: "table3", Title: "Table III: randomness battery", Grids: tableIIIGrids, Render: render(TableIII), Paper: []Quantity{
 		{"battery-tests", 114, Exact},
 	}},
-	{ID: "accuracy", Title: "Section VII-D: output accuracy", Run: run(Accuracy), Paper: []Quantity{
+	{ID: "accuracy", Title: "Section VII-D: output accuracy", Grids: accuracyGrids, Render: render(Accuracy), Paper: []Quantity{
 		{"photon-image-RMS-%", 3.9, Mean},
 		{"genetic-orig-success", 0.2, Mean},
 		{"genetic-orig-success-lo", 0.18, Bound},
@@ -44,23 +47,28 @@ var Artifacts = []Artifact{
 		{"genetic-pbs-success-lo", 0.18, Bound},
 		{"genetic-pbs-success-hi", 0.23, Bound},
 	}},
-	{ID: "cost", Title: "Section V-C2: hardware cost", Run: run(HardwareCost), Paper: []Quantity{
+	{ID: "cost", Title: "Section V-C2: hardware cost", Render: render(HardwareCost), Paper: []Quantity{
 		{"total-bytes", 193, Exact},
 	}},
-	{ID: "baselines", Title: "Section IV: PBS vs predication/CFD", Run: run(BaselineComparison)},
+	{ID: "baselines", Title: "Section IV: PBS vs predication/CFD", Grids: baselineGrids, Render: render(BaselineComparison)},
 }
 
 // Artifact is one figure, table or section of the paper's evaluation.
 type Artifact struct {
 	ID    string // pbstables -only and BenchmarkArtifact/<ID>
 	Title string
-	Run   func(Options) (Dataset, error)
-	Paper []Quantity // the values the paper reports, as the text renders them
+	// Grids declares the points the artifact reads; nil for an artifact
+	// that simulates nothing. Run sets each grid's Scale.
+	Grids func(Options) []sweep.Grid
+	// Render builds the dataset from the results of the artifact's own
+	// points, so its lookups never see another artifact's points.
+	Render func(Options, sweep.Results) (Dataset, error)
+	Paper  []Quantity // the values the paper reports, as the text renders them
 }
 
-// Dataset is what an artifact's run returns: its rendered text, and
-// the measured value of each of the artifact's paper quantities, keyed
-// by the quantity's name.
+// Dataset is what an artifact renders: its text, and the measured value
+// of each of the artifact's paper quantities, keyed by the quantity's
+// name.
 type Dataset interface {
 	String() string
 	Measured() map[string]float64
@@ -85,10 +93,10 @@ const (
 	Exact             // a count fixed by the paper's configuration
 )
 
-// run adapts an experiment to Artifact.Run.
-func run[D Dataset](f func(Options) (D, error)) func(Options) (Dataset, error) {
-	return func(opt Options) (Dataset, error) {
-		d, err := f(opt)
+// render adapts an experiment to Artifact.Render.
+func render[D Dataset](f func(Options, sweep.Results) (D, error)) func(Options, sweep.Results) (Dataset, error) {
+	return func(opt Options, res sweep.Results) (Dataset, error) {
+		d, err := f(opt, res)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 // Package experiments regenerates the tables and figures of the paper's
 // evaluation (§VI-§VII). Artifacts lists them in print order, each with
-// its run function and the values the paper reports.
+// the grids it simulates, its render function and the values the paper
+// reports; Run simulates any selection of them as one batch.
 package experiments
 
 import (
@@ -36,49 +37,72 @@ func (o Options) seed0() uint64 {
 	return 1
 }
 
-// engine is the package-wide sweep engine. One program cache and one
-// result memo are shared by every figure and table, so experiments that
-// revisit a configuration simulate it once: Figure 1's baseline runs are
-// a subset of Figure 6's grid, and Figure 7 equals Figure 6 on the
-// default 4-wide core. Results are deterministic functions of their grid
-// point, so the memo never changes any number.
-var engine = sweep.NewEngine()
+// Run simulates the union of the artifacts' points at the options'
+// scale as one batch on a fresh engine, then renders each artifact, in
+// the order given, from its own points' results. A point that several
+// artifacts declare runs once, and points that share a stream run in one
+// stream group whichever artifact declared them: Figure 8's 8-wide runs
+// follow Figure 7's 4-wide runs of the same streams. Results are
+// deterministic functions of their points, so no number depends on which
+// artifacts run together.
+func Run(opt Options, arts []Artifact) ([]Dataset, error) {
+	pts, own, err := plan(opt, arts)
+	if err != nil {
+		return nil, err
+	}
+	engine := &sweep.Engine{Programs: sweep.NewProgramCache()}
+	res, err := engine.RunPoints(context.Background(), pts, 0)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Dataset, len(arts))
+	for i, a := range arts {
+		mine := make(sweep.Results, len(own[i]))
+		for k, j := range own[i] {
+			mine[k] = res[j]
+		}
+		if out[i], err = a.Render(opt, mine); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.ID, err)
+		}
+	}
+	return out, nil
+}
 
-// ResetEngine discards the package's cached programs and memoized
-// results, so the next experiment simulates everything from scratch.
-// Benchmarks call it per iteration to time experiments cold; ordinary
-// callers never need it — memoized results are deterministic, sharing
-// them changes no number. Not safe concurrently with a running
-// experiment.
-func ResetEngine() { engine = sweep.NewEngine() }
-
-// runGrids expands the grids at the options' scale and executes all their
-// points on one shared worker pool, stopping at the first error. Points
-// that appear in several grids (Accuracy's seed-0 study overlaps its
-// Genetic all-seeds study) run once; lookups see every copy.
-func runGrids(opt Options, grids ...sweep.Grid) (sweep.Results, error) {
-	var pts []sweep.Point
-	seen := make(map[sweep.Point]bool)
-	for _, g := range grids {
-		// Every experiment grid sets Seeds from its Options; empty means
-		// the caller asked for no seeds, not sweep's default seed — run
-		// nothing rather than simulate points no result loop will read.
-		if len(g.Seeds) == 0 {
+// plan expands the artifacts' grids at the options' scale into the
+// distinct points of their union, and lists each artifact's points as
+// indices into it.
+func plan(opt Options, arts []Artifact) (pts []sweep.Point, own [][]int, err error) {
+	at := make(map[sweep.Point]int)
+	own = make([][]int, len(arts))
+	for i, a := range arts {
+		if a.Grids == nil {
 			continue
 		}
-		g.Scale = opt.Scale
-		ps, err := g.Points()
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range ps {
-			if !seen[p] {
-				seen[p] = true
-				pts = append(pts, p)
+		for _, g := range a.Grids(opt) {
+			// Every experiment grid sets Seeds from its Options; empty
+			// means the caller asked for no seeds, not sweep's default
+			// seed — run nothing rather than simulate points no render
+			// reads.
+			if len(g.Seeds) == 0 {
+				continue
+			}
+			g.Scale = opt.Scale
+			ps, err := g.Points()
+			if err != nil {
+				return nil, nil, err
+			}
+			for _, p := range ps {
+				j, ok := at[p]
+				if !ok {
+					j = len(pts)
+					at[p] = j
+					pts = append(pts, p)
+				}
+				own[i] = append(own[i], j)
 			}
 		}
 	}
-	return engine.RunPoints(context.Background(), pts, 0)
+	return pts, own, nil
 }
 
 // geomean returns the geometric mean of positive values.

@@ -25,18 +25,15 @@ type Fig1Row struct {
 // Fig1 is the Figure 1 dataset.
 type Fig1 struct{ Rows []Fig1Row }
 
+// figure1Grids is Figure 1's baseline runs: both predictors, PBS off.
+func figure1Grids(opt Options) []sweep.Grid {
+	return []sweep.Grid{{Predictors: bothPredictors, Seeds: []uint64{opt.seed0()}}}
+}
+
 // Figure1 reproduces Figure 1: probabilistic branches are a minority of
 // dynamic branches but a disproportionate share of mispredictions.
-func Figure1(opt Options) (*Fig1, error) {
+func Figure1(opt Options, res sweep.Results) (*Fig1, error) {
 	names := workloads.Names()
-	res, err := runGrids(opt, sweep.Grid{
-		Workloads:  names,
-		Predictors: bothPredictors,
-		Seeds:      []uint64{opt.seed0()},
-	})
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]Fig1Row, len(names))
 	for i, name := range names {
 		tour, err := res.Get(sweep.Key{Workload: name, Predictor: sim.PredTournament, Seed: opt.seed0()})
@@ -92,17 +89,8 @@ type Fig6 struct {
 
 // Figure6 reproduces Figure 6: MPKI reduction through PBS for both
 // predictors.
-func Figure6(opt Options) (*Fig6, error) {
+func Figure6(opt Options, res sweep.Results) (*Fig6, error) {
 	names := workloads.Names()
-	res, err := runGrids(opt, sweep.Grid{
-		Workloads:  names,
-		Predictors: bothPredictors,
-		PBS:        []bool{false, true},
-		Seeds:      []uint64{opt.seed0()},
-	})
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]Fig6Row, len(names))
 	for i, name := range names {
 		row := Fig6Row{Workload: name}
@@ -183,20 +171,23 @@ type FigIPC struct {
 	MaxTagePBS  float64
 }
 
-// figureIPC runs the four configurations of Figures 7/8 on the given core
-// width.
-func figureIPC(opt Options, wide int) (*FigIPC, error) {
-	names := workloads.Names()
-	res, err := runGrids(opt, sweep.Grid{
-		Workloads:  names,
-		Predictors: bothPredictors,
-		PBS:        []bool{false, true},
-		Widths:     []int{wide},
-		Seeds:      []uint64{opt.seed0()},
-	})
-	if err != nil {
-		return nil, err
+// ipcGrids returns the grid of the four configurations of Figures 7/8 —
+// both predictors, PBS off and on — on the given core width. Figure 6
+// reads the MPKI of the 4-wide runs, Figure 7 their IPC.
+func ipcGrids(wide int) func(Options) []sweep.Grid {
+	return func(opt Options) []sweep.Grid {
+		return []sweep.Grid{{
+			Predictors: bothPredictors,
+			PBS:        []bool{false, true},
+			Widths:     []int{wide},
+			Seeds:      []uint64{opt.seed0()},
+		}}
 	}
+}
+
+// figureIPC renders Figures 7/8 on the given core width.
+func figureIPC(opt Options, res sweep.Results, wide int) (*FigIPC, error) {
+	names := workloads.Names()
 	rows := make([]FigIPCRow, len(names))
 	for i, name := range names {
 		var ipc [2][2]float64 // by bothPredictors index, then PBS off/on
@@ -234,10 +225,10 @@ func figureIPC(opt Options, wide int) (*FigIPC, error) {
 }
 
 // Figure7 reproduces Figure 7: normalized IPC on the 4-wide core.
-func Figure7(opt Options) (*FigIPC, error) { return figureIPC(opt, 4) }
+func Figure7(opt Options, res sweep.Results) (*FigIPC, error) { return figureIPC(opt, res, 4) }
 
 // Figure8 reproduces Figure 8: normalized IPC on the 8-wide core.
-func Figure8(opt Options) (*FigIPC, error) { return figureIPC(opt, 8) }
+func Figure8(opt Options, res sweep.Results) (*FigIPC, error) { return figureIPC(opt, res, 8) }
 
 func (f *FigIPC) String() string {
 	var sb strings.Builder
@@ -275,42 +266,38 @@ type Fig9Row struct {
 // Fig9 is the Figure 9 dataset.
 type Fig9 struct{ Rows []Fig9Row }
 
+// figure9Grids is Figure 9's runs: the tournament predictor with and
+// without probabilistic branches filtered from it, at every seed.
+func figure9Grids(opt Options) []sweep.Grid {
+	return []sweep.Grid{{
+		Predictors: []sim.PredictorKind{sim.PredTournament},
+		Seeds:      opt.Seeds,
+		FilterProb: []bool{false, true},
+	}}
+}
+
 // Figure9 reproduces Figure 9: negative interference of probabilistic
 // branches in the tournament predictor, measured by comparing
 // regular-branch MPKI with and without probabilistic branches accessing
 // the predictor, maximum over the seeds (the paper reports the maximum
 // across 7 seeds).
-func Figure9(opt Options) (*Fig9, error) {
+func Figure9(opt Options, res sweep.Results) (*Fig9, error) {
 	names := workloads.Names()
-	// Sharded: each (workload, filter setting) is one aggregate point
-	// whose per-seed runs fan across the pool, rather than seven
-	// sequentialized cache lookups.
-	res, err := runGrids(opt, sweep.Grid{
-		Workloads:  names,
-		Predictors: []sim.PredictorKind{sim.PredTournament},
-		Seeds:      opt.Seeds,
-		FilterProb: []bool{false, true},
-		ShardSeeds: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	set := sweep.MakeSeedSet(opt.Seeds)
 	rows := make([]Fig9Row, len(names))
 	for i, name := range names {
 		row := Fig9Row{Workload: name}
-		withProb, err := res.GetAggregate(sweep.Key{Workload: name, Predictor: sim.PredTournament, Seeds: set})
-		if err != nil {
-			return nil, err
-		}
-		filtered, err := res.GetAggregate(sweep.Key{Workload: name, Predictor: sim.PredTournament, Seeds: set, FilterProb: true})
-		if err != nil {
-			return nil, err
-		}
-		for s := range opt.Seeds {
+		for _, seed := range opt.Seeds {
+			withProb, err := res.Get(sweep.Key{Workload: name, Predictor: sim.PredTournament, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			filtered, err := res.Get(sweep.Key{Workload: name, Predictor: sim.PredTournament, Seed: seed, FilterProb: true})
+			if err != nil {
+				return nil, err
+			}
 			inc := 0.0
-			a := withProb.Sims[s].Timing.MPKIReg()
-			b := filtered.Sims[s].Timing.MPKIReg()
+			a := withProb.Timing.MPKIReg()
+			b := filtered.Timing.MPKIReg()
 			if b > 0 {
 				inc = 100 * (a - b) / b
 			}

@@ -26,8 +26,8 @@ type TableIData struct{ Rows []TableIRow }
 // TableI reproduces Table I: whether predication and control-flow
 // decoupling can be applied to each benchmark. The applicability is a
 // static property of the workload (which transformed variants exist), so
-// TableI ignores its options.
-func TableI(Options) (*TableIData, error) {
+// TableI simulates nothing and ignores its options.
+func TableI(Options, sweep.Results) (*TableIData, error) {
 	reasons := map[string]string{
 		"DOP":       "digital payoff if-converts; loop splits cleanly",
 		"Greeks":    "live value in control-dependent code defeats if-conversion",
@@ -81,19 +81,16 @@ type TableIIRow struct {
 // TableIIData is the Table II dataset.
 type TableIIData struct{ Rows []TableIIRow }
 
+// tableIIGrids is Table II's functional runs, one per benchmark.
+func tableIIGrids(opt Options) []sweep.Grid {
+	return []sweep.Grid{{Seeds: []uint64{opt.seed0()}, SkipTiming: true}}
+}
+
 // TableII reproduces Table II: per-benchmark characteristics — the ratio
 // of probabilistic to static branches, the category, and the number of
 // dynamically executed instructions at the experiment scale.
-func TableII(opt Options) (*TableIIData, error) {
+func TableII(opt Options, res sweep.Results) (*TableIIData, error) {
 	names := workloads.Names()
-	res, err := runGrids(opt, sweep.Grid{
-		Workloads:  names,
-		Seeds:      []uint64{opt.seed0()},
-		SkipTiming: true,
-	})
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]TableIIRow, len(names))
 	for i, name := range names {
 		w, err := workloads.ByName(name)
@@ -157,52 +154,51 @@ type TableIIIRow struct {
 // TableIIIData is the Table III dataset.
 type TableIIIData struct{ Rows []TableIIIRow }
 
-// TableIII reproduces Table III: the randomness battery applied to the
-// probabilistic value stream as generated by the original code versus as
-// consumed under PBS, 95% CIs across seeds. Benchmarks whose
-// branch-controlling values derive from Gaussians (DOP, Greeks) are
-// excluded, exactly as in the paper.
-func TableIII(opt Options) (*TableIIIData, error) {
-	var uniform []*workloads.Workload
+// tableIIIGrids is Table III's functional runs: each benchmark with
+// uniform probabilistic values, PBS off and on, at every seed, capturing
+// its value streams.
+func tableIIIGrids(opt Options) []sweep.Grid {
 	var names []string
 	for _, w := range workloads.All() {
 		if w.UniformProb {
-			uniform = append(uniform, w)
 			names = append(names, w.Name)
 		}
 	}
-	// Sharded: one aggregate point per (workload, PBS setting) spreads
-	// the captured-stream runs across the pool. Capture points are still
-	// never memoized — the aggregate merge is rebuilt per call.
-	res, err := runGrids(opt, sweep.Grid{
+	return []sweep.Grid{{
 		Workloads:   names,
 		PBS:         []bool{false, true},
 		Seeds:       opt.Seeds,
 		SkipTiming:  true,
 		CaptureProb: true,
-		ShardSeeds:  true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	set := sweep.MakeSeedSet(opt.Seeds)
+	}}
+}
+
+// TableIII reproduces Table III: the randomness battery applied to the
+// probabilistic value stream as generated by the original code versus as
+// consumed under PBS, 95% CIs across seeds. Benchmarks whose
+// branch-controlling values derive from Gaussians (DOP, Greeks) are
+// excluded, exactly as in the paper.
+func TableIII(opt Options, res sweep.Results) (*TableIIIData, error) {
 	var rows []TableIIIRow
-	for _, w := range uniform {
+	for _, w := range workloads.All() {
+		if !w.UniformProb {
+			continue
+		}
 		var orig, pbs [3][]float64 // PASS, WEAK and FAIL counts by seed
 		nTests := 0
-		// Original stream: the values the baseline binary generates.
-		baseAgg, err := res.GetAggregate(sweep.Key{Workload: w.Name, Seeds: set})
-		if err != nil {
-			return nil, err
-		}
-		// PBS stream: the values the algorithm observes under PBS.
-		pbsAgg, err := res.GetAggregate(sweep.Key{Workload: w.Name, PBS: true, Seeds: set})
-		if err != nil {
-			return nil, err
-		}
-		for s := range opt.Seeds {
-			so := randtest.Summarize(uniformize(w, baseAgg.Sims[s].Generated))
-			sp := randtest.Summarize(uniformize(w, pbsAgg.Sims[s].Consumed))
+		for _, seed := range opt.Seeds {
+			// Original stream: the values the baseline binary generates.
+			base, err := res.Get(sweep.Key{Workload: w.Name, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			// PBS stream: the values the algorithm observes under PBS.
+			withPBS, err := res.Get(sweep.Key{Workload: w.Name, PBS: true, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			so := randtest.Summarize(uniformize(w, base.Generated))
+			sp := randtest.Summarize(uniformize(w, withPBS.Consumed))
 			for k, n := range [3]int{so.Pass, so.Weak, so.Fail} {
 				orig[k] = append(orig[k], float64(n))
 			}
@@ -280,8 +276,8 @@ type CostData struct {
 
 // HardwareCost reproduces the §V-C2 storage accounting for the paper's
 // default configuration. The cost is a function of the configuration
-// alone, so HardwareCost ignores its options.
-func HardwareCost(Options) (*CostData, error) {
+// alone, so HardwareCost simulates nothing and ignores its options.
+func HardwareCost(Options, sweep.Results) (*CostData, error) {
 	cfg := core.DefaultConfig()
 	return &CostData{Config: cfg, Cost: cfg.Cost()}, nil
 }

@@ -21,8 +21,8 @@ type Engine struct {
 	// Programs caches assembled programs across runs; nil builds each
 	// point's program from scratch.
 	Programs *ProgramCache
-	// Results memoizes completed points across runs, so experiments that
-	// revisit a configuration simulate it once; nil disables memoization.
+	// Results memoizes completed points across runs, so a run that
+	// revisits a configuration reuses its result; nil disables memoization.
 	// Points that capture probabilistic value streams are never memoized
 	// (the streams are large).
 	Results *ResultCache
