@@ -128,7 +128,7 @@ func BenchmarkSweep(b *testing.B) {
 	}
 	points := 0
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.NewEngine().Run(context.Background(), grid)
+		res, err := (&sweep.Engine{}).Run(context.Background(), grid)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -99,6 +99,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pbsim: -wide must be 4 or 8")
 		exit(2)
 	}
+	if *scale < 1 {
+		fmt.Fprintln(os.Stderr, "pbsim: -scale must be at least 1")
+		exit(2)
+	}
 
 	if *dump {
 		w, err := workloads.ByName(*workload)

@@ -118,6 +118,8 @@ func TestResumeRejectsPastCheckpointAt(t *testing.T) {
 func TestFlagErrorsFinishProfiles(t *testing.T) {
 	for _, args := range [][]string{
 		{"-wide", "5"},
+		{"-scale", "-1"},
+		{"-scale", "0"},
 		{"-sample-window", "1000"},
 		{"-checkpoint-at", "1000"},
 	} {

@@ -42,6 +42,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pbstables: -seeds must be between 1 and %d\n", len(opt.Seeds))
 		os.Exit(2)
 	}
+	if *scale < 1 {
+		fmt.Fprintln(os.Stderr, "pbstables: -scale must be at least 1")
+		os.Exit(2)
+	}
 
 	var ids []string
 	for _, a := range experiments.Artifacts {

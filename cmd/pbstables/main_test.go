@@ -71,10 +71,10 @@ func TestPrintsInTableOrder(t *testing.T) {
 	}
 }
 
-// TestRejectsBadFlags: an unknown -only ID, or a seed count outside 1
-// to the default's 7, exits 2 before anything prints; the message for
-// an unknown ID names it and lists the valid IDs, the one for too many
-// seeds names the maximum.
+// TestRejectsBadFlags: an unknown -only ID, a seed count outside 1 to
+// the default's 7, or a scale below 1 exits 2 before anything prints;
+// the message for an unknown ID names it and lists the valid IDs, the
+// one for too many seeds names the maximum.
 func TestRejectsBadFlags(t *testing.T) {
 	var ids []string
 	for _, a := range experiments.Artifacts {
@@ -87,6 +87,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{[]string{"-only", "fig6,fig99"}, []string{`"fig99"`, strings.Join(ids, ",")}},
 		{[]string{"-seeds", "-1"}, []string{"-seeds"}},
 		{[]string{"-seeds", "8"}, []string{"-seeds", "7"}},
+		{[]string{"-scale", "-1"}, []string{"-scale"}},
+		{[]string{"-scale", "0"}, []string{"-scale"}},
 	} {
 		stdout, stderr, code := pbstables(t, c.args...)
 		if code != 2 || stdout != "" {

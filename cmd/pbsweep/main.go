@@ -263,6 +263,10 @@ func runBatch(args []string) {
 	if *format != "json" && *format != "csv" {
 		fail(fmt.Errorf("unknown format %q (want json or csv)", *format))
 	}
+	if *scale < 1 {
+		fmt.Fprintln(os.Stderr, "pbsweep: -scale must be at least 1")
+		exit(2)
+	}
 	grid, err := gridFromFlags(*spec, *workload, *predictor, *pbs, *widths, *seeds, *variants, *scale, *parallel, *warm, *shard)
 	if err != nil {
 		fail(err)
@@ -318,7 +322,7 @@ func runBatch(args []string) {
 // cancellation the engine returns the points completed before the
 // abort, in point order, alongside context.Canceled.
 func runLocal(ctx context.Context, grid sweep.Grid, progress bool) ([]sweep.Record, error) {
-	eng := sweep.NewEngine()
+	eng := &sweep.Engine{}
 	if progress {
 		eng.OnProgress = progressLine("runs")
 	}

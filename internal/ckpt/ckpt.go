@@ -7,8 +7,7 @@
 // sequence of (name, payload) sections, and a trailing FNV-64a content
 // hash — so the encoding of a machine state is a pure function of that
 // state: encode→decode→encode is byte-identical, which is what lets
-// tests compare checkpoints for equality and lets the sweep engine memo
-// warm-up checkpoints by value-identical keys.
+// tests compare checkpoints for equality.
 //
 // Integer scalars use unsigned varints (zigzag for signed) so small
 // counters stay small; bulk word arrays (register files, cache tag

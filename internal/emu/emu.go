@@ -167,12 +167,6 @@ type CPU struct {
 	// path's single "tracing?" predicate.
 	buf    []DynInstr
 	bufArr [TraceBatch]DynInstr
-	// pausedBuf stashes buf while trace delivery is paused (see
-	// PauseTrace): the installed sink/ring stays wired, but buf goes nil
-	// so Run takes the untraced fused fast path. With a ring, the stash
-	// keeps ownership of the ring buffer the CPU held.
-	pausedBuf []DynInstr
-	paused    bool
 
 	group probGroup
 
@@ -237,10 +231,11 @@ func (c *CPU) Release() {
 // SetTraceSink installs the batched trace consumer, called synchronously
 // from the emulating goroutine whenever a batch fills. Clears any
 // installed TraceRing; entries buffered for a previous trace destination
-// are flushed to it first.
+// are flushed to it first. A nil sink turns tracing off, so Run executes
+// on the untraced fused path with zero per-instruction trace cost: the
+// fast-forward mechanism of sampled timing (see internal/sample).
 func (c *CPU) SetTraceSink(s TraceSink) {
 	c.FlushTrace()
-	c.clearPause()
 	c.sink = s
 	c.ring = nil
 	if s == nil {
@@ -261,7 +256,6 @@ func (c *CPU) SetTraceSink(s TraceSink) {
 // backpressure would block forever.
 func (c *CPU) SetTraceRing(r TraceRing) {
 	c.FlushTrace()
-	c.clearPause()
 	c.ring = r
 	c.sink = nil
 	if r != nil {
@@ -289,45 +283,6 @@ func (c *CPU) FlushTrace() {
 	default:
 		c.buf = c.buf[:0]
 	}
-}
-
-// PauseTrace suspends trace delivery without tearing the installed sink
-// or ring down: buffered entries are flushed to it first, then the batch
-// buffer is stashed and the tracing predicate (buf != nil) goes false,
-// so Run executes on the untraced fused fast path — zero per-instruction
-// trace cost. This is the fast-forward mechanism of sampled timing (see
-// internal/sample): the machine's functional execution is exactly the
-// traced run's, only delivery stops. With a ring installed, the flush
-// requires the ring's consumer to be live, like any trace delivery; the
-// stashed buffer keeps its ring ownership while paused, so consumer
-// goroutines may stop and restart around a paused stretch. A no-op when
-// already paused or when no trace destination is installed.
-func (c *CPU) PauseTrace() {
-	if c.paused || c.buf == nil {
-		return
-	}
-	c.FlushTrace()
-	c.pausedBuf = c.buf[:0]
-	c.buf = nil
-	c.paused = true
-}
-
-// ResumeTrace re-enables delivery after PauseTrace; instructions retired
-// from here on reach the sink or ring again. A no-op when not paused.
-func (c *CPU) ResumeTrace() {
-	if !c.paused {
-		return
-	}
-	c.buf = c.pausedBuf
-	c.pausedBuf = nil
-	c.paused = false
-}
-
-// clearPause drops pause state when a setter installs a new trace
-// destination: the stashed buffer belonged to the old destination.
-func (c *CPU) clearPause() {
-	c.pausedBuf = nil
-	c.paused = false
 }
 
 // Halted reports whether the program has executed HALT.

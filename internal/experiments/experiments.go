@@ -50,8 +50,7 @@ func Run(opt Options, arts []Artifact) ([]Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := &sweep.Engine{Programs: sweep.NewProgramCache()}
-	res, err := engine.RunPoints(context.Background(), pts, 0)
+	res, err := (&sweep.Engine{}).RunPoints(context.Background(), pts, 0)
 	if err != nil {
 		return nil, err
 	}

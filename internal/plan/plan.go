@@ -607,7 +607,7 @@ func build(prog *isa.Program) *Plan {
 	return p
 }
 
-// cacheEntry is one program's memoized plan (or validation error).
+// cacheEntry is one program's cached plan (or validation error).
 type cacheEntry struct {
 	once sync.Once
 	plan *Plan

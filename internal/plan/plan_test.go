@@ -128,9 +128,9 @@ func TestForValidates(t *testing.T) {
 	if _, err := For(bad); err == nil {
 		t.Fatal("invalid program decoded without error")
 	}
-	// The validation error is memoized like a plan.
+	// The validation error is cached like a plan.
 	if _, err := For(bad); err == nil {
-		t.Fatal("memoized validation error lost")
+		t.Fatal("cached validation error lost")
 	}
 }
 

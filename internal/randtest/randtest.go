@@ -9,6 +9,7 @@ package randtest
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -610,12 +611,12 @@ func birthdaySpacings(vals []float64) float64 {
 	for i := 0; i < m; i++ {
 		bd[i] = int64(vals[i] * days)
 	}
-	sortInt64(bd)
+	slices.Sort(bd)
 	spacings := make([]int64, m-1)
 	for i := 1; i < m; i++ {
 		spacings[i-1] = bd[i] - bd[i-1]
 	}
-	sortInt64(spacings)
+	slices.Sort(spacings)
 	dups := 0
 	for i := 1; i < len(spacings); i++ {
 		if spacings[i] == spacings[i-1] {
@@ -634,44 +635,4 @@ func birthdaySpacings(vals []float64) float64 {
 		p = math.Min(cdf, 1-lower) * 2
 	}
 	return math.Min(1, math.Max(0, p))
-}
-
-func sortInt64(xs []int64) {
-	// Insertion-free path: delegate to sort via interface-free shim.
-	quickSortInt64(xs, 0, len(xs)-1)
-}
-
-func quickSortInt64(xs []int64, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 {
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && xs[j] < xs[j-1]; j-- {
-					xs[j], xs[j-1] = xs[j-1], xs[j]
-				}
-			}
-			return
-		}
-		p := xs[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < p {
-				i++
-			}
-			for xs[j] > p {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSortInt64(xs, lo, j)
-			lo = i
-		} else {
-			quickSortInt64(xs, i, hi)
-			hi = j
-		}
-	}
 }

@@ -340,7 +340,7 @@ func TestReplayEmitsMissingAggregateRow(t *testing.T) {
 	g := sweep.Grid{Workloads: []string{"PI"}, Seeds: []uint64{3, 5, 7}, ShardSeeds: true, PBS: []bool{true}, MaxInstrs: 50_000}
 	wantJSON, _ := batchOutputs(t, []sweep.Grid{g})
 
-	res, err := sweep.NewEngine().Run(context.Background(), g)
+	res, err := (&sweep.Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

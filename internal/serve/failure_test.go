@@ -96,7 +96,7 @@ func TestStalledWorkerLateCompletion(t *testing.T) {
 	// Compute the point's result for real (the stall is in reporting,
 	// not in the simulation), through the in-process engine: a
 	// deterministic result is the same wherever it runs.
-	rs, err := sweep.NewEngine().RunPoints(context.Background(), lr.Points, 1)
+	rs, err := (&sweep.Engine{}).RunPoints(context.Background(), lr.Points, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestServeLeasesStreamGroups(t *testing.T) {
 			}
 
 			for _, lr := range leases {
-				rs, err := sweep.NewEngine().RunPoints(context.Background(), lr.Points, 1)
+				rs, err := (&sweep.Engine{}).RunPoints(context.Background(), lr.Points, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

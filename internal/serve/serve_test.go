@@ -57,7 +57,7 @@ func smokeGrids() []sweep.Grid {
 // each with both writers.
 func batchOutputs(t *testing.T, grids []sweep.Grid) (jsons, csvs [][]byte) {
 	t.Helper()
-	eng := sweep.NewEngine()
+	eng := &sweep.Engine{}
 	for _, g := range grids {
 		res, err := eng.Run(context.Background(), g)
 		if err != nil {

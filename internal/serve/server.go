@@ -254,9 +254,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Grid.CaptureProb {
-		// Captured value streams are large and deliberately excluded from
-		// memoization in-process; a shared store must not carry them
-		// either. Table III runs stay on the batch engine.
+		// Captured value streams are large, and a shared store must not
+		// carry them. Table III runs stay on the batch engine.
 		http.Error(w, "serve: capture_prob grids are batch-only (value streams are not served)", http.StatusBadRequest)
 		return
 	}

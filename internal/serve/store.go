@@ -30,7 +30,7 @@ func Addr(kind, canonical string) string {
 // first write wins. With a backing directory every entry is persisted
 // (one file per address, written atomically and fsynced — file and
 // directory entry both) before Put makes it visible, so a restarted or
-// power-cycled server serves memoized results without re-simulating;
+// power-cycled server serves stored results without re-simulating;
 // with dir == "" the store is memory-only. Safe for concurrent use.
 //
 // For long-lived servers the in-memory layer can be bounded: with

@@ -122,10 +122,10 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if sc := s.sched; sc != nil {
 		// The schedule position is implied by the instruction count; what
 		// must survive is the phase accounting, the open window and each
-		// member's window populations and delta baseline. Trace-pause
-		// state is NOT serialized: the next advance's schedule reconcile
-		// re-pauses or resumes as the phase dictates before any
-		// instruction retires.
+		// member's window populations and delta baseline. Which trace
+		// sink is installed is NOT serialized: the next advance's
+		// schedule reconcile installs the one the phase dictates before
+		// any instruction retires.
 		sw.Uint(sc.instrFF)
 		sw.Uint(sc.instrWarm)
 		sw.Uint(sc.instrMeas)

@@ -114,10 +114,10 @@ func (s *Session) syncSample(cur uint64) {
 		// cache+predictor pass.
 		s.cpu.SetTraceSink((*warming)(s.timing))
 	default:
-		// PauseTrace flushes any straggling batch and detaches the trace
-		// buffer, so the emulator's fused loop runs its zero-overhead
-		// untraced path until the next detailed phase resumes it.
-		s.cpu.PauseTrace()
+		// No sink: any straggling batch is flushed first, and the
+		// emulator's fused loop runs its zero-overhead untraced path
+		// until the next detailed phase installs the timing sink again.
+		s.cpu.SetTraceSink(nil)
 	}
 }
 

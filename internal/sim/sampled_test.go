@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ckpt"
+	"repro/internal/emu"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 )
@@ -43,7 +46,7 @@ func goldenTimings(t *testing.T) map[string]pipeline.Metrics {
 	return out
 }
 
-// accuracyRuns memoizes the golden configurations' sampled runs under
+// accuracyRuns caches the golden configurations' sampled runs under
 // accuracySchedules[0], which TestSampledAccuracy and
 // TestSampledCIShrinks both need. It fills on first use, so either test
 // still runs alone.
@@ -53,7 +56,7 @@ var accuracyRuns struct {
 }
 
 // sampledGoldenRun returns golden configuration name, timed, under
-// schedule sc: memoized for accuracySchedules[0], run afresh otherwise.
+// schedule sc: cached for accuracySchedules[0], run afresh otherwise.
 func sampledGoldenRun(name string, cfg Config, sc sample.Config) (*Result, error) {
 	cfg.SkipTiming = false
 	cfg.Sample = &sc
@@ -202,7 +205,7 @@ func TestSampledDeterminism(t *testing.T) {
 }
 
 // TestSampledCheckpointResume: a sampled session checkpointed mid-run
-// (inside a fast-forward gap, where the sampler's trace-pause state
+// (inside a fast-forward gap, where the sampler's choice of trace sink
 // must be re-derived) and resumed must finish with exactly the
 // uninterrupted run's estimate.
 func TestSampledCheckpointResume(t *testing.T) {
@@ -291,4 +294,109 @@ func TestSampledSmoke(t *testing.T) {
 		t.Fatalf("full IPC %.4f outside sampled CI [%.4f, %.4f]",
 			full.Timing.IPC(), e.IPC.CI.Lo, e.IPC.CI.Hi)
 	}
+}
+
+// countingSink counts the trace batches and instructions delivered to
+// it.
+type countingSink struct{ batches, instrs int }
+
+func (c *countingSink) ConsumeTrace(batch []emu.DynInstr) {
+	c.batches++
+	c.instrs += len(batch)
+}
+
+// TestUntracedStretchesDeliverNoBatch: FastForward and a fast-forward
+// gap without functional warming run with no trace sink, so a sink
+// installed on the emulator when the stretch starts receives no batch,
+// the gap leaves the predictor and caches as they were, and the timing
+// model receives the trace again once the stretch ends. A
+// functional-only session fast-forwards and runs on with no sink at
+// all.
+func TestUntracedStretchesDeliverNoBatch(t *testing.T) {
+	timed := func(s *Session) uint64 { return s.members[0].pipe.Metrics().Instructions }
+	stage := func(t *testing.T, s *Session) []byte {
+		t.Helper()
+		enc := ckpt.NewEncoder()
+		if err := s.members[0].pipe.Events.CheckpointState(enc.Section("stage")); err != nil {
+			t.Fatal(err)
+		}
+		data, err := enc.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	t.Run("fast-forward", func(t *testing.T) {
+		s, err := New("PI", WithSeed(1), WithPBS(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		cs := &countingSink{}
+		s.cpu.SetTraceSink(cs)
+		if _, err := s.FastForward(100_000); err != nil {
+			t.Fatal(err)
+		}
+		if cs.batches != 0 {
+			t.Errorf("FastForward delivered %d batches (%d instructions)", cs.batches, cs.instrs)
+		}
+		if _, err := s.RunFor(50_000); err != nil {
+			t.Fatal(err)
+		}
+		if got := timed(s); got != 50_000 {
+			t.Errorf("timing model saw %d instructions after FastForward, want 50000", got)
+		}
+
+		f, err := New("PI", WithSeed(1), WithoutTiming())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.FastForward(100_000); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.RunFor(50_000); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Instructions(); got != 150_000 {
+			t.Errorf("functional session retired %d instructions, want 150000", got)
+		}
+	})
+	t.Run("sampled-gap", func(t *testing.T) {
+		sc := sample.Config{Window: 10_007, Period: 50_021, Warmup: 20_011}
+		s, err := New("PI", WithSeed(1), WithPBS(true), WithSampledTiming(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.RunFor(sc.Window); err != nil {
+			t.Fatal(err)
+		}
+		gap := s.Instructions()
+		if sc.PhaseAt(gap) != sample.FastForward {
+			t.Fatalf("position %d is not in a fast-forward gap", gap)
+		}
+		before, warm := timed(s), stage(t, s)
+		cs := &countingSink{}
+		s.cpu.SetTraceSink(cs)
+		if _, err := s.RunFor(sc.NextBoundary(gap) - gap); err != nil {
+			t.Fatal(err)
+		}
+		if cs.batches != 0 || timed(s) != before {
+			t.Errorf("the gap delivered %d batches to the installed sink and %d instructions to the timing model",
+				cs.batches, timed(s)-before)
+		}
+		if !bytes.Equal(stage(t, s), warm) {
+			t.Error("the gap changed the predictor or the caches")
+		}
+		if sc.PhaseAt(s.Instructions()) != sample.Warming {
+			t.Fatalf("position %d is not in a warming stretch", s.Instructions())
+		}
+		if _, err := s.RunFor(sc.Warmup); err != nil {
+			t.Fatal(err)
+		}
+		if got := timed(s) - before; got != sc.Warmup {
+			t.Errorf("timing model saw %d instructions of the %d-instruction warming after the gap", got, sc.Warmup)
+		}
+	})
 }

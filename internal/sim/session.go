@@ -490,9 +490,9 @@ func (s *Session) RunFor(n uint64) (bool, error) {
 }
 
 // FastForward retires up to n instructions (capped by WithMaxInstrs)
-// with the trace paused and reports, as RunFor does, whether the machine
-// is done: a sampled schedule counts none of them, and every timing
-// model starts cold where it ends — the functional prefix of a
+// with no trace sink installed and reports, as RunFor does, whether the
+// machine is done: a sampled schedule counts none of them, and every
+// timing model starts cold where it ends — the functional prefix of a
 // SMARTS-style measured region. Members may join before or after it;
 // it is refused once the session has run timed or was resumed.
 func (s *Session) FastForward(n uint64) (bool, error) {
@@ -505,9 +505,11 @@ func (s *Session) FastForward(n uint64) (bool, error) {
 	if n == 0 || s.Done() {
 		return s.Done(), nil
 	}
-	s.cpu.PauseTrace()
+	s.cpu.SetTraceSink(nil)
 	err := s.cpu.Run(s.stop(n))
-	s.cpu.ResumeTrace()
+	if s.timing != nil {
+		s.cpu.SetTraceSink(s.timing)
+	}
 	if err != nil {
 		return true, s.fault(err)
 	}

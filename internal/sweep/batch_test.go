@@ -43,8 +43,8 @@ func mixedPoints(t *testing.T) []Point {
 // completes, and Results equals the engine's.
 func TestBatchLayout(t *testing.T) {
 	pts := mixedPoints(t)
-	eng := NewEngine()
-	want, err := eng.RunPoints(context.Background(), pts, 2)
+	progs := NewProgramCache()
+	want, err := (&Engine{Programs: progs}).RunPoints(context.Background(), pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBatchLayout(t *testing.T) {
 		}
 	}
 
-	// Feed the runs last to first from the engine's memo, so every
+	// Feed the runs last to first, each simulated alone, so every
 	// aggregate completes on its first shard.
 	runs := b.Runs()
 	completions := make([]int, b.Rows())
@@ -81,7 +81,7 @@ func TestBatchLayout(t *testing.T) {
 		if recs[ru.Row].Seed != ru.Point.Seed || recs[ru.Row].Aggregate {
 			t.Fatalf("run %d (%s) sits at row %d, which holds %+v", r, ru.Point, ru.Row, recs[ru.Row])
 		}
-		res, err := eng.runGroup(context.Background(), []Point{ru.Point})
+		res, err := runGroup(context.Background(), progs, []Point{ru.Point})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestBatchLayout(t *testing.T) {
 // its aggregate row needs exactly that shard.
 func TestBatchPartialResults(t *testing.T) {
 	pts := mixedPoints(t)[:2] // the plain point, then the 3-seed aggregate
-	eng := NewEngine()
+	progs := NewProgramCache()
 	b, err := NewBatch(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestBatchPartialResults(t *testing.T) {
 		t.Fatalf("got %d runs and %d rows, want 4 and 5", len(runs), b.Rows())
 	}
 	for r := range runs[:3] { // all but the last shard
-		res, err := eng.runGroup(context.Background(), []Point{runs[r].Point})
+		res, err := runGroup(context.Background(), progs, []Point{runs[r].Point})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestBatchRejectsBadSeedSets(t *testing.T) {
 		if _, err := NewBatch(pts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("NewBatch(%s) = %v, want an error containing %q", tc.p, err, tc.want)
 		}
-		if _, err := NewEngine().RunPoints(context.Background(), pts, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := (&Engine{}).RunPoints(context.Background(), pts, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("RunPoints(%s) = %v, want an error containing %q", tc.p, err, tc.want)
 		}
 	}

@@ -15,26 +15,17 @@ import (
 )
 
 // Engine executes sweep points on a bounded worker pool. The zero value
-// runs without caching; NewEngine returns one with the program and result
-// caches enabled. An Engine is safe for concurrent use.
+// is ready to use. An Engine is safe for concurrent use.
 type Engine struct {
-	// Programs caches assembled programs across runs; nil builds each
-	// point's program from scratch.
+	// Programs caches assembled programs across runs; nil gives each
+	// RunPoints call a cache of its own.
 	Programs *ProgramCache
-	// Results memoizes completed points across runs, so a run that
-	// revisits a configuration reuses its result; nil disables memoization.
-	// Points that capture probabilistic value streams are never memoized
-	// (the streams are large).
+	// Deprecated: ignored; the engine simulates every run it is given.
 	Results *ResultCache
 	// OnProgress, when set, is called after each completed point with the
 	// number of completed points and the total. Calls may arrive
 	// concurrently from several workers.
 	OnProgress func(done, total int)
-}
-
-// NewEngine returns an engine with program and result caching enabled.
-func NewEngine() *Engine {
-	return &Engine{Programs: NewProgramCache(), Results: NewResultCache()}
 }
 
 // Result pairs a point with everything its simulation produced. Exactly
@@ -164,19 +155,18 @@ func (e *Engine) Run(ctx context.Context, g Grid) (Results, error) {
 // simulations (0 means GOMAXPROCS). An aggregate point (non-empty
 // Key.Seeds) fans out into one shard run per seed (see Batch), so a
 // lone multi-seed point saturates the pool; its shards are ordinary
-// single-seed points that hit the shared result memo, and their
-// completed results merge into an Aggregate in seed order. Runs that
-// share a functional stream execute as one stream group: one emulator
-// feeding every member's timing model (see Batch.Groups and
-// StartGroup). Groups are split while there are fewer of them than
-// workers, so grouping never costs concurrency. The first error aborts
-// the sweep: no further groups are dispatched, in-flight groups —
-// warm prefixes included — stop at their next chunk boundary, and the
-// error is returned once they drain — together with the results of the
-// points that did complete (in point order, fully merged aggregates
-// only), so an interrupted sweep can still flush what it finished.
-// Points with a WarmPrefix fast-forward over it once per group, in the
-// group's own session (see Grid.WarmPrefix). Results are
+// single-seed points, and their completed results merge into an
+// Aggregate in seed order. Runs that share a functional stream execute
+// as one stream group: one emulator feeding every member's timing model
+// (see Batch.Groups and StartGroup). Groups are split while there are
+// fewer of them than workers, so grouping never costs concurrency. The
+// first error aborts the sweep: no further groups are dispatched,
+// in-flight groups — warm prefixes included — stop at their next chunk
+// boundary, and the error is returned once they drain — together with
+// the results of the points that did complete (in point order, fully
+// merged aggregates only), so an interrupted sweep can still flush what
+// it finished. Points with a WarmPrefix fast-forward over it once per
+// group, in the group's own session (see Grid.WarmPrefix). Results are
 // positionally deterministic — the same points produce the same results
 // at any parallelism.
 func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Results, error) {
@@ -188,6 +178,10 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 		return nil, err
 	}
 	runs := b.Runs()
+	progs := e.Programs
+	if progs == nil {
+		progs = NewProgramCache()
+	}
 
 	if parallel < 1 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -228,7 +222,7 @@ func (e *Engine) RunPoints(ctx context.Context, pts []Point, parallel int) (Resu
 				for i, r := range g {
 					pts[i] = runs[r].Point
 				}
-				res, err := e.runGroup(ctx, pts)
+				res, err := runGroup(ctx, progs, pts)
 				if err != nil {
 					fail(err)
 					continue
@@ -293,43 +287,19 @@ func SplitGroups[T any](groups [][]T, n int) [][]T {
 }
 
 // runGroup executes one stream group (see Batch.Groups) and returns its
-// points' results in order, consulting the caches: memoized points are
-// served from the result memo and leave the group, and the rest share
-// one session built by StartGroup, run in chunks to the end (see
+// points' results in order. The points share one session built by
+// StartGroup on their program from progs, run in chunks to the end (see
 // runSession) and closed, so the next group reuses its machine. Cached
 // programs are shared read-only across the concurrently running
-// sessions of the worker pool. Errors name the
-// point they belong to: the failing member, or the first simulated one
-// for the shared stream.
-func (e *Engine) runGroup(ctx context.Context, pts []Point) ([]*sim.Result, error) {
-	out := make([]*sim.Result, len(pts))
-	var (
-		run  []int // indices of the points to simulate
-		todo []Point
-	)
-	for i, p := range pts {
-		p = p.normalize()
-		if e.memoize(p) {
-			if res, ok := e.Results.get(p); ok {
-				out[i] = res
-				continue
-			}
-		}
-		run = append(run, i)
-		todo = append(todo, p)
+// sessions of the worker pool. Errors name the point they belong to:
+// the failing member, or the first one for the shared stream.
+func runGroup(ctx context.Context, progs *ProgramCache, pts []Point) ([]*sim.Result, error) {
+	lead := pts[0]
+	prog, err := progs.Get(lead.Workload, lead.Scale, lead.Variant)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", lead, err)
 	}
-	if len(todo) == 0 {
-		return out, nil
-	}
-	lead := todo[0]
-	var prog *isa.Program
-	if e.Programs != nil {
-		var err error
-		if prog, err = e.Programs.Get(lead.Workload, lead.Scale, lead.Variant); err != nil {
-			return nil, fmt.Errorf("%s: %w", lead, err)
-		}
-	}
-	s, err := StartGroup(ctx, todo, prog, nil, RunChunk)
+	s, err := StartGroup(ctx, pts, prog, nil, RunChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -343,24 +313,15 @@ func (e *Engine) runGroup(ctx context.Context, pts []Point) ([]*sim.Result, erro
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", lead, err)
 	}
-	for k, res := range results {
-		out[run[k]] = res
-		if e.memoize(todo[k]) {
-			e.Results.put(todo[k], res)
-		}
-	}
-	return out, nil
+	return results, nil
 }
-
-// memoize reports whether the engine memoizes p's result: it has a
-// result memo, and p captures no value streams (they are large).
-func (e *Engine) memoize(p Point) bool { return e.Results != nil && !p.CaptureProb }
 
 // StartGroup builds the session of one stream group — points sharing a
 // StreamPoint, which the session emulates once for all of them (see
-// sim.Session.AddMember) — on prog (nil builds the program from
-// scratch). The in-process engine and the sweep service's workers start
-// every group here, so a group runs the same wherever it runs:
+// sim.Session.AddMember) — on prog, their program (see
+// ProgramCache.Get). The in-process engine and the sweep service's
+// workers start every group here, so a group runs the same wherever it
+// runs:
 //
 //   - with a progress checkpoint from, every member resumes from it (a
 //     checkpoint that does not resume into exactly these points' members
@@ -440,10 +401,7 @@ func (p Point) sessionOptions(prog *isa.Program) ([]sim.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	if prog != nil {
-		opts = append(opts, sim.WithProgram(prog))
-	}
-	return opts, nil
+	return append(opts, sim.WithProgram(prog)), nil
 }
 
 // StreamPoint returns the canonical point of p's functional stream: p
@@ -553,31 +511,12 @@ func (c *ProgramCache) Get(workload string, scale int, variant workloads.Variant
 	return e.prog, e.err
 }
 
-// ResultCache memoizes completed single-seed simulations by normalized
-// point. Results are deterministic functions of their point, so a
-// memoized result is indistinguishable from a fresh run; callers must
-// treat them as read-only, as they are shared. Aggregates are not
-// memoized: a re-run re-merges its memoized shards, and the merge is a
-// pure function of them (see NewAggregate).
-type ResultCache struct {
-	mu sync.Mutex
-	m  map[Point]*sim.Result
-}
+// ResultCache is ignored (see Engine.Results).
+//
+// Deprecated: the engine keeps no result memo.
+type ResultCache struct{}
 
 // NewResultCache returns an empty result cache.
-func NewResultCache() *ResultCache {
-	return &ResultCache{m: make(map[Point]*sim.Result)}
-}
-
-func (c *ResultCache) get(p Point) (*sim.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	res, ok := c.m[p]
-	return res, ok
-}
-
-func (c *ResultCache) put(p Point, res *sim.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[p] = res
-}
+//
+// Deprecated: see ResultCache.
+func NewResultCache() *ResultCache { return &ResultCache{} }

@@ -46,7 +46,8 @@ type Grid struct {
 	// FilterProb lists predictor-filter settings (the Fig 9 interference
 	// experiment); empty means {false}.
 	FilterProb []bool `json:"filter_prob,omitempty"`
-	// Scale multiplies workload iteration counts; 0 means 1.
+	// Scale multiplies workload iteration counts; 0 means 1, and a
+	// negative scale is an error.
 	Scale int `json:"scale,omitempty"`
 	// SkipTiming runs only the functional emulator (accuracy and
 	// randomness experiments need no pipeline).
@@ -203,7 +204,7 @@ type Point struct {
 	MaxInstrs   uint64 `json:"max_instrs,omitempty"`
 	// WarmPrefix is part of the point's identity, not just scheduling: a
 	// fast-forwarded run reports timing only over the post-prefix suffix, so
-	// it must never share a memo entry with a cold run of the same Key.
+	// it must never share a stored result with a cold run of the same Key.
 	WarmPrefix uint64 `json:"warm_prefix,omitempty"`
 	// The sampling schedule (see Grid) is likewise identity: a sampled
 	// run's metrics are an estimate over measured windows, never
@@ -239,9 +240,8 @@ func (p Point) normalize() Point {
 // Canonical returns the canonical form of the whole point: the Key's
 // canonical form plus the run parameters, all normalized. Like
 // Key.String it is an authoritative identity — two points share it
-// exactly when the engine would share one result-memo entry between
-// them — and it is the preimage the sweep service's content-addressed
-// store hashes.
+// exactly when they simulate the same run — and it is the preimage the
+// sweep service's content-addressed store hashes.
 func (p Point) Canonical() string {
 	p = p.normalize()
 	c := fmt.Sprintf("%s,scale=%d,skip_timing=%t,capture_prob=%t,max_instrs=%d,warm_prefix=%d",
@@ -376,7 +376,10 @@ func (g Grid) Points() ([]Point, error) {
 		filter = []bool{false}
 	}
 	scale := g.Scale
-	if scale <= 0 {
+	switch {
+	case scale < 0:
+		return nil, fmt.Errorf("sweep: scale %d is negative (want at least 1, or 0 for 1)", scale)
+	case scale == 0:
 		scale = 1
 	}
 	if g.SamplePeriod > 0 {

@@ -148,29 +148,20 @@ func TestSplitGroupsKeepsPoolBusy(t *testing.T) {
 	}
 }
 
-// TestGroupMemoizedMembers: a group member already in the result memo
-// is served from it and not simulated again, while the rest of its
-// group runs; progress still counts every run.
-func TestGroupMemoizedMembers(t *testing.T) {
-	eng := NewEngine()
-	one := Grid{Workloads: []string{"PI"}, Seeds: []uint64{4}, MaxInstrs: 80_000, Parallel: 1}
-	first, err := eng.Run(context.Background(), one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	both := one
-	both.Predictors = []sim.PredictorKind{sim.PredTAGESCL, sim.PredTournament}
+// TestGroupProgressCountsMembers: a stream group of two members
+// reports progress once per member, and the member that follows the
+// group's lead matches its solo run.
+func TestGroupProgressCountsMembers(t *testing.T) {
+	g := Grid{Workloads: []string{"PI"}, Seeds: []uint64{4}, MaxInstrs: 80_000, Parallel: 1,
+		Predictors: []sim.PredictorKind{sim.PredTAGESCL, sim.PredTournament}}
 	var done, total int
-	eng.OnProgress = func(d, n int) { done, total = d, n }
-	res, err := eng.Run(context.Background(), both)
+	eng := &Engine{OnProgress: func(d, n int) { done, total = d, n }}
+	res, err := eng.Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done != 2 || total != 2 {
 		t.Errorf("progress ended at %d/%d, want 2/2", done, total)
-	}
-	if res[0].Sim != first[0].Sim {
-		t.Error("the memoized member was simulated again")
 	}
 	solo, err := (&Engine{}).Run(context.Background(), Grid{Workloads: []string{"PI"}, Seeds: []uint64{4}, MaxInstrs: 80_000,
 		Predictors: []sim.PredictorKind{sim.PredTournament}})
@@ -178,7 +169,7 @@ func TestGroupMemoizedMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res[1].Sim, solo[0].Sim) {
-		t.Error("the simulated member differs from its solo run")
+		t.Error("the following member differs from its solo run")
 	}
 }
 
@@ -206,9 +197,9 @@ func TestGroupedRecordsMatchSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo := NewEngine()
+	progs := NewProgramCache()
 	for r, run := range b.Runs() {
-		res, err := solo.runGroup(context.Background(), []Point{run.Point})
+		res, err := runGroup(context.Background(), progs, []Point{run.Point})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +207,7 @@ func TestGroupedRecordsMatchSolo(t *testing.T) {
 	}
 	want := recordsJSON(t, b.Results())
 	for _, parallel := range []int{1, 2, 8} {
-		res, err := NewEngine().RunPoints(context.Background(), pts, parallel)
+		res, err := (&Engine{}).RunPoints(context.Background(), pts, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}

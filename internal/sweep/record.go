@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -223,12 +224,43 @@ func (rs Results) Records() []Record {
 }
 
 // WriteRecordsJSON writes flattened records (Results.Records) as an
-// indented JSON array. Rows a client reassembles from the sweep service's
-// stream give the same bytes as the Records of a local batch run.
+// indented JSON array: the bytes of a json.Encoder indenting the whole
+// array by two spaces, written one row at a time through one reused
+// buffer, so a write holds one row's bytes, not the array's twice. Rows
+// a client reassembles from the sweep service's stream give the same
+// bytes as the Records of a local batch run.
 func WriteRecordsJSON(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
+	switch {
+	case recs == nil:
+		_, err := io.WriteString(w, "null\n")
+		return err
+	case len(recs) == 0:
+		_, err := io.WriteString(w, "[]\n")
+		return err
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("  ", "  ") // a row is one level inside the array
+	buf.WriteString("[\n")
+	for i := range recs {
+		buf.WriteString("  ")
+		if err := enc.Encode(&recs[i]); err != nil {
+			return err
+		}
+		// Encode ends the row with a newline; the array puts a comma
+		// before it on every row but the last, and closes after that.
+		buf.Truncate(buf.Len() - 1)
+		if i < len(recs)-1 {
+			buf.WriteString(",\n")
+		} else {
+			buf.WriteString("\n]\n")
+		}
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return err
+		}
+		buf.Reset()
+	}
+	return nil
 }
 
 // csvColumns is the WriteRecordsCSV column order.

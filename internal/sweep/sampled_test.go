@@ -54,7 +54,8 @@ func TestGridSampleValidation(t *testing.T) {
 
 // TestSampledSweepDeterminism extends the core sweep contract to
 // sampled points: the same sampled grid produces bit-identical
-// estimates at parallelism 1 and 8, caches on or off.
+// estimates at parallelism 1 and 8, with a per-call or a shared program
+// cache.
 func TestSampledSweepDeterminism(t *testing.T) {
 	grid := sampledGrid()
 
@@ -66,7 +67,7 @@ func TestSampledSweepDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cached := NewEngine()
+	cached := &Engine{Programs: NewProgramCache()}
 	gridPar := grid
 	gridPar.Parallel = 8
 	got, err := cached.Run(context.Background(), gridPar)
@@ -98,7 +99,7 @@ func TestSampledSweepDeterminism(t *testing.T) {
 // are the estimate means, the CI columns carry the windows' interval,
 // and the schedule is spelled out on the row.
 func TestSampledRecords(t *testing.T) {
-	res, err := NewEngine().Run(context.Background(), sampledGrid())
+	res, err := (&Engine{}).Run(context.Background(), sampledGrid())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,7 +52,14 @@ func TestGridExpansion(t *testing.T) {
 		t.Fatalf("empty grid expanded to %d points, want %d", len(pts), want)
 	}
 
-	// Unknown workloads and bad widths fail at expansion.
+	// Scale 0 means 1; a negative scale, unknown workloads and bad
+	// widths fail at expansion.
+	if pts, err := (Grid{Workloads: []string{"PI"}}).Points(); err != nil || pts[0].Scale != 1 {
+		t.Fatalf("scale 0 expanded to %+v (%v), want scale 1", pts, err)
+	}
+	if _, err := (Grid{Scale: -1}).Points(); err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Fatalf("negative scale expanded (%v); want an error naming the scale", err)
+	}
 	if _, err := (Grid{Workloads: []string{"nope"}}).Points(); err == nil {
 		t.Fatal("unknown workload did not fail expansion")
 	}
@@ -82,12 +91,12 @@ func TestGridVariantApplicability(t *testing.T) {
 }
 
 // TestDeterminism checks the core sweep contract: the same grid produces
-// bit-identical per-point results at any parallelism, with or without the
-// caches.
+// bit-identical per-point results at any parallelism, with a per-call or
+// a shared program cache.
 func TestDeterminism(t *testing.T) {
 	grid := testGrid()
 
-	serial := &Engine{} // no caches, one worker
+	serial := &Engine{} // a program cache per call, one worker
 	gridSerial := grid
 	gridSerial.Parallel = 1
 	want, err := serial.Run(context.Background(), gridSerial)
@@ -95,7 +104,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cached := NewEngine() // caches on, wide pool
+	cached := &Engine{Programs: NewProgramCache()} // a shared program cache, wide pool
 	gridPar := grid
 	gridPar.Parallel = 8
 	got, err := cached.Run(context.Background(), gridPar)
@@ -164,38 +173,6 @@ func TestProgramCache(t *testing.T) {
 	}
 }
 
-// TestResultMemo checks that the engine serves a repeated point from the
-// memo (same pointer) and that capture points are never memoized.
-func TestResultMemo(t *testing.T) {
-	eng := NewEngine()
-	grid := Grid{Workloads: []string{"PI"}, Seeds: []uint64{11}, SkipTiming: true}
-	first, err := eng.Run(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := eng.Run(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first[0].Sim != second[0].Sim {
-		t.Error("repeated point was re-simulated instead of memoized")
-	}
-
-	capture := grid
-	capture.CaptureProb = true
-	c1, err := eng.Run(context.Background(), capture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := eng.Run(context.Background(), capture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1[0].Sim == c2[0].Sim {
-		t.Error("capture point was memoized; value streams must not be cached")
-	}
-}
-
 // TestEarlyAbort checks that the first error stops dispatch: with one
 // worker and a failing first point, no later point runs.
 func TestEarlyAbort(t *testing.T) {
@@ -243,7 +220,7 @@ func TestCancel(t *testing.T) {
 // TestRecords checks the flattened serialization round-trips the point
 // coordinates and headline metrics.
 func TestRecords(t *testing.T) {
-	eng := NewEngine()
+	eng := &Engine{}
 	res, err := eng.Run(context.Background(), Grid{
 		Workloads: []string{"PI"},
 		PBS:       []bool{true},
@@ -285,10 +262,55 @@ func TestRecords(t *testing.T) {
 	}
 }
 
+// TestWriteRecordsJSONMatchesEncoder: the row-at-a-time writer gives
+// exactly the bytes of a json.Encoder indenting the whole array — for a
+// nil and an empty slice, one row, several rows, sharded aggregate rows
+// and a string the encoder escapes.
+func TestWriteRecordsJSONMatchesEncoder(t *testing.T) {
+	res, err := (&Engine{}).Run(context.Background(), Grid{
+		Workloads:  []string{"PI"},
+		PBS:        []bool{false, true},
+		Seeds:      []uint64{3, 5},
+		ShardSeeds: true,
+		MaxInstrs:  20_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := res.Records()
+	escaped := sharded[0]
+	escaped.Workload = "<PI & \"co\">\u2028"
+	for _, tc := range []struct {
+		name string
+		recs []Record
+	}{
+		{"nil", nil},
+		{"empty", []Record{}},
+		{"one row", sharded[:1]},
+		{"several rows", sharded[:2]},
+		{"sharded", sharded},
+		{"escaped", []Record{escaped, sharded[1]}},
+	} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(tc.recs); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := WriteRecordsJSON(&got, tc.recs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: wrote\n%s\nwant\n%s", tc.name, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
 // TestLookupNormalization checks that zero-value Key fields mean the axis
 // defaults.
 func TestLookupNormalization(t *testing.T) {
-	eng := NewEngine()
+	eng := &Engine{}
 	res, err := eng.Run(context.Background(), Grid{
 		Workloads:  []string{"PI"},
 		Predictors: []sim.PredictorKind{sim.PredTAGESCL},
@@ -312,7 +334,7 @@ func TestLookupNormalization(t *testing.T) {
 // under different run parameters refuses the lookup instead of answering
 // with whichever point comes first.
 func TestAmbiguousLookup(t *testing.T) {
-	eng := NewEngine()
+	eng := &Engine{}
 	timing, err := eng.Run(context.Background(), Grid{Workloads: []string{"PI"}, Seeds: []uint64{7}, MaxInstrs: 100_000})
 	if err != nil {
 		t.Fatal(err)

@@ -31,12 +31,12 @@ func warmGrid() Grid {
 func TestWarmPrefixFunctionalIdentity(t *testing.T) {
 	g := warmGrid()
 	prefix := g.WarmPrefix
-	warm, err := NewEngine().Run(context.Background(), g)
+	warm, err := (&Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.WarmPrefix = 0
-	cold, err := NewEngine().Run(context.Background(), g)
+	cold, err := (&Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestWarmPrefixFunctionalIdentity(t *testing.T) {
 // sets for the same warm grid.
 func TestWarmPrefixDeterminism(t *testing.T) {
 	g := warmGrid()
-	a, err := NewEngine().Run(context.Background(), g)
+	a, err := (&Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEngine().Run(context.Background(), g)
+	b, err := (&Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestWarmPrefixCancellation(t *testing.T) {
 	g := warmGrid()
 	g.MaxInstrs = 0           // run to completion
 	g.WarmPrefix = 50_000_000 // far too long to finish before the abort lands
-	e := NewEngine()
+	e := &Engine{}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -112,12 +112,12 @@ func TestWarmPrefixCancellation(t *testing.T) {
 func TestWarmPrefixBudgetInsidePrefix(t *testing.T) {
 	g := warmGrid()
 	g.MaxInstrs = 80_000 // inside the 100k prefix
-	warm, err := NewEngine().Run(context.Background(), g)
+	warm, err := (&Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.WarmPrefix = 0
-	cold, err := NewEngine().Run(context.Background(), g)
+	cold, err := (&Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestWarmPrefixHaltInsidePrefix(t *testing.T) {
 		Seeds:      []uint64{7},
 		WarmPrefix: 1 << 40, // far past the program's natural halt
 	}
-	warm, err := NewEngine().Run(context.Background(), g)
+	warm, err := (&Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.WarmPrefix = 0
-	cold, err := NewEngine().Run(context.Background(), g)
+	cold, err := (&Engine{}).Run(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,13 @@ func BenchmarkWarmPrefixSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		start := time.Now()
-		if _, err := NewEngine().Run(context.Background(), cold); err != nil {
+		if _, err := (&Engine{}).Run(context.Background(), cold); err != nil {
 			b.Fatal(err)
 		}
 		coldDur += time.Since(start)
 		b.StartTimer()
 		start = time.Now()
-		if _, err := NewEngine().Run(context.Background(), warm); err != nil {
+		if _, err := (&Engine{}).Run(context.Background(), warm); err != nil {
 			b.Fatal(err)
 		}
 		warmDur += time.Since(start)
