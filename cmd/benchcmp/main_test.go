@@ -8,11 +8,21 @@ import (
 )
 
 func snap(results ...BenchResult) *Snapshot {
-	return &Snapshot{Date: "2026-07-30", Commit: "abc", Results: results}
+	return &Snapshot{Date: "2026-10-20", Commit: "abc", Count: 5, Results: results}
 }
 
 func bench(name string, metrics map[string]float64) BenchResult {
 	return BenchResult{Name: name, Iterations: 1, Metrics: metrics}
+}
+
+// runs returns one sample of name per value, each reporting the value
+// as metric.
+func runs(name, metric string, values ...float64) []BenchResult {
+	out := make([]BenchResult, len(values))
+	for i, v := range values {
+		out[i] = bench(name, map[string]float64{metric: v})
+	}
+	return out
 }
 
 func find(t *testing.T, deltas []Delta, benchName, metric string) Delta {
@@ -26,54 +36,77 @@ func find(t *testing.T, deltas []Delta, benchName, metric string) Delta {
 	return Delta{}
 }
 
-// TestThroughputRegressionGates is the CI acceptance scenario: a
-// synthetic >5% sim-instr/s drop must gate, while one within the
-// threshold must not.
+// TestThroughputRegressionGates: a median drop beyond the threshold
+// whose 95% CIs do not overlap gates; a drop within the threshold does
+// not, nor does a speedup.
 func TestThroughputRegressionGates(t *testing.T) {
-	oldS := snap(bench("BenchmarkWorkloads/PI/pbs=true", map[string]float64{"sim-instr/s": 15_000_000, "allocs/op": 115}))
-
-	newS := snap(bench("BenchmarkWorkloads/PI/pbs=true", map[string]float64{"sim-instr/s": 14_000_000, "allocs/op": 115}))
-	deltas, _, _ := compare(oldS, newS, 5)
-	if d := find(t, deltas, "BenchmarkWorkloads/PI/pbs=true", "sim-instr/s"); !d.Regression {
-		t.Errorf("6.7%% throughput drop did not gate: %+v", d)
+	const name = "BenchmarkEmuStep"
+	oldS := snap(runs(name, "instr/s", 100e6, 101e6, 99e6, 100.5e6, 99.5e6)...)
+	cases := []struct {
+		new  []float64
+		gate bool
+	}{
+		{[]float64{90e6, 91e6, 89e6, 90.5e6, 89.5e6}, true},       // -10%, tight
+		{[]float64{97e6, 98e6, 96e6, 97.5e6, 96.5e6}, false},      // -3%, within
+		{[]float64{200e6, 201e6, 199e6, 200.5e6, 199.5e6}, false}, // 2x faster
 	}
-
-	okS := snap(bench("BenchmarkWorkloads/PI/pbs=true", map[string]float64{"sim-instr/s": 14_400_000, "allocs/op": 115}))
-	deltas, _, _ = compare(oldS, okS, 5)
-	if d := find(t, deltas, "BenchmarkWorkloads/PI/pbs=true", "sim-instr/s"); d.Regression {
-		t.Errorf("4%% throughput drop gated: %+v", d)
-	}
-
-	// Improvements never gate.
-	fastS := snap(bench("BenchmarkWorkloads/PI/pbs=true", map[string]float64{"sim-instr/s": 30_000_000, "allocs/op": 115}))
-	deltas, _, _ = compare(oldS, fastS, 5)
-	if d := find(t, deltas, "BenchmarkWorkloads/PI/pbs=true", "sim-instr/s"); d.Regression {
-		t.Errorf("2x speedup gated: %+v", d)
+	for _, c := range cases {
+		deltas, _, _ := compare(oldS, snap(runs(name, "instr/s", c.new...)...), 5)
+		if d := find(t, deltas, name, "instr/s"); d.Regression != c.gate {
+			t.Errorf("%v -> %v: regression %v, want %v (%+v)", oldS.Results[0].Metrics, c.new, d.Regression, c.gate, d)
+		}
 	}
 }
 
-func TestAllocRegressionGates(t *testing.T) {
-	oldS := snap(bench("BenchmarkRetireBatch", map[string]float64{"instr/s": 13_000_000, "allocs/op": 0}))
-
-	// 0 -> n allocations: no finite percentage, still a regression.
-	newS := snap(bench("BenchmarkRetireBatch", map[string]float64{"instr/s": 13_000_000, "allocs/op": 3}))
+// TestOverlappingCIsDoNotGate: the same 10% median shift as above does
+// not gate when the samples spread so far that the two 95% CIs overlap —
+// two runs of a noisy host, not evidence of a regression.
+func TestOverlappingCIsDoNotGate(t *testing.T) {
+	const name = "BenchmarkRetireGroup/group"
+	oldS := snap(runs(name, "ns/instr", 20, 14, 26, 17, 23)...)
+	newS := snap(runs(name, "ns/instr", 22, 15, 29, 19, 25)...)
 	deltas, _, _ := compare(oldS, newS, 5)
-	d := find(t, deltas, "BenchmarkRetireBatch", "allocs/op")
+	d := find(t, deltas, name, "ns/instr")
+	if d.Pct != 10 {
+		t.Fatalf("median shift %.2f%%, want 10%%", d.Pct)
+	}
+	if !d.OldCI.Overlaps(d.NewCI) {
+		t.Fatalf("CIs %v and %v do not overlap", d.OldCI, d.NewCI)
+	}
+	if d.Regression {
+		t.Errorf("overlapping CIs gated: %+v", d)
+	}
+	// The same medians with tight samples do gate.
+	oldS = snap(runs(name, "ns/instr", 20, 20.1, 19.9, 20, 20)...)
+	newS = snap(runs(name, "ns/instr", 22, 22.1, 21.9, 22, 22)...)
+	deltas, _, _ = compare(oldS, newS, 5)
+	if d := find(t, deltas, name, "ns/instr"); !d.Regression {
+		t.Errorf("disjoint CIs did not gate: %+v", d)
+	}
+}
+
+// TestAllocRegressionGates: a formerly allocation-free benchmark that
+// now allocates gates (0 -> n has no finite percentage), and so does
+// growth beyond the threshold; growth within it and fewer allocations
+// do not.
+func TestAllocRegressionGates(t *testing.T) {
+	const name = "BenchmarkRetireBatch"
+	oldS := snap(runs(name, "allocs/op", 0, 0, 0, 0, 0)...)
+	deltas, _, _ := compare(oldS, snap(runs(name, "allocs/op", 3, 3, 3, 3, 3)...), 5)
+	d := find(t, deltas, name, "allocs/op")
 	if !d.Regression || !math.IsInf(d.Pct, 1) {
 		t.Errorf("0 -> 3 allocs/op did not gate: %+v", d)
 	}
 
-	// n -> m within threshold passes; beyond fails.
-	oldS = snap(bench("BenchmarkSweep", map[string]float64{"allocs/op": 2894}))
-	if deltas, _, _ = compare(oldS, snap(bench("BenchmarkSweep", map[string]float64{"allocs/op": 3000})), 5); find(t, deltas, "BenchmarkSweep", "allocs/op").Regression {
-		t.Error("3.7% alloc growth gated")
-	}
-	if deltas, _, _ = compare(oldS, snap(bench("BenchmarkSweep", map[string]float64{"allocs/op": 3100})), 5); !find(t, deltas, "BenchmarkSweep", "allocs/op").Regression {
-		t.Error("7.1% alloc growth did not gate")
-	}
-	// Fewer allocations is an improvement.
-	if deltas, _, _ = compare(oldS, snap(bench("BenchmarkSweep", map[string]float64{"allocs/op": 100})), 5); find(t, deltas, "BenchmarkSweep", "allocs/op").Regression {
-		t.Error("alloc reduction gated")
+	oldS = snap(runs(name, "allocs/op", 2894, 2894, 2894, 2894, 2894)...)
+	for _, c := range []struct {
+		n    float64
+		gate bool
+	}{{3000, false}, {3100, true}, {100, false}} {
+		deltas, _, _ := compare(oldS, snap(runs(name, "allocs/op", c.n, c.n, c.n, c.n, c.n)...), 5)
+		if d := find(t, deltas, name, "allocs/op"); d.Regression != c.gate {
+			t.Errorf("2894 -> %v allocs/op: regression %v, want %v", c.n, d.Regression, c.gate)
+		}
 	}
 }
 
@@ -81,31 +114,31 @@ func TestAllocRegressionGates(t *testing.T) {
 // test appends on multi-proc machines: a 1-core baseline must pair with
 // a 4-core CI run, or the gate would silently compare nothing.
 func TestGOMAXPROCSSuffixPairs(t *testing.T) {
-	oldS := snap(bench("BenchmarkWorkloads/PI/pbs=true", map[string]float64{"sim-instr/s": 15_000_000}))
-	newS := snap(bench("BenchmarkWorkloads/PI/pbs=true-4", map[string]float64{"sim-instr/s": 10_000_000}))
+	oldS := snap(runs("BenchmarkEncode", "ns/op", 1000, 1000, 1000)...)
+	newS := snap(runs("BenchmarkEncode-4", "ns/op", 2000, 2000, 2000)...)
 	deltas, onlyOld, onlyNew := compare(oldS, newS, 5)
 	if len(onlyOld)+len(onlyNew) != 0 {
 		t.Fatalf("suffixed benchmark did not pair: onlyOld=%v onlyNew=%v", onlyOld, onlyNew)
 	}
-	if d := find(t, deltas, "BenchmarkWorkloads/PI/pbs=true", "sim-instr/s"); !d.Regression {
+	if d := find(t, deltas, "BenchmarkEncode", "ns/op"); !d.Regression {
 		t.Errorf("regression hidden by the GOMAXPROCS suffix: %+v", d)
 	}
 	// Names whose tail is not a plain integer stay untouched.
 	if got := normalizeName("BenchmarkX/pbs=true"); got != "BenchmarkX/pbs=true" {
 		t.Errorf("normalizeName mangled %q", got)
 	}
-	if got := normalizeName("BenchmarkFigure1-16"); got != "BenchmarkFigure1" {
+	if got := normalizeName("BenchmarkRetireGroup/solo-16"); got != "BenchmarkRetireGroup/solo" {
 		t.Errorf("normalizeName(-16) = %q", got)
 	}
 }
 
 func TestUnpairedBenchmarksNeverGate(t *testing.T) {
 	oldS := snap(
-		bench("BenchmarkGone", map[string]float64{"sim-instr/s": 1}),
-		bench("BenchmarkKept", map[string]float64{"sim-instr/s": 100}),
+		bench("BenchmarkGone", map[string]float64{"ns/op": 1}),
+		bench("BenchmarkKept", map[string]float64{"ns/op": 100}),
 	)
 	newS := snap(
-		bench("BenchmarkKept", map[string]float64{"sim-instr/s": 100}),
+		bench("BenchmarkKept", map[string]float64{"ns/op": 100}),
 		bench("BenchmarkNew", map[string]float64{"allocs/op": 1e9}),
 	)
 	deltas, onlyOld, onlyNew := compare(oldS, newS, 5)
@@ -125,34 +158,41 @@ func TestUnpairedBenchmarksNeverGate(t *testing.T) {
 	}
 }
 
+// TestUngatedMetricsIgnored: a benchmark gates on one time metric —
+// ns/instr or instr/s when it reports one, ns/op otherwise — and on
+// allocs/op. B/op, throughput in MB/s and the custom size and
+// simulated-machine metrics never gate however far they move.
 func TestUngatedMetricsIgnored(t *testing.T) {
-	// ns/op is machine noise and the simulated metrics are pinned by
-	// tests; none of them gate however far they move.
-	oldS := snap(bench("BenchmarkX", map[string]float64{"ns/op": 100, "IPC": 2.0, "B/op": 1000}))
-	newS := snap(bench("BenchmarkX", map[string]float64{"ns/op": 100000, "IPC": 0.1, "B/op": 1e9}))
+	oldS := snap(bench("BenchmarkX", map[string]float64{
+		"ns/instr": 20, "ns/op": 100, "IPC": 2.0, "B/op": 1000, "MB/s": 50, "ckpt-bytes": 4096,
+	}))
+	newS := snap(bench("BenchmarkX", map[string]float64{
+		"ns/instr": 20, "ns/op": 100000, "IPC": 0.1, "B/op": 1e9, "MB/s": 1, "ckpt-bytes": 1e9,
+	}))
 	deltas, _, _ := compare(oldS, newS, 5)
-	if len(deltas) != 0 {
-		t.Errorf("ungated metrics produced deltas: %+v", deltas)
+	if len(deltas) != 1 || deltas[0].Metric != "ns/instr" || deltas[0].Regression {
+		t.Errorf("deltas = %+v, want one ungated ns/instr comparison", deltas)
 	}
 }
 
 // TestLoadCommittedBaseline keeps the comparator compatible with the
-// snapshot format bench.sh actually writes, via the committed baseline.
+// snapshot format bench.sh actually writes, via the committed snapshot:
+// every benchmark has a sample per run and gates on a time metric and
+// allocs/op, and the snapshot compared to itself is regression-free.
 func TestLoadCommittedBaseline(t *testing.T) {
-	path := filepath.Join("..", "..", "BENCH_2026-07-30.json")
-	s, err := loadSnapshot(path)
+	s, err := loadSnapshot(filepath.Join("..", "..", "BENCH_2026-10-20.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Results) == 0 || s.Date == "" {
-		t.Fatalf("baseline decoded empty: %+v", s)
+	if s.Date == "" || s.Count < 5 {
+		t.Fatalf("snapshot header %+v", s)
 	}
-	r := resultsByName(s)
-	pi, ok := r["BenchmarkWorkloads/PI/pbs=true"]
-	if !ok || pi.Metrics["sim-instr/s"] == 0 {
-		t.Fatalf("baseline misses the PI throughput metric: %+v", pi)
+	for name, ms := range group(s) {
+		g := gated(ms, ms)
+		if len(g) != 2 || len(ms[g[0].name]) != s.Count {
+			t.Errorf("%s: gated metrics %v, want a time metric and allocs/op with %d samples each", name, g, s.Count)
+		}
 	}
-	// The baseline compared to itself is regression-free.
 	deltas, onlyOld, onlyNew := compare(s, s, 5)
 	if len(onlyOld)+len(onlyNew) != 0 {
 		t.Errorf("self-compare found unpaired benchmarks: %v %v", onlyOld, onlyNew)

@@ -261,15 +261,17 @@ func runBatch(args []string) {
 	}
 
 	if *format != "json" && *format != "csv" {
-		fail(fmt.Errorf("unknown format %q (want json or csv)", *format))
+		badFlag(fmt.Errorf("-format must be json or csv (got %q)", *format))
 	}
 	if *scale < 1 {
-		fmt.Fprintln(os.Stderr, "pbsweep: -scale must be at least 1")
-		exit(2)
+		badFlag(errors.New("-scale must be at least 1"))
 	}
 	grid, err := gridFromFlags(*spec, *workload, *predictor, *pbs, *widths, *seeds, *variants, *scale, *parallel, *warm, *shard)
 	if err != nil {
-		fail(err)
+		if *spec != "" {
+			fail(err) // the spec file, not a flag value, is at fault
+		}
+		badFlag(err)
 	}
 	// The sampling flags follow the -warm-prefix convention: set on the
 	// command line they win over a spec's sample_* fields; their zero
@@ -461,7 +463,7 @@ func gridFromFlags(spec, workload, predictor, pbs, widths, seeds, variants strin
 	for _, s := range splitCSV(variants) {
 		v, err := workloads.VariantByName(s)
 		if err != nil {
-			return g, err
+			return g, fmt.Errorf("-variants: %w", err)
 		}
 		g.Variants = append(g.Variants, v)
 	}
@@ -498,4 +500,11 @@ func exit(code int) {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "pbsweep:", err)
 	exit(1)
+}
+
+// badFlag rejects a flag value the way flag parsing does: a message on
+// stderr and exit status 2.
+func badFlag(err error) {
+	fmt.Fprintln(os.Stderr, "pbsweep:", err)
+	exit(2)
 }

@@ -18,20 +18,31 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRejectsBadScale: a -scale below 1 exits 2 before any point runs,
-// with a message naming the flag.
+// TestRejectsBadScale: a bad flag value exits 2 before any point runs,
+// with a message naming the flag and nothing on stdout.
 func TestRejectsBadScale(t *testing.T) {
-	for _, scale := range []string{"-1", "0"} {
-		cmd := exec.Command(os.Args[0], "-workloads", "PI", "-scale", scale)
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-scale", []string{"-scale", "-1"}},
+		{"-scale", []string{"-scale", "0"}},
+		{"-format", []string{"-format", "xml"}},
+		{"-pbs", []string{"-pbs", "maybe"}},
+		{"-widths", []string{"-widths", "4,x"}},
+		{"-seeds", []string{"-seeds", "1,-2"}},
+		{"-variants", []string{"-variants", "plain,bogus"}},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-workloads", "PI"}, c.args...)...)
 		cmd.Env = append(os.Environ(), "PBSWEEP_RUN_MAIN=1")
 		var stdout, stderr strings.Builder
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		if err := cmd.Run(); err != nil && cmd.ProcessState == nil {
 			t.Fatal(err)
 		}
-		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "-scale") {
-			t.Errorf("pbsweep -scale %s: exit %d, stdout %q, stderr %q; want exit 2 naming -scale and no output",
-				scale, code, stdout.String(), stderr.String())
+		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.flag) {
+			t.Errorf("pbsweep %s: exit %d, stdout %q, stderr %q; want exit 2 naming %s and no output",
+				strings.Join(c.args, " "), code, stdout.String(), stderr.String(), c.flag)
 		}
 	}
 }

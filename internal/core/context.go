@@ -192,23 +192,3 @@ func (t *ContextTracker) Context() (ContextKey, bool) {
 		Gen:     e.gen,
 	}, true
 }
-
-// ActiveLoopPC returns the Loop-PC of the active loop, or -1 when no loop
-// is active. Exposed for tests and diagnostics.
-func (t *ContextTracker) ActiveLoopPC() int {
-	if t.active < 0 {
-		return -1
-	}
-	return t.loops[t.active].loopPC
-}
-
-// LiveLoops returns the number of valid Context-Table entries.
-func (t *ContextTracker) LiveLoops() int {
-	n := 0
-	for i := range t.loops {
-		if t.loops[i].valid {
-			n++
-		}
-	}
-	return n
-}

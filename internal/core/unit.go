@@ -381,10 +381,3 @@ func (u *Unit) Resolve(g Group) Resolution {
 	u.handed = old.vals
 	return Resolution{Mode: ModeSteered, Taken: old.taken, Vals: old.vals}
 }
-
-// LiveBranches returns the number of currently tracked branches.
-func (u *Unit) LiveBranches() int { return u.live }
-
-// ContextTracker exposes the context tracker for tests; nil when context
-// support is disabled.
-func (u *Unit) ContextTracker() *ContextTracker { return u.ctx }

@@ -3,10 +3,9 @@ package experiments
 import "repro/internal/sweep"
 
 // Artifacts is the paper's evaluation, one row per figure, table or
-// section, in the order pbstables prints them. pbstables, the root
-// BenchmarkArtifact and TestQuickExperiments run rows of it through Run,
-// so adding an artifact means adding a row with its grids and render
-// function.
+// section, in the order pbstables prints them. pbstables and
+// TestQuickExperiments run rows of it through Run, so adding an artifact
+// means adding a row with its grids and render function.
 var Artifacts = []Artifact{
 	{ID: "fig1", Title: "Figure 1: misprediction breakdown", Grids: figure1Grids, Render: render(Figure1)},
 	{ID: "table1", Title: "Table I: predication/CFD applicability", Render: render(TableI)},
@@ -55,7 +54,7 @@ var Artifacts = []Artifact{
 
 // Artifact is one figure, table or section of the paper's evaluation.
 type Artifact struct {
-	ID    string // pbstables -only and BenchmarkArtifact/<ID>
+	ID    string // pbstables -only <ID>
 	Title string
 	// Grids declares the points the artifact reads; nil for an artifact
 	// that simulates nothing. Run sets each grid's Scale.

@@ -6,23 +6,15 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestQuickExperiments runs every artifact but Figure 9 and Table III as
-// one plan at two seeds and checks that each dataset measures each of
-// its paper quantities. Figure 9 and Table III cost seconds each even at
-// two seeds; BenchmarkArtifact and pbstables run them.
+// TestQuickExperiments runs every artifact as one plan at one seed and
+// checks that each dataset measures each of its paper quantities.
 func TestQuickExperiments(t *testing.T) {
-	opt := Options{Scale: 1, Seeds: []uint64{11, 23}}
-	var arts []Artifact
-	for _, a := range Artifacts {
-		if a.ID != "fig9" && a.ID != "table3" {
-			arts = append(arts, a)
-		}
-	}
-	ds, err := Run(opt, arts)
+	opt := Options{Scale: 1, Seeds: []uint64{11}}
+	ds, err := Run(opt, Artifacts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range arts {
+	for i, a := range Artifacts {
 		t.Log(ds[i])
 		m := ds[i].Measured()
 		for _, q := range a.Paper {

@@ -1,10 +1,9 @@
 // Package faultinject provides deterministic, seeded network fault
 // injection for exercising the sweep service's recovery paths. An
-// Injector wraps an http.RoundTripper (or a net.Conn / net.Listener)
-// and, driven by the repository's own deterministic rng.Stream, makes
-// requests vanish before they reach the server (drop), lose their
-// response after the server has processed them (reset), arrive twice
-// (duplicate), or arrive late (delay).
+// Injector wraps an http.RoundTripper and, driven by the repository's
+// own deterministic rng.Stream, makes requests vanish before they reach
+// the server (drop), lose their response after the server has processed
+// them (reset), arrive twice (duplicate), or arrive late (delay).
 //
 // The four faults are chosen because each one probes a different
 // protocol obligation: a drop demands retry, a reset demands
@@ -44,9 +43,9 @@ var ErrDropped = errors.New("faultinject: request dropped")
 // it — the case that flushes out non-idempotent handlers.
 var ErrReset = errors.New("faultinject: connection reset after delivery")
 
-// Config declares the fault mix. Probabilities are per request (or per
-// Conn read/write) and independent; zero values inject nothing, so the
-// zero Config is a transparent wrapper.
+// Config declares the fault mix. Probabilities are per request and
+// independent; zero values inject nothing, so the zero Config is a
+// transparent wrapper.
 type Config struct {
 	// Seed seeds the decision stream; equal seeds replay equal decision
 	// sequences for equal call orders.
@@ -82,8 +81,7 @@ type Stats struct {
 }
 
 // Injector makes seeded fault decisions. One Injector may back any
-// number of transports, conns and listeners; they share its stream and
-// its stats.
+// number of transports; they share its stream and its stats.
 type Injector struct {
 	cfg   Config
 	mu    sync.Mutex
@@ -194,64 +192,4 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, &net.OpError{Op: "read", Net: "tcp", Err: ErrReset}
 	}
 	return resp, nil
-}
-
-// conn wraps a net.Conn: reads and writes may be delayed, and resets
-// sever the connection mid-stream (both directions, as a TCP RST
-// would). Drop/dup do not apply at byte granularity.
-type conn struct {
-	net.Conn
-	in *Injector
-}
-
-// Conn returns c with the injector's delay/reset faults applied per
-// Read and Write.
-func (in *Injector) Conn(c net.Conn) net.Conn {
-	return &conn{Conn: c, in: in}
-}
-
-func (c *conn) fault() error {
-	d := c.in.decide()
-	if d.delay > 0 {
-		time.Sleep(d.delay)
-	}
-	if d.reset {
-		c.Conn.Close()
-		return &net.OpError{Op: "read", Net: "tcp", Err: ErrReset}
-	}
-	return nil
-}
-
-func (c *conn) Read(p []byte) (int, error) {
-	if err := c.fault(); err != nil {
-		return 0, err
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *conn) Write(p []byte) (int, error) {
-	if err := c.fault(); err != nil {
-		return 0, err
-	}
-	return c.Conn.Write(p)
-}
-
-// listener wraps accepted conns with the injector.
-type listener struct {
-	net.Listener
-	in *Injector
-}
-
-// Listener returns l with every accepted connection wrapped by Conn —
-// server-side injection, where the transport wrapper is client-side.
-func (in *Injector) Listener(l net.Listener) net.Listener {
-	return &listener{Listener: l, in: in}
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.Conn(c), nil
 }

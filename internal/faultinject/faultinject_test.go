@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -109,60 +107,6 @@ func TestTransportDelay(t *testing.T) {
 	if st := in.Stats(); st.Delays != 5 {
 		t.Errorf("delays injected: %d, want 5", st.Delays)
 	}
-}
-
-// TestConnReset pins the conn wrapper: a reset severs the connection
-// and surfaces ErrReset to the faulted side.
-func TestConnReset(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	in := New(Config{ResetProb: 1})
-	fc := in.Conn(client)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		io.Copy(io.Discard, server)
-	}()
-	if _, err := fc.Write([]byte("x")); !errors.Is(err, ErrReset) {
-		t.Errorf("write through reset conn: %v, want ErrReset", err)
-	}
-	// The underlying conn is closed, so the peer's read ends too.
-	client.Close()
-	<-done
-}
-
-// TestListenerWrapsAccepted checks the server-side path: connections
-// accepted through a faulty listener inject on their reads.
-func TestListenerWrapsAccepted(t *testing.T) {
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := New(Config{ResetProb: 1})
-	l := in.Listener(base)
-	defer l.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c, err := l.Accept()
-		if err != nil {
-			t.Errorf("accept: %v", err)
-			return
-		}
-		defer c.Close()
-		if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrReset) {
-			t.Errorf("read on accepted conn: %v, want ErrReset", err)
-		}
-	}()
-	c, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Write([]byte("x"))
-	c.Close()
-	wg.Wait()
 }
 
 // TestZeroConfigTransparent checks that the zero Config injects

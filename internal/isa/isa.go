@@ -317,9 +317,6 @@ func (o Op) IsLoad() bool { return o.info().load }
 // IsStore reports whether o writes data memory.
 func (o Op) IsStore() bool { return o.info().store }
 
-// SetsFlags reports whether o writes the flags pseudo-register.
-func (o Op) SetsFlags() bool { return o.info().setsFlag }
-
 // ReadsFlags reports whether o reads the flags pseudo-register.
 func (o Op) ReadsFlags() bool {
 	switch o {
@@ -328,9 +325,6 @@ func (o Op) ReadsFlags() bool {
 	}
 	return false
 }
-
-// IsProb reports whether o is one of the probabilistic instructions.
-func (o Op) IsProb() bool { return o == PROBCMP || o == PROBJMP }
 
 // SrcRegs appends the architectural source registers of i (including
 // FlagsReg for flag readers) to dst and returns it.

@@ -118,22 +118,6 @@ func (p *Program) StaticBranchCount() int {
 	return n
 }
 
-// StaticCondBranchCount returns the number of static conditional branches.
-func (p *Program) StaticCondBranchCount() int {
-	n := 0
-	for pc, ins := range p.Code {
-		if ins.Op.IsCondBranch() {
-			if ins.Op == PROBJMP {
-				if _, ok := ins.Target(pc); !ok {
-					continue
-				}
-			}
-			n++
-		}
-	}
-	return n
-}
-
 // Disassemble renders the whole program, one instruction per line, with
 // label annotations and branch target comments.
 func (p *Program) Disassemble() string {

@@ -62,9 +62,10 @@ type Config struct {
 	// restarts MispredictPenalty cycles after the branch actually
 	// executes, however deep its operand chain. The second model makes
 	// eliminating probabilistic branches — whose operands sit at the end
-	// of long random-value chains — even more valuable; it is measured as
-	// an ablation by BenchmarkResolutionPenalty in the module root's
-	// bench_test.go.
+	// of long random-value chains — even more valuable. The module
+	// root's BenchmarkResolutionPenalty logs each workload's PBS gain
+	// under it, an ungated fidelity report; no paper artifact runs this
+	// model yet.
 	ResolutionPenalty bool
 }
 

@@ -208,11 +208,3 @@ func (s *Store) Len() int {
 	defer s.mu.Unlock()
 	return len(s.mem)
 }
-
-// MemBytes reports the payload bytes resident in memory; it exists for
-// tests and stats.
-func (s *Store) MemBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.memSize
-}

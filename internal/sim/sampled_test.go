@@ -269,30 +269,44 @@ func TestSampledConfigErrors(t *testing.T) {
 }
 
 // TestSampledSmoke is the cheap end-to-end check CI's sampled job runs:
-// one config, a tight schedule, a converged interval that covers the
-// full-timing IPC.
+// one config under two tight schedules, one keeping the caches and
+// predictor functionally warm across the gaps and one leaving them cold
+// (detailed warming only), each with a converged interval that covers
+// the full-timing IPC.
 func TestSampledSmoke(t *testing.T) {
 	cfg := Config{Workload: "PI", Seed: 1}
 	full, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cfg
-	c.Sample = &sample.Config{Window: 25013, Period: 125003, Warmup: 75017, FuncWarm: true}
-	res, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := res.Sampled
-	if e == nil || e.Windows < 2 {
-		t.Fatalf("no usable estimate: %+v", e)
-	}
-	if hw := e.IPCHalfWidth(); hw <= 0 || math.IsNaN(hw) || math.IsInf(hw, 0) {
-		t.Fatalf("degenerate IPC half-width %v", hw)
-	}
-	if !e.IPC.CI.Contains(full.Timing.IPC()) {
-		t.Fatalf("full IPC %.4f outside sampled CI [%.4f, %.4f]",
-			full.Timing.IPC(), e.IPC.CI.Lo, e.IPC.CI.Hi)
+	for _, sc := range []struct {
+		name string
+		cfg  sample.Config
+	}{
+		{"func-warm", sample.Config{Window: 25013, Period: 125003, Warmup: 75017, FuncWarm: true}},
+		{"cold-gaps", sample.Config{Window: 10007, Period: 125003, Warmup: 50021}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			c := cfg
+			c.Sample = &sc.cfg
+			res, err := Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := res.Sampled
+			if e == nil || e.Windows < 2 {
+				t.Fatalf("no usable estimate: %+v", e)
+			}
+			if hw := e.IPCHalfWidth(); hw <= 0 || math.IsNaN(hw) || math.IsInf(hw, 0) {
+				t.Fatalf("degenerate IPC half-width %v", hw)
+			}
+			t.Logf("full IPC %.4f, sampled %.4f ± %.4f over %d windows",
+				full.Timing.IPC(), e.IPC.Mean, e.IPCHalfWidth(), e.Windows)
+			if !e.IPC.CI.Contains(full.Timing.IPC()) {
+				t.Fatalf("full IPC %.4f outside sampled CI [%.4f, %.4f]",
+					full.Timing.IPC(), e.IPC.CI.Lo, e.IPC.CI.Hi)
+			}
+		})
 	}
 }
 

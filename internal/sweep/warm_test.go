@@ -151,39 +151,3 @@ func TestWarmPrefixHaltInsidePrefix(t *testing.T) {
 		t.Error("halt-inside-prefix point diverged from its cold twin")
 	}
 }
-
-// BenchmarkWarmPrefixSweep measures the wall-clock gain of warm-prefix
-// reuse on a four-point group sharing a 1M-instruction warm-up, and
-// reports the cold/warm speedup. Both sweeps run on fresh engines with
-// a serial pool, so the ratio reflects the algorithmic saving, not
-// scheduling luck.
-func BenchmarkWarmPrefixSweep(b *testing.B) {
-	warm := Grid{
-		Workloads:  []string{"PI"},
-		Predictors: []sim.PredictorKind{sim.PredTAGESCL, sim.PredTournament},
-		PBS:        []bool{false, true},
-		Seeds:      []uint64{11},
-		MaxInstrs:  1_200_000,
-		WarmPrefix: 1_000_000,
-		Parallel:   1,
-	}
-	cold := warm
-	cold.WarmPrefix = 0
-	var coldDur, warmDur time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		start := time.Now()
-		if _, err := (&Engine{}).Run(context.Background(), cold); err != nil {
-			b.Fatal(err)
-		}
-		coldDur += time.Since(start)
-		b.StartTimer()
-		start = time.Now()
-		if _, err := (&Engine{}).Run(context.Background(), warm); err != nil {
-			b.Fatal(err)
-		}
-		warmDur += time.Since(start)
-	}
-	b.ReportMetric(coldDur.Seconds()/warmDur.Seconds(), "speedup")
-}

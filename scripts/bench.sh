@@ -1,35 +1,39 @@
 #!/usr/bin/env bash
-# scripts/bench.sh — run the benchmark suite and record the performance
-# trajectory as BENCH_<date>.json in the repo root.
+# scripts/bench.sh — run the unit microbenchmarks under internal/ and
+# record them as BENCH_<date>.json in the repo root, the snapshot format
+# cmd/benchcmp compares.
 #
-# Every result line of `go test -bench` (ns/op, B/op, allocs/op, and the
-# custom metrics: sim-instr/s, IPC, MPKI, points/s, ...) is captured, so
-# successive snapshots form a machine-readable history of simulator
-# throughput alongside the simulated-machine numbers.
+# Every benchmark runs -count 5 times at -benchtime 1s, so a snapshot
+# holds five samples of each: benchcmp gates on their medians and 95%
+# confidence intervals, never on one sample. Both settings are fixed so
+# any two snapshots are comparable. Every result line of go test -bench
+# (ns/op, B/op, allocs/op and the custom metrics such as ns/instr and
+# instr/s) is captured.
 #
 # Usage:
-#   scripts/bench.sh                              # full suite, -benchtime=1x
-#   BENCHTIME=2s scripts/bench.sh                 # longer per-benchmark time
-#   BENCH='BenchmarkWorkloads' scripts/bench.sh   # subset by regexp
-#   OUT=BENCH_baseline.json scripts/bench.sh      # custom output file
+#   scripts/bench.sh                              # every microbenchmark
+#   BENCH='BenchmarkTAGEPredict' scripts/bench.sh  # subset by regexp
+#   OUT=BENCH_ci.json scripts/bench.sh            # custom output file
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-benchtime="${BENCHTIME:-1x}"
+benchtime=1s
+count=5
 pattern="${BENCH:-.}"
 date_tag="$(date +%F)"
 out="${OUT:-BENCH_${date_tag}.json}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" ./... 2>&1 | tee "$raw" >&2
+go test -run '^$' -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" ./internal/... 2>&1 | tee "$raw" >&2
 
 {
   printf '{\n'
   printf '  "date": "%s",\n' "$date_tag"
   printf '  "go": "%s",\n' "$(go version)"
-  printf '  "commit": "%s",\n' "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+  printf '  "commit": "%s",\n' "$(git describe --always --dirty 2>/dev/null || echo unknown)"
   printf '  "benchtime": "%s",\n' "$benchtime"
+  printf '  "count": %d,\n' "$count"
   printf '  "results": [\n'
   awk '
     /^Benchmark/ && NF >= 4 {

@@ -13,6 +13,9 @@
 #   - README.md or DESIGN.md naming a With… option (WithPBS, …) that no
 #     non-test func under internal/ defines, so a removed option cannot
 #     linger in the docs,
+#   - README.md or DESIGN.md naming a Benchmark… (BenchmarkEmuStep, …)
+#     that no _test.go file defines, so a removed benchmark cannot linger
+#     in the docs,
 #   - README.md or DESIGN.md naming a backticked `pkg.Ident` (`sim.New`,
 #     `ckpt.Version`, …) for a package under internal/ whose non-test Go
 #     files declare no func, method, type, var, const or grouped name
@@ -24,7 +27,7 @@
 #   - a checkpoint "format vN" in README.md or "Format version N" in
 #     DESIGN.md that differs from `const Version` in
 #     internal/ckpt/ckpt.go, so the docs cannot drift from the format,
-#   - DESIGN.md §4's artifact rows (| `id` | `BenchmarkArtifact/id` | …)
+#   - DESIGN.md §4's artifact rows (| `id` | `pbstables -only id` | …)
 #     naming other IDs, or another order, than experiments.Artifacts in
 #     internal/experiments/artifacts.go,
 #   - gofmt-dirty files.
@@ -96,6 +99,14 @@ for name in $(grep -ohE '\bWith[A-Z][A-Za-z0-9_]*' README.md DESIGN.md | sort -u
   fi
 done
 
+# --- benchmarks named in the prose docs must exist ------------------------
+for name in $(grep -ohE '\bBenchmark[A-Z][A-Za-z0-9_]*' README.md DESIGN.md | sort -u); do
+  if ! grep -rqsE --include='*_test.go' "^func $name\(" .; then
+    echo "docscheck: README.md/DESIGN.md name benchmark $name, which no _test.go defines" >&2
+    fail=1
+  fi
+done
+
 # --- internal identifiers named in the prose docs must exist ------------
 while IFS=. read -r pkg name; do
   [ -d "internal/$pkg" ] || continue
@@ -133,7 +144,7 @@ done < <({ grep -oE 'format v[0-9]+' README.md | sed 's/^format v/README.md:/'
 # --- DESIGN.md §4 lists exactly the rows of experiments.Artifacts ---------
 table_ids="$(sed -n 's/^[[:space:]]*{ID: "\([^"]*\)".*/\1/p' internal/experiments/artifacts.go)"
 design_ids="$(sed -n '/^## 4\./,/^## 5\./p' DESIGN.md |
-  sed -n 's/^| `\([^`]*\)` | `BenchmarkArtifact\/\1` |.*/\1/p')"
+  sed -n 's/^| `\([^`]*\)` | `pbstables -only \1` |.*/\1/p')"
 if [ -z "$table_ids" ] || [ "$table_ids" != "$design_ids" ]; then
   echo "docscheck: DESIGN.md §4 lists artifacts [$(echo $design_ids)], experiments.Artifacts has [$(echo $table_ids)]" >&2
   fail=1
