@@ -3,7 +3,10 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/randtest"
+	"repro/internal/rng"
 	"repro/internal/sweep"
+	"repro/internal/workloads"
 )
 
 // TestQuickExperiments runs every artifact as one plan at one seed and
@@ -71,4 +74,33 @@ func TestPaperPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d runs in %d stream groups", len(b.Runs()), len(b.Groups()))
+}
+
+// TestSummarizeAllMatchesSerial checks Table III's battery pool: every
+// stream's summary lands in its own slot and equals a serial
+// randtest.Summarize over the same values, rank-uniformized streams
+// included.
+func TestSummarizeAllMatchesSerial(t *testing.T) {
+	r := rng.New(7)
+	var streams []valueStream
+	for i := range 9 {
+		vals := make([]float64, 400+50*i)
+		for k := range vals {
+			vals[k] = r.Float64()
+			if i%3 == 0 {
+				vals[k] *= vals[k] // skewed, so summaries differ between streams
+			}
+		}
+		w := &workloads.Workload{Name: "synthetic"}
+		if i%2 == 0 {
+			w.Uniformize = func(v float64) float64 { return v }
+		}
+		streams = append(streams, valueStream{w, vals})
+	}
+	got := summarizeAll(streams)
+	for i, s := range streams {
+		if want := randtest.Summarize(uniformize(s.w, s.vals)); got[i] != want {
+			t.Errorf("stream %d: pool summary %+v, serial %+v", i, got[i], want)
+		}
+	}
 }

@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/randtest"
@@ -179,13 +182,15 @@ func tableIIIGrids(opt Options) []sweep.Grid {
 // branch-controlling values derive from Gaussians (DOP, Greeks) are
 // excluded, exactly as in the paper.
 func TableIII(opt Options, res sweep.Results) (*TableIIIData, error) {
-	var rows []TableIIIRow
+	// Gather the streams in table order — per workload, per seed, the
+	// original then the PBS stream — and run their batteries on the pool.
+	var ws []*workloads.Workload
+	var streams []valueStream
 	for _, w := range workloads.All() {
 		if !w.UniformProb {
 			continue
 		}
-		var orig, pbs [3][]float64 // PASS, WEAK and FAIL counts by seed
-		nTests := 0
+		ws = append(ws, w)
 		for _, seed := range opt.Seeds {
 			// Original stream: the values the baseline binary generates.
 			base, err := res.Get(sweep.Key{Workload: w.Name, Seed: seed})
@@ -197,8 +202,18 @@ func TableIII(opt Options, res sweep.Results) (*TableIIIData, error) {
 			if err != nil {
 				return nil, err
 			}
-			so := randtest.Summarize(uniformize(w, base.Generated))
-			sp := randtest.Summarize(uniformize(w, withPBS.Consumed))
+			streams = append(streams, valueStream{w, base.Generated}, valueStream{w, withPBS.Consumed})
+		}
+	}
+	sums := summarizeAll(streams)
+
+	var rows []TableIIIRow
+	for i, w := range ws {
+		var orig, pbs [3][]float64 // PASS, WEAK and FAIL counts by seed
+		nTests := 0
+		for j := range opt.Seeds {
+			at := 2 * (i*len(opt.Seeds) + j)
+			so, sp := sums[at], sums[at+1]
 			for k, n := range [3]int{so.Pass, so.Weak, so.Fail} {
 				orig[k] = append(orig[k], float64(n))
 			}
@@ -227,6 +242,33 @@ func TableIII(opt Options, res sweep.Results) (*TableIIIData, error) {
 		rows = append(rows, row)
 	}
 	return &TableIIIData{Rows: rows}, nil
+}
+
+// valueStream is one captured value stream of a workload.
+type valueStream struct {
+	w    *workloads.Workload
+	vals []float64
+}
+
+// summarizeAll runs the randomness battery over every stream, on a pool
+// of GOMAXPROCS goroutines, and returns the summaries in stream order.
+// The batteries are independent and each reads only its own stream, so
+// the summaries are those of a serial loop.
+func summarizeAll(streams []valueStream) []randtest.Summary {
+	sums := make([]randtest.Summary, len(streams))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(streams)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(streams); i = int(next.Add(1)) - 1 {
+				sums[i] = randtest.Summarize(uniformize(streams[i].w, streams[i].vals))
+			}
+		}()
+	}
+	wg.Wait()
+	return sums
 }
 
 // uniformize maps captured branch values to U(0,1) with the workload's

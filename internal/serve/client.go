@@ -67,7 +67,7 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 	if resp.StatusCode/100 != 2 {
 		return st, fmt.Errorf("serve: job status: %s", resp.Status)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
+	err = decodeBody(resp.Body, &st, false)
 	return st, err
 }
 
@@ -76,6 +76,18 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 // stream ends or ctx is cancelled. It makes a single connection; use
 // Collect for resume-on-disconnect semantics.
 func (c *Client) Stream(ctx context.Context, id string, from int, fn func(StreamEntry) error) error {
+	return c.streamLines(ctx, id, from, func(line []byte) error {
+		var e StreamEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return fmt.Errorf("serve: stream: %w", err)
+		}
+		return fn(e)
+	})
+}
+
+// streamLines is Stream's connection: it passes each non-empty NDJSON
+// line to fn, which must not retain it.
+func (c *Client) streamLines(ctx context.Context, id string, from int, fn func(line []byte) error) error {
 	u := c.Server + "/v1/jobs/" + url.PathEscape(id) + "/stream?from=" + strconv.Itoa(from)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -94,22 +106,30 @@ func (c *Client) Stream(ctx context.Context, id string, from int, fn func(Stream
 	if resp.StatusCode/100 != 2 {
 		return fmt.Errorf("serve: stream: %s", resp.Status)
 	}
+	// The buffer starts at the scanner's 4 KiB default and grows to fit
+	// the longest line.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(nil, 16*1024*1024)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var e StreamEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return fmt.Errorf("serve: stream: %w", err)
-		}
-		if err := fn(e); err != nil {
+		if err := fn(line); err != nil {
 			return err
 		}
 	}
 	return sc.Err()
+}
+
+// collectEntry is a StreamEntry whose row decodes straight into a
+// record, so Collect decodes every row once.
+type collectEntry struct {
+	Seq  int           `json:"seq"`
+	Pos  int           `json:"pos"`
+	Row  *sweep.Record `json:"row"`
+	Done bool          `json:"done"`
+	Err  string        `json:"error"`
 }
 
 // Collect submits a grid and gathers the complete, ordered record set,
@@ -124,15 +144,33 @@ func (c *Client) Collect(ctx context.Context, g sweep.Grid, onRow func(done, tot
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]json.RawMessage, jr.Rows)
+	recs := make([]sweep.Record, jr.Rows)
+	have := make([]bool, jr.Rows)
 	filled := 0
 	next := 0
 	var jobErr, fatal error
 	done := false
 	bo := newBackoff(100*time.Millisecond, 2*time.Second)
 	lastProgress := time.Now()
+	// Every line decodes into these, zeroed first: decoding leaves the
+	// fields a line omits as they were.
+	var (
+		row sweep.Record
+		e   collectEntry
+	)
 	for !done {
-		err := c.Stream(ctx, jr.ID, next, func(e StreamEntry) error {
+		err := c.streamLines(ctx, jr.ID, next, func(line []byte) error {
+			row = sweep.Record{}
+			e = collectEntry{Row: &row}
+			if err := json.Unmarshal(line, &e); err != nil {
+				var syn *json.SyntaxError
+				if errors.As(err, &syn) {
+					// A torn line is a broken connection: reconnect.
+					return fmt.Errorf("serve: stream: %w", err)
+				}
+				fatal = fmt.Errorf("serve: decode record: %w", err)
+				return fatal
+			}
 			if e.Seq != next {
 				fatal = fmt.Errorf("serve: stream out of sequence: got %d, want %d", e.Seq, next)
 				return fatal
@@ -146,17 +184,22 @@ func (c *Client) Collect(ctx context.Context, g sweep.Grid, onRow func(done, tot
 				done = true
 				return nil
 			}
-			if e.Pos < 0 || e.Pos >= len(rows) {
-				fatal = fmt.Errorf("serve: row position %d outside job layout (%d rows)", e.Pos, len(rows))
+			if e.Pos < 0 || e.Pos >= len(recs) {
+				fatal = fmt.Errorf("serve: row position %d outside job layout (%d rows)", e.Pos, len(recs))
 				return fatal
 			}
-			if rows[e.Pos] == nil {
+			if e.Row == nil {
+				// "row": null; the server never sends one.
+				return nil
+			}
+			if !have[e.Pos] {
+				have[e.Pos] = true
 				filled++
 				if onRow != nil {
 					onRow(filled, jr.Rows)
 				}
 			}
-			rows[e.Pos] = e.Row
+			recs[e.Pos] = row
 			return nil
 		})
 		if done {
@@ -166,11 +209,10 @@ func (c *Client) Collect(ctx context.Context, g sweep.Grid, onRow func(done, tot
 			return nil, fatal
 		}
 		if errors.Is(err, ErrNoJob) {
-			recs, _ := decodeRows(rows, filled, jr.Rows, false)
-			return recs, err
+			return filledRecords(recs, have, filled), err
 		}
 		if ctx.Err() != nil {
-			return decodeRows(rows, filled, jr.Rows, false)
+			return filledRecords(recs, have, filled), context.Canceled
 		}
 		// The connection dropped mid-job (network blip, proxy timeout,
 		// server restart). The job survives both client disconnects and —
@@ -179,45 +221,37 @@ func (c *Client) Collect(ctx context.Context, g sweep.Grid, onRow func(done, tot
 		// nothing new for the whole retry budget surfaces the real error
 		// instead of spinning forever.
 		if time.Since(lastProgress) > c.retryBudget() {
-			recs, _ := decodeRows(rows, filled, jr.Rows, false)
 			if err == nil {
 				err = fmt.Errorf("serve: job %s: no stream progress for %v", jr.ID, c.retryBudget())
 			}
-			return recs, err
+			return filledRecords(recs, have, filled), err
 		}
 		if !sleepCtx(ctx, bo.next()) {
-			return decodeRows(rows, filled, jr.Rows, false)
+			return filledRecords(recs, have, filled), context.Canceled
 		}
 	}
 	if jobErr != nil {
-		recs, _ := decodeRows(rows, filled, jr.Rows, false)
-		return recs, jobErr
+		return filledRecords(recs, have, filled), jobErr
 	}
-	return decodeRows(rows, filled, jr.Rows, true)
-}
-
-// decodeRows turns the positioned raw rows into records. When complete,
-// every position must be filled; otherwise the filled prefix-in-order
-// subset is returned with the ctx error that interrupted collection.
-func decodeRows(rows []json.RawMessage, filled, total int, complete bool) ([]sweep.Record, error) {
-	if complete && filled != total {
-		return nil, fmt.Errorf("serve: job finished with %d of %d rows delivered", filled, total)
-	}
-	recs := make([]sweep.Record, 0, filled)
-	for _, row := range rows {
-		if row == nil {
-			continue
-		}
-		var rec sweep.Record
-		if err := json.Unmarshal(row, &rec); err != nil {
-			return nil, fmt.Errorf("serve: decode record: %w", err)
-		}
-		recs = append(recs, rec)
-	}
-	if !complete {
-		return recs, context.Canceled
+	if filled != jr.Rows {
+		return nil, fmt.Errorf("serve: job finished with %d of %d rows delivered", filled, jr.Rows)
 	}
 	return recs, nil
+}
+
+// filledRecords returns the delivered records in position order,
+// compacting recs in place.
+func filledRecords(recs []sweep.Record, have []bool, filled int) []sweep.Record {
+	if filled == len(recs) {
+		return recs
+	}
+	out := recs[:0]
+	for pos, ok := range have {
+		if ok {
+			out = append(out, recs[pos])
+		}
+	}
+	return out
 }
 
 func (c *Client) httpClient() *http.Client {

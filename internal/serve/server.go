@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -72,28 +73,36 @@ type Server struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	runs      map[string]*run      // queued or leased runs by address
-	open      map[string]*group    // per stream, the queued group still gathering runs
-	queue     []*group             // FIFO of queued groups; may hold dead ones
-	leases    map[uint64]*group    // leased groups by lease
-	asked     map[string]time.Time // per worker name, its last lease request
+	runs      map[string]*run        // queued or leased runs by address
+	open      map[sweep.Point]*group // per stream, the queued group still gathering runs
+	queue     []*group               // FIFO of queued groups; may hold dead ones
+	leases    map[uint64]*group      // leased groups by lease
+	asked     map[string]time.Time   // per worker name, its last lease request
 	nextJob   uint64
 	nextLease uint64
 	draining  bool
+	// emitRow's scratch: rowEnc encodes each record from rowRec (so the
+	// record is not boxed on the heap) into rowBuf, and the bytes are
+	// copied once, into the record's stream line.
+	rowRec sweep.Record
+	rowBuf bytes.Buffer
+	rowEnc *json.Encoder
 }
 
 // NewServer returns a server backed by the given store (which may be
 // memory-only, see NewMemStore).
 func NewServer(store *Store) *Server {
-	return &Server{
+	s := &Server{
 		store:  store,
 		now:    time.Now,
 		jobs:   make(map[string]*job),
 		runs:   make(map[string]*run),
-		open:   make(map[string]*group),
+		open:   make(map[sweep.Point]*group),
 		leases: make(map[uint64]*group),
 		asked:  make(map[string]time.Time),
 	}
+	s.rowEnc = json.NewEncoder(&s.rowBuf)
+	return s
 }
 
 // taskRef names one run of a job's batch (an index into its Runs).
@@ -114,7 +123,7 @@ type run struct {
 
 // group is the unit of leasing: runs sharing one functional stream.
 type group struct {
-	stream string // the runs' StreamPoint().Canonical()
+	stream sweep.Point // the runs' StreamPoint()
 	runs   []*run
 	// fixed records that the membership no longer changes: the group was
 	// leased (its progress checkpoint holds one timing model per run) or
@@ -160,10 +169,19 @@ type job struct {
 	id       string
 	batch    *sweep.Batch
 	rowsLeft int
-	log      []StreamEntry
-	notify   chan struct{} // closed and replaced on every append
+	log      []logEntry
+	notify   chan struct{} // made by a waiting stream, closed and cleared by the next append
 	finished bool
 	errmsg   string
+}
+
+// logEntry is one entry of a job's stream log. Its NDJSON line is
+// encoded once, when the entry is appended, and every stream that
+// reads the entry writes those bytes.
+type logEntry struct {
+	line []byte // the StreamEntry's JSON encoding and a newline
+	pos  int    // the row's position; 0 on the terminal entry
+	done bool   // the terminal entry
 }
 
 // Handler returns the server's HTTP interface.
@@ -238,7 +256,7 @@ func buildJob(g sweep.Grid) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &job{batch: b, rowsLeft: b.Rows(), notify: make(chan struct{})}, nil
+	return &job{batch: b, rowsLeft: b.Rows(), log: make([]logEntry, 0, b.Rows()+1)}, nil
 }
 
 // handleSubmit expands a grid into a job. Store hits resolve
@@ -247,9 +265,8 @@ func buildJob(g sweep.Grid) (*job, error) {
 // attached, the submission is durable before it is acknowledged.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields() // a typoed axis must not silently sweep the defaults
-	if err := dec.Decode(&req); err != nil {
+	// Strict: a typoed axis must not silently sweep the defaults.
+	if err := decodeBody(r.Body, &req, true); err != nil {
 		http.Error(w, fmt.Sprintf("serve: bad job request: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -298,8 +315,8 @@ func (s *Server) resolveJob(j *job) (cached, scheduled int) {
 	b := j.batch
 	delivered := make(map[int]bool, len(j.log))
 	for _, le := range j.log {
-		if !le.Done {
-			delivered[le.Pos] = true
+		if !le.done {
+			delivered[le.pos] = true
 		}
 	}
 	// An undelivered row whose inputs replay already loaded: the
@@ -336,13 +353,13 @@ func (s *Server) resolveJob(j *job) (cached, scheduled int) {
 // true; a miss attaches ref to the in-flight singleflight run for the
 // point, queueing a new one in its stream's gathering group if needed.
 func (s *Server) resolveUnit(p sweep.Point, ref taskRef) bool {
-	if res, err := s.loadResult(p); err == nil {
+	addr := resultAddr(p)
+	if res, err := s.loadResult(addr); err == nil {
 		s.deliver(ref, res)
 		return true
 	}
 	// A missing — or corrupt, which falls through and re-simulates —
 	// store entry schedules a run.
-	addr := Addr("result", p.Canonical())
 	ru := s.runs[addr]
 	if ru == nil {
 		ru = &run{addr: addr, point: p}
@@ -356,7 +373,7 @@ func (s *Server) resolveUnit(p sweep.Point, ref taskRef) bool {
 // enqueue (mu held) adds a new run to its stream's gathering group,
 // queueing a new group when the stream has none.
 func (s *Server) enqueue(ru *run) {
-	stream := ru.point.StreamPoint().Canonical()
+	stream := ru.point.StreamPoint()
 	g := s.open[stream]
 	if g == nil {
 		g = &group{stream: stream}
@@ -405,15 +422,20 @@ func (s *Server) forget(ru *run) {
 	}
 }
 
-// loadResult fetches and decodes a point's result from the store.
-func (s *Server) loadResult(p sweep.Point) (*sim.Result, error) {
-	data, ok := s.store.Get(Addr("result", p.Canonical()))
+// errNotStored marks a result the store does not hold: the common,
+// cold case of every lookup, so it carries no per-point message.
+var errNotStored = errors.New("result missing from store")
+
+// loadResult fetches and decodes the result at a point's address (see
+// resultAddr) from the store.
+func (s *Server) loadResult(addr string) (*sim.Result, error) {
+	data, ok := s.store.Get(addr)
 	if !ok || len(data) == 0 {
-		return nil, fmt.Errorf("result for %s missing from store", p)
+		return nil, errNotStored
 	}
 	var res sim.Result
 	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("result for %s corrupt in store: %w", p, err)
+		return nil, fmt.Errorf("result corrupt in store: %w", err)
 	}
 	return &res, nil
 }
@@ -506,9 +528,10 @@ func (s *Server) replayRow(j *job, e JournalEntry) error {
 		return fmt.Errorf("row pos %d outside the %d-row layout", e.Pos, b.Rows())
 	}
 	for _, r := range b.Needs(e.Pos) {
-		res, err := s.loadResult(b.Runs()[r].Point)
+		p := b.Runs()[r].Point
+		res, err := s.loadResult(resultAddr(p))
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", p, err)
 		}
 		b.Put(r, res)
 	}
@@ -585,23 +608,25 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	next := from
 	for {
 		s.mu.Lock()
-		var batch []StreamEntry
+		var batch []logEntry
 		if next < len(j.log) {
 			batch = j.log[next:len(j.log):len(j.log)]
 		}
 		finished := j.finished
+		if j.notify == nil && !finished {
+			j.notify = make(chan struct{})
+		}
 		notify := j.notify
 		s.mu.Unlock()
 		for _, e := range batch {
-			if err := enc.Encode(e); err != nil {
+			if _, err := w.Write(e.line); err != nil {
 				return
 			}
 			next++
-			if e.Done {
+			if e.done {
 				if fl != nil {
 					fl.Flush()
 				}
@@ -626,7 +651,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req, false); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -740,7 +765,7 @@ func (s *Server) split(n int) {
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req, false); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -783,7 +808,7 @@ func (s *Server) progress(g *group, ck []byte, instrs uint64) bool {
 // worker continues instead of restarting.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req, false); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -824,7 +849,7 @@ func (s *Server) requeue(g *group) bool {
 // still a valid, deterministic completion of the point.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req, false); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -846,7 +871,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	accepted := g != nil
 	for _, m := range req.Members {
-		addr := Addr("result", m.Point.Canonical())
+		addr := resultAddr(m.Point)
 		ru := s.runs[addr]
 		if ru == nil {
 			// Persist even an orphaned success: the work is done, let the
@@ -937,26 +962,36 @@ func (s *Server) deliver(ref taskRef, res *sim.Result) {
 	}
 }
 
-// emitRow (mu held) appends one record row to the job's stream log and
-// journals the delivery.
+// emitRow (mu held) appends one record row to the job's stream log,
+// encoded into its stream line, and journals the delivery.
 func (s *Server) emitRow(j *job, pos int, rec sweep.Record) {
-	row, err := json.Marshal(rec)
-	if err != nil {
+	s.rowRec = rec
+	s.rowBuf.Reset()
+	if err := s.rowEnc.Encode(&s.rowRec); err != nil {
 		// A Record is a plain struct of scalars; marshal cannot fail.
 		// Keep the job consistent anyway.
 		s.failJob(j, fmt.Sprintf("marshal record: %v", err))
 		return
 	}
-	e := StreamEntry{Seq: len(j.log), Pos: pos, Row: row}
-	j.log = append(j.log, e)
+	row := bytes.TrimSuffix(s.rowBuf.Bytes(), []byte("\n"))
+	seq := len(j.log)
+	line := appendRowLine(make([]byte, 0, len(row)+48), seq, pos, row)
+	j.log = append(j.log, logEntry{line: line, pos: pos})
 	j.rowsLeft--
 	if s.journal != nil {
-		if err := s.journal.Append(JournalEntry{T: journalRow, Job: j.id, Seq: e.Seq, Pos: e.Pos}); err != nil {
+		if err := s.journal.Append(JournalEntry{T: journalRow, Job: j.id, Seq: seq, Pos: pos}); err != nil {
 			s.logf("serve: journal: %v", err)
 		}
 	}
-	close(j.notify)
-	j.notify = make(chan struct{})
+	j.wake()
+}
+
+// wake (mu held) wakes the streams waiting for the job's next entry.
+func (j *job) wake() {
+	if j.notify != nil {
+		close(j.notify)
+		j.notify = nil
+	}
 }
 
 // finishJob (mu held) appends the terminal stream entry.
@@ -966,14 +1001,15 @@ func (s *Server) finishJob(j *job, errmsg string) {
 	}
 	j.finished = true
 	j.errmsg = errmsg
-	j.log = append(j.log, StreamEntry{Seq: len(j.log), Done: true, Rows: j.batch.Rows(), Err: errmsg})
+	// Once per job, so the terminal line goes through encoding/json.
+	line, _ := json.Marshal(StreamEntry{Seq: len(j.log), Done: true, Rows: j.batch.Rows(), Err: errmsg})
+	j.log = append(j.log, logEntry{line: append(line, '\n'), done: true})
 	if s.journal != nil {
 		if err := s.journal.Append(JournalEntry{T: journalDone, Job: j.id, Seq: len(j.log) - 1, Err: errmsg}); err != nil {
 			s.logf("serve: journal: %v", err)
 		}
 	}
-	close(j.notify)
-	j.notify = make(chan struct{})
+	j.wake()
 }
 
 // failJob (mu held) fails a job and cancels its share of outstanding

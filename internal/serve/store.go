@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/sweep"
 )
 
 // Addr computes the content address of a blob: the SHA-256 of its
@@ -22,6 +24,16 @@ import (
 func Addr(kind, canonical string) string {
 	h := sha256.Sum256([]byte(kind + "\x00" + canonical))
 	return hex.EncodeToString(h[:])
+}
+
+// resultAddr is Addr("result", p.Canonical()), hashed from one stack
+// buffer instead of the canonical string and its namespaced copy.
+func resultAddr(p sweep.Point) string {
+	var buf [384]byte
+	h := sha256.Sum256(p.AppendCanonical(append(buf[:0], "result\x00"...)))
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], h[:])
+	return string(hx[:])
 }
 
 // Store is the content-addressed blob store behind the sweep service:

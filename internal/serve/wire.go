@@ -20,7 +20,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"strconv"
+	"sync"
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -175,4 +180,53 @@ type StreamEntry struct {
 	Done bool            `json:"done,omitempty"`
 	Rows int             `json:"rows,omitempty"`
 	Err  string          `json:"error,omitempty"`
+}
+
+// appendRowLine appends the NDJSON line of a row entry to b: exactly
+// the bytes json.Encoder writes for StreamEntry{Seq: seq, Pos: pos,
+// Row: row}, given a row encoded by encoding/json with its default
+// HTML escaping. The encoder would compact and HTML-escape the row
+// again, and such a row already is both, so it is spliced in as is.
+func appendRowLine(b []byte, seq, pos int, row []byte) []byte {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	b = append(b, `,"pos":`...)
+	b = strconv.AppendInt(b, int64(pos), 10)
+	b = append(b, `,"row":`...)
+	b = append(b, row...)
+	return append(b, "}\n"...)
+}
+
+// maxBody caps a protocol body read by decodeBody. The largest bodies
+// are progress checkpoints riding renewals and the lease responses
+// that ship them on, tens of kilobytes per group member.
+const maxBody = 64 << 20
+
+var errBodyTooLarge = errors.New("serve: body exceeds 64 MiB")
+
+// bodyBufs recycles the buffers request and response bodies are read
+// into, so a steady stream of leases, renewals and completions reads
+// them without growing a new buffer each time.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads one JSON body of at most maxBody bytes into a pooled
+// buffer and decodes it into v; strict rejects unknown fields. Nothing
+// decoded aliases the buffer: encoding/json copies strings and raw
+// messages and decodes []byte fields into fresh slices.
+func decodeBody(r io.Reader, v any, strict bool) error {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(r, maxBody+1)); err != nil {
+		return err
+	}
+	if buf.Len() > maxBody {
+		return errBodyTooLarge
+	}
+	if !strict {
+		return json.Unmarshal(buf.Bytes(), v)
+	}
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }

@@ -437,7 +437,7 @@ func postJSON(ctx context.Context, c *http.Client, base, path string, in, out an
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decodeBody(resp.Body, out, false); err != nil {
 		return fmt.Errorf("serve: %s: decode response: %w", path, err)
 	}
 	return nil

@@ -382,9 +382,13 @@ func BenchmarkCheckpointRoundtrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Resume(loaded); err != nil {
+		r, err := Resume(loaded)
+		if err != nil {
 			b.Fatal(err)
 		}
+		// Every product path closes its sessions, so the next resume
+		// takes its machine from the pools Close fills.
+		r.Close()
 	}
 	// After the loop: ResetTimer drops metrics reported before it.
 	b.ReportMetric(float64(size), "ckpt-bytes")

@@ -27,6 +27,7 @@ type Batch struct {
 	rows    int
 	sims    []*sim.Result // per run, once Put
 	aggs    []*Aggregate  // per point, once a sharded point's last shard is Put
+	done    [2]int        // backs the rows Put returns
 }
 
 // Run is one executable single-seed run of a batch: a plain point, or
@@ -41,7 +42,12 @@ type Run struct {
 // NewBatch normalizes the points and lays them out. An aggregate point
 // must leave Seed zero and name a well-formed seed set.
 func NewBatch(pts []Point) (*Batch, error) {
+	n := 0
+	for _, p := range pts {
+		n += max(p.Key.Seeds.Count(), 1)
+	}
 	b := &Batch{
+		runs:    make([]Run, 0, n),
 		points:  make([]Point, len(pts)),
 		first:   make([]int, len(pts)),
 		rowBase: make([]int, len(pts)),
@@ -123,11 +129,13 @@ func (b *Batch) inputs(pos int) (i, lo, hi int) {
 
 // Put stores run r's result and returns the rows it completes, in
 // position order: the run's own row, then its point's aggregate row
-// when r was the last missing shard.
+// when r was the last missing shard. The returned slice is the batch's
+// own and holds only until the next Put.
 func (b *Batch) Put(r int, res *sim.Result) []int {
 	b.sims[r] = res
 	run := b.runs[r]
-	done := []int{run.Row}
+	b.done[0] = run.Row
+	done := b.done[:1]
 	if run.agg < 0 {
 		return done
 	}
@@ -140,7 +148,8 @@ func (b *Batch) Put(r int, res *sim.Result) []int {
 		seeds[k] = b.runs[lo+k].Point.Seed
 	}
 	b.aggs[i] = NewAggregate(seeds, slices.Clone(b.sims[lo:hi]))
-	return append(done, run.agg)
+	b.done[1] = run.agg
+	return b.done[:2]
 }
 
 // Needs returns the runs whose results row pos still lacks, in

@@ -172,13 +172,32 @@ func (k Key) Sharded() bool { return k.Seeds != "" }
 // the form an authoritative map/store identity — the content-addressed
 // result store and the wire protocol key on it, not on Go map equality.
 func (k Key) String() string {
+	var buf [160]byte
+	return string(k.appendCanonical(buf[:0]))
+}
+
+// appendCanonical appends the key's canonical form (see String) to b.
+func (k Key) appendCanonical(b []byte) []byte {
 	k = k.normalize()
-	seed := "seed=" + strconv.FormatUint(k.Seed, 10)
+	b = append(b, "workload="...)
+	b = append(b, k.Workload...)
+	b = append(b, ",predictor="...)
+	b = append(b, k.Predictor...)
+	b = append(b, ",pbs="...)
+	b = strconv.AppendBool(b, k.PBS)
+	b = append(b, ",width="...)
+	b = strconv.AppendInt(b, int64(k.Width), 10)
 	if k.Sharded() {
-		seed = "seeds=" + string(k.Seeds)
+		b = append(b, ",seeds="...)
+		b = append(b, k.Seeds...)
+	} else {
+		b = append(b, ",seed="...)
+		b = strconv.AppendUint(b, k.Seed, 10)
 	}
-	return fmt.Sprintf("workload=%s,predictor=%s,pbs=%t,width=%d,%s,variant=%s,filter_prob=%t",
-		k.Workload, k.Predictor, k.PBS, k.Width, seed, k.Variant, k.FilterProb)
+	b = append(b, ",variant="...)
+	b = append(b, k.Variant.String()...)
+	b = append(b, ",filter_prob="...)
+	return strconv.AppendBool(b, k.FilterProb)
 }
 
 func (k Key) normalize() Key {
@@ -243,18 +262,40 @@ func (p Point) normalize() Point {
 // exactly when they simulate the same run — and it is the preimage the
 // sweep service's content-addressed store hashes.
 func (p Point) Canonical() string {
+	var buf [320]byte
+	return string(p.AppendCanonical(buf[:0]))
+}
+
+// AppendCanonical appends the point's canonical form (see Canonical) to
+// b, so a caller hashing the form needs no string of its own.
+func (p Point) AppendCanonical(b []byte) []byte {
 	p = p.normalize()
-	c := fmt.Sprintf("%s,scale=%d,skip_timing=%t,capture_prob=%t,max_instrs=%d,warm_prefix=%d",
-		p.Key.String(), p.Scale, p.SkipTiming, p.CaptureProb, p.MaxInstrs, p.WarmPrefix)
+	b = p.Key.appendCanonical(b)
+	b = append(b, ",scale="...)
+	b = strconv.AppendInt(b, int64(p.Scale), 10)
+	b = append(b, ",skip_timing="...)
+	b = strconv.AppendBool(b, p.SkipTiming)
+	b = append(b, ",capture_prob="...)
+	b = strconv.AppendBool(b, p.CaptureProb)
+	b = append(b, ",max_instrs="...)
+	b = strconv.AppendUint(b, p.MaxInstrs, 10)
+	b = append(b, ",warm_prefix="...)
+	b = strconv.AppendUint(b, p.WarmPrefix, 10)
 	if p.SamplePeriod > 0 {
 		// Appended only when sampling is on, so every pre-sampling
 		// identity (and its content address in the sweep service's store)
 		// is unchanged. A sampled point can never collide with a full
 		// point: full points never carry the suffix.
-		c += fmt.Sprintf(",sample_window=%d,sample_period=%d,sample_warmup=%d,sample_func_warm=%t",
-			p.SampleWindow, p.SamplePeriod, p.SampleWarmup, p.SampleFuncWarm)
+		b = append(b, ",sample_window="...)
+		b = strconv.AppendUint(b, p.SampleWindow, 10)
+		b = append(b, ",sample_period="...)
+		b = strconv.AppendUint(b, p.SamplePeriod, 10)
+		b = append(b, ",sample_warmup="...)
+		b = strconv.AppendUint(b, p.SampleWarmup, 10)
+		b = append(b, ",sample_func_warm="...)
+		b = strconv.AppendBool(b, p.SampleFuncWarm)
 	}
-	return c
+	return b
 }
 
 func (p Point) String() string {

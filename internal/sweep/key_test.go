@@ -74,6 +74,47 @@ func TestPointCanonical(t *testing.T) {
 	}
 }
 
+// TestPointCanonicalPinned pins Canonical's exact bytes: they are the
+// preimage of every result address in the sweep service's store, so a
+// changed byte orphans every stored result. The strings were recorded
+// from the fmt-based formatter Canonical replaced.
+func TestPointCanonicalPinned(t *testing.T) {
+	cases := []struct {
+		p    Point
+		want string
+	}{
+		{Point{Key: Key{Workload: "PI", Seed: 1}},
+			"workload=PI,predictor=tage-sc-l,pbs=false,width=4,seed=1,variant=plain,filter_prob=false,scale=1,skip_timing=false,capture_prob=false,max_instrs=0,warm_prefix=0"},
+		{Point{Key: Key{Workload: "Genetic", Seeds: MakeSeedSet([]uint64{11, 23, 37})}, MaxInstrs: 400000, WarmPrefix: 100000},
+			"workload=Genetic,predictor=tage-sc-l,pbs=false,width=4,seeds=11,23,37,variant=plain,filter_prob=false,scale=1,skip_timing=false,capture_prob=false,max_instrs=400000,warm_prefix=100000"},
+		{Point{Key: Key{Workload: "MC-integ", Seed: 3, Variant: workloads.VariantCFD}},
+			"workload=MC-integ,predictor=tage-sc-l,pbs=false,width=4,seed=3,variant=cfd,filter_prob=false,scale=1,skip_timing=false,capture_prob=false,max_instrs=0,warm_prefix=0"},
+		{Point{Key: Key{Workload: "Bandit", Seed: 18446744073709551615, Variant: workloads.VariantPredicated}, Scale: 3},
+			"workload=Bandit,predictor=tage-sc-l,pbs=false,width=4,seed=18446744073709551615,variant=predicated,filter_prob=false,scale=3,skip_timing=false,capture_prob=false,max_instrs=0,warm_prefix=0"},
+		{Point{Key: Key{Workload: "DOP", Seed: 7, PBS: true, FilterProb: true}},
+			"workload=DOP,predictor=tage-sc-l,pbs=true,width=4,seed=7,variant=plain,filter_prob=true,scale=1,skip_timing=false,capture_prob=false,max_instrs=0,warm_prefix=0"},
+		{Point{Key: Key{Workload: "Greeks", Predictor: sim.PredTournament, Seed: 2}, SkipTiming: true, CaptureProb: true},
+			"workload=Greeks,predictor=tournament,pbs=false,width=4,seed=2,variant=plain,filter_prob=false,scale=1,skip_timing=true,capture_prob=true,max_instrs=0,warm_prefix=0"},
+		{Point{Key: Key{Workload: "Swaptions", Width: 8, Seed: 5}, MaxInstrs: 50000},
+			"workload=Swaptions,predictor=tage-sc-l,pbs=false,width=8,seed=5,variant=plain,filter_prob=false,scale=1,skip_timing=false,capture_prob=false,max_instrs=50000,warm_prefix=0"},
+		{Point{Key: Key{Workload: "Photon", Seed: 11, PBS: true}, WarmPrefix: 100000, MaxInstrs: 400000},
+			"workload=Photon,predictor=tage-sc-l,pbs=true,width=4,seed=11,variant=plain,filter_prob=false,scale=1,skip_timing=false,capture_prob=false,max_instrs=400000,warm_prefix=100000"},
+		{Point{Key: Key{Workload: "PI", Seed: 9}, Scale: 16, SampleWindow: 10007, SamplePeriod: 200003, SampleWarmup: 50021},
+			"workload=PI,predictor=tage-sc-l,pbs=false,width=4,seed=9,variant=plain,filter_prob=false,scale=16,skip_timing=false,capture_prob=false,max_instrs=0,warm_prefix=0,sample_window=10007,sample_period=200003,sample_warmup=50021,sample_func_warm=false"},
+		{Point{Key: Key{Workload: "DOP", Seed: 9, Width: 8}, SampleWindow: 10007, SamplePeriod: 50021, SampleWarmup: 20011, SampleFuncWarm: true},
+			"workload=DOP,predictor=tage-sc-l,pbs=false,width=8,seed=9,variant=plain,filter_prob=false,scale=1,skip_timing=false,capture_prob=false,max_instrs=0,warm_prefix=0,sample_window=10007,sample_period=50021,sample_warmup=20011,sample_func_warm=true"},
+	}
+	for _, c := range cases {
+		if got := c.p.Canonical(); got != c.want {
+			t.Errorf("%s: Canonical =\n %q\nwant\n %q", c.p, got, c.want)
+		}
+		// Key.String is the Canonical prefix.
+		if got := c.p.Key.String(); !strings.HasPrefix(c.want, got+",scale=") {
+			t.Errorf("%s: Key.String %q is not the prefix of %q", c.p, got, c.want)
+		}
+	}
+}
+
 // TestPointJSONRoundTrip checks the wire form: encoding a normalized
 // point and decoding it back yields the identical point, including
 // aggregate (multi-seed) points and every run parameter.
