@@ -7,33 +7,38 @@ import (
 	"repro/internal/plan"
 )
 
-// This file is the fused superblock executor behind CPU.Run. The plan
-// partitions every program into maximal straight-line runs (see
-// plan.Plan.BlockEnd); runFused executes whole runs per dispatch, with
-// the dispatch loop, the interior instruction loop and the block-exit
-// handlers fused into one function so a block transition is a backward
-// branch, not a call chain. Interior instructions are guaranteed
-// straight-line, so the interior loop carries none of Step's
+// This file is the emulator's one interpreter, behind both CPU.Run and
+// CPU.Step. The plan partitions every program into maximal straight-line
+// runs (see plan.Plan.BlockEnd); runFused executes whole runs per
+// dispatch, with the dispatch loop, the interior instruction loop and the
+// block-exit handlers fused into one function so a block transition is a
+// backward branch, not a call chain. Interior instructions are
+// guaranteed straight-line, so the interior loop carries no
 // per-instruction overhead: no halted or pc-bounds checks, no
 // per-instruction pc/instruction-count stores, register writes without
 // an R0-discard branch (the plan remaps R0 destinations to
 // plan.RdDiscard, a padding slot of the register file), and the trace
 // batch is appended into a preflighted buffer whose room was reserved
 // before the dispatch. The run's terminating control transfer,
-// probabilistic instruction or HALT executes inline with semantics
-// copied from Step — branch resolution, PBS events, group bookkeeping
-// and fault construction are pinned to Step's by TestFusedMatchesStep
-// and FuzzFusedVsStep.
+// probabilistic instruction or HALT executes inline in the block-exit
+// switch.
+//
+// Each instruction's semantics are written once, as its plain handler
+// code (plan.H); a fused code (plan.Decoded.HF) executes several records
+// in one dispatch and must leave exactly the state their plain codes
+// would. A truncated dispatch runs one instruction under its plain code,
+// so Step (a one-instruction budget) never takes a fused code, and
+// TestFusedMatchesStep and FuzzFusedVsStep compare the two.
 //
 // Mid-block faults (division by zero, out-of-range memory access,
 // float-to-int overflow, non-positive RANDI bounds) commit the
 // instructions retired before the fault — pc, instruction count, and
 // trace entries — and leave the machine stopped on the faulting
-// instruction, exactly as a Step loop would.
+// instruction, exactly as one-instruction steps would.
 
 // blockFault commits the i instructions retired before a mid-block fault
 // (trace entries, instruction count ic+i, pc left on the faulting
-// instruction) and builds the fault, whose message matches Step's.
+// instruction) and builds the fault.
 func (c *CPU) blockFault(base, i int, ic uint64, buf []DynInstr, format string, args ...any) error {
 	c.buf = buf
 	c.pc = base + i
@@ -47,11 +52,10 @@ func (c *CPU) blockFault(base, i int, ic uint64, buf []DynInstr, format string, 
 // to the CPU only at exit and fault points (and c.buf around internal
 // flushes), so a block transition costs no architectural-state stores;
 // every return leaves the CPU fields exact. Interior instructions run in
-// a tight loop; each block's terminator is dispatched inline below with
-// Step's exact semantics. A dispatch truncated by the budget or by
-// trace-buffer room is all-interior (the truncated tail resumes as its
-// own block next iteration), so execution stops on exact instruction
-// boundaries.
+// a tight loop; each block's terminator is dispatched inline below. A
+// dispatch truncated by the budget or by trace-buffer room runs a single
+// interior instruction (the rest of the run resumes as its own block next
+// iteration), so execution stops on exact instruction boundaries.
 func (c *CPU) runFused(maxInstrs uint64) error {
 	if c.halted {
 		return nil
@@ -68,6 +72,7 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 	traced := buf != nil
 	pc := c.pc
 	ic := c.stats.Instructions
+	var one [1]plan.Decoded
 	for ic < limit {
 		if pc < 0 || pc >= len(blockEnd) {
 			c.pc = pc
@@ -78,9 +83,9 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 		// One dispatch per superblock tail. The BlockEnd sign says whether
 		// the run ends in a terminator; truncation to the instruction
 		// budget or to the room left in the trace batch buffer cuts the
-		// terminator off, leaving an all-interior dispatch (the tail
-		// resumes as its own block next iteration). A run that falls off
-		// the program end faults on the out-of-range pc next iteration.
+		// terminator off, leaving a one-instruction interior dispatch (the
+		// tail resumes as its own block next iteration). A run that falls
+		// off the program end faults on the out-of-range pc next iteration.
 		e := int(blockEnd[pc])
 		term := e > 0
 		if e < 0 {
@@ -107,32 +112,30 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 				trunc = true
 			}
 		}
-		if trunc {
-			// A truncated dispatch could split a fused pair, so run its
-			// (rare: a chunk boundary or a filled trace batch) all-interior
-			// prefix through the reference Step loop instead.
-			c.pc = pc
-			c.stats.Instructions = ic
-			c.buf = buf
-			for j := 0; j < n; j++ {
-				if err := c.Step(); err != nil {
-					return err
-				}
-			}
-			pc = c.pc
-			ic = c.stats.Instructions
-			buf = c.buf
-			continue
-		}
 		base := pc
-		blk := code[base : base+n]
-		// The plan precomputed the interior extent per entry pc: ni counts
-		// the individually dispatched prefix, and an interior end short of
-		// e-1 means the terminator dispatch also executes the claimed
-		// instructions in [ie, e-1) — see plan.Plan.IntEnd.
-		ie := int(intEnd[base])
-		ni := ie - base
-		tp := term && ie < e-1
+		var blk []plan.Decoded
+		var ni int
+		var tp bool
+		if trunc {
+			// A truncated dispatch (a budget stop or a filled trace batch)
+			// could split a fusion, so it runs one instruction as a block
+			// of its own, from a copy whose HF is its plain handler code.
+			// The instruction is never a terminator: truncation leaves at
+			// least one instruction of the run undispatched.
+			one[0] = code[base]
+			one[0].HF = one[0].H
+			blk = one[:]
+			ni = 1
+		} else {
+			blk = code[base : base+n]
+			// The plan precomputed the interior extent per entry pc: ni
+			// counts the individually dispatched prefix, and an interior end
+			// short of e-1 means the terminator dispatch also executes the
+			// claimed instructions in [ie, e-1) — see plan.Plan.IntEnd.
+			ie := int(intEnd[base])
+			ni = ie - base
+			tp = term && ie < e-1
+		}
 		inner := blk[:ni]
 		for i := 0; i < len(inner); i++ {
 			d := &inner[i]
@@ -314,9 +317,9 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 
 			// Fused pairs (plan.Decoded.HF): one dispatch executes this
 			// instruction and its successor, each from its own record. The
-			// plan only forms pairs strictly inside a block interior and
-			// truncated dispatches take the Step loop above, so blk[i+1] is
-			// always part of this dispatch.
+			// plan only forms pairs strictly inside a block interior and a
+			// truncated dispatch runs its one record under its plain code,
+			// so blk[i+1] is always part of this dispatch.
 			case plan.HPLoadImmLoadImm:
 				c.regs[d.Rd] = d.Val
 				d2 := &blk[i+1]
@@ -407,15 +410,6 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 				}
 				i++
 				continue
-			case plan.HPItoFFMul:
-				c.regs[d.Rd] = bits(float64(int64(ra)))
-				d2 := &blk[i+1]
-				c.regs[d2.Rd] = bits(f64(c.regs[d2.Ra]) * f64(c.regs[d2.Rb]))
-				if traced {
-					buf = append(buf, DynInstr{PC: int32(base + i)}, DynInstr{PC: int32(base + i + 1)})
-				}
-				i++
-				continue
 			case plan.HPAddImmShlImm:
 				c.regs[d.Rd] = ra + d.Val
 				d2 := &blk[i+1]
@@ -429,16 +423,6 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 				c.regs[d.Rd] = ra + d.Val
 				d2 := &blk[i+1]
 				c.regs[d2.Rd] = c.regs[d2.Ra] + d2.Val
-				if traced {
-					buf = append(buf, DynInstr{PC: int32(base + i)}, DynInstr{PC: int32(base + i + 1)})
-				}
-				i++
-				continue
-			case plan.HPAddImmCmp:
-				c.regs[d.Rd] = ra + d.Val
-				d2 := &blk[i+1]
-				a2, b2 := c.regs[d2.Ra], c.regs[d2.Rb]
-				c.setFlags(int64(a2) < int64(b2), a2 == b2)
 				if traced {
 					buf = append(buf, DynInstr{PC: int32(base + i)}, DynInstr{PC: int32(base + i + 1)})
 				}
@@ -461,67 +445,6 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 				}
 				i++
 				continue
-			case plan.HPDrand48:
-				// The eight-record drand48 step (see plan.HPDrand48):
-				// LD;MUL;ADDI;SHLI;SHRI;ST;ITOF;FMUL with each record's own
-				// operands. The two memory faults commit exactly the
-				// preceding instructions, as Step would.
-				d0, d1, d2, d3 := d, &blk[i+1], &blk[i+2], &blk[i+3]
-				d4, d5, d6, d7 := &blk[i+4], &blk[i+5], &blk[i+6], &blk[i+7]
-				addr0 := int64(ra) + int64(d0.Val)
-				if addr0 < 0 || addr0+8 > int64(len(mem)) {
-					return c.blockFault(base, i, ic, buf, "load address %d out of range [0,%d)", addr0, len(mem))
-				}
-				c.regs[d0.Rd] = getWord(mem, uint64(addr0))
-				c.stats.Loads++
-				c.regs[d1.Rd] = uint64(int64(c.regs[d1.Ra]) * int64(c.regs[d1.Rb]))
-				c.regs[d2.Rd] = c.regs[d2.Ra] + d2.Val
-				c.regs[d3.Rd] = c.regs[d3.Ra] << d3.Val
-				c.regs[d4.Rd] = c.regs[d4.Ra] >> d4.Val
-				addr5 := int64(c.regs[d5.Ra]) + int64(d5.Val)
-				if addr5 < 0 || addr5+8 > int64(len(mem)) {
-					if traced {
-						buf = append(buf,
-							DynInstr{PC: int32(base + i), MemAddr: uint64(addr0)},
-							DynInstr{PC: int32(base + i + 1)},
-							DynInstr{PC: int32(base + i + 2)},
-							DynInstr{PC: int32(base + i + 3)},
-							DynInstr{PC: int32(base + i + 4)})
-					}
-					return c.blockFault(base, i+5, ic, buf, "store address %d out of range [0,%d)", addr5, len(mem))
-				}
-				putWord(mem, uint64(addr5), c.regs[d5.Rb])
-				c.stats.Stores++
-				c.regs[d6.Rd] = bits(float64(int64(c.regs[d6.Ra])))
-				c.regs[d7.Rd] = bits(f64(c.regs[d7.Ra]) * f64(c.regs[d7.Rb]))
-				if traced {
-					buf = append(buf,
-						DynInstr{PC: int32(base + i), MemAddr: uint64(addr0)},
-						DynInstr{PC: int32(base + i + 1)},
-						DynInstr{PC: int32(base + i + 2)},
-						DynInstr{PC: int32(base + i + 3)},
-						DynInstr{PC: int32(base + i + 4)},
-						DynInstr{PC: int32(base + i + 5), MemAddr: uint64(addr5)},
-						DynInstr{PC: int32(base + i + 6)},
-						DynInstr{PC: int32(base + i + 7)})
-				}
-				i += 7
-				continue
-			case plan.HPLdMul:
-				addr := int64(ra) + int64(d.Val)
-				if addr < 0 || addr+8 > int64(len(mem)) {
-					return c.blockFault(base, i, ic, buf, "load address %d out of range [0,%d)", addr, len(mem))
-				}
-				c.regs[d.Rd] = getWord(mem, uint64(addr))
-				c.stats.Loads++
-				d2 := &blk[i+1]
-				c.regs[d2.Rd] = uint64(int64(c.regs[d2.Ra]) * int64(c.regs[d2.Rb]))
-				if traced {
-					buf = append(buf, DynInstr{PC: int32(base + i), MemAddr: uint64(addr)}, DynInstr{PC: int32(base + i + 1)})
-				}
-				i++
-				continue
-
 			default:
 				// Control and HALT handlers cannot appear in a block
 				// interior by construction; anything else is undecodable.
@@ -538,9 +461,8 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 			continue
 		}
 
-		// The block exit, inlined with Step's exact semantics. On
-		// terminator faults, pc stays on the terminator and the terminator
-		// is not retired — exactly Step's fault contract.
+		// The block exit. On terminator faults, pc stays on the terminator
+		// and the terminator is not retired.
 		tpc := base + n - 1
 		d := &blk[n-1]
 		ra := c.regs[d.Ra]
@@ -676,8 +598,9 @@ func (c *CPU) runFused(maxInstrs uint64) error {
 
 		case plan.HPDrand48Ret:
 			// The whole rand_u01 leaf body: the eight-record drand48 step
-			// (see plan.HPDrand48) claimed into its RET. The claimed region
-			// starts at blk[ni].
+			// (see plan.HPDrand48Ret) claimed into its RET. The claimed
+			// region starts at blk[ni]; the two memory faults commit exactly
+			// the preceding instructions.
 			d0, d1, d2, d3 := &blk[ni], &blk[ni+1], &blk[ni+2], &blk[ni+3]
 			d4, d5, d6, d7 := &blk[ni+4], &blk[ni+5], &blk[ni+6], &blk[ni+7]
 			addr0 := int64(c.regs[d0.Ra]) + int64(d0.Val)

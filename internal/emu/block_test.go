@@ -14,16 +14,19 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/isa"
+	"repro/internal/plan"
 	"repro/internal/progb"
 	"repro/internal/rng"
 )
 
 // genProgram emits a random but always-terminating probabilistic
 // program: straight-line segments of ALU/float/memory/random-draw
-// instructions inside a bounded loop, with conditional branches,
-// probabilistic branches (including Category-2 value lists), a called
-// subroutine, and outputs. The same seed always yields the same
-// program.
+// instructions inside a bounded loop, with integer, immediate and float
+// conditional branches, probabilistic branches (including Category-2
+// value lists), two called subroutines (one ending in the drand48 step
+// the workloads' rand_u01 runs), and outputs. The same seed always
+// yields the same program. TestCorpusAssignsEveryFusedCode checks that
+// the corpus seeds between them assign every fused handler code.
 func genProgram(r *rand.Rand) (*isa.Program, error) {
 	b := progb.New("fuzz", true)
 	memBase := b.AllocWords(16)
@@ -52,7 +55,7 @@ func genProgram(r *rand.Rand) (*isa.Program, error) {
 
 	straight := func(n int) {
 		for i := 0; i < n; i++ {
-			switch r.Intn(12) {
+			switch r.Intn(17) {
 			case 0:
 				b.Op3(isa.ADD, intReg(), intReg(), intReg())
 			case 1:
@@ -77,6 +80,18 @@ func genProgram(r *rand.Rand) (*isa.Program, error) {
 				b.RandU(fltReg())
 			case 11:
 				b.Mov(intReg(), intReg())
+			case 12:
+				b.MovInt(intReg(), int64(r.Intn(2000)-1000))
+			case 13:
+				b.MovFloat(fltReg(), r.Float64()+0.25)
+			case 14:
+				b.Op3(isa.FSUB, fltReg(), fltReg(), fltReg())
+			case 15:
+				b.Op2(isa.ITOF, fltReg(), intReg())
+			case 16:
+				v := intReg()
+				b.OpI(isa.SHRI, v, intReg(), int32(r.Intn(8)))
+				b.Store(addrReg, int32(r.Intn(16))*8, v)
 			}
 		}
 	}
@@ -104,12 +119,38 @@ func genProgram(r *rand.Rand) (*isa.Program, error) {
 			b.Call("leaf")
 		}
 		straight(r.Intn(6) + 1)
+		skipI := b.AutoLabel("skipi")
+		b.BranchIfI(isa.CmpLT, intReg(), int32(r.Intn(1000)), skipI)
+		straight(r.Intn(3) + 1)
+		b.Label(skipI)
+		skipF := b.AutoLabel("skipf")
+		b.BranchIf(isa.CmpGE|isa.CmpFloat, fltReg(), halfReg, skipF)
+		straight(r.Intn(3) + 1)
+		b.Label(skipF)
+		if r.Intn(2) == 0 {
+			b.Call("u01")
+		}
 	})
 	b.Out(intReg())
 	b.Out(fltReg())
 	b.Halt()
 	b.Label("leaf")
 	straight(r.Intn(6) + 1)
+	b.Ret()
+	// The drand48 step, with random registers: the plan claims the eight
+	// instructions into the RET (plan.HPDrand48Ret).
+	b.Label("u01")
+	straight(r.Intn(3))
+	seed, off := intReg(), int32(r.Intn(16))*8
+	b.Load(seed, addrReg, off)
+	b.Op3(isa.MUL, seed, seed, intReg())
+	b.AddI(seed, seed, int32(r.Intn(64)))
+	b.OpI(isa.SHLI, seed, seed, 16)
+	b.OpI(isa.SHRI, seed, seed, 16)
+	b.Store(addrReg, off, seed)
+	u := fltReg()
+	b.Op2(isa.ITOF, u, seed)
+	b.Op3(isa.FMUL, u, u, fltReg())
 	b.Ret()
 	return b.Finish()
 }
@@ -209,6 +250,31 @@ func TestFusedMatchesStep(t *testing.T) {
 			budgets = append(budgets, uint64(r.Intn(60)+1))
 		}
 		t.Run("", func(t *testing.T) { runDifferential(t, prog, uint64(seed), budgets) })
+	}
+}
+
+// TestCorpusAssignsEveryFusedCode fails when a fused handler code
+// appears in none of TestFusedMatchesStep's programs, so a fused handler
+// cannot go unchecked against the plain codes it replaces.
+func TestCorpusAssignsEveryFusedCode(t *testing.T) {
+	seen := make(map[plan.H]bool)
+	for seed := int64(1); seed <= 40; seed++ {
+		prog, err := genProgram(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		p, err := plan.For(prog)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, d := range p.Code {
+			seen[d.HF] = true
+		}
+	}
+	for h := plan.HPLoadImmLoadImm; h < plan.NumH; h++ {
+		if !seen[h] {
+			t.Errorf("fused handler code %d is assigned in no corpus program", h)
+		}
 	}
 }
 

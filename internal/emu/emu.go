@@ -8,8 +8,8 @@
 // The dispatch loop runs over a predecoded execution plan (internal/plan):
 // immediates are sign-extended, LDC constants resolved, branch targets
 // absolute and condition codes collapsed to truth tables before the first
-// instruction retires, so the per-instruction switch does no static
-// decoding at all.
+// instruction retires, so the handler switch does no static decoding at
+// all.
 package emu
 
 import (
@@ -163,8 +163,8 @@ type CPU struct {
 	ring TraceRing
 	// buf is the current batch buffer (ring-owned when ring != nil, the
 	// inline bufArr when a sink consumes synchronously); non-nil exactly
-	// when a sink or ring is installed, so it doubles as the Step hot
-	// path's single "tracing?" predicate.
+	// when a sink or ring is installed, so it doubles as the dispatch
+	// loop's single "tracing?" predicate.
 	buf    []DynInstr
 	bufArr [TraceBatch]DynInstr
 
@@ -308,14 +308,6 @@ func (c *CPU) SetReg(r isa.Reg, v uint64) {
 	}
 }
 
-// setReg is the hot-path register write (r is a predecoded register
-// number; writes to R0 are discarded, as in hardware).
-func (c *CPU) setReg(r uint8, v uint64) {
-	if r != 0 {
-		c.regs[r] = v
-	}
-}
-
 // PBS returns the attached PBS unit (nil when disabled).
 func (c *CPU) PBS() *core.Unit { return c.pbs }
 
@@ -339,7 +331,7 @@ func (c *CPU) ReadWord(addr int64) (uint64, error) {
 }
 
 // fault builds the runtime error for the instruction at the current pc
-// (only called from Step, after the pc bounds check).
+// (only called from runFused, after the pc bounds check).
 func (c *CPU) fault(format string, args ...any) error {
 	return &Fault{PC: c.pc, Instr: c.prog.Code[c.pc], Reason: fmt.Sprintf(format, args...)}
 }
@@ -368,277 +360,29 @@ func bits(f float64) uint64   { return math.Float64bits(f) }
 // overhead, the terminating branch/probabilistic/halt instruction in a
 // single block-exit dispatch — with pc, the retired-instruction count
 // and the trace batch committed in bulk. Budget limits and trace-buffer
-// room truncate a dispatch to fewer instructions, so Run still stops on
+// room truncate a dispatch to a single instruction, so Run still stops on
 // exact instruction boundaries: chunked execution, checkpoints and
-// faults see precisely the per-Step machine states.
-// Step is the reference the fused path is fuzzed against.
+// faults see precisely the machine states of one-instruction Steps.
 func (c *CPU) Run(maxInstrs uint64) error {
 	err := c.runFused(maxInstrs)
 	c.FlushTrace()
 	return err
 }
 
-// Step executes a single instruction. Retired instructions reach a
+// Step executes a single instruction: runFused with a one-instruction
+// budget, so the instruction runs under its plain handler code (see
+// block.go). It errors after HALT. Retired instructions reach a
 // TraceSink only when the internal batch fills; call FlushTrace before
 // reading sink-side state after hand-driven Steps.
 func (c *CPU) Step() error {
 	if c.halted {
 		return fmt.Errorf("emu: step after halt")
 	}
-	if c.pc < 0 || c.pc >= len(c.plan.Code) {
-		return &Fault{PC: c.pc, Reason: "program counter out of range"}
+	err := c.runFused(c.stats.Instructions + 1)
+	if len(c.buf) == cap(c.buf) {
+		c.FlushTrace()
 	}
-	d := &c.plan.Code[c.pc]
-	di := DynInstr{PC: int32(c.pc)}
-	next := c.pc + 1
-
-	ra := c.regs[d.Ra]
-	rb := c.regs[d.Rb]
-
-	switch d.H {
-	case plan.HNop:
-	case plan.HHalt:
-		c.halted = true
-
-	case plan.HMov:
-		c.setReg(d.Rd, ra)
-	case plan.HLoadImm:
-		c.setReg(d.Rd, d.Val)
-
-	case plan.HAdd:
-		c.setReg(d.Rd, ra+rb)
-	case plan.HSub:
-		c.setReg(d.Rd, ra-rb)
-	case plan.HMul:
-		c.setReg(d.Rd, uint64(int64(ra)*int64(rb)))
-	case plan.HDiv:
-		if rb == 0 {
-			return c.fault("division by zero")
-		}
-		c.setReg(d.Rd, uint64(int64(ra)/int64(rb)))
-	case plan.HRem:
-		if rb == 0 {
-			return c.fault("remainder by zero")
-		}
-		c.setReg(d.Rd, uint64(int64(ra)%int64(rb)))
-	case plan.HAnd:
-		c.setReg(d.Rd, ra&rb)
-	case plan.HOr:
-		c.setReg(d.Rd, ra|rb)
-	case plan.HXor:
-		c.setReg(d.Rd, ra^rb)
-	case plan.HShl:
-		c.setReg(d.Rd, ra<<(rb&63))
-	case plan.HShr:
-		c.setReg(d.Rd, ra>>(rb&63))
-	case plan.HNeg:
-		c.setReg(d.Rd, uint64(-int64(ra)))
-
-	case plan.HAddImm:
-		c.setReg(d.Rd, ra+d.Val)
-	case plan.HMulImm:
-		c.setReg(d.Rd, uint64(int64(ra)*int64(d.Val)))
-	case plan.HAndImm:
-		c.setReg(d.Rd, ra&d.Val)
-	case plan.HOrImm:
-		c.setReg(d.Rd, ra|d.Val)
-	case plan.HXorImm:
-		c.setReg(d.Rd, ra^d.Val)
-	case plan.HShlImm:
-		c.setReg(d.Rd, ra<<d.Val)
-	case plan.HShrImm:
-		c.setReg(d.Rd, ra>>d.Val)
-
-	case plan.HFAdd:
-		c.setReg(d.Rd, bits(f64(ra)+f64(rb)))
-	case plan.HFSub:
-		c.setReg(d.Rd, bits(f64(ra)-f64(rb)))
-	case plan.HFMul:
-		c.setReg(d.Rd, bits(f64(ra)*f64(rb)))
-	case plan.HFDiv:
-		c.setReg(d.Rd, bits(f64(ra)/f64(rb)))
-	case plan.HFSqrt:
-		c.setReg(d.Rd, bits(math.Sqrt(f64(ra))))
-	case plan.HFNeg:
-		c.setReg(d.Rd, bits(-f64(ra)))
-	case plan.HFAbs:
-		c.setReg(d.Rd, bits(math.Abs(f64(ra))))
-	case plan.HFExp:
-		c.setReg(d.Rd, bits(math.Exp(f64(ra))))
-	case plan.HFLn:
-		c.setReg(d.Rd, bits(math.Log(f64(ra))))
-	case plan.HFSin:
-		c.setReg(d.Rd, bits(math.Sin(f64(ra))))
-	case plan.HFCos:
-		c.setReg(d.Rd, bits(math.Cos(f64(ra))))
-	case plan.HFMin:
-		c.setReg(d.Rd, bits(math.Min(f64(ra), f64(rb))))
-	case plan.HFMax:
-		c.setReg(d.Rd, bits(math.Max(f64(ra), f64(rb))))
-	case plan.HFFloor:
-		c.setReg(d.Rd, bits(math.Floor(f64(ra))))
-	case plan.HItoF:
-		c.setReg(d.Rd, bits(float64(int64(ra))))
-	case plan.HFtoI:
-		f := f64(ra)
-		if math.IsNaN(f) || f >= math.MaxInt64 || f <= math.MinInt64 {
-			return c.fault("float to int conversion out of range (%g)", f)
-		}
-		c.setReg(d.Rd, uint64(int64(f)))
-
-	case plan.HLd:
-		addr := int64(ra) + int64(d.Val)
-		if addr < 0 || addr+8 > int64(len(c.mem)) {
-			return c.fault("load address %d out of range [0,%d)", addr, len(c.mem))
-		}
-		c.setReg(d.Rd, getWord(c.mem, uint64(addr)))
-		di.MemAddr = uint64(addr)
-		c.stats.Loads++
-	case plan.HLdb:
-		addr := int64(ra) + int64(d.Val)
-		if addr < 0 || addr+1 > int64(len(c.mem)) {
-			return c.fault("load address %d out of range [0,%d)", addr, len(c.mem))
-		}
-		c.setReg(d.Rd, uint64(c.mem[addr]))
-		di.MemAddr = uint64(addr)
-		c.stats.Loads++
-	case plan.HSt:
-		addr := int64(ra) + int64(d.Val)
-		if addr < 0 || addr+8 > int64(len(c.mem)) {
-			return c.fault("store address %d out of range [0,%d)", addr, len(c.mem))
-		}
-		putWord(c.mem, uint64(addr), rb)
-		di.MemAddr = uint64(addr)
-		c.stats.Stores++
-	case plan.HStb:
-		addr := int64(ra) + int64(d.Val)
-		if addr < 0 || addr+1 > int64(len(c.mem)) {
-			return c.fault("store address %d out of range [0,%d)", addr, len(c.mem))
-		}
-		c.mem[addr] = byte(rb)
-		di.MemAddr = uint64(addr)
-		c.stats.Stores++
-
-	case plan.HCmp:
-		c.setFlags(int64(ra) < int64(rb), ra == rb)
-	case plan.HCmpImm:
-		b := int64(d.Val)
-		c.setFlags(int64(ra) < b, int64(ra) == b)
-	case plan.HFCmp:
-		fa, fb := f64(ra), f64(rb)
-		c.setFlags(fa < fb, fa == fb)
-
-	case plan.HJmp:
-		next = int(d.Target)
-		di.Taken = true
-		c.stats.Branches++
-		if c.pbs != nil {
-			c.pbs.OnBranch(c.pc, next, true)
-		}
-	case plan.HJcc:
-		taken := d.Val>>(c.regs[isa.FlagsReg]&3)&1 != 0
-		if taken {
-			next = int(d.Target)
-		}
-		di.Taken = taken
-		c.stats.Branches++
-		c.stats.CondBranches++
-		if c.pbs != nil {
-			c.pbs.OnBranch(c.pc, int(d.Target), taken)
-		}
-
-	case plan.HCall:
-		c.regs[isa.LR] = uint64(c.pc + 1)
-		next = int(d.Target)
-		di.Taken = true
-		c.stats.Branches++
-		c.stats.Calls++
-		if c.pbs != nil {
-			c.pbs.OnCall(c.pc)
-		}
-	case plan.HRet:
-		next = int(c.regs[isa.LR])
-		if next < 0 || next > len(c.prog.Code) {
-			return c.fault("return to invalid pc %d", next)
-		}
-		di.Taken = true
-		c.stats.Branches++
-		c.stats.Returns++
-		if c.pbs != nil {
-			c.pbs.OnRet()
-		}
-
-	case plan.HProbCmp:
-		if c.group.open {
-			return c.fault("PROB_CMP while a probabilistic group is open")
-		}
-		c.group = probGroup{
-			open:    true,
-			outcome: isa.EvalCmp(d.Kind, ra, rb),
-			cmpVal:  rb,
-			vals:    append(c.group.vals[:0], ra),
-			regs:    append(c.group.regs[:0], isa.Reg(d.Ra)),
-		}
-
-	case plan.HProbJmpMid:
-		if !c.group.open {
-			return c.fault("PROB_JMP without open probabilistic group")
-		}
-		if d.Ra != 0 {
-			c.group.vals = append(c.group.vals, ra)
-			c.group.regs = append(c.group.regs, isa.Reg(d.Ra))
-		}
-
-	case plan.HProbJmp:
-		if !c.group.open {
-			return c.fault("PROB_JMP without open probabilistic group")
-		}
-		if d.Ra != 0 {
-			c.group.vals = append(c.group.vals, ra)
-			c.group.regs = append(c.group.regs, isa.Reg(d.Ra))
-		}
-		c.group.open = false
-		taken, state := c.resolveProb()
-		if taken {
-			next = int(d.Target)
-		}
-		di.Taken = taken
-		di.Prob = state
-		c.stats.Branches++
-		c.stats.CondBranches++
-		c.stats.ProbBranches++
-
-	case plan.HRandU:
-		c.setReg(d.Rd, bits(c.rng.Float64()))
-		c.stats.RandDraws++
-	case plan.HRandN:
-		c.setReg(d.Rd, bits(c.rng.NormFloat64()))
-		c.stats.RandDraws++
-	case plan.HRandI:
-		n := int64(ra)
-		if n <= 0 {
-			return c.fault("RANDI with non-positive bound %d", n)
-		}
-		c.setReg(d.Rd, uint64(c.rng.Int63n(n)))
-		c.stats.RandDraws++
-
-	case plan.HOut:
-		c.out = append(c.out, ra)
-		c.stats.Outputs++
-
-	default:
-		return c.fault("unimplemented opcode")
-	}
-
-	c.pc = next
-	c.stats.Instructions++
-	if c.buf != nil {
-		c.buf = append(c.buf, di)
-		if len(c.buf) == cap(c.buf) {
-			c.FlushTrace()
-		}
-	}
-	return nil
+	return err
 }
 
 // resolveProb finishes a probabilistic branch group at its terminal

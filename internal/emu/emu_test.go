@@ -51,12 +51,20 @@ func TestIntegerALU(t *testing.T) {
 		b.Op3(isa.OR, 9, 1, 2)   // 22
 		b.Op3(isa.XOR, 10, 1, 2) // 18
 		b.MovInt(11, -20)
-		b.Op2(isa.NEG, 12, 11)    // 20
-		b.OpI(isa.SHLI, 13, 2, 3) // 48
-		b.OpI(isa.SHRI, 14, 1, 2) // 5
+		b.Op2(isa.NEG, 12, 11)     // 20
+		b.OpI(isa.SHLI, 13, 2, 3)  // 48
+		b.OpI(isa.SHRI, 14, 1, 2)  // 5
+		b.MovInt(15, 67)           // register shift counts use the low 6 bits: 3
+		b.Op3(isa.SHL, 16, 2, 15)  // 48
+		b.Op3(isa.SHR, 17, 1, 15)  // 2
+		b.OpI(isa.MULI, 18, 1, -3) // -60
+		b.OpI(isa.ANDI, 19, 1, 6)  // 4
+		b.OpI(isa.ORI, 20, 1, 3)   // 23
+		b.OpI(isa.XORI, 21, 1, 5)  // 17
 		b.Halt()
 	})
-	want := map[isa.Reg]int64{3: 26, 4: 14, 5: 120, 6: 3, 7: 2, 8: 4, 9: 22, 10: 18, 12: 20, 13: 48, 14: 5}
+	want := map[isa.Reg]int64{3: 26, 4: 14, 5: 120, 6: 3, 7: 2, 8: 4, 9: 22, 10: 18, 12: 20, 13: 48, 14: 5,
+		16: 48, 17: 2, 18: -60, 19: 4, 20: 23, 21: 17}
 	for r, v := range want {
 		if got := int64(cpu.Reg(r)); got != v {
 			t.Errorf("r%d = %d, want %d", r, got, v)
@@ -83,10 +91,16 @@ func TestFloatOps(t *testing.T) {
 		b.MovInt(15, -3)
 		b.Op2(isa.ITOF, 16, 15)
 		b.Op2(isa.FTOI, 17, 1)
+		b.Op3(isa.FSUB, 18, 1, 2) // fused with neither neighbour
+		b.Op3(isa.FDIV, 19, 1, 2)
+		b.MovFloat(20, math.Pi/6)
+		b.Op2(isa.FSIN, 21, 20)
+		b.Op2(isa.FCOS, 22, 20)
 		b.Halt()
 	})
 	checks := map[isa.Reg]float64{3: 6.25, 4: 9.0, 5: 2.0, 6: -2.25, 7: 2.25,
-		9: math.E, 11: 2.25, 12: 4.0, 14: -3.0, 16: -3.0}
+		9: math.E, 11: 2.25, 12: 4.0, 14: -3.0, 16: -3.0,
+		18: -1.75, 19: 0.5625, 21: 0.5, 22: math.Sqrt(3) / 2}
 	for r, v := range checks {
 		if got := math.Float64frombits(cpu.Reg(r)); math.Abs(got-v) > 1e-12 {
 			t.Errorf("r%d = %g, want %g", r, got, v)

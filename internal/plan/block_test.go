@@ -86,8 +86,6 @@ func checkPlanInvariants(t *testing.T, name string, p *Plan) {
 			hf := p.Code[i].HF
 			w := 1
 			switch {
-			case hf == HPDrand48:
-				w = len(drand48Seq)
 			case pairs[hf]:
 				w = 2
 			case termPairs[hf] || hf == HPDrand48Ret:
@@ -109,12 +107,9 @@ func checkPlanInvariants(t *testing.T, name string, p *Plan) {
 		for i := pc; i < ie; {
 			hf := p.Code[i].HF
 			isStart[i] = true
-			switch {
-			case hf == HPDrand48:
-				i += len(drand48Seq)
-			case pairs[hf]:
+			if pairs[hf] {
 				i += 2
-			default:
+			} else {
 				i++
 			}
 		}
@@ -172,7 +167,7 @@ func TestSuperblockFusesKnownPatterns(t *testing.T) {
 	_, termPairs := fusionSets()
 	for i := range p.Code {
 		hf := p.Code[i].HF
-		if hf == HPDrand48 || hf == HPDrand48Ret {
+		if hf == HPDrand48Ret {
 			sawDrand48 = true
 		}
 		if termPairs[hf] {

@@ -103,9 +103,9 @@ const (
 	// adjacent instructions inside a superblock interior match a pair the
 	// block executor has a dedicated handler for: one dispatch then
 	// executes both instructions, each from its own Decoded record. The
-	// pair vocabulary is chosen by static frequency over the repo's bench
-	// workload corpus (see DESIGN.md §10); only the load/store pairs can
-	// fault, and they fault with Step's exact partial-commit semantics.
+	// pair vocabulary is kept to pairs the workload corpus dispatches
+	// (see DESIGN.md §10); only the store pair can fault, and it commits
+	// the first instruction before faulting, as plain execution would.
 	HPLoadImmLoadImm // MOVI/LDC ; MOVI/LDC
 	HPLoadImmFAdd    // MOVI/LDC ; FADD
 	HPLoadImmFMul    // MOVI/LDC ; FMUL
@@ -116,21 +116,9 @@ const (
 	HPFAddFMul       // FADD ; FMUL
 	HPFSubFAdd       // FSUB ; FADD
 	HPMovFMul        // MOV ; FMUL
-	HPItoFFMul       // ITOF ; FMUL
 	HPAddImmShlImm   // ADDI ; SHLI
 	HPAddImmAddImm   // ADDI ; ADDI
-	HPAddImmCmp      // ADDI ; CMP
 	HPShrImmSt       // SHRI ; ST
-	HPLdMul          // LD ; MUL
-
-	// HPDrand48 fuses the eight-instruction drand48 step
-	// LD;MUL;ADDI;SHLI;SHRI;ST;ITOF;FMUL — the body of the software
-	// runtime's rand_u01 leaf (internal/workloads softlib), the single
-	// hottest straight-line run in every workload in the corpus. One
-	// dispatch executes all eight records; entries into the middle of the
-	// run execute as singles/pairs, and the two memory faults commit the
-	// preceding instructions exactly as Step would.
-	HPDrand48
 
 	// Fused terminators: one or more straight-line instructions claimed
 	// into the block-exit dispatch that consumes them (classic
@@ -146,7 +134,17 @@ const (
 	HPFCmpJcc    // FCMP ; Jcc
 	HPProbCmpJmp // PROB_CMP ; terminal PROB_JMP
 	HPMovCall    // MOV ; CALL
-	HPDrand48Ret // drand48 step ; RET (the whole rand_u01 leaf body)
+	// HPDrand48Ret fuses the eight-instruction drand48 step
+	// LD;MUL;ADDI;SHLI;SHRI;ST;ITOF;FMUL (drand48Seq) into the RET that
+	// follows it: the whole body of the software runtime's rand_u01 leaf
+	// (internal/workloads softlib), the hottest straight-line run in the
+	// corpus. Entries into the middle of the run execute its instructions
+	// as plain singles.
+	HPDrand48Ret
+
+	// NumH is the number of handler codes; the fused codes are
+	// [HPLoadImmLoadImm, NumH).
+	NumH
 )
 
 // pairTable maps adjacent interior handler pairs to their fused code.
@@ -161,12 +159,9 @@ var pairTable = map[[2]H]H{
 	{HFAdd, HFMul}:       HPFAddFMul,
 	{HFSub, HFAdd}:       HPFSubFAdd,
 	{HMov, HFMul}:        HPMovFMul,
-	{HItoF, HFMul}:       HPItoFFMul,
 	{HAddImm, HShlImm}:   HPAddImmShlImm,
 	{HAddImm, HAddImm}:   HPAddImmAddImm,
-	{HAddImm, HCmp}:      HPAddImmCmp,
 	{HShrImm, HSt}:       HPShrImmSt,
-	{HLd, HMul}:          HPLdMul,
 }
 
 // termPairTable maps a compare directly preceding a conditional branch
@@ -279,7 +274,8 @@ type Decoded struct {
 	// to H, or an HP pair code meaning "execute this instruction and its
 	// successor in one dispatch" (the successor keeps its own single-
 	// instruction HF, so control entering a block mid-pair still executes
-	// correctly). Step and every other consumer use H.
+	// correctly). A one-instruction dispatch (CPU.Step, a budget stop)
+	// and every other consumer use H.
 	HF H
 }
 
@@ -346,8 +342,8 @@ func (p *Plan) Block(pc int) (end int, term bool) {
 // PROB_JMP) or HALT. Everything else — including PROB_CMP and
 // value-transfer PROB_JMPs, which manipulate the open-group state but
 // never redirect control — is straight-line and may be fused into a
-// block interior (group-state violations fault from the interior with
-// Step's exact partial-commit semantics, like any interior memory
+// block interior (group-state violations fault from the interior,
+// committing the instructions before them, like any interior memory
 // fault).
 func (d *Decoded) EndsBlock() bool {
 	return d.Flags&FBranch != 0 || d.H == HHalt
@@ -413,11 +409,6 @@ func (p *Plan) fusePairs() {
 			p.IntEnd[j] = int32(ie)
 		}
 		for i := pc; i+1 < ni; {
-			if i+len(drand48Seq) <= ni && matchSeq(p.Code[i:i+len(drand48Seq)], drand48Seq[:]) {
-				p.Code[i].HF = HPDrand48
-				i += len(drand48Seq)
-				continue
-			}
 			if hp, ok := pairTable[[2]H{p.Code[i].H, p.Code[i+1].H}]; ok {
 				p.Code[i].HF = hp
 				i += 2
@@ -429,7 +420,7 @@ func (p *Plan) fusePairs() {
 	}
 }
 
-// drand48Seq is the handler sequence HPDrand48 fuses.
+// drand48Seq is the handler sequence HPDrand48Ret claims into its RET.
 var drand48Seq = [8]H{HLd, HMul, HAddImm, HShlImm, HShrImm, HSt, HItoF, HFMul}
 
 // matchSeq reports whether the instructions' handlers equal seq.
